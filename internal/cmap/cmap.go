@@ -69,6 +69,12 @@ type Map interface {
 	//
 	//flexlint:noalloc
 	Lookup(key graph.VID) Bits
+	// LookupCost is Lookup that also reports the probe steps this query
+	// took — what the cycle model charges per pruned candidate — so a
+	// caller need not difference two Stats snapshots around every query.
+	//
+	//flexlint:noalloc
+	LookupCost(key graph.VID) (Bits, int64)
 	// Reset invalidates all entries (end of a task).
 	Reset()
 	// Stats returns accumulated counters.
@@ -245,39 +251,44 @@ func (m *HashMap) findForDelete(key graph.VID) int {
 // to skip holes.
 //
 //flexlint:noalloc
-func (m *HashMap) findExisting(key graph.VID) int {
+func (m *HashMap) findExisting(key graph.VID) (slot int, steps int64) {
 	n := len(m.keys)
 	start := m.hash(key)
-	steps := 0
 	for i := 0; i < n; i++ {
 		slot := (start + i) % n
 		if i%m.banks == 0 {
 			steps++
 		}
 		if m.vals[slot] != 0 && m.keys[slot] == key {
-			m.stats.Probes += int64(steps)
-			return slot
+			return slot, steps
 		}
 		if m.vals[slot] == 0 {
-			m.stats.Probes += int64(steps)
-			return -1
+			break
 		}
 	}
-	m.stats.Probes += int64(steps)
-	return -1
+	return -1, steps
 }
 
 // Lookup implements Map.
 //
 //flexlint:noalloc
 func (m *HashMap) Lookup(key graph.VID) Bits {
+	b, _ := m.LookupCost(key)
+	return b
+}
+
+// LookupCost implements Map.
+//
+//flexlint:noalloc
+func (m *HashMap) LookupCost(key graph.VID) (Bits, int64) {
 	m.stats.Lookups++
-	slot := m.findExisting(key)
+	slot, steps := m.findExisting(key)
+	m.stats.Probes += steps
 	if slot < 0 {
-		return 0
+		return 0, steps
 	}
 	m.stats.Hits++
-	return m.vals[slot]
+	return m.vals[slot], steps
 }
 
 // Reset implements Map ("when a task is completed, all entries in c-map are
@@ -337,6 +348,11 @@ func (v *Vector) Lookup(key graph.VID) Bits {
 	}
 	return b
 }
+
+// LookupCost implements Map; a vector access probes nothing.
+//
+//flexlint:noalloc
+func (v *Vector) LookupCost(key graph.VID) (Bits, int64) { return v.Lookup(key), 0 }
 
 // Reset implements Map.
 func (v *Vector) Reset() {

@@ -72,7 +72,7 @@ func ParseAuxMode(s string) (AuxMode, error) {
 }
 
 // auxState is the per-worker runtime of one plan.AuxSpec. The arrays are
-// allocated once in newWorker (MaxDegree-sized, like the merge scratch) and
+// allocated once in newWorker (MaxDegree-sized, like the chain scratch) and
 // live for the worker's lifetime; per-activation reset is the epoch bump plus
 // an arena length reset, never an allocation.
 type auxState struct {
@@ -87,35 +87,23 @@ type auxState struct {
 	liveBytes int64       // bytes of live rows (arena length × 4)
 }
 
-// newAuxStates builds the pooled per-spec runtime, or nil when the mode or
-// plan make the layer inert. auxGate is the static half of the cost model:
-// with d = avg degree, an activation is looked up ≈ Uses × d^Gap times, so
-// anything below 2 expected uses cannot amortize even one row copy.
-func newAuxStates(g graph.Store, pl *plan.Plan, o Options) ([]auxState, []bool) {
-	if o.AuxGraph == AuxOff || len(pl.AuxSpecs) == 0 {
-		return nil, nil
+// newAuxStates builds the pooled per-spec runtime of one worker, or nil when
+// the program carries no aux layer.
+func newAuxStates(g graph.Store, p *program) []auxState {
+	if p.aux == nil {
+		return nil
 	}
-	states := make([]auxState, len(pl.AuxSpecs))
-	gate := make([]bool, len(pl.AuxSpecs))
+	states := make([]auxState, len(p.aux))
 	maxd := g.MaxDegree()
-	d := g.AvgDegree()
-	if d < 1 {
-		d = 1
-	}
-	for i, s := range pl.AuxSpecs {
+	for i := range states {
 		states[i].stamps = make([]uint64, maxd)
 		states[i].offs = make([]int32, maxd)
 		states[i].lens = make([]int32, maxd)
-		reuse := float64(s.Uses)
-		for k := 0; k < s.Gap; k++ {
-			reuse *= d
-		}
-		gate[i] = o.AuxGraph == AuxOn || reuse >= 2
 	}
-	return states, gate
+	return states
 }
 
-// auxActivate opens the activation scope of every spec built at this op: the
+// auxActivate opens the activation scope of every spec built at n: the
 // universe and fold ancestors are fixed from here until auxRelease, so rows
 // stamped under the new epoch stay valid for the whole subtree. Under
 // AuxAuto an activation whose fold operand is empty is skipped — the rows
@@ -123,26 +111,20 @@ func newAuxStates(g graph.Store, pl *plan.Plan, o Options) ([]auxState, []bool) 
 // the normal per-step path handles both for free.
 //
 //flexlint:noalloc
-func (w *worker) auxActivate(op plan.VertexOp) {
-	if w.aux == nil || len(op.BuildAux) == 0 {
-		return
-	}
-	for _, i := range op.BuildAux {
+func (w *worker) auxActivate(n *node) {
+	for _, i := range n.op.BuildAux {
 		st := &w.aux[i]
-		spec := &w.pl.AuxSpecs[i]
+		a := &w.prog.aux[i]
 		st.epoch++
 		w.auxLive -= st.liveBytes
 		st.liveBytes = 0
 		st.arena = st.arena[:0]
 		st.active = true
-		st.build = w.auxGate[i]
+		st.build = a.gate
 		if st.build && w.o.AuxGraph == AuxAuto {
 			operand := 0
-			for _, j := range spec.Intersect {
-				operand += len(w.g.Adj(w.emb[j]))
-			}
-			for _, j := range spec.Difference {
-				operand += len(w.g.Adj(w.emb[j]))
+			for _, o := range a.ops {
+				operand += len(w.g.Adj(w.emb[o.level]))
 			}
 			if operand == 0 {
 				st.build = false
@@ -152,7 +134,7 @@ func (w *worker) auxActivate(op plan.VertexOp) {
 			w.stats.AuxSkippedCostModel++
 			continue
 		}
-		st.universe = w.g.Adj(w.emb[spec.Universe])
+		st.universe = w.g.Adj(w.emb[a.spec.Universe])
 	}
 }
 
@@ -161,11 +143,8 @@ func (w *worker) auxActivate(op plan.VertexOp) {
 // returns to zero between tasks and nothing leaks across them.
 //
 //flexlint:noalloc
-func (w *worker) auxRelease(op plan.VertexOp) {
-	if w.aux == nil || len(op.BuildAux) == 0 {
-		return
-	}
-	for _, i := range op.BuildAux {
+func (w *worker) auxRelease(n *node) {
+	for _, i := range n.op.BuildAux {
 		st := &w.aux[i]
 		st.active = false
 		st.build = false
@@ -182,15 +161,12 @@ func (w *worker) auxRelease(op plan.VertexOp) {
 // cost-gated activation) or — defensively — a key outside the universe.
 //
 //flexlint:noalloc
-func (w *worker) auxRow(op plan.VertexOp) ([]graph.VID, bool) {
-	if op.AuxBase < 0 || op.AuxBase >= len(w.aux) {
-		return nil, false
-	}
-	st := &w.aux[op.AuxBase]
+func (w *worker) auxRow(n *node) ([]graph.VID, bool) {
+	st := &w.aux[n.srcIdx]
 	if !st.active || !st.build {
 		return nil, false
 	}
-	x := w.emb[op.Extender]
+	x := w.emb[n.op.Extender]
 	pos := setops.Index(st.universe, x)
 	if pos < 0 {
 		return nil, false
@@ -199,54 +175,24 @@ func (w *worker) auxRow(op plan.VertexOp) ([]graph.VID, bool) {
 		w.stats.AuxReused++
 		return st.arena[st.offs[pos] : st.offs[pos]+int32(st.lens[pos])], true
 	}
-	return w.auxBuild(st, &w.pl.AuxSpecs[op.AuxBase], x, pos), true
+	return w.auxBuild(st, &w.prog.aux[n.srcIdx], x, pos), true
 }
 
-// auxBuild materializes aux[x] into the arena tail through the same
+// auxBuild materializes aux[x] into the arena tail through the same chain and
 // policy-dispatched kernels as the per-step path (Options.Kernel applies,
-// kernel Stats counters charge normally) and stamps its position.
+// kernel Stats counters charge normally) and stamps its position. The last
+// fold operation writes straight into the arena: the scratch it would
+// otherwise land in is clobbered by the consumer's residual operations.
 //
 //flexlint:noalloc
-func (w *worker) auxBuild(st *auxState, spec *plan.AuxSpec, x graph.VID, pos int) []graph.VID {
+func (w *worker) auxBuild(st *auxState, a *auxNode, x graph.VID, pos int) []graph.VID {
 	bound := setops.NoBound
-	if spec.RowBound != plan.NoLevel {
-		bound = w.emb[spec.RowBound]
+	if a.spec.RowBound != plan.NoLevel {
+		bound = w.emb[a.spec.RowBound]
 	}
-	cur := setops.Bounded(w.g.Adj(x), bound)
 	off := int32(len(st.arena))
-	if len(spec.Intersect)+len(spec.Difference) == 1 {
-		// Single chained operation: materialize straight into the arena.
-		if len(spec.Intersect) == 1 {
-			st.arena = w.setOp(st.arena, cur, w.emb[spec.Intersect[0]], false, bound)
-		} else {
-			st.arena = w.setOp(st.arena, cur, w.emb[spec.Difference[0]], true, bound)
-		}
-	} else {
-		// Chain through the ping-pong scratch, then copy the final row out —
-		// the scratch is clobbered by the consumer's residual operations.
-		useA := true
-		step := func(j int, diff bool) {
-			dst := w.mergeB[:0]
-			if useA {
-				dst = w.mergeA[:0]
-			}
-			dst = w.setOp(dst, cur, w.emb[j], diff, bound)
-			if useA {
-				w.mergeA = dst
-			} else {
-				w.mergeB = dst
-			}
-			cur = dst
-			useA = !useA
-		}
-		for _, j := range spec.Intersect {
-			step(j, false)
-		}
-		for _, j := range spec.Difference {
-			step(j, true)
-		}
-		st.arena = setops.AppendBounded(st.arena, cur, bound)
-	}
+	cur, anc, diff := w.chain(setops.Bounded(w.g.Adj(x), bound), a.ops, bound)
+	st.arena = w.setOp(st.arena, cur, anc, diff, bound)
 	n := int32(len(st.arena)) - off
 	st.offs[pos], st.lens[pos] = off, n
 	st.stamps[pos] = st.epoch

@@ -7,6 +7,7 @@ import (
 	"os"
 	"reflect"
 	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/graph"
@@ -149,10 +150,10 @@ func TestAuxCancellationMidMaterialization(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, st := range stores {
-		var fired int64
+		var fired atomic.Int64
 		ctx, cancel := context.WithCancel(context.Background())
 		o := Options{Threads: 4, AuxGraph: AuxOn, OnTaskDone: func(w int, matches int64) {
-			if fired++; fired == 10 {
+			if fired.Add(1) == 10 {
 				cancel()
 			}
 		}}
@@ -172,7 +173,8 @@ func TestAuxCancellationMidMaterialization(t *testing.T) {
 	// the aux subtree, then verify the scope ledger returned to zero.
 	done := make(chan struct{})
 	close(done)
-	w := newWorker(g, pl, Options{Threads: 1, AuxGraph: AuxOn}.withDefaults())
+	o := Options{Threads: 1, AuxGraph: AuxOn}.withDefaults()
+	w := newWorker(g, lower(g, pl, o, false), o)
 	w.ctxDone = done
 	for _, task := range sched.Expand(g, 0)[:20] {
 		w.runTask(task)
@@ -197,23 +199,36 @@ func TestAuxCancellationMidMaterialization(t *testing.T) {
 // prover's allowlist exempts (Store.Adj implementations, worker.visit).
 func TestAuxScratchPooledAllocs(t *testing.T) {
 	g := graph.RMAT(10, 6000, 0.57, 0.19, 0.19, 5)
-	pl := compileAux(t, pattern.House())
-	o := Options{Threads: 1, Kernel: KernelMergeOnly, HubBitmaps: -1, AuxGraph: AuxOn}.withDefaults()
-	w := newWorker(g, pl, o)
 	tasks := sched.Expand(g, 0)
-	for _, task := range tasks { // warm: grow arenas/levels to steady state
-		w.runTask(task)
-	}
-	warm := tasks
-	if len(warm) > 64 {
-		warm = warm[:64]
-	}
-	if avg := testing.AllocsPerRun(3, func() {
-		for _, task := range warm {
-			w.runTask(task)
+	var sink graph.VID
+	visit := func(emb []graph.VID, _ int) { sink += emb[len(emb)-1] }
+	// House: aux rows plus NotEqual at an interior level and at the leaf.
+	// 4-path: NotEqual on plain adjacency at both (the in-place ancestor cut
+	// of materialize and the membership adjustment of count). Diamond: no
+	// NotEqual, so the last kernel writes the level buffer directly. Each
+	// runs as Mine (count-only leaves) and as List (leafVisit).
+	for _, p := range []*pattern.Pattern{pattern.House(), pattern.KPath(4), pattern.Diamond()} {
+		for _, listing := range []bool{false, true} {
+			o := Options{Threads: 1, Kernel: KernelMergeOnly, HubBitmaps: -1, AuxGraph: AuxOn}.withDefaults()
+			w := newWorker(g, lower(g, compileAux(t, p), o, listing), o)
+			if listing {
+				w.visit = visit
+			}
+			for _, task := range tasks { // warm: grow arenas/levels to steady state
+				w.runTask(task)
+			}
+			warm := tasks
+			if len(warm) > 64 {
+				warm = warm[:64]
+			}
+			if avg := testing.AllocsPerRun(3, func() {
+				for _, task := range warm {
+					w.runTask(task)
+				}
+			}); avg > 0 {
+				t.Fatalf("%s listing=%v: warmed worker allocates %.1f times per task batch; scratch must be pooled", p.Name(), listing, avg)
+			}
 		}
-	}); avg > 0 {
-		t.Fatalf("warmed aux worker allocates %.1f times per task batch; scratch must be pooled", avg)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"sync"
 
 	"repro/internal/cmap"
 	"repro/internal/graph"
@@ -198,11 +199,18 @@ func (r Result) Count() int64 {
 	return r.Counts[0]
 }
 
-// Engine mines a graph according to a compiled plan.
+// Engine mines a graph according to a compiled plan. It holds the plan's
+// lowered exec program (prog.go) and, once the first run asked for it, the
+// ordered task list; both are read-only and shared by every run and worker,
+// so one engine serves repeated and concurrent Mine calls.
 type Engine struct {
-	g  graph.Store
-	pl *plan.Plan
-	o  Options
+	g     graph.Store
+	o     Options
+	prog  *program
+	visit Visitor // set by List: one call per match instead of bulk leaf counts
+
+	tasksOnce sync.Once
+	tasks     []sched.Task
 }
 
 // NewEngine validates the plan/graph pairing and returns an engine. Under a
@@ -210,6 +218,10 @@ type Engine struct {
 // hub-adjacency bitmap index, so the one-time build cost is paid at engine
 // construction, not inside the mining hot path.
 func NewEngine(g graph.Store, pl *plan.Plan, o Options) (*Engine, error) {
+	return newEngine(g, pl, o, nil)
+}
+
+func newEngine(g graph.Store, pl *plan.Plan, o Options, visit Visitor) (*Engine, error) {
 	if err := pl.Validate(); err != nil {
 		return nil, err
 	}
@@ -221,7 +233,7 @@ func NewEngine(g graph.Store, pl *plan.Plan, o Options) (*Engine, error) {
 	}
 	o = o.withDefaults()
 	hubIndexFor(g, o)
-	return &Engine{g: g, pl: pl, o: o}, nil
+	return &Engine{g: g, o: o, prog: lower(g, pl, o, visit != nil), visit: visit}, nil
 }
 
 // hubIndexFor resolves the hub-bitmap index the options call for: nil when
@@ -256,33 +268,36 @@ func (e *Engine) sliceElems() int {
 	return autoSliceElems
 }
 
+// taskList expands the vertex set into (possibly hub-sliced) tasks and orders
+// them degree-descending, once per engine. The schedulers copy tasks into
+// their deques and never write the slice, so concurrent runs share it.
+func (e *Engine) taskList() []sched.Task {
+	e.tasksOnce.Do(func() {
+		e.tasks = sched.Expand(e.g, e.sliceElems())
+		sched.OrderByDegreeDesc(e.g, e.tasks)
+	})
+	return e.tasks
+}
+
 // TaskCount reports how many scheduler tasks a Mine call will dispatch under
 // the engine's slicing policy — serve mode uses it to size the
 // /debug/progress denominator before the run starts.
-func (e *Engine) TaskCount() int {
-	return len(sched.Expand(e.g, e.sliceElems()))
-}
+func (e *Engine) TaskCount() int { return len(e.taskList()) }
 
 // Mine runs the parallel DFS over all start vertices and returns per-pattern
 // counts. It is MineContext without cancellation.
 func (e *Engine) Mine() Result {
-	r, _ := e.mine(context.Background(), nil)
+	r, _ := e.MineContext(context.Background())
 	return r
 }
 
 // MineContext is Mine under a context: the run stops promptly once ctx is
 // cancelled or its deadline passes, returning the partial counts and stats
-// accumulated so far together with ctx's error.
+// accumulated so far together with ctx's error. It is the shared execution
+// path of Mine, List and ListContext: seed the engine's task list
+// degree-descending and drain it with the work-stealing scheduler.
 func (e *Engine) MineContext(ctx context.Context) (Result, error) {
-	return e.mine(ctx, nil)
-}
-
-// mine is the shared execution path of Mine, MineContext, List and
-// ListContext: expand the vertex set into (possibly hub-sliced) tasks, seed
-// them degree-descending, and drain them with the work-stealing scheduler.
-func (e *Engine) mine(ctx context.Context, visit Visitor) (Result, error) {
-	tasks := sched.Expand(e.g, e.sliceElems())
-	sched.OrderByDegreeDesc(e.g, tasks)
+	tasks := e.taskList()
 	threads := e.o.Threads
 	if threads > len(tasks) && len(tasks) > 0 {
 		threads = len(tasks)
@@ -292,8 +307,8 @@ func (e *Engine) mine(ctx context.Context, visit Visitor) (Result, error) {
 	}
 	workers := make([]*worker, threads)
 	for t := range workers {
-		workers[t] = newWorker(e.g, e.pl, e.o)
-		workers[t].visit = visit
+		workers[t] = newWorker(e.g, e.prog, e.o)
+		workers[t].visit = e.visit
 		workers[t].ctxDone = ctx.Done()
 		workers[t].widx = t
 	}
@@ -338,7 +353,8 @@ func (e *Engine) mine(ctx context.Context, visit Visitor) (Result, error) {
 	} else {
 		err = sched.RunHooked(ctx, threads, tasks, run, hooks)
 	}
-	total := Result{Counts: make([]int64, len(e.pl.Patterns))}
+	pl := e.prog.pl
+	total := Result{Counts: make([]int64, len(pl.Patterns))}
 	for _, w := range workers {
 		for i, c := range w.counts {
 			total.Counts[i] += c
@@ -346,7 +362,7 @@ func (e *Engine) mine(ctx context.Context, visit Visitor) (Result, error) {
 		total.Stats.add(&w.stats)
 	}
 	for i := range total.Counts {
-		total.Counts[i] /= e.pl.CountDivisor[i]
+		total.Counts[i] /= pl.CountDivisor[i]
 	}
 	return total, err
 }
@@ -373,23 +389,21 @@ func MineContext(ctx context.Context, g graph.Store, pl *plan.Plan, o Options) (
 // worker holds the per-thread DFS state: the ancestor stack, per-level
 // candidate buffers (which double as memoized frontiers), and the c-map.
 type worker struct {
-	g  graph.Store
-	pl *plan.Plan
-	o  Options
+	g    graph.Store
+	prog *program
+	o    Options
 
-	emb       []graph.VID   // ancestor stack
-	levels    [][]graph.VID // per-level candidate buffers / frontiers
-	mergeA    []graph.VID   // ping-pong scratch for chained set operations
-	mergeB    []graph.VID
+	emb       []graph.VID     // ancestor stack
+	levels    [][]graph.VID   // per-level candidate buffers / frontiers
+	scratch   [2][]graph.VID  // ping-pong buffers for chained set operations
 	hub       *graph.HubIndex // shared hub-adjacency bitmaps (nil if unused)
 	cm        cmap.Map
 	cmLevelOK []bool // c-map insertion succeeded at level (no overflow)
 
 	// Auxiliary-graph runtime (aux.go): one pooled state per plan.AuxSpec
-	// (nil when the mode or plan disable the layer), the static cost gate,
-	// and the live-row byte ledger behind Stats.AuxBytesPeak.
+	// (nil when the mode or plan disable the layer) and the live-row byte
+	// ledger behind Stats.AuxBytesPeak.
 	aux     []auxState
-	auxGate []bool
 	auxLive int64
 
 	// sliceLo/sliceHi restrict the current task's level-1 adjacency range
@@ -410,8 +424,7 @@ type worker struct {
 	stopped    bool
 	cancelPoll uint
 
-	// visit, when set, is invoked once per full match instead of bulk
-	// leaf counting (see List).
+	// visit is invoked once per full match at leafVisit nodes (see List).
 	visit Visitor
 }
 
@@ -439,16 +452,18 @@ func (w *worker) cancelled() bool {
 	return w.stopped
 }
 
-func newWorker(g graph.Store, pl *plan.Plan, o Options) *worker {
+func newWorker(g graph.Store, p *program, o Options) *worker {
+	k := p.pl.K
 	w := &worker{
 		g:         g,
-		pl:        pl,
+		prog:      p,
 		o:         o,
-		emb:       make([]graph.VID, pl.K),
-		levels:    make([][]graph.VID, pl.K),
+		emb:       make([]graph.VID, k),
+		levels:    make([][]graph.VID, k),
 		hub:       hubIndexFor(g, o),
-		cmLevelOK: make([]bool, pl.K),
-		counts:    make([]int64, len(pl.Patterns)),
+		cmLevelOK: make([]bool, k),
+		aux:       newAuxStates(g, p),
+		counts:    make([]int64, len(p.pl.Patterns)),
 		trace:     o.Trace,
 	}
 	for i := range w.levels {
@@ -456,9 +471,9 @@ func newWorker(g graph.Store, pl *plan.Plan, o Options) *worker {
 	}
 	// Pre-size the chained-merge scratch to the largest possible operand so
 	// the first hub task doesn't regrow it inside the DFS hot path.
-	w.mergeA = make([]graph.VID, 0, g.MaxDegree())
-	w.mergeB = make([]graph.VID, 0, g.MaxDegree())
-	w.aux, w.auxGate = newAuxStates(g, pl, o)
+	for i := range w.scratch {
+		w.scratch[i] = make([]graph.VID, 0, g.MaxDegree())
+	}
 	switch o.CMap {
 	case CMapVector:
 		w.cm = cmap.NewVector(g.NumVertices())
@@ -479,20 +494,24 @@ func (w *worker) runTask(t sched.Task) bool {
 		before = w.stats
 	}
 	w.stats.Tasks++
-	root := w.pl.Root
+	root := w.prog.root
 	w.emb[0] = t.V0
 	w.sliceLo, w.sliceHi = t.Lo, t.Hi
 	w.stats.Extensions++
-	inserted := w.cmapInsert(root.Op, 0, t.V0)
-	w.auxActivate(root.Op)
-	for _, c := range root.Children {
-		w.walk(c, 1)
+	inserted := root.insertsCMap && w.cmapInsert(root, t.V0)
+	if root.hasAux {
+		w.auxActivate(root)
 	}
-	w.auxRelease(root.Op)
+	for _, c := range root.children {
+		w.walk(c)
+	}
+	if root.hasAux {
+		w.auxRelease(root)
+	}
 	if inserted {
 		// Self-cleaning during backtracking (§VI): removing the root level
 		// leaves the map empty for the next task.
-		w.cmapRemove(root.Op, 0, t.V0)
+		w.cmapRemove(root, t.V0)
 	}
 	if w.trace.Enabled() {
 		w.emitTaskTrace(t, &before)
@@ -515,31 +534,30 @@ func (w *worker) emitTaskTrace(t sched.Task, before *Stats) {
 		obs.Arg{Key: "bitmap_probes", Val: w.stats.BitmapProbes - before.BitmapProbes})
 }
 
-// walk matches the vertex for node n at the given depth and recurses.
+// walk matches the vertex for node n and recurses. Directives the node does
+// not carry (c-map insertion, aux activation) cost one flag test, no call.
 //
 //flexlint:noalloc
-func (w *worker) walk(n *plan.Node, depth int) {
+func (w *worker) walk(n *node) {
 	if w.stopped {
 		return
 	}
-	if n.IsLeaf() && w.visit == nil && !n.Op.MemoizeFrontier {
-		// Count-only leaf: nothing below this level reads the candidate
-		// list, so compute its size with a counting kernel instead of
-		// materializing w.levels[depth] just to take the length.
-		cnt := w.leafCount(n.Op, depth)
+	if n.mode == leafCount {
+		cnt := w.count(n)
 		w.stats.Candidates += cnt
 		w.stats.LeafCountsSkippedMaterialize++
-		w.counts[n.PatternIdx] += cnt
+		w.counts[n.patternIdx] += cnt
 		return
 	}
-	cands := w.candidates(n.Op, depth)
+	cands := w.materialize(n)
 	w.stats.Candidates += int64(len(cands))
-	if n.IsLeaf() {
-		w.counts[n.PatternIdx] += int64(len(cands))
-		if w.visit != nil {
+	depth := n.depth
+	if n.mode != interior {
+		w.counts[n.patternIdx] += int64(len(cands))
+		if n.mode == leafVisit {
 			for _, v := range cands {
 				w.emb[depth] = v
-				w.visit(w.emb[:depth+1], n.PatternIdx)
+				w.visit(w.emb[:depth+1], n.patternIdx)
 			}
 		}
 		return
@@ -550,49 +568,54 @@ func (w *worker) walk(n *plan.Node, depth int) {
 		}
 		w.emb[depth] = v
 		w.stats.Extensions++
-		inserted := w.cmapInsert(n.Op, depth, v)
-		w.auxActivate(n.Op)
-		for _, c := range n.Children {
-			w.walk(c, depth+1)
+		inserted := n.insertsCMap && w.cmapInsert(n, v)
+		if n.hasAux {
+			w.auxActivate(n)
 		}
-		w.auxRelease(n.Op)
+		for _, c := range n.children {
+			w.walk(c)
+		}
+		if n.hasAux {
+			w.auxRelease(n)
+		}
 		if inserted {
-			w.cmapRemove(n.Op, depth, v)
+			w.cmapRemove(n, v)
 		}
 	}
 }
 
 //flexlint:noalloc
-func (w *worker) cmapInsert(op plan.VertexOp, depth int, v graph.VID) bool {
-	if w.cm == nil || !op.InsertCMap {
-		return false
-	}
-	ok := w.cm.TryInsertLevel(w.g.Adj(v), depth, w.cmapBound(op))
-	w.cmLevelOK[depth] = ok
+func (w *worker) cmapInsert(n *node, v graph.VID) bool {
+	ok := w.cm.TryInsertLevel(w.g.Adj(v), n.depth, w.cmapBound(n))
+	w.cmLevelOK[n.depth] = ok
 	return ok
 }
 
 //flexlint:noalloc
-func (w *worker) cmapRemove(op plan.VertexOp, depth int, v graph.VID) {
-	w.cm.RemoveLevel(w.g.Adj(v), depth, w.cmapBound(op))
-	w.cmLevelOK[depth] = false
+func (w *worker) cmapRemove(n *node, v graph.VID) {
+	w.cm.RemoveLevel(w.g.Adj(v), n.depth, w.cmapBound(n))
+	w.cmLevelOK[n.depth] = false
 }
 
 //flexlint:noalloc
-func (w *worker) cmapBound(op plan.VertexOp) graph.VID {
-	if op.CMapBound == plan.NoLevel {
+func (w *worker) cmapBound(n *node) graph.VID {
+	if n.op.CMapBound == plan.NoLevel {
 		return cmap.NoBound
 	}
-	return w.emb[op.CMapBound]
+	return w.emb[n.op.CMapBound]
 }
 
 // bound returns the effective ID upper bound: the minimum over the op's
 // symmetry-order bounds, or NoBound.
 //
 //flexlint:noalloc
-func (w *worker) bound(op plan.VertexOp) graph.VID {
-	b := setops.NoBound
-	for _, idx := range op.UpperBounds {
+func (w *worker) bound(n *node) graph.VID {
+	bs := n.op.UpperBounds
+	if len(bs) == 0 {
+		return setops.NoBound
+	}
+	b := w.emb[bs[0]]
+	for _, idx := range bs[1:] {
 		if v := w.emb[idx]; v < b {
 			b = v
 		}
@@ -600,160 +623,166 @@ func (w *worker) bound(op plan.VertexOp) graph.VID {
 	return b
 }
 
-// candidates computes the qualified candidate list for op into the per-level
-// buffer, applying (in order) the frontier/adjacency base, the symmetry
-// bound, connectivity constraints (via c-map queries when covered, set
-// operations otherwise) and explicit distinctness checks.
+// resolve returns n's base candidate list under bound — a memoized frontier,
+// an auxiliary row, or the extender's (possibly hub-sliced) adjacency —
+// together with the chain still to apply on top of it. It is the one place an
+// operand source is chosen; materialize and count both start here.
 //
 //flexlint:noalloc
-func (w *worker) candidates(op plan.VertexOp, depth int) []graph.VID {
-	bound := w.bound(op)
-	base, intersect, difference := w.baseFor(op, depth, bound)
-	out := w.levels[depth][:0]
-	if w.cmapCovers(intersect, difference) {
-		out = w.filterViaCMap(out, base, op, intersect, difference)
-	} else {
-		out = w.filterViaSetOps(out, base, op, intersect, difference, bound)
-	}
-	w.levels[depth] = out
-	return out
-}
-
-// baseFor resolves op's starting candidate set under bound — a memoized
-// frontier or the extender's (possibly hub-sliced) adjacency — together with
-// the residual intersect/difference source levels. Shared by the
-// materializing (candidates) and count-only (leafCount) paths so both see
-// identical inputs.
-//
-//flexlint:noalloc
-func (w *worker) baseFor(op plan.VertexOp, depth int, bound graph.VID) (base []graph.VID, intersect, difference []int) {
-	if op.FrontierBase != plan.NoLevel {
+func (w *worker) resolve(n *node, bound graph.VID) ([]graph.VID, *operand) {
+	switch n.src {
+	case srcFrontier:
 		w.stats.FrontierReuses++
-		return setops.Bounded(w.levels[op.FrontierBase], bound), op.IntersectWith, op.DifferenceWith
-	}
-	if w.aux != nil && op.AuxBase != plan.NoLevel {
+		return setops.Bounded(w.levels[n.srcIdx], bound), &n.res
+	case srcAux:
 		// Auxiliary-graph substitution (aux.go): swap the extender's full
 		// adjacency for the materialized pruned row; the spec's folded
 		// sources are already applied, leaving only the residuals.
-		if row, ok := w.auxRow(op); ok {
-			return setops.Bounded(row, bound), op.AuxIntersect, op.AuxDifference
+		if row, ok := w.auxRow(n); ok {
+			return setops.Bounded(row, bound), &n.res
 		}
 	}
-	adj := w.g.Adj(w.emb[op.Extender])
-	if depth == 1 && w.sliceHi >= 0 {
+	adj := w.g.Adj(w.emb[n.op.Extender])
+	if n.depth == 1 && w.sliceHi >= 0 {
 		// Hub slicing: this task covers only elements [sliceLo, sliceHi)
 		// of the start vertex's adjacency (mirrors the PE's slice path).
-		lo, hi := w.sliceLo, w.sliceHi
-		if lo > len(adj) {
-			lo = len(adj)
-		}
-		if hi > len(adj) {
-			hi = len(adj)
-		}
-		adj = adj[lo:hi]
+		adj = adj[min(w.sliceLo, len(adj)):min(w.sliceHi, len(adj))]
 	}
-	return setops.Bounded(adj, bound), op.Connected, op.Disconnected
+	return setops.Bounded(adj, bound), &n.adj
 }
 
-// cmapCovers reports whether every queried level was successfully inserted
+// chain runs every operation of ops but the last through the ping-pong
+// scratch (cur — graph adjacency, a frontier or an aux row — is never
+// written) and returns the running list with the pending last operation, so
+// the caller picks the kernel that finishes it: setOp straight into a level
+// buffer or the aux arena, or setOpCount. ops must not be empty.
+//
+//flexlint:noalloc
+func (w *worker) chain(cur []graph.VID, ops []chainOp, bound graph.VID) ([]graph.VID, graph.VID, bool) {
+	last := len(ops) - 1
+	for k, o := range ops[:last] {
+		cur = w.setOp(w.scratch[k&1][:0], cur, w.emb[o.level], o.diff, bound)
+		w.scratch[k&1] = cur
+	}
+	return cur, w.emb[ops[last].level], ops[last].diff
+}
+
+// materialize computes n's qualified candidate list into the per-level
+// buffer: base and symmetry bound from resolve, connectivity via c-map
+// queries when every queried level is covered and via the policy-selected
+// set kernels (kernels.go) otherwise, then the explicit distinctness checks.
+//
+//flexlint:noalloc
+func (w *worker) materialize(n *node) []graph.VID {
+	bound := w.bound(n)
+	base, r := w.resolve(n, bound)
+	out := w.levels[n.depth][:0]
+	switch {
+	case r.cmap && w.cmapCovers(r):
+		out, _ = w.cmapScan(out, base, n, r, true)
+	case len(r.ops) == 0:
+		out = w.dropAncestors(append(out, base...), n)
+	default:
+		cur, anc, diff := w.chain(base, r.ops, bound)
+		out = w.dropAncestors(w.setOp(out, cur, anc, diff, bound), n)
+	}
+	w.levels[n.depth] = out
+	return out
+}
+
+// count is materialize for a count-only leaf: same base, same c-map coverage
+// decision, same chain; only the last operation runs as a counting kernel
+// and the distinctness filter becomes a membership adjustment.
+//
+//flexlint:noalloc
+func (w *worker) count(n *node) int64 {
+	bound := w.bound(n)
+	base, r := w.resolve(n, bound)
+	if r.cmap && w.cmapCovers(r) {
+		_, cnt := w.cmapScan(nil, base, n, r, false)
+		return cnt
+	}
+	if len(r.ops) == 0 {
+		// Plain adjacency/frontier leaf: the bounded length minus the
+		// excluded ancestors present in it.
+		cnt := int64(len(base))
+		for _, j := range n.op.NotEqual {
+			if v := w.emb[j]; v < bound && setops.Contains(base, v) {
+				cnt--
+			}
+		}
+		return cnt
+	}
+	cur, anc, diff := w.chain(base, r.ops, bound)
+	cnt := w.setOpCount(cur, anc, diff, bound)
+	// emb[j] was counted iff it survived the materialized prefix (∈ cur),
+	// the last operation, and the bound.
+	for _, j := range n.op.NotEqual {
+		if v := w.emb[j]; v < bound && setops.Contains(cur, v) && setops.Contains(w.g.Adj(anc), v) != diff {
+			cnt--
+		}
+	}
+	return cnt
+}
+
+// cmapCovers reports whether every level r queries was successfully inserted
 // into the c-map (hint present and no overflow).
 //
 //flexlint:noalloc
-func (w *worker) cmapCovers(intersect, difference []int) bool {
-	if w.cm == nil {
-		return false
-	}
-	if len(intersect) == 0 && len(difference) == 0 {
-		return false // nothing to query; plain iteration is cheaper
-	}
-	for _, j := range intersect {
-		if !w.cmLevelOK[j] {
-			return false
-		}
-	}
-	for _, j := range difference {
-		if !w.cmLevelOK[j] {
+func (w *worker) cmapCovers(r *operand) bool {
+	for _, o := range r.ops {
+		if !w.cmLevelOK[o.level] {
 			return false
 		}
 	}
 	return true
 }
 
-// filterViaCMap checks each base element's connectivity with single c-map
-// lookups (§VI: "all the set operations can be replaced by querying the
-// c-map").
+// cmapScan checks each base element's connectivity with a single c-map
+// lookup (§VI: "all the set operations can be replaced by querying the
+// c-map") and counts the qualified ones, appending them to dst when keep is
+// set. Both leaf kinds issue identical lookups, so c-map statistics do not
+// depend on whether the list is materialized.
 //
 //flexlint:noalloc
-func (w *worker) filterViaCMap(out, base []graph.VID, op plan.VertexOp, intersect, difference []int) []graph.VID {
-	var need, avoid cmap.Bits
-	for _, j := range intersect {
-		need |= 1 << uint(j)
-	}
-	for _, j := range difference {
-		avoid |= 1 << uint(j)
-	}
+func (w *worker) cmapScan(dst, base []graph.VID, n *node, r *operand, keep bool) ([]graph.VID, int64) {
+	var cnt int64
 	for _, v := range base {
 		bits := w.cm.Lookup(v)
-		if bits&need != need || bits&avoid != 0 {
+		if bits&r.need != r.need || bits&r.avoid != 0 || !w.distinct(v, n) {
 			continue
 		}
-		if !w.distinct(v, op) {
-			continue
-		}
-		out = append(out, v)
-	}
-	return out
-}
-
-// filterViaSetOps applies chained set intersections/differences through the
-// policy-selected kernels (merge = the SIU/SDU path, galloping, hub bitmap;
-// see kernels.go) and then the distinctness filter. Under KernelMergeOnly
-// this is exactly the classic merge chain.
-//
-//flexlint:noalloc
-func (w *worker) filterViaSetOps(out, base []graph.VID, op plan.VertexOp, intersect, difference []int, bound graph.VID) []graph.VID {
-	// Chained operations ping-pong between two worker-owned scratch
-	// buffers; base (graph adjacency or a memoized frontier) is never
-	// written.
-	cur := base
-	useA := true
-	step := func(j int, diff bool) {
-		dst := w.mergeB[:0]
-		if useA {
-			dst = w.mergeA[:0]
-		}
-		dst = w.setOp(dst, cur, w.emb[j], diff, bound)
-		if useA {
-			w.mergeA = dst
-		} else {
-			w.mergeB = dst
-		}
-		cur = dst
-		useA = !useA
-	}
-	for _, j := range intersect {
-		step(j, false)
-	}
-	for _, j := range difference {
-		step(j, true)
-	}
-	for _, v := range cur {
-		if w.distinct(v, op) {
-			out = append(out, v)
+		cnt++
+		if keep {
+			dst = append(dst, v)
 		}
 	}
-	return out
+	return dst, cnt
 }
 
 // distinct applies the explicit inequality checks the compiler could not
 // prove away.
 //
 //flexlint:noalloc
-func (w *worker) distinct(v graph.VID, op plan.VertexOp) bool {
-	for _, j := range op.NotEqual {
+func (w *worker) distinct(v graph.VID, n *node) bool {
+	for _, j := range n.op.NotEqual {
 		if w.emb[j] == v {
 			return false
 		}
 	}
 	return true
+}
+
+// dropAncestors is distinct for a whole sorted list: it cuts the NotEqual
+// ancestors out of list in place, one search each, so a list whose node has
+// none is never walked a second time.
+//
+//flexlint:noalloc
+func (w *worker) dropAncestors(list []graph.VID, n *node) []graph.VID {
+	for _, j := range n.op.NotEqual {
+		if i := setops.Index(list, w.emb[j]); i >= 0 {
+			list = append(list[:i], list[i+1:]...)
+		}
+	}
+	return list
 }

@@ -32,7 +32,7 @@ func List(g graph.Store, pl *plan.Plan, o Options, visit Visitor) (Result, error
 // stops promptly, returning the partial counts alongside ctx's error. Every
 // embedding delivered to visit before that point was a genuine match.
 func ListContext(ctx context.Context, g graph.Store, pl *plan.Plan, o Options, visit Visitor) (Result, error) {
-	e, err := NewEngine(g, pl, o)
+	e, err := newEngine(g, pl, o, visit)
 	if err != nil {
 		return Result{}, err
 	}
@@ -41,7 +41,7 @@ func ListContext(ctx context.Context, g graph.Store, pl *plan.Plan, o Options, v
 			return Result{}, errDivisor(pl.Patterns[i].Name())
 		}
 	}
-	return e.mine(ctx, visit)
+	return e.MineContext(ctx)
 }
 
 type errDivisor string

@@ -1,0 +1,181 @@
+package core
+
+// The exec program (DESIGN.md decision 18). The plan IR is what the compiler
+// emits and the goldens pin; the program is what the workers run. NewEngine
+// lowers the plan once: one node per plan.Node, holding a pointer to its op
+// plus every per-level decision that depends only on the plan and the options
+// — leaf mode, operand source, the flattened set-operation chain with its
+// c-map masks, and which directives the level carries at all — so the DFS
+// resolves none of it per extension. The program is read-only after lowering
+// and shared by all workers; ops, nodes and aux specs travel by pointer only.
+
+import (
+	"repro/internal/cmap"
+	"repro/internal/graph"
+	"repro/internal/plan"
+)
+
+// noCopy makes `go vet`'s copylocks check reject by-value parameters,
+// assignments and range copies of the types that embed it.
+type noCopy struct{}
+
+func (*noCopy) Lock()   {}
+func (*noCopy) Unlock() {}
+
+// leafMode is how a node's candidate list is consumed.
+type leafMode uint8
+
+const (
+	interior        leafMode = iota // extend every candidate, recurse
+	leafCount                       // counting kernel, nothing materialized
+	leafMaterialize                 // memoized leaf: count the materialized list
+	leafVisit                       // List: one visitor call per candidate
+)
+
+// source is where a node's base candidate list comes from.
+type source uint8
+
+const (
+	srcAdj      source = iota // the extender's (possibly hub-sliced) adjacency
+	srcFrontier               // a memoized frontier, w.levels[srcIdx]
+	srcAux                    // an auxiliary row of spec srcIdx; adjacency when the activation was gated off
+)
+
+// chainOp is one chained set operation: cur ∘ adj(emb[level]), ∘ being
+// difference when diff is set and intersection otherwise.
+type chainOp struct {
+	level int
+	diff  bool
+}
+
+// operand is the work left once a base list is resolved: the chain to apply
+// (intersections first, then differences, in plan order) and, when a c-map is
+// configured and there is something to query, the masks that answer the same
+// chain with one lookup per element.
+type operand struct {
+	ops         []chainOp
+	cmap        bool
+	need, avoid cmap.Bits
+}
+
+// node is the lowered form of one plan.Node.
+type node struct {
+	_ noCopy
+
+	op         *plan.VertexOp
+	children   []*node
+	depth      int
+	patternIdx int
+	mode       leafMode
+
+	src    source
+	srcIdx int
+	res    operand // residual chain on top of a frontier or aux row
+	adj    operand // Connected/Disconnected on top of plain adjacency
+
+	insertsCMap bool // a c-map is configured and the op inserts into it
+	hasAux      bool // the aux layer is on and the op activates specs
+}
+
+// auxNode is the lowered form of one plan.AuxSpec: its fold chain and the
+// static half of the cost model. With d = avg degree an activation is looked
+// up ≈ Uses × d^Gap times, so anything below 2 expected uses cannot amortize
+// even one row copy.
+type auxNode struct {
+	_ noCopy
+
+	spec *plan.AuxSpec
+	ops  []chainOp
+	gate bool
+}
+
+// program is a lowered plan.
+type program struct {
+	pl   *plan.Plan
+	root *node
+	aux  []auxNode // nil when the mode or the plan make the aux layer inert
+}
+
+// lower builds the exec program of pl under o for graph g; listing selects
+// the visitor leaf mode (List) over the counting ones (Mine).
+func lower(g graph.Store, pl *plan.Plan, o Options, listing bool) *program {
+	p := &program{pl: pl}
+	if o.AuxGraph != AuxOff && len(pl.AuxSpecs) > 0 {
+		d := max(g.AvgDegree(), 1)
+		p.aux = make([]auxNode, len(pl.AuxSpecs))
+		for i := range p.aux {
+			s := &pl.AuxSpecs[i]
+			reuse := float64(s.Uses)
+			for k := 0; k < s.Gap; k++ {
+				reuse *= d
+			}
+			a := &p.aux[i]
+			a.spec, a.ops = s, flatten(s.Intersect, s.Difference)
+			a.gate = o.AuxGraph == AuxOn || reuse >= 2
+		}
+	}
+	p.root = p.lowerNode(pl.Root, 0, o, listing)
+	return p
+}
+
+func (p *program) lowerNode(pn *plan.Node, depth int, o Options, listing bool) *node {
+	op := &pn.Op
+	useCMap := o.CMap != CMapNone
+	n := &node{
+		op:          op,
+		depth:       depth,
+		patternIdx:  pn.PatternIdx,
+		adj:         newOperand(op.Connected, op.Disconnected, useCMap),
+		insertsCMap: useCMap && op.InsertCMap,
+		hasAux:      p.aux != nil && len(op.BuildAux) > 0,
+	}
+	switch {
+	case op.FrontierBase != plan.NoLevel:
+		n.src, n.srcIdx = srcFrontier, op.FrontierBase
+		n.res = newOperand(op.IntersectWith, op.DifferenceWith, useCMap)
+	case op.AuxBase >= 0 && op.AuxBase < len(p.aux):
+		n.src, n.srcIdx = srcAux, op.AuxBase
+		n.res = newOperand(op.AuxIntersect, op.AuxDifference, useCMap)
+	}
+	switch {
+	case !pn.IsLeaf():
+		n.children = make([]*node, len(pn.Children))
+		for i, c := range pn.Children {
+			n.children[i] = p.lowerNode(c, depth+1, o, listing)
+		}
+	case listing:
+		n.mode = leafVisit
+	case op.MemoizeFrontier:
+		n.mode = leafMaterialize
+	default:
+		// Nothing below a leaf reads its candidate list, so its size comes
+		// from a counting kernel instead of a materialized w.levels[depth].
+		n.mode = leafCount
+	}
+	return n
+}
+
+func flatten(intersect, difference []int) []chainOp {
+	ops := make([]chainOp, 0, len(intersect)+len(difference))
+	for _, j := range intersect {
+		ops = append(ops, chainOp{level: j})
+	}
+	for _, j := range difference {
+		ops = append(ops, chainOp{level: j, diff: true})
+	}
+	return ops
+}
+
+func newOperand(intersect, difference []int, useCMap bool) operand {
+	r := operand{ops: flatten(intersect, difference)}
+	// With nothing to query, plain iteration is cheaper than lookups.
+	r.cmap = useCMap && len(r.ops) > 0
+	for _, o := range r.ops {
+		if o.diff {
+			r.avoid |= 1 << uint(o.level)
+		} else {
+			r.need |= 1 << uint(o.level)
+		}
+	}
+	return r
+}

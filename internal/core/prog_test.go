@@ -1,0 +1,249 @@
+package core
+
+import (
+	"fmt"
+	"reflect"
+	"sync"
+	"testing"
+
+	"repro/internal/cmap"
+	"repro/internal/graph"
+	"repro/internal/pattern"
+	"repro/internal/plan"
+	"repro/internal/sched"
+)
+
+// splitOps undoes flatten: the intersect and difference levels of a chain,
+// failing if an intersection follows a difference (the plan applies all
+// intersections first).
+func splitOps(t *testing.T, ops []chainOp) (intersect, difference []int) {
+	t.Helper()
+	for _, o := range ops {
+		if o.diff {
+			difference = append(difference, o.level)
+			continue
+		}
+		if len(difference) > 0 {
+			t.Fatalf("chain %v intersects after a difference", ops)
+		}
+		intersect = append(intersect, o.level)
+	}
+	return intersect, difference
+}
+
+// sameLevels compares level lists, nil and empty alike.
+func sameLevels(a, b []int) bool {
+	return len(a) == len(b) && (len(a) == 0 || reflect.DeepEqual(a, b))
+}
+
+func checkOperand(t *testing.T, where string, r *operand, intersect, difference []int, useCMap bool) {
+	t.Helper()
+	gotI, gotD := splitOps(t, r.ops)
+	if !sameLevels(gotI, intersect) {
+		t.Fatalf("%s: intersect levels %v, plan has %v", where, gotI, intersect)
+	}
+	if !sameLevels(gotD, difference) {
+		t.Fatalf("%s: difference levels %v, plan has %v", where, gotD, difference)
+	}
+	var need, avoid cmap.Bits
+	for _, j := range intersect {
+		need |= 1 << uint(j)
+	}
+	for _, j := range difference {
+		avoid |= 1 << uint(j)
+	}
+	if r.need != need || r.avoid != avoid {
+		t.Fatalf("%s: c-map masks need=%b avoid=%b, want %b / %b", where, r.need, r.avoid, need, avoid)
+	}
+	if want := useCMap && len(intersect)+len(difference) > 0; r.cmap != want {
+		t.Fatalf("%s: cmap=%v, want %v", where, r.cmap, want)
+	}
+}
+
+// checkLowered compares the lowered subtree at n with the plan subtree at pn
+// and returns its node count.
+func checkLowered(t *testing.T, p *program, pn *plan.Node, n *node, depth int, o Options, listing bool) int {
+	t.Helper()
+	op := &pn.Op
+	where := fmt.Sprintf("%s level %d", p.pl.Patterns[0].Name(), depth)
+	if n.op != op {
+		t.Fatalf("%s: node does not point at its plan op", where)
+	}
+	if n.depth != depth || n.patternIdx != pn.PatternIdx {
+		t.Fatalf("%s: depth/patternIdx %d/%d, want %d/%d", where, n.depth, n.patternIdx, depth, pn.PatternIdx)
+	}
+	useCMap := o.CMap != CMapNone
+	checkOperand(t, where+" adj", &n.adj, op.Connected, op.Disconnected, useCMap)
+	switch {
+	case op.FrontierBase != plan.NoLevel:
+		if n.src != srcFrontier || n.srcIdx != op.FrontierBase {
+			t.Fatalf("%s: source %d/%d, want frontier %d", where, n.src, n.srcIdx, op.FrontierBase)
+		}
+		checkOperand(t, where+" frontier", &n.res, op.IntersectWith, op.DifferenceWith, useCMap)
+	case p.aux != nil && op.AuxBase != plan.NoLevel:
+		if n.src != srcAux || n.srcIdx != op.AuxBase {
+			t.Fatalf("%s: source %d/%d, want aux %d", where, n.src, n.srcIdx, op.AuxBase)
+		}
+		checkOperand(t, where+" aux", &n.res, op.AuxIntersect, op.AuxDifference, useCMap)
+	default:
+		if n.src != srcAdj || len(n.res.ops) != 0 {
+			t.Fatalf("%s: source %d with residual %v, want plain adjacency", where, n.src, n.res.ops)
+		}
+	}
+	if n.insertsCMap != (useCMap && op.InsertCMap) || n.hasAux != (p.aux != nil && len(op.BuildAux) > 0) {
+		t.Fatalf("%s: insertsCMap=%v hasAux=%v disagree with the op under %+v", where, n.insertsCMap, n.hasAux, o)
+	}
+	wantMode := interior
+	switch {
+	case !pn.IsLeaf():
+	case listing:
+		wantMode = leafVisit
+	case op.MemoizeFrontier:
+		wantMode = leafMaterialize
+	default:
+		wantMode = leafCount
+	}
+	if n.mode != wantMode {
+		t.Fatalf("%s: leaf mode %d, want %d", where, n.mode, wantMode)
+	}
+	if len(n.children) != len(pn.Children) {
+		t.Fatalf("%s: %d children, plan has %d", where, len(n.children), len(pn.Children))
+	}
+	count := 1
+	for i, c := range pn.Children {
+		count += checkLowered(t, p, c, n.children[i], depth+1, o, listing)
+	}
+	return count
+}
+
+func countPlanNodes(n *plan.Node) int {
+	c := 1
+	for _, ch := range n.Children {
+		c += countPlanNodes(ch)
+	}
+	return c
+}
+
+// TestLowerMirrorsPlan: the exec program is the plan tree, node for node —
+// same shape, child order, leaf pattern indices and operand lists — with only
+// derived state added, for every option that changes what is derived.
+func TestLowerMirrorsPlan(t *testing.T) {
+	var plans []*plan.Plan
+	motifs5 := pattern.Motifs(5)
+	if len(motifs5) != 21 {
+		t.Fatalf("want the 21 connected 5-vertex motifs, got %d", len(motifs5))
+	}
+	for _, p := range motifs5 {
+		pl, err := plan.Compile(p, plan.Options{Induced: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans = append(plans, pl)
+	}
+	multi, err := plan.CompileMulti(pattern.Motifs(4), plan.Options{Induced: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dag, err := plan.CompileCliqueDAG(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plans = append(plans, multi, dag)
+
+	g := graph.ErdosRenyi(40, 120, 1)
+	for _, pl := range plans {
+		for _, o := range []Options{{}, {AuxGraph: AuxOn}, {CMap: CMapHash, AuxGraph: AuxAuto}} {
+			for _, listing := range []bool{false, true} {
+				p := lower(g, pl, o.withDefaults(), listing)
+				if (p.aux != nil) != (o.AuxGraph != AuxOff && len(pl.AuxSpecs) > 0) || (p.aux != nil && len(p.aux) != len(pl.AuxSpecs)) {
+					t.Fatalf("%s: %d lowered aux specs for %d plan specs under %v", pl.Patterns[0].Name(), len(p.aux), len(pl.AuxSpecs), o.AuxGraph)
+				}
+				for i := range p.aux {
+					a := &p.aux[i]
+					if a.spec != &pl.AuxSpecs[i] {
+						t.Fatalf("aux node %d does not point at its spec", i)
+					}
+					gotI, gotD := splitOps(t, a.ops)
+					if !sameLevels(gotI, a.spec.Intersect) || !sameLevels(gotD, a.spec.Difference) {
+						t.Fatalf("aux node %d folds %v/%v, spec has %v/%v", i, gotI, gotD, a.spec.Intersect, a.spec.Difference)
+					}
+				}
+				if got, want := checkLowered(t, p, pl.Root, p.root, 0, o, listing), countPlanNodes(pl.Root); got != want {
+					t.Fatalf("%s: %d lowered nodes, plan has %d", pl.Patterns[0].Name(), got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestEngineExpandsOnce: the ordered task list is built once per engine, so
+// TaskCount is what a run dispatches and repeated runs share it unchanged.
+func TestEngineExpandsOnce(t *testing.T) {
+	g := graph.RMAT(9, 4000, 0.57, 0.19, 0.19, 11)
+	pl, err := plan.Compile(pattern.Diamond(), plan.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, slice := range []int{SliceOff, 0, 8} {
+		for _, threads := range []int{1, 4} {
+			e, err := NewEngine(g, pl, Options{Threads: threads, SliceElems: slice})
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := e.TaskCount()
+			order := append([]sched.Task(nil), e.taskList()...)
+			first := e.Mine()
+			if int64(n) != first.Stats.Tasks {
+				t.Fatalf("slice %d threads %d: TaskCount %d, run dispatched %d", slice, threads, n, first.Stats.Tasks)
+			}
+			if second := e.Mine(); !reflect.DeepEqual(first, second) {
+				t.Fatalf("slice %d threads %d: second Mine on one engine differs:\n%+v\n%+v", slice, threads, first, second)
+			}
+			if !reflect.DeepEqual(order, e.taskList()) {
+				t.Fatalf("slice %d threads %d: a run reordered the engine's cached task list", slice, threads)
+			}
+			// Concurrent first runs contend on the lazy expansion itself.
+			fresh, _ := NewEngine(g, pl, Options{Threads: threads, SliceElems: slice})
+			var got [2]Result
+			var wg sync.WaitGroup
+			for i := range got {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					got[i] = fresh.Mine()
+				}(i)
+			}
+			wg.Wait()
+			if !reflect.DeepEqual(got[0], first) || !reflect.DeepEqual(got[1], first) {
+				t.Fatalf("slice %d threads %d: concurrent Mine calls on one engine disagree with a lone run", slice, threads)
+			}
+		}
+	}
+}
+
+// BenchmarkExtension is the per-extension constant of the DFS: the 4-star
+// plan does no set-operation work at all (every level is a bounded frontier
+// or adjacency prefix), so ns per Stats.Extensions is what one push onto the
+// ancestor stack costs beyond the kernels — the figure decision 18 removed
+// the op copies from.
+func BenchmarkExtension(b *testing.B) {
+	g := graph.RMAT(11, 16000, 0.57, 0.19, 0.19, 7)
+	pl, err := plan.Compile(pattern.KStar(4), plan.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	e, err := NewEngine(g, pl, Options{Threads: 1, AuxGraph: AuxAuto})
+	if err != nil {
+		b.Fatal(err)
+	}
+	warm := e.Mine()
+	if w := warm.Stats.SetOpIterations + warm.Stats.GallopProbes + warm.Stats.BitmapProbes; w != 0 {
+		b.Fatalf("4-star must do no set-operation work, did %d", w)
+	}
+	b.ResetTimer()
+	var ext int64
+	for i := 0; i < b.N; i++ {
+		ext += e.Mine().Stats.Extensions
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(ext), "ns/extension")
+}

@@ -114,7 +114,8 @@ func BenchmarkSchedulerSteal(b *testing.B) {
 // taskCosts measures each task's true work (extensions + merge iterations +
 // candidates) by running it on a sequential worker.
 func taskCosts(g *graph.Graph, pl *plan.Plan, tasks []sched.Task) []int64 {
-	w := newWorker(g, pl, Options{Threads: 1}.withDefaults())
+	o := Options{Threads: 1}.withDefaults()
+	w := newWorker(g, lower(g, pl, o, false), o)
 	costs := make([]int64, len(tasks))
 	var prev int64
 	for i, t := range tasks {

@@ -37,7 +37,8 @@ func chunkMine(g *graph.Graph, pl *plan.Plan, threads int) Result {
 		wg.Add(1)
 		go func(t int) {
 			defer wg.Done()
-			w := newWorker(g, pl, Options{Threads: threads}.withDefaults())
+			o := Options{Threads: threads}.withDefaults()
+			w := newWorker(g, lower(g, pl, o, false), o)
 			for {
 				start := atomic.AddInt64(&next, chunk) - chunk
 				if start >= int64(n) {

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/graph"
@@ -165,15 +166,13 @@ func TestStorageBackendCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, st := range stores {
-		var fired int64
+		var fired atomic.Int64
 		ctx, cancel := context.WithCancel(context.Background())
 		o := Options{Threads: 4, OnTaskDone: func(w int, matches int64) {
-			if fired++; fired == 10 {
+			if fired.Add(1) == 10 {
 				cancel()
 			}
 		}}
-		// OnTaskDone runs on worker goroutines; single increment per task is
-		// racy across workers but only needs to fire cancel roughly early.
 		got, err := MineContext(ctx, st, pl, o)
 		cancel()
 		if err == nil {

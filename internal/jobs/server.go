@@ -276,6 +276,12 @@ type Server struct {
 	closing   bool
 	notes     []transition
 
+	// widthFields memoizes the {"batch_width": w} payload of compiling and
+	// running records, one read-only map per distinct width: every finished
+	// job keeps two such records in the event-log ring, and a map apiece was
+	// a fifth of what the server retains per job.
+	widthFields map[int]map[string]int64
+
 	gmu    sync.Mutex
 	graphs map[string]resolvedGraph
 
@@ -307,6 +313,7 @@ func New(cfg Config) *Server {
 		stopAll:        cancel,
 		q:              newDRRQueue(cfg.MaxQueue, cfg.Quantum),
 		jobs:           map[string]*Job{},
+		widthFields:    map[int]map[string]int64{},
 		paused:         cfg.StartPaused,
 		graphs:         map[string]resolvedGraph{},
 		dispatcherDone: make(chan struct{}),
@@ -577,6 +584,10 @@ func (s *Server) runBatch(b *batch) {
 	defer func() {
 		b.cancel()
 		s.mu.Lock()
+		// Every member is terminal now, so nothing cancels this batch again
+		// (Cancel returns early on terminal jobs); finished jobs keep b for
+		// their status, and need not keep its context alive with it.
+		b.ctx, b.cancel = nil, nil
 		s.running--
 		s.cond.Broadcast()
 		s.mu.Unlock()
@@ -686,6 +697,11 @@ func (s *Server) setBatchState(b *batch, st State) {
 	if st == StateRunning {
 		b.startedAt = now
 	}
+	fields := s.widthFields[b.width]
+	if fields == nil {
+		fields = map[string]int64{"batch_width": int64(b.width)}
+		s.widthFields[b.width] = fields
+	}
 	for _, l := range b.legs {
 		for _, j := range l.jobs {
 			if !j.state.Terminal() {
@@ -693,7 +709,7 @@ func (s *Server) setBatchState(b *batch, st State) {
 				if st == StateRunning {
 					j.startedAt = now
 				}
-				s.logTransition(j, now, st, map[string]int64{"batch_width": int64(b.width)})
+				s.logTransition(j, now, st, fields)
 				s.notes = append(s.notes, transition{j.id, st})
 			}
 		}

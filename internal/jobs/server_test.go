@@ -89,6 +89,25 @@ func TestJobLifecycleSingle(t *testing.T) {
 	if v := reg.Get(MetricQueued); v != 1 {
 		t.Fatalf("%s = %d, want 1", MetricQueued, v)
 	}
+
+	// A finished job keeps its batch for the status surface but not the
+	// batch's cancel context, and cancelling it stays a harmless no-op.
+	s.mu.Lock()
+	for s.running > 0 {
+		s.cond.Wait()
+	}
+	b := s.jobs[id].batch
+	released := b != nil && b.ctx == nil && b.cancel == nil
+	s.mu.Unlock()
+	if !released {
+		t.Fatalf("finished job's batch still holds its context: %+v", b)
+	}
+	if got, err := s.Cancel(id); err != nil || got != StateDone {
+		t.Fatalf("cancel after completion: %s, %v", got, err)
+	}
+	if st, _ := s.Status(id); st.BatchWidth != 1 {
+		t.Fatalf("status lost the batch width: %+v", st)
+	}
 }
 
 // TestTenantFairnessEndToEnd is the fairness acceptance criterion at the

@@ -92,7 +92,11 @@ func TestNoallocHotPathCoverage(t *testing.T) {
 	for _, want := range []string{
 		"(repro/internal/core.worker).walk",
 		"(repro/internal/core.worker).runTask",
-		"(repro/internal/core.worker).leafCount",
+		"(repro/internal/core.worker).materialize",
+		"(repro/internal/core.worker).count",
+		"(repro/internal/core.worker).resolve",
+		"(repro/internal/core.worker).chain",
+		"(repro/internal/core.worker).auxBuild",
 		"(repro/internal/cmap.HashMap).Lookup",
 		"(repro/internal/cmap.Map).Lookup",
 		"repro/internal/setops.IntersectCost",

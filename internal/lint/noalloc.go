@@ -18,14 +18,14 @@ package lint
 //   - make/new and slice/map composite literals, and &T{...} (heap escape);
 //     plain value struct/array literals are fine;
 //   - append whose destination does not trace to a parameter, a struct field
-//     (the pooled scratch buffers: worker.mergeA, auxState.arena), or a
+//     (the pooled scratch buffers: worker.scratch, auxState.arena), or a
 //     value derived from one — growing a fresh local slice allocates;
 //   - interface boxing at call arguments, assignments, and returns;
 //   - string concatenation and string<->[]byte conversions (numeric and
 //     named-type conversions are free);
 //   - closures, except immediately-invoked literals and literals bound to a
-//     local that is only ever called directly (the `step := func(...)` idiom
-//     in leafCount/filterViaSetOps/auxBuild — non-escaping, stack-allocated);
+//     local that is only ever called directly (a `step := func(...)` helper
+//     — non-escaping, stack-allocated);
 //   - go statements and panic.
 //
 // Calls are closed over the annotation: a callee must itself be annotated or

@@ -2,6 +2,8 @@ package sched
 
 import (
 	"context"
+	"reflect"
+	"sort"
 	"sync/atomic"
 	"testing"
 
@@ -91,6 +93,30 @@ func TestOrderByDegreeDesc(t *testing.T) {
 		}
 		lastLo[task.V0] = task.Lo
 	}
+}
+
+// TestOrderByDegreeDescMatchesStableSort pins the counting sort to the order
+// the reflection-based sort.SliceStable it replaced produced, sub-task Lo
+// order included, on symmetric and oriented R-MAT graphs with and without
+// slicing.
+func TestOrderByDegreeDescMatchesStableSort(t *testing.T) {
+	for seed := uint64(1); seed <= 4; seed++ {
+		sym := graph.RMAT(10, 6000, 0.57, 0.19, 0.19, seed)
+		for _, g := range []*graph.Graph{sym, sym.Orient()} {
+			for _, slice := range []int{0, 8, 32} {
+				got := Expand(g, slice)
+				want := append([]Task(nil), got...)
+				sort.SliceStable(want, func(i, j int) bool {
+					return g.Degree(want[i].V0) > g.Degree(want[j].V0)
+				})
+				OrderByDegreeDesc(g, got)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d dag=%v slice %d: counting sort differs from sort.SliceStable", seed, g.IsDAG(), slice)
+				}
+			}
+		}
+	}
+	OrderByDegreeDesc(graph.RMAT(4, 20, 0.57, 0.19, 0.19, 1), nil)
 }
 
 func TestRunExecutesEachTaskOnce(t *testing.T) {

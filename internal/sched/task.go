@@ -13,11 +13,7 @@
 //     deterministic event-driven dispatch but consumes the same task list.
 package sched
 
-import (
-	"sort"
-
-	"repro/internal/graph"
-)
+import "repro/internal/graph"
 
 // All marks a task that covers the full level-1 adjacency of its vertex.
 const All = -1
@@ -67,9 +63,38 @@ func Expand(g graph.Store, slice int) []Task {
 // OrderByDegreeDesc reorders tasks heaviest-start-vertex-first (an LPT
 // schedule seed): dealt round-robin across worker deques, every worker
 // starts on a comparably heavy prefix and the cheap tail absorbs imbalance.
-// The sort is stable so sub-tasks of one hub keep their Lo order.
+// The order is stable, so sub-tasks of one hub keep their Lo order.
+//
+// It is a counting sort on degree, O(len(tasks) + MaxDegree) with one Degree
+// call per task, applied in place through a 4-byte-per-task destination
+// index — no second task slice is allocated.
 func OrderByDegreeDesc(g graph.Store, tasks []Task) {
-	sort.SliceStable(tasks, func(i, j int) bool {
-		return g.Degree(tasks[i].V0) > g.Degree(tasks[j].V0)
-	})
+	if len(tasks) < 2 {
+		return
+	}
+	// next[d] is first the number of tasks of degree d, then the output
+	// slot of the next one; dest[i] is first task i's degree, then its slot.
+	next := make([]int32, g.MaxDegree()+1)
+	dest := make([]int32, len(tasks))
+	for i := range tasks {
+		d := g.Degree(tasks[i].V0)
+		dest[i] = int32(d)
+		next[d]++
+	}
+	var slot int32
+	for d := len(next) - 1; d >= 0; d-- {
+		slot, next[d] = slot+next[d], slot
+	}
+	for i, d := range dest {
+		dest[i] = next[d]
+		next[d]++
+	}
+	// Follow each cycle of the permutation: every swap puts one task into
+	// its final slot.
+	for i := range tasks {
+		for j := dest[i]; int(j) != i; j = dest[i] {
+			tasks[i], tasks[j] = tasks[j], tasks[i]
+			dest[i], dest[j] = dest[j], j
+		}
+	}
 }

@@ -190,12 +190,12 @@ func (p *pe) runTask(t sched.Task) {
 	p.sliceLo, p.sliceHi = t.Lo, t.Hi
 	p.extends++
 	p.tick(1) // push onto ancestor stack
-	inserted := p.cmapInsert(root.Op, 0, t.V0)
+	inserted := p.cmapInsert(&root.Op, 0, t.V0)
 	for _, c := range root.Children {
 		p.walk(c, 1)
 	}
 	if inserted {
-		p.cmapRemove(root.Op, 0, t.V0)
+		p.cmapRemove(&root.Op, 0, t.V0)
 	}
 	if tr := p.sim.cfg.Trace; tr.Enabled() {
 		// PE state transition span: Working from task acceptance through the
@@ -206,7 +206,7 @@ func (p *pe) runTask(t sched.Task) {
 }
 
 func (p *pe) walk(n *plan.Node, depth int) {
-	cands := p.candidates(n.Op, depth)
+	cands := p.candidates(&n.Op, depth)
 	if n.IsLeaf() {
 		// Reducer: one counter bump; candidates were already charged.
 		p.counts[n.PatternIdx] += int64(len(cands))
@@ -217,18 +217,18 @@ func (p *pe) walk(n *plan.Node, depth int) {
 		p.emb[depth] = v
 		p.extends++
 		p.tick(2) // FSM: push + state transition to Extending
-		inserted := p.cmapInsert(n.Op, depth, v)
+		inserted := p.cmapInsert(&n.Op, depth, v)
 		for _, c := range n.Children {
 			p.walk(c, depth+1)
 		}
 		if inserted {
-			p.cmapRemove(n.Op, depth, v)
+			p.cmapRemove(&n.Op, depth, v)
 		}
 		p.tick(1) // backtrack pop
 	}
 }
 
-func (p *pe) cmapBoundVal(op plan.VertexOp) graph.VID {
+func (p *pe) cmapBoundVal(op *plan.VertexOp) graph.VID {
 	if op.CMapBound == plan.NoLevel {
 		return cmap.NoBound
 	}
@@ -238,7 +238,7 @@ func (p *pe) cmapBoundVal(op plan.VertexOp) graph.VID {
 // cmapInsert bulk-inserts the new vertex's neighbor list (§VI): the list is
 // streamed from the private cache and each surviving entry costs one map
 // write (plus extra probe groups).
-func (p *pe) cmapInsert(op plan.VertexOp, depth int, v graph.VID) bool {
+func (p *pe) cmapInsert(op *plan.VertexOp, depth int, v graph.VID) bool {
 	if p.cm == nil || !op.InsertCMap {
 		return false
 	}
@@ -258,7 +258,7 @@ func (p *pe) cmapInsert(op plan.VertexOp, depth int, v graph.VID) bool {
 	return ok
 }
 
-func (p *pe) cmapRemove(op plan.VertexOp, depth int, v graph.VID) {
+func (p *pe) cmapRemove(op *plan.VertexOp, depth int, v graph.VID) {
 	bound := p.cmapBoundVal(op)
 	before := p.cm.Stats()
 	p.cm.RemoveLevel(p.sim.g.Adj(v), depth, bound)
@@ -283,7 +283,7 @@ func (p *pe) chargeCMap(before, after cmap.Stats) {
 }
 
 // bound mirrors core.worker.bound.
-func (p *pe) bound(op plan.VertexOp) graph.VID {
+func (p *pe) bound(op *plan.VertexOp) graph.VID {
 	b := setops.NoBound
 	for _, idx := range op.UpperBounds {
 		if v := p.emb[idx]; v < b {
@@ -296,8 +296,8 @@ func (p *pe) bound(op plan.VertexOp) graph.VID {
 	return b
 }
 
-// candidates mirrors core.worker.candidates with cycle charging.
-func (p *pe) candidates(op plan.VertexOp, depth int) []graph.VID {
+// candidates mirrors core.worker.materialize with cycle charging.
+func (p *pe) candidates(op *plan.VertexOp, depth int) []graph.VID {
 	bound := p.bound(op)
 
 	var base []graph.VID
@@ -374,7 +374,7 @@ func (p *pe) cmapCovers(intersect, difference []int) bool {
 
 // filterViaCMap prunes each streamed candidate with a c-map query: one cycle
 // per element plus extra probe groups, all in the pruner.
-func (p *pe) filterViaCMap(out, base []graph.VID, op plan.VertexOp, intersect, difference []int) []graph.VID {
+func (p *pe) filterViaCMap(out, base []graph.VID, op *plan.VertexOp, intersect, difference []int) []graph.VID {
 	var need, avoid cmap.Bits
 	for _, j := range intersect {
 		need |= 1 << uint(j)
@@ -383,9 +383,13 @@ func (p *pe) filterViaCMap(out, base []graph.VID, op plan.VertexOp, intersect, d
 		avoid |= 1 << uint(j)
 	}
 	for _, v := range base {
-		before := p.cm.Stats()
-		bits := p.cm.Lookup(v)
-		p.chargeCMap(before, p.cm.Stats())
+		// One access cycle plus one per probe group beyond the first — what
+		// chargeCMap derives from Stats deltas, read off the lookup itself.
+		bits, probes := p.cm.LookupCost(v)
+		if probes < 1 {
+			probes = 1
+		}
+		p.tickCMap(probes)
 		if bits&need != need || bits&avoid != 0 {
 			continue
 		}
@@ -399,7 +403,7 @@ func (p *pe) filterViaCMap(out, base []graph.VID, op plan.VertexOp, intersect, d
 
 // filterViaMerge runs the SIU/SDU path (Fig 9): both operand lists stream
 // from memory and the merge advances one iteration per cycle.
-func (p *pe) filterViaMerge(out, base []graph.VID, op plan.VertexOp, intersect, difference []int, bound graph.VID) []graph.VID {
+func (p *pe) filterViaMerge(out, base []graph.VID, op *plan.VertexOp, intersect, difference []int, bound graph.VID) []graph.VID {
 	cur := base
 	useA := true
 	scalar := int64(p.sim.cfg.ScalarSetOpCycles)
@@ -457,7 +461,7 @@ func (p *pe) filterViaMerge(out, base []graph.VID, op plan.VertexOp, intersect, 
 	return out
 }
 
-func (p *pe) distinct(v graph.VID, op plan.VertexOp) bool {
+func (p *pe) distinct(v graph.VID, op *plan.VertexOp) bool {
 	for _, j := range op.NotEqual {
 		if p.emb[j] == v {
 			return false
