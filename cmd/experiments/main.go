@@ -70,7 +70,7 @@ func main() {
 	}
 
 	if len(names) == 0 {
-		fmt.Fprintln(os.Stderr, "usage: experiments [-quick] [-metrics FILE] [-trace FILE] [-pprof ADDR] all|table1|table2|fig7|fig13|fig14|fig15|fig16|large|ablation|bench-setops|bench-storage|bench-aux ...")
+		fmt.Fprintln(os.Stderr, "usage: experiments [-quick] [-metrics FILE] [-trace FILE] [-pprof ADDR] all|table1|table2|fig7|fig13|fig14|fig15|fig16|large|ablation ...")
 		os.Exit(2)
 	}
 	if len(names) == 1 && names[0] == "all" {
@@ -284,27 +284,6 @@ func runOne(name string, quick bool, reg *obs.Registry) error {
 			return err
 		}
 		bench.PrintLargePatterns(w, rows)
-	case "bench-setops":
-		// Not part of "all": this is a kernel A/B record, not a paper figure.
-		rep, err := bench.SetopsBench(0)
-		if err != nil {
-			return err
-		}
-		return rep.WriteJSON(w)
-	case "bench-aux":
-		// Not part of "all": auxiliary-graph A/B record (BENCH_aux.json).
-		rep, err := bench.AuxBench(0)
-		if err != nil {
-			return err
-		}
-		return rep.WriteJSON(w)
-	case "bench-storage":
-		// Not part of "all": storage-substrate A/B record (BENCH_storage.json).
-		rep, err := bench.StorageBench(0)
-		if err != nil {
-			return err
-		}
-		return rep.WriteJSON(w)
 	case "ablation":
 		apps := []string{"TC", "4-CL", "SL-4cycle"}
 		if quick {

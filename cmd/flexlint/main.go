@@ -13,7 +13,7 @@
 //
 //	detlint       — determinism of the cycle model (sim, cmap, plan, graph)
 //	statsum       — Stats Add/Merge methods aggregate every numeric field
-//	kernelpin     — paper-figure runners pin Kernel: KernelMergeOnly
+//	kernelpin     — paper runners take core.Options from core.PaperBaseline only
 //	lockcheck     — no copied mutexes / non-deferred Unlock (graph, sched, serve, core)
 //	boundarg      — no constant bound where a variable bound is in scope
 //	adjwrite      — no writes into Adj results (read-only views; mmap faults)

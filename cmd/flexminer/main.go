@@ -20,10 +20,10 @@
 // the heap (see README "Large graphs"); either -app (TC, k-CL, SL-4cycle, SL-diamond, 3-MC, 4-MC) or
 // -pattern (catalog name, edge-induced SL) selects the workload. -timeout
 // bounds the run: on expiry the partial counts and stats are printed and the
-// command exits nonzero. -kernel pins the CPU engine's set-kernel policy
-// (auto/merge/gallop/bitmap) for A/B runs; -aux selects the auxiliary-graph
-// pruning layer (off/auto/on, README "Auxiliary-graph pruning"). Neither
-// affects -engine sim.
+// command exits nonzero. -kernel selects the CPU engine's set-kernel policy
+// (auto, or merge for the paper's merge-based baseline); -aux selects the
+// auxiliary-graph pruning layer (off/auto/on, README "Auxiliary-graph
+// pruning"). Neither affects -engine sim.
 //
 // The serve subcommand keeps the process alive as an HTTP service exposing
 // /metrics (Prometheus text), /healthz, /debug/progress and /debug/pprof
@@ -57,12 +57,9 @@ type options struct {
 	app, patName       string
 	induced            bool
 	engine             string
-	kernel             string
-	aux                string
-	threads            int
+	cpu                core.Options // -threads -kernel -aux -slice (engineFlags)
 	pes                int
 	cmapBytes          int
-	slice              int
 	timeout            time.Duration
 	showPlan, statsOut bool
 
@@ -89,12 +86,9 @@ func main() {
 	flag.StringVar(&o.patName, "pattern", "", "pattern name for edge-induced subgraph listing")
 	flag.BoolVar(&o.induced, "induced", false, "vertex-induced matching for -pattern")
 	flag.StringVar(&o.engine, "engine", "cpu", "cpu, sim, or both")
-	flag.StringVar(&o.kernel, "kernel", "auto", "CPU set-kernel policy: auto, merge, gallop, bitmap")
-	flag.StringVar(&o.aux, "aux", "auto", "CPU auxiliary-graph pruning: off, auto (cost-model gated), on")
-	flag.IntVar(&o.threads, "threads", runtime.GOMAXPROCS(0), "CPU engine threads")
+	engine := engineFlags(flag.CommandLine)
 	flag.IntVar(&o.pes, "pes", 64, "simulated processing elements")
 	flag.IntVar(&o.cmapBytes, "cmap", 8<<10, "simulated c-map bytes (0 disables)")
-	flag.IntVar(&o.slice, "slice", 0, "hub-slicing task size in adjacency elements (0 auto, -1 off)")
 	flag.DurationVar(&o.timeout, "timeout", 0, "abort after this long, printing partial results (0 = no limit)")
 	flag.BoolVar(&o.showPlan, "show-plan", false, "print the compiled execution plan IR")
 	flag.BoolVar(&o.statsOut, "stats", false, "print engine/simulator statistics")
@@ -104,9 +98,37 @@ func main() {
 	flag.IntVar(&o.sampleWindow, "sample-window", 4096, "sim-cycle window between -timeseries samples")
 	flag.StringVar(&o.pprofAddr, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	flag.Parse()
-	if err := run(o); err != nil {
+	var err error
+	if o.cpu, err = engine(); err == nil {
+		err = run(o)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "flexminer:", err)
 		os.Exit(1)
+	}
+}
+
+// engineFlags declares the CPU-engine knobs (-threads -kernel -aux -slice) on
+// fs — the one-shot and the serve flag set share this one declaration — and
+// returns the resolver to call once fs is parsed. The help text lists the
+// values the parsers accept, spelled by their own String methods.
+func engineFlags(fs *flag.FlagSet) func() (core.Options, error) {
+	threads := fs.Int("threads", runtime.GOMAXPROCS(0), "CPU engine threads")
+	kernel := fs.String("kernel", core.KernelAuto.String(),
+		fmt.Sprintf("CPU set-kernel policy: %v, %v", core.KernelAuto, core.KernelMergeOnly))
+	aux := fs.String("aux", core.AuxAuto.String(),
+		fmt.Sprintf("CPU auxiliary-graph pruning: %v, %v (cost-model gated), %v", core.AuxOff, core.AuxAuto, core.AuxOn))
+	slice := fs.Int("slice", 0, "hub-slicing task size in adjacency elements (0 auto, -1 off)")
+	return func() (core.Options, error) {
+		k, err := core.ParseKernelPolicy(*kernel)
+		if err != nil {
+			return core.Options{}, err
+		}
+		a, err := core.ParseAuxMode(*aux)
+		if err != nil {
+			return core.Options{}, err
+		}
+		return core.Options{Threads: *threads, SliceElems: *slice, Kernel: k, AuxGraph: a}, nil
 	}
 }
 
@@ -175,19 +197,11 @@ func run(o options) error {
 		return fmt.Errorf("unknown engine %q (want cpu, sim, or both)", o.engine)
 	}
 	if runCPU {
-		kernel, err := core.ParseKernelPolicy(o.kernel)
-		if err != nil {
-			return err
-		}
-		aux, err := core.ParseAuxMode(o.aux)
-		if err != nil {
-			return err
-		}
+		copts := o.cpu
+		copts.Trace = tracer
 		start := time.Now()
 		endBuild := phase(reg, "build-index")
-		eng, err := core.NewEngine(mineG, pl, core.Options{
-			Threads: o.threads, SliceElems: o.slice, Kernel: kernel, AuxGraph: aux, Trace: tracer,
-		})
+		eng, err := core.NewEngine(mineG, pl, copts)
 		endBuild()
 		if err != nil {
 			return err
@@ -198,7 +212,7 @@ func run(o options) error {
 		registerResult(reg, "cpu", res.Counts, &res.Stats)
 		if timedOut(err) {
 			fmt.Printf("cpu engine (%d threads, %s kernels): PARTIAL after %v (timeout): %s\n",
-				o.threads, kernel, time.Since(start), formatCounts(pl, res.Counts))
+				copts.Threads, copts.Kernel, time.Since(start), formatCounts(pl, res.Counts))
 			printCPUStats(res.Stats)
 			return fmt.Errorf("cpu engine: %w", err)
 		}
@@ -206,7 +220,7 @@ func run(o options) error {
 			return err
 		}
 		fmt.Printf("cpu engine (%d threads, %s kernels): %s in %v\n",
-			o.threads, kernel, formatCounts(pl, res.Counts), time.Since(start))
+			copts.Threads, copts.Kernel, formatCounts(pl, res.Counts), time.Since(start))
 		if o.statsOut {
 			printCPUStats(res.Stats)
 		}
@@ -217,8 +231,8 @@ func run(o options) error {
 			return fmt.Errorf("-engine sim runs on an in-heap graph; mapped and sharded stores are CPU-engine-only (drop -mmap, or point -graph at the original file)")
 		}
 		cfg := sim.DefaultConfig().WithPEs(o.pes).WithCMapBytes(o.cmapBytes)
-		if o.slice > 0 {
-			cfg.TaskSliceElems = o.slice
+		if o.cpu.SliceElems > 0 {
+			cfg.TaskSliceElems = o.cpu.SliceElems
 		}
 		cfg.Trace = tracer
 		cfg.Sample = sampler
@@ -326,7 +340,7 @@ func writeArtifacts(o options, reg *obs.Registry, tr *obs.Tracer, sp *obs.Sample
 func printCPUStats(s core.Stats) {
 	fmt.Printf("  tasks=%d extensions=%d candidates=%d setop-iters=%d frontier-reuses=%d\n",
 		s.Tasks, s.Extensions, s.Candidates, s.SetOpIterations, s.FrontierReuses)
-	// Per-kernel attribution, so -kernel A/B runs are comparable: merge work
+	// Per-kernel attribution, so auto and merge runs are comparable: merge work
 	// is setop-iters above; the rest of the set-op work shows up here.
 	fmt.Printf("  gallop-probes=%d bitmap-probes=%d leaf-count-skips=%d\n",
 		s.GallopProbes, s.BitmapProbes, s.LeafCountsSkippedMaterialize)

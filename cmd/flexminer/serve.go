@@ -17,7 +17,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 
 	"repro/internal/core"
@@ -45,10 +44,7 @@ func runServe(args []string) error {
 	app := fs.String("app", "", "application: TC, 4-CL, 5-CL, SL-4cycle, SL-diamond, 3-MC, 4-MC")
 	patName := fs.String("pattern", "", "pattern name for edge-induced subgraph listing")
 	induced := fs.Bool("induced", false, "vertex-induced matching for -pattern")
-	threads := fs.Int("threads", runtime.GOMAXPROCS(0), "CPU engine threads")
-	kernelName := fs.String("kernel", "auto", "CPU set-kernel policy: auto, merge, gallop, bitmap")
-	auxName := fs.String("aux", "auto", "CPU auxiliary-graph pruning: off, auto (cost-model gated), on")
-	slice := fs.Int("slice", 0, "hub-slicing task size in adjacency elements (0 auto, -1 off)")
+	engine := engineFlags(fs)
 	runs := fs.Int("runs", 1, "mining passes to execute while serving (0 = serve endpoints only)")
 	jobsOn := fs.Bool("jobs", false, "serve the async mining-job API under /jobs (the -graph/-dataset input is registered as graph \"default\")")
 	jobsQueue := fs.Int("jobs-queue", 64, "job queue bound (submits beyond it get 429)")
@@ -63,6 +59,10 @@ func runServe(args []string) error {
 	}
 	if fs.NArg() > 0 {
 		return fmt.Errorf("serve: unexpected arguments %q", fs.Args())
+	}
+	copts, err := engine()
+	if err != nil {
+		return err
 	}
 
 	reg := obs.NewRegistry(nil)
@@ -97,23 +97,13 @@ func runServe(args []string) error {
 		if err != nil {
 			return err
 		}
-		kernel, err := core.ParseKernelPolicy(*kernelName)
-		if err != nil {
-			return err
-		}
-		aux, err := core.ParseAuxMode(*auxName)
-		if err != nil {
-			return err
-		}
+		// Steal traffic feeds both the live /debug/progress view and the
+		// registry's sched.* counters on /metrics.
+		copts.SchedHooks = sched.MergeHooks(prog.Hooks(), obs.SchedHooks(reg))
+		copts.OnTaskDone = prog.OnTaskDone
 		mine = func(ctx context.Context) error {
 			for r := 0; r < *runs; r++ {
-				eng, err := core.NewEngine(mineG, pl, core.Options{
-					Threads: *threads, SliceElems: *slice, Kernel: kernel, AuxGraph: aux,
-					// Steal traffic feeds both the live /debug/progress view and
-					// the registry's sched.* counters on /metrics.
-					SchedHooks: sched.MergeHooks(prog.Hooks(), obs.SchedHooks(reg)),
-					OnTaskDone: prog.OnTaskDone,
-				})
+				eng, err := core.NewEngine(mineG, pl, copts)
 				if err != nil {
 					return err
 				}
@@ -189,7 +179,7 @@ func runServe(args []string) error {
 		})
 	}
 
-	err := serve.ListenAndServe(ctx, *addr, mux, func(bound string) {
+	err = serve.ListenAndServe(ctx, *addr, mux, func(bound string) {
 		fmt.Printf("serving http://%s/{metrics,healthz,debug/progress,debug/pprof} — ^C to stop\n", bound)
 	}, drainers...)
 	if errors.Is(err, http.ErrServerClosed) {

@@ -56,7 +56,7 @@ type (
 	Plan = plan.Plan
 	// CompileOptions configure the compiler (induced semantics, ablations).
 	CompileOptions = plan.Options
-	// MineOptions configure the CPU engine (threads, c-map mode, kernels).
+	// MineOptions configure the CPU engine (threads, kernels, aux graphs).
 	MineOptions = core.Options
 	// MineResult is the CPU engine outcome.
 	MineResult = core.Result
@@ -74,16 +74,15 @@ type (
 
 // Kernel policies for MineOptions.Kernel. KernelAuto (the zero value) picks
 // per set operation: merge for balanced operands, galloping for skewed ones,
-// bitmap probes against hub adjacency; the others pin one kernel everywhere.
+// bitmap probes against hub adjacency; KernelMergeOnly is the paper's
+// merge-based baseline.
 const (
 	KernelAuto      = core.KernelAuto
 	KernelMergeOnly = core.KernelMergeOnly
-	KernelGallop    = core.KernelGallop
-	KernelBitmap    = core.KernelBitmap
 )
 
-// ParseKernelPolicy resolves a kernel-policy name ("auto", "merge",
-// "gallop", "bitmap") as accepted by the flexminer CLI's -kernel flag.
+// ParseKernelPolicy resolves a kernel-policy name ("auto", "merge") as
+// accepted by the flexminer CLI's -kernel flag.
 func ParseKernelPolicy(s string) (KernelPolicy, error) { return core.ParseKernelPolicy(s) }
 
 // Auxiliary-graph modes for MineOptions.AuxGraph. AuxOff (the zero value)

@@ -96,7 +96,7 @@ func TestSimCyclesKernelProof(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, kernel := range []KernelPolicy{KernelAuto, KernelMergeOnly, KernelGallop, KernelBitmap} {
+	for _, kernel := range []KernelPolicy{KernelAuto, KernelMergeOnly} {
 		res, err := Mine(g, pl, MineOptions{Kernel: kernel})
 		if err != nil {
 			t.Fatal(err)

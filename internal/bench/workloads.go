@@ -108,17 +108,12 @@ func NewWorkload(app, dataset string) (Workload, error) {
 
 // BaselineSeconds times the CPU software baseline (GraphZero-equivalent) on
 // this workload with the given thread count, returning the wall-clock
-// seconds and the counts for cross-checking. The kernel policy is pinned to
-// merge-only: the published baselines this models (GraphZero, AutoMine) are
-// merge-based, so the accelerator speedup figures keep the paper's meaning.
-// KernelSeconds times the modernized adaptive-kernel engine for A/B runs.
+// seconds and the counts for cross-checking. Options come from
+// core.PaperBaseline, like every paper runner's: the published baselines this
+// models (GraphZero, AutoMine) are merge-based, so the accelerator speedup
+// figures keep the paper's meaning.
 func (w Workload) BaselineSeconds(threads int) (float64, []int64, error) {
-	return w.KernelSeconds(threads, core.KernelMergeOnly)
-}
-
-// KernelSeconds times the CPU engine under an explicit kernel policy.
-func (w Workload) KernelSeconds(threads int, kernel core.KernelPolicy) (float64, []int64, error) {
-	eng, err := core.NewEngine(w.G, w.Plan, core.Options{Threads: threads, Kernel: kernel})
+	eng, err := core.NewEngine(w.G, w.Plan, core.PaperBaseline(threads))
 	if err != nil {
 		return 0, nil, err
 	}

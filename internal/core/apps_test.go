@@ -134,33 +134,6 @@ func TestRandomPatternsMatchBruteForce(t *testing.T) {
 	}
 }
 
-// TestRandomPatternsCMapAgree: the c-map paths agree with the plain path on
-// random patterns too.
-func TestRandomPatternsCMapAgree(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		k := 3 + r.Intn(3)
-		p := randomConnectedPattern(r, k)
-		g := graph.ChungLu(60, 250, 2.5, uint64(seed)+1)
-		pl, err := plan.Compile(p, plan.Options{})
-		if err != nil {
-			return false
-		}
-		base, err := Mine(g, pl, Options{Threads: 2})
-		if err != nil {
-			return false
-		}
-		hm, err := Mine(g, pl, Options{Threads: 2, CMap: CMapHash, CMapBytes: 1 << 10})
-		if err != nil {
-			return false
-		}
-		return base.Count() == hm.Count()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestObliviousEnumerationSizes: ESU must visit exactly the number of
 // connected induced k-subgraphs (sum of motif counts).
 func TestObliviousEnumerationSizes(t *testing.T) {

@@ -35,14 +35,14 @@ type AuxMode int
 
 const (
 	// AuxOff (the zero value) ignores the plan's aux directives entirely —
-	// the configuration of the paper-figure runners, enforced by the
-	// kernelpin analyzer.
+	// the configuration of the paper-figure runners (PaperBaseline).
 	AuxOff AuxMode = iota
 	// AuxAuto (the CLI default) honors directives when the per-activation
 	// cost model predicts enough reuse: Uses × avgdeg^Gap ≥ 2 and a nonzero
 	// fold operand. Skipped activations count as AuxSkippedCostModel.
 	AuxAuto
-	// AuxOn honors every directive unconditionally (A/B and test leg).
+	// AuxOn honors every directive unconditionally: the leg tests use to
+	// force row builds independent of the cost gate.
 	AuxOn
 )
 

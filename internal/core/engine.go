@@ -12,26 +12,11 @@ import (
 	"runtime"
 	"sync"
 
-	"repro/internal/cmap"
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/sched"
 	"repro/internal/setops"
-)
-
-// CMapMode selects the connectivity-map implementation used by the engine.
-type CMapMode int
-
-const (
-	// CMapNone performs all connectivity checks with merge-based set
-	// operations (the GraphZero baseline configuration).
-	CMapNone CMapMode = iota
-	// CMapVector uses the dense |V|-sized software c-map of prior work.
-	CMapVector
-	// CMapHash uses the paper's banked linear-probing hash map model, with
-	// overflow fallback to set operations.
-	CMapHash
 )
 
 // SliceOff disables hub-vertex task slicing (Options.SliceElems).
@@ -57,16 +42,6 @@ type Options struct {
 	// invariant under slicing; only scheduling (and Stats.Tasks) changes.
 	SliceElems int
 
-	// CMap selects the connectivity-map mode (default CMapNone).
-	CMap CMapMode
-
-	// CMapBytes sizes the hash c-map (default 8 kB, the paper's choice);
-	// only used with CMapHash.
-	CMapBytes int
-
-	// CMapBanks is the hash c-map bank count (default 4).
-	CMapBanks int
-
 	// Kernel selects the set-operation kernels (default KernelAuto:
 	// input-aware galloping/bitmap/merge selection). Counts are invariant
 	// under this policy; only CPU wall-clock and the per-kernel Stats
@@ -75,8 +50,8 @@ type Options struct {
 	Kernel KernelPolicy
 
 	// HubBitmaps caps how many top-degree vertices get precomputed dense
-	// adjacency bitmaps (KernelAuto/KernelBitmap only). 0 picks
-	// graph.DefaultHubBitmaps; negative disables the index.
+	// adjacency bitmaps (KernelAuto only). 0 picks graph.DefaultHubBitmaps;
+	// negative disables the index.
 	HubBitmaps int
 
 	// AuxGraph enables plan-directed auxiliary graphs (default AuxOff, see
@@ -85,7 +60,7 @@ type Options struct {
 	// every descendant lookup. Counts are invariant under this mode; only
 	// CPU wall-clock and the Aux* Stats counters change. The simulator
 	// ignores it — cycle accounting never reads the aux directives — and the
-	// paper-figure runners pin it off (enforced by the kernelpin analyzer).
+	// paper-figure runners pin it off (PaperBaseline).
 	AuxGraph AuxMode
 
 	// Trace, when non-nil, receives scheduler events (task completions,
@@ -95,14 +70,6 @@ type Options struct {
 	// virtual-clock timestamps) is schedule-dependent; byte-stable traces
 	// come from the simulator, whose coordinator serializes emission.
 	Trace *obs.Tracer
-
-	// ShardOblivious disables shard-local task placement for sharded stores:
-	// tasks are dealt round-robin across all workers regardless of which
-	// shard owns their start vertex, exactly like a non-sharded run. Counts
-	// and Stats are invariant under this switch — only steal traffic (and
-	// wall-clock) changes — so it is the baseline leg of locality A/Bs
-	// (experiments bench-storage). Ignored for non-sharded stores.
-	ShardOblivious bool
 
 	// SchedHooks observe the work-stealing scheduler (steals, task
 	// retirements) during the run — the live-progress feed of serve mode.
@@ -123,20 +90,15 @@ func (o Options) withDefaults() Options {
 	if o.Threads <= 0 {
 		o.Threads = runtime.GOMAXPROCS(0)
 	}
-	if o.CMapBytes <= 0 {
-		o.CMapBytes = 8 << 10
-	}
-	if o.CMapBanks <= 0 {
-		o.CMapBanks = 4
-	}
 	return o
 }
 
 // Stats aggregates per-run instrumentation. The three kernel counters
-// attribute set-operation work to the kernel that did it, so -kernel A/B
-// runs are comparable: SetOpIterations counts only merge-loop iterations
-// actually executed (the SIU/SDU work proxy), GallopProbes counts galloping
-// element comparisons, and BitmapProbes counts hub-bitmap word probes.
+// attribute set-operation work to the kernel that did it, so -kernel auto and
+// -kernel merge runs are comparable: SetOpIterations counts only merge-loop
+// iterations actually executed (the SIU/SDU work proxy), GallopProbes counts
+// galloping element comparisons, and BitmapProbes counts hub-bitmap word
+// probes.
 type Stats struct {
 	Tasks           int64 // scheduled tasks executed (sub-tasks when slicing)
 	Extensions      int64 // vertices pushed onto ancestor stacks
@@ -162,8 +124,6 @@ type Stats struct {
 	// single task reached. Workers run tasks concurrently, so peaks merge by
 	// max, not sum — a sum would depend on which worker ran which task.
 	AuxBytesPeak int64
-
-	CMap cmap.Stats
 }
 
 func (s *Stats) add(o *Stats) {
@@ -181,7 +141,6 @@ func (s *Stats) add(o *Stats) {
 	if o.AuxBytesPeak > s.AuxBytesPeak {
 		s.AuxBytesPeak = o.AuxBytesPeak
 	}
-	s.CMap.Add(o.CMap)
 }
 
 // Result is the outcome of a mining run: one count per plan pattern.
@@ -242,7 +201,7 @@ func newEngine(g graph.Store, pl *plan.Plan, o Options, visit Visitor) (*Engine,
 // All built-in backends implement graph.HubIndexer with one shared build
 // routine, so engine statistics stay invariant across storage backends.
 func hubIndexFor(g graph.Store, o Options) *graph.HubIndex {
-	if o.HubBitmaps < 0 || (o.Kernel != KernelAuto && o.Kernel != KernelBitmap) {
+	if o.HubBitmaps < 0 || o.Kernel != KernelAuto {
 		return nil
 	}
 	hi, ok := g.(graph.HubIndexer)
@@ -348,8 +307,7 @@ func (e *Engine) MineContext(ctx context.Context) (Result, error) {
 		// its start vertex's shard so a task's first adjacency read stays in
 		// local pages, and steal cross-group only as a last resort. Counts
 		// and Stats are placement-invariant; only steal traffic changes.
-		err = sched.RunSharded(ctx, threads, tasks,
-			sched.ShardOptions{Map: sm, Oblivious: e.o.ShardOblivious}, run, hooks)
+		err = sched.RunSharded(ctx, threads, tasks, sm, run, hooks)
 	} else {
 		err = sched.RunHooked(ctx, threads, tasks, run, hooks)
 	}
@@ -386,19 +344,17 @@ func MineContext(ctx context.Context, g graph.Store, pl *plan.Plan, o Options) (
 	return e.MineContext(ctx)
 }
 
-// worker holds the per-thread DFS state: the ancestor stack, per-level
-// candidate buffers (which double as memoized frontiers), and the c-map.
+// worker holds the per-thread DFS state: the ancestor stack and the
+// per-level candidate buffers (which double as memoized frontiers).
 type worker struct {
 	g    graph.Store
 	prog *program
 	o    Options
 
-	emb       []graph.VID     // ancestor stack
-	levels    [][]graph.VID   // per-level candidate buffers / frontiers
-	scratch   [2][]graph.VID  // ping-pong buffers for chained set operations
-	hub       *graph.HubIndex // shared hub-adjacency bitmaps (nil if unused)
-	cm        cmap.Map
-	cmLevelOK []bool // c-map insertion succeeded at level (no overflow)
+	emb     []graph.VID     // ancestor stack
+	levels  [][]graph.VID   // per-level candidate buffers / frontiers
+	scratch [2][]graph.VID  // ping-pong buffers for chained set operations
+	hub     *graph.HubIndex // shared hub-adjacency bitmaps (nil if unused)
 
 	// Auxiliary-graph runtime (aux.go): one pooled state per plan.AuxSpec
 	// (nil when the mode or plan disable the layer) and the live-row byte
@@ -455,16 +411,15 @@ func (w *worker) cancelled() bool {
 func newWorker(g graph.Store, p *program, o Options) *worker {
 	k := p.pl.K
 	w := &worker{
-		g:         g,
-		prog:      p,
-		o:         o,
-		emb:       make([]graph.VID, k),
-		levels:    make([][]graph.VID, k),
-		hub:       hubIndexFor(g, o),
-		cmLevelOK: make([]bool, k),
-		aux:       newAuxStates(g, p),
-		counts:    make([]int64, len(p.pl.Patterns)),
-		trace:     o.Trace,
+		g:      g,
+		prog:   p,
+		o:      o,
+		emb:    make([]graph.VID, k),
+		levels: make([][]graph.VID, k),
+		hub:    hubIndexFor(g, o),
+		aux:    newAuxStates(g, p),
+		counts: make([]int64, len(p.pl.Patterns)),
+		trace:  o.Trace,
 	}
 	for i := range w.levels {
 		w.levels[i] = make([]graph.VID, 0, g.MaxDegree())
@@ -473,12 +428,6 @@ func newWorker(g graph.Store, p *program, o Options) *worker {
 	// the first hub task doesn't regrow it inside the DFS hot path.
 	for i := range w.scratch {
 		w.scratch[i] = make([]graph.VID, 0, g.MaxDegree())
-	}
-	switch o.CMap {
-	case CMapVector:
-		w.cm = cmap.NewVector(g.NumVertices())
-	case CMapHash:
-		w.cm = cmap.NewHashMapBytes(o.CMapBytes, o.CMapBanks)
 	}
 	return w
 }
@@ -498,7 +447,6 @@ func (w *worker) runTask(t sched.Task) bool {
 	w.emb[0] = t.V0
 	w.sliceLo, w.sliceHi = t.Lo, t.Hi
 	w.stats.Extensions++
-	inserted := root.insertsCMap && w.cmapInsert(root, t.V0)
 	if root.hasAux {
 		w.auxActivate(root)
 	}
@@ -507,11 +455,6 @@ func (w *worker) runTask(t sched.Task) bool {
 	}
 	if root.hasAux {
 		w.auxRelease(root)
-	}
-	if inserted {
-		// Self-cleaning during backtracking (§VI): removing the root level
-		// leaves the map empty for the next task.
-		w.cmapRemove(root, t.V0)
 	}
 	if w.trace.Enabled() {
 		w.emitTaskTrace(t, &before)
@@ -534,8 +477,8 @@ func (w *worker) emitTaskTrace(t sched.Task, before *Stats) {
 		obs.Arg{Key: "bitmap_probes", Val: w.stats.BitmapProbes - before.BitmapProbes})
 }
 
-// walk matches the vertex for node n and recurses. Directives the node does
-// not carry (c-map insertion, aux activation) cost one flag test, no call.
+// walk matches the vertex for node n and recurses. An aux activation the node
+// does not carry costs one flag test, no call.
 //
 //flexlint:noalloc
 func (w *worker) walk(n *node) {
@@ -568,7 +511,6 @@ func (w *worker) walk(n *node) {
 		}
 		w.emb[depth] = v
 		w.stats.Extensions++
-		inserted := n.insertsCMap && w.cmapInsert(n, v)
 		if n.hasAux {
 			w.auxActivate(n)
 		}
@@ -578,31 +520,7 @@ func (w *worker) walk(n *node) {
 		if n.hasAux {
 			w.auxRelease(n)
 		}
-		if inserted {
-			w.cmapRemove(n, v)
-		}
 	}
-}
-
-//flexlint:noalloc
-func (w *worker) cmapInsert(n *node, v graph.VID) bool {
-	ok := w.cm.TryInsertLevel(w.g.Adj(v), n.depth, w.cmapBound(n))
-	w.cmLevelOK[n.depth] = ok
-	return ok
-}
-
-//flexlint:noalloc
-func (w *worker) cmapRemove(n *node, v graph.VID) {
-	w.cm.RemoveLevel(w.g.Adj(v), n.depth, w.cmapBound(n))
-	w.cmLevelOK[n.depth] = false
-}
-
-//flexlint:noalloc
-func (w *worker) cmapBound(n *node) graph.VID {
-	if n.op.CMapBound == plan.NoLevel {
-		return cmap.NoBound
-	}
-	return w.emb[n.op.CMapBound]
 }
 
 // bound returns the effective ID upper bound: the minimum over the op's
@@ -629,17 +547,17 @@ func (w *worker) bound(n *node) graph.VID {
 // operand source is chosen; materialize and count both start here.
 //
 //flexlint:noalloc
-func (w *worker) resolve(n *node, bound graph.VID) ([]graph.VID, *operand) {
+func (w *worker) resolve(n *node, bound graph.VID) ([]graph.VID, []chainOp) {
 	switch n.src {
 	case srcFrontier:
 		w.stats.FrontierReuses++
-		return setops.Bounded(w.levels[n.srcIdx], bound), &n.res
+		return setops.Bounded(w.levels[n.srcIdx], bound), n.res
 	case srcAux:
 		// Auxiliary-graph substitution (aux.go): swap the extender's full
 		// adjacency for the materialized pruned row; the spec's folded
 		// sources are already applied, leaving only the residuals.
 		if row, ok := w.auxRow(n); ok {
-			return setops.Bounded(row, bound), &n.res
+			return setops.Bounded(row, bound), n.res
 		}
 	}
 	adj := w.g.Adj(w.emb[n.op.Extender])
@@ -648,7 +566,7 @@ func (w *worker) resolve(n *node, bound graph.VID) ([]graph.VID, *operand) {
 		// of the start vertex's adjacency (mirrors the PE's slice path).
 		adj = adj[min(w.sliceLo, len(adj)):min(w.sliceHi, len(adj))]
 	}
-	return setops.Bounded(adj, bound), &n.adj
+	return setops.Bounded(adj, bound), n.adj
 }
 
 // chain runs every operation of ops but the last through the ping-pong
@@ -668,41 +586,35 @@ func (w *worker) chain(cur []graph.VID, ops []chainOp, bound graph.VID) ([]graph
 }
 
 // materialize computes n's qualified candidate list into the per-level
-// buffer: base and symmetry bound from resolve, connectivity via c-map
-// queries when every queried level is covered and via the policy-selected
-// set kernels (kernels.go) otherwise, then the explicit distinctness checks.
+// buffer: base and symmetry bound from resolve, connectivity via the
+// policy-selected set kernels (kernels.go), then the explicit distinctness
+// checks.
 //
 //flexlint:noalloc
 func (w *worker) materialize(n *node) []graph.VID {
 	bound := w.bound(n)
-	base, r := w.resolve(n, bound)
+	base, ops := w.resolve(n, bound)
 	out := w.levels[n.depth][:0]
-	switch {
-	case r.cmap && w.cmapCovers(r):
-		out, _ = w.cmapScan(out, base, n, r, true)
-	case len(r.ops) == 0:
-		out = w.dropAncestors(append(out, base...), n)
-	default:
-		cur, anc, diff := w.chain(base, r.ops, bound)
-		out = w.dropAncestors(w.setOp(out, cur, anc, diff, bound), n)
+	if len(ops) == 0 {
+		out = append(out, base...)
+	} else {
+		cur, anc, diff := w.chain(base, ops, bound)
+		out = w.setOp(out, cur, anc, diff, bound)
 	}
+	out = w.dropAncestors(out, n)
 	w.levels[n.depth] = out
 	return out
 }
 
-// count is materialize for a count-only leaf: same base, same c-map coverage
-// decision, same chain; only the last operation runs as a counting kernel
-// and the distinctness filter becomes a membership adjustment.
+// count is materialize for a count-only leaf: same base, same chain; only
+// the last operation runs as a counting kernel and the distinctness filter
+// becomes a membership adjustment.
 //
 //flexlint:noalloc
 func (w *worker) count(n *node) int64 {
 	bound := w.bound(n)
-	base, r := w.resolve(n, bound)
-	if r.cmap && w.cmapCovers(r) {
-		_, cnt := w.cmapScan(nil, base, n, r, false)
-		return cnt
-	}
-	if len(r.ops) == 0 {
+	base, ops := w.resolve(n, bound)
+	if len(ops) == 0 {
 		// Plain adjacency/frontier leaf: the bounded length minus the
 		// excluded ancestors present in it.
 		cnt := int64(len(base))
@@ -713,7 +625,7 @@ func (w *worker) count(n *node) int64 {
 		}
 		return cnt
 	}
-	cur, anc, diff := w.chain(base, r.ops, bound)
+	cur, anc, diff := w.chain(base, ops, bound)
 	cnt := w.setOpCount(cur, anc, diff, bound)
 	// emb[j] was counted iff it survived the materialized prefix (∈ cur),
 	// the last operation, and the bound.
@@ -725,57 +637,10 @@ func (w *worker) count(n *node) int64 {
 	return cnt
 }
 
-// cmapCovers reports whether every level r queries was successfully inserted
-// into the c-map (hint present and no overflow).
-//
-//flexlint:noalloc
-func (w *worker) cmapCovers(r *operand) bool {
-	for _, o := range r.ops {
-		if !w.cmLevelOK[o.level] {
-			return false
-		}
-	}
-	return true
-}
-
-// cmapScan checks each base element's connectivity with a single c-map
-// lookup (§VI: "all the set operations can be replaced by querying the
-// c-map") and counts the qualified ones, appending them to dst when keep is
-// set. Both leaf kinds issue identical lookups, so c-map statistics do not
-// depend on whether the list is materialized.
-//
-//flexlint:noalloc
-func (w *worker) cmapScan(dst, base []graph.VID, n *node, r *operand, keep bool) ([]graph.VID, int64) {
-	var cnt int64
-	for _, v := range base {
-		bits := w.cm.Lookup(v)
-		if bits&r.need != r.need || bits&r.avoid != 0 || !w.distinct(v, n) {
-			continue
-		}
-		cnt++
-		if keep {
-			dst = append(dst, v)
-		}
-	}
-	return dst, cnt
-}
-
-// distinct applies the explicit inequality checks the compiler could not
-// prove away.
-//
-//flexlint:noalloc
-func (w *worker) distinct(v graph.VID, n *node) bool {
-	for _, j := range n.op.NotEqual {
-		if w.emb[j] == v {
-			return false
-		}
-	}
-	return true
-}
-
-// dropAncestors is distinct for a whole sorted list: it cuts the NotEqual
-// ancestors out of list in place, one search each, so a list whose node has
-// none is never walked a second time.
+// dropAncestors applies the explicit inequality checks the compiler could
+// not prove away: it cuts the NotEqual ancestors out of the sorted list in
+// place, one search each, so a list whose node has none is never walked a
+// second time.
 //
 //flexlint:noalloc
 func (w *worker) dropAncestors(list []graph.VID, n *node) []graph.VID {

@@ -1,7 +1,7 @@
 package core
 
 // Kernel-policy coverage: mined counts must be bit-identical across every
-// Kernel policy × c-map mode × thread count (the engine-side half of the
+// Kernel policy × thread count (the engine-side half of the
 // "kernel selection never changes results" contract; the simulator-side half
 // — cycle invariance — lives in the root package's TestSimCyclesKernelProof).
 // Also asserts the per-kernel Stats attribution so speedups stay explainable.
@@ -14,7 +14,7 @@ import (
 	"repro/internal/plan"
 )
 
-var allKernels = []KernelPolicy{KernelAuto, KernelMergeOnly, KernelGallop, KernelBitmap}
+var allKernels = []KernelPolicy{KernelAuto, KernelMergeOnly}
 
 // TestKernelInvariance sweeps the full policy grid on Table-I stand-in
 // shapes (power-law, so hubs and skewed intersections actually occur).
@@ -38,24 +38,20 @@ func TestKernelInvariance(t *testing.T) {
 	}
 	for gname, g := range graphs {
 		for plname, pl := range plans {
-			ref, err := Mine(g, pl, Options{Threads: 1, Kernel: KernelMergeOnly, CMap: CMapNone})
+			ref, err := Mine(g, pl, Options{Threads: 1, Kernel: KernelMergeOnly})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, kernel := range allKernels {
-				for _, cm := range []CMapMode{CMapNone, CMapVector, CMapHash} {
-					for _, threads := range []int{1, 4, 16} {
-						res, err := Mine(g, pl, Options{
-							Threads: threads, Kernel: kernel, CMap: cm, CMapBytes: 4 << 10,
-						})
-						if err != nil {
-							t.Fatal(err)
-						}
-						for i := range ref.Counts {
-							if res.Counts[i] != ref.Counts[i] {
-								t.Errorf("%s/%s kernel=%v cmap=%d threads=%d: count[%d]=%d, want %d",
-									gname, plname, kernel, cm, threads, i, res.Counts[i], ref.Counts[i])
-							}
+				for _, threads := range []int{1, 4, 16} {
+					res, err := Mine(g, pl, Options{Threads: threads, Kernel: kernel})
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i := range ref.Counts {
+						if res.Counts[i] != ref.Counts[i] {
+							t.Errorf("%s/%s kernel=%v threads=%d: count[%d]=%d, want %d",
+								gname, plname, kernel, threads, i, res.Counts[i], ref.Counts[i])
 						}
 					}
 				}

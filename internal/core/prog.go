@@ -4,13 +4,12 @@ package core
 // emits and the goldens pin; the program is what the workers run. NewEngine
 // lowers the plan once: one node per plan.Node, holding a pointer to its op
 // plus every per-level decision that depends only on the plan and the options
-// — leaf mode, operand source, the flattened set-operation chain with its
-// c-map masks, and which directives the level carries at all — so the DFS
-// resolves none of it per extension. The program is read-only after lowering
-// and shared by all workers; ops, nodes and aux specs travel by pointer only.
+// — leaf mode, operand source, the flattened set-operation chains, and whether
+// the level activates aux specs at all — so the DFS resolves none of it per
+// extension. The program is read-only after lowering and shared by all
+// workers; ops, nodes and aux specs travel by pointer only.
 
 import (
-	"repro/internal/cmap"
 	"repro/internal/graph"
 	"repro/internal/plan"
 )
@@ -48,16 +47,6 @@ type chainOp struct {
 	diff  bool
 }
 
-// operand is the work left once a base list is resolved: the chain to apply
-// (intersections first, then differences, in plan order) and, when a c-map is
-// configured and there is something to query, the masks that answer the same
-// chain with one lookup per element.
-type operand struct {
-	ops         []chainOp
-	cmap        bool
-	need, avoid cmap.Bits
-}
-
 // node is the lowered form of one plan.Node.
 type node struct {
 	_ noCopy
@@ -70,11 +59,10 @@ type node struct {
 
 	src    source
 	srcIdx int
-	res    operand // residual chain on top of a frontier or aux row
-	adj    operand // Connected/Disconnected on top of plain adjacency
+	res    []chainOp // residual chain on top of a frontier or aux row
+	adj    []chainOp // Connected/Disconnected on top of plain adjacency
 
-	insertsCMap bool // a c-map is configured and the op inserts into it
-	hasAux      bool // the aux layer is on and the op activates specs
+	hasAux bool // the aux layer is on and the op activates specs
 }
 
 // auxNode is the lowered form of one plan.AuxSpec: its fold chain and the
@@ -120,22 +108,20 @@ func lower(g graph.Store, pl *plan.Plan, o Options, listing bool) *program {
 
 func (p *program) lowerNode(pn *plan.Node, depth int, o Options, listing bool) *node {
 	op := &pn.Op
-	useCMap := o.CMap != CMapNone
 	n := &node{
-		op:          op,
-		depth:       depth,
-		patternIdx:  pn.PatternIdx,
-		adj:         newOperand(op.Connected, op.Disconnected, useCMap),
-		insertsCMap: useCMap && op.InsertCMap,
-		hasAux:      p.aux != nil && len(op.BuildAux) > 0,
+		op:         op,
+		depth:      depth,
+		patternIdx: pn.PatternIdx,
+		adj:        flatten(op.Connected, op.Disconnected),
+		hasAux:     p.aux != nil && len(op.BuildAux) > 0,
 	}
 	switch {
 	case op.FrontierBase != plan.NoLevel:
 		n.src, n.srcIdx = srcFrontier, op.FrontierBase
-		n.res = newOperand(op.IntersectWith, op.DifferenceWith, useCMap)
+		n.res = flatten(op.IntersectWith, op.DifferenceWith)
 	case op.AuxBase >= 0 && op.AuxBase < len(p.aux):
 		n.src, n.srcIdx = srcAux, op.AuxBase
-		n.res = newOperand(op.AuxIntersect, op.AuxDifference, useCMap)
+		n.res = flatten(op.AuxIntersect, op.AuxDifference)
 	}
 	switch {
 	case !pn.IsLeaf():
@@ -164,18 +150,4 @@ func flatten(intersect, difference []int) []chainOp {
 		ops = append(ops, chainOp{level: j, diff: true})
 	}
 	return ops
-}
-
-func newOperand(intersect, difference []int, useCMap bool) operand {
-	r := operand{ops: flatten(intersect, difference)}
-	// With nothing to query, plain iteration is cheaper than lookups.
-	r.cmap = useCMap && len(r.ops) > 0
-	for _, o := range r.ops {
-		if o.diff {
-			r.avoid |= 1 << uint(o.level)
-		} else {
-			r.need |= 1 << uint(o.level)
-		}
-	}
-	return r
 }

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/cmap"
 	"repro/internal/graph"
 	"repro/internal/pattern"
 	"repro/internal/plan"
@@ -36,27 +35,14 @@ func sameLevels(a, b []int) bool {
 	return len(a) == len(b) && (len(a) == 0 || reflect.DeepEqual(a, b))
 }
 
-func checkOperand(t *testing.T, where string, r *operand, intersect, difference []int, useCMap bool) {
+func checkChain(t *testing.T, where string, ops []chainOp, intersect, difference []int) {
 	t.Helper()
-	gotI, gotD := splitOps(t, r.ops)
+	gotI, gotD := splitOps(t, ops)
 	if !sameLevels(gotI, intersect) {
 		t.Fatalf("%s: intersect levels %v, plan has %v", where, gotI, intersect)
 	}
 	if !sameLevels(gotD, difference) {
 		t.Fatalf("%s: difference levels %v, plan has %v", where, gotD, difference)
-	}
-	var need, avoid cmap.Bits
-	for _, j := range intersect {
-		need |= 1 << uint(j)
-	}
-	for _, j := range difference {
-		avoid |= 1 << uint(j)
-	}
-	if r.need != need || r.avoid != avoid {
-		t.Fatalf("%s: c-map masks need=%b avoid=%b, want %b / %b", where, r.need, r.avoid, need, avoid)
-	}
-	if want := useCMap && len(intersect)+len(difference) > 0; r.cmap != want {
-		t.Fatalf("%s: cmap=%v, want %v", where, r.cmap, want)
 	}
 }
 
@@ -72,26 +58,25 @@ func checkLowered(t *testing.T, p *program, pn *plan.Node, n *node, depth int, o
 	if n.depth != depth || n.patternIdx != pn.PatternIdx {
 		t.Fatalf("%s: depth/patternIdx %d/%d, want %d/%d", where, n.depth, n.patternIdx, depth, pn.PatternIdx)
 	}
-	useCMap := o.CMap != CMapNone
-	checkOperand(t, where+" adj", &n.adj, op.Connected, op.Disconnected, useCMap)
+	checkChain(t, where+" adj", n.adj, op.Connected, op.Disconnected)
 	switch {
 	case op.FrontierBase != plan.NoLevel:
 		if n.src != srcFrontier || n.srcIdx != op.FrontierBase {
 			t.Fatalf("%s: source %d/%d, want frontier %d", where, n.src, n.srcIdx, op.FrontierBase)
 		}
-		checkOperand(t, where+" frontier", &n.res, op.IntersectWith, op.DifferenceWith, useCMap)
+		checkChain(t, where+" frontier", n.res, op.IntersectWith, op.DifferenceWith)
 	case p.aux != nil && op.AuxBase != plan.NoLevel:
 		if n.src != srcAux || n.srcIdx != op.AuxBase {
 			t.Fatalf("%s: source %d/%d, want aux %d", where, n.src, n.srcIdx, op.AuxBase)
 		}
-		checkOperand(t, where+" aux", &n.res, op.AuxIntersect, op.AuxDifference, useCMap)
+		checkChain(t, where+" aux", n.res, op.AuxIntersect, op.AuxDifference)
 	default:
-		if n.src != srcAdj || len(n.res.ops) != 0 {
-			t.Fatalf("%s: source %d with residual %v, want plain adjacency", where, n.src, n.res.ops)
+		if n.src != srcAdj || len(n.res) != 0 {
+			t.Fatalf("%s: source %d with residual %v, want plain adjacency", where, n.src, n.res)
 		}
 	}
-	if n.insertsCMap != (useCMap && op.InsertCMap) || n.hasAux != (p.aux != nil && len(op.BuildAux) > 0) {
-		t.Fatalf("%s: insertsCMap=%v hasAux=%v disagree with the op under %+v", where, n.insertsCMap, n.hasAux, o)
+	if n.hasAux != (p.aux != nil && len(op.BuildAux) > 0) {
+		t.Fatalf("%s: hasAux=%v disagrees with the op under %+v", where, n.hasAux, o)
 	}
 	wantMode := interior
 	switch {
@@ -152,7 +137,7 @@ func TestLowerMirrorsPlan(t *testing.T) {
 
 	g := graph.ErdosRenyi(40, 120, 1)
 	for _, pl := range plans {
-		for _, o := range []Options{{}, {AuxGraph: AuxOn}, {CMap: CMapHash, AuxGraph: AuxAuto}} {
+		for _, o := range []Options{{}, {AuxGraph: AuxOn}, {AuxGraph: AuxAuto}} {
 			for _, listing := range []bool{false, true} {
 				p := lower(g, pl, o.withDefaults(), listing)
 				if (p.aux != nil) != (o.AuxGraph != AuxOff && len(pl.AuxSpecs) > 0) || (p.aux != nil && len(p.aux) != len(pl.AuxSpecs)) {

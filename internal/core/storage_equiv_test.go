@@ -91,7 +91,6 @@ func TestStorageBackendEquivalence(t *testing.T) {
 	opts := []Options{
 		{Threads: 4},
 		{Threads: 8, Kernel: KernelMergeOnly, SliceElems: 16},
-		{Threads: 4, CMap: CMapHash},
 	}
 	for gname, g := range inputs {
 		for dag := 0; dag < 2; dag++ {
@@ -124,30 +123,6 @@ func TestStorageBackendEquivalence(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestStorageBackendShardObliviousEquivalence checks the A/B switch only
-// moves tasks, never results: oblivious and shard-local placement produce
-// identical Counts and Stats on a 4-shard store.
-func TestStorageBackendShardObliviousEquivalence(t *testing.T) {
-	g := graph.RMAT(10, 6000, 0.57, 0.19, 0.19, 5)
-	stores := storageBackends(t, g)
-	pl, err := plan.CompileMotifs(3, plan.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	local, err := Mine(stores["shard4"], pl, Options{Threads: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	obliv, err := Mine(stores["shard4"], pl, Options{Threads: 8, ShardOblivious: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(local.Counts, obliv.Counts) || !reflect.DeepEqual(local.Stats, obliv.Stats) {
-		t.Fatalf("shard-oblivious placement changed results:\nlocal %+v %+v\nobliv %+v %+v",
-			local.Counts, local.Stats, obliv.Counts, obliv.Stats)
 	}
 }
 

@@ -174,6 +174,41 @@ func TestIncompatibleJobsDoNotBatch(t *testing.T) {
 	}
 }
 
+// TestOptionSpellingsShareABatch: batch compatibility compares normalized
+// options, so two spellings of one kernel policy ("merge", "merge-only") must
+// land in the same batch.
+func TestOptionSpellingsShareABatch(t *testing.T) {
+	g := graph.ChungLu(150, 900, 2.3, 6)
+	s := New(Config{Graphs: map[string]graph.Store{"g": g}, StartPaused: true})
+	defer closeServer(t, s)
+
+	var ids []string
+	for _, body := range []string{
+		`{"graph":{"name":"g"},"pattern":{"name":"diamond"},"options":{"kernel":"merge"}}`,
+		`{"graph":{"name":"g"},"pattern":{"name":"tailed-triangle"},"options":{"kernel":"merge-only"}}`,
+	} {
+		req, pat, err := ParseSubmit([]byte(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		id, err := s.Submit(req, pat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	s.Resume()
+	for _, id := range ids {
+		if st := waitDone(t, s, id); st.State != StateDone {
+			t.Fatalf("job %s: %s (%s)", id, st.State, st.Error)
+		}
+		res, _ := s.Result(id)
+		if res.BatchWidth != 2 {
+			t.Fatalf("job %s batch width %d, want 2 (the options mean the same engine)", id, res.BatchWidth)
+		}
+	}
+}
+
 // TestBatchingDisabledByMaxBatchOne: MaxBatch 1 must dispatch co-queued
 // compatible jobs separately.
 func TestBatchingDisabledByMaxBatchOne(t *testing.T) {

@@ -4,9 +4,12 @@ package jobs
 // sequence POSTed at /jobs may panic the decoder. Malformed JSON, absurd
 // sizes, bad graph references and degenerate patterns must all come back as
 // clean errors, and anything the decoder accepts must be internally
-// consistent (a usable pattern, normalized options).
+// consistent (a usable pattern, normalized options that re-parse to
+// themselves).
 
 import (
+	"bytes"
+	"encoding/json"
 	"testing"
 
 	"repro/internal/pattern"
@@ -19,6 +22,7 @@ func FuzzJobSubmitJSON(f *testing.F) {
 		`{"graph":{"path":"web.bin","mmap":true},"pattern":{"name":"diamond"},"options":{"workers":4,"kernel":"merge","aux":"off","slice":1024,"timeout_ms":5000}}`,
 		`{"graph":{"name":"g"},"pattern":{"vertices":4,"edges":[[0,1],[1,2],[2,3],[3,0]],"induced":true}}`,
 		`{"graph":{"name":"g"},"pattern":{"name":"5-clique"}}`,
+		`{"graph":{"name":"g"},"pattern":{"name":"wedge"},"options":{"kernel":"merge-only"}}`,
 		// The documented failure modes.
 		`{"graph":{},"pattern":{"name":"triangle"}}`,
 		`{"graph":{"name":"g","path":"also.bin"},"pattern":{"name":"triangle"}}`,
@@ -29,6 +33,8 @@ func FuzzJobSubmitJSON(f *testing.F) {
 		`{"graph":{"name":"g"},"pattern":{"vertices":4,"edges":[[0,1],[2,3]]}}`,
 		`{"graph":{"name":"g"},"pattern":{"name":"triangle"},"options":{"workers":-1}}`,
 		`{"graph":{"name":"g"},"pattern":{"name":"triangle"},"options":{"kernel":"warp"}}`,
+		`{"graph":{"name":"g"},"pattern":{"name":"triangle"},"options":{"kernel":"gallop"}}`,
+		`{"graph":{"name":"g"},"pattern":{"name":"triangle"},"options":{"kernel":"bitmap"}}`,
 		`{"graph":{"name":"g"},"pattern":{"name":"triangle"},"unknown_field":1}`,
 		`{"graph":{"name":"g"},"pattern":{"name":"triangle"}} trailing`,
 		`{not json`,
@@ -66,6 +72,19 @@ func FuzzJobSubmitJSON(f *testing.F) {
 		}
 		if _, err := req.Options.coreOptions(); err != nil {
 			t.Fatalf("accepted options that don't map to core: %v", err)
+		}
+		// Normalization is a fixed point: the normalized request re-parses to
+		// itself, so equal-meaning jobs compare equal for batching.
+		enc, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, _, err := ParseSubmit(enc)
+		if err != nil {
+			t.Fatalf("normalized request %s rejected: %v", enc, err)
+		}
+		if enc2, err := json.Marshal(again); err != nil || !bytes.Equal(enc2, enc) {
+			t.Fatalf("normalized request is not a fixed point (err %v):\n first %s\nsecond %s", err, enc, enc2)
 		}
 	})
 }

@@ -289,14 +289,19 @@ func TestHTTPErrorStatuses(t *testing.T) {
 			t.Errorf("%s %s: status %d, want 404", probe.method, probe.path, code)
 		}
 	}
-	// Malformed submit: 400.
-	resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader("{not json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("malformed submit: status %d, want 400", resp.StatusCode)
+	// Malformed submit, and a retired kernel policy: 400.
+	for _, body := range []string{
+		"{not json",
+		`{"graph":{"name":"default"},"pattern":{"name":"triangle"},"options":{"kernel":"bitmap"}}`,
+	} {
+		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("submit %q: status %d, want 400", body, resp.StatusCode)
+		}
 	}
 	// Result of a pending job: 409.
 	id := submitHTTP(t, ts.URL, "A", "default", "triangle", 1)

@@ -85,7 +85,7 @@ type PatternRef struct {
 type EngineOptions struct {
 	// Workers is the engine thread count; 0 picks the server default.
 	Workers int `json:"workers,omitempty"`
-	// Kernel is the set-kernel policy: auto, merge, gallop, bitmap ("" = auto).
+	// Kernel is the set-kernel policy: auto, merge ("" = auto).
 	Kernel string `json:"kernel,omitempty"`
 	// Aux is the auxiliary-graph pruning mode: off, auto, on ("" = auto).
 	Aux string `json:"aux,omitempty"`
@@ -243,9 +243,10 @@ func resolvePattern(r PatternRef) (*pattern.Pattern, error) {
 	return p, nil
 }
 
-// normalizeOptions fills defaults and bounds every knob, so two requests that
-// mean the same thing are bit-identical (the batching compatibility test is a
-// plain struct comparison).
+// normalizeOptions fills defaults, bounds every knob and rewrites the enum
+// spellings to their canonical String() form, so two requests that mean the
+// same thing are bit-identical (the batching compatibility test is a plain
+// struct comparison).
 func normalizeOptions(o EngineOptions) (EngineOptions, error) {
 	if o.Workers < 0 || o.Workers > maxWorkers {
 		return o, fmt.Errorf("jobs: workers %d out of range [0,%d]", o.Workers, maxWorkers)
@@ -256,17 +257,14 @@ func normalizeOptions(o EngineOptions) (EngineOptions, error) {
 	if o.TimeoutMS < 0 || o.TimeoutMS > maxTimeoutMS {
 		return o, fmt.Errorf("jobs: timeout_ms %d out of range [0,%d]", o.TimeoutMS, maxTimeoutMS)
 	}
-	if o.Kernel == "" {
-		o.Kernel = "auto"
-	}
-	if o.Aux == "" {
-		o.Aux = "auto"
-	}
-	if _, err := core.ParseKernelPolicy(o.Kernel); err != nil {
+	kernel, err := core.ParseKernelPolicy(o.Kernel)
+	if err != nil {
 		return o, fmt.Errorf("jobs: %w", err)
 	}
-	if _, err := core.ParseAuxMode(o.Aux); err != nil {
+	aux, err := core.ParseAuxMode(o.Aux)
+	if err != nil {
 		return o, fmt.Errorf("jobs: %w", err)
 	}
+	o.Kernel, o.Aux = kernel.String(), aux.String()
 	return o, nil
 }

@@ -19,7 +19,7 @@ func TestParseSubmitAccepts(t *testing.T) {
 		{"family pattern", `{"graph":{"name":"g"},"pattern":{"name":"5-clique"}}`, 5},
 		{"edge list", `{"graph":{"name":"g"},"pattern":{"vertices":4,"edges":[[0,1],[1,2],[2,3],[3,0]]}}`, 4},
 		{"path graph", `{"graph":{"path":"web.bin","mmap":true},"pattern":{"name":"wedge"}}`, 3},
-		{"full options", `{"tenant":"t","graph":{"name":"g"},"pattern":{"name":"diamond"},"options":{"workers":8,"kernel":"gallop","aux":"on","slice":64,"timeout_ms":1000}}`, 4},
+		{"full options", `{"tenant":"t","graph":{"name":"g"},"pattern":{"name":"diamond"},"options":{"workers":8,"kernel":"merge-only","aux":"on","slice":64,"timeout_ms":1000}}`, 4},
 	}
 	for _, c := range cases {
 		req, pat, err := ParseSubmit([]byte(c.body))
@@ -32,6 +32,9 @@ func TestParseSubmitAccepts(t *testing.T) {
 		}
 		if req.Tenant == "" || req.Options.Kernel == "" || req.Options.Aux == "" {
 			t.Errorf("%s: request not normalized: %+v", c.name, req)
+		}
+		if c.name == "full options" && req.Options.Kernel != "merge" {
+			t.Errorf("%s: kernel alias stored as %q, want the canonical \"merge\"", c.name, req.Options.Kernel)
 		}
 		if _, err := req.Options.coreOptions(); err != nil {
 			t.Errorf("%s: options don't map to core: %v", c.name, err)
@@ -59,6 +62,8 @@ func TestParseSubmitRejects(t *testing.T) {
 		{"negative workers", `{"graph":{"name":"g"},"pattern":{"name":"triangle"},"options":{"workers":-1}}`, "workers"},
 		{"absurd timeout", `{"graph":{"name":"g"},"pattern":{"name":"triangle"},"options":{"timeout_ms":99999999999}}`, "timeout_ms"},
 		{"bad kernel", `{"graph":{"name":"g"},"pattern":{"name":"triangle"},"options":{"kernel":"warp"}}`, "kernel"},
+		{"retired gallop", `{"graph":{"name":"g"},"pattern":{"name":"triangle"},"options":{"kernel":"gallop"}}`, "want auto or merge"},
+		{"retired bitmap", `{"graph":{"name":"g"},"pattern":{"name":"triangle"},"options":{"kernel":"bitmap"}}`, "want auto or merge"},
 		{"bad aux", `{"graph":{"name":"g"},"pattern":{"name":"triangle"},"options":{"aux":"maybe"}}`, "aux"},
 		{"bad slice", `{"graph":{"name":"g"},"pattern":{"name":"triangle"},"options":{"slice":-2}}`, "slice"},
 		{"long tenant", `{"tenant":"` + strings.Repeat("x", 100) + `","graph":{"name":"g"},"pattern":{"name":"triangle"}}`, "tenant"},

@@ -15,8 +15,8 @@
 //     for co-queued jobs on the same graph with the same pattern size and
 //     engine options, and compiles them jointly through the plan layer's
 //     multi-pattern dependency-tree merge (plan.CompileMulti, the paper's
-//     Listing 2). Shared matching-order prefixes — and the c-map contents
-//     and memoized frontiers hanging off them — are then computed once for
+//     Listing 2). Shared matching-order prefixes — and the memoized
+//     frontiers hanging off them — are then computed once for
 //     the whole batch instead of once per job, and the per-pattern counts
 //     are demultiplexed back to each job's result. Isomorphic co-queued
 //     patterns collapse onto one plan leg ("free" deduplication). Batching
@@ -25,8 +25,8 @@
 //     engine knob must agree before two jobs may share it.
 //
 // The subsystem introduces only live counters (jobs.* in the shared
-// obs.Registry) and never touches the paper runners, whose options are
-// pinned by the kernelpin analyzer.
+// obs.Registry) and never touches the paper runners, whose options come from
+// core.PaperBaseline.
 package jobs
 
 import (

@@ -23,17 +23,7 @@ func TestStatsumCompleteMergeIsClean(t *testing.T) {
 
 func TestKernelpin(t *testing.T) {
 	prog := testProgram(t)
-	a := NewKernelpin(KernelpinConfig{
-		RootsPkg:    fixturePath(prog, "kernelpin"),
-		Roots:       []string{"Table2", "Fig7", "BaselineSeconds"},
-		OptionsPkg:  "repro/internal/core",
-		OptionsType: "Options",
-		Pins: []FieldPin{
-			{Field: "Kernel", Want: "KernelMergeOnly"},
-			{Field: "AuxGraph", Want: "AuxOff", ZeroIsPinned: true},
-		},
-	})
-	runWantTest(t, a, "kernelpin")
+	runWantTest(t, NewKernelpin(fixturePath(prog, "kernelpin")), "kernelpin")
 }
 
 func TestLockcheck(t *testing.T) {

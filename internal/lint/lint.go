@@ -36,8 +36,8 @@ type Diagnostic struct {
 }
 
 // Analyzer is one invariant checker. Per-package analyzers receive one Pass
-// per target package; program-wide analyzers (kernelpin's call-graph
-// reachability) run once with Pass.Pkg == nil and inspect Pass.Prog.
+// per target package; program-wide analyzers (lockorder's lock graph,
+// noalloc's call closure) run once with Pass.Pkg == nil and inspect Pass.Prog.
 type Analyzer struct {
 	Name string
 	Doc  string
@@ -111,8 +111,8 @@ type funcBody struct {
 }
 
 // indexFuncs indexes every declared function (with a body) in the program by
-// its types object. The interprocedural analyzers (kernelpin, lockorder,
-// noalloc, goroleak) all resolve callsites through this one map, so a callee
+// its types object. The interprocedural analyzers (lockorder, noalloc,
+// goroleak) all resolve callsites through this one map, so a callee
 // found via Info.Uses in one package is the same *types.Func key a Defs
 // lookup produced in its defining package.
 func indexFuncs(prog *Program) map[*types.Func]funcBody {

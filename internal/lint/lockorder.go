@@ -14,7 +14,7 @@ package lint
 // and the sweep is safe because stealTail releases it (via defer, at return)
 // before push reacquires it.
 //
-// The analysis is a callee-summary fixpoint in the style of kernelpin:
+// The analysis is a callee-summary fixpoint:
 //
 //  1. each function (and each function literal, as an anonymous unit) is
 //     walked in source order tracking the held set: Lock/RLock acquires, a

@@ -126,7 +126,7 @@ func fieldIndex(st *types.Struct, name string) int {
 
 // aggregatable reports whether a field must appear in the merge: numeric
 // counters, and nested structs named Stats (sub-aggregates like
-// core.Stats.CMap).
+// sim.Stats.CMap).
 func aggregatable(t types.Type) bool {
 	if b, ok := t.Underlying().(*types.Basic); ok {
 		return b.Info()&types.IsNumeric != 0

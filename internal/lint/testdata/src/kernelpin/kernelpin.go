@@ -1,9 +1,7 @@
-// Package kernelfix seeds kernel-pinning violations for the kernelpin
-// analyzer tests. The test instance of the analyzer roots its reachability
-// at this package's Table2/Fig7/BaselineSeconds, mirroring the real
-// paper-figure runners, and the fixture constructs real
-// repro/internal/core.Options literals so type identity is exercised
-// end to end.
+// Package kernelfix seeds violations for the kernelpin analyzer tests: the
+// test instance scopes the analyzer to this package the way production scopes
+// it to internal/bench, and the fixture uses the real
+// repro/internal/core.Options so type identity is exercised end to end.
 package kernelfix
 
 import (
@@ -11,52 +9,34 @@ import (
 	"repro/internal/plan"
 )
 
-// Table2 constructs one pinned literal, one literal missing the Kernel
-// field, and one pinned to the wrong constant. AuxGraph's zero value IS the
-// pinned AuxOff, so literals that omit it are fine; writing any other
-// constant is a violation.
+// Table2 is the clean shape: options come from core.PaperBaseline and are
+// passed on untouched.
 func Table2() {
-	use(core.Options{Threads: 20, Kernel: core.KernelMergeOnly})            // pinned: ok (AuxGraph absent = AuxOff)
-	use(core.Options{Threads: 20})                                          // want `without Kernel: KernelMergeOnly`
-	use(core.Options{Kernel: core.KernelAuto})                              // want `must be the KernelMergeOnly constant`
-	use(core.Options{Kernel: core.KernelMergeOnly, AuxGraph: core.AuxOff})  // explicit AuxOff: ok
-	use(core.Options{Kernel: core.KernelMergeOnly, AuxGraph: core.AuxAuto}) // want `Options.AuxGraph on a paper-runner path must be the AuxOff constant`
-	use2(plan.Options{})                                                    // different Options type: ignored
+	use(core.PaperBaseline(20))
+	o := core.PaperBaseline(1)
+	threads := o.Threads // reading a field is fine
+	use(core.PaperBaseline(threads))
+	use2(plan.Options{NoSymmetry: true}) // different Options type: ignored
 }
 
-// Fig7 forwards through a parameter that every reachable caller pins: the
-// BaselineSeconds → KernelSeconds plumbing shape, for both pinned fields.
+// Fig7 builds its own options, pinned or not.
 func Fig7() {
-	kernelSeconds(core.KernelMergeOnly) // ok: pins the forwarded parameter
-	auxSeconds(core.AuxOff)             // ok: pins the forwarded aux mode
+	use(core.Options{Threads: 20, Kernel: core.KernelMergeOnly}) // want `core.Options literal in a paper-runner package`
+	use(core.Options{})                                          // want `core.Options literal in a paper-runner package`
+	use(core.Options{AuxGraph: core.AuxAuto})                    // want `core.Options literal in a paper-runner package`
 }
 
-// BaselineSeconds forwards unpinned values into the same plumbing. Its own
-// parameters cannot be pinned by the checked graph (runners are entry
-// points), so forwarding them is reported at the runner itself — once per
-// pinned field.
-func BaselineSeconds(k core.KernelPolicy, m core.AuxMode) { // want `runner BaselineSeconds forwards a caller-supplied Kernel` `runner BaselineSeconds forwards a caller-supplied AuxGraph`
-	kernelSeconds(core.KernelAuto) // want `passes an unpinned Kernel value`
-	kernelSeconds(k)
-	auxSeconds(core.AuxOn) // want `passes an unpinned AuxGraph value`
-	auxSeconds(m)
-}
-
-// kernelSeconds is reachable plumbing whose Options literal takes its Kernel
-// from a parameter, so every reachable call site must pin it.
-func kernelSeconds(kernel core.KernelPolicy) {
-	use(core.Options{Threads: 1, Kernel: kernel})
-}
-
-// auxSeconds is the same plumbing shape for the aux-graph mode.
-func auxSeconds(mode core.AuxMode) {
-	use(core.Options{Threads: 1, Kernel: core.KernelMergeOnly, AuxGraph: mode})
-}
-
-// unreachable is never referenced from a runner: its unpinned literal is not
-// a paper-figure concern.
-func unreachable() {
-	use(core.Options{})
+// BaselineSeconds starts from the baseline and then edits it.
+func BaselineSeconds(k core.KernelPolicy) {
+	o := core.PaperBaseline(4)
+	o.Kernel = k // want `write to core.Options.Kernel in a paper-runner package`
+	p := &o
+	p.AuxGraph = core.AuxOn // want `write to core.Options.AuxGraph in a paper-runner package`
+	(*p).Threads++          // want `write to core.Options.Threads in a paper-runner package`
+	var po plan.Options
+	po.Induced = true // different Options type: ignored
+	use(o)
+	use2(po)
 }
 
 func use(core.Options)  {}

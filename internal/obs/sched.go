@@ -4,7 +4,8 @@ import "repro/internal/sched"
 
 // Scheduler counter names registered by SchedHooks. The cross-shard count is
 // the locality figure of merit for the sharded substrate: shard-local seeding
-// exists to drive it down, and bench-storage records it per backend.
+// exists to drive it down, and the repo benchmark's store workload reports it
+// (sched.steals_cross_shard).
 const (
 	SchedSteals           = "sched.steals"
 	SchedTasksStolen      = "sched.tasks_stolen"
@@ -16,7 +17,7 @@ const (
 // total steals and tasks moved for every run, plus the locality split
 // (steals_local / steals_cross_shard) when the run is sharded. Steal counts
 // are schedule-dependent — they belong on live surfaces (serve mode's
-// /metrics) and locality A/B artifacts, never in golden-tested documents.
+// /metrics) and benchmark reports, never in golden-tested documents.
 // Combine with other observers via sched.MergeHooks.
 func SchedHooks(r *Registry) sched.Hooks {
 	if r == nil {

@@ -56,83 +56,63 @@ const (
 	StealCross = 1 // thief crossed into another group's shards
 )
 
-// ShardOptions configures RunSharded.
-type ShardOptions struct {
-	// Map partitions the vertex space; required.
-	Map ShardMap
-	// Oblivious disables shard-local placement: tasks are dealt round-robin
-	// across all workers and steal sweeps are shard-blind, exactly like
-	// RunHooked — but steals are still classified into tiers, making this
-	// the baseline leg of a locality A/B.
-	Oblivious bool
-}
-
 // RunSharded is RunHooked with a locality tier. Tasks are dealt to the
 // worker group owning their start vertex's shard (round-robin within the
 // group, preserving the degree-descending interleave), and an idle worker
 // sweeps victims in its own group before crossing groups. Execution
 // semantics are identical to RunHooked: every task runs at most once, exactly
 // once without cancellation, and fn returning false halts the run.
-func RunSharded(ctx context.Context, workers int, tasks []Task, so ShardOptions, fn func(worker int, t Task) bool, h Hooks) error {
+func RunSharded(ctx context.Context, workers int, tasks []Task, sm ShardMap, fn func(worker int, t Task) bool, h Hooks) error {
 	if workers < 1 {
 		workers = 1
 	}
-	shards := so.Map.NumShards()
+	deques, order, groupOf := placeSharded(workers, tasks, sm)
+	return runLoop(ctx, deques, order, groupOf, int64(len(tasks)), fn, h)
+}
+
+// placeSharded is RunSharded's whole locality policy: the seeded deques, each
+// worker's victim sweep order, and the worker → group map steals are
+// classified by.
+func placeSharded(workers int, tasks []Task, sm ShardMap) ([]deque, [][]int, []int) {
+	shards := sm.NumShards()
 	groupOf := WorkerGroups(workers, shards)
-	groups := 1
-	if len(groupOf) > 0 {
-		groups = groupOf[workers-1] + 1
-	}
+	groups := groupOf[workers-1] + 1
 
 	deques := make([]deque, workers)
 	for i := range deques {
 		deques[i].ts = make([]Task, 0, len(tasks)/workers+1)
 	}
-	if so.Oblivious {
-		for i, t := range tasks {
-			deques[i%workers].ts = append(deques[i%workers].ts, t)
-		}
-	} else {
-		// Per-group worker lists plus a rotating cursor each, so the global
-		// heavy-to-light task order stays interleaved inside every group.
-		members := make([][]int, groups)
-		for w, g := range groupOf {
-			members[g] = append(members[g], w)
-		}
-		cursor := make([]int, groups)
-		for _, t := range tasks {
-			g := shardGroup(so.Map.ShardOf(t.V0), shards, groups)
-			ws := members[g]
-			w := ws[cursor[g]%len(ws)]
-			cursor[g]++
-			deques[w].ts = append(deques[w].ts, t)
-		}
+	// Per-group worker lists plus a rotating cursor each, so the global
+	// heavy-to-light task order stays interleaved inside every group.
+	members := make([][]int, groups)
+	for w, g := range groupOf {
+		members[g] = append(members[g], w)
+	}
+	cursor := make([]int, groups)
+	for _, t := range tasks {
+		g := shardGroup(sm.ShardOf(t.V0), shards, groups)
+		ws := members[g]
+		w := ws[cursor[g]%len(ws)]
+		cursor[g]++
+		deques[w].ts = append(deques[w].ts, t)
 	}
 
 	// Victim sweep order per worker: own group first (cyclic from self+1
-	// within the group), then the remaining workers (cyclic). Oblivious mode
-	// sweeps shard-blind from self+1, matching RunHooked.
+	// within the group), then the remaining workers (cyclic).
 	order := make([][]int, workers)
 	for w := 0; w < workers; w++ {
 		ord := make([]int, 0, workers-1)
-		if so.Oblivious {
-			for off := 1; off < workers; off++ {
-				ord = append(ord, (w+off)%workers)
+		for off := 1; off < workers; off++ {
+			if vi := (w + off) % workers; groupOf[vi] == groupOf[w] {
+				ord = append(ord, vi)
 			}
-		} else {
-			for off := 1; off < workers; off++ {
-				if vi := (w + off) % workers; groupOf[vi] == groupOf[w] {
-					ord = append(ord, vi)
-				}
-			}
-			for off := 1; off < workers; off++ {
-				if vi := (w + off) % workers; groupOf[vi] != groupOf[w] {
-					ord = append(ord, vi)
-				}
+		}
+		for off := 1; off < workers; off++ {
+			if vi := (w + off) % workers; groupOf[vi] != groupOf[w] {
+				ord = append(ord, vi)
 			}
 		}
 		order[w] = ord
 	}
-
-	return runLoop(ctx, deques, order, groupOf, int64(len(tasks)), fn, h)
+	return deques, order, groupOf
 }

@@ -64,37 +64,33 @@ func TestWorkerGroups(t *testing.T) {
 	}
 }
 
-// TestRunShardedExactlyOnce checks the execution contract holds in both
-// seeding modes: every task runs exactly once, no matter how stealing moves
-// work around.
+// TestRunShardedExactlyOnce checks the execution contract: every task runs
+// exactly once, no matter how stealing moves work around.
 func TestRunShardedExactlyOnce(t *testing.T) {
 	const n = 4000
 	tasks := make([]Task, n)
 	for i := range tasks {
 		tasks[i] = Task{V0: graph.VID(i % 1024), Lo: i, Hi: i + 1}
 	}
-	for _, oblivious := range []bool{false, true} {
-		for _, workers := range []int{1, 3, 8} {
-			var mu sync.Mutex
-			seen := make(map[Task]int, n)
-			err := RunSharded(context.Background(), workers, tasks,
-				ShardOptions{Map: quarterMap(1024), Oblivious: oblivious},
-				func(w int, tk Task) bool {
-					mu.Lock()
-					seen[tk]++
-					mu.Unlock()
-					return true
-				}, Hooks{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(seen) != n {
-				t.Fatalf("oblivious=%v workers=%d: %d distinct tasks ran, want %d", oblivious, workers, len(seen), n)
-			}
-			for tk, c := range seen {
-				if c != 1 {
-					t.Fatalf("oblivious=%v workers=%d: task %+v ran %d times", oblivious, workers, tk, c)
-				}
+	for _, workers := range []int{1, 3, 8} {
+		var mu sync.Mutex
+		seen := make(map[Task]int, n)
+		err := RunSharded(context.Background(), workers, tasks, quarterMap(1024),
+			func(w int, tk Task) bool {
+				mu.Lock()
+				seen[tk]++
+				mu.Unlock()
+				return true
+			}, Hooks{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(seen) != n {
+			t.Fatalf("workers=%d: %d distinct tasks ran, want %d", workers, len(seen), n)
+		}
+		for tk, c := range seen {
+			if c != 1 {
+				t.Fatalf("workers=%d: task %+v ran %d times", workers, tk, c)
 			}
 		}
 	}
@@ -107,7 +103,7 @@ func TestRunShardedCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	var ran atomic.Int64
-	err := RunSharded(ctx, 4, tasks, ShardOptions{Map: quarterMap(256)},
+	err := RunSharded(ctx, 4, tasks, quarterMap(256),
 		func(w int, tk Task) bool {
 			if ran.Add(1) == 100 {
 				cancel()
@@ -153,7 +149,7 @@ func TestRunShardedTierClassification(t *testing.T) {
 		return true
 	}
 	for run := 0; run < 4; run++ {
-		if err := RunSharded(context.Background(), workers, tasks, ShardOptions{Map: sm}, work, h); err != nil {
+		if err := RunSharded(context.Background(), workers, tasks, sm, work, h); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -192,45 +188,6 @@ func TestMergeHooks(t *testing.T) {
 	}
 }
 
-// countCrossSteals mines the task list under the given seeding mode and
-// returns (cross, total) steal counts.
-func countCrossSteals(t *testing.T, g *graph.Graph, sm ShardMap, workers int, oblivious bool, runs int) (int64, int64) {
-	t.Helper()
-	tasks := Expand(g, 0)
-	OrderByDegreeDesc(g, tasks)
-	var cross, total atomic.Int64
-	h := Hooks{OnStealTier: func(thief, victim, n, tier int) {
-		total.Add(1)
-		if tier == StealCross {
-			cross.Add(1)
-		}
-	}}
-	// Work proportional to adjacency size times a per-vertex factor the
-	// degree-descending deal cannot see: deque totals inside a group
-	// diverge mid-run, so idle workers steal while their group still has
-	// surplus — the case shard-local sweeping serves from the local tier
-	// and shard-oblivious sweeping serves mostly cross-group.
-	var sink atomic.Uint64
-	work := func(w int, tk Task) bool {
-		weight := 1 + (uint64(tk.V0)*2654435761)>>27&31
-		sum := uint64(0)
-		for _, u := range g.Adj(tk.V0) {
-			for i := uint64(0); i < weight; i++ {
-				sum += uint64(u) + i
-			}
-		}
-		sink.Add(sum)
-		return true
-	}
-	for run := 0; run < runs; run++ {
-		if err := RunSharded(context.Background(), workers, tasks,
-			ShardOptions{Map: sm, Oblivious: oblivious}, work, h); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return cross.Load(), total.Load()
-}
-
 // arcBalancedMap cuts the vertex space into `shards` ranges with roughly
 // equal arc counts — the same degree-aware partition graph.WriteSharded
 // uses. Equal-vertex quarters would pile all of an RMAT graph's arcs into
@@ -250,22 +207,49 @@ func arcBalancedMap(g *graph.Graph, shards int) testShardMap {
 	return testShardMap{cuts: cuts}
 }
 
-// TestShardLocalSeedingReducesCrossSteals is the locality acceptance check:
-// on a 4-shard RMAT stand-in with two workers per shard group, shard-local
-// seeding must produce strictly fewer cross-group steals than shard-oblivious
-// seeding (summed over several runs to damp scheduling noise).
+// TestShardLocalSeedingReducesCrossSteals pins the two placement properties
+// that keep steals inside a shard group, on a 4-shard RMAT stand-in for
+// several worker counts: every task is first queued on a worker of the group
+// owning its start vertex's shard, and every worker's victim sweep visits all
+// of its own group before any worker of another.
 func TestShardLocalSeedingReducesCrossSteals(t *testing.T) {
 	g := graph.RMAT(11, 16000, 0.57, 0.19, 0.19, 42)
 	sm := arcBalancedMap(g, 4)
-	const workers, runs = 8, 6
-	localCross, _ := countCrossSteals(t, g, sm, workers, false, runs)
-	oblivCross, oblivTotal := countCrossSteals(t, g, sm, workers, true, runs)
-	if oblivTotal == 0 {
-		t.Fatal("oblivious runs produced no steals at all; fixture too uniform to compare")
+	tasks := Expand(g, 32)
+	OrderByDegreeDesc(g, tasks)
+	for _, workers := range []int{1, 3, 4, 8, 11} {
+		deques, order, groupOf := placeSharded(workers, tasks, sm)
+		groups := groupOf[workers-1] + 1
+		queued := 0
+		for w := range deques {
+			for _, tk := range deques[w].ts {
+				if want := shardGroup(sm.ShardOf(tk.V0), sm.NumShards(), groups); groupOf[w] != want {
+					t.Fatalf("workers=%d: task %+v (shard group %d) seeded on worker %d of group %d",
+						workers, tk, want, w, groupOf[w])
+				}
+			}
+			queued += len(deques[w].ts)
+		}
+		if queued != len(tasks) {
+			t.Fatalf("workers=%d: %d tasks seeded, want %d", workers, queued, len(tasks))
+		}
+		for w, ord := range order {
+			seen := map[int]bool{w: true}
+			crossed := false
+			for _, v := range ord {
+				if seen[v] {
+					t.Fatalf("workers=%d: worker %d sweeps %v: victim %d repeated or self", workers, w, ord, v)
+				}
+				seen[v] = true
+				if local := groupOf[v] == groupOf[w]; !local {
+					crossed = true
+				} else if crossed {
+					t.Fatalf("workers=%d: worker %d sweeps %v: local victim %d after a cross-group one", workers, w, ord, v)
+				}
+			}
+			if len(seen) != workers {
+				t.Fatalf("workers=%d: worker %d sweeps %v: not every other worker", workers, w, ord)
+			}
+		}
 	}
-	if localCross >= oblivCross {
-		t.Fatalf("shard-local seeding did not reduce cross-shard steals: local=%d oblivious=%d (total oblivious steals %d)",
-			localCross, oblivCross, oblivTotal)
-	}
-	t.Logf("cross-shard steals over %d runs: shard-local=%d shard-oblivious=%d", runs, localCross, oblivCross)
 }

@@ -1,8 +1,7 @@
 // Package sched is the shared task-generation and scheduling runtime that
-// sits under every execution layer: the CPU engine (internal/core), the
-// cycle-level accelerator model (internal/sim) and the benchmark harness
-// (internal/bench). It owns two concerns the paper assigns to the global
-// task scheduler of §IV:
+// sits under both execution layers: the CPU engine (internal/core) and the
+// cycle-level accelerator model (internal/sim). It owns two concerns the
+// paper assigns to the global task scheduler of §IV:
 //
 //   - task expansion — turning the vertex set into schedulable units,
 //     slicing hub vertices into several independent sub-tasks so one
