@@ -9,22 +9,20 @@
 // tool does, but may be named explicitly (the analyzer fixtures are
 // themselves lintable packages).
 //
-// The analyzers and the invariants they guard:
+// The analyzers and the invariants they guard (DESIGN decision 10 lists the
+// invariants held by a type, by `go vet` or by a runtime test instead):
 //
 //	detlint       — determinism of the cycle model (sim, cmap, plan, graph)
 //	statsum       — Stats Add/Merge methods aggregate every numeric field
 //	kernelpin     — paper runners take core.Options from core.PaperBaseline only
-//	lockcheck     — no copied mutexes / non-deferred Unlock (graph, sched, serve, core)
 //	boundarg      — no constant bound where a variable bound is in scope
 //	adjwrite      — no writes into Adj results (read-only views; mmap faults)
-//	lockorder     — the whole-repo lock-acquisition graph is acyclic (no
-//	                two code paths take the same mutexes in opposite order)
-//	atomichygiene — a var ever touched through sync/atomic is touched
-//	                atomically everywhere (no torn reads / racy writes)
-//	noalloc       — //flexlint:noalloc hot-path functions (setops kernels,
-//	                core walk/runTask, cmap probes) provably never allocate
-//	goroleak      — every go statement in sched/serve/sim has a provable
-//	                join (WaitGroup pairing) or cancellation/completion path
+//	lockorder     — the lock-acquisition graph of graph/sched/serve/core is
+//	                acyclic, and every Unlock there is deferred
+//	atomichygiene — no function-style sync/atomic call: typed atomics only,
+//	                so a mixed atomic/plain access cannot be written
+//	goroleak      — a go statement spawns a literal or a statically resolved
+//	                function, never a function value
 package main
 
 import (
@@ -46,20 +44,31 @@ func main() {
 	os.Exit(run(cwd, os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// run is main, testably: lint the patterns relative to cwd, print
-// diagnostics to stdout, and return the exit code (0 clean, 1 diagnostics,
-// 2 usage/load failure).
+// run loads the module above cwd and lints the patterns; exit code 2 on a
+// load failure, lintPatterns' otherwise.
 func run(cwd string, args []string, stdout, stderr io.Writer) int {
-	root, err := findModuleRoot(cwd)
+	prog, err := loadModule(cwd)
 	if err != nil {
 		fmt.Fprintln(stderr, "flexlint:", err)
 		return 2
 	}
-	prog, err := lint.Load(root)
+	return lintPatterns(prog, cwd, args, stdout, stderr)
+}
+
+// loadModule type-checks the module containing dir — the expensive step (the
+// stdlib is checked from source), so the tests do it once per binary.
+func loadModule(dir string) (*lint.Program, error) {
+	root, err := findModuleRoot(dir)
 	if err != nil {
-		fmt.Fprintln(stderr, "flexlint:", err)
-		return 2
+		return nil, err
 	}
+	return lint.Load(root)
+}
+
+// lintPatterns lints the patterns relative to cwd, prints diagnostics to
+// stdout, and returns the exit code (0 clean, 1 diagnostics, 2 usage
+// failure).
+func lintPatterns(prog *lint.Program, cwd string, args []string, stdout, stderr io.Writer) int {
 	if len(args) == 0 {
 		args = []string{"./..."}
 	}

@@ -57,23 +57,15 @@ type Map interface {
 	// IDs < bound (NoBound disables filtering). It reports false — without
 	// inserting anything — when the occupancy estimate predicts overflow
 	// (§VI-B fallback).
-	//
-	//flexlint:noalloc
 	TryInsertLevel(adj []graph.VID, depth int, bound graph.VID) bool
 	// RemoveLevel undoes TryInsertLevel for the same arguments (stack
 	// discipline: depths are removed in reverse insertion order).
-	//
-	//flexlint:noalloc
 	RemoveLevel(adj []graph.VID, depth int, bound graph.VID)
 	// Lookup returns the connectivity bitset for key (zero if absent).
-	//
-	//flexlint:noalloc
 	Lookup(key graph.VID) Bits
 	// LookupCost is Lookup that also reports the probe steps this query
 	// took — what the cycle model charges per pruned candidate — so a
 	// caller need not difference two Stats snapshots around every query.
-	//
-	//flexlint:noalloc
 	LookupCost(key graph.VID) (Bits, int64)
 	// Reset invalidates all entries (end of a task).
 	Reset()
@@ -133,7 +125,6 @@ func (m *HashMap) Capacity() int { return len(m.keys) }
 // Occupancy returns the live-entry count.
 func (m *HashMap) Occupancy() int { return m.occupied }
 
-//flexlint:noalloc
 func (m *HashMap) hash(key graph.VID) int {
 	// Multiplicative hashing (Knuth); cheap in hardware, good spread.
 	h := uint64(key) * 0x9e3779b97f4a7c15
@@ -144,8 +135,6 @@ func (m *HashMap) hash(key graph.VID) int {
 // key, or the first invalid slot, or -1 when the table wrapped around full.
 // The probe-step count charged to stats models the banked hardware: each
 // cycle examines `banks` successive entries.
-//
-//flexlint:noalloc
 func (m *HashMap) probe(key graph.VID) int {
 	n := len(m.keys)
 	start := m.hash(key)
@@ -168,8 +157,6 @@ func (m *HashMap) probe(key graph.VID) int {
 // degree (after the compiler's ID-bound filter) is known before the list is
 // fetched, so the PE can predict overflow and fall back to SIU/SDU without
 // touching the map.
-//
-//flexlint:noalloc
 func (m *HashMap) TryInsertLevel(adj []graph.VID, depth int, bound graph.VID) bool {
 	filtered := boundedPrefix(adj, bound)
 	if float64(m.occupied+len(filtered)) > m.threshold*float64(len(m.keys)) {
@@ -199,13 +186,10 @@ func (m *HashMap) TryInsertLevel(adj []graph.VID, depth int, bound graph.VID) bo
 
 // RemoveLevel implements Map: clear this depth's bit on every inserted key
 // and invalidate entries whose value drops to zero.
-//
-//flexlint:noalloc
 func (m *HashMap) RemoveLevel(adj []graph.VID, depth int, bound graph.VID) {
 	m.removeKeys(boundedPrefix(adj, bound), Bits(1)<<uint(depth))
 }
 
-//flexlint:noalloc
 func (m *HashMap) removeKeys(keys []graph.VID, bit Bits) {
 	for _, w := range keys {
 		slot := m.findForDelete(w)
@@ -225,8 +209,6 @@ func (m *HashMap) removeKeys(keys []graph.VID, bit Bits) {
 // interleave, so holes opened earlier in the same bulk must be skipped
 // (§VI-A — "we never delete a key that does not exist in the map, thus the
 // deletion operation will always find the entry").
-//
-//flexlint:noalloc
 func (m *HashMap) findForDelete(key graph.VID) int {
 	n := len(m.keys)
 	start := m.hash(key)
@@ -249,8 +231,6 @@ func (m *HashMap) findForDelete(key graph.VID) int {
 // Remaining probe chains stay intact across stack-disciplined bulk removals
 // (later-inserted entries are always removed first), so lookups never need
 // to skip holes.
-//
-//flexlint:noalloc
 func (m *HashMap) findExisting(key graph.VID) (slot int, steps int64) {
 	n := len(m.keys)
 	start := m.hash(key)
@@ -270,16 +250,12 @@ func (m *HashMap) findExisting(key graph.VID) (slot int, steps int64) {
 }
 
 // Lookup implements Map.
-//
-//flexlint:noalloc
 func (m *HashMap) Lookup(key graph.VID) Bits {
 	b, _ := m.LookupCost(key)
 	return b
 }
 
 // LookupCost implements Map.
-//
-//flexlint:noalloc
 func (m *HashMap) LookupCost(key graph.VID) (Bits, int64) {
 	m.stats.Lookups++
 	slot, steps := m.findExisting(key)
@@ -315,8 +291,6 @@ type Vector struct {
 func NewVector(n int) *Vector { return &Vector{vals: make([]Bits, n)} }
 
 // TryInsertLevel implements Map; the vector never overflows.
-//
-//flexlint:noalloc
 func (v *Vector) TryInsertLevel(adj []graph.VID, depth int, bound graph.VID) bool {
 	bit := Bits(1) << uint(depth)
 	for _, w := range boundedPrefix(adj, bound) {
@@ -327,8 +301,6 @@ func (v *Vector) TryInsertLevel(adj []graph.VID, depth int, bound graph.VID) boo
 }
 
 // RemoveLevel implements Map.
-//
-//flexlint:noalloc
 func (v *Vector) RemoveLevel(adj []graph.VID, depth int, bound graph.VID) {
 	bit := Bits(1) << uint(depth)
 	for _, w := range boundedPrefix(adj, bound) {
@@ -338,8 +310,6 @@ func (v *Vector) RemoveLevel(adj []graph.VID, depth int, bound graph.VID) {
 }
 
 // Lookup implements Map.
-//
-//flexlint:noalloc
 func (v *Vector) Lookup(key graph.VID) Bits {
 	v.stats.Lookups++
 	b := v.vals[key]
@@ -350,8 +320,6 @@ func (v *Vector) Lookup(key graph.VID) Bits {
 }
 
 // LookupCost implements Map; a vector access probes nothing.
-//
-//flexlint:noalloc
 func (v *Vector) LookupCost(key graph.VID) (Bits, int64) { return v.Lookup(key), 0 }
 
 // Reset implements Map.
@@ -366,8 +334,6 @@ func (v *Vector) Stats() Stats { return v.stats }
 
 // boundedPrefix returns the prefix of the ascending-sorted list with IDs
 // strictly below bound.
-//
-//flexlint:noalloc
 func boundedPrefix(adj []graph.VID, bound graph.VID) []graph.VID {
 	if bound == NoBound {
 		return adj

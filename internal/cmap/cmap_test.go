@@ -267,3 +267,54 @@ func BenchmarkHashMapLookup(b *testing.B) {
 		m.Lookup(graph.VID(i % 2048))
 	}
 }
+
+// TestMapZeroAlloc holds the c-map's zero-allocation invariant for every
+// implementation of Map, driven through the interface the simulator's PE
+// uses: a level insert (bounded, unbounded, and one the hash map rejects for
+// overflow), hit and miss lookups, and the stack-ordered removals all work in
+// the storage the constructor sized.
+func TestMapZeroAlloc(t *testing.T) {
+	small := []graph.VID{3, 9, 17, 40, 41, 90}
+	other := []graph.VID{9, 12, 41, 77}
+	var big []graph.VID // 60 keys: past the 48-entry overflow threshold below
+	for v := graph.VID(100); v < 160; v++ {
+		big = append(big, v)
+	}
+	for _, tc := range []struct {
+		name    string
+		m       Map
+		bigFits bool
+	}{
+		{"HashMap", NewHashMap(64, 4), false},
+		{"Vector", NewVector(256), true},
+	} {
+		m := tc.m
+		var bits Bits
+		var cost int64
+		round := func() {
+			if !m.TryInsertLevel(small, 1, 50) || !m.TryInsertLevel(other, 2, NoBound) {
+				t.Fatalf("%s: small level rejected", tc.name)
+			}
+			if m.TryInsertLevel(big, 3, NoBound) != tc.bigFits {
+				t.Fatalf("%s: overflow estimate disagrees with capacity", tc.name)
+			} else if tc.bigFits {
+				m.RemoveLevel(big, 3, NoBound)
+			}
+			for _, k := range []graph.VID{9, 41, 77, 90, 5} {
+				bits |= m.Lookup(k)
+				b, c := m.LookupCost(k)
+				bits, cost = bits|b, cost+c
+			}
+			m.RemoveLevel(other, 2, NoBound)
+			m.RemoveLevel(small, 1, 50)
+		}
+		round() // warm
+		if avg := testing.AllocsPerRun(10, round); avg > 0 {
+			t.Errorf("%s allocates %.1f times per insert/lookup/remove round; want 0", tc.name, avg)
+		}
+		if bits != 1<<1|1<<2 || m.Lookup(9) != 0 {
+			t.Errorf("%s: lookups saw bits %b, leftover %b; want levels 1 and 2, then empty", tc.name, bits, m.Lookup(9))
+		}
+		_ = cost
+	}
+}

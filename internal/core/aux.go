@@ -109,8 +109,6 @@ func newAuxStates(g graph.Store, p *program) []auxState {
 // AuxAuto an activation whose fold operand is empty is skipped — the rows
 // would be plain copies (difference against nothing) or trivially empty, and
 // the normal per-step path handles both for free.
-//
-//flexlint:noalloc
 func (w *worker) auxActivate(n *node) {
 	for _, i := range n.op.BuildAux {
 		st := &w.aux[i]
@@ -141,8 +139,6 @@ func (w *worker) auxActivate(n *node) {
 // auxRelease closes the activation scopes opened by auxActivate. Paired with
 // it on every path — including cancellation unwinds — so live-byte accounting
 // returns to zero between tasks and nothing leaks across them.
-//
-//flexlint:noalloc
 func (w *worker) auxRelease(n *node) {
 	for _, i := range n.op.BuildAux {
 		st := &w.aux[i]
@@ -159,8 +155,6 @@ func (w *worker) auxRelease(n *node) {
 // value, building it on first lookup within the live activation. ok=false
 // falls back to the plain adjacency path: spec inactive (hand-built plan or
 // cost-gated activation) or — defensively — a key outside the universe.
-//
-//flexlint:noalloc
 func (w *worker) auxRow(n *node) ([]graph.VID, bool) {
 	st := &w.aux[n.srcIdx]
 	if !st.active || !st.build {
@@ -183,8 +177,6 @@ func (w *worker) auxRow(n *node) ([]graph.VID, bool) {
 // kernel Stats counters charge normally) and stamps its position. The last
 // fold operation writes straight into the arena: the scratch it would
 // otherwise land in is clobbered by the consumer's residual operations.
-//
-//flexlint:noalloc
 func (w *worker) auxBuild(st *auxState, a *auxNode, x graph.VID, pos int) []graph.VID {
 	bound := setops.NoBound
 	if a.spec.RowBound != plan.NoLevel {

@@ -186,44 +186,73 @@ func TestAuxCancellationMidMaterialization(t *testing.T) {
 	}
 }
 
-// TestAuxScratchPooledAllocs proves the fix the issue calls out: aux scratch
-// (stamps, offsets, arena) is pooled in per-worker state, so a warmed worker
-// runs whole tasks — materializations included — without allocating.
-//
-// This is the runtime half of a two-sided check: flexlint's noalloc analyzer
-// proves the same property statically for every input (runTask and its whole
-// callee closure carry //flexlint:noalloc), while this test catches what the
-// prover's allowlist exempts (Store.Adj implementations, worker.visit).
+// TestAuxScratchPooledAllocs holds the engine's zero-allocation invariant: a
+// warmed worker runs whole tasks — kernel dispatch, hub-bitmap lookups, aux
+// row builds, materializations and visitor calls included — without touching
+// the heap, because every scratch buffer (levels, ping-pong, stamps, offsets,
+// arena) is pooled in per-worker state. It is the only check of that property
+// (setops.TestKernelsZeroAlloc and cmap.TestMapZeroAlloc hold it below the
+// engine), so it runs the configuration production uses — auto kernels with
+// the hub index, aux auto and on, whole-vertex and hub-sliced tasks — next to
+// the merge-only one, and fails if the default legs never reach the gallop
+// and bitmap kernels.
 func TestAuxScratchPooledAllocs(t *testing.T) {
 	g := graph.RMAT(10, 6000, 0.57, 0.19, 0.19, 5)
-	tasks := sched.Expand(g, 0)
 	var sink graph.VID
 	visit := func(emb []graph.VID, _ int) { sink += emb[len(emb)-1] }
+	legs := []struct {
+		name  string
+		o     Options
+		slice int
+	}{
+		{"merge/aux-on", Options{Threads: 1, Kernel: KernelMergeOnly, HubBitmaps: -1, AuxGraph: AuxOn}, 0},
+		{"default/aux-auto", Options{Threads: 1, AuxGraph: AuxAuto}, 0},
+		{"default/aux-auto/sliced", Options{Threads: 1, AuxGraph: AuxAuto}, 32},
+		{"default/aux-on", Options{Threads: 1, AuxGraph: AuxOn}, 0},
+		{"default/aux-on/sliced", Options{Threads: 1, AuxGraph: AuxOn}, 32},
+	}
 	// House: aux rows plus NotEqual at an interior level and at the leaf.
 	// 4-path: NotEqual on plain adjacency at both (the in-place ancestor cut
-	// of materialize and the membership adjustment of count). Diamond: no
-	// NotEqual, so the last kernel writes the level buffer directly. Each
-	// runs as Mine (count-only leaves) and as List (leafVisit).
-	for _, p := range []*pattern.Pattern{pattern.House(), pattern.KPath(4), pattern.Diamond()} {
-		for _, listing := range []bool{false, true} {
-			o := Options{Threads: 1, Kernel: KernelMergeOnly, HubBitmaps: -1, AuxGraph: AuxOn}.withDefaults()
-			w := newWorker(g, lower(g, compileAux(t, p), o, listing), o)
-			if listing {
-				w.visit = visit
-			}
-			for _, task := range tasks { // warm: grow arenas/levels to steady state
-				w.runTask(task)
-			}
-			warm := tasks
-			if len(warm) > 64 {
-				warm = warm[:64]
-			}
-			if avg := testing.AllocsPerRun(3, func() {
-				for _, task := range warm {
-					w.runTask(task)
+	// of materialize and the membership adjustment of count) and no set
+	// operation at all. Diamond: no NotEqual, so the last kernel writes the
+	// level buffer directly. 4-clique: symmetry bounds on every level.
+	// Induced 4-cycle: difference kernels and a two-operation chain through
+	// the ping-pong scratch. Each runs as Mine (count-only leaves) and as
+	// List (leafVisit).
+	induced, err := plan.Compile(pattern.KCycle(4), plan.Options{Induced: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := pattern.KPath(4) // the one plan with no set operation to dispatch
+	plans := []*plan.Plan{induced}
+	for _, p := range []*pattern.Pattern{pattern.House(), path, pattern.Diamond(), pattern.KClique(4)} {
+		plans = append(plans, compileAux(t, p))
+	}
+	for _, pl := range plans {
+		p := pl.Patterns[0]
+		for _, leg := range legs {
+			// RMAT puts the hubs at the low IDs, so the first tasks are
+			// the heavy ones.
+			tasks := sched.Expand(g, leg.slice)[:64]
+			for _, listing := range []bool{false, true} {
+				o := leg.o.withDefaults()
+				w := newWorker(g, lower(g, pl, o, listing), o)
+				if listing {
+					w.visit = visit
 				}
-			}); avg > 0 {
-				t.Fatalf("%s listing=%v: warmed worker allocates %.1f times per task batch; scratch must be pooled", p.Name(), listing, avg)
+				batch := func() {
+					for _, task := range tasks {
+						w.runTask(task)
+					}
+				}
+				batch() // warm: grow arenas/levels to steady state
+				if avg := testing.AllocsPerRun(3, batch); avg > 0 {
+					t.Errorf("%s %s listing=%v: warmed worker allocates %.1f times per task batch; scratch must be pooled", p.Name(), leg.name, listing, avg)
+				}
+				if o.Kernel == KernelAuto && p.Name() != path.Name() &&
+					(w.stats.GallopProbes == 0 || w.stats.BitmapProbes == 0) {
+					t.Errorf("%s %s listing=%v: %d gallop and %d bitmap probes; the default leg fell back to merge", p.Name(), leg.name, listing, w.stats.GallopProbes, w.stats.BitmapProbes)
+				}
 			}
 		}
 	}

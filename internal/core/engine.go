@@ -391,8 +391,6 @@ const cancelPollPeriod = 1 << 10
 
 // cancelled polls the run's cancellation signal at most once per
 // cancelPollPeriod calls and latches the result into w.stopped.
-//
-//flexlint:noalloc
 func (w *worker) cancelled() bool {
 	if w.stopped {
 		return true
@@ -435,8 +433,6 @@ func newWorker(g graph.Store, p *program, o Options) *worker {
 // runTask explores the subtree rooted at the task's start vertex (restricted
 // to its level-1 adjacency slice when the task is a hub sub-task) and reports
 // whether the worker may continue (false once cancellation latched).
-//
-//flexlint:noalloc
 func (w *worker) runTask(t sched.Task) bool {
 	var before Stats
 	if w.trace.Enabled() {
@@ -479,8 +475,6 @@ func (w *worker) emitTaskTrace(t sched.Task, before *Stats) {
 
 // walk matches the vertex for node n and recurses. An aux activation the node
 // does not carry costs one flag test, no call.
-//
-//flexlint:noalloc
 func (w *worker) walk(n *node) {
 	if w.stopped {
 		return
@@ -525,8 +519,6 @@ func (w *worker) walk(n *node) {
 
 // bound returns the effective ID upper bound: the minimum over the op's
 // symmetry-order bounds, or NoBound.
-//
-//flexlint:noalloc
 func (w *worker) bound(n *node) graph.VID {
 	bs := n.op.UpperBounds
 	if len(bs) == 0 {
@@ -545,8 +537,6 @@ func (w *worker) bound(n *node) graph.VID {
 // an auxiliary row, or the extender's (possibly hub-sliced) adjacency —
 // together with the chain still to apply on top of it. It is the one place an
 // operand source is chosen; materialize and count both start here.
-//
-//flexlint:noalloc
 func (w *worker) resolve(n *node, bound graph.VID) ([]graph.VID, []chainOp) {
 	switch n.src {
 	case srcFrontier:
@@ -574,8 +564,6 @@ func (w *worker) resolve(n *node, bound graph.VID) ([]graph.VID, []chainOp) {
 // written) and returns the running list with the pending last operation, so
 // the caller picks the kernel that finishes it: setOp straight into a level
 // buffer or the aux arena, or setOpCount. ops must not be empty.
-//
-//flexlint:noalloc
 func (w *worker) chain(cur []graph.VID, ops []chainOp, bound graph.VID) ([]graph.VID, graph.VID, bool) {
 	last := len(ops) - 1
 	for k, o := range ops[:last] {
@@ -589,8 +577,6 @@ func (w *worker) chain(cur []graph.VID, ops []chainOp, bound graph.VID) ([]graph
 // buffer: base and symmetry bound from resolve, connectivity via the
 // policy-selected set kernels (kernels.go), then the explicit distinctness
 // checks.
-//
-//flexlint:noalloc
 func (w *worker) materialize(n *node) []graph.VID {
 	bound := w.bound(n)
 	base, ops := w.resolve(n, bound)
@@ -609,8 +595,6 @@ func (w *worker) materialize(n *node) []graph.VID {
 // count is materialize for a count-only leaf: same base, same chain; only
 // the last operation runs as a counting kernel and the distinctness filter
 // becomes a membership adjustment.
-//
-//flexlint:noalloc
 func (w *worker) count(n *node) int64 {
 	bound := w.bound(n)
 	base, ops := w.resolve(n, bound)
@@ -641,8 +625,6 @@ func (w *worker) count(n *node) int64 {
 // not prove away: it cuts the NotEqual ancestors out of the sorted list in
 // place, one search each, so a list whose node has none is never walked a
 // second time.
-//
-//flexlint:noalloc
 func (w *worker) dropAncestors(list []graph.VID, n *node) []graph.VID {
 	for _, j := range n.op.NotEqual {
 		if i := setops.Index(list, w.emb[j]); i >= 0 {

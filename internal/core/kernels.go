@@ -86,8 +86,6 @@ const (
 
 // chooseKernel picks the kernel for one chained operation cur ∘ adj.
 // hubBM is adj's dense bitmap (nil when the ancestor is not an indexed hub).
-//
-//flexlint:noalloc
 func (w *worker) chooseKernel(curLen, adjLen int, hubBM []uint64, diff bool) kernelKind {
 	if w.o.Kernel == KernelMergeOnly {
 		return kMerge
@@ -109,8 +107,6 @@ func (w *worker) chooseKernel(curLen, adjLen int, hubBM []uint64, diff bool) ker
 
 // hubBitmap resolves the hub bitmap of an ancestor vertex under the active
 // policy (nil when bitmaps are disabled or v is not an indexed hub).
-//
-//flexlint:noalloc
 func (w *worker) hubBitmap(v graph.VID) []uint64 {
 	if w.hub == nil {
 		return nil
@@ -121,8 +117,6 @@ func (w *worker) hubBitmap(v graph.VID) []uint64 {
 // setOp appends (cur ∘ adj(anc)) bounded by bound to dst, where ∘ is
 // intersection (diff=false) or difference (diff=true), dispatching to the
 // policy-selected kernel and charging the matching Stats counter.
-//
-//flexlint:noalloc
 func (w *worker) setOp(dst, cur []graph.VID, anc graph.VID, diff bool, bound graph.VID) []graph.VID {
 	adj := w.g.Adj(anc)
 	hubBM := w.hubBitmap(anc)
@@ -159,8 +153,6 @@ func (w *worker) setOp(dst, cur []graph.VID, anc graph.VID, diff bool, bound gra
 // setOpCount is setOp without materialization: it returns |cur ∘ adj(anc)|
 // under bound. Used by the count-only leaf path (worker.count) for the final
 // chained operation.
-//
-//flexlint:noalloc
 func (w *worker) setOpCount(cur []graph.VID, anc graph.VID, diff bool, bound graph.VID) int64 {
 	adj := w.g.Adj(anc)
 	hubBM := w.hubBitmap(anc)
@@ -196,7 +188,6 @@ func (w *worker) setOpCount(cur []graph.VID, anc graph.VID, diff bool, bound gra
 // not move whenever the dispatch above it changes.
 //
 //go:noinline
-//flexlint:noalloc
 func mergeCount(cur, adj []graph.VID, diff bool, bound graph.VID) (n, iters int64) {
 	if diff {
 		return setops.DifferenceCountCost(cur, adj, bound)

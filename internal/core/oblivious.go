@@ -51,7 +51,7 @@ func MineOblivious(g *graph.Graph, k int, threads int) ObliviousResult {
 		threads = 1
 	}
 	partial := make([]ObliviousResult, threads)
-	var next int64
+	var next atomic.Int64
 	var wg sync.WaitGroup
 	for t := 0; t < threads; t++ {
 		wg.Add(1)
@@ -64,7 +64,7 @@ func MineOblivious(g *graph.Graph, k int, threads int) ObliviousResult {
 				cache: map[string]uint64{},
 			}
 			for {
-				v := atomic.AddInt64(&next, 1) - 1
+				v := next.Add(1) - 1
 				if v >= int64(n) {
 					break
 				}

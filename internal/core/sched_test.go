@@ -29,7 +29,7 @@ func chunkMine(g *graph.Graph, pl *plan.Plan, threads int) Result {
 	if threads < 1 {
 		threads = 1
 	}
-	var next int64
+	var next atomic.Int64
 	const chunk = 16
 	results := make([]Result, threads)
 	var wg sync.WaitGroup
@@ -40,7 +40,7 @@ func chunkMine(g *graph.Graph, pl *plan.Plan, threads int) Result {
 			o := Options{Threads: threads}.withDefaults()
 			w := newWorker(g, lower(g, pl, o, false), o)
 			for {
-				start := atomic.AddInt64(&next, chunk) - chunk
+				start := next.Add(chunk) - chunk
 				if start >= int64(n) {
 					break
 				}

@@ -74,8 +74,6 @@ func (g *Graph) AvgDegree() float64 {
 
 // Adj returns the sorted neighbor list of v. The returned slice aliases the
 // graph's storage and must not be modified.
-//
-//flexlint:noalloc
 func (g *Graph) Adj(v VID) []VID { return g.Col[g.Row[v]:g.Row[v+1]] }
 
 // AdjStart returns the byte-addressable element offset of v's neighbor list

@@ -45,8 +45,6 @@ func (h *HubIndex) Hubs() int {
 
 // Bitmap returns v's dense adjacency bitmap (indexed by neighbor ID), or nil
 // when v is not an indexed hub.
-//
-//flexlint:noalloc
 func (h *HubIndex) Bitmap(v VID) []uint64 {
 	if h == nil || int(v) >= len(h.slot) {
 		return nil

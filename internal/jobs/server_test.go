@@ -6,6 +6,7 @@ package jobs
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -280,6 +281,57 @@ func TestCancelOneOfBatch(t *testing.T) {
 	if want := mineIndividually(t, g, "tailed-triangle", "auto", 1); resB.Count != want {
 		t.Fatalf("surviving member count %d != individual count %d", resB.Count, want)
 	}
+}
+
+// goroutinesReturnTo polls (≤ 2 s) for the goroutine count to fall back to a
+// baseline taken before a spawner ran.
+func goroutinesReturnTo(t *testing.T, before int) {
+	t.Helper()
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("goroutine leak: %d before, %d after", before, after)
+	}
+}
+
+// TestCloseJoinsDispatcherAndRunners holds the goroutine-leak invariant for
+// the job server's two spawn sites, the dispatcher and one runner per batch:
+// a server that ran a merged batch with one member cancelled mid-flight is,
+// after Close, entirely gone — three times over, so a goroutine leaked per
+// server or per batch shows as a growing count.
+func TestCloseJoinsDispatcherAndRunners(t *testing.T) {
+	g := graph.ChungLu(1000, 9000, 2.3, 13)
+	before := runtime.NumGoroutine()
+	for round := 0; round < 3; round++ {
+		running := make(chan string, 8)
+		s := New(Config{
+			Graphs:      map[string]graph.Store{"g": g},
+			StartPaused: true,
+			OnTransition: func(id string, st State) {
+				if st == StateRunning {
+					running <- id
+				}
+			},
+		})
+		opts := EngineOptions{Workers: 2}
+		idA := submitNamed(t, s, "A", "g", "diamond", opts)
+		idB := submitNamed(t, s, "B", "g", "tailed-triangle", opts)
+		s.Resume()
+		select {
+		case <-running:
+		case <-time.After(30 * time.Second):
+			t.Fatal("batch never reached running")
+		}
+		if _, err := s.Cancel(idA); err != nil {
+			t.Fatal(err)
+		}
+		if st := waitDone(t, s, idB); st.BatchWidth != 2 {
+			t.Fatalf("round %d: jobs ran in a width-%d batch, want 2", round, st.BatchWidth)
+		}
+		closeServer(t, s)
+	}
+	goroutinesReturnTo(t, before)
 }
 
 // TestDrainWaitsForRunningJobs: Drain must let the in-flight batch finish

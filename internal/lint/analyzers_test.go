@@ -26,12 +26,6 @@ func TestKernelpin(t *testing.T) {
 	runWantTest(t, NewKernelpin(fixturePath(prog, "kernelpin")), "kernelpin")
 }
 
-func TestLockcheck(t *testing.T) {
-	prog := testProgram(t)
-	a := NewLockcheck(LockcheckConfig{Scope: []string{fixturePath(prog, "lockcheck")}})
-	runWantTest(t, a, "lockcheck")
-}
-
 func TestBoundarg(t *testing.T) {
 	runWantTest(t, Boundarg, "boundarg")
 }
@@ -51,85 +45,7 @@ func TestAtomicHygiene(t *testing.T) {
 }
 
 func TestGoroleak(t *testing.T) {
-	prog := testProgram(t)
-	a := NewGoroleak(GoroleakConfig{Scope: []string{fixturePath(prog, "goroleak")}})
-	runWantTest(t, a, "goroleak")
-}
-
-func TestNoalloc(t *testing.T) {
-	prog := testProgram(t)
-	// Mirror production's allowlist shape: the fixture's ops.pinned field
-	// plays the role of core's worker.visit.
-	a := NewNoalloc(NoallocConfig{Allow: []string{
-		"(" + fixturePath(prog, "noalloc") + ".ops).pinned",
-	}})
-	runWantTest(t, a, "noalloc")
-}
-
-// TestNoallocHotPathCoverage pins the production annotation set: the paper's
-// per-task inner loop must stay inside the prover. Dropping a directive (or
-// renaming a function out from under one) fails here.
-func TestNoallocHotPathCoverage(t *testing.T) {
-	prog := testProgram(t)
-	got := NoallocAnnotated(prog)
-	if len(got) < 8 {
-		t.Fatalf("want at least 8 //flexlint:noalloc functions, got %d: %v", len(got), got)
-	}
-	set := map[string]bool{}
-	for _, k := range got {
-		set[k] = true
-	}
-	for _, want := range []string{
-		"(repro/internal/core.worker).walk",
-		"(repro/internal/core.worker).runTask",
-		"(repro/internal/core.worker).materialize",
-		"(repro/internal/core.worker).count",
-		"(repro/internal/core.worker).resolve",
-		"(repro/internal/core.worker).chain",
-		"(repro/internal/core.worker).auxBuild",
-		"(repro/internal/cmap.HashMap).Lookup",
-		"(repro/internal/cmap.Map).Lookup",
-		"repro/internal/setops.IntersectCost",
-		"repro/internal/setops.DifferenceCost",
-	} {
-		if !set[want] {
-			t.Errorf("hot-path function %s is not //flexlint:noalloc", want)
-		}
-	}
-}
-
-// TestLockcheckLockorderDedupe: one seeded non-deferred Unlock, two
-// analyzers that each flag it, one surviving report.
-func TestLockcheckLockorderDedupe(t *testing.T) {
-	prog := testProgram(t)
-	path := fixturePath(prog, "lockdedupe")
-	pkg := prog.Package(path)
-	if pkg == nil {
-		t.Fatal("lockdedupe fixture not loaded")
-	}
-	lc := NewLockcheck(LockcheckConfig{Scope: []string{path}})
-	lo := NewLockorder(LockorderConfig{Scope: []string{path}})
-
-	// Each analyzer alone sees the bug...
-	for _, a := range []*Analyzer{lc, lo} {
-		if got := Run(prog, []*Analyzer{a}, []*Package{pkg}); len(got) != 1 {
-			for _, d := range got {
-				t.Logf("  %s", Format(prog, d))
-			}
-			t.Fatalf("%s alone: want 1 diagnostic, got %d", a.Name, len(got))
-		}
-	}
-	// ...together they report it once, with lockcheck's wording.
-	diags := Run(prog, []*Analyzer{lc, lo}, []*Package{pkg})
-	if len(diags) != 1 {
-		for _, d := range diags {
-			t.Logf("  %s", Format(prog, d))
-		}
-		t.Fatalf("dedupe: want exactly 1 diagnostic, got %d", len(diags))
-	}
-	if diags[0].Analyzer != "lockcheck" {
-		t.Fatalf("dedupe should keep the first-registered analyzer's wording (lockcheck), got %s", diags[0].Analyzer)
-	}
+	runWantTest(t, Goroleak, "goroleak")
 }
 
 // TestRepoIsClean is the acceptance gate: the production suite must report

@@ -1,143 +1,40 @@
 package lint
 
-// atomichygiene enforces the sync/atomic contract the race detector only
-// catches when a test happens to interleave: once any code touches a struct
-// field or package-level variable through sync/atomic (serve.Progress
-// counters, sched steal counters), *every* access must be atomic. A mixed
-// plain read sees torn or stale values; a mixed plain write races the
-// atomic RMW it bypasses.
-//
-// The analyzer is program-wide in two passes: pass 1 collects every variable
-// whose address is taken as a sync/atomic argument (atomic.AddInt64(&x.f, 1))
-// and remembers those sanctioned identifier uses; pass 2 flags every other
-// use of the same variables. Typed atomics (atomic.Int64 fields) are immune
-// by construction — their state is unexported — and are the recommended fix.
-// Local variables are skipped: they are goroutine-confined unless captured,
-// which the goroleak/lockorder scopes own. Composite-literal keys are exempt
-// (construction precedes sharing).
+// atomichygiene makes mixed atomic/plain access unrepresentable rather than
+// detecting it: module code may not use sync/atomic's function-style API
+// (AddInt64(&x.f, 1) and friends) at all. A variable touched that way is a plain
+// int64 every other site can read or write without the atomic — a torn read,
+// a racy write — and the race detector sees it only when a test happens to
+// interleave. The typed atomics (atomic.Int64, atomic.Bool, atomic.Pointer)
+// keep their state unexported, so every access goes through a method and
+// there is nothing left to check. Locals are not exempt: a closure capture
+// shares them just the same.
 
 import (
 	"go/ast"
 	"go/types"
 )
 
-// AtomicHygiene is the production instance. The analyzer is annotation-free
-// and module-wide: any package that adopts sync/atomic buys the invariant.
-var AtomicHygiene = NewAtomicHygiene()
-
-// NewAtomicHygiene builds an atomichygiene instance.
-func NewAtomicHygiene() *Analyzer {
-	return &Analyzer{
-		Name:        "atomichygiene",
-		Doc:         "a field or package-level var ever passed to sync/atomic must be accessed atomically at every site; mixing atomic and plain access races",
-		ProgramWide: true,
-		Run:         runAtomicHygiene,
-	}
+// AtomicHygiene is the production instance: module-wide, annotation-free.
+var AtomicHygiene = &Analyzer{
+	Name: "atomichygiene",
+	Doc:  "no function-style sync/atomic calls; typed atomics make a mixed atomic/plain access unrepresentable",
+	Run:  runAtomicHygiene,
 }
 
 func runAtomicHygiene(pass *Pass) {
-	// Pass 1: variables sanctified by sync/atomic usage, and the identifier
-	// nodes inside those atomic calls (sanctioned uses).
-	atomicVars := map[*types.Var]bool{}
-	sanctioned := map[*ast.Ident]bool{}
-	for _, pkg := range pass.Prog.Packages() {
-		for _, f := range pkg.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				fn := calleeOf(pkg, call)
-				if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" {
-					return true
-				}
-				for _, arg := range call.Args {
-					un, ok := ast.Unparen(arg).(*ast.UnaryExpr)
-					if !ok || un.Op.String() != "&" {
-						continue
-					}
-					v, id := trackedVarOf(pkg, un.X)
-					if v == nil {
-						continue
-					}
-					atomicVars[v] = true
-					sanctioned[id] = true
-				}
+	for _, f := range pass.Pkg.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			id, ok := n.(*ast.Ident)
+			if !ok {
 				return true
-			})
-		}
-	}
-	if len(atomicVars) == 0 {
-		return
-	}
-
-	// Pass 2: every other use of a sanctified variable is a plain access.
-	for _, pkg := range pass.Prog.Packages() {
-		for _, f := range pkg.Files {
-			litKeys := compositeLitKeys(f)
-			ast.Inspect(f, func(n ast.Node) bool {
-				id, ok := n.(*ast.Ident)
-				if !ok || sanctioned[id] || litKeys[id] {
-					return true
-				}
-				v, ok := pkg.Info.Uses[id].(*types.Var)
-				if !ok || !atomicVars[v] {
-					return true
-				}
-				kind := "package-level var"
-				if v.IsField() {
-					kind = "field"
-				}
-				pass.Reportf(id.Pos(), "%s %s is accessed via sync/atomic elsewhere; this plain access races — use sync/atomic at every site (or migrate to a typed atomic)",
-					kind, v.Name())
-				return true
-			})
-		}
-	}
-}
-
-// trackedVarOf resolves the variable an atomic operand addresses: the field
-// of a selector chain (behind indexing) or a package-level identifier. Local
-// variables return nil — they are goroutine-confined until captured.
-func trackedVarOf(pkg *Package, e ast.Expr) (*types.Var, *ast.Ident) {
-	for {
-		switch x := ast.Unparen(e).(type) {
-		case *ast.SelectorExpr:
-			if v, ok := pkg.Info.Uses[x.Sel].(*types.Var); ok && v.IsField() {
-				return v, x.Sel
 			}
-			return nil, nil
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.Ident:
-			v, ok := pkg.Info.Uses[x].(*types.Var)
-			if !ok || v.IsField() || v.Pkg() == nil || v.Parent() != v.Pkg().Scope() {
-				return nil, nil
+			fn, ok := pass.Pkg.Info.Uses[id].(*types.Func)
+			if ok && fn.Pkg() != nil && fn.Pkg().Path() == "sync/atomic" &&
+				fn.Type().(*types.Signature).Recv() == nil {
+				pass.Reportf(id.Pos(), "function-style atomic.%s leaves its operand open to plain access elsewhere; declare the variable as a typed atomic (atomic.Int64, atomic.Bool, ...) and use its methods", fn.Name())
 			}
-			return v, x
-		default:
-			return nil, nil
-		}
-	}
-}
-
-// compositeLitKeys collects identifiers used as composite-literal keys
-// (Progress{done: 0} initializes before sharing; not a racy access).
-func compositeLitKeys(f *ast.File) map[*ast.Ident]bool {
-	keys := map[*ast.Ident]bool{}
-	ast.Inspect(f, func(n ast.Node) bool {
-		lit, ok := n.(*ast.CompositeLit)
-		if !ok {
 			return true
-		}
-		for _, elt := range lit.Elts {
-			if kv, ok := elt.(*ast.KeyValueExpr); ok {
-				if id, ok := kv.Key.(*ast.Ident); ok {
-					keys[id] = true
-				}
-			}
-		}
-		return true
-	})
-	return keys
+		})
+	}
 }

@@ -5,19 +5,16 @@ package lint
 
 import (
 	"fmt"
-	"go/token"
 	"path/filepath"
 	"sort"
 )
 
 // DefaultAnalyzers returns the production flexlint suite, in the order the
-// diagnostics documentation lists them. Lockcheck precedes Lockorder so that
-// when both flag the same non-deferred Unlock, dedupe keeps lockcheck's
-// (per-function, more precise) wording.
+// diagnostics documentation lists them.
 func DefaultAnalyzers() []*Analyzer {
 	return []*Analyzer{
-		Detlint, Statsum, Kernelpin, Lockcheck, Boundarg, Adjwrite,
-		Lockorder, AtomicHygiene, Noalloc, Goroleak,
+		Detlint, Statsum, Kernelpin, Boundarg, Adjwrite,
+		Lockorder, AtomicHygiene, Goroleak,
 	}
 }
 
@@ -51,22 +48,6 @@ func Run(prog *Program, analyzers []*Analyzer, targets []*Package) []Diagnostic 
 			a.Run(&Pass{Prog: prog, Pkg: pkg, analyzer: a, diags: &diags})
 		}
 	}
-	// Cross-analyzer dedupe: one underlying bug, one report. Keys are
-	// assigned by the analyzers (e.g. "nondef-unlock:<pos>" from both
-	// lockcheck and lockorder); the first report in analyzer registration
-	// order survives.
-	seen := map[string]bool{}
-	kept := diags[:0]
-	for _, d := range diags {
-		if d.Dedupe != "" {
-			if seen[d.Dedupe] {
-				continue
-			}
-			seen[d.Dedupe] = true
-		}
-		kept = append(kept, d)
-	}
-	diags = kept
 	sort.Slice(diags, func(i, j int) bool {
 		pi, pj := prog.Fset.Position(diags[i].Pos), prog.Fset.Position(diags[j].Pos)
 		if pi.Filename != pj.Filename {
@@ -90,6 +71,3 @@ func Format(prog *Program, d Diagnostic) string {
 	}
 	return fmt.Sprintf("%s:%d:%d: %s: %s", name, pos.Line, pos.Column, d.Analyzer, d.Message)
 }
-
-// position is a small helper for analyzers that need line lookups.
-func (p *Program) position(pos token.Pos) token.Position { return p.Fset.Position(pos) }

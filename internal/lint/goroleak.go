@@ -1,252 +1,47 @@
 package lint
 
-// goroleak guards the repo's three goroutine launch sites (sched's worker
-// pool, serve's listener, sim's PE coroutines) and every one the serve job
-// queue will add: a `go` statement with no join or cancellation path leaks
-// the goroutine — it outlives its Run call, holds its captured state, and
-// under the multi-tenant serve loop accumulates per request.
+// goroleak holds the half of the goroutine-leak invariant a static rule holds
+// cheaply: at every `go` statement in the module the spawned body is in plain
+// sight — a function literal, or a function or method resolved at compile
+// time — never a function value or an interface method, whose body neither a
+// reviewer nor a test author can find from the spawn site.
 //
-// A spawn is accepted when the spawned function provably terminates into the
-// spawner's control structure by one of:
-//
-//  1. WaitGroup discipline — the body calls wg.Done() (usually deferred) on a
-//     WaitGroup the spawning function calls Add on (or one that reaches the
-//     spawner from outside: a field or parameter paired elsewhere);
-//  2. cancellation — the body receives from ctx.Done() or from a
-//     struct{}-typed done channel declared outside the body;
-//  3. completion signalling — the body sends on a channel rooted outside the
-//     body (serve's `errCh <- srv.Serve(ln)`, sim's evDone event send), so
-//     some coordinator observes termination.
-//
-// Static method/function spawns (`go p.loop()`) are resolved through the
-// program-wide function index and their bodies checked the same way, one
-// call level deep: a body that immediately delegates to a helper is checked
-// through the helper. Spawns of dynamic function values are flagged — the
-// analyzer cannot see the body, and neither can a reviewer.
+// That the body then terminates into its spawner (WaitGroup pairing,
+// ctx/done-channel receive, completion send) is proven at runtime, where it
+// is cheaper and covers more: each spawning package (sched, sim, serve, jobs,
+// core) has a goroutine-baseline test that counts goroutines, drives the
+// spawner through completion and cancellation, and fails unless the count
+// returns.
 
 import (
 	"go/ast"
 	"go/types"
 )
 
-// GoroleakConfig scopes the analyzer.
-type GoroleakConfig struct {
-	Scope []string
-}
-
-// Goroleak is the production instance, scoped to the goroutine-spawning
-// packages.
-var Goroleak = NewGoroleak(GoroleakConfig{
-	Scope: []string{"repro/internal/sched", "repro/internal/serve", "repro/internal/sim"},
-})
-
-// NewGoroleak builds a goroleak instance.
-func NewGoroleak(cfg GoroleakConfig) *Analyzer {
-	return &Analyzer{
-		Name:  "goroleak",
-		Doc:   "every go statement in sched/serve/sim needs a provable join (WaitGroup pairing) or cancellation/completion path",
-		Scope: cfg.Scope,
-		Run:   runGoroleak,
-	}
+// Goroleak is the production instance: module-wide.
+var Goroleak = &Analyzer{
+	Name: "goroleak",
+	Doc:  "a go statement spawns a function literal or a statically resolved function, never a function value",
+	Run:  runGoroleak,
 }
 
 func runGoroleak(pass *Pass) {
-	bodies := indexFuncs(pass.Prog)
 	for _, f := range pass.Pkg.Files {
-		// Track the enclosing declared function of each go statement: the
-		// WaitGroup Add pairing is checked against it.
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				g, ok := n.(*ast.GoStmt)
-				if !ok {
-					return true
-				}
-				checkSpawn(pass, bodies, fd, g)
+		ast.Inspect(f, func(n ast.Node) bool {
+			g, ok := n.(*ast.GoStmt)
+			if !ok {
 				return true
-			})
-		}
-	}
-}
-
-// checkSpawn verifies one go statement inside spawner.
-func checkSpawn(pass *Pass, bodies map[*types.Func]funcBody, spawner *ast.FuncDecl, g *ast.GoStmt) {
-	var body *ast.BlockStmt
-	var bodyPkg *Package
-	switch fun := ast.Unparen(g.Call.Fun).(type) {
-	case *ast.FuncLit:
-		body = fun.Body
-		bodyPkg = pass.Pkg
-	default:
-		callee := calleeOf(pass.Pkg, g.Call)
-		if callee == nil {
-			pass.Reportf(g.Pos(), "go statement spawns a dynamic function value; its join/cancellation path cannot be verified — spawn a named function or a literal")
-			return
-		}
-		fb, ok := bodies[callee]
-		if !ok {
-			pass.Reportf(g.Pos(), "go statement spawns %s, whose body is outside the program; its join/cancellation path cannot be verified", callee.Name())
-			return
-		}
-		body = fb.decl.Body
-		bodyPkg = fb.pkg
-	}
-	if ok, doneObj := joinable(bodyPkg, bodies, body, 1); ok {
-		if doneObj != nil && !waitGroupPaired(pass, spawner, doneObj) {
-			pass.Reportf(g.Pos(), "spawned goroutine calls %s.Done but the spawning function never calls Add on it; a missing Add panics Wait or skews the join count", doneObj.Name())
-		}
-		return
-	}
-	pass.Reportf(g.Pos(), "go statement has no provable join or cancellation path (no WaitGroup.Done, no ctx.Done()/done-channel receive, no completion send on an external channel); the goroutine can leak")
-}
-
-// joinable scans a spawned body for a termination signal, descending one
-// level into static callees. When the signal is a WaitGroup.Done, the
-// WaitGroup variable is returned for Add pairing (nil for local-to-spawner
-// groups that are checked, or non-locals presumed paired at their owner).
-func joinable(pkg *Package, bodies map[*types.Func]funcBody, body *ast.BlockStmt, depth int) (bool, *types.Var) {
-	found := false
-	var doneObj *types.Var
-	ast.Inspect(body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		switch n := n.(type) {
-		case *ast.CallExpr:
-			if fn := calleeOf(pkg, n); fn != nil {
-				if isWaitGroupMethod(fn, "Done") {
-					found = true
-					doneObj = receiverRootVar(pkg, n)
-					return false
-				}
-				if fb, ok := bodies[fn]; ok && depth > 0 {
-					if ok2, obj := joinable(fb.pkg, bodies, fb.decl.Body, depth-1); ok2 {
-						found = true
-						doneObj = obj
-						return false
-					}
-				}
 			}
-		case *ast.UnaryExpr:
-			// <-ch receive: accepted for ctx.Done() results and
-			// struct{}-typed done channels rooted outside the body.
-			if n.Op.String() == "<-" && isCancelReceive(pkg, body, n.X) {
-				found = true
-				return false
+			if _, lit := ast.Unparen(g.Call.Fun).(*ast.FuncLit); lit {
+				return true
 			}
-		case *ast.SendStmt:
-			// A completion send observed by a coordinator outside the body.
-			if rootOutsideBody(pkg, body, n.Chan) {
-				found = true
-				return false
+			callee := calleeOf(pass.Pkg, g.Call)
+			if callee == nil {
+				pass.Reportf(g.Pos(), "go statement spawns a dynamic function value; its join/cancellation path cannot be found from here — spawn a named function or a literal")
+			} else if recv := callee.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+				pass.Reportf(g.Pos(), "go statement spawns interface method %s; its body is chosen at run time — spawn a literal that calls it", callee.Name())
 			}
-		}
-		return true
-	})
-	return found, doneObj
-}
-
-// isWaitGroupMethod reports whether fn is sync.WaitGroup's named method.
-func isWaitGroupMethod(fn *types.Func, name string) bool {
-	if fn.Name() != name || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-		return false
-	}
-	recv := fn.Type().(*types.Signature).Recv()
-	if recv == nil {
-		return false
-	}
-	t := recv.Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	return ok && named.Obj().Name() == "WaitGroup"
-}
-
-// receiverRootVar resolves the root variable of a method call's receiver
-// chain (wg.Done() → wg; s.wg.Done() → s).
-func receiverRootVar(pkg *Package, call *ast.CallExpr) *types.Var {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return nil
-	}
-	id := rootIdent(sel.X)
-	if id == nil {
-		return nil
-	}
-	v, _ := pkg.Info.Uses[id].(*types.Var)
-	return v
-}
-
-// waitGroupPaired reports whether the spawning function calls Add on the
-// same root variable the spawned body calls Done on. A Done receiver that is
-// not a local of the spawner (a field, or a parameter owned by a caller) is
-// presumed paired at its owner.
-func waitGroupPaired(pass *Pass, spawner *ast.FuncDecl, doneObj *types.Var) bool {
-	if !declaredWithin(doneObj, spawner.Body) {
-		return true
-	}
-	paired := false
-	ast.Inspect(spawner.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
 			return true
-		}
-		fn := calleeOf(pass.Pkg, call)
-		if fn == nil || !isWaitGroupMethod(fn, "Add") {
-			return true
-		}
-		if receiverRootVar(pass.Pkg, call) == doneObj {
-			paired = true
-		}
-		return true
-	})
-	return paired
-}
-
-// isCancelReceive reports whether a receive operand is a cancellation
-// signal: a ctx.Done() call, or a struct{}-element channel rooted outside
-// the body.
-func isCancelReceive(pkg *Package, body *ast.BlockStmt, ch ast.Expr) bool {
-	ch = ast.Unparen(ch)
-	if call, ok := ch.(*ast.CallExpr); ok {
-		fn := calleeOf(pkg, call)
-		return fn != nil && fn.Name() == "Done" && fn.Pkg() != nil && fn.Pkg().Path() == "context"
+		})
 	}
-	tv, ok := pkg.Info.Types[ch]
-	if !ok {
-		return false
-	}
-	cht, ok := tv.Type.Underlying().(*types.Chan)
-	if !ok {
-		return false
-	}
-	st, isStruct := cht.Elem().Underlying().(*types.Struct)
-	if !isStruct || st.NumFields() != 0 {
-		return false
-	}
-	return rootOutsideBody(pkg, body, ch)
-}
-
-// rootOutsideBody reports whether an expression's root variable is declared
-// outside the spawned body — a channel the goroutine made for itself proves
-// nothing, one handed in from the spawner is observed by a coordinator.
-func rootOutsideBody(pkg *Package, body *ast.BlockStmt, e ast.Expr) bool {
-	id := rootIdent(e)
-	if id == nil {
-		return false
-	}
-	v, ok := pkg.Info.Uses[id].(*types.Var)
-	if !ok {
-		return false
-	}
-	return !declaredWithin(v, body)
-}
-
-// declaredWithin reports whether v's declaration lies inside body.
-func declaredWithin(v *types.Var, body *ast.BlockStmt) bool {
-	return v.Pos() >= body.Pos() && v.Pos() < body.End()
 }

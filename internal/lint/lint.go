@@ -1,11 +1,14 @@
 // Package lint is flexlint: a suite of static analyzers that machine-check
 // the repo's convention-only invariants — simulator determinism, stats
-// aggregation completeness, paper-runner kernel pinning, lock discipline and
+// aggregation completeness, paper-runner kernel pinning, lock ordering and
 // bound-argument plumbing. The paper's figures (Table II, Fig 7, Figs 13–16)
 // are only trustworthy when these invariants hold, so they are enforced at
 // the Go-source level and wired into CI, the same way GPM systems
 // machine-check symmetry/ordering invariants instead of hand-maintaining
-// them.
+// them. An invariant lives here only when nothing cheaper holds it: a type
+// that makes the violation unrepresentable, `go vet` (copied locks), or a
+// runtime test (zero-alloc hot paths, goroutine joins) comes first — DESIGN
+// decision 10 has the table.
 //
 // The suite is built directly on go/ast and go/types (the build environment
 // has no module proxy, so golang.org/x/tools/go/analysis is unavailable);
@@ -27,17 +30,11 @@ type Diagnostic struct {
 	Pos      token.Pos
 	Analyzer string
 	Message  string
-
-	// Dedupe, when non-empty, names the underlying bug independently of the
-	// analyzer that spotted it. Run keeps only the first diagnostic per key,
-	// so overlapping analyzers (lockcheck and lockorder both flag a
-	// non-deferred Unlock) report one bug once.
-	Dedupe string
 }
 
 // Analyzer is one invariant checker. Per-package analyzers receive one Pass
-// per target package; program-wide analyzers (lockorder's lock graph,
-// noalloc's call closure) run once with Pass.Pkg == nil and inspect Pass.Prog.
+// per target package; program-wide analyzers (lockorder's lock graph) run
+// once with Pass.Pkg == nil and inspect Pass.Prog.
 type Analyzer struct {
 	Name string
 	Doc  string
@@ -93,17 +90,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// ReportDeduped records a diagnostic carrying a cross-analyzer dedupe key;
-// Run keeps the first report per key (analyzer registration order wins).
-func (p *Pass) ReportDeduped(pos token.Pos, dedupe, format string, args ...any) {
-	*p.diags = append(*p.diags, Diagnostic{
-		Pos:      pos,
-		Analyzer: p.analyzer.Name,
-		Message:  fmt.Sprintf(format, args...),
-		Dedupe:   dedupe,
-	})
-}
-
 // funcBody pairs a declared function with its defining package.
 type funcBody struct {
 	pkg  *Package
@@ -111,8 +97,7 @@ type funcBody struct {
 }
 
 // indexFuncs indexes every declared function (with a body) in the program by
-// its types object. The interprocedural analyzers (lockorder, noalloc,
-// goroleak) all resolve callsites through this one map, so a callee
+// its types object. lockorder resolves callsites through this map: a callee
 // found via Info.Uses in one package is the same *types.Func key a Defs
 // lookup produced in its defining package.
 func indexFuncs(prog *Program) map[*types.Func]funcBody {
@@ -167,10 +152,4 @@ func rootIdent(e ast.Expr) *ast.Ident {
 			return nil
 		}
 	}
-}
-
-// isPkgFunc reports whether fn is the package-level function pkgPath.name.
-func isPkgFunc(fn *types.Func, pkgPath, name string) bool {
-	return fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == pkgPath &&
-		fn.Name() == name && fn.Type().(*types.Signature).Recv() == nil
 }

@@ -1,15 +1,17 @@
 package lint
 
 // Package loading and type checking on the standard library alone. The
-// loader walks the module, parses every non-test package, topologically
-// resolves intra-module imports itself and delegates out-of-module (stdlib)
-// imports to the go/importer source importer, so it works with an empty
-// module cache and no network — the environment flexlint must run in.
+// loader walks the module, lets go/build pick each directory's files for the
+// host platform, parses every non-test package, topologically resolves
+// intra-module imports itself and delegates out-of-module (stdlib) imports to
+// the go/importer source importer, so it works with an empty module cache and
+// no network — the environment flexlint must run in.
 
 import (
+	"errors"
 	"fmt"
 	"go/ast"
-	"go/build/constraint"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -17,7 +19,6 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"runtime"
 	"sort"
 	"strings"
 )
@@ -87,8 +88,8 @@ func Load(root string) (*Program, error) {
 	return prog, nil
 }
 
-// packageDirs finds every directory under the root holding non-test Go
-// files, skipping testdata, vendor, and hidden directories.
+// packageDirs finds every directory under the root holding Go files that
+// build on the host, skipping testdata, vendor, and hidden directories.
 func (p *Program) packageDirs() ([]string, error) {
 	var dirs []string
 	err := filepath.WalkDir(p.Root, func(path string, d os.DirEntry, err error) error {
@@ -103,11 +104,11 @@ func (p *Program) packageDirs() ([]string, error) {
 			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
 			return filepath.SkipDir
 		}
-		ok, err := hasGoFiles(path)
+		files, err := sourceFiles(path)
 		if err != nil {
 			return err
 		}
-		if ok {
+		if len(files) > 0 {
 			dirs = append(dirs, path)
 		}
 		return nil
@@ -116,101 +117,21 @@ func (p *Program) packageDirs() ([]string, error) {
 	return dirs, err
 }
 
-func hasGoFiles(dir string) (bool, error) {
-	ents, err := os.ReadDir(dir)
+// sourceFiles lists dir's non-test Go files the way `go build` would select
+// them for the host platform: go/build applies the _GOOS/_GOARCH filename
+// rule and the //go:build lines, so per-platform file pairs (mmap_unix.go /
+// mmap_stub.go) don't collide as duplicate declarations. A directory with
+// nothing to build yields an empty list.
+func sourceFiles(dir string) ([]string, error) {
+	bp, err := build.ImportDir(dir, 0)
 	if err != nil {
-		return false, err
-	}
-	for _, e := range ents {
-		if goSource(e.Name()) {
-			return true, nil
+		var noGo *build.NoGoError
+		if errors.As(err, &noGo) {
+			return nil, nil
 		}
+		return nil, err
 	}
-	return false, nil
-}
-
-func goSource(name string) bool {
-	return strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go")
-}
-
-// Build-constraint handling: the loader analyzes one platform — the host's —
-// the way `go build` would, so per-platform file pairs (mmap_unix.go /
-// mmap_stub.go) don't collide as duplicate declarations.
-
-var knownGOOS = map[string]bool{
-	"aix": true, "android": true, "darwin": true, "dragonfly": true,
-	"freebsd": true, "illumos": true, "ios": true, "js": true, "linux": true,
-	"netbsd": true, "openbsd": true, "plan9": true, "solaris": true,
-	"wasip1": true, "windows": true,
-}
-
-var knownGOARCH = map[string]bool{
-	"386": true, "amd64": true, "arm": true, "arm64": true, "loong64": true,
-	"mips": true, "mipsle": true, "mips64": true, "mips64le": true,
-	"ppc64": true, "ppc64le": true, "riscv64": true, "s390x": true,
-	"wasm": true,
-}
-
-var unixGOOS = map[string]bool{
-	"aix": true, "android": true, "darwin": true, "dragonfly": true,
-	"freebsd": true, "illumos": true, "ios": true, "linux": true,
-	"netbsd": true, "openbsd": true, "solaris": true,
-}
-
-// filenameExcluded applies the go tool's _GOOS / _GOARCH / _GOOS_GOARCH
-// filename rule against the host platform. A leading component is required —
-// "linux.go" is unconstrained, "x_linux.go" is not.
-func filenameExcluded(name string) bool {
-	parts := strings.Split(strings.TrimSuffix(name, ".go"), "_")
-	if len(parts) < 2 {
-		return false
-	}
-	last := parts[len(parts)-1]
-	if knownGOARCH[last] {
-		if last != runtime.GOARCH {
-			return true
-		}
-		if len(parts) >= 3 && knownGOOS[parts[len(parts)-2]] {
-			return parts[len(parts)-2] != runtime.GOOS
-		}
-		return false
-	}
-	if knownGOOS[last] {
-		return last != runtime.GOOS
-	}
-	return false
-}
-
-// buildTagsExclude evaluates the file's //go:build line (if any) for the host
-// platform. Only tags the loader understands — GOOS, GOARCH, unix, language
-// versions — satisfy; anything else (custom tags, cgo) reads as unset.
-func buildTagsExclude(f *ast.File) bool {
-	for _, cg := range f.Comments {
-		if cg.Pos() >= f.Package {
-			break
-		}
-		for _, c := range cg.List {
-			if !constraint.IsGoBuild(c.Text) {
-				continue
-			}
-			expr, err := constraint.Parse(c.Text)
-			if err != nil {
-				continue
-			}
-			return !expr.Eval(func(tag string) bool {
-				switch {
-				case tag == runtime.GOOS || tag == runtime.GOARCH:
-					return true
-				case tag == "unix":
-					return unixGOOS[runtime.GOOS]
-				case strings.HasPrefix(tag, "go1"):
-					return true
-				}
-				return false
-			})
-		}
-	}
-	return false
+	return bp.GoFiles, nil
 }
 
 // importPathFor maps an absolute directory under the root to its import
@@ -264,29 +185,23 @@ func (p *Program) load(dir, path string, testdata bool) (*Package, error) {
 	p.checking[path] = true
 	defer delete(p.checking, path)
 
-	ents, err := os.ReadDir(dir)
+	srcs, err := sourceFiles(dir)
 	if err != nil {
 		return nil, err
 	}
+	if len(srcs) == 0 {
+		return nil, fmt.Errorf("lint: no Go files in %s", dir)
+	}
 	var files []*ast.File
 	var names []string
-	for _, e := range ents {
-		if !goSource(e.Name()) || filenameExcluded(e.Name()) {
-			continue
-		}
-		fn := filepath.Join(dir, e.Name())
+	for _, name := range srcs {
+		fn := filepath.Join(dir, name)
 		f, err := parser.ParseFile(p.Fset, fn, nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, err
 		}
-		if buildTagsExclude(f) {
-			continue
-		}
 		files = append(files, f)
 		names = append(names, fn)
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("lint: no Go files in %s", dir)
 	}
 
 	// Resolve intra-module imports first so the importer below only ever

@@ -1,11 +1,11 @@
 package lint
 
-// lockorder is the whole-repo deadlock analyzer: it builds a lock-acquisition
-// order graph over the concurrency-bearing packages (graph's hub-index cache,
-// sched's work-stealing deques, serve, core) and reports every edge that lies
-// on a cycle — two call paths acquiring the same mutexes in opposite orders
-// can deadlock under contention, which no per-function analyzer (lockcheck)
-// or runtime tool short of a lucky -race interleaving can see.
+// lockorder is the deadlock analyzer: it builds a lock-acquisition order graph
+// over the packages on the mining path (today's mutexes: graph's hub-index
+// cache and sched's work-stealing deques) and reports every edge that lies on
+// a cycle — two call paths acquiring the same mutexes in opposite orders can
+// deadlock under contention, which no per-function check or runtime tool
+// short of a lucky -race interleaving can see.
 //
 // A mutex *identity* is a package-level sync.Mutex/RWMutex variable
 // ("sched.globalMu") or a struct field ("sched.deque.mu") — all instances of
@@ -33,15 +33,13 @@ package lint
 // as are calls through function values (dynamic). Local mutex variables have
 // no cross-function identity and are ignored. The walk linearizes branches,
 // and a callee that releases its caller's lock is not modeled; both are
-// deliberate approximations kept sound for the repo's lock shapes by
-// lockcheck's defer-only-Unlock discipline.
-//
-// lockorder also flags the non-deferred Unlock shape it has to model
-// specially; the diagnostic shares a dedupe key with lockcheck's so the same
-// call reports once.
+// deliberate approximations kept sound for the repo's lock shapes by the
+// defer-only-Unlock discipline, which lockorder enforces itself: every
+// non-deferred Unlock/RUnlock in scope is reported (it leaks the lock on a
+// panic or an early return added between Lock and Unlock). Copied locks are
+// `go vet`'s copylocks check, a required CI step.
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -56,8 +54,10 @@ type LockorderConfig struct {
 	Scope []string
 }
 
-// Lockorder is the production instance, covering every package that holds a
-// lock on or near the mining hot path.
+// Lockorder is the production instance: the packages on the mining path.
+// Only graph and sched declare a mutex today; serve and core are in scope so
+// one added there is covered from its first commit. (jobs and obs hold locks
+// with non-deferred Unlocks; converting them is a ROADMAP item.)
 var Lockorder = NewLockorder(LockorderConfig{Scope: []string{
 	"repro/internal/graph",
 	"repro/internal/sched",
@@ -70,16 +70,10 @@ var Lockorder = NewLockorder(LockorderConfig{Scope: []string{
 func NewLockorder(cfg LockorderConfig) *Analyzer {
 	return &Analyzer{
 		Name:        "lockorder",
-		Doc:         "lock-acquisition order graph over graph/sched/serve/core; a cycle means two paths can deadlock",
+		Doc:         "lock-acquisition order graph over graph/sched/serve/core: a cycle means two paths can deadlock; Unlock only via defer",
 		ProgramWide: true,
 		Run:         func(pass *Pass) { runLockorder(pass, cfg) },
 	}
-}
-
-// nondefUnlockKey is the shared lockcheck/lockorder dedupe key for one
-// non-deferred Unlock call.
-func nondefUnlockKey(call *ast.CallExpr) string {
-	return fmt.Sprintf("nondef-unlock:%d", int(call.Pos()))
 }
 
 // loCall is one static callsite with the lock set held when it executes.
@@ -100,7 +94,6 @@ type loUnlock struct {
 	pos  token.Pos
 	name string
 	id   string
-	key  string
 }
 
 // loResult is one unit's walk summary.
@@ -255,7 +248,7 @@ func runLockorder(pass *Pass, cfg LockorderConfig) {
 
 	for i := range units {
 		for _, ul := range results[i].unlocks {
-			pass.ReportDeduped(ul.pos, ul.key,
+			pass.Reportf(ul.pos,
 				"%s of %s outside defer; lockorder treats the lock as released here, but a panic in the critical section leaks it",
 				ul.name, displayLockID(ul.id))
 		}
@@ -310,7 +303,7 @@ func loWalk(pkg *Package, body *ast.BlockStmt, scope []string, bodies map[*types
 					if deferCalls[n] {
 						deferredRelease[id] = true
 					} else {
-						res.unlocks = append(res.unlocks, loUnlock{pos: n.Pos(), name: callee.Name(), id: id, key: nondefUnlockKey(n)})
+						res.unlocks = append(res.unlocks, loUnlock{pos: n.Pos(), name: callee.Name(), id: id})
 						held = removeLastString(held, id)
 					}
 				}

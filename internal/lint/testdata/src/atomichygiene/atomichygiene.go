@@ -1,50 +1,38 @@
-// Package atomicfix seeds mixed atomic/plain accesses for the atomichygiene
-// analyzer tests, mirroring the serve.Progress / sched steal-counter shapes.
+// Package atomicfix seeds function-style sync/atomic uses for the
+// atomichygiene analyzer tests, mirroring the serve.Progress / sched
+// steal-counter shapes.
 package atomicfix
 
 import "sync/atomic"
 
-// counters mirrors a progress block: done is maintained with sync/atomic,
-// plain is never touched atomically (and so never tracked).
+// counters mirrors a progress block: done is the shape the rule exists to
+// forbid — a plain int64 maintained with sync/atomic, which any other site
+// can read or write plainly — typed is the sanctioned one.
 type counters struct {
 	done  int64
-	plain int64
+	typed atomic.Int64
 }
 
-// hits is a package-level counter maintained atomically.
 var hits int64
 
 func bump(c *counters) {
-	atomic.AddInt64(&c.done, 1)
-	atomic.AddInt64(&hits, 1)
+	atomic.AddInt64(&c.done, 1) // want `function-style atomic\.AddInt64`
+	atomic.AddInt64(&hits, 1)   // want `function-style atomic\.AddInt64`
+	c.typed.Add(1)
 }
 
-func loadOK(c *counters) int64 {
-	return atomic.LoadInt64(&c.done) + atomic.LoadInt64(&hits)
-}
-
-// snapshot reads the atomic field without sync/atomic: a torn/stale read.
+// snapshot is the mixed access itself: nothing to report on the plain read,
+// because the atomic side above is already rejected.
 func snapshot(c *counters) int64 {
-	return c.done // want `field done is accessed via sync/atomic elsewhere`
+	return c.done + c.typed.Load()
 }
 
-// reset writes the atomic field plainly: races every concurrent AddInt64.
-func reset(c *counters) {
-	c.done = 0 // want `field done is accessed via sync/atomic elsewhere`
+// local: a captured local is shared like any field; no exemption.
+func local() int64 {
+	var next int64
+	go func() { atomic.StoreInt64(&next, 1) }() // want `function-style atomic\.StoreInt64`
+	return atomic.LoadInt64(&next)              // want `function-style atomic\.LoadInt64`
 }
 
-// readHits mixes a plain read of the package-level counter.
-func readHits() int64 {
-	return hits // want `package-level var hits is accessed via sync/atomic elsewhere`
-}
-
-// plainOnly never goes through sync/atomic, so plain access is fine.
-func plainOnly(c *counters) {
-	c.plain++
-}
-
-// construct initializes by composite-literal key: construction precedes
-// sharing, exempt by design.
-func construct() *counters {
-	return &counters{done: 0, plain: 0}
-}
+// value: taking the function as a value is the same API.
+var cas = atomic.CompareAndSwapInt64 // want `function-style atomic\.CompareAndSwapInt64`

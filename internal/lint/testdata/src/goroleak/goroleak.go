@@ -1,24 +1,12 @@
-// Package goroleakfix seeds goroutine-leak shapes for the goroleak analyzer
-// tests, mirroring sched's worker pool, serve's listener goroutine and sim's
-// PE coroutines.
+// Package goroleakfix seeds spawn sites for the goroleak analyzer tests,
+// mirroring sched's worker pool (literal), sim's PE coroutines (method) and
+// jobs' dispatcher (method on the owner).
 package goroleakfix
 
-import (
-	"context"
-	"sync"
-)
+import "sync"
 
-// leak has no join, no cancellation, no completion signal.
-func leak() {
-	go func() { // want `no provable join or cancellation path`
-		for i := 0; ; i++ {
-			_ = i
-		}
-	}()
-}
-
-// joined is the sched worker-pool shape: Add before spawn, deferred Done.
-func joined(n int) {
+// literal is the sched worker-pool shape: the body is at the spawn site.
+func literal(n int) {
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
@@ -29,105 +17,36 @@ func joined(n int) {
 	wg.Wait()
 }
 
-// doneNoAdd calls Done on a local WaitGroup the spawner never Adds to.
-func doneNoAdd() {
-	var wg sync.WaitGroup
-	go func() { // want `never calls Add`
-		defer wg.Done()
-	}()
-	wg.Wait()
-}
+type pe struct{ evCh chan int }
 
-// fieldGroup: a WaitGroup owned by a struct is presumed paired at its owner.
-type pool struct {
-	wg sync.WaitGroup
-}
+func (p *pe) loop() { p.evCh <- 1 }
 
-func (p *pool) spawn() {
-	go func() {
-		defer p.wg.Done()
-	}()
-}
+func worker(ch chan int) { ch <- 1 }
 
-// cancellable exits via ctx.Done — serve's shutdown shape.
-func cancellable(ctx context.Context, work chan int) {
-	go func() {
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case w := <-work:
-				_ = w
-			}
-		}
-	}()
-}
-
-// doneChan exits via a struct{} done channel handed in by the spawner.
-func doneChan(done chan struct{}) {
-	go func() {
-		<-done
-	}()
-}
-
-// ownChan makes its own channel: nobody outside can ever signal it.
-func ownChan() {
-	go func() { // want `no provable join or cancellation path`
-		stop := make(chan struct{})
-		<-stop
-	}()
-}
-
-// signals is serve's listener shape: the error send doubles as the join.
-func signals() chan error {
-	errCh := make(chan error, 1)
-	go func() { errCh <- nil }()
-	return errCh
-}
-
-// pe mirrors sim's PE coroutine: a method spawn whose body sends a
-// completion event on a coordinator-owned channel.
-type pe struct {
-	evCh chan int
-}
-
-func (p *pe) loop() {
-	p.evCh <- 1
-}
-
-func run() {
-	p := &pe{evCh: make(chan int, 1)}
+// static spawns a method and a package function: one jump to the body.
+func static() {
+	p := &pe{evCh: make(chan int, 2)}
 	go p.loop()
+	go worker(p.evCh)
+	<-p.evCh
 	<-p.evCh
 }
 
-// orphan is a method spawn whose body has no termination signal.
-func (p *pe) orphan() {
-	for {
-		_ = p
-	}
-}
-
-func runOrphan() {
-	p := &pe{}
-	go p.orphan() // want `no provable join or cancellation path`
-}
-
-// delegated terminates through a helper one call level deep.
-func helperDone(wg *sync.WaitGroup) {
-	wg.Done()
-}
-
-func delegates() {
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer helperDone(&wg)
-	}()
-	wg.Wait()
-}
-
-// dynamic spawns a function value: the body is invisible to the analyzer.
+// dynamic spawns a function value: the body is invisible from here.
 func dynamic(f func()) {
 	go f() // want `dynamic function value`
+}
+
+type hooks struct{ onDone func() }
+
+// field spawns a function-typed field — sched.Hooks' shape.
+func field(h hooks) {
+	go h.onDone() // want `dynamic function value`
+}
+
+type runner interface{ run() }
+
+// iface spawns an interface method: the body is chosen at run time.
+func iface(r runner) {
+	go r.run() // want `interface method run`
 }

@@ -1,7 +1,8 @@
 // Package lockorderfix seeds lock-ordering violations for the lockorder
 // analyzer tests: an A→B / B→A cycle through callee summaries, a
 // holds-at-return split-helper cycle, a recursive self-deadlock, and the
-// clean release-then-reacquire shape of sched's steal sweep.
+// clean release-then-reacquire shape of sched's steal sweep — plus the
+// non-deferred Unlock/RUnlock shapes on struct-field mutexes.
 package lockorderfix
 
 import "sync"
@@ -112,6 +113,33 @@ func (q *dq) put(x int) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.ts = append(q.ts, x)
+}
+
+// pushLeaky holds the lock across an append without defer: a panic in the
+// critical section (append can grow) leaks it.
+func (q *dq) pushLeaky(x int) {
+	q.mu.Lock()
+	q.ts = append(q.ts, x)
+	q.mu.Unlock() // want `Unlock of lockorder\.dq\.mu outside defer`
+}
+
+// rw exercises the read side: RUnlock follows the same rule.
+type rw struct {
+	mu sync.RWMutex
+	n  int
+}
+
+func (r *rw) read() int {
+	r.mu.RLock()
+	n := r.n
+	r.mu.RUnlock() // want `RUnlock of lockorder\.rw\.mu outside defer`
+	return n
+}
+
+func (r *rw) readOK() int {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.n
 }
 
 func move(src, dst *dq) {

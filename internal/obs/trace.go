@@ -87,8 +87,6 @@ func NewTracer(clock Clock, capacity int) *Tracer {
 
 // Enabled reports whether emissions are recorded; it is the nil test
 // instrumentation sites use to skip argument construction.
-//
-//flexlint:noalloc
 func (t *Tracer) Enabled() bool { return t != nil }
 
 // Emit records an event stamped with the tracer clock.

@@ -157,8 +157,6 @@ type Node struct {
 }
 
 // IsLeaf reports whether a completed match at this node should be counted.
-//
-//flexlint:noalloc
 func (n *Node) IsLeaf() bool { return len(n.Children) == 0 }
 
 // AuxSpec describes one auxiliary graph (§"Auxiliary-graph pruning",

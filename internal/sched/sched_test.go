@@ -3,9 +3,11 @@ package sched
 import (
 	"context"
 	"reflect"
+	"runtime"
 	"sort"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/graph"
 )
@@ -170,6 +172,53 @@ func TestRunCancelled(t *testing.T) {
 	if n := executed.Load(); n >= int64(len(tasks)) {
 		t.Fatalf("cancellation did not cut the run short (%d/%d)", n, len(tasks))
 	}
+}
+
+// goroutinesReturnTo polls (≤ 2 s) for the goroutine count to fall back to a
+// baseline taken before a spawner ran.
+func goroutinesReturnTo(t *testing.T, before int) {
+	t.Helper()
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("goroutine leak: %d before, %d after", before, after)
+	}
+}
+
+// TestRunJoinsWorkers holds the runtime half of the goroutine-leak invariant
+// for the worker pool (flexlint's goroleak holds the static half): when Run
+// returns — to completion or cancelled mid-run — no task function is still
+// executing and every worker goroutine is gone.
+func TestRunJoinsWorkers(t *testing.T) {
+	g := graph.ChungLu(400, 3000, 2.3, 3)
+	tasks := Expand(g, 0)
+	before := runtime.NumGoroutine()
+	for _, cancelAt := range []int64{0, 10} { // 0: never, run to completion
+		ctx, cancel := context.WithCancel(context.Background())
+		var executed, inFlight atomic.Int64
+		err := Run(ctx, 8, tasks, func(int, Task) bool {
+			inFlight.Add(1)
+			defer inFlight.Add(-1)
+			if executed.Add(1) == cancelAt {
+				cancel()
+			}
+			runtime.Gosched()
+			return true
+		})
+		cancel()
+		if n := inFlight.Load(); n != 0 {
+			t.Errorf("cancelAt=%d: Run returned with %d task functions still executing", cancelAt, n)
+		}
+		var want error
+		if cancelAt > 0 {
+			want = context.Canceled
+		}
+		if err != want {
+			t.Errorf("cancelAt=%d: err = %v, want %v", cancelAt, err, want)
+		}
+	}
+	goroutinesReturnTo(t, before)
 }
 
 func TestRunStopsWhenFnReturnsFalse(t *testing.T) {

@@ -10,6 +10,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -301,6 +302,57 @@ func TestListenAndServeDrainErrorPropagates(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("shutdown hung on an overrunning drainer")
 	}
+}
+
+// goroutinesReturnTo polls (≤ 2 s) for the goroutine count to fall back to a
+// baseline taken before a spawner ran.
+func goroutinesReturnTo(t *testing.T, before int) {
+	t.Helper()
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("goroutine leak: %d before, %d after", before, after)
+	}
+}
+
+// TestListenAndServeJoinsListener holds the runtime half of the goroutine-leak
+// invariant for the listener (flexlint's goroleak holds the static half):
+// after serving a request, a ctx cancel and a drainer, ListenAndServe returns
+// with its Serve goroutine and every connection goroutine gone.
+func TestListenAndServeJoinsListener(t *testing.T) {
+	before := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	ready := make(chan string, 1)
+	done := make(chan error, 1)
+	drained := false
+	drain := func(context.Context) error { drained = true; return nil }
+	go func() {
+		done <- ListenAndServe(ctx, "127.0.0.1:0", NewMux(nil, nil, ""), func(addr string) { ready <- addr }, drain)
+	}()
+	var addr string
+	select {
+	case addr = <-ready:
+	case err := <-done:
+		t.Fatalf("server exited before ready: %v", err)
+	}
+	// No keep-alive: an idle client connection would outlive the server.
+	client := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+	resp, err := client.Get("http://" + addr + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	cancel()
+	select {
+	case err := <-done:
+		if err != nil || !drained {
+			t.Errorf("shutdown returned %v, drained = %v", err, drained)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("shutdown did not complete")
+	}
+	goroutinesReturnTo(t, before)
 }
 
 func TestListenAndServeGracefulShutdown(t *testing.T) {

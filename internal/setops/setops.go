@@ -25,16 +25,12 @@ type VID = graph.VID
 const NoBound = ^VID(0)
 
 // Intersect appends a ∩ b to dst and returns it.
-//
-//flexlint:noalloc
 func Intersect(dst, a, b []VID) []VID {
 	dst, _ = IntersectCost(dst, a, b, NoBound)
 	return dst
 }
 
 // IntersectBelow appends {x ∈ a ∩ b : x < bound} to dst and returns it.
-//
-//flexlint:noalloc
 func IntersectBelow(dst, a, b []VID, bound VID) []VID {
 	dst, _ = IntersectCost(dst, a, b, bound)
 	return dst
@@ -42,8 +38,6 @@ func IntersectBelow(dst, a, b []VID, bound VID) []VID {
 
 // IntersectCost is IntersectBelow instrumented with the number of merge-loop
 // iterations executed (= SIU cycles).
-//
-//flexlint:noalloc
 func IntersectCost(dst, a, b []VID, bound VID) ([]VID, int64) {
 	i, j := 0, 0
 	var iters int64
@@ -68,16 +62,12 @@ func IntersectCost(dst, a, b []VID, bound VID) ([]VID, int64) {
 }
 
 // IntersectCount returns |a ∩ b| without materializing the result.
-//
-//flexlint:noalloc
 func IntersectCount(a, b []VID, bound VID) int64 {
 	n, _ := IntersectCountCost(a, b, bound)
 	return n
 }
 
 // IntersectCountCost returns |{x ∈ a ∩ b : x < bound}| and merge iterations.
-//
-//flexlint:noalloc
 func IntersectCountCost(a, b []VID, bound VID) (int64, int64) {
 	i, j := 0, 0
 	var n, iters int64
@@ -102,16 +92,12 @@ func IntersectCountCost(a, b []VID, bound VID) (int64, int64) {
 }
 
 // Difference appends a \ b to dst and returns it.
-//
-//flexlint:noalloc
 func Difference(dst, a, b []VID) []VID {
 	dst, _ = DifferenceCost(dst, a, b, NoBound)
 	return dst
 }
 
 // DifferenceBelow appends {x ∈ a \ b : x < bound} to dst and returns it.
-//
-//flexlint:noalloc
 func DifferenceBelow(dst, a, b []VID, bound VID) []VID {
 	dst, _ = DifferenceCost(dst, a, b, bound)
 	return dst
@@ -119,8 +105,6 @@ func DifferenceBelow(dst, a, b []VID, bound VID) []VID {
 
 // DifferenceCost is DifferenceBelow instrumented with merge-loop iterations
 // (= SDU cycles).
-//
-//flexlint:noalloc
 func DifferenceCost(dst, a, b []VID, bound VID) ([]VID, int64) {
 	i, j := 0, 0
 	var iters int64
@@ -146,16 +130,12 @@ func DifferenceCost(dst, a, b []VID, bound VID) ([]VID, int64) {
 }
 
 // DifferenceCount returns |{x ∈ a \ b : x < bound}| without materializing.
-//
-//flexlint:noalloc
 func DifferenceCount(a, b []VID, bound VID) int64 {
 	n, _ := DifferenceCountCost(a, b, bound)
 	return n
 }
 
 // DifferenceCountCost is DifferenceCount instrumented with merge iterations.
-//
-//flexlint:noalloc
 func DifferenceCountCost(a, b []VID, bound VID) (int64, int64) {
 	i, j := 0, 0
 	var n, iters int64
@@ -183,8 +163,6 @@ func DifferenceCountCost(a, b []VID, bound VID) (int64, int64) {
 // Contains reports membership of x in the sorted slice a via galloping
 // (exponential + binary) search. Software frameworks fall back to this when
 // one side of an intersection is much smaller.
-//
-//flexlint:noalloc
 func Contains(a []VID, x VID) bool {
 	lo, hi := 0, len(a)
 	// Gallop to bracket x.
@@ -222,14 +200,10 @@ type Seeker struct {
 }
 
 // Reset rewinds the cursor for a fresh ascending pass.
-//
-//flexlint:noalloc
 func (s *Seeker) Reset() { s.pos = 0 }
 
 // Seek advances the cursor to the first element ≥ x and reports whether that
 // element equals x.
-//
-//flexlint:noalloc
 func (s *Seeker) Seek(a []VID, x VID) bool {
 	n := len(a)
 	lo := s.pos
@@ -263,8 +237,6 @@ func (s *Seeker) Seek(a []VID, x VID) bool {
 
 // IntersectGalloping intersects a small set a against a much larger set b by
 // galloping lookups; used by the CPU engine when len(a) << len(b).
-//
-//flexlint:noalloc
 func IntersectGalloping(dst, a, b []VID, bound VID) []VID {
 	dst, _ = IntersectGallopingCost(dst, a, b, bound)
 	return dst
@@ -272,8 +244,6 @@ func IntersectGalloping(dst, a, b []VID, bound VID) []VID {
 
 // IntersectGallopingCost is IntersectGalloping instrumented with the number
 // of element comparisons (gallop probes) executed.
-//
-//flexlint:noalloc
 func IntersectGallopingCost(dst, a, b []VID, bound VID) ([]VID, int64) {
 	var s Seeker
 	for _, x := range a {
@@ -289,8 +259,6 @@ func IntersectGallopingCost(dst, a, b []VID, bound VID) ([]VID, int64) {
 
 // IntersectGallopingCount returns |{x ∈ a ∩ b : x < bound}| and gallop probes
 // without materializing the result.
-//
-//flexlint:noalloc
 func IntersectGallopingCount(a, b []VID, bound VID) (int64, int64) {
 	var s Seeker
 	var n int64
@@ -307,8 +275,6 @@ func IntersectGallopingCount(a, b []VID, bound VID) (int64, int64) {
 
 // DifferenceGalloping appends {x ∈ a \ b : x < bound} to dst via galloping
 // lookups into b; used when len(a) << len(b).
-//
-//flexlint:noalloc
 func DifferenceGalloping(dst, a, b []VID, bound VID) []VID {
 	dst, _ = DifferenceGallopingCost(dst, a, b, bound)
 	return dst
@@ -316,8 +282,6 @@ func DifferenceGalloping(dst, a, b []VID, bound VID) []VID {
 
 // DifferenceGallopingCost is DifferenceGalloping instrumented with gallop
 // probes.
-//
-//flexlint:noalloc
 func DifferenceGallopingCost(dst, a, b []VID, bound VID) ([]VID, int64) {
 	var s Seeker
 	for _, x := range a {
@@ -333,8 +297,6 @@ func DifferenceGallopingCost(dst, a, b []VID, bound VID) ([]VID, int64) {
 
 // DifferenceGallopingCount returns |{x ∈ a \ b : x < bound}| and gallop
 // probes without materializing the result.
-//
-//flexlint:noalloc
 func DifferenceGallopingCount(a, b []VID, bound VID) (int64, int64) {
 	var s Seeker
 	var n int64
@@ -355,8 +317,6 @@ func BitmapWords(n int) int { return (n + 63) / 64 }
 
 // BitmapHas reports whether vertex x is set in the dense bitmap bm (indexed
 // by vertex ID; out-of-range IDs read as absent).
-//
-//flexlint:noalloc
 func BitmapHas(bm []uint64, x VID) bool {
 	w := int(x >> 6)
 	return w < len(bm) && bm[w]>>(x&63)&1 != 0
@@ -366,8 +326,6 @@ func BitmapHas(bm []uint64, x VID) bool {
 // a with a set held as a dense bitmap (a precomputed hub adjacency). Each
 // element costs one word probe, the software analog of a c-map hit. The
 // second result is the probe count.
-//
-//flexlint:noalloc
 func IntersectBitmap(dst, a []VID, bm []uint64, bound VID) ([]VID, int64) {
 	var probes int64
 	for _, x := range a {
@@ -384,8 +342,6 @@ func IntersectBitmap(dst, a []VID, bm []uint64, bound VID) ([]VID, int64) {
 
 // DifferenceBitmap appends {x ∈ a : x < bound, !bm[x]} to dst (set difference
 // against a bitmap-held set) and returns the probe count.
-//
-//flexlint:noalloc
 func DifferenceBitmap(dst, a []VID, bm []uint64, bound VID) ([]VID, int64) {
 	var probes int64
 	for _, x := range a {
@@ -401,8 +357,6 @@ func DifferenceBitmap(dst, a []VID, bm []uint64, bound VID) ([]VID, int64) {
 }
 
 // IntersectBitmapCount is IntersectBitmap without materialization.
-//
-//flexlint:noalloc
 func IntersectBitmapCount(a []VID, bm []uint64, bound VID) (int64, int64) {
 	var n, probes int64
 	for _, x := range a {
@@ -418,8 +372,6 @@ func IntersectBitmapCount(a []VID, bm []uint64, bound VID) (int64, int64) {
 }
 
 // DifferenceBitmapCount is DifferenceBitmap without materialization.
-//
-//flexlint:noalloc
 func DifferenceBitmapCount(a []VID, bm []uint64, bound VID) (int64, int64) {
 	var n, probes int64
 	for _, x := range a {
@@ -437,8 +389,6 @@ func DifferenceBitmapCount(a []VID, bm []uint64, bound VID) (int64, int64) {
 // Index returns the position of x in the sorted slice a, or -1 when absent.
 // Same gallop-then-binary bracket as Contains; used to key per-vertex scratch
 // (the engine's auxiliary-graph row stamps) by adjacency position.
-//
-//flexlint:noalloc
 func Index(a []VID, x VID) int {
 	lo, hi := 0, len(a)
 	step := 1
@@ -467,15 +417,11 @@ func Index(a []VID, x VID) int {
 // materialize-into-scratch entry point: chained kernel results live in
 // ping-pong buffers that the next operation clobbers, so callers that keep a
 // row (the engine's auxiliary-graph arena) copy it out through here.
-//
-//flexlint:noalloc
 func AppendBounded(dst, src []VID, bound VID) []VID {
 	return append(dst, Bounded(src, bound)...)
 }
 
 // Bounded returns the prefix of a with elements < bound (a is sorted).
-//
-//flexlint:noalloc
 func Bounded(a []VID, bound VID) []VID {
 	if bound == NoBound {
 		return a

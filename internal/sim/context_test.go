@@ -2,7 +2,9 @@ package sim
 
 import (
 	"context"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/graph"
 	"repro/internal/pattern"
@@ -52,6 +54,45 @@ func TestSimulateContextComplete(t *testing.T) {
 		t.Errorf("context changed the run: %d/%d cycles vs %d/%d",
 			plain.Count(), plain.Stats.Cycles, ctxed.Count(), ctxed.Stats.Cycles)
 	}
+}
+
+// goroutinesReturnTo polls (≤ 2 s) for the goroutine count to fall back to a
+// baseline taken before a spawner ran.
+func goroutinesReturnTo(t *testing.T, before int) {
+	t.Helper()
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("goroutine leak: %d before, %d after", before, after)
+	}
+}
+
+// TestSimulateJoinsPEs holds the runtime half of the goroutine-leak invariant
+// for the PE coroutines (flexlint's goroleak holds the static half): a run to
+// completion and a run whose deadline fires mid-simulation both retire every
+// PE before returning.
+func TestSimulateJoinsPEs(t *testing.T) {
+	g := graph.ChungLu(2000, 24000, 2.3, 5)
+	pl, err := plan.Compile(pattern.Diamond(), plan.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	small := graph.ChungLu(400, 3000, 2.3, 5)
+	if _, err := Simulate(small, pl, DefaultConfig().WithPEs(8)); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+	defer cancel()
+	res, err := SimulateContext(ctx, g, pl, DefaultConfig().WithPEs(8))
+	if err != context.DeadlineExceeded {
+		t.Fatalf("err = %v, want the deadline to fire mid-run", err)
+	}
+	if res.Stats.Tasks >= int64(g.NumVertices()) {
+		t.Errorf("deadline run dispatched all %d tasks; want it cut short", res.Stats.Tasks)
+	}
+	goroutinesReturnTo(t, before)
 }
 
 // TestSimResultCountEmpty: Count on an empty result must not panic.
