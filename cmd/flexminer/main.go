@@ -341,7 +341,9 @@ func printCPUStats(s core.Stats) {
 	fmt.Printf("  tasks=%d extensions=%d candidates=%d setop-iters=%d frontier-reuses=%d\n",
 		s.Tasks, s.Extensions, s.Candidates, s.SetOpIterations, s.FrontierReuses)
 	// Per-kernel attribution, so auto and merge runs are comparable: merge work
-	// is setop-iters above; the rest of the set-op work shows up here.
+	// is setop-iters above; the rest of the set-op work shows up here
+	// (bitmap-probes: every dense-structure access — hub-bitmap and c-map
+	// probes, c-map mark/unmark writes).
 	fmt.Printf("  gallop-probes=%d bitmap-probes=%d leaf-count-skips=%d\n",
 		s.GallopProbes, s.BitmapProbes, s.LeafCountsSkippedMaterialize)
 	if s.AuxBuilt+s.AuxReused+s.AuxSkippedCostModel > 0 {

@@ -183,8 +183,12 @@ func (w *worker) auxBuild(st *auxState, a *auxNode, x graph.VID, pos int) []grap
 		bound = w.emb[a.spec.RowBound]
 	}
 	off := int32(len(st.arena))
-	cur, anc, diff := w.chain(setops.Bounded(w.g.Adj(x), bound), a.ops, bound)
-	st.arena = w.setOp(st.arena, cur, anc, diff, bound)
+	row, ops := setops.Bounded(w.g.Adj(x), bound), a.ops
+	if a.scan != nil && w.scanPays(ops, len(row)) {
+		ops = a.scan
+	}
+	cur, last := w.chain(row, ops, bound)
+	st.arena, _ = w.setOp(st.arena, true, cur, last, bound)
 	n := int32(len(st.arena)) - off
 	st.offs[pos], st.lens[pos] = off, n
 	st.stamps[pos] = st.epoch

@@ -187,15 +187,18 @@ func TestAuxCancellationMidMaterialization(t *testing.T) {
 }
 
 // TestAuxScratchPooledAllocs holds the engine's zero-allocation invariant: a
-// warmed worker runs whole tasks — kernel dispatch, hub-bitmap lookups, aux
-// row builds, materializations and visitor calls included — without touching
-// the heap, because every scratch buffer (levels, ping-pong, stamps, offsets,
-// arena) is pooled in per-worker state. It is the only check of that property
+// warmed worker runs whole tasks — kernel dispatch, c-map marks and scans,
+// hub-bitmap lookups, aux row builds, materializations and visitor calls
+// included — without touching the heap, because every scratch buffer (levels,
+// ping-pong, stamps, offsets, arena) is pooled in per-worker state and the map
+// is allocated once in newWorker. It is the only check of that property
 // (setops.TestKernelsZeroAlloc and cmap.TestMapZeroAlloc hold it below the
 // engine), so it runs the configuration production uses — auto kernels with
 // the hub index, aux auto and on, whole-vertex and hub-sliced tasks — next to
-// the merge-only one, and fails if the default legs never reach the gallop
-// and bitmap kernels.
+// the merge-only one, and fails if the default legs miss the kernels their
+// plans should reach: dense accesses everywhere, no merge iteration at all on
+// the clique plans (every chain of theirs is scannable, and a declined scan
+// gallops), galloping where the skew still calls for it.
 func TestAuxScratchPooledAllocs(t *testing.T) {
 	g := graph.RMAT(10, 6000, 0.57, 0.19, 0.19, 5)
 	var sink graph.VID
@@ -216,16 +219,17 @@ func TestAuxScratchPooledAllocs(t *testing.T) {
 	// of materialize and the membership adjustment of count) and no set
 	// operation at all. Diamond: no NotEqual, so the last kernel writes the
 	// level buffer directly. 4-clique: symmetry bounds on every level.
-	// Induced 4-cycle: difference kernels and a two-operation chain through
-	// the ping-pong scratch. Each runs as Mine (count-only leaves) and as
-	// List (leafVisit).
+	// Triangle: one scannable chain, one marked level. Induced 4-cycle:
+	// difference kernels and a two-operation chain (one masked scan under the
+	// default legs). Each runs as Mine (count-only leaves) and as List
+	// (leafVisit).
 	induced, err := plan.Compile(pattern.KCycle(4), plan.Options{Induced: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	path := pattern.KPath(4) // the one plan with no set operation to dispatch
 	plans := []*plan.Plan{induced}
-	for _, p := range []*pattern.Pattern{pattern.House(), path, pattern.Diamond(), pattern.KClique(4)} {
+	for _, p := range []*pattern.Pattern{pattern.House(), path, pattern.Diamond(), pattern.KClique(4), pattern.Triangle()} {
 		plans = append(plans, compileAux(t, p))
 	}
 	for _, pl := range plans {
@@ -249,9 +253,19 @@ func TestAuxScratchPooledAllocs(t *testing.T) {
 				if avg := testing.AllocsPerRun(3, batch); avg > 0 {
 					t.Errorf("%s %s listing=%v: warmed worker allocates %.1f times per task batch; scratch must be pooled", p.Name(), leg.name, listing, avg)
 				}
-				if o.Kernel == KernelAuto && p.Name() != path.Name() &&
-					(w.stats.GallopProbes == 0 || w.stats.BitmapProbes == 0) {
-					t.Errorf("%s %s listing=%v: %d gallop and %d bitmap probes; the default leg fell back to merge", p.Name(), leg.name, listing, w.stats.GallopProbes, w.stats.BitmapProbes)
+				if o.Kernel != KernelAuto || p.Name() == path.Name() {
+					continue
+				}
+				if w.cm == nil || w.stats.BitmapProbes == 0 {
+					t.Errorf("%s %s listing=%v: c-map live = %v, %d dense accesses; the default leg never reached the map", p.Name(), leg.name, listing, w.cm != nil, w.stats.BitmapProbes)
+				}
+				clique := p.Name() == pattern.KClique(4).Name() || p.Name() == pattern.Triangle().Name()
+				if clique && w.stats.SetOpIterations != 0 {
+					t.Errorf("%s %s listing=%v: %d merge iterations on a plan whose every chain is scannable", p.Name(), leg.name, listing, w.stats.SetOpIterations)
+				}
+				skewed := p.Name() == pattern.Diamond().Name() || p.Name() == pattern.House().Name()
+				if skewed && w.stats.GallopProbes == 0 {
+					t.Errorf("%s %s listing=%v: no gallop probe; the skewed operations fell back to merge", p.Name(), leg.name, listing)
 				}
 			}
 		}

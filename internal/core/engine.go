@@ -97,15 +97,18 @@ func (o Options) withDefaults() Options {
 // attribute set-operation work to the kernel that did it, so -kernel auto and
 // -kernel merge runs are comparable: SetOpIterations counts only merge-loop
 // iterations actually executed (the SIU/SDU work proxy), GallopProbes counts
-// galloping element comparisons, and BitmapProbes counts hub-bitmap word
-// probes.
+// galloping element comparisons, and BitmapProbes counts dense-structure
+// accesses: hub-bitmap word probes, c-map byte probes, c-map mark/unmark
+// writes. Counts, Candidates and Extensions are the invariants across kernel
+// policies; the kernel counters are not, nor is FrontierReuses — it falls under
+// KernelAuto wherever a c-map scan replaces a frontier+residual operation.
 type Stats struct {
 	Tasks           int64 // scheduled tasks executed (sub-tasks when slicing)
 	Extensions      int64 // vertices pushed onto ancestor stacks
 	Candidates      int64 // candidates emitted after pruning
 	SetOpIterations int64 // merge-loop iterations (SIU/SDU work proxy)
 	GallopProbes    int64 // galloping-kernel element comparisons
-	BitmapProbes    int64 // hub-bitmap word probes
+	BitmapProbes    int64 // dense-structure accesses: hub-bitmap word probes, c-map byte probes, c-map mark/unmark writes
 	FrontierReuses  int64 // candidate lists built from a memoized frontier
 
 	// LeafCountsSkippedMaterialize counts leaf evaluations that produced
@@ -382,6 +385,13 @@ type worker struct {
 
 	// visit is invoked once per full match at leafVisit nodes (see List).
 	visit Visitor
+
+	// Connectivity map (kernels.go): bit L of cm[x] is set iff x is in
+	// cmRows[L], the prefix of emb[L]'s cmDeg[L]-long adjacency that the
+	// marked level L holds inserted. nil unless the program marks a level.
+	cm     []uint8
+	cmRows [cmLevels][]graph.VID
+	cmDeg  [cmLevels]int
 }
 
 // cancelPollPeriod spaces the cancellation polls (a power of two): frequent
@@ -427,6 +437,9 @@ func newWorker(g graph.Store, p *program, o Options) *worker {
 	for i := range w.scratch {
 		w.scratch[i] = make([]graph.VID, 0, g.MaxDegree())
 	}
+	if p.marks {
+		w.cm = make([]uint8, g.NumVertices())
+	}
 	return w
 }
 
@@ -442,16 +455,7 @@ func (w *worker) runTask(t sched.Task) bool {
 	root := w.prog.root
 	w.emb[0] = t.V0
 	w.sliceLo, w.sliceHi = t.Lo, t.Hi
-	w.stats.Extensions++
-	if root.hasAux {
-		w.auxActivate(root)
-	}
-	for _, c := range root.children {
-		w.walk(c)
-	}
-	if root.hasAux {
-		w.auxRelease(root)
-	}
+	w.descend(root)
 	if w.trace.Enabled() {
 		w.emitTaskTrace(t, &before)
 	}
@@ -470,11 +474,11 @@ func (w *worker) emitTaskTrace(t sched.Task, before *Stats) {
 	w.trace.Emit(obs.CatKernel, "dispatch", w.widx, 0,
 		obs.Arg{Key: "merge_iters", Val: w.stats.SetOpIterations - before.SetOpIterations},
 		obs.Arg{Key: "gallop_probes", Val: w.stats.GallopProbes - before.GallopProbes},
+		// Dense-structure accesses: hub-bitmap and c-map probes, c-map writes.
 		obs.Arg{Key: "bitmap_probes", Val: w.stats.BitmapProbes - before.BitmapProbes})
 }
 
-// walk matches the vertex for node n and recurses. An aux activation the node
-// does not carry costs one flag test, no call.
+// walk matches the vertex for node n and recurses.
 func (w *worker) walk(n *node) {
 	if w.stopped {
 		return
@@ -504,16 +508,29 @@ func (w *worker) walk(n *node) {
 			return
 		}
 		w.emb[depth] = v
-		w.stats.Extensions++
-		if n.hasAux {
-			w.auxActivate(n)
-		}
-		for _, c := range n.children {
-			w.walk(c)
-		}
-		if n.hasAux {
-			w.auxRelease(n)
-		}
+		w.descend(n)
+	}
+}
+
+// descend explores the subtree below n's freshly fixed vertex. An aux
+// activation or a c-map mark the node does not carry costs one flag test, no
+// call; both are undone on the way back on every path, cancellation included.
+func (w *worker) descend(n *node) {
+	w.stats.Extensions++
+	if n.hasAux {
+		w.auxActivate(n)
+	}
+	if n.marked {
+		w.mark(n)
+	}
+	for _, c := range n.children {
+		w.walk(c)
+	}
+	if n.marked {
+		w.unmark(n)
+	}
+	if n.hasAux {
+		w.auxRelease(n)
 	}
 }
 
@@ -533,15 +550,14 @@ func (w *worker) bound(n *node) graph.VID {
 	return b
 }
 
-// resolve returns n's base candidate list under bound — a memoized frontier,
-// an auxiliary row, or the extender's (possibly hub-sliced) adjacency —
-// together with the chain still to apply on top of it. It is the one place an
-// operand source is chosen; materialize and count both start here.
+// resolve returns n's base candidate list under bound — an auxiliary row, a
+// memoized frontier, or the extender's (possibly hub-sliced) adjacency —
+// together with the chain still to apply on top of it: the residual, the full
+// chain, or its one masked op where a c-map scan of the extender's row pays.
+// It is the one place an operand source is chosen; materialize and count both
+// start here.
 func (w *worker) resolve(n *node, bound graph.VID) ([]graph.VID, []chainOp) {
 	switch n.src {
-	case srcFrontier:
-		w.stats.FrontierReuses++
-		return setops.Bounded(w.levels[n.srcIdx], bound), n.res
 	case srcAux:
 		// Auxiliary-graph substitution (aux.go): swap the extender's full
 		// adjacency for the materialized pruned row; the spec's folded
@@ -549,28 +565,46 @@ func (w *worker) resolve(n *node, bound graph.VID) ([]graph.VID, []chainOp) {
 		if row, ok := w.auxRow(n); ok {
 			return setops.Bounded(row, bound), n.res
 		}
+	case srcFrontier:
+		front := setops.Bounded(w.levels[n.srcIdx], bound)
+		if n.scan != nil {
+			if row := w.extenderRow(n, bound); w.scanPays(n.adj, len(row)) && w.outreads(n, front, len(row)) {
+				return row, n.scan
+			}
+		}
+		w.stats.FrontierReuses++
+		return front, n.res
 	}
+	row := w.extenderRow(n, bound)
+	if n.scan != nil && w.scanPays(n.adj, len(row)) {
+		return row, n.scan
+	}
+	return row, n.adj
+}
+
+// extenderRow is the adjacency of n's extender under bound.
+func (w *worker) extenderRow(n *node, bound graph.VID) []graph.VID {
 	adj := w.g.Adj(w.emb[n.op.Extender])
 	if n.depth == 1 && w.sliceHi >= 0 {
 		// Hub slicing: this task covers only elements [sliceLo, sliceHi)
 		// of the start vertex's adjacency (mirrors the PE's slice path).
 		adj = adj[min(w.sliceLo, len(adj)):min(w.sliceHi, len(adj))]
 	}
-	return setops.Bounded(adj, bound), n.adj
+	return setops.Bounded(adj, bound)
 }
 
 // chain runs every operation of ops but the last through the ping-pong
 // scratch (cur — graph adjacency, a frontier or an aux row — is never
 // written) and returns the running list with the pending last operation, so
-// the caller picks the kernel that finishes it: setOp straight into a level
-// buffer or the aux arena, or setOpCount. ops must not be empty.
-func (w *worker) chain(cur []graph.VID, ops []chainOp, bound graph.VID) ([]graph.VID, graph.VID, bool) {
+// the caller picks how setOp finishes it: straight into a level buffer or the
+// aux arena, or as a count. ops must not be empty.
+func (w *worker) chain(cur []graph.VID, ops []chainOp, bound graph.VID) ([]graph.VID, chainOp) {
 	last := len(ops) - 1
 	for k, o := range ops[:last] {
-		cur = w.setOp(w.scratch[k&1][:0], cur, w.emb[o.level], o.diff, bound)
+		cur, _ = w.setOp(w.scratch[k&1][:0], true, cur, o, bound)
 		w.scratch[k&1] = cur
 	}
-	return cur, w.emb[ops[last].level], ops[last].diff
+	return cur, ops[last]
 }
 
 // materialize computes n's qualified candidate list into the per-level
@@ -584,8 +618,8 @@ func (w *worker) materialize(n *node) []graph.VID {
 	if len(ops) == 0 {
 		out = append(out, base...)
 	} else {
-		cur, anc, diff := w.chain(base, ops, bound)
-		out = w.setOp(out, cur, anc, diff, bound)
+		cur, last := w.chain(base, ops, bound)
+		out, _ = w.setOp(out, true, cur, last, bound)
 	}
 	out = w.dropAncestors(out, n)
 	w.levels[n.depth] = out
@@ -609,12 +643,12 @@ func (w *worker) count(n *node) int64 {
 		}
 		return cnt
 	}
-	cur, anc, diff := w.chain(base, ops, bound)
-	cnt := w.setOpCount(cur, anc, diff, bound)
+	cur, last := w.chain(base, ops, bound)
+	_, cnt := w.setOp(nil, false, cur, last, bound)
 	// emb[j] was counted iff it survived the materialized prefix (∈ cur),
 	// the last operation, and the bound.
 	for _, j := range n.op.NotEqual {
-		if v := w.emb[j]; v < bound && setops.Contains(cur, v) && setops.Contains(w.g.Adj(anc), v) != diff {
+		if v := w.emb[j]; v < bound && setops.Contains(cur, v) && w.holds(last, v) {
 			cnt--
 		}
 	}

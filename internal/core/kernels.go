@@ -10,7 +10,9 @@ package core
 //   - galloping    — iterate the small side, gallop a stateful cursor over
 //     the large side (O(small·log gap), see setops.Seeker),
 //   - hub bitmap   — one word probe per element against a precomputed dense
-//     bitmap of a top-K-degree vertex (graph.HubIndex).
+//     bitmap of a top-K-degree vertex (graph.HubIndex),
+//   - c-map scan   — one byte probe per element of the extender's row against
+//     the worker's connectivity map, settling a whole chain at once (below).
 //
 // All kernels compute bit-identical candidate sets, so mined counts are
 // invariant under Options.Kernel (enforced by TestKernelInvariance). Kernel
@@ -20,6 +22,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/graph"
 	"repro/internal/setops"
@@ -29,9 +32,9 @@ import (
 type KernelPolicy int
 
 const (
-	// KernelAuto (the default) picks per operation by operand shape:
-	// galloping for skewed sizes, bitmap probes against indexed hubs, merge
-	// otherwise.
+	// KernelAuto (the default) picks per operation by operand shape: a c-map
+	// scan where the plan marks every level of the chain, galloping for
+	// skewed sizes, bitmap probes against indexed hubs, merge otherwise.
 	KernelAuto KernelPolicy = iota
 	// KernelMergeOnly always runs the two-pointer merge loop — the exact
 	// software model of the accelerator's SIU/SDU and the configuration of
@@ -61,9 +64,10 @@ func ParseKernelPolicy(s string) (KernelPolicy, error) {
 }
 
 // PaperBaseline returns the options of the paper's software baselines
-// (GraphZero, AutoMine): merge-only kernels, no auxiliary graphs. It is the
-// only way the paper runners of internal/bench obtain Options (enforced by the
-// kernelpin analyzer), so the accelerator speedup figures keep their meaning.
+// (GraphZero, AutoMine): merge-only kernels — so no c-map either — and no
+// auxiliary graphs. It is the only way the paper runners of internal/bench
+// obtain Options (enforced by the kernelpin analyzer), so the accelerator
+// speedup figures keep their meaning.
 func PaperBaseline(threads int) Options {
 	return Options{Threads: threads, Kernel: KernelMergeOnly, AuxGraph: AuxOff}
 }
@@ -82,6 +86,7 @@ const (
 	kGallop                // iterate cur, gallop over adj
 	kGallopSwap            // iterate adj, gallop over cur (intersection only)
 	kBitmap                // probe adj's hub bitmap per cur element
+	kScan                  // probe the c-map per element of the extender's row (masked ops)
 )
 
 // chooseKernel picks the kernel for one chained operation cur ∘ adj.
@@ -114,78 +119,144 @@ func (w *worker) hubBitmap(v graph.VID) []uint64 {
 	return w.hub.Bitmap(v)
 }
 
-// setOp appends (cur ∘ adj(anc)) bounded by bound to dst, where ∘ is
-// intersection (diff=false) or difference (diff=true), dispatching to the
-// policy-selected kernel and charging the matching Stats counter.
-func (w *worker) setOp(dst, cur []graph.VID, anc graph.VID, diff bool, bound graph.VID) []graph.VID {
-	adj := w.g.Adj(anc)
-	hubBM := w.hubBitmap(anc)
-	var cost int64
-	switch w.chooseKernel(len(cur), len(adj), hubBM, diff) {
-	case kGallop:
-		if diff {
-			dst, cost = setops.DifferenceGallopingCost(dst, cur, adj, bound)
-		} else {
-			dst, cost = setops.IntersectGallopingCost(dst, cur, adj, bound)
-		}
-		w.stats.GallopProbes += cost
-	case kGallopSwap:
-		dst, cost = setops.IntersectGallopingCost(dst, adj, cur, bound)
-		w.stats.GallopProbes += cost
-	case kBitmap:
-		if diff {
-			dst, cost = setops.DifferenceBitmap(dst, cur, hubBM, bound)
-		} else {
-			dst, cost = setops.IntersectBitmap(dst, cur, hubBM, bound)
-		}
-		w.stats.BitmapProbes += cost
-	default:
-		if diff {
-			dst, cost = setops.DifferenceCost(dst, cur, adj, bound)
-		} else {
-			dst, cost = setops.IntersectCost(dst, cur, adj, bound)
-		}
-		w.stats.SetOpIterations += cost
+// setOp finishes one chained operation under bound — cur ∘ adj(emb[o.level]),
+// ∘ being intersection or difference, or cur filtered by o's c-map mask — with
+// the policy-selected kernel, charging the matching Stats counter. With keep
+// the result is appended to dst; without, it is only counted (worker.count).
+func (w *worker) setOp(dst []graph.VID, keep bool, cur []graph.VID, o chainOp, bound graph.VID) ([]graph.VID, int64) {
+	kind := kScan
+	var adj []graph.VID
+	var hubBM []uint64
+	if !o.masked() {
+		anc := w.emb[o.level]
+		adj, hubBM = w.g.Adj(anc), w.hubBitmap(anc)
+		kind = w.chooseKernel(len(cur), len(adj), hubBM, o.diff)
 	}
-	return dst
-}
-
-// setOpCount is setOp without materialization: it returns |cur ∘ adj(anc)|
-// under bound. Used by the count-only leaf path (worker.count) for the final
-// chained operation.
-func (w *worker) setOpCount(cur []graph.VID, anc graph.VID, diff bool, bound graph.VID) int64 {
-	adj := w.g.Adj(anc)
-	hubBM := w.hubBitmap(anc)
 	var n, cost int64
-	switch w.chooseKernel(len(cur), len(adj), hubBM, diff) {
-	case kGallop:
-		if diff {
-			n, cost = setops.DifferenceGallopingCount(cur, adj, bound)
+	switch kind {
+	case kScan: // cur is the extender's bounded row (resolve, auxBuild)
+		if keep {
+			dst = setops.MaskScan(dst, cur, w.cm, o.need, o.avoid)
 		} else {
+			n = setops.MaskCount(cur, w.cm, o.need, o.avoid)
+		}
+		w.stats.BitmapProbes += int64(len(cur))
+	case kGallop:
+		switch {
+		case keep && o.diff:
+			dst, cost = setops.DifferenceGallopingCost(dst, cur, adj, bound)
+		case keep:
+			dst, cost = setops.IntersectGallopingCost(dst, cur, adj, bound)
+		case o.diff:
+			n, cost = setops.DifferenceGallopingCount(cur, adj, bound)
+		default:
 			n, cost = setops.IntersectGallopingCount(cur, adj, bound)
 		}
 		w.stats.GallopProbes += cost
 	case kGallopSwap:
-		n, cost = setops.IntersectGallopingCount(adj, cur, bound)
+		if keep {
+			dst, cost = setops.IntersectGallopingCost(dst, adj, cur, bound)
+		} else {
+			n, cost = setops.IntersectGallopingCount(adj, cur, bound)
+		}
 		w.stats.GallopProbes += cost
 	case kBitmap:
-		if diff {
+		switch {
+		case keep && o.diff:
+			dst, cost = setops.DifferenceBitmap(dst, cur, hubBM, bound)
+		case keep:
+			dst, cost = setops.IntersectBitmap(dst, cur, hubBM, bound)
+		case o.diff:
 			n, cost = setops.DifferenceBitmapCount(cur, hubBM, bound)
-		} else {
+		default:
 			n, cost = setops.IntersectBitmapCount(cur, hubBM, bound)
 		}
 		w.stats.BitmapProbes += cost
 	default:
-		n, cost = mergeCount(cur, adj, diff, bound)
+		switch {
+		case !keep:
+			n, cost = mergeCount(cur, adj, o.diff, bound)
+		case o.diff:
+			dst, cost = setops.DifferenceCost(dst, cur, adj, bound)
+		default:
+			dst, cost = setops.IntersectCost(dst, cur, adj, bound)
+		}
 		w.stats.SetOpIterations += cost
 	}
-	return n
+	return dst, n
 }
 
-// mergeCount is the merge leg of setOpCount, the engine's hottest loop on
-// clique plans. It stays out of line so the loop's code alignment — worth
-// ±15% on 4-CL counting, measured — is fixed by this function alone and does
-// not move whenever the dispatch above it changes.
+// holds reports whether v passes operation o on its own — the membership test
+// behind count's distinctness adjustment.
+func (w *worker) holds(o chainOp, v graph.VID) bool {
+	if o.masked() {
+		return w.cm[v]&(o.need|o.avoid) == o.need
+	}
+	return setops.Contains(w.g.Adj(w.emb[o.level]), v) != o.diff
+}
+
+// The connectivity map (DESIGN.md decision 19): which levels are marked and
+// which chains may scan is static (prog.go, markLevels), scanPays and outreads
+// are the per-operation half. Probes and mark/unmark writes are all charged to
+// Stats.BitmapProbes.
+
+// mark inserts the adjacency of n's freshly fixed vertex into the c-map,
+// below the bound every chain that reads it stays under.
+func (w *worker) mark(n *node) {
+	bound := setops.NoBound
+	for ls := n.markBelow; ls != 0; ls &= ls - 1 {
+		bound = min(bound, w.emb[bits.TrailingZeros32(ls)])
+	}
+	adj := w.g.Adj(w.emb[n.depth])
+	row := setops.Bounded(adj, bound)
+	bit := uint8(1) << n.depth
+	for _, x := range row {
+		w.cm[x] |= bit
+	}
+	w.cmRows[n.depth], w.cmDeg[n.depth] = row, len(adj)
+	w.stats.BitmapProbes += int64(len(row))
+}
+
+// unmark clears exactly what mark set, so the map is all-zero between tasks.
+func (w *worker) unmark(n *node) {
+	row := w.cmRows[n.depth]
+	bit := uint8(1) << n.depth
+	for _, x := range row {
+		w.cm[x] &^= bit
+	}
+	w.cmRows[n.depth] = nil
+	w.stats.BitmapProbes += int64(len(row))
+}
+
+// scanPays decides, from sizes alone, whether scanning a bounded extender row
+// of rowLen elements beats running ops (all marked, so cmDeg has the lengths)
+// as a chain: not when an adjacency it intersects is gallopRatio× shorter,
+// where the chain's swapped gallop iterates that instead.
+func (w *worker) scanPays(ops []chainOp, rowLen int) bool {
+	for _, o := range ops {
+		if !o.diff && w.cmDeg[o.level]*gallopRatio <= rowLen {
+			return false
+		}
+	}
+	return true
+}
+
+// outreads is scanPays' second half for a frontier consumer, whose chain path
+// reads the frontier and its first residual operand (the extender's own row or
+// a marked level's) instead of the whole row: the scan has to be the shorter
+// read, and the frontier not so short that galloping it wins.
+func (w *worker) outreads(n *node, front []graph.VID, rowLen int) bool {
+	if len(front)*gallopRatio <= rowLen {
+		return false
+	}
+	l := n.res[0].level
+	return l == n.op.Extender || rowLen <= len(front)+w.cmDeg[l]
+}
+
+// mergeCount is the counting merge leg of setOp, the engine's hottest loop
+// under KernelMergeOnly. It stays out of line so the loop's code alignment —
+// worth ±15% on 4-CL counting, measured — is fixed by this function alone and
+// does not move whenever the dispatch above it changes.
 //
 //go:noinline
 func mergeCount(cur, adj []graph.VID, diff bool, bound graph.VID) (n, iters int64) {

@@ -41,11 +41,16 @@ const (
 )
 
 // chainOp is one chained set operation: cur ∘ adj(emb[level]), ∘ being
-// difference when diff is set and intersection otherwise.
+// difference when diff is set and intersection otherwise — or, when a mask is
+// set, a whole chain at once: cur filtered by cm[x]&(need|avoid) == need
+// against the worker's connectivity map (kernels.go), level and diff unused.
 type chainOp struct {
-	level int
-	diff  bool
+	level       int
+	diff        bool
+	need, avoid uint8
 }
+
+func (o chainOp) masked() bool { return o.need|o.avoid != 0 }
 
 // node is the lowered form of one plan.Node.
 type node struct {
@@ -61,8 +66,14 @@ type node struct {
 	srcIdx int
 	res    []chainOp // residual chain on top of a frontier or aux row
 	adj    []chainOp // Connected/Disconnected on top of plain adjacency
+	scan   []chainOp // adj as one masked op over the c-map; nil when some level of it is unmarked
 
 	hasAux bool // the aux layer is on and the op activates specs
+
+	// marked: while this level's vertex is fixed, the c-map holds its
+	// adjacency below the least emb[b] over the levels b of markBelow.
+	marked    bool
+	markBelow uint32
 }
 
 // auxNode is the lowered form of one plan.AuxSpec: its fold chain and the
@@ -74,14 +85,16 @@ type auxNode struct {
 
 	spec *plan.AuxSpec
 	ops  []chainOp
+	scan []chainOp // ops as one masked op, like node.scan
 	gate bool
 }
 
 // program is a lowered plan.
 type program struct {
-	pl   *plan.Plan
-	root *node
-	aux  []auxNode // nil when the mode or the plan make the aux layer inert
+	pl    *plan.Plan
+	root  *node
+	aux   []auxNode // nil when the mode or the plan make the aux layer inert
+	marks bool      // some node is marked: workers carry a c-map
 }
 
 // lower builds the exec program of pl under o for graph g; listing selects
@@ -103,6 +116,9 @@ func lower(g graph.Store, pl *plan.Plan, o Options, listing bool) *program {
 		}
 	}
 	p.root = p.lowerNode(pl.Root, 0, o, listing)
+	if o.Kernel == KernelAuto {
+		p.markLevels()
+	}
 	return p
 }
 
@@ -139,6 +155,81 @@ func (p *program) lowerNode(pn *plan.Node, depth int, o Options, listing bool) *
 		n.mode = leafCount
 	}
 	return n
+}
+
+// cmLevels: the c-map's byte (the paper's 8-bit value field) has a bit for this many levels.
+const cmLevels = 8
+
+// markLevels makes the static c-map decisions (DESIGN.md decision 19). A chain
+// is read where it is evaluated: a node's adj chain at the node, an aux spec's
+// fold chain at each consumer. Level L is wanted when a chain read at depth
+// ≥ L+2 checks connectivity to it — only then is one insertion probed from
+// more than one extension. A chain whose levels are all wanted gets its masked
+// form and marks the levels it reads. A marked level inserts only the prefix
+// every such chain can probe: below emb[b] for each b ≤ L in the transitive
+// closure of the chain's bounds along the root path (the candidate stays below
+// emb[b], itself matched below path[b]'s bounds), intersected over the chains.
+func (p *program) markLevels() {
+	var path []*node
+	// visit calls read, with path holding n's ancestors, for every chain
+	// evaluated at n: the levels it checks, the levels bounding its
+	// candidates, and where its masked form goes.
+	var visit func(n *node, read func(ops []chainOp, bounds []int, scan *[]chainOp))
+	visit = func(n *node, read func([]chainOp, []int, *[]chainOp)) {
+		// A frontier consumer with no residual evaluates no chain at all.
+		if len(n.adj) > 0 && (n.src != srcFrontier || len(n.res) > 0) {
+			read(n.adj, n.op.UpperBounds, &n.scan)
+		}
+		if n.src == srcAux {
+			a := &p.aux[n.srcIdx]
+			var bounds []int
+			if a.spec.RowBound != plan.NoLevel {
+				bounds = []int{a.spec.RowBound}
+			}
+			read(a.ops, bounds, &a.scan)
+		}
+		path = append(path, n)
+		for _, c := range n.children {
+			visit(c, read)
+		}
+		path = path[:len(path)-1]
+	}
+	want := map[*node]bool{}
+	visit(p.root, func(ops []chainOp, _ []int, _ *[]chainOp) {
+		for _, o := range ops {
+			if o.level+2 <= len(path) && o.level < cmLevels {
+				want[path[o.level]] = true
+			}
+		}
+	})
+	visit(p.root, func(ops []chainOp, bounds []int, scan *[]chainOp) {
+		var m chainOp
+		for _, o := range ops {
+			if !want[path[o.level]] {
+				return
+			}
+			if o.diff {
+				m.avoid |= 1 << o.level
+			} else {
+				m.need |= 1 << o.level
+			}
+		}
+		var below uint32
+		for todo := append([]int(nil), bounds...); len(todo) > 0; todo = todo[1:] {
+			if b := todo[0]; below>>b&1 == 0 {
+				below |= 1 << b
+				todo = append(todo, path[b].op.UpperBounds...)
+			}
+		}
+		for _, o := range ops {
+			l := path[o.level]
+			if !l.marked {
+				l.marked, l.markBelow = true, 1<<(l.depth+1)-1
+			}
+			l.markBelow &= below
+		}
+		*scan, p.marks = []chainOp{m}, true
+	})
 }
 
 func flatten(intersect, difference []int) []chainOp {

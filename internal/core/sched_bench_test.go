@@ -112,9 +112,12 @@ func BenchmarkSchedulerSteal(b *testing.B) {
 }
 
 // taskCosts measures each task's true work (extensions + merge iterations +
-// candidates) by running it on a sequential worker.
+// candidates) by running it on a sequential merge-only worker: the merge model
+// is the one work measure no kernel choice moves, so the schedulers are
+// compared on the tasks' sizes and not on what KernelAuto does to them (its
+// c-map re-inserts adj(v0) per hub slice — DESIGN.md decision 19 has the cost).
 func taskCosts(g *graph.Graph, pl *plan.Plan, tasks []sched.Task) []int64 {
-	o := Options{Threads: 1}.withDefaults()
+	o := Options{Threads: 1, Kernel: KernelMergeOnly}.withDefaults()
 	w := newWorker(g, lower(g, pl, o, false), o)
 	costs := make([]int64, len(tasks))
 	var prev int64

@@ -1,7 +1,7 @@
 package setops
 
 // Fuzz targets cross-check every kernel family against the merge reference:
-// the adaptive layer (galloping, bitmap, count-only) must agree with the
+// the adaptive layer (galloping, bitmap, c-map scan, count-only) must agree with the
 // two-pointer merge on every input, for every bound, or the engine's kernel
 // auto-selection silently changes embedding counts. CI runs each target for a
 // few seconds as a smoke test; longer local runs use
@@ -149,6 +149,38 @@ func FuzzDifferenceKernels(f *testing.F) {
 			if got := Difference(nil, a, b); !equalSets(got, want) {
 				t.Errorf("Difference(%v, %v) = %v, want %v", a, b, got, want)
 			}
+		}
+	})
+}
+
+// FuzzMaskKernels checks the c-map scan kernels: the payload becomes a row and
+// four ancestor sets with fuzzer-chosen roles (needed, avoided, inserted but
+// unasked), and scanning the row against their connectivity map must equal
+// the chained merge Intersect/Difference over the same sets.
+func FuzzMaskKernels(f *testing.F) {
+	f.Add([]byte{0b01_10_01_00, 3, 1, 2, 3, 2, 3, 4, 7, 1, 3, 9, 2, 3})
+	f.Add([]byte{0b10_10_10_10, 0, 5, 5, 5})
+	f.Add([]byte{0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		sel, data := data[0], data[1:]
+		parts, roles := make([][]VID, 5), make([]int, 4)
+		for k := range parts {
+			lo, hi := k*len(data)/5, (k+1)*len(data)/5
+			parts[k], _, _ = decodeSets(append([]byte{255}, data[lo:hi]...))
+		}
+		for k := range roles {
+			roles[k] = int(sel >> (2 * k) & 3)
+		}
+		a, sets := parts[0], parts[1:]
+		cm, need, avoid, want := maskCase(a, sets, roles)
+		if got := MaskScan(nil, a, cm, need, avoid); !equalSets(got, want) {
+			t.Errorf("MaskScan(%v, sets %v, roles %v) = %v, want %v", a, sets, roles, got, want)
+		}
+		if got := MaskCount(a, cm, need, avoid); got != int64(len(want)) {
+			t.Errorf("MaskCount(%v, sets %v, roles %v) = %d, want %d", a, sets, roles, got, len(want))
 		}
 	})
 }

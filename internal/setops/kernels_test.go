@@ -126,6 +126,56 @@ func TestBitmapKernelsMatchMerge(t *testing.T) {
 	}
 }
 
+// maskCase builds the connectivity map of up to eight ancestor sets — set k
+// owns bit k; role 1 makes it needed, 2 avoided, anything else inserted but
+// not asked about — and the merge-built reference of scanning a against it:
+// a ∩ every needed set ∖ every avoided one.
+func maskCase(a []VID, sets [][]VID, roles []int) (cm []uint8, need, avoid uint8, want []VID) {
+	size := VID(0)
+	for _, set := range append([][]VID{a}, sets...) {
+		if len(set) > 0 && set[len(set)-1] >= size {
+			size = set[len(set)-1] + 1
+		}
+	}
+	cm = make([]uint8, size)
+	want = append([]VID{}, a...)
+	for k, set := range sets {
+		for _, x := range set {
+			cm[x] |= 1 << k
+		}
+		switch roles[k] {
+		case 1:
+			need |= 1 << k
+			want = Intersect(nil, want, set)
+		case 2:
+			avoid |= 1 << k
+			want = Difference(nil, want, set)
+		}
+	}
+	return cm, need, avoid, want
+}
+
+func TestMaskKernelsMatchMerge(t *testing.T) {
+	f := func(a sortedSet, sets [8]sortedSet, rawRoles [8]uint8) bool {
+		anc, roles := make([][]VID, 8), make([]int, 8)
+		for k := range anc {
+			anc[k], roles[k] = sets[k], int(rawRoles[k]%3)
+		}
+		cm, need, avoid, want := maskCase(a, anc, roles)
+		return equalSets(MaskScan(nil, a, cm, need, avoid), want) &&
+			MaskCount(a, cm, need, avoid) == int64(len(want))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+	// No mask at all keeps everything; the bits of unasked levels never matter.
+	a := []VID{0, 2, 5}
+	cm := []uint8{0xff, 0, 0, 0, 0, 0x10}
+	if got := MaskScan(nil, a, cm, 0, 0); !equalSets(got, a) || MaskCount(a, cm, 0, 0) != 3 {
+		t.Errorf("empty mask kept %v of %v", got, a)
+	}
+}
+
 func TestBitmapHasOutOfRange(t *testing.T) {
 	bm := toBitmap([]VID{1, 63, 64})
 	if !BitmapHas(bm, 64) || BitmapHas(bm, 65) || BitmapHas(bm, 1<<20) {

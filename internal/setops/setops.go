@@ -7,8 +7,10 @@
 //
 // Alongside the merge kernels, the package provides the input-aware software
 // kernels CPU frameworks use — galloping (exponential search) intersection/
-// difference for skewed operand sizes, and probe kernels against dense
-// bitmaps (precomputed hub adjacency) — all computing bit-identical results.
+// difference for skewed operand sizes, probe kernels against dense bitmaps
+// (precomputed hub adjacency), and mask scans against a direct-indexed
+// connectivity map (the c-map as a software kernel) — all computing
+// bit-identical results.
 // The simulator never uses these: accelerator cycle accounting is defined on
 // the merge model only (see DESIGN.md "Software kernels vs SIU/SDU").
 //
@@ -16,7 +18,11 @@
 // the graph package.
 package setops
 
-import "repro/internal/graph"
+import (
+	"slices"
+
+	"repro/internal/graph"
+)
 
 // VID aliases the graph vertex ID type.
 type VID = graph.VID
@@ -384,6 +390,41 @@ func DifferenceBitmapCount(a []VID, bm []uint64, bound VID) (int64, int64) {
 		}
 	}
 	return n, probes
+}
+
+// MaskScan appends {x ∈ a : cm[x]&(need|avoid) == need} to dst. cm is a
+// direct-indexed connectivity map — the paper's c-map (§VI) in its vector
+// form, one byte per vertex, bit L set iff the vertex is adjacent to the
+// level-L ancestor — so one byte probe per element settles a whole chain of
+// intersections (need) and differences (avoid) at once. The caller applies
+// the ID bound (Bounded); every element of a must index cm.
+//
+// The loop stores every element and advances the write position only past the
+// ones that pass, so there is no data-dependent branch to mispredict; dst is
+// grown by len(a) up front when its capacity falls short.
+func MaskScan(dst, a []VID, cm []uint8, need, avoid uint8) []VID {
+	mask := need | avoid
+	n := len(dst)
+	dst = slices.Grow(dst, len(a))[:n+len(a)]
+	for _, x := range a {
+		dst[n] = x
+		if cm[x]&mask == need {
+			n++
+		}
+	}
+	return dst[:n]
+}
+
+// MaskCount is MaskScan without materialization.
+func MaskCount(a []VID, cm []uint8, need, avoid uint8) int64 {
+	mask := need | avoid
+	var n int64
+	for _, x := range a {
+		if cm[x]&mask == need {
+			n++
+		}
+	}
+	return n
 }
 
 // Index returns the position of x in the sorted slice a, or -1 when absent.

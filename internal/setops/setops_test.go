@@ -272,6 +272,10 @@ func TestKernelsZeroAlloc(t *testing.T) {
 	for _, v := range b {
 		bm[int(v)>>6] |= 1 << (uint(v) & 63)
 	}
+	cm := make([]uint8, 2048)
+	for _, v := range b {
+		cm[v] |= 1 << 3
+	}
 	dst := make([]VID, 0, 512)
 	var s Seeker
 	var n, c int64
@@ -296,6 +300,8 @@ func TestKernelsZeroAlloc(t *testing.T) {
 		n, c = DifferenceGallopingCount(a, b, NoBound)
 		n, c = IntersectBitmapCount(a, bm, NoBound)
 		n, c = DifferenceBitmapCount(a, bm, NoBound)
+		dst = MaskScan(dst[:0], a, cm, 1<<3, 1<<5)
+		n += MaskCount(a, cm, 0, 1<<3)
 		s.Reset()
 		hit = s.Seek(b, a[len(a)/2]) || Contains(a, 300) || BitmapHas(bm, 300)
 		n += int64(Index(a, 300))
