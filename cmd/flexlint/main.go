@@ -13,7 +13,6 @@
 // invariants held by a type, by `go vet` or by a runtime test instead):
 //
 //	detlint       — determinism of the cycle model (sim, cmap, plan, graph)
-//	statsum       — Stats Add/Merge methods aggregate every numeric field
 //	kernelpin     — paper runners take core.Options from core.PaperBaseline only
 //	boundarg      — no constant bound where a variable bound is in scope
 //	adjwrite      — no writes into Adj results (read-only views; mmap faults)

@@ -41,15 +41,15 @@ func lintAt(t *testing.T, args ...string) (code int, stdout, stderr string) {
 // testdata package and asserts the non-zero exit plus the expected
 // diagnostic — the satellite acceptance check for the CLI itself.
 func TestRunFlagsSeededViolations(t *testing.T) {
-	code, out, errOut := lintAt(t, "./internal/lint/testdata/src/statsum")
+	code, out, errOut := lintAt(t, "./internal/lint/testdata/src/boundarg")
 	if code != 1 {
 		t.Fatalf("exit code = %d, want 1\nstdout:\n%s\nstderr:\n%s", code, out, errOut)
 	}
-	if !strings.Contains(out, "statsum:") {
-		t.Errorf("stdout missing statsum diagnostic:\n%s", out)
+	if !strings.Contains(out, "boundarg:") {
+		t.Errorf("stdout missing boundarg diagnostic:\n%s", out)
 	}
-	if !strings.Contains(out, "does not aggregate field(s)") {
-		t.Errorf("stdout missing aggregation message:\n%s", out)
+	if !strings.Contains(out, "passes a constant bound to IntersectCount") {
+		t.Errorf("stdout missing constant-bound message:\n%s", out)
 	}
 	if !strings.Contains(errOut, "invariant violation") {
 		t.Errorf("stderr missing summary line:\n%s", errOut)

@@ -133,6 +133,18 @@ func engineFlags(fs *flag.FlagSet) func() (core.Options, error) {
 }
 
 func run(o options) error {
+	// Flag mistakes fail here, before any input is touched: loading can mean
+	// generating and orienting a dataset (serve.go resolves up front too).
+	runCPU := o.engine == "cpu" || o.engine == "both"
+	runSim := o.engine == "sim" || o.engine == "both"
+	switch {
+	case !runCPU && !runSim:
+		return fmt.Errorf("unknown engine %q (want cpu, sim, or both)", o.engine)
+	case o.app != "" && o.patName != "":
+		return fmt.Errorf("-app and -pattern are mutually exclusive")
+	case o.timeseriesPath != "" && !runSim:
+		return fmt.Errorf("-timeseries samples on sim cycles; it requires -engine sim or both")
+	}
 	if o.pprofAddr != "" {
 		go func() {
 			if err := http.ListenAndServe(o.pprofAddr, nil); err != nil {
@@ -152,9 +164,6 @@ func run(o options) error {
 	}
 	var sampler *obs.Sampler
 	if o.timeseriesPath != "" {
-		if o.engine != "sim" && o.engine != "both" {
-			return fmt.Errorf("-timeseries samples on sim cycles; it requires -engine sim or both")
-		}
 		sampler = obs.NewSampler(int64(o.sampleWindow))
 	}
 	defer func() {
@@ -191,11 +200,6 @@ func run(o options) error {
 		defer cancel()
 	}
 
-	runCPU := o.engine == "cpu" || o.engine == "both"
-	runSim := o.engine == "sim" || o.engine == "both"
-	if !runCPU && !runSim {
-		return fmt.Errorf("unknown engine %q (want cpu, sim, or both)", o.engine)
-	}
 	if runCPU {
 		copts := o.cpu
 		copts.Trace = tracer
@@ -342,8 +346,8 @@ func printCPUStats(s core.Stats) {
 		s.Tasks, s.Extensions, s.Candidates, s.SetOpIterations, s.FrontierReuses)
 	// Per-kernel attribution, so auto and merge runs are comparable: merge work
 	// is setop-iters above; the rest of the set-op work shows up here
-	// (bitmap-probes: every dense-structure access — hub-bitmap and c-map
-	// probes, c-map mark/unmark writes).
+	// (bitmap-probes: every c-map access — byte probes and mark/unmark
+	// writes).
 	fmt.Printf("  gallop-probes=%d bitmap-probes=%d leaf-count-skips=%d\n",
 		s.GallopProbes, s.BitmapProbes, s.LeafCountsSkippedMaterialize)
 	if s.AuxBuilt+s.AuxReused+s.AuxSkippedCostModel > 0 {

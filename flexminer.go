@@ -74,7 +74,7 @@ type (
 
 // Kernel policies for MineOptions.Kernel. KernelAuto (the zero value) picks
 // per set operation: merge for balanced operands, galloping for skewed ones,
-// bitmap probes against hub adjacency; KernelMergeOnly is the paper's
+// a c-map scan where the plan proves reuse; KernelMergeOnly is the paper's
 // merge-based baseline.
 const (
 	KernelAuto      = core.KernelAuto

@@ -83,10 +83,10 @@ func TestFacadeMotifs(t *testing.T) {
 // invariance contract (the engine-side half lives in internal/core's kernel
 // tests): the accelerator's SIU/SDU cycle accounting stays on the paper's
 // merge model no matter which CPU kernel policy is in use — including when
-// the simulator runs on the very Graph value on which the CPU engine has
-// already lazily built its hub-bitmap index.
+// the simulator runs on the very Graph value the CPU engine has just mined
+// with its c-map (per-worker state; a Graph holds none).
 func TestSimCyclesKernelProof(t *testing.T) {
-	g := graph.ChungLu(600, 5400, 2.2, 0x21) // power-law: hubs exist, bitmaps engage
+	g := graph.ChungLu(600, 5400, 2.2, 0x21) // power-law: gallop and c-map scan engage
 	pl, err := Compile(Patterns.KClique(4), CompileOptions{})
 	if err != nil {
 		t.Fatal(err)

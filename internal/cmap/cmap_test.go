@@ -2,6 +2,7 @@ package cmap
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -316,5 +317,28 @@ func TestMapZeroAlloc(t *testing.T) {
 			t.Errorf("%s: lookups saw bits %b, leftover %b; want levels 1 and 2, then empty", tc.name, bits, m.Lookup(9))
 		}
 		_ = cost
+	}
+}
+
+// TestStatsAddAggregatesEveryField is the stats-completeness check
+// (core.Stats.add has the same test): a counter added to Stats without
+// extending Add would drop out of every multi-PE total. Reflection fills each
+// field with a distinct value, so a field added tomorrow is swept in.
+func TestStatsAddAggregatesEveryField(t *testing.T) {
+	var delta, sum Stats
+	dv := reflect.ValueOf(&delta).Elem()
+	for i := 0; i < dv.NumField(); i++ {
+		if dv.Field(i).Kind() != reflect.Int64 {
+			t.Fatalf("Stats.%s is %s; teach this test how Add merges it", dv.Type().Field(i).Name, dv.Field(i).Kind())
+		}
+		dv.Field(i).SetInt(int64(i + 1))
+	}
+	sum.Add(delta)
+	sum.Add(delta)
+	sv := reflect.ValueOf(sum)
+	for i := 0; i < sv.NumField(); i++ {
+		if got, want := sv.Field(i).Int(), 2*dv.Field(i).Int(); got != want {
+			t.Errorf("Stats.Add dropped or mis-merged %s: got %d, want %d", sv.Type().Field(i).Name, got, want)
+		}
 	}
 }

@@ -4,8 +4,6 @@ package core
 // compiler and engine. Each returns the exact count(s) plus run stats.
 
 import (
-	"fmt"
-
 	"repro/internal/graph"
 	"repro/internal/pattern"
 	"repro/internal/plan"
@@ -74,53 +72,4 @@ func MotifCounts(g graph.Store, k int, o Options) ([]int64, []*pattern.Pattern, 
 		return nil, nil, err
 	}
 	return res.Counts, pl.Patterns, nil
-}
-
-// App identifies one of the paper's benchmark applications in CLIs and the
-// experiment harness.
-type App struct {
-	Name    string
-	Run     func(g *graph.Graph, o Options) ([]int64, error)
-	Induced bool
-}
-
-// StandardApps returns the benchmark set used across the evaluation:
-// TC, 4-CL, 5-CL, SL-4cycle, SL-diamond, 3-MC (Fig 13).
-func StandardApps() []App {
-	return []App{
-		{Name: "TC", Run: func(g *graph.Graph, o Options) ([]int64, error) {
-			c, err := TriangleCount(g, o)
-			return []int64{c}, err
-		}},
-		{Name: "4-CL", Run: func(g *graph.Graph, o Options) ([]int64, error) {
-			c, err := CliqueCount(g, 4, o)
-			return []int64{c}, err
-		}},
-		{Name: "5-CL", Run: func(g *graph.Graph, o Options) ([]int64, error) {
-			c, err := CliqueCount(g, 5, o)
-			return []int64{c}, err
-		}},
-		{Name: "SL-4cycle", Run: func(g *graph.Graph, o Options) ([]int64, error) {
-			c, err := SubgraphListing(g, pattern.FourCycle(), o)
-			return []int64{c}, err
-		}},
-		{Name: "SL-diamond", Run: func(g *graph.Graph, o Options) ([]int64, error) {
-			c, err := SubgraphListing(g, pattern.Diamond(), o)
-			return []int64{c}, err
-		}},
-		{Name: "3-MC", Induced: true, Run: func(g *graph.Graph, o Options) ([]int64, error) {
-			cs, _, err := MotifCounts(g, 3, o)
-			return cs, err
-		}},
-	}
-}
-
-// AppByName resolves an App from its display name.
-func AppByName(name string) (App, error) {
-	for _, a := range StandardApps() {
-		if a.Name == name {
-			return a, nil
-		}
-	}
-	return App{}, fmt.Errorf("core: unknown app %q", name)
 }

@@ -10,28 +10,6 @@ import (
 	"repro/internal/plan"
 )
 
-func TestStandardAppsRun(t *testing.T) {
-	g := graph.ChungLu(120, 700, 2.4, 99)
-	for _, app := range StandardApps() {
-		counts, err := app.Run(g, Options{Threads: 4})
-		if err != nil {
-			t.Fatalf("%s: %v", app.Name, err)
-		}
-		if len(counts) == 0 {
-			t.Errorf("%s: no counts", app.Name)
-		}
-	}
-}
-
-func TestAppByName(t *testing.T) {
-	if _, err := AppByName("TC"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := AppByName("nope"); err == nil {
-		t.Error("unknown app accepted")
-	}
-}
-
 func TestAppsOnKnownGraphs(t *testing.T) {
 	// Petersen graph: girth 5 — no triangles, no 4-cycles; 12 5-cycles.
 	petersen := graph.MustFromEdges(10, []graph.Edge{

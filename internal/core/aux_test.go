@@ -187,18 +187,18 @@ func TestAuxCancellationMidMaterialization(t *testing.T) {
 }
 
 // TestAuxScratchPooledAllocs holds the engine's zero-allocation invariant: a
-// warmed worker runs whole tasks — kernel dispatch, c-map marks and scans,
-// hub-bitmap lookups, aux row builds, materializations and visitor calls
-// included — without touching the heap, because every scratch buffer (levels,
-// ping-pong, stamps, offsets, arena) is pooled in per-worker state and the map
-// is allocated once in newWorker. It is the only check of that property
+// warmed worker runs whole tasks — kernel dispatch, c-map marks and scans, aux
+// row builds, materializations and visitor calls included — without touching
+// the heap, because every scratch buffer (levels, ping-pong, stamps, offsets,
+// arena) is pooled in per-worker state and the map is allocated once in
+// newWorker. It is the only check of that property
 // (setops.TestKernelsZeroAlloc and cmap.TestMapZeroAlloc hold it below the
-// engine), so it runs the configuration production uses — auto kernels with
-// the hub index, aux auto and on, whole-vertex and hub-sliced tasks — next to
-// the merge-only one, and fails if the default legs miss the kernels their
-// plans should reach: dense accesses everywhere, no merge iteration at all on
-// the clique plans (every chain of theirs is scannable, and a declined scan
-// gallops), galloping where the skew still calls for it.
+// engine), so it runs the configuration production uses — auto kernels, aux
+// auto and on, whole-vertex and hub-sliced tasks — next to the merge-only one,
+// and fails if the default legs miss the kernels their plans should reach:
+// c-map accesses everywhere, no merge iteration at all on the clique plans
+// (every chain of theirs is scannable, and a declined scan gallops), galloping
+// where the skew still calls for it.
 func TestAuxScratchPooledAllocs(t *testing.T) {
 	g := graph.RMAT(10, 6000, 0.57, 0.19, 0.19, 5)
 	var sink graph.VID
@@ -208,7 +208,7 @@ func TestAuxScratchPooledAllocs(t *testing.T) {
 		o     Options
 		slice int
 	}{
-		{"merge/aux-on", Options{Threads: 1, Kernel: KernelMergeOnly, HubBitmaps: -1, AuxGraph: AuxOn}, 0},
+		{"merge/aux-on", Options{Threads: 1, Kernel: KernelMergeOnly, AuxGraph: AuxOn}, 0},
 		{"default/aux-auto", Options{Threads: 1, AuxGraph: AuxAuto}, 0},
 		{"default/aux-auto/sliced", Options{Threads: 1, AuxGraph: AuxAuto}, 32},
 		{"default/aux-on", Options{Threads: 1, AuxGraph: AuxOn}, 0},
@@ -285,7 +285,7 @@ func TestAuxMineConstantHeap(t *testing.T) {
 		t.Fatal(err)
 	}
 	pl := compileAux(t, pattern.House())
-	want, err := Mine(g, pl, Options{Threads: 2, HubBitmaps: -1, Kernel: KernelMergeOnly, AuxGraph: AuxOn})
+	want, err := Mine(g, pl, Options{Threads: 2, Kernel: KernelMergeOnly, AuxGraph: AuxOn})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +298,7 @@ func TestAuxMineConstantHeap(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	res, err := Mine(m, pl, Options{Threads: 2, HubBitmaps: -1, Kernel: KernelMergeOnly, AuxGraph: AuxOn})
+	res, err := Mine(m, pl, Options{Threads: 2, Kernel: KernelMergeOnly, AuxGraph: AuxOn})
 	if err != nil {
 		t.Fatal(err)
 	}

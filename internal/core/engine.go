@@ -43,15 +43,16 @@ type Options struct {
 	SliceElems int
 
 	// Kernel selects the set-operation kernels (default KernelAuto:
-	// input-aware galloping/bitmap/merge selection). Counts are invariant
+	// input-aware c-map scan/galloping/merge selection). Counts are invariant
 	// under this policy; only CPU wall-clock and the per-kernel Stats
 	// counters change. The simulator ignores it — SIU/SDU cycle accounting
 	// is always merge-model (see kernels.go).
 	Kernel KernelPolicy
 
-	// HubBitmaps caps how many top-degree vertices get precomputed dense
-	// adjacency bitmaps (KernelAuto only). 0 picks graph.DefaultHubBitmaps;
-	// negative disables the index.
+	// HubBitmaps is read by nothing. Retired — delete with benchmark round
+	// two (ROADMAP 5d): the hub-bitmap index it sized is gone (DESIGN
+	// decision 8) and only benchmark/mining.go's baseline literal still
+	// sets it.
 	HubBitmaps int
 
 	// AuxGraph enables plan-directed auxiliary graphs (default AuxOff, see
@@ -97,18 +98,18 @@ func (o Options) withDefaults() Options {
 // attribute set-operation work to the kernel that did it, so -kernel auto and
 // -kernel merge runs are comparable: SetOpIterations counts only merge-loop
 // iterations actually executed (the SIU/SDU work proxy), GallopProbes counts
-// galloping element comparisons, and BitmapProbes counts dense-structure
-// accesses: hub-bitmap word probes, c-map byte probes, c-map mark/unmark
-// writes. Counts, Candidates and Extensions are the invariants across kernel
-// policies; the kernel counters are not, nor is FrontierReuses — it falls under
-// KernelAuto wherever a c-map scan replaces a frontier+residual operation.
+// galloping element comparisons, and BitmapProbes counts c-map accesses: byte
+// probes and mark/unmark writes. Counts, Candidates and Extensions are the
+// invariants across kernel policies; the kernel counters are not, nor is
+// FrontierReuses — it falls under KernelAuto wherever a c-map scan replaces a
+// frontier+residual operation.
 type Stats struct {
 	Tasks           int64 // scheduled tasks executed (sub-tasks when slicing)
 	Extensions      int64 // vertices pushed onto ancestor stacks
 	Candidates      int64 // candidates emitted after pruning
 	SetOpIterations int64 // merge-loop iterations (SIU/SDU work proxy)
 	GallopProbes    int64 // galloping-kernel element comparisons
-	BitmapProbes    int64 // dense-structure accesses: hub-bitmap word probes, c-map byte probes, c-map mark/unmark writes
+	BitmapProbes    int64 // c-map accesses: byte probes, mark/unmark writes
 	FrontierReuses  int64 // candidate lists built from a memoized frontier
 
 	// LeafCountsSkippedMaterialize counts leaf evaluations that produced
@@ -175,10 +176,8 @@ type Engine struct {
 	tasks     []sched.Task
 }
 
-// NewEngine validates the plan/graph pairing and returns an engine. Under a
-// bitmap-capable kernel policy this also builds (or reuses) the graph's
-// hub-adjacency bitmap index, so the one-time build cost is paid at engine
-// construction, not inside the mining hot path.
+// NewEngine validates the plan/graph pairing and lowers the plan into the
+// engine's exec program. Construction is O(plan): it never scans the graph.
 func NewEngine(g graph.Store, pl *plan.Plan, o Options) (*Engine, error) {
 	return newEngine(g, pl, o, nil)
 }
@@ -194,24 +193,7 @@ func newEngine(g graph.Store, pl *plan.Plan, o Options, visit Visitor) (*Engine,
 		return nil, fmt.Errorf("core: plan %q requires a symmetric graph, got a DAG", pl.Patterns[0].Name())
 	}
 	o = o.withDefaults()
-	hubIndexFor(g, o)
 	return &Engine{g: g, o: o, prog: lower(g, pl, o, visit != nil), visit: visit}, nil
-}
-
-// hubIndexFor resolves the hub-bitmap index the options call for: nil when
-// the policy never probes bitmaps or the index is disabled, or when the
-// store cannot host one; the store's shared (lazily built) index otherwise.
-// All built-in backends implement graph.HubIndexer with one shared build
-// routine, so engine statistics stay invariant across storage backends.
-func hubIndexFor(g graph.Store, o Options) *graph.HubIndex {
-	if o.HubBitmaps < 0 || o.Kernel != KernelAuto {
-		return nil
-	}
-	hi, ok := g.(graph.HubIndexer)
-	if !ok {
-		return nil
-	}
-	return hi.EnsureHubIndex(o.HubBitmaps)
 }
 
 // sliceElems resolves the slicing policy against the engine's input graph.
@@ -354,10 +336,9 @@ type worker struct {
 	prog *program
 	o    Options
 
-	emb     []graph.VID     // ancestor stack
-	levels  [][]graph.VID   // per-level candidate buffers / frontiers
-	scratch [2][]graph.VID  // ping-pong buffers for chained set operations
-	hub     *graph.HubIndex // shared hub-adjacency bitmaps (nil if unused)
+	emb     []graph.VID    // ancestor stack
+	levels  [][]graph.VID  // per-level candidate buffers / frontiers
+	scratch [2][]graph.VID // ping-pong buffers for chained set operations
 
 	// Auxiliary-graph runtime (aux.go): one pooled state per plan.AuxSpec
 	// (nil when the mode or plan disable the layer) and the live-row byte
@@ -424,7 +405,6 @@ func newWorker(g graph.Store, p *program, o Options) *worker {
 		o:      o,
 		emb:    make([]graph.VID, k),
 		levels: make([][]graph.VID, k),
-		hub:    hubIndexFor(g, o),
 		aux:    newAuxStates(g, p),
 		counts: make([]int64, len(p.pl.Patterns)),
 		trace:  o.Trace,
@@ -474,7 +454,7 @@ func (w *worker) emitTaskTrace(t sched.Task, before *Stats) {
 	w.trace.Emit(obs.CatKernel, "dispatch", w.widx, 0,
 		obs.Arg{Key: "merge_iters", Val: w.stats.SetOpIterations - before.SetOpIterations},
 		obs.Arg{Key: "gallop_probes", Val: w.stats.GallopProbes - before.GallopProbes},
-		// Dense-structure accesses: hub-bitmap and c-map probes, c-map writes.
+		// C-map accesses: byte probes and mark/unmark writes.
 		obs.Arg{Key: "bitmap_probes", Val: w.stats.BitmapProbes - before.BitmapProbes})
 }
 

@@ -9,8 +9,6 @@ package core
 //   - merge        — the classic two-pointer loop (SIU/SDU model),
 //   - galloping    — iterate the small side, gallop a stateful cursor over
 //     the large side (O(small·log gap), see setops.Seeker),
-//   - hub bitmap   — one word probe per element against a precomputed dense
-//     bitmap of a top-K-degree vertex (graph.HubIndex),
 //   - c-map scan   — one byte probe per element of the extender's row against
 //     the worker's connectivity map, settling a whole chain at once (below).
 //
@@ -34,7 +32,7 @@ type KernelPolicy int
 const (
 	// KernelAuto (the default) picks per operation by operand shape: a c-map
 	// scan where the plan marks every level of the chain, galloping for
-	// skewed sizes, bitmap probes against indexed hubs, merge otherwise.
+	// skewed sizes, merge otherwise.
 	KernelAuto KernelPolicy = iota
 	// KernelMergeOnly always runs the two-pointer merge loop — the exact
 	// software model of the accelerator's SIU/SDU and the configuration of
@@ -85,38 +83,22 @@ const (
 	kMerge      kernelKind = iota
 	kGallop                // iterate cur, gallop over adj
 	kGallopSwap            // iterate adj, gallop over cur (intersection only)
-	kBitmap                // probe adj's hub bitmap per cur element
 	kScan                  // probe the c-map per element of the extender's row (masked ops)
 )
 
-// chooseKernel picks the kernel for one chained operation cur ∘ adj.
-// hubBM is adj's dense bitmap (nil when the ancestor is not an indexed hub).
-func (w *worker) chooseKernel(curLen, adjLen int, hubBM []uint64, diff bool) kernelKind {
-	if w.o.Kernel == KernelMergeOnly {
+// chooseKernel picks the kernel for one chained operation cur ∘ adj from the
+// operand sizes. A swapped gallop (iterate the adjacency, probe the candidate
+// list) only exists for intersection — difference is not symmetric.
+func (w *worker) chooseKernel(curLen, adjLen int, diff bool) kernelKind {
+	switch {
+	case w.o.Kernel == KernelMergeOnly:
 		return kMerge
-	}
-	// KernelAuto. A swapped gallop (iterate the adjacency, probe the
-	// candidate list) only exists for intersection — difference is not
-	// symmetric — and beats even a bitmap probe when adj is tiny.
-	if !diff && adjLen*gallopRatio <= curLen {
+	case !diff && adjLen*gallopRatio <= curLen:
 		return kGallopSwap
-	}
-	if hubBM != nil {
-		return kBitmap
-	}
-	if curLen*gallopRatio <= adjLen {
+	case curLen*gallopRatio <= adjLen:
 		return kGallop
 	}
 	return kMerge
-}
-
-// hubBitmap resolves the hub bitmap of an ancestor vertex under the active
-// policy (nil when bitmaps are disabled or v is not an indexed hub).
-func (w *worker) hubBitmap(v graph.VID) []uint64 {
-	if w.hub == nil {
-		return nil
-	}
-	return w.hub.Bitmap(v)
 }
 
 // setOp finishes one chained operation under bound — cur ∘ adj(emb[o.level]),
@@ -126,11 +108,9 @@ func (w *worker) hubBitmap(v graph.VID) []uint64 {
 func (w *worker) setOp(dst []graph.VID, keep bool, cur []graph.VID, o chainOp, bound graph.VID) ([]graph.VID, int64) {
 	kind := kScan
 	var adj []graph.VID
-	var hubBM []uint64
 	if !o.masked() {
-		anc := w.emb[o.level]
-		adj, hubBM = w.g.Adj(anc), w.hubBitmap(anc)
-		kind = w.chooseKernel(len(cur), len(adj), hubBM, o.diff)
+		adj = w.g.Adj(w.emb[o.level])
+		kind = w.chooseKernel(len(cur), len(adj), o.diff)
 	}
 	var n, cost int64
 	switch kind {
@@ -160,18 +140,6 @@ func (w *worker) setOp(dst []graph.VID, keep bool, cur []graph.VID, o chainOp, b
 			n, cost = setops.IntersectGallopingCount(adj, cur, bound)
 		}
 		w.stats.GallopProbes += cost
-	case kBitmap:
-		switch {
-		case keep && o.diff:
-			dst, cost = setops.DifferenceBitmap(dst, cur, hubBM, bound)
-		case keep:
-			dst, cost = setops.IntersectBitmap(dst, cur, hubBM, bound)
-		case o.diff:
-			n, cost = setops.DifferenceBitmapCount(cur, hubBM, bound)
-		default:
-			n, cost = setops.IntersectBitmapCount(cur, hubBM, bound)
-		}
-		w.stats.BitmapProbes += cost
 	default:
 		switch {
 		case !keep:

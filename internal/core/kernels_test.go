@@ -110,13 +110,48 @@ func TestKernelInvarianceInduced(t *testing.T) {
 	}
 }
 
+// TestChooseKernel pins the size rule every non-masked chained operation is
+// dispatched by: swapped gallop iff intersection and adj·16 ≤ cur, gallop iff
+// cur·16 ≤ adj, merge otherwise — and always merge under KernelMergeOnly.
+func TestChooseKernel(t *testing.T) {
+	auto := &worker{o: Options{Kernel: KernelAuto}}
+	merge := &worker{o: Options{Kernel: KernelMergeOnly}}
+	for _, c := range []struct {
+		cur, adj int
+		diff     bool
+		want     kernelKind
+	}{
+		{100, 100, false, kMerge},
+		{100, 100, true, kMerge},
+		{160, 10, false, kGallopSwap},
+		{159, 10, false, kMerge},
+		{160, 10, true, kMerge}, // difference is not symmetric: no swap
+		{10, 160, false, kGallop},
+		{10, 160, true, kGallop},
+		{10, 159, false, kMerge},
+		{10, 159, true, kMerge},
+		{0, 0, false, kGallopSwap}, // both rules hold on empty operands; swap is tested first
+		{0, 0, true, kGallop},
+		{0, 5, false, kGallop},
+		{5, 0, false, kGallopSwap},
+		{5, 0, true, kMerge},
+	} {
+		if got := auto.chooseKernel(c.cur, c.adj, c.diff); got != c.want {
+			t.Errorf("auto: chooseKernel(%d, %d, diff=%v) = %d, want %d", c.cur, c.adj, c.diff, got, c.want)
+		}
+		if got := merge.chooseKernel(c.cur, c.adj, c.diff); got != kMerge {
+			t.Errorf("merge-only: chooseKernel(%d, %d, diff=%v) = %d, want merge", c.cur, c.adj, c.diff, got)
+		}
+	}
+}
+
 // TestKernelStatsAttribution: the counters must attribute work to the kernel
 // that did it — merge-only runs report no probes, and on a hubby power-law
 // graph the auto policy must actually have used the fast kernels: every chain
 // of a clique plan is scannable and a declined scan gallops, so auto runs no
 // merge iteration at all.
 func TestKernelStatsAttribution(t *testing.T) {
-	g := graph.ChungLu(1200, 14400, 2.2, 0x55) // dmax well above hubMinDegree
+	g := graph.ChungLu(1200, 14400, 2.2, 0x55) // power-law: skewed operand sizes occur
 	pl, err := plan.Compile(pattern.KClique(4), plan.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -140,7 +175,7 @@ func TestKernelStatsAttribution(t *testing.T) {
 		t.Error("auto policy never galloped on a skewed power-law workload")
 	}
 	if auto.Stats.BitmapProbes == 0 {
-		t.Error("auto policy never touched a dense structure (c-map, hub bitmap)")
+		t.Error("auto policy never touched the c-map")
 	}
 	if auto.Stats.SetOpIterations != 0 {
 		t.Errorf("auto ran %d merge iterations on a clique plan (merge-only: %d)",

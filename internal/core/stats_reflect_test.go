@@ -1,10 +1,10 @@
 package core
 
-// Runtime complement to the statsum lint: statsum proves Stats.add mentions
-// every field syntactically; this test proves the mentions actually
-// accumulate. It fills a Stats with distinct nonzero values via reflection —
-// so a field added tomorrow is swept in automatically — and checks that two
-// adds double every field, nested structs included.
+// The stats-completeness check (cmap.Stats.Add has the same test): a counter
+// added to Stats without extending add would silently drop out of every
+// multi-worker total. It fills a Stats with distinct nonzero values via
+// reflection — so a field added tomorrow is swept in automatically — and
+// checks that two adds double every field, nested structs included.
 
 import (
 	"reflect"

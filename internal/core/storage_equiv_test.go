@@ -197,7 +197,7 @@ func TestMappedMineConstantHeap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Mine(m, pl, Options{Threads: 2, HubBitmaps: -1, Kernel: KernelMergeOnly})
+	res, err := Mine(m, pl, Options{Threads: 2, Kernel: KernelMergeOnly})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TriangleCountStoreFixture(g *graph.Graph) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	res, err := Mine(g, pl, Options{Threads: 2, HubBitmaps: -1, Kernel: KernelMergeOnly})
+	res, err := Mine(g, pl, Options{Threads: 2, Kernel: KernelMergeOnly})
 	if err != nil {
 		return 0, err
 	}

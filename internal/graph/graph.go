@@ -34,10 +34,6 @@ type Graph struct {
 	DAG bool
 
 	maxDegree int
-
-	// hubCache is the lazily built hub-adjacency bitmap index (see hub.go);
-	// it lives on the graph so it follows it through dataset/DAG caches.
-	hubCache
 }
 
 // IsDAG reports whether the graph was produced by Orient.

@@ -23,8 +23,8 @@ import (
 // any access through the store faults as well — close only after mining
 // completes. A finalizer unmaps on GC as a safety net for dropped stores.
 type Mapped struct {
-	// Graph provides every Store method (plus the hub-bitmap cache) over the
-	// mapped views; it is never handed out by value.
+	// Graph provides every Store method over the mapped views; it is never
+	// handed out by value.
 	Graph
 	path string
 	data []byte
@@ -33,10 +33,7 @@ type Mapped struct {
 	closeErr  error
 }
 
-var (
-	_ Store      = (*Mapped)(nil)
-	_ HubIndexer = (*Mapped)(nil)
-)
+var _ Store = (*Mapped)(nil)
 
 // OpenMapped maps the binary CSR v2 file at path as a read-only graph store.
 // The whole file is validated structurally (header sanity, Row monotonicity,

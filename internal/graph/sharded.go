@@ -147,14 +147,9 @@ type Sharded struct {
 	cuts   []VID   // len shards+1; shard s owns [cuts[s], cuts[s+1])
 	base   []int64 // global arc offset of each shard's first arc
 	shards []*Mapped
-
-	hubCache
 }
 
-var (
-	_ Store      = (*Sharded)(nil)
-	_ HubIndexer = (*Sharded)(nil)
-)
+var _ Store = (*Sharded)(nil)
 
 // IsShardedDir reports whether path is a directory holding a shard manifest;
 // loaders use it to route -graph arguments.
@@ -327,11 +322,6 @@ func (s *Sharded) AdjStart(v VID) int64 {
 // IsDAG reports whether the sharded graph was degree-oriented before
 // splitting.
 func (s *Sharded) IsDAG() bool { return s.man.IsDAG }
-
-// EnsureHubIndex builds (once) and returns the hub-bitmap index over the
-// whole sharded graph; identical to the other backends' index so engine
-// statistics stay backend-invariant.
-func (s *Sharded) EnsureHubIndex(topK int) *HubIndex { return s.ensureHub(s, topK) }
 
 // Close unmaps every shard. Idempotent.
 func (s *Sharded) Close() error {

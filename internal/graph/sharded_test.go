@@ -82,25 +82,6 @@ func TestShardCutsBalanced(t *testing.T) {
 	}
 }
 
-func TestShardedHubIndexMatchesHeap(t *testing.T) {
-	g := RMAT(10, 8000, 0.57, 0.19, 0.19, 9)
-	dir := writeTempShards(t, g, 4)
-	s, err := OpenSharded(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	hg, hs := g.EnsureHubIndex(0), s.EnsureHubIndex(0)
-	if hg.Hubs() != hs.Hubs() {
-		t.Fatalf("hub counts differ: %d vs %d", hg.Hubs(), hs.Hubs())
-	}
-	for v := 0; v < g.NumVertices(); v++ {
-		if !reflect.DeepEqual(hg.Bitmap(VID(v)), hs.Bitmap(VID(v))) {
-			t.Fatalf("hub bitmap for %d differs across backends", v)
-		}
-	}
-}
-
 func TestWriteShardedRejectsBadCounts(t *testing.T) {
 	g := MustFromEdges(4, []Edge{{0, 1}, {1, 2}})
 	dir := t.TempDir()

@@ -44,15 +44,16 @@ type Store interface {
 	IsDAG() bool
 }
 
-// HubIndexer is implemented by stores that can lazily build and share a
-// hub-adjacency bitmap index (see hub.go). All built-in stores implement it;
-// the engine falls back to bitmap-free kernels when a store does not.
-type HubIndexer interface {
-	EnsureHubIndex(topK int) *HubIndex
-}
+// Compile-time check that the heap backend satisfies the seam.
+var _ Store = (*Graph)(nil)
 
-// Compile-time checks that every built-in backend satisfies the seam.
-var (
-	_ Store      = (*Graph)(nil)
-	_ HubIndexer = (*Graph)(nil)
+// Retired — delete with benchmark round two (ROADMAP 5d). The hub-bitmap
+// index is gone (DESIGN decision 8) and no store implements HubIndexer;
+// benchmark/mining.go still type-asserts for it, the assertion is false, and
+// graph.hubindex_s is never observed. Nothing else may name either type.
+type (
+	HubIndex   struct{}
+	HubIndexer interface {
+		EnsureHubIndex(topK int) *HubIndex
+	}
 )

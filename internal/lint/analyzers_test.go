@@ -13,14 +13,6 @@ func TestDetlint(t *testing.T) {
 	runWantTest(t, a, "detlint")
 }
 
-func TestStatsum(t *testing.T) {
-	runWantTest(t, Statsum, "statsum")
-}
-
-func TestStatsumCompleteMergeIsClean(t *testing.T) {
-	runWantTest(t, Statsum, "statsumok") // no want comments: asserts zero diagnostics
-}
-
 func TestKernelpin(t *testing.T) {
 	prog := testProgram(t)
 	runWantTest(t, NewKernelpin(fixturePath(prog, "kernelpin")), "kernelpin")

@@ -13,7 +13,7 @@ import (
 // diagnostics documentation lists them.
 func DefaultAnalyzers() []*Analyzer {
 	return []*Analyzer{
-		Detlint, Statsum, Kernelpin, Boundarg, Adjwrite,
+		Detlint, Kernelpin, Boundarg, Adjwrite,
 		Lockorder, AtomicHygiene, Goroleak,
 	}
 }

@@ -1,9 +1,9 @@
 package lint
 
 // lockorder is the deadlock analyzer: it builds a lock-acquisition order graph
-// over the packages on the mining path (today's mutexes: graph's hub-index
-// cache and sched's work-stealing deques) and reports every edge that lies on
-// a cycle — two call paths acquiring the same mutexes in opposite orders can
+// over the packages on the mining path (the one mutex in scope today is
+// sched.deque.mu, the work-stealing deques') and reports every edge that lies
+// on a cycle — two call paths acquiring the same mutexes in opposite orders can
 // deadlock under contention, which no per-function check or runtime tool
 // short of a lucky -race interleaving can see.
 //
@@ -55,8 +55,8 @@ type LockorderConfig struct {
 }
 
 // Lockorder is the production instance: the packages on the mining path.
-// Only graph and sched declare a mutex today; serve and core are in scope so
-// one added there is covered from its first commit. (jobs and obs hold locks
+// Only sched declares a mutex today (sched.deque.mu); graph, serve and core
+// are in scope so one added there is covered from its first commit. (jobs and obs hold locks
 // with non-deferred Unlocks; converting them is a ROADMAP item.)
 var Lockorder = NewLockorder(LockorderConfig{Scope: []string{
 	"repro/internal/graph",

@@ -5,8 +5,9 @@ package obs_test
 // to core.Stats, sim.Stats, cmap.Stats, or bench.Table2Row fails this test
 // until the expectation here — and the golden metrics artifacts — are
 // updated, so no field can land without an explicit registration decision.
-// (The statsum lint guarantees Add/Merge coverage; this guarantees export
-// coverage.)
+// (The reflection tests core.TestStatsAddAggregatesEveryField and
+// cmap.TestStatsAddAggregatesEveryField guarantee Add coverage; this
+// guarantees export coverage.)
 
 import (
 	"context"

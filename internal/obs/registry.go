@@ -180,10 +180,9 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 // prefix.snake_case_field, and nested struct fields recurse with the field
 // name appended to the prefix. Float fields are skipped deliberately — they
 // hold wall-clock-derived measurements (sim.Stats.Seconds, Utilization) that
-// would break artifact determinism. The field enumeration mirrors the
-// statsum lint's aggregatable() rule, and TestRegisteredMetricEnumeration
-// pins the resulting name sets so a new Stats field cannot land without a
-// registration decision.
+// would break artifact determinism. TestRegisteredMetricEnumeration pins the
+// resulting name sets so a new Stats field cannot land without a registration
+// decision.
 func AddStats(r *Registry, prefix string, stats any) {
 	walkStats(prefix, stats, func(name string, v int64) { r.Add(name, v) })
 }

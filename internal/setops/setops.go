@@ -7,10 +7,9 @@
 //
 // Alongside the merge kernels, the package provides the input-aware software
 // kernels CPU frameworks use — galloping (exponential search) intersection/
-// difference for skewed operand sizes, probe kernels against dense bitmaps
-// (precomputed hub adjacency), and mask scans against a direct-indexed
-// connectivity map (the c-map as a software kernel) — all computing
-// bit-identical results.
+// difference for skewed operand sizes, and mask scans against a
+// direct-indexed connectivity map (the c-map as a software kernel) — all
+// computing bit-identical results.
 // The simulator never uses these: accelerator cycle accounting is defined on
 // the merge model only (see DESIGN.md "Software kernels vs SIU/SDU").
 //
@@ -319,19 +318,20 @@ func DifferenceGallopingCount(a, b []VID, bound VID) (int64, int64) {
 
 // BitmapWords returns the number of uint64 words a dense vertex bitmap needs
 // to cover IDs < n.
+//
+// Retired — delete with benchmark round two (ROADMAP 5d): only
+// benchmark/micro.go sizes a bitmap with it, for IntersectBitmap below.
 func BitmapWords(n int) int { return (n + 63) / 64 }
 
-// BitmapHas reports whether vertex x is set in the dense bitmap bm (indexed
-// by vertex ID; out-of-range IDs read as absent).
-func BitmapHas(bm []uint64, x VID) bool {
-	w := int(x >> 6)
-	return w < len(bm) && bm[w]>>(x&63)&1 != 0
-}
-
-// IntersectBitmap appends {x ∈ a : x < bound, bm[x]} to dst: intersection of
-// a with a set held as a dense bitmap (a precomputed hub adjacency). Each
-// element costs one word probe, the software analog of a c-map hit. The
+// IntersectBitmap appends {x ∈ a : x < bound, bm[x]} to dst, where bm is a
+// dense bitmap indexed by vertex ID (out-of-range IDs read as absent). The
 // second result is the probe count.
+//
+// Retired — delete with benchmark round two (ROADMAP 5d): the hub-bitmap
+// kernels went with the index they probed (DESIGN decision 8) and the engine
+// never calls this one; benchmark/micro.go still times it for
+// setops.bitmap_ns_per_elem, so it stays, held to the merge reference by this
+// package's unit, fuzz and zero-alloc tests.
 func IntersectBitmap(dst, a []VID, bm []uint64, bound VID) ([]VID, int64) {
 	var probes int64
 	for _, x := range a {
@@ -339,57 +339,11 @@ func IntersectBitmap(dst, a []VID, bm []uint64, bound VID) ([]VID, int64) {
 			break
 		}
 		probes++
-		if BitmapHas(bm, x) {
+		if w := int(x >> 6); w < len(bm) && bm[w]>>(x&63)&1 != 0 {
 			dst = append(dst, x)
 		}
 	}
 	return dst, probes
-}
-
-// DifferenceBitmap appends {x ∈ a : x < bound, !bm[x]} to dst (set difference
-// against a bitmap-held set) and returns the probe count.
-func DifferenceBitmap(dst, a []VID, bm []uint64, bound VID) ([]VID, int64) {
-	var probes int64
-	for _, x := range a {
-		if x >= bound {
-			break
-		}
-		probes++
-		if !BitmapHas(bm, x) {
-			dst = append(dst, x)
-		}
-	}
-	return dst, probes
-}
-
-// IntersectBitmapCount is IntersectBitmap without materialization.
-func IntersectBitmapCount(a []VID, bm []uint64, bound VID) (int64, int64) {
-	var n, probes int64
-	for _, x := range a {
-		if x >= bound {
-			break
-		}
-		probes++
-		if BitmapHas(bm, x) {
-			n++
-		}
-	}
-	return n, probes
-}
-
-// DifferenceBitmapCount is DifferenceBitmap without materialization.
-func DifferenceBitmapCount(a []VID, bm []uint64, bound VID) (int64, int64) {
-	var n, probes int64
-	for _, x := range a {
-		if x >= bound {
-			break
-		}
-		probes++
-		if !BitmapHas(bm, x) {
-			n++
-		}
-	}
-	return n, probes
 }
 
 // MaskScan appends {x ∈ a : cm[x]&(need|avoid) == need} to dst. cm is a
@@ -452,14 +406,6 @@ func Index(a []VID, x VID) int {
 		return lo
 	}
 	return -1
-}
-
-// AppendBounded appends the prefix of src with elements < bound to dst — the
-// materialize-into-scratch entry point: chained kernel results live in
-// ping-pong buffers that the next operation clobbers, so callers that keep a
-// row (the engine's auxiliary-graph arena) copy it out through here.
-func AppendBounded(dst, src []VID, bound VID) []VID {
-	return append(dst, Bounded(src, bound)...)
 }
 
 // Bounded returns the prefix of a with elements < bound (a is sorted).

@@ -179,27 +179,6 @@ func TestIndexAgreesWithContains(t *testing.T) {
 	}
 }
 
-func TestAppendBounded(t *testing.T) {
-	a := []VID{1, 4, 9, 16, 25}
-	got := AppendBounded([]VID{7}, a, 10)
-	want := []VID{7, 1, 4, 9}
-	if !equalSets(got, want) {
-		t.Errorf("AppendBounded = %v, want %v", got, want)
-	}
-	if got := AppendBounded(nil, a, NoBound); !equalSets(got, a) {
-		t.Errorf("AppendBounded(NoBound) = %v, want %v", got, a)
-	}
-	if got := AppendBounded(nil, nil, NoBound); len(got) != 0 {
-		t.Errorf("AppendBounded(nil src) = %v", got)
-	}
-	// The copy must not alias src: mutating the result leaves src intact.
-	got = AppendBounded(make([]VID, 0, 8), a, NoBound)
-	got[0] = 99
-	if a[0] != 1 {
-		t.Error("AppendBounded aliased its source")
-	}
-}
-
 // TestCostAccounting: iteration counts must be positive when work happens and
 // bounded by the merge-loop maximum len(a)+len(b).
 func TestCostAccounting(t *testing.T) {
@@ -268,10 +247,7 @@ func TestKernelsZeroAlloc(t *testing.T) {
 		a = append(a, VID(2*i))
 		b = append(b, VID(3*i))
 	}
-	bm := make([]uint64, BitmapWords(2048))
-	for _, v := range b {
-		bm[int(v)>>6] |= 1 << (uint(v) & 63)
-	}
+	bm := toBitmap(b)
 	cm := make([]uint8, 2048)
 	for _, v := range b {
 		cm[v] |= 1 << 3
@@ -292,20 +268,16 @@ func TestKernelsZeroAlloc(t *testing.T) {
 		dst = DifferenceGalloping(dst[:0], a, b, NoBound)
 		dst, c = DifferenceGallopingCost(dst[:0], a, b, NoBound)
 		dst, c = IntersectBitmap(dst[:0], a, bm, NoBound)
-		dst, c = DifferenceBitmap(dst[:0], a, bm, NoBound)
 		n = IntersectCount(a, b, NoBound) + DifferenceCount(a, b, NoBound)
 		n, c = IntersectCountCost(a, b, NoBound)
 		n, c = DifferenceCountCost(a, b, NoBound)
 		n, c = IntersectGallopingCount(a, b, NoBound)
 		n, c = DifferenceGallopingCount(a, b, NoBound)
-		n, c = IntersectBitmapCount(a, bm, NoBound)
-		n, c = DifferenceBitmapCount(a, bm, NoBound)
 		dst = MaskScan(dst[:0], a, cm, 1<<3, 1<<5)
 		n += MaskCount(a, cm, 0, 1<<3)
 		s.Reset()
-		hit = s.Seek(b, a[len(a)/2]) || Contains(a, 300) || BitmapHas(bm, 300)
-		n += int64(Index(a, 300))
-		dst = AppendBounded(dst[:0], Bounded(a, 900), 600)
+		hit = s.Seek(b, a[len(a)/2]) || Contains(a, 300)
+		n += int64(Index(a, 300) + len(Bounded(a, 900)))
 	}); avg > 0 {
 		t.Fatalf("set kernels allocate %.1f times per round; want 0", avg)
 	}

@@ -35,9 +35,7 @@ type Breakdown struct {
 	Idle int64
 }
 
-// Add accumulates o into b, field by field (every bucket — the statsum
-// discipline, even though Breakdown is aggregated here rather than through
-// a Stats.Add).
+// Add accumulates o into b, field by field (every bucket).
 func (b *Breakdown) Add(o Breakdown) {
 	b.Compute += o.Compute
 	b.CMapProbe += o.CMapProbe
