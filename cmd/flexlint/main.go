@@ -16,8 +16,6 @@
 //	kernelpin     — paper runners take core.Options from core.PaperBaseline only
 //	boundarg      — no constant bound where a variable bound is in scope
 //	adjwrite      — no writes into Adj results (read-only views; mmap faults)
-//	lockorder     — the lock-acquisition graph of graph/sched/serve/core is
-//	                acyclic, and every Unlock there is deferred
 //	atomichygiene — no function-style sync/atomic call: typed atomics only,
 //	                so a mixed atomic/plain access cannot be written
 //	goroleak      — a go statement spawns a literal or a statically resolved

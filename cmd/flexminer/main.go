@@ -12,22 +12,23 @@
 //	flexminer -app TC -dataset Mi -engine sim -timeseries out.ts.json -sample-window 4096
 //	flexminer -app 3-MC -graph big.bin -mmap
 //	flexminer -pattern triangle -graph shards/
-//	flexminer serve -addr localhost:8080 -app TC -dataset Mi
+//	flexminer serve -addr localhost:8080 -dataset Mi
 //
 // Either -graph (a file, or a sharded store directory written by gengraph
 // -shards) or -dataset (a built-in Table I stand-in) selects the input; with
 // -mmap a binary CSR file is memory-mapped zero-copy instead of loaded onto
-// the heap (see README "Large graphs"); either -app (TC, k-CL, SL-4cycle, SL-diamond, 3-MC, 4-MC) or
-// -pattern (catalog name, edge-induced SL) selects the workload. -timeout
+// the heap (see README "Large graphs"); either -app (plan.AppForms: TC, k-CL,
+// 3-MC, 4-MC, SL-<pattern> such as SL-4cycle or SL-diamond) or -pattern
+// (catalog name, edge-induced SL) selects the workload. -timeout
 // bounds the run: on expiry the partial counts and stats are printed and the
 // command exits nonzero. -kernel selects the CPU engine's set-kernel policy
 // (auto, or merge for the paper's merge-based baseline); -aux selects the
 // auxiliary-graph pruning layer (off/auto/on, README "Auxiliary-graph
 // pruning"). Neither affects -engine sim.
 //
-// The serve subcommand keeps the process alive as an HTTP service exposing
-// /metrics (Prometheus text), /healthz, /debug/progress and /debug/pprof
-// while running the workload; see README "Serve mode".
+// The serve subcommand is the asynchronous job service: POST /jobs, poll
+// GET /jobs/{id}, with /metrics (Prometheus text), /healthz, /debug/jobs and
+// /debug/pprof alongside; see README "Serve mode".
 package main
 
 import (
@@ -82,7 +83,7 @@ func main() {
 	flag.StringVar(&o.graphPath, "graph", "", "input graph file (edge list, or .bin CSR)")
 	flag.StringVar(&o.dataset, "dataset", "", "built-in dataset stand-in (As, Mi, Pa, Yo, Lj, Or)")
 	flag.BoolVar(&o.useMmap, "mmap", false, "memory-map the -graph .bin file zero-copy instead of loading it onto the heap")
-	flag.StringVar(&o.app, "app", "", "application: TC, 4-CL, 5-CL, SL-4cycle, SL-diamond, 3-MC, 4-MC")
+	flag.StringVar(&o.app, "app", "", "application: "+plan.AppForms)
 	flag.StringVar(&o.patName, "pattern", "", "pattern name for edge-induced subgraph listing")
 	flag.BoolVar(&o.induced, "induced", false, "vertex-induced matching for -pattern")
 	flag.StringVar(&o.engine, "engine", "cpu", "cpu, sim, or both")
@@ -109,9 +110,9 @@ func main() {
 }
 
 // engineFlags declares the CPU-engine knobs (-threads -kernel -aux -slice) on
-// fs — the one-shot and the serve flag set share this one declaration — and
-// returns the resolver to call once fs is parsed. The help text lists the
-// values the parsers accept, spelled by their own String methods.
+// fs and returns the resolver to call once fs is parsed. The help text lists
+// the values the parsers accept, spelled by their own String methods. (A job
+// submitted to `flexminer serve` carries the same knobs in its "options".)
 func engineFlags(fs *flag.FlagSet) func() (core.Options, error) {
 	threads := fs.Int("threads", runtime.GOMAXPROCS(0), "CPU engine threads")
 	kernel := fs.String("kernel", core.KernelAuto.String(),
@@ -133,15 +134,14 @@ func engineFlags(fs *flag.FlagSet) func() (core.Options, error) {
 }
 
 func run(o options) error {
-	// Flag mistakes fail here, before any input is touched: loading can mean
-	// generating and orienting a dataset (serve.go resolves up front too).
+	// Flag mistakes fail up front — a misspelt -app too, since the plan needs
+	// only the flags — before any input is touched or artifact written:
+	// loading can mean generating and orienting a dataset.
 	runCPU := o.engine == "cpu" || o.engine == "both"
 	runSim := o.engine == "sim" || o.engine == "both"
 	switch {
 	case !runCPU && !runSim:
 		return fmt.Errorf("unknown engine %q (want cpu, sim, or both)", o.engine)
-	case o.app != "" && o.patName != "":
-		return fmt.Errorf("-app and -pattern are mutually exclusive")
 	case o.timeseriesPath != "" && !runSim:
 		return fmt.Errorf("-timeseries samples on sim cycles; it requires -engine sim or both")
 	}
@@ -166,6 +166,12 @@ func run(o options) error {
 	if o.timeseriesPath != "" {
 		sampler = obs.NewSampler(int64(o.sampleWindow))
 	}
+	endPlan := phase(reg, "plan")
+	pl, err := buildPlan(o.app, o.patName, o.induced)
+	endPlan()
+	if err != nil {
+		return err
+	}
 	defer func() {
 		// Written in a defer so timeout partial-result paths still produce
 		// their artifacts.
@@ -182,10 +188,7 @@ func run(o options) error {
 	}
 	defer closeG()
 	fmt.Printf("graph: %s\n", graph.ComputeStats(inputName(o.graphPath, o.dataset), g))
-
-	endPlan := phase(reg, "plan")
-	pl, mineG, err := buildPlan(g, o.app, o.patName, o.induced)
-	endPlan()
+	mineG, err := orientFor(pl, g)
 	if err != nil {
 		return err
 	}
@@ -362,32 +365,16 @@ func printSimStats(s sim.Stats) {
 		s.SIUIters, s.SDUIters, s.CMap.ReadRatio()*100)
 }
 
-// loadInput resolves the input store. A -graph path that names a sharded
-// store directory (manifest.json) opens mmap-backed shards; -mmap maps a
-// binary CSR file zero-copy instead of reading it onto the heap. The returned
-// closer (never nil) releases any mappings.
+// loadInput resolves the input store: a -graph reference through graph.Open
+// (sharded directory, -mmap, or heap), a -dataset stand-in through bench.Get.
+// The returned closer (never nil) releases any mappings.
 func loadInput(graphPath, dataset string, useMmap bool) (graph.Store, func() error, error) {
 	noop := func() error { return nil }
 	switch {
 	case graphPath != "" && dataset != "":
 		return nil, noop, fmt.Errorf("-graph and -dataset are mutually exclusive")
 	case graphPath != "":
-		if graph.IsShardedDir(graphPath) {
-			s, err := graph.OpenSharded(graphPath)
-			if err != nil {
-				return nil, noop, err
-			}
-			return s, s.Close, nil
-		}
-		if useMmap {
-			m, err := graph.OpenMapped(graphPath)
-			if err != nil {
-				return nil, noop, err
-			}
-			return m, m.Close, nil
-		}
-		g, err := graph.Load(graphPath)
-		return g, noop, err
+		return graph.Open(graphPath, useMmap)
 	case dataset != "":
 		if useMmap {
 			return nil, noop, fmt.Errorf("-mmap maps a file; it cannot apply to the generated -dataset stand-ins")
@@ -406,61 +393,40 @@ func inputName(graphPath, dataset string) string {
 	return graphPath
 }
 
-// buildPlan compiles the requested workload and returns the store the plan
-// must run on. Clique apps mine the degree-oriented DAG: an input that is
-// already a DAG (gengraph -orient) is used as-is; a symmetric in-heap graph
-// is oriented on the fly; a symmetric mapped or sharded store cannot be —
-// the mapping is read-only, so the orientation must happen at generation
-// time.
-func buildPlan(g graph.Store, app, patName string, induced bool) (*plan.Plan, graph.Store, error) {
+// buildPlan compiles the requested workload: -app through the one workload
+// grammar (plan.CompileApp), -pattern as an edge- or vertex-induced listing of
+// a catalog pattern.
+func buildPlan(app, patName string, induced bool) (*plan.Plan, error) {
 	switch {
 	case app != "" && patName != "":
-		return nil, nil, fmt.Errorf("-app and -pattern are mutually exclusive")
+		return nil, fmt.Errorf("-app and -pattern are mutually exclusive")
 	case app != "":
-		var k int
-		if app == "TC" {
-			k = 3
-		} else if _, err := fmt.Sscanf(app, "%d-CL", &k); err == nil && k >= 2 {
-			// k parsed
-		} else if app == "3-MC" || app == "4-MC" {
-			kk := 3
-			if app == "4-MC" {
-				kk = 4
-			}
-			pl, err := plan.CompileMotifs(kk, plan.Options{})
-			return pl, g, err
-		} else if len(app) > 3 && app[:3] == "SL-" {
-			p, err := pattern.ByName(app[3:])
-			if err != nil {
-				return nil, nil, err
-			}
-			pl, err := plan.Compile(p, plan.Options{})
-			return pl, g, err
-		} else {
-			return nil, nil, fmt.Errorf("unknown app %q", app)
-		}
-		pl, err := plan.CompileCliqueDAG(k)
-		if err != nil {
-			return nil, nil, err
-		}
-		if g.IsDAG() {
-			return pl, g, nil
-		}
-		hg, ok := g.(*graph.Graph)
-		if !ok {
-			return nil, nil, fmt.Errorf("clique apps mine a degree-oriented DAG, and a mapped or sharded store is read-only; regenerate the input with `gengraph -orient` (or `gengraph shard -orient`), or drop -mmap to orient in memory")
-		}
-		return pl, hg.Orient(), nil
+		return plan.CompileApp(app, plan.Options{})
 	case patName != "":
 		p, err := pattern.ByName(patName)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		pl, err := plan.Compile(p, plan.Options{Induced: induced})
-		return pl, g, err
+		return plan.Compile(p, plan.Options{Induced: induced})
 	default:
-		return nil, nil, fmt.Errorf("one of -app or -pattern is required")
+		return nil, fmt.Errorf("one of -app or -pattern is required")
 	}
+}
+
+// orientFor returns the store pl must run on. Clique apps mine the
+// degree-oriented DAG: an input that is already a DAG (gengraph -orient) is
+// used as-is; a symmetric in-heap graph is oriented on the fly; a symmetric
+// mapped or sharded store cannot be — the mapping is read-only, so the
+// orientation must happen at generation time.
+func orientFor(pl *plan.Plan, g graph.Store) (graph.Store, error) {
+	if !pl.RequiresDAG || g.IsDAG() {
+		return g, nil
+	}
+	hg, ok := g.(*graph.Graph)
+	if !ok {
+		return nil, fmt.Errorf("clique apps mine a degree-oriented DAG, and a mapped or sharded store is read-only; regenerate the input with `gengraph -orient` (or `gengraph shard -orient`), or drop -mmap to orient in memory")
+	}
+	return hg.Orient(), nil
 }
 
 func formatCounts(pl *plan.Plan, counts []int64) string {

@@ -25,22 +25,16 @@ func main() {
 		motifs     = flag.Int("motifs", 0, "compile the k-motif-counting plan instead of named patterns")
 		dag        = flag.Bool("dag", false, "compile a clique plan for degree-oriented DAG input")
 		noSymmetry = flag.Bool("no-symmetry", false, "disable symmetry breaking (AutoMine mode)")
-		noHints    = flag.Bool("no-hints", false, "disable frontier/c-map storage hints")
 	)
 	flag.Parse()
-	if err := run(flag.Args(), *induced, *motifs, *dag, *noSymmetry, *noHints); err != nil {
+	if err := run(flag.Args(), *induced, *motifs, *dag, *noSymmetry); err != nil {
 		fmt.Fprintln(os.Stderr, "genplan:", err)
 		os.Exit(1)
 	}
 }
 
-func run(names []string, induced bool, motifs int, dag, noSymmetry, noHints bool) error {
-	opt := plan.Options{
-		Induced:         induced,
-		NoSymmetry:      noSymmetry,
-		NoFrontierHints: noHints,
-		NoCMapHints:     noHints,
-	}
+func run(names []string, induced bool, motifs int, dag, noSymmetry bool) error {
+	opt := plan.Options{Induced: induced, NoSymmetry: noSymmetry}
 	if motifs > 0 {
 		pl, err := plan.CompileMotifs(motifs, opt)
 		if err != nil {
@@ -56,11 +50,11 @@ func run(names []string, induced bool, motifs int, dag, noSymmetry, noHints bool
 		if len(names) != 1 {
 			return fmt.Errorf("-dag takes exactly one k-clique pattern")
 		}
-		var k int
-		if _, err := fmt.Sscanf(names[0], "%d-clique", &k); err != nil {
+		p, err := pattern.ByName(names[0])
+		if err != nil || !p.IsClique() {
 			return fmt.Errorf("-dag wants a k-clique pattern, got %q", names[0])
 		}
-		pl, err := plan.CompileCliqueDAG(k)
+		pl, err := plan.CompileCliqueDAG(p.Size())
 		if err != nil {
 			return err
 		}

@@ -54,7 +54,7 @@ type (
 	Pattern = pattern.Pattern
 	// Plan is a compiled pattern-specific execution plan.
 	Plan = plan.Plan
-	// CompileOptions configure the compiler (induced semantics, ablations).
+	// CompileOptions configure the compiler (induced semantics, AutoMine mode).
 	CompileOptions = plan.Options
 	// MineOptions configure the CPU engine (threads, kernels, aux graphs).
 	MineOptions = core.Options

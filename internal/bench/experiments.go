@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/plan"
 	"repro/internal/sim"
 )
 
@@ -152,7 +153,7 @@ func autoMineWorkload(app, ds string) (Workload, error) {
 	if err != nil {
 		return Workload{}, err
 	}
-	pl, err := autoMinePlan(app)
+	pl, err := plan.CompileApp(app, plan.Options{NoSymmetry: true})
 	if err != nil {
 		return Workload{}, err
 	}

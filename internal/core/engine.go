@@ -73,7 +73,8 @@ type Options struct {
 	Trace *obs.Tracer
 
 	// SchedHooks observe the work-stealing scheduler (steals, task
-	// retirements) during the run — the live-progress feed of serve mode.
+	// retirements) during the run — the job service's per-batch progress
+	// feed (internal/jobs; benchmark/ wires them too).
 	// Callbacks run on worker goroutines and are merged with (fire before)
 	// the tracer's own steal instrumentation; like tracing, they must not
 	// mutate engine state and never affect counts or stats.
@@ -81,7 +82,7 @@ type Options struct {
 
 	// OnTaskDone, when non-nil, fires after every completed task with the
 	// worker index and the number of raw (pre-divisor) matches the task
-	// produced — the partial-count signal behind /debug/progress. It runs
+	// produced — the partial-count signal behind a job's "progress". It runs
 	// on worker goroutines; implementations must be cheap and
 	// concurrency-safe (atomics).
 	OnTaskDone func(worker int, matches int64)
@@ -224,8 +225,8 @@ func (e *Engine) taskList() []sched.Task {
 }
 
 // TaskCount reports how many scheduler tasks a Mine call will dispatch under
-// the engine's slicing policy — serve mode uses it to size the
-// /debug/progress denominator before the run starts.
+// the engine's slicing policy — the job service uses it to size a batch's
+// progress denominator before the run starts.
 func (e *Engine) TaskCount() int { return len(e.taskList()) }
 
 // Mine runs the parallel DFS over all start vertices and returns per-pattern

@@ -42,6 +42,18 @@ var _ Store = (*Mapped)(nil)
 // their unaligned header cannot be viewed in place; rewrite them with
 // `gengraph -convert` first.
 func OpenMapped(path string) (*Mapped, error) {
+	m, err := mapCSRFile(path, false, 0)
+	if err != nil {
+		return nil, err
+	}
+	runtime.SetFinalizer(m, func(m *Mapped) { m.Close() })
+	return m, nil
+}
+
+// mapCSRFile maps the file at path and builds the store over the mapping
+// (wantShard and colRange are newMapped's); on failure nothing stays mapped.
+// OpenMapped and OpenSharded's per-shard open share it.
+func mapCSRFile(path string, wantShard bool, colRange uint64) (*Mapped, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -51,25 +63,23 @@ func OpenMapped(path string) (*Mapped, error) {
 	if err != nil {
 		return nil, err
 	}
-	size := fi.Size()
-	if size < binHeaderSize {
+	if fi.Size() < binHeaderSize {
 		return nil, fmt.Errorf("graph: %s: file too small for a v2 binary CSR header", path)
 	}
-	data, err := mmapFile(f, int(size))
+	data, err := mmapFile(f, int(fi.Size()))
 	if err != nil {
 		return nil, fmt.Errorf("graph: mmap %s: %w", path, err)
 	}
-	m, err := newMapped(path, data, false, 0)
+	m, err := newMapped(path, data, wantShard, colRange)
 	if err != nil {
 		munmapFile(data)
 		return nil, err
 	}
-	runtime.SetFinalizer(m, func(m *Mapped) { m.Close() })
 	return m, nil
 }
 
 // newMapped builds the store over an established mapping, validating layout
-// and content. Split from OpenMapped so shard files (wantShard) reuse it: a
+// and content. Shard files (wantShard) differ from whole graphs in one way: a
 // shard's Row is local to its vertex range but its Col holds global IDs, so
 // colRange overrides the neighbor-ID bound (0 means "the header's own n").
 func newMapped(path string, data []byte, wantShard bool, colRange uint64) (*Mapped, error) {

@@ -197,7 +197,8 @@ func OpenSharded(dir string) (*Sharded, error) {
 			s.Close()
 			return nil, fmt.Errorf("graph: %s: shard %d range [%d,%d) not contiguous", dir, i, ext.Lo, ext.Hi)
 		}
-		m, err := openMappedShard(filepath.Join(dir, ext.File), uint64(man.Vertices))
+		// A shard's Col holds global IDs, bounded by the whole graph's size.
+		m, err := mapCSRFile(filepath.Join(dir, ext.File), true, uint64(man.Vertices))
 		if err != nil {
 			s.Close()
 			return nil, err
@@ -233,33 +234,6 @@ func OpenSharded(dir string) (*Sharded, error) {
 	}
 	s.cuts = append(s.cuts, last.Hi)
 	return s, nil
-}
-
-// openMappedShard maps one shard slice, validating Col against the global
-// vertex count.
-func openMappedShard(path string, vertices uint64) (*Mapped, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	if fi.Size() < binHeaderSize {
-		return nil, fmt.Errorf("graph: %s: file too small for a v2 binary CSR header", path)
-	}
-	data, err := mmapFile(f, int(fi.Size()))
-	if err != nil {
-		return nil, fmt.Errorf("graph: mmap %s: %w", path, err)
-	}
-	m, err := newMapped(path, data, true, vertices)
-	if err != nil {
-		munmapFile(data)
-		return nil, err
-	}
-	return m, nil
 }
 
 // NumShards returns the number of shards; internal/sched uses it (through

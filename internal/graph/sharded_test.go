@@ -161,3 +161,83 @@ func TestIsShardedDir(t *testing.T) {
 		t.Fatal("empty dir recognized as shard dir")
 	}
 }
+
+// TestOpen: the one graph-reference dispatch picks the backend the path and
+// the mmap bit name, every backend serves the same graph, failures return a
+// nil store with a callable closer, and the closer releases the mappings.
+func TestOpen(t *testing.T) {
+	g := RMAT(9, 2000, 0.57, 0.19, 0.19, 7)
+	bin := writeTempBin(t, g)
+	shards := writeTempShards(t, g, 3)
+	txt := filepath.Join(t.TempDir(), "g.txt")
+	f, err := os.Create(txt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteEdgeList(f, g); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// mapped reports whether the store still holds live mappings.
+	mapped := func(s Store) bool {
+		switch s := s.(type) {
+		case *Mapped:
+			return s.Row != nil
+		case *Sharded:
+			return s.shards[0].Row != nil
+		}
+		return false
+	}
+	for _, c := range []struct {
+		name string
+		path string
+		mmap bool
+		want Store // a nil pointer of the expected backend; nil for an error
+	}{
+		{"edge list", txt, false, (*Graph)(nil)},
+		{"bin on the heap", bin, false, (*Graph)(nil)},
+		{"bin mapped", bin, true, (*Mapped)(nil)},
+		{"sharded dir", shards, false, (*Sharded)(nil)},
+		{"sharded dir ignores mmap", shards, true, (*Sharded)(nil)},
+		{"missing path", filepath.Join(t.TempDir(), "nope.bin"), false, nil},
+		{"missing path mapped", filepath.Join(t.TempDir(), "nope.bin"), true, nil},
+		{"text file cannot be mapped", txt, true, nil},
+	} {
+		s, closeS, err := Open(c.path, c.mmap)
+		if closeS == nil {
+			t.Fatalf("%s: nil closer", c.name)
+		}
+		if c.want == nil {
+			if err == nil || s != nil {
+				t.Errorf("%s: Open = (%T, %v), want a nil store and an error", c.name, s, err)
+			}
+			if cerr := closeS(); cerr != nil {
+				t.Errorf("%s: closer after a failed open: %v", c.name, cerr)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", c.name, err)
+			continue
+		}
+		if reflect.TypeOf(s) != reflect.TypeOf(c.want) {
+			t.Errorf("%s: opened a %T, want a %T", c.name, s, c.want)
+		}
+		// (Not NumVertices: an edge list does not record trailing isolated vertices.)
+		if s.NumArcs() != g.NumArcs() || !reflect.DeepEqual(s.Adj(5), g.Adj(5)) {
+			t.Errorf("%s: opened store differs from the graph written", c.name)
+		}
+		wasMapped := mapped(s)
+		if _, heap := s.(*Graph); wasMapped == heap {
+			t.Errorf("%s: live mappings = %v on a %T", c.name, wasMapped, s)
+		}
+		if err := closeS(); err != nil {
+			t.Errorf("%s: close: %v", c.name, err)
+		}
+		if mapped(s) {
+			t.Errorf("%s: closer left the file mapped", c.name)
+		}
+	}
+}

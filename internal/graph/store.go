@@ -47,6 +47,34 @@ type Store interface {
 // Compile-time check that the heap backend satisfies the seam.
 var _ Store = (*Graph)(nil)
 
+// Open resolves a graph reference — a CLI -graph argument, a job's path ref —
+// to the backend it names: a sharded store directory (IsShardedDir) opens
+// its mmap-backed shards; otherwise mmap maps a binary CSR file zero-copy
+// (OpenMapped) and the default loads the file onto the heap (Load). The
+// closer is never nil and releases whatever was mapped.
+func Open(path string, mmap bool) (Store, func() error, error) {
+	noop := func() error { return nil }
+	switch {
+	case IsShardedDir(path):
+		s, err := OpenSharded(path)
+		if err != nil {
+			return nil, noop, err
+		}
+		return s, s.Close, nil
+	case mmap:
+		m, err := OpenMapped(path)
+		if err != nil {
+			return nil, noop, err
+		}
+		return m, m.Close, nil
+	}
+	g, err := Load(path)
+	if err != nil {
+		return nil, noop, err
+	}
+	return g, noop, nil
+}
+
 // Retired — delete with benchmark round two (ROADMAP 5d). The hub-bitmap
 // index is gone (DESIGN decision 8) and no store implements HubIndexer;
 // benchmark/mining.go still type-asserts for it, the assertion is false, and

@@ -84,7 +84,8 @@ func TestGraphPathCacheAndBatching(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id2, err := s.Submit(SubmitRequest{Tenant: "B", Graph: GraphRef{Path: "g.bin"}, Pattern: PatternRef{Name: "tailed-triangle"}, Options: opts}, pat2)
+	// The second job spells the same file uncleaned: one graph, one batch.
+	id2, err := s.Submit(SubmitRequest{Tenant: "B", Graph: GraphRef{Path: "./g.bin"}, Pattern: PatternRef{Name: "tailed-triangle"}, Options: opts}, pat2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -132,10 +132,9 @@ func TestMetamorphicBatchedEqualsIndividual(t *testing.T) {
 	for _, kern := range kernels {
 		for _, w := range workerCounts {
 			s := New(Config{
-				Graphs:         map[string]graph.Store{"g": g},
-				StartPaused:    true,
-				MaxQueue:       32,
-				DefaultWorkers: w,
+				Graphs:      map[string]graph.Store{"g": g},
+				StartPaused: true,
+				MaxQueue:    32,
 			})
 			for _, combo := range combos(catalog5) {
 				got := submitCombo(t, s, combo, kern, w)

@@ -18,7 +18,7 @@ import (
 )
 
 // Labeled metric families and latency histograms, all keyed by tenant with
-// bounded cardinality (Config.TenantLabelCap, obs.OverflowLabel spill).
+// bounded cardinality (obs.DefaultLabelCap, obs.OverflowLabel spill).
 const (
 	MetricSubmitted   = "jobs.submitted"     // labeled counter: jobs accepted, by tenant
 	MetricFinished    = "jobs.finished"      // labeled counter: jobs reaching a terminal state, by tenant
@@ -41,7 +41,7 @@ const batchLaneBase = 1_000_000
 // registry eagerly — scrape-before-traffic shows zeroed families rather
 // than nothing — and attaches HELP text to the plain jobs.* counters.
 func (s *Server) registerMetrics() {
-	cap := s.cfg.TenantLabelCap
+	const cap = obs.DefaultLabelCap
 	s.mSubmitted = s.reg.LabeledCounter(MetricSubmitted, "jobs accepted into the queue, by tenant", "tenant", cap)
 	s.mFinished = s.reg.LabeledCounter(MetricFinished, "jobs reaching a terminal state, by tenant", "tenant", cap)
 	s.hQueueWait = s.reg.LabeledHistogram(MetricQueueWaitMS, "job queue wait (submit to dispatch), milliseconds, by tenant", "tenant", cap)

@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"path/filepath"
 	"strings"
 	"unicode"
 
@@ -47,12 +48,13 @@ type GraphRef struct {
 }
 
 // key is the canonical batching identity: two jobs whose refs share a key
-// resolve to the same graph.Store instance.
+// resolve to the same graph.Store instance. Paths are keyed cleaned, the way
+// confinePath opens them, so "g.bin" and "./g.bin" are one graph.
 func (r GraphRef) key() string {
 	if r.Name != "" {
 		return "name\x00" + r.Name
 	}
-	k := "path\x00" + r.Path
+	k := "path\x00" + filepath.Clean(r.Path)
 	if r.Mmap {
 		k += "\x00mmap"
 	}

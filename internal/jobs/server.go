@@ -85,8 +85,10 @@ var (
 )
 
 // Config parameterizes a Server. The zero value is usable: private registry,
-// queue of 64, batches up to 8 plan legs, one batch in flight, quantum 1,
-// GOMAXPROCS workers, named graphs only.
+// queue of 64, batches up to 8 plan legs, one batch in flight, named graphs
+// only. Not configurable: the DRR quantum is one job per tenant per round, a
+// request that leaves Options.Workers at 0 runs on GOMAXPROCS threads, and
+// the per-tenant metric families hold obs.DefaultLabelCap tenants.
 type Config struct {
 	// Registry receives the jobs.* counters (and, via scheduler hooks, the
 	// sched.* steal counters of job runs). Nil creates a private registry.
@@ -105,13 +107,6 @@ type Config struct {
 	// engine already parallelizes across workers, so queueing discipline,
 	// not batch concurrency, is the scaling knob.
 	MaxRunning int
-
-	// Quantum is the DRR quantum in jobs per tenant per round. Default 1.
-	Quantum int
-
-	// DefaultWorkers is the engine thread count applied when a request
-	// leaves Options.Workers at 0. Default GOMAXPROCS.
-	DefaultWorkers int
 
 	// Graphs are the preregistered named graphs (GraphRef.Name). The map is
 	// read-only after New.
@@ -146,12 +141,6 @@ type Config struct {
 	// state transition. Nil disables the log.
 	EventLog *obs.EventLog
 
-	// TenantLabelCap bounds the distinct tenant values on the per-tenant
-	// metric families (jobs.submitted, jobs.finished, jobs.queue_wait_ms,
-	// jobs.run_ms); tenants beyond it fold into obs.OverflowLabel. <= 0
-	// selects obs.DefaultLabelCap.
-	TenantLabelCap int
-
 	// OnTransition, when non-nil, observes every job state change. It runs
 	// outside server locks, in dispatch order per job; implementations must
 	// be concurrency-safe. Observation only — it must not call back into
@@ -171,12 +160,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxRunning <= 0 {
 		c.MaxRunning = 1
-	}
-	if c.Quantum <= 0 {
-		c.Quantum = 1
-	}
-	if c.DefaultWorkers <= 0 {
-		c.DefaultWorkers = runtime.GOMAXPROCS(0)
 	}
 	if c.Clock == nil {
 		c.Clock = wallMillis{}
@@ -311,7 +294,7 @@ func New(cfg Config) *Server {
 		elog:           cfg.EventLog,
 		rootCtx:        ctx,
 		stopAll:        cancel,
-		q:              newDRRQueue(cfg.MaxQueue, cfg.Quantum),
+		q:              newDRRQueue(cfg.MaxQueue, 1),
 		jobs:           map[string]*Job{},
 		widthFields:    map[int]map[string]int64{},
 		paused:         cfg.StartPaused,
@@ -349,7 +332,7 @@ func (s *Server) Resume() {
 func (s *Server) Submit(req SubmitRequest, pat *pattern.Pattern) (string, error) {
 	opts := req.Options
 	if opts.Workers == 0 {
-		opts.Workers = s.cfg.DefaultWorkers
+		opts.Workers = runtime.GOMAXPROCS(0)
 	}
 	if req.Graph.Name != "" {
 		if _, ok := s.cfg.Graphs[req.Graph.Name]; !ok {
@@ -480,10 +463,8 @@ func (s *Server) Close(ctx context.Context) error {
 	s.stopAll()
 	s.gmu.Lock()
 	for key, r := range s.graphs {
-		if r.close != nil {
-			if cerr := r.close(); cerr != nil && err == nil {
-				err = cerr
-			}
+		if cerr := r.close(); cerr != nil && err == nil {
+			err = cerr
 		}
 		delete(s.graphs, key)
 	}
@@ -778,29 +759,12 @@ func (s *Server) graphFor(ref GraphRef) (graph.Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	var r resolvedGraph
-	switch {
-	case graph.IsShardedDir(full):
-		sg, err := graph.OpenSharded(full)
-		if err != nil {
-			return nil, err
-		}
-		r = resolvedGraph{store: sg, close: sg.Close}
-	case ref.Mmap:
-		m, err := graph.OpenMapped(full)
-		if err != nil {
-			return nil, err
-		}
-		r = resolvedGraph{store: m, close: m.Close}
-	default:
-		g, err := graph.Load(full)
-		if err != nil {
-			return nil, err
-		}
-		r = resolvedGraph{store: g}
+	store, closeStore, err := graph.Open(full, ref.Mmap)
+	if err != nil {
+		return nil, err
 	}
-	s.graphs[ref.key()] = r
-	return r.store, nil
+	s.graphs[ref.key()] = resolvedGraph{store: store, close: closeStore}
+	return store, nil
 }
 
 // confinePath resolves rel under root, rejecting absolute paths and any

@@ -26,12 +26,6 @@ func TestAdjwrite(t *testing.T) {
 	runWantTest(t, Adjwrite, "adjwrite")
 }
 
-func TestLockorder(t *testing.T) {
-	prog := testProgram(t)
-	a := NewLockorder(LockorderConfig{Scope: []string{fixturePath(prog, "lockorder")}})
-	runWantTest(t, a, "lockorder")
-}
-
 func TestAtomicHygiene(t *testing.T) {
 	runWantTest(t, AtomicHygiene, "atomichygiene")
 }

@@ -13,39 +13,20 @@ import (
 // diagnostics documentation lists them.
 func DefaultAnalyzers() []*Analyzer {
 	return []*Analyzer{
-		Detlint, Kernelpin, Boundarg, Adjwrite,
-		Lockorder, AtomicHygiene, Goroleak,
+		Detlint, Kernelpin, Boundarg, Adjwrite, AtomicHygiene, Goroleak,
 	}
 }
 
 // Run executes the analyzers against the target packages (which must belong
-// to prog). Program-wide analyzers run once; their diagnostics are kept only
-// when they land in a target package's files, so `flexlint ./internal/...`
-// behaves like the go tool's package selection.
+// to prog), each analyzer once per target package its scope covers.
 func Run(prog *Program, analyzers []*Analyzer, targets []*Package) []Diagnostic {
 	var diags []Diagnostic
-	targetFiles := map[string]bool{}
-	for _, pkg := range targets {
-		for _, fn := range pkg.Filenames {
-			targetFiles[fn] = true
-		}
-	}
 	for _, a := range analyzers {
-		if a.ProgramWide {
-			var got []Diagnostic
-			a.Run(&Pass{Prog: prog, analyzer: a, diags: &got})
-			for _, d := range got {
-				if targetFiles[prog.Fset.Position(d.Pos).Filename] {
-					diags = append(diags, d)
-				}
-			}
-			continue
-		}
 		for _, pkg := range targets {
 			if !a.applies(pkg.Path) {
 				continue
 			}
-			a.Run(&Pass{Prog: prog, Pkg: pkg, analyzer: a, diags: &diags})
+			a.Run(&Pass{Pkg: pkg, analyzer: a, diags: &diags})
 		}
 	}
 	sort.Slice(diags, func(i, j int) bool {

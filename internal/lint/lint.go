@@ -1,8 +1,8 @@
 // Package lint is flexlint: a suite of static analyzers that machine-check
-// the repo's convention-only invariants — simulator determinism, stats
-// aggregation completeness, paper-runner kernel pinning, lock ordering and
-// bound-argument plumbing. The paper's figures (Table II, Fig 7, Figs 13–16)
-// are only trustworthy when these invariants hold, so they are enforced at
+// the repo's convention-only invariants — simulator determinism, paper-runner
+// kernel pinning, read-only adjacency and bound-argument plumbing. The
+// paper's figures (Table II, Fig 7, Figs 13–16) are only trustworthy when
+// these invariants hold, so they are enforced at
 // the Go-source level and wired into CI, the same way GPM systems
 // machine-check symmetry/ordering invariants instead of hand-maintaining
 // them. An invariant lives here only when nothing cheaper holds it: a type
@@ -32,39 +32,24 @@ type Diagnostic struct {
 	Message  string
 }
 
-// Analyzer is one invariant checker. Per-package analyzers receive one Pass
-// per target package; program-wide analyzers (lockorder's lock graph) run
-// once with Pass.Pkg == nil and inspect Pass.Prog.
+// Analyzer is one invariant checker; it receives one Pass per target package.
 type Analyzer struct {
 	Name string
 	Doc  string
 
-	// Scope restricts a per-package analyzer to packages whose import path
-	// matches one of the entries (exact or suffix). Empty means every
-	// package.
+	// Scope restricts the analyzer to packages whose import path matches one
+	// of the entries (exact or suffix). Empty means every package.
 	Scope []string
-
-	// ProgramWide runs the analyzer once over the whole program instead of
-	// once per package.
-	ProgramWide bool
 
 	Run func(*Pass)
 }
 
 // applies reports whether the analyzer's scope covers pkgPath.
 func (a *Analyzer) applies(pkgPath string) bool {
-	return inScope(a.Scope, pkgPath)
-}
-
-// inScope reports whether pkgPath matches one of the scope entries (exact or
-// suffix). An empty scope covers every package. Program-wide analyzers that
-// take a package scope (lockorder) share this matcher with the per-package
-// driver path.
-func inScope(scope []string, pkgPath string) bool {
-	if len(scope) == 0 {
+	if len(a.Scope) == 0 {
 		return true
 	}
-	for _, s := range scope {
+	for _, s := range a.Scope {
 		if pkgPath == s || strings.HasSuffix(pkgPath, s) {
 			return true
 		}
@@ -74,8 +59,7 @@ func inScope(scope []string, pkgPath string) bool {
 
 // Pass carries one analyzer invocation's inputs and its report sink.
 type Pass struct {
-	Prog *Program
-	Pkg  *Package // nil for program-wide analyzers
+	Pkg *Package
 
 	analyzer *Analyzer
 	diags    *[]Diagnostic
@@ -88,34 +72,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 		Analyzer: p.analyzer.Name,
 		Message:  fmt.Sprintf(format, args...),
 	})
-}
-
-// funcBody pairs a declared function with its defining package.
-type funcBody struct {
-	pkg  *Package
-	decl *ast.FuncDecl
-}
-
-// indexFuncs indexes every declared function (with a body) in the program by
-// its types object. lockorder resolves callsites through this map: a callee
-// found via Info.Uses in one package is the same *types.Func key a Defs
-// lookup produced in its defining package.
-func indexFuncs(prog *Program) map[*types.Func]funcBody {
-	bodies := map[*types.Func]funcBody{}
-	for _, pkg := range prog.Packages() {
-		for _, f := range pkg.Files {
-			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				if fn, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
-					bodies[fn] = funcBody{pkg: pkg, decl: fd}
-				}
-			}
-		}
-	}
-	return bodies
 }
 
 // calleeOf resolves the static callee of a call expression in pkg, or nil

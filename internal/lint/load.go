@@ -25,13 +25,12 @@ import (
 
 // Package is one parsed and type-checked package.
 type Package struct {
-	Path      string // import path ("repro/internal/sim")
-	Dir       string // absolute directory
-	Name      string // package name
-	Files     []*ast.File
-	Filenames []string
-	Types     *types.Package
-	Info      *types.Info
+	Path  string // import path ("repro/internal/sim")
+	Dir   string // absolute directory
+	Name  string // package name
+	Files []*ast.File
+	Types *types.Package
+	Info  *types.Info
 
 	// Testdata marks packages loaded explicitly from a testdata directory
 	// (analyzer fixtures); pattern expansion skips them like the go tool
@@ -193,15 +192,12 @@ func (p *Program) load(dir, path string, testdata bool) (*Package, error) {
 		return nil, fmt.Errorf("lint: no Go files in %s", dir)
 	}
 	var files []*ast.File
-	var names []string
 	for _, name := range srcs {
-		fn := filepath.Join(dir, name)
-		f, err := parser.ParseFile(p.Fset, fn, nil, parser.ParseComments|parser.SkipObjectResolution)
+		f, err := parser.ParseFile(p.Fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, err
 		}
 		files = append(files, f)
-		names = append(names, fn)
 	}
 
 	// Resolve intra-module imports first so the importer below only ever
@@ -245,13 +241,12 @@ func (p *Program) load(dir, path string, testdata bool) (*Package, error) {
 		return nil, fmt.Errorf("lint: type errors in %s: %v", path, errs[0])
 	}
 	pkg := &Package{
-		Path:      path,
-		Dir:       dir,
-		Name:      files[0].Name.Name,
-		Files:     files,
-		Filenames: names,
-		Types:     tpkg,
-		Info:      info,
+		Path:  path,
+		Dir:   dir,
+		Name:  files[0].Name.Name,
+		Files: files,
+		Types: tpkg,
+		Info:  info,
 		// Fixture packages can also arrive as import dependencies of other
 		// fixtures, so classify by location, not by entry point.
 		Testdata: testdata || strings.Contains(filepath.ToSlash(dir), "/testdata/"),

@@ -1,8 +1,8 @@
 package obs
 
-// Latency-distribution primitives for the serving path: a deterministic
-// log2-bucketed Histogram, and label-keyed counter/histogram families with
-// bounded cardinality (per-tenant metrics, DESIGN.md decision 17). Like
+// Latency-distribution primitives for the serving path: label-keyed counter
+// and deterministic log2-bucketed histogram families with bounded
+// cardinality (per-tenant metrics, DESIGN.md decision 17). Like
 // everything else in the registry, they are designed to be golden-tested:
 // bucket layout is fixed at compile time, all state is int64, and exports
 // emit series and labels in sorted order, so two runs fed the same
@@ -74,36 +74,6 @@ func bucketFor(v int64) int {
 		}
 	}
 	return histNumBounds // +Inf
-}
-
-// Histogram is a single-series latency distribution. Observe is safe for
-// concurrent use and a nil *Histogram ignores it — the disabled-histogram
-// idiom matching the nil *Tracer.
-type Histogram struct {
-	name string
-	help string
-	mu   sync.Mutex
-	s    histSeries
-}
-
-// Observe records one value.
-func (h *Histogram) Observe(v int64) {
-	if h == nil {
-		return
-	}
-	h.mu.Lock()
-	h.s.observe(v)
-	h.mu.Unlock()
-}
-
-// Count returns the number of recorded observations.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.s.count
 }
 
 // LabeledHistogram is a histogram family keyed by one label (tenant on the
@@ -218,8 +188,7 @@ type HistogramSeries struct {
 }
 
 // HistogramSnapshot is the exported form of a histogram family. Label is the
-// label key ("" for a single-series histogram); Series is keyed by label
-// value ("" for the single series).
+// label key; Series is keyed by label value.
 type HistogramSnapshot struct {
 	Help   string                     `json:"help,omitempty"`
 	Label  string                     `json:"label,omitempty"`
@@ -240,25 +209,6 @@ func exportSeries(s *histSeries) HistogramSeries {
 		Sum:     s.sum,
 		Count:   s.count,
 	}
-}
-
-func (h *Histogram) snapshot() HistogramSnapshot {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return HistogramSnapshot{
-		Help:   h.help,
-		Bounds: HistogramBounds(),
-		Series: map[string]HistogramSeries{"": exportSeries(&h.s)},
-	}
-}
-
-// Snapshot exports the histogram's current state; a nil receiver exports an
-// empty single-series snapshot.
-func (h *Histogram) Snapshot() HistogramSnapshot {
-	if h == nil {
-		return HistogramSnapshot{Bounds: HistogramBounds(), Series: map[string]HistogramSeries{}}
-	}
-	return h.snapshot()
 }
 
 // Snapshot exports the family's current state; a nil receiver exports an
@@ -292,20 +242,6 @@ func (c *LabeledCounter) snapshot() LabeledCounterSnapshot {
 // Registry-side construction. Families are get-or-create by name so every
 // layer observing the same metric shares one instance; a name may hold only
 // one metric kind (the decision-12 one-registry rule applied to families).
-
-// Histogram returns the single-series histogram registered under name,
-// creating it with the given help text on first use.
-func (r *Registry) Histogram(name, help string) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.checkKindLocked(name, kindHist)
-	h := r.hists[name]
-	if h == nil {
-		h = &Histogram{name: name, help: help}
-		r.hists[name] = h
-	}
-	return h
-}
 
 // LabeledHistogram returns the histogram family registered under name, keyed
 // by the given label, creating it on first use. maxCard bounds the distinct
@@ -347,8 +283,7 @@ func (r *Registry) LabeledCounter(name, help, label string, maxCard int) *Labele
 type metricKind int
 
 const (
-	kindHist metricKind = iota
-	kindLabeledHist
+	kindLabeledHist metricKind = iota
 	kindLabeledCounter
 )
 
@@ -356,9 +291,6 @@ const (
 // metric kind — a programming error that would otherwise surface as two
 // Prometheus families with one name.
 func (r *Registry) checkKindLocked(name string, want metricKind) {
-	if _, ok := r.hists[name]; ok && want != kindHist {
-		panic(fmt.Sprintf("obs: metric %q already registered as a histogram", name))
-	}
 	if _, ok := r.lhists[name]; ok && want != kindLabeledHist {
 		panic(fmt.Sprintf("obs: metric %q already registered as a labeled histogram", name))
 	}
@@ -367,15 +299,12 @@ func (r *Registry) checkKindLocked(name string, want metricKind) {
 	}
 }
 
-// HistogramNames returns every registered histogram family name (single and
-// labeled), sorted — the enumeration the drift tests pin.
+// HistogramNames returns every registered histogram family name, sorted —
+// the enumeration the drift tests pin.
 func (r *Registry) HistogramNames() []string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.hists)+len(r.lhists))
-	for name := range r.hists {
-		out = append(out, name)
-	}
+	out := make([]string, 0, len(r.lhists))
 	for name := range r.lhists {
 		out = append(out, name)
 	}
@@ -396,26 +325,18 @@ func (r *Registry) LabeledCounterNames() []string {
 	return out
 }
 
-// histogramSnapshots collects every histogram family (single-series and
-// labeled, merged under their registry names) for export.
+// histogramSnapshots collects every histogram family for export.
 func (r *Registry) histogramSnapshots() map[string]HistogramSnapshot {
 	r.mu.Lock()
-	hs := make([]*Histogram, 0, len(r.hists))
-	for _, h := range r.hists {
-		hs = append(hs, h)
-	}
 	lhs := make([]*LabeledHistogram, 0, len(r.lhists))
 	for _, h := range r.lhists {
 		lhs = append(lhs, h)
 	}
 	r.mu.Unlock()
-	if len(hs)+len(lhs) == 0 {
+	if len(lhs) == 0 {
 		return nil
 	}
-	out := make(map[string]HistogramSnapshot, len(hs)+len(lhs))
-	for _, h := range hs {
-		out[h.name] = h.snapshot()
-	}
+	out := make(map[string]HistogramSnapshot, len(lhs))
 	for _, h := range lhs {
 		out[h.name] = h.snapshot()
 	}

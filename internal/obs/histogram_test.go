@@ -42,15 +42,15 @@ func TestBucketFor(t *testing.T) {
 
 func TestHistogramObserve(t *testing.T) {
 	r := NewRegistry(nil)
-	h := r.Histogram("lat", "latency")
-	h.Observe(1)
-	h.Observe(7)
-	h.Observe(1 << 30) // +Inf bucket
-	if h.Count() != 3 {
-		t.Errorf("count = %d, want 3", h.Count())
+	h := r.LabeledHistogram("lat", "latency", "tenant", 0)
+	h.Observe("a", 1)
+	h.Observe("a", 7)
+	h.Observe("a", 1<<30) // +Inf bucket
+	if h.Count("a") != 3 {
+		t.Errorf("count = %d, want 3", h.Count("a"))
 	}
 	snap := h.Snapshot()
-	s := snap.Series[""]
+	s := snap.Series["a"]
 	if s.Sum != 8+1<<30 || s.Count != 3 {
 		t.Errorf("sum/count = %d/%d", s.Sum, s.Count)
 	}
@@ -59,7 +59,7 @@ func TestHistogramObserve(t *testing.T) {
 	}
 	// Same name returns the same instance; a different kind under the same
 	// name panics.
-	if r.Histogram("lat", "ignored") != h {
+	if r.LabeledHistogram("lat", "ignored", "ignored", 0) != h {
 		t.Error("get-or-create returned a second instance")
 	}
 	func() {
@@ -102,17 +102,15 @@ func TestLabeledCardinalityBound(t *testing.T) {
 }
 
 func TestHistogramNilInert(t *testing.T) {
-	var h *Histogram
 	var lh *LabeledHistogram
 	var lc *LabeledCounter
-	h.Observe(1)
 	lh.Observe("a", 1)
 	lc.Add("a", 1)
-	if h.Count() != 0 || lh.Count("a") != 0 || lc.Get("a") != 0 || lc.Values() != nil {
+	if lh.Count("a") != 0 || lc.Get("a") != 0 || lc.Values() != nil {
 		t.Error("nil receivers recorded state")
 	}
-	if len(h.Snapshot().Series) != 0 || len(lh.Snapshot().Series) != 0 {
-		t.Error("nil snapshots non-empty")
+	if len(lh.Snapshot().Series) != 0 {
+		t.Error("nil snapshot non-empty")
 	}
 }
 
@@ -125,7 +123,7 @@ func TestHistogramJSONExportDeterministic(t *testing.T) {
 			lh.Observe(tenant, int64(i*7+1))
 			lc.Add(tenant, 1)
 		}
-		r.Histogram("compile_ms", "").Observe(42)
+		r.LabeledHistogram("compile_ms", "", "graph", 4).Observe("default", 42)
 		var buf bytes.Buffer
 		if err := r.WriteJSON(&buf); err != nil {
 			t.Fatal(err)

@@ -9,11 +9,12 @@
 // Determinism is the design center (DESIGN.md decision 11): metrics and trace
 // files are meant to be golden-tested and diffed across commits, so every
 // artifact written through this package is reproducible byte-for-byte given a
-// deterministic instrumentation sequence. Timestamps come from a Clock; the
+// deterministic instrumentation sequence. Timestamps come from a Clock: the
 // VirtualClock — a pure tick counter — is the default for file artifacts,
-// while WallClock exists for interactive profiling. Counter values themselves
-// are schedule-invariant by construction (they aggregate work totals, not
-// timings), so a 20-thread run registers the same numbers as a 1-thread run.
+// and the job service reads wall-clock milliseconds (jobs.wallMillis).
+// Counter values themselves are schedule-invariant by construction (they
+// aggregate work totals, not timings), so a 20-thread run registers the same
+// numbers as a 1-thread run.
 //
 // Everything is nil-tolerant: a nil *Tracer ignores Emit calls, so
 // instrumentation points in hot paths cost a single pointer test when
@@ -21,16 +22,14 @@
 // BenchmarkTraceOverhead and the sim cycle-invariance tests).
 package obs
 
-import (
-	"sync"
-	"time"
-)
+import "sync"
 
 // Clock supplies timestamps for phases and trace events. Implementations must
 // be safe for concurrent use.
 type Clock interface {
 	// Now returns the current timestamp. Units are implementation-defined:
-	// microseconds for WallClock, abstract ticks for VirtualClock.
+	// abstract ticks for VirtualClock, milliseconds for the job service's
+	// wall clock.
 	Now() int64
 }
 
@@ -53,15 +52,3 @@ func (c *VirtualClock) Now() int64 {
 	c.t++
 	return c.t
 }
-
-// WallClock reports microseconds elapsed since its creation. Use it for
-// interactive runs; artifacts derived from it are not reproducible.
-type WallClock struct {
-	start time.Time
-}
-
-// NewWallClock returns a wall clock anchored at the current instant.
-func NewWallClock() *WallClock { return &WallClock{start: time.Now()} }
-
-// Now returns microseconds since the clock was created.
-func (c *WallClock) Now() int64 { return time.Since(c.start).Microseconds() }

@@ -81,8 +81,8 @@ func (r *Registry) WritePrometheus(w io.Writer, namespace string) error {
 }
 
 // writeHistogramFamily renders one histogram family: cumulative `le` bucket
-// series per label value, then `_sum` and `_count`. Unlabeled families emit
-// bare series; labeled ones carry their label pair on every sample.
+// series per label value, then `_sum` and `_count`, every sample carrying the
+// family's label pair.
 func writeHistogramFamily(bw *errWriter, namespace, name string, fam HistogramSnapshot) {
 	metric := namespace + "_" + sanitizeMetricName(name)
 	h := fam.Help
@@ -93,10 +93,7 @@ func writeHistogramFamily(bw *errWriter, namespace, name string, fam HistogramSn
 	label := sanitizeMetricName(fam.Label)
 	for _, lv := range sortedKeys(fam.Series) {
 		s := fam.Series[lv]
-		pair := ""
-		if fam.Label != "" {
-			pair = fmt.Sprintf("%s=%q,", label, lv)
-		}
+		pair := fmt.Sprintf("%s=%q", label, lv)
 		var cum int64
 		for i, b := range s.Buckets {
 			cum += b
@@ -104,14 +101,10 @@ func writeHistogramFamily(bw *errWriter, namespace, name string, fam HistogramSn
 			if i < len(fam.Bounds) {
 				le = fmt.Sprintf("%d", fam.Bounds[i])
 			}
-			bw.printf("%s_bucket{%sle=%q} %d\n", metric, pair, le, cum)
+			bw.printf("%s_bucket{%s,le=%q} %d\n", metric, pair, le, cum)
 		}
-		suffix := strings.TrimSuffix(pair, ",")
-		if suffix != "" {
-			suffix = "{" + suffix + "}"
-		}
-		bw.printf("%s_sum%s %d\n", metric, suffix, s.Sum)
-		bw.printf("%s_count%s %d\n", metric, suffix, s.Count)
+		bw.printf("%s_sum{%s} %d\n", metric, pair, s.Sum)
+		bw.printf("%s_count{%s} %d\n", metric, pair, s.Count)
 	}
 }
 

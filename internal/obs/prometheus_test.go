@@ -125,25 +125,6 @@ func TestWritePrometheusHistogram(t *testing.T) {
 			t.Errorf("missing line %q in:\n%s", want, out)
 		}
 	}
-
-	// Single-series histogram: bare samples, no label pair.
-	r2 := NewRegistry(nil)
-	r2.Histogram("compile_ms", "").Observe(5)
-	buf.Reset()
-	if err := r2.WritePrometheus(&buf, "ns"); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{
-		"# TYPE ns_compile_ms histogram",
-		`ns_compile_ms_bucket{le="8"} 1`,
-		`ns_compile_ms_bucket{le="+Inf"} 1`,
-		"ns_compile_ms_sum 5",
-		"ns_compile_ms_count 1",
-	} {
-		if !strings.Contains(buf.String(), want+"\n") {
-			t.Errorf("missing line %q in:\n%s", want, buf.String())
-		}
-	}
 }
 
 func TestWritePrometheusDefaultNamespace(t *testing.T) {

@@ -30,7 +30,6 @@ type Registry struct {
 	// Distribution/labeled families (histogram.go). Kept in the same
 	// registry so the decision-12 rule holds for them too: the Prometheus
 	// exposition and the JSON artifact are two views of one store.
-	hists     map[string]*Histogram
 	lhists    map[string]*LabeledHistogram
 	lcounters map[string]*LabeledCounter
 }
@@ -53,7 +52,6 @@ func NewRegistry(clock Clock) *Registry {
 		clock:     clock,
 		counters:  map[string]int64{},
 		help:      map[string]string{},
-		hists:     map[string]*Histogram{},
 		lhists:    map[string]*LabeledHistogram{},
 		lcounters: map[string]*LabeledCounter{},
 	}
@@ -136,13 +134,14 @@ func (r *Registry) Phases() []Phase {
 	return append([]Phase(nil), r.phases...)
 }
 
-// metricsDoc is the exported JSON document. Counters, histogram series and
+// Metrics is the flexminer-metrics/v1 JSON document: what WriteJSON emits and
+// ReadMetricsJSON loads back for reporting. Counters, histogram series and
 // labeled values marshal as maps — encoding/json sorts map keys, which keeps
 // the bytes deterministic. The labeled/histogram sections are omitted when
 // empty, so documents from registries without them (every artifact golden
 // recorded before they existed) are byte-identical to the pre-histogram
 // layout — the reason the schema stays flexminer-metrics/v1.
-type metricsDoc struct {
+type Metrics struct {
 	Schema          string                            `json:"schema"`
 	Counters        map[string]int64                  `json:"counters"`
 	LabeledCounters map[string]LabeledCounterSnapshot `json:"labeled_counters,omitempty"`
@@ -155,7 +154,7 @@ type metricsDoc struct {
 // contract).
 func (r *Registry) WriteJSON(w io.Writer) error {
 	r.mu.Lock()
-	doc := metricsDoc{
+	doc := Metrics{
 		Schema:   MetricsSchema,
 		Counters: make(map[string]int64, len(r.counters)),
 		Phases:   append([]Phase{}, r.phases...),

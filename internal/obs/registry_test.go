@@ -179,12 +179,3 @@ func TestWriteJSONSortedAndStable(t *testing.T) {
 		t.Errorf("counters not sorted:\n%s", out)
 	}
 }
-
-func TestWallClockMonotonic(t *testing.T) {
-	c := NewWallClock()
-	a := c.Now()
-	b := c.Now()
-	if a < 0 || b < a {
-		t.Errorf("wall clock not monotonic: %d then %d", a, b)
-	}
-}

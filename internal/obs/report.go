@@ -8,16 +8,6 @@ import (
 	"strings"
 )
 
-// Metrics is the parsed form of a flexminer-metrics/v1 document — what
-// Registry.WriteJSON emits and ReadMetricsJSON loads back for reporting.
-type Metrics struct {
-	Schema          string                            `json:"schema"`
-	Counters        map[string]int64                  `json:"counters"`
-	LabeledCounters map[string]LabeledCounterSnapshot `json:"labeled_counters,omitempty"`
-	Histograms      map[string]HistogramSnapshot      `json:"histograms,omitempty"`
-	Phases          []Phase                           `json:"phases"`
-}
-
 // ReadMetricsJSON parses a flexminer-metrics/v1 document, rejecting other
 // schemas.
 func ReadMetricsJSON(r io.Reader) (*Metrics, error) {
@@ -106,31 +96,23 @@ func HistogramQuantile(bounds []int64, s HistogramSeries, q float64) int64 {
 }
 
 // renderHistograms emits one latency table per histogram family: a row per
-// series (per tenant for labeled families) with count, mean and
-// p50/p95/p99 upper-bound estimates.
+// series (per tenant on the serving path) with count, mean and p50/p95/p99
+// upper-bound estimates.
 func renderHistograms(bw *errWriter, hists map[string]HistogramSnapshot) {
 	for _, name := range sortedKeys(hists) {
 		fam := hists[name]
-		label := fam.Label
-		if label == "" {
-			label = "series"
-		}
 		bw.printf("\n## Histogram: %s\n\n", name)
 		if fam.Help != "" {
 			bw.printf("%s\n\n", fam.Help)
 		}
-		bw.printf("| %s | count | mean | p50 | p95 | p99 |\n|---|---:|---:|---:|---:|---:|\n", label)
+		bw.printf("| %s | count | mean | p50 | p95 | p99 |\n|---|---:|---:|---:|---:|---:|\n", fam.Label)
 		for _, lv := range sortedKeys(fam.Series) {
 			s := fam.Series[lv]
-			row := lv
-			if row == "" {
-				row = "(all)"
-			}
 			mean := "—"
 			if s.Count > 0 {
 				mean = fmt.Sprintf("%.1f", float64(s.Sum)/float64(s.Count))
 			}
-			bw.printf("| %s | %d | %s | %d | %d | %d |\n", row, s.Count, mean,
+			bw.printf("| %s | %d | %s | %d | %d | %d |\n", lv, s.Count, mean,
 				HistogramQuantile(fam.Bounds, s, 0.50),
 				HistogramQuantile(fam.Bounds, s, 0.95),
 				HistogramQuantile(fam.Bounds, s, 0.99))

@@ -97,14 +97,14 @@ func TestRenderReport(t *testing.T) {
 func TestHistogramQuantile(t *testing.T) {
 	bounds := HistogramBounds()
 	r := NewRegistry(nil)
-	h := r.Histogram("lat", "")
+	h := r.LabeledHistogram("lat", "", "tenant", 0)
 	// 99 observations at 1ms, one at 1000ms: p50 is the first bucket, p99
 	// still the first bucket (cum 99 >= 99), and p100 lands at le=1024.
 	for i := 0; i < 99; i++ {
-		h.Observe(1)
+		h.Observe("a", 1)
 	}
-	h.Observe(1000)
-	s := r.histogramSnapshots()["lat"].Series[""]
+	h.Observe("a", 1000)
+	s := h.Snapshot().Series["a"]
 	for _, tc := range []struct {
 		q    float64
 		want int64

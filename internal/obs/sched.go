@@ -16,7 +16,7 @@ const (
 // SchedHooks returns scheduler hooks that accumulate steal traffic into r:
 // total steals and tasks moved for every run, plus the locality split
 // (steals_local / steals_cross_shard) when the run is sharded. Steal counts
-// are schedule-dependent — they belong on live surfaces (serve mode's
+// are schedule-dependent — they belong on live surfaces (`flexminer serve`'s
 // /metrics) and benchmark reports, never in golden-tested documents.
 // Combine with other observers via sched.MergeHooks.
 func SchedHooks(r *Registry) sched.Hooks {

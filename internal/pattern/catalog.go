@@ -4,7 +4,11 @@ package pattern
 // Fig 11) plus generators for pattern families and the connected k-pattern
 // enumeration behind k-motif counting.
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+	"strings"
+)
 
 // Triangle returns K_3.
 func Triangle() *Pattern { return KClique(3).WithName("triangle") }
@@ -88,9 +92,8 @@ func ByName(name string) (*Pattern, error) {
 	case "house":
 		return House(), nil
 	}
-	var k int
-	var kind string
-	if n, err := fmt.Sscanf(name, "%d-%s", &k, &kind); n == 2 && err == nil {
+	num, kind, _ := strings.Cut(name, "-")
+	if k, err := strconv.Atoi(num); err == nil {
 		if k < 1 || k > MaxVertices {
 			return nil, fmt.Errorf("pattern: size %d out of range in %q", k, name)
 		}

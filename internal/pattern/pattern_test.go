@@ -162,7 +162,7 @@ func TestByName(t *testing.T) {
 			t.Errorf("ByName(%q).Name() = %q", name, p.Name())
 		}
 	}
-	for _, bad := range []string{"heptagon", "2-cycle", "99-clique", ""} {
+	for _, bad := range []string{"heptagon", "2-cycle", "99-clique", "", "4-cycle x", "4-cyclefoo", "4-"} {
 		if _, err := ByName(bad); err == nil {
 			t.Errorf("ByName(%q) accepted", bad)
 		}

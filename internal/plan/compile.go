@@ -17,14 +17,6 @@ type Options struct {
 	// connectivity, used by k-MC); default is edge-induced (TC, k-CL, SL).
 	Induced bool
 
-	// NoFrontierHints disables frontier-list memoization hints (ablation).
-	NoFrontierHints bool
-
-	// NoCMapHints disables c-map management hints: the hardware then
-	// inserts every fixed vertex's full neighbor list (ablation for the
-	// §VI-B compiler heuristics).
-	NoCMapHints bool
-
 	// NoSymmetry disables symmetry-order generation. The plan then finds
 	// every automorphic copy; engines divide counts by |Aut(P)|. This is
 	// the AutoMine [58] baseline mode (TrieJax has the same limitation).
@@ -251,9 +243,7 @@ func compileChainOrdered(p *pattern.Pattern, opt Options, order MatchingOrder) (
 		}
 		ops[i] = op
 	}
-	if !opt.NoFrontierHints {
-		assignFrontierBases(ops, less)
-	}
+	assignFrontierBases(ops, less)
 	return ops, less, nil
 }
 
@@ -499,9 +489,7 @@ func finalizeHints(pl *Plan, opt Options, lesses [][][]bool) {
 				ins := &path[j].Op
 				if !ins.InsertCMap {
 					ins.InsertCMap = true
-					if !opt.NoCMapHints {
-						ins.CMapBound = validCMapBound(j, q.Op.UpperBounds, less)
-					}
+					ins.CMapBound = validCMapBound(j, q.Op.UpperBounds, less)
 				} else if ins.CMapBound != NoLevel {
 					// Keep the bound only if this query also implies it.
 					if !boundImpliedBy(ins.CMapBound, q.Op.UpperBounds, less) {

@@ -7,6 +7,15 @@ import "sync"
 // lighter back half in one grab, amortizing steal overhead. Tasks are never
 // re-enqueued by the owner, so head only advances and the backing slice only
 // shrinks (except when a thief deposits a stolen batch into its own deque).
+//
+// Lock discipline: mu is the only mutex on the mining path
+// (graph/sched/serve/core), and it is held only inside the three methods
+// below. Each is a leaf — it defers the unlock and calls nothing that can
+// lock (append, make, copy) — so nothing else is ever acquired while mu is
+// held, and the steal sweep takes two deques' locks one after the other
+// (stealTail returns before push locks), never nested. A method added here
+// must keep that shape: it is what holds the no-deadlock invariant, with go
+// vet's copylocks and the -race stress of this package (DESIGN decision 10).
 type deque struct {
 	mu   sync.Mutex
 	head int

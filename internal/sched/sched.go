@@ -24,7 +24,7 @@ type Hooks struct {
 
 	// OnTask fires after fn returns for a task — the task was executed
 	// (possibly partially, when cancellation latched mid-task). This is the
-	// live-progress feed of serve mode's /debug/progress endpoint.
+	// live-progress feed behind serve.Progress (a job's "progress").
 	OnTask func(worker int, t Task)
 }
 

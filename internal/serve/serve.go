@@ -166,9 +166,9 @@ var DrainGrace = 30 * time.Second
 //
 // Each drain function, when given, is invoked after ctx is cancelled but
 // BEFORE the HTTP listener shuts down, with a context bounded by DrainGrace;
-// this is how in-flight mining work (the serve-mode workload, the job
-// queue's running batches) finishes — and stays observable on /metrics and
-// /debug/progress — instead of being orphaned the instant SIGINT lands.
+// this is how in-flight mining work (the job queue's running batches)
+// finishes — and stays observable on /metrics and GET /jobs/{id} — instead
+// of being orphaned the instant SIGINT lands.
 // Drainers run in order; the first error is returned after the listener
 // closes, but never aborts the shutdown itself.
 func ListenAndServe(ctx context.Context, addr string, handler http.Handler, onReady func(boundAddr string), drain ...func(context.Context) error) error {
