@@ -16,9 +16,9 @@ package core
 // per intermediate embedding.
 //
 // Rows are keyed by x's position in the universe row adj(emb[Universe])
-// (always ⊇ the extender's candidate set, see plan/aux.go), so the stamp and
-// offset arrays are MaxDegree-sized and pooled in the worker — activation is
-// O(1): bump an epoch, reset the arena length. Nothing here is charged by the
+// (always ⊇ the extender's candidate set, see plan/aux.go), so the slot array
+// is MaxDegree-sized and pooled in the worker — activation is O(1): bump an
+// epoch, reset the arena length. Nothing here is charged by the
 // simulator, which never reads the aux directives; mined counts are invariant
 // under AuxMode (cross-mode tests), only wall-clock and the Aux* Stats move.
 
@@ -79,13 +79,22 @@ type auxState struct {
 	universe  []graph.VID // adj(emb[Universe]) view of the live activation
 	active    bool        // inside an activation scope
 	build     bool        // activation passed the cost gate
-	epoch     uint64      // stamps[pos]==epoch ⇒ row for universe[pos] is live
-	stamps    []uint64
-	offs      []int32 // arena offsets (indices survive arena regrowth)
-	lens      []int32
+	epoch     uint64      // slots[pos].stamp==epoch ⇒ row for universe[pos] is live
+	slots     []auxSlot
+	finger    int         // universe position of the previous lookup
 	arena     []graph.VID // append-only row storage, reset per activation
 	liveBytes int64       // bytes of live rows (arena length × 4)
 }
+
+// auxSlot locates one row; stamp, offset and length share a 16-byte slot so a
+// hit touches one cache line. off is an arena index (survives regrowth).
+type auxSlot struct {
+	stamp  uint64
+	off, n int32
+}
+
+// fingerSteps is how far auxRow walks from its previous position before it searches.
+const fingerSteps = 4
 
 // newAuxStates builds the pooled per-spec runtime of one worker, or nil when
 // the program carries no aux layer.
@@ -96,9 +105,7 @@ func newAuxStates(g graph.Store, p *program) []auxState {
 	states := make([]auxState, len(p.aux))
 	maxd := g.MaxDegree()
 	for i := range states {
-		states[i].stamps = make([]uint64, maxd)
-		states[i].offs = make([]int32, maxd)
-		states[i].lens = make([]int32, maxd)
+		states[i].slots = make([]auxSlot, maxd)
 	}
 	return states
 }
@@ -114,6 +121,7 @@ func (w *worker) auxActivate(n *node) {
 		st := &w.aux[i]
 		a := &w.prog.aux[i]
 		st.epoch++
+		st.finger = 0
 		w.auxLive -= st.liveBytes
 		st.liveBytes = 0
 		st.arena = st.arena[:0]
@@ -154,20 +162,33 @@ func (w *worker) auxRelease(n *node) {
 // auxRow resolves the materialized pruned row for the consumer's extender
 // value, building it on first lookup within the live activation. ok=false
 // falls back to the plain adjacency path: spec inactive (hand-built plan or
-// cost-gated activation) or — defensively — a key outside the universe.
+// cost-gated activation) or — defensively — a key neither finger nor search
+// finds, i.e. one outside the universe. The key's universe position is stepped
+// to from the previous lookup's: the extender's level iterates a sorted sub-list
+// of the universe, so keys arrive in ascending runs (a smaller key restarts at
+// 0); only a longer gap is searched.
 func (w *worker) auxRow(n *node) ([]graph.VID, bool) {
 	st := &w.aux[n.srcIdx]
 	if !st.active || !st.build {
 		return nil, false
 	}
-	x := w.emb[n.op.Extender]
-	pos := setops.Index(st.universe, x)
-	if pos < 0 {
+	x, u, pos := w.emb[n.op.Extender], st.universe, st.finger
+	if pos >= len(u) || u[pos] > x {
+		pos = 0
+	}
+	for end := pos + fingerSteps; pos < len(u) && u[pos] < x; pos++ {
+		if pos == end {
+			pos += max(w.index(u[pos:], x), 0)
+			break
+		}
+	}
+	if pos >= len(u) || u[pos] != x {
 		return nil, false
 	}
-	if st.stamps[pos] == st.epoch {
+	st.finger = pos
+	if s := st.slots[pos]; s.stamp == st.epoch {
 		w.stats.AuxReused++
-		return st.arena[st.offs[pos] : st.offs[pos]+int32(st.lens[pos])], true
+		return st.arena[s.off : s.off+s.n], true
 	}
 	return w.auxBuild(st, &w.prog.aux[n.srcIdx], x, pos), true
 }
@@ -183,15 +204,14 @@ func (w *worker) auxBuild(st *auxState, a *auxNode, x graph.VID, pos int) []grap
 		bound = w.emb[a.spec.RowBound]
 	}
 	off := int32(len(st.arena))
-	row, ops := setops.Bounded(w.g.Adj(x), bound), a.ops
+	row, ops := w.bounded(w.g.Adj(x), bound), a.ops
 	if a.scan != nil && w.scanPays(ops, len(row)) {
 		ops = a.scan
 	}
 	cur, last := w.chain(row, ops, bound)
 	st.arena, _ = w.setOp(st.arena, true, cur, last, bound)
 	n := int32(len(st.arena)) - off
-	st.offs[pos], st.lens[pos] = off, n
-	st.stamps[pos] = st.epoch
+	st.slots[pos] = auxSlot{stamp: st.epoch, off: off, n: n}
 	st.liveBytes += int64(n) * 4
 	w.auxLive += int64(n) * 4
 	if w.auxLive > w.stats.AuxBytesPeak {

@@ -99,19 +99,21 @@ func (o Options) withDefaults() Options {
 // attribute set-operation work to the kernel that did it, so -kernel auto and
 // -kernel merge runs are comparable: SetOpIterations counts only merge-loop
 // iterations actually executed (the SIU/SDU work proxy), GallopProbes counts
-// galloping element comparisons, and BitmapProbes counts c-map accesses: byte
-// probes and mark/unmark writes. Counts, Candidates and Extensions are the
-// invariants across kernel policies; the kernel counters are not, nor is
-// FrontierReuses — it falls under KernelAuto wherever a c-map scan replaces a
-// frontier+residual operation.
+// galloping element comparisons, BitmapProbes counts c-map accesses (byte
+// probes, mark/unmark writes, distinctness probes) and Searches the binary
+// searches none of them sees (DESIGN.md decision 20). Counts, Candidates and
+// Extensions are the invariants across kernel policies; the kernel counters are
+// not, nor are FrontierReuses and Searches — under KernelAuto they fall where a
+// c-map scan replaces a frontier+residual operation or a probe a search.
 type Stats struct {
 	Tasks           int64 // scheduled tasks executed (sub-tasks when slicing)
 	Extensions      int64 // vertices pushed onto ancestor stacks
 	Candidates      int64 // candidates emitted after pruning
 	SetOpIterations int64 // merge-loop iterations (SIU/SDU work proxy)
 	GallopProbes    int64 // galloping-kernel element comparisons
-	BitmapProbes    int64 // c-map accesses: byte probes, mark/unmark writes
+	BitmapProbes    int64 // c-map accesses: byte probes, mark/unmark writes, distinctness probes
 	FrontierReuses  int64 // candidate lists built from a memoized frontier
+	Searches        int64 // binary searches: finite-bound prefixes, positions, memberships
 
 	// LeafCountsSkippedMaterialize counts leaf evaluations that produced
 	// their count via a counting kernel without materializing the
@@ -139,6 +141,7 @@ func (s *Stats) add(o *Stats) {
 	s.GallopProbes += o.GallopProbes
 	s.BitmapProbes += o.BitmapProbes
 	s.FrontierReuses += o.FrontierReuses
+	s.Searches += o.Searches
 	s.LeafCountsSkippedMaterialize += o.LeafCountsSkippedMaterialize
 	s.AuxBuilt += o.AuxBuilt
 	s.AuxReused += o.AuxReused
@@ -338,6 +341,7 @@ type worker struct {
 	o    Options
 
 	emb     []graph.VID    // ancestor stack
+	pos     []int          // pos[d]: index of emb[d] in the list interior level d iterates
 	levels  [][]graph.VID  // per-level candidate buffers / frontiers
 	scratch [2][]graph.VID // ping-pong buffers for chained set operations
 
@@ -405,6 +409,7 @@ func newWorker(g graph.Store, p *program, o Options) *worker {
 		prog:   p,
 		o:      o,
 		emb:    make([]graph.VID, k),
+		pos:    make([]int, k),
 		levels: make([][]graph.VID, k),
 		aux:    newAuxStates(g, p),
 		counts: make([]int64, len(p.pl.Patterns)),
@@ -455,7 +460,7 @@ func (w *worker) emitTaskTrace(t sched.Task, before *Stats) {
 	w.trace.Emit(obs.CatKernel, "dispatch", w.widx, 0,
 		obs.Arg{Key: "merge_iters", Val: w.stats.SetOpIterations - before.SetOpIterations},
 		obs.Arg{Key: "gallop_probes", Val: w.stats.GallopProbes - before.GallopProbes},
-		// C-map accesses: byte probes and mark/unmark writes.
+		// C-map accesses: byte probes, mark/unmark writes, distinctness probes.
 		obs.Arg{Key: "bitmap_probes", Val: w.stats.BitmapProbes - before.BitmapProbes})
 }
 
@@ -484,11 +489,11 @@ func (w *worker) walk(n *node) {
 		}
 		return
 	}
-	for _, v := range cands {
+	for i, v := range cands {
 		if w.cancelled() {
 			return
 		}
-		w.emb[depth] = v
+		w.emb[depth], w.pos[depth] = v, i
 		w.descend(n)
 	}
 }
@@ -544,10 +549,15 @@ func (w *worker) resolve(n *node, bound graph.VID) ([]graph.VID, []chainOp) {
 		// adjacency for the materialized pruned row; the spec's folded
 		// sources are already applied, leaving only the residuals.
 		if row, ok := w.auxRow(n); ok {
-			return setops.Bounded(row, bound), n.res
+			return w.bounded(row, bound), n.res
 		}
 	case srcFrontier:
-		front := setops.Bounded(w.levels[n.srcIdx], bound)
+		front := w.levels[n.srcIdx]
+		if n.boundAt == n.srcIdx {
+			front = front[:w.pos[n.boundAt]] // the bound is the frontier's own loop vertex
+		} else {
+			front = w.bounded(front, bound)
+		}
 		if n.scan != nil {
 			if row := w.extenderRow(n, bound); w.scanPays(n.adj, len(row)) && w.outreads(n, front, len(row)) {
 				return row, n.scan
@@ -571,7 +581,31 @@ func (w *worker) extenderRow(n *node, bound graph.VID) []graph.VID {
 		// of the start vertex's adjacency (mirrors the PE's slice path).
 		adj = adj[min(w.sliceLo, len(adj)):min(w.sliceHi, len(adj))]
 	}
-	return setops.Bounded(adj, bound)
+	if b := n.boundAt; b != plan.NoLevel && n.src != srcFrontier {
+		// The bounding vertex came out of this very row, at pos[b] of the
+		// prefix — or hub slice, when b is the sliced level — it was cut to.
+		end := w.pos[b]
+		if b == 1 && w.sliceHi >= 0 {
+			end += w.sliceLo
+		}
+		return adj[:end]
+	}
+	return w.bounded(adj, bound)
+}
+
+// bounded and index are setops.Bounded and setops.Index charged to Stats.Searches:
+// every binary search the DFS executes is one of them (a NoBound prefix is none).
+func (w *worker) bounded(a []graph.VID, bound graph.VID) []graph.VID {
+	if bound == setops.NoBound {
+		return a
+	}
+	w.stats.Searches++
+	return setops.Bounded(a, bound)
+}
+
+func (w *worker) index(a []graph.VID, x graph.VID) int {
+	w.stats.Searches++
+	return setops.Index(a, x)
 }
 
 // chain runs every operation of ops but the last through the ping-pong
@@ -609,27 +643,40 @@ func (w *worker) materialize(n *node) []graph.VID {
 
 // count is materialize for a count-only leaf: same base, same chain; only
 // the last operation runs as a counting kernel and the distinctness filter
-// becomes a membership adjustment.
+// becomes an adjustment: an excluded ancestor below the bound was counted iff it
+// is a candidate — settled at lowering, probed in the c-map, or searched for.
 func (w *worker) count(n *node) int64 {
 	bound := w.bound(n)
 	base, ops := w.resolve(n, bound)
-	if len(ops) == 0 {
-		// Plain adjacency/frontier leaf: the bounded length minus the
-		// excluded ancestors present in it.
-		cnt := int64(len(base))
-		for _, j := range n.op.NotEqual {
-			if v := w.emb[j]; v < bound && setops.Contains(base, v) {
+	cur, cnt := base, int64(len(base))
+	var last chainOp
+	if len(ops) > 0 {
+		cur, last = w.chain(base, ops, bound)
+		_, cnt = w.setOp(nil, false, cur, last, bound)
+	}
+	for _, j := range n.certain {
+		if w.emb[j] < bound {
+			cnt--
+		}
+	}
+suspects:
+	for i := range n.suspects {
+		s := &n.suspects[i]
+		v := w.emb[s.j]
+		switch {
+		case v >= bound:
+		case !s.probe:
+			// Counted iff it survived the prefix (∈ cur) and the last operation.
+			if w.index(cur, v) >= 0 && (len(ops) == 0 || w.holds(last, v)) {
 				cnt--
 			}
-		}
-		return cnt
-	}
-	cur, last := w.chain(base, ops, bound)
-	_, cnt := w.setOp(nil, false, cur, last, bound)
-	// emb[j] was counted iff it survived the materialized prefix (∈ cur),
-	// the last operation, and the bound.
-	for _, j := range n.op.NotEqual {
-		if v := w.emb[j]; v < bound && setops.Contains(cur, v) && w.holds(last, v) {
+		default:
+			for k, o := range s.ops {
+				w.stats.BitmapProbes++
+				if w.cm[w.emb[s.at[k]]]>>o.level&1 == 0 {
+					continue suspects
+				}
+			}
 			cnt--
 		}
 	}
@@ -642,7 +689,7 @@ func (w *worker) count(n *node) int64 {
 // second time.
 func (w *worker) dropAncestors(list []graph.VID, n *node) []graph.VID {
 	for _, j := range n.op.NotEqual {
-		if i := setops.Index(list, w.emb[j]); i >= 0 {
+		if i := w.index(list, w.emb[j]); i >= 0 {
 			list = append(list[:i], list[i+1:]...)
 		}
 	}

@@ -160,7 +160,7 @@ func (w *worker) holds(o chainOp, v graph.VID) bool {
 	if o.masked() {
 		return w.cm[v]&(o.need|o.avoid) == o.need
 	}
-	return setops.Contains(w.g.Adj(w.emb[o.level]), v) != o.diff
+	return w.index(w.g.Adj(w.emb[o.level]), v) >= 0 != o.diff
 }
 
 // The connectivity map (DESIGN.md decision 19): which levels are marked and
@@ -176,7 +176,7 @@ func (w *worker) mark(n *node) {
 		bound = min(bound, w.emb[bits.TrailingZeros32(ls)])
 	}
 	adj := w.g.Adj(w.emb[n.depth])
-	row := setops.Bounded(adj, bound)
+	row := w.bounded(adj, bound)
 	bit := uint8(1) << n.depth
 	for _, x := range row {
 		w.cm[x] |= bit

@@ -10,6 +10,8 @@ package core
 // workers; ops, nodes and aux specs travel by pointer only.
 
 import (
+	"slices"
+
 	"repro/internal/graph"
 	"repro/internal/plan"
 )
@@ -52,6 +54,18 @@ type chainOp struct {
 
 func (o chainOp) masked() bool { return o.need|o.avoid != 0 }
 
+// suspect is a NotEqual ancestor of a count-only leaf that lowering could not
+// settle: emb[j] is a candidate iff, for every k, emb[at[k]] is adjacent to
+// emb[ops[k].level] — pairs of levels the plan neither connects nor disconnects.
+// With probe set (markLevels marked every ops level) the c-map answers with one
+// byte probe per pair; otherwise, and with no pair, the leaf searches for emb[j].
+type suspect struct {
+	j     int
+	ops   []chainOp
+	at    []int
+	probe bool
+}
+
 // node is the lowered form of one plan.Node.
 type node struct {
 	_ noCopy
@@ -67,6 +81,17 @@ type node struct {
 	res    []chainOp // residual chain on top of a frontier or aux row
 	adj    []chainOp // Connected/Disconnected on top of plain adjacency
 	scan   []chainOp // adj as one masked op over the c-map; nil when some level of it is unmarked
+
+	// boundAt, if not NoLevel, is the node's only UpperBounds level, its vertex
+	// drawn from the list this node starts from — the frontier it reuses, or the
+	// same extender's bare adjacency — so the bounded prefix ends at its loop index.
+	boundAt int
+
+	// NotEqual of a count-only leaf, split by what the plan proves (decision 20):
+	// a certain ancestor is adjacent to every source and to nothing in Disconnected,
+	// so counted iff below the bound; one proven no candidate is in neither list.
+	certain  []int
+	suspects []suspect
 
 	hasAux bool // the aux layer is on and the op activates specs
 
@@ -115,20 +140,22 @@ func lower(g graph.Store, pl *plan.Plan, o Options, listing bool) *program {
 			a.gate = o.AuxGraph == AuxOn || reuse >= 2
 		}
 	}
-	p.root = p.lowerNode(pl.Root, 0, o, listing)
+	p.root = p.lowerNode(pl.Root, nil, listing)
 	if o.Kernel == KernelAuto {
 		p.markLevels()
 	}
 	return p
 }
 
-func (p *program) lowerNode(pn *plan.Node, depth int, o Options, listing bool) *node {
+// lowerNode lowers pn below its ancestors path (root first).
+func (p *program) lowerNode(pn *plan.Node, path []*node, listing bool) *node {
 	op := &pn.Op
 	n := &node{
 		op:         op,
-		depth:      depth,
+		depth:      len(path),
 		patternIdx: pn.PatternIdx,
 		adj:        flatten(op.Connected, op.Disconnected),
+		boundAt:    plan.NoLevel,
 		hasAux:     p.aux != nil && len(op.BuildAux) > 0,
 	}
 	switch {
@@ -139,11 +166,19 @@ func (p *program) lowerNode(pn *plan.Node, depth int, o Options, listing bool) *
 		n.src, n.srcIdx = srcAux, op.AuxBase
 		n.res = flatten(op.AuxIntersect, op.AuxDifference)
 	}
+	if bs := op.UpperBounds; len(bs) == 1 {
+		l := path[bs[0]]
+		frontier := n.src == srcFrontier && n.srcIdx == bs[0]
+		row := n.src != srcFrontier && l.src == srcAdj && l.op.Extender == op.Extender && len(l.adj)+len(l.op.NotEqual) == 0
+		if frontier || row {
+			n.boundAt = bs[0]
+		}
+	}
 	switch {
 	case !pn.IsLeaf():
 		n.children = make([]*node, len(pn.Children))
 		for i, c := range pn.Children {
-			n.children[i] = p.lowerNode(c, depth+1, o, listing)
+			n.children[i] = p.lowerNode(c, append(path, n), listing)
 		}
 	case listing:
 		n.mode = leafVisit
@@ -153,8 +188,62 @@ func (p *program) lowerNode(pn *plan.Node, depth int, o Options, listing bool) *
 		// Nothing below a leaf reads its candidate list, so its size comes
 		// from a counting kernel instead of a materialized w.levels[depth].
 		n.mode = leafCount
+		n.splitNotEqual(path, p.pl.RequiresDAG)
 	}
 	return n
+}
+
+// splitNotEqual sorts the leaf's NotEqual ancestors into certain, suspect and
+// (dropped) never-a-candidate. Levels a < b are proven adjacent when a is the
+// extender or in Connected of the op at depth b, apart when it is in its
+// Disconnected or a == b (no self loops) — on symmetric adjacency only: on a DAG
+// every ancestor is searched for. So is one in NotEqual of a frontier under n's
+// base: materialize cut it out of that list, so it is there to subtract only
+// when resolve scans the extender's row instead.
+func (n *node) splitNotEqual(path []*node, dag bool) {
+	proven := func(a, b int) int { // +1 adjacent, -1 apart, 0 unknown
+		op := path[max(a, b)].op
+		switch a = min(a, b); {
+		case dag:
+		case a == op.Level || slices.Contains(op.Disconnected, a):
+			return -1
+		case a == op.Extender || slices.Contains(op.Connected, a):
+			return 1
+		}
+		return 0
+	}
+next:
+	for _, j := range n.op.NotEqual {
+		s, search := suspect{j: j}, dag
+		for f := n; f.src == srcFrontier && !search; {
+			f = path[f.srcIdx]
+			search = slices.Contains(f.op.NotEqual, j)
+		}
+		for _, l := range append([]int{n.op.Extender}, n.op.Connected...) {
+			switch proven(j, l) {
+			case -1:
+				continue next
+			case 0:
+				s.ops, s.at = append(s.ops, chainOp{level: min(j, l)}), append(s.at, max(j, l))
+			}
+		}
+		for _, l := range n.op.Disconnected {
+			switch proven(j, l) {
+			case 1:
+				continue next
+			case 0:
+				search = true
+			}
+		}
+		switch {
+		case search:
+			n.suspects = append(n.suspects, suspect{j: j})
+		case s.ops != nil:
+			n.suspects = append(n.suspects, s)
+		default:
+			n.certain = append(n.certain, j)
+		}
+	}
 }
 
 // cmLevels: the c-map's byte (the paper's 8-bit value field) has a bit for this many levels.
@@ -162,20 +251,22 @@ const cmLevels = 8
 
 // markLevels makes the static c-map decisions (DESIGN.md decision 19). A chain
 // is read where it is evaluated: a node's adj chain at the node, an aux spec's
-// fold chain at each consumer. Level L is wanted when a chain read at depth
-// ≥ L+2 checks connectivity to it — only then is one insertion probed from
-// more than one extension. A chain whose levels are all wanted gets its masked
-// form and marks the levels it reads. A marked level inserts only the prefix
-// every such chain can probe: below emb[b] for each b ≤ L in the transitive
-// closure of the chain's bounds along the root path (the candidate stays below
-// emb[b], itself matched below path[b]'s bounds), intersected over the chains.
+// fold chain at each consumer, a suspect's pairs at its leaf. Level L is wanted
+// when a chain read at depth ≥ L+2 checks connectivity to it — only then is one
+// insertion probed from more than one extension. A chain whose levels are all
+// wanted gets its masked form and marks the levels it reads. A marked level
+// inserts only the prefix every such chain can probe: below emb[b] for each
+// b ≤ L in the transitive closure of the chain's bounds along the root path
+// (the candidate stays below emb[b], itself matched below path[b]'s bounds),
+// intersected over the chains — the whole row once a suspect (no bounds) reads it.
 func (p *program) markLevels() {
 	var path []*node
 	// visit calls read, with path holding n's ancestors, for every chain
 	// evaluated at n: the levels it checks, the levels bounding its
-	// candidates, and where its masked form goes.
-	var visit func(n *node, read func(ops []chainOp, bounds []int, scan *[]chainOp))
-	visit = func(n *node, read func([]chainOp, []int, *[]chainOp)) {
+	// candidates, and where its masked form goes (nil: a suspect's is not
+	// needed). read reports whether it marked the chain's levels.
+	var visit func(n *node, read func(ops []chainOp, bounds []int, scan *[]chainOp) bool)
+	visit = func(n *node, read func([]chainOp, []int, *[]chainOp) bool) {
 		// A frontier consumer with no residual evaluates no chain at all.
 		if len(n.adj) > 0 && (n.src != srcFrontier || len(n.res) > 0) {
 			read(n.adj, n.op.UpperBounds, &n.scan)
@@ -188,6 +279,11 @@ func (p *program) markLevels() {
 			}
 			read(a.ops, bounds, &a.scan)
 		}
+		for i := range n.suspects {
+			if s := &n.suspects[i]; s.ops != nil {
+				s.probe = read(s.ops, nil, nil)
+			}
+		}
 		path = append(path, n)
 		for _, c := range n.children {
 			visit(c, read)
@@ -195,18 +291,19 @@ func (p *program) markLevels() {
 		path = path[:len(path)-1]
 	}
 	want := map[*node]bool{}
-	visit(p.root, func(ops []chainOp, _ []int, _ *[]chainOp) {
+	visit(p.root, func(ops []chainOp, _ []int, _ *[]chainOp) bool {
 		for _, o := range ops {
 			if o.level+2 <= len(path) && o.level < cmLevels {
 				want[path[o.level]] = true
 			}
 		}
+		return false
 	})
-	visit(p.root, func(ops []chainOp, bounds []int, scan *[]chainOp) {
+	visit(p.root, func(ops []chainOp, bounds []int, scan *[]chainOp) bool {
 		var m chainOp
 		for _, o := range ops {
 			if !want[path[o.level]] {
-				return
+				return false
 			}
 			if o.diff {
 				m.avoid |= 1 << o.level
@@ -228,7 +325,11 @@ func (p *program) markLevels() {
 			}
 			l.markBelow &= below
 		}
-		*scan, p.marks = []chainOp{m}, true
+		if scan != nil {
+			*scan = []chainOp{m}
+		}
+		p.marks = true
+		return true
 	})
 }
 

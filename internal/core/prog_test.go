@@ -207,10 +207,10 @@ func TestEngineExpandsOnce(t *testing.T) {
 }
 
 // BenchmarkExtension is the per-extension constant of the DFS: the 4-star
-// plan does no set-operation work at all (every level is a bounded frontier
-// or adjacency prefix), so ns per Stats.Extensions is what one push onto the
-// ancestor stack costs beyond the kernels — the figure decision 18 removed
-// the op copies from.
+// plan does no set-operation work at all and, its bounds being loop positions
+// (decision 20), no search either — every level is an adjacency prefix — so ns
+// per Stats.Extensions is what one push onto the ancestor stack costs beyond
+// the kernels: the figure decision 18 removed the op copies from.
 func BenchmarkExtension(b *testing.B) {
 	g := graph.RMAT(11, 16000, 0.57, 0.19, 0.19, 7)
 	pl, err := plan.Compile(pattern.KStar(4), plan.Options{})
@@ -222,8 +222,8 @@ func BenchmarkExtension(b *testing.B) {
 		b.Fatal(err)
 	}
 	warm := e.Mine()
-	if w := warm.Stats.SetOpIterations + warm.Stats.GallopProbes + warm.Stats.BitmapProbes; w != 0 {
-		b.Fatalf("4-star must do no set-operation work, did %d", w)
+	if w := warm.Stats.SetOpIterations + warm.Stats.GallopProbes + warm.Stats.BitmapProbes + warm.Stats.Searches; w != 0 {
+		b.Fatalf("4-star must do no set-operation work and no search, did %d", w)
 	}
 	b.ResetTimer()
 	var ext int64

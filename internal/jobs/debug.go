@@ -16,7 +16,9 @@ import (
 // DebugTailLimit caps the event-log tail served by /debug/jobs.
 const DebugTailLimit = 256
 
-// TenantSummary is one tenant's row of the /debug/jobs document.
+// TenantSummary is one tenant's row of the /debug/jobs document. The counts
+// cover the jobs the server retains (in flight plus the retention ring); the
+// lifetime totals are the jobs.* counters on /metrics.
 type TenantSummary struct {
 	Submitted int64 `json:"submitted"`
 	Queued    int64 `json:"queued"`

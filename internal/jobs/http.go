@@ -13,7 +13,8 @@ package jobs
 //	GET    /debug/jobs         per-tenant summary + structured event-log tail
 //
 // Handlers translate the Server's sentinel errors onto statuses: queue full
-// → 429, shutting down → 503, unknown job → 404, bad request → 400.
+// → 429, shutting down → 503, unknown job → 404, job evicted from the
+// retention ring → 410, bad request → 400.
 
 import (
 	"encoding/json"
@@ -45,6 +46,15 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 
 func writeErr(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
+}
+
+// writeLookupErr answers a failed job lookup: 410 for an evicted id, else 404.
+func writeLookupErr(w http.ResponseWriter, err error) {
+	code := http.StatusNotFound
+	if errors.Is(err, ErrEvicted) {
+		code = http.StatusGone
+	}
+	writeErr(w, code, err)
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -80,7 +90,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	st, err := s.Status(r.PathValue("id"))
 	if err != nil {
-		writeErr(w, http.StatusNotFound, err)
+		writeLookupErr(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, st)
@@ -90,14 +100,17 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	res, err := s.Result(id)
 	if err != nil {
-		writeErr(w, http.StatusNotFound, err)
+		writeLookupErr(w, err)
 		return
 	}
 	if res == nil {
-		st, _ := s.Status(id)
-		if st.State.Terminal() {
+		st, err := s.Status(id)
+		switch {
+		case err != nil: // evicted since the lookup above
+			writeLookupErr(w, err)
+		case st.State.Terminal():
 			writeErr(w, http.StatusGone, fmt.Errorf("jobs: job %s finished %s with no result", id, st.State))
-		} else {
+		default:
 			writeErr(w, http.StatusConflict, fmt.Errorf("jobs: job %s is still %s", id, st.State))
 		}
 		return
@@ -109,7 +122,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	st, err := s.Cancel(id)
 	if err != nil {
-		writeErr(w, http.StatusNotFound, err)
+		writeLookupErr(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]string{"id": id, "state": string(st)})

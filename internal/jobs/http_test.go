@@ -8,6 +8,7 @@ package jobs
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -347,5 +348,76 @@ func TestHTTPPauseResumeAndList(t *testing.T) {
 	var jobsList []Status
 	if err := json.Unmarshal(ldoc["jobs"], &jobsList); err != nil || len(jobsList) != 1 {
 		t.Fatalf("list: %s (%v)", ldoc["jobs"], err)
+	}
+}
+
+// TestHTTPRetentionRing: the job table keeps the most recent `retain` finished
+// jobs and nothing older, so a faster engine is not billed for the jobs it
+// finishes. Submitting in waves shorter than the queue bound, with the ring
+// lowered to 8: after every wave the table holds at most ring + in-flight
+// jobs; at the end the newest 8 answer 200 on status and result, everything
+// older answers 410 on both (and on cancel), a never-issued id still answers
+// 404, and the listing shows the retained jobs only.
+func TestHTTPRetentionRing(t *testing.T) {
+	const ring = 8
+	g := graph.ChungLu(100, 500, 2.3, 2)
+	s, ts := newHTTPServer(t, Config{Graphs: map[string]graph.Store{"default": g}})
+	s.mu.Lock()
+	s.retain = ring
+	s.mu.Unlock()
+
+	var ids []string
+	for wave := 0; wave < 3; wave++ {
+		for i := 0; i < ring; i++ {
+			ids = append(ids, submitHTTP(t, ts.URL, fmt.Sprintf("t%d", i%2), "default", "triangle", 1))
+			s.mu.Lock()
+			table, inflight := len(s.jobs), len(s.jobs)-s.terminal
+			s.mu.Unlock()
+			if table > ring+inflight {
+				t.Fatalf("job table holds %d jobs with %d in flight, ring is %d", table, inflight, ring)
+			}
+		}
+		for _, id := range ids[len(ids)-ring:] {
+			if err := s.Wait(context.Background(), id); err != nil { // the newest `ring` are never evicted
+				t.Fatalf("waiting for %s: %v", id, err)
+			}
+		}
+	}
+	s.mu.Lock()
+	table, order := len(s.jobs), len(s.order)
+	s.mu.Unlock()
+	if table != ring || order != ring {
+		t.Fatalf("after drain: %d jobs in the table, %d in the listing order, want %d", table, order, ring)
+	}
+
+	want := func(id, suffix, method string, status int) {
+		t.Helper()
+		if code, _ := httpJSON(t, method, ts.URL+"/jobs/"+id+suffix, nil); code != status {
+			t.Errorf("%s /jobs/%s%s: status %d, want %d", method, id, suffix, code, status)
+		}
+	}
+	for i, id := range ids {
+		status := http.StatusGone
+		if i >= len(ids)-ring {
+			status = http.StatusOK
+		}
+		want(id, "", "GET", status)
+		want(id, "/result", "GET", status)
+	}
+	want(ids[0], "/cancel", "POST", http.StatusGone)
+	want("job-999", "", "GET", http.StatusNotFound)
+	for _, id := range []string{"job-01", "job-0", "job--1", "job-1x"} { // not ids the server ever issued
+		want(id, "", "GET", http.StatusNotFound)
+	}
+
+	_, doc := httpJSON(t, "GET", ts.URL+"/jobs", nil)
+	var listed []Status
+	if err := json.Unmarshal(doc["jobs"], &listed); err != nil || len(listed) != ring {
+		t.Fatalf("list: %d jobs (%v), want %d", len(listed), err, ring)
+	}
+	for i, st := range listed {
+		if st.ID != ids[len(ids)-ring+i] {
+			t.Errorf("list[%d] = %s, want %s", i, st.ID, ids[len(ids)-ring+i])
+		}
 	}
 }

@@ -35,6 +35,8 @@ import (
 	"fmt"
 	"path/filepath"
 	"runtime"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -82,7 +84,12 @@ var (
 	ErrQueueFull = errors.New("jobs: queue full")
 	ErrClosed    = errors.New("jobs: server is shutting down")
 	ErrNotFound  = errors.New("jobs: no such job")
+	ErrEvicted   = errors.New("jobs: job finished and has left the retention ring")
 )
+
+// retainJobs is how many finished jobs the server keeps for polling; older
+// ones are evicted (410 Gone), so memory is bounded under indefinite uptime.
+const retainJobs = 1024
 
 // Config parameterizes a Server. The zero value is usable: private registry,
 // queue of 64, batches up to 8 plan legs, one batch in flight, named graphs
@@ -252,6 +259,9 @@ type Server struct {
 	q         *drrQueue
 	jobs      map[string]*Job
 	order     []string // submission order, for deterministic listings
+	retain    int      // terminal jobs kept in jobs/order (retainJobs; tests lower it)
+	terminal  int      // terminal jobs currently in jobs/order
+	evicted   int      // highest seq evicted: ids are sequential, so an id at or below it that is not in jobs was evicted
 	nextID    int
 	nextBatch int
 	running   int
@@ -296,6 +306,7 @@ func New(cfg Config) *Server {
 		stopAll:        cancel,
 		q:              newDRRQueue(cfg.MaxQueue, 1),
 		jobs:           map[string]*Job{},
+		retain:         retainJobs,
 		widthFields:    map[int]map[string]int64{},
 		paused:         cfg.StartPaused,
 		graphs:         map[string]resolvedGraph{},
@@ -390,10 +401,10 @@ func (s *Server) Submit(req SubmitRequest, pat *pattern.Pattern) (string, error)
 // a no-op. Returns the job's state after the call.
 func (s *Server) Cancel(id string) (State, error) {
 	s.mu.Lock()
-	j := s.jobs[id]
-	if j == nil {
+	j, err := s.lookupLocked(id)
+	if err != nil {
 		s.mu.Unlock()
-		return "", ErrNotFound
+		return "", err
 	}
 	if j.state.Terminal() {
 		st := j.state
@@ -424,10 +435,10 @@ func (s *Server) Cancel(id string) (State, error) {
 // result recorded) or ctx expires.
 func (s *Server) Wait(ctx context.Context, id string) error {
 	s.mu.Lock()
-	j := s.jobs[id]
+	j, err := s.lookupLocked(id)
 	s.mu.Unlock()
-	if j == nil {
-		return ErrNotFound
+	if err != nil {
+		return err
 	}
 	select {
 	case <-j.finalized:
@@ -722,6 +733,32 @@ func (s *Server) finishLocked(j *Job, st State, msg string, r *Result) {
 	case StateCancelled:
 		s.reg.Add(MetricCancelled, 1)
 	}
+	// The retention ring: past s.retain finished jobs the oldest leaves the
+	// table and the listing. Callers that still hold j are unaffected.
+	s.terminal++
+	for i := 0; s.terminal > s.retain && i < len(s.order); {
+		old := s.jobs[s.order[i]]
+		if !old.state.Terminal() {
+			i++ // still queued or running: stays, whatever its age
+			continue
+		}
+		delete(s.jobs, old.id)
+		s.order = slices.Delete(s.order, i, i+1)
+		s.evicted = max(s.evicted, old.seq)
+		s.terminal--
+	}
+}
+
+// lookupLocked resolves a job id: ErrEvicted for one the retention ring
+// dropped, ErrNotFound for one never issued. Called with s.mu held.
+func (s *Server) lookupLocked(id string) (*Job, error) {
+	if j := s.jobs[id]; j != nil {
+		return j, nil
+	}
+	if n, err := strconv.Atoi(strings.TrimPrefix(id, "job-")); err == nil && n >= 1 && n <= s.evicted && id == fmt.Sprintf("job-%d", n) {
+		return nil, ErrEvicted
+	}
+	return nil, ErrNotFound
 }
 
 func (s *Server) takeNotesLocked() []transition {

@@ -75,14 +75,14 @@ func (s *Server) statusLocked(j *Job) Status {
 func (s *Server) Status(id string) (Status, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j := s.jobs[id]
-	if j == nil {
-		return Status{}, ErrNotFound
+	j, err := s.lookupLocked(id)
+	if err != nil {
+		return Status{}, err
 	}
 	return s.statusLocked(j), nil
 }
 
-// List returns every known job's status in submission order.
+// List returns every retained job's status in submission order.
 func (s *Server) List() []Status {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -93,16 +93,17 @@ func (s *Server) List() []Status {
 	return out
 }
 
-// Result returns a finished job's result. ErrNotFound for unknown IDs;
-// (nil, nil) while the job is still pending; terminal jobs without results
+// Result returns a finished job's result. ErrNotFound for unknown IDs,
+// ErrEvicted for ones the retention ring dropped; (nil, nil) while the job is
+// still pending; terminal jobs without results
 // (cancelled while queued, failed before running) also return (nil, nil) —
 // callers distinguish via Status.
 func (s *Server) Result(id string) (*Result, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j := s.jobs[id]
-	if j == nil {
-		return nil, ErrNotFound
+	j, err := s.lookupLocked(id)
+	if err != nil {
+		return nil, err
 	}
 	return j.res, nil
 }

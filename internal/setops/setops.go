@@ -168,27 +168,7 @@ func DifferenceCountCost(a, b []VID, bound VID) (int64, int64) {
 // Contains reports membership of x in the sorted slice a via galloping
 // (exponential + binary) search. Software frameworks fall back to this when
 // one side of an intersection is much smaller.
-func Contains(a []VID, x VID) bool {
-	lo, hi := 0, len(a)
-	// Gallop to bracket x.
-	step := 1
-	for lo+step < hi && a[lo+step] < x {
-		lo += step
-		step <<= 1
-	}
-	if lo+step < hi {
-		hi = lo + step + 1
-	}
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if a[mid] < x {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(a) && a[lo] == x
-}
+func Contains(a []VID, x VID) bool { return Index(a, x) >= 0 }
 
 // Seeker is a stateful galloping cursor over one sorted set. Unlike repeated
 // Contains calls — which re-bracket from index 0 and cost O(log|b|) each — a
@@ -381,9 +361,10 @@ func MaskCount(a []VID, cm []uint8, need, avoid uint8) int64 {
 	return n
 }
 
-// Index returns the position of x in the sorted slice a, or -1 when absent.
-// Same gallop-then-binary bracket as Contains; used to key per-vertex scratch
-// (the engine's auxiliary-graph row stamps) by adjacency position.
+// Index returns the position of x in the sorted slice a, or -1 when absent:
+// gallop from the front to bracket x, then binary-search the bracket. The
+// engine keys per-vertex scratch (auxiliary-graph row slots) by adjacency
+// position with it.
 func Index(a []VID, x VID) int {
 	lo, hi := 0, len(a)
 	step := 1
