@@ -349,11 +349,13 @@ func printCPUStats(s core.Stats) {
 		s.Tasks, s.Extensions, s.Candidates, s.SetOpIterations, s.FrontierReuses)
 	// Per-kernel attribution, so auto and merge runs are comparable: merge work
 	// is setop-iters above; the rest of the set-op work shows up here
-	// (bitmap-probes: every c-map access — byte probes, mark/unmark writes and
-	// distinctness probes; searches: the binary searches no kernel counter
-	// sees — bounds, aux-row positions, distinctness memberships).
-	fmt.Printf("  gallop-probes=%d bitmap-probes=%d searches=%d leaf-count-skips=%d\n",
-		s.GallopProbes, s.BitmapProbes, s.Searches, s.LeafCountsSkippedMaterialize)
+	// (bitmap-probes: every dense-structure access — c-map byte probes,
+	// mark/unmark writes and distinctness probes, local-row position-map
+	// accesses, build probes and words read; local-rows: the bit rows built;
+	// searches: the binary searches no kernel counter sees — bounds, aux-row
+	// positions, distinctness memberships).
+	fmt.Printf("  gallop-probes=%d bitmap-probes=%d local-rows=%d searches=%d leaf-count-skips=%d\n",
+		s.GallopProbes, s.BitmapProbes, s.LocalRows, s.Searches, s.LeafCountsSkippedMaterialize)
 	if s.AuxBuilt+s.AuxReused+s.AuxSkippedCostModel > 0 {
 		fmt.Printf("  aux-built=%d aux-reused=%d aux-bytes-peak=%d aux-cost-skips=%d\n",
 			s.AuxBuilt, s.AuxReused, s.AuxBytesPeak, s.AuxSkippedCostModel)

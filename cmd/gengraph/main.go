@@ -15,13 +15,15 @@
 // shard subcommand re-partitions an existing graph file the same way.
 // -orient converts the graph to its degree-oriented DAG before writing (the
 // orientation optimization of §V-C) so clique apps can mine mapped files
-// without an in-heap copy.
+// without an in-heap copy. Each generator reads its own size flags (rmat:
+// -scale and -m, never -n); one it does not read is an error, not ignored.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"repro/internal/graph"
@@ -35,58 +37,90 @@ func main() {
 		}
 		return
 	}
-	var (
-		kind    = flag.String("kind", "chunglu", "generator: er, chunglu, rmat, ring, clique, bipartite, grid")
-		n       = flag.Int("n", 10000, "vertex count (er, chunglu, ring, clique)")
-		m       = flag.Int("m", 100000, "edge samples (er, chunglu, rmat, bipartite)")
-		beta    = flag.Float64("beta", 2.3, "power-law exponent (chunglu)")
-		scale   = flag.Int("scale", 14, "log2 vertex count (rmat)")
-		k       = flag.Int("k", 4, "ring neighbor span / grid side")
-		seed    = flag.Uint64("seed", 1, "deterministic seed")
-		convert = flag.String("convert", "", "convert an existing graph file instead of generating")
-		orient  = flag.Bool("orient", false, "write the degree-oriented DAG instead of the symmetric graph")
-		shards  = flag.Int("shards", 0, "write a sharded store directory with this many shards (-o names the directory)")
-		out     = flag.String("o", "", "output path (.bin = binary CSR, else text edge list; a directory with -shards)")
-	)
-	flag.Parse()
-	if err := run(*kind, *n, *m, *beta, *scale, *k, *seed, *convert, *orient, *shards, *out); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "gengraph:", err)
 		os.Exit(1)
 	}
 }
 
-func run(kind string, n, m int, beta float64, scale, k int, seed uint64, convert string, orient bool, shards int, out string) error {
-	if out == "" {
+// sizeFlags lists, per generator, the size flags it reads. Any other one on the
+// command line would be silently ignored — `-kind rmat -n 4096` built the
+// default 2^14 vertices — so run rejects it, naming the ones that count.
+var sizeFlags = map[string][]string{
+	"er":        {"n", "m"},
+	"chunglu":   {"n", "m", "beta"},
+	"rmat":      {"scale", "m"},
+	"ring":      {"n", "k"},
+	"clique":    {"n"},
+	"bipartite": {"n", "m"},
+	"grid":      {"k"},
+}
+
+func run(args []string) error {
+	fs := flag.NewFlagSet("gengraph", flag.ExitOnError)
+	var (
+		kind    = fs.String("kind", "chunglu", "generator: er, chunglu, rmat, ring, clique, bipartite, grid")
+		n       = fs.Int("n", 10000, "vertex count (er, chunglu, ring, clique, bipartite)")
+		m       = fs.Int("m", 100000, "edge samples (er, chunglu, rmat, bipartite)")
+		beta    = fs.Float64("beta", 2.3, "power-law exponent (chunglu)")
+		scale   = fs.Int("scale", 14, "log2 vertex count (rmat)")
+		k       = fs.Int("k", 4, "ring neighbor span / grid side")
+		seed    = fs.Uint64("seed", 1, "deterministic seed")
+		convert = fs.String("convert", "", "convert an existing graph file instead of generating")
+		orient  = fs.Bool("orient", false, "write the degree-oriented DAG instead of the symmetric graph")
+		shards  = fs.Int("shards", 0, "write a sharded store directory with this many shards (-o names the directory)")
+		out     = fs.String("o", "", "output path (.bin = binary CSR, else text edge list; a directory with -shards)")
+	)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if *out == "" {
 		return fmt.Errorf("-o output path is required")
+	}
+	reads, known := sizeFlags[*kind] // an unknown generator is reported below
+	if *convert != "" {
+		reads, known = nil, true
+	}
+	var unread []string
+	fs.Visit(func(f *flag.Flag) {
+		if slices.Contains([]string{"n", "m", "beta", "scale", "k"}, f.Name) && known && !slices.Contains(reads, f.Name) {
+			unread = append(unread, "-"+f.Name)
+		}
+	})
+	if len(unread) > 0 && *convert != "" {
+		return fmt.Errorf("%s: not read with -convert, the input file fixes the graph", strings.Join(unread, ", "))
+	}
+	if len(unread) > 0 {
+		return fmt.Errorf("%s: not read by -kind %s, whose size flags are -%s", strings.Join(unread, ", "), *kind, strings.Join(reads, ", -"))
 	}
 	var g *graph.Graph
 	var err error
-	if convert != "" {
-		g, err = graph.Load(convert)
+	if *convert != "" {
+		g, err = graph.Load(*convert)
 		if err != nil {
 			return err
 		}
 	} else {
-		switch kind {
+		switch *kind {
 		case "er":
-			g = graph.ErdosRenyi(n, m, seed)
+			g = graph.ErdosRenyi(*n, *m, *seed)
 		case "chunglu":
-			g = graph.ChungLu(n, m, beta, seed)
+			g = graph.ChungLu(*n, *m, *beta, *seed)
 		case "rmat":
-			g = graph.RMAT(scale, m, 0.57, 0.19, 0.19, seed)
+			g = graph.RMAT(*scale, *m, 0.57, 0.19, 0.19, *seed)
 		case "ring":
-			g = graph.Ring(n, k)
+			g = graph.Ring(*n, *k)
 		case "clique":
-			g = graph.Clique(n)
+			g = graph.Clique(*n)
 		case "bipartite":
-			g = graph.Bipartite(n/2, n-n/2, m, seed)
+			g = graph.Bipartite(*n/2, *n-*n/2, *m, *seed)
 		case "grid":
-			g = graph.Grid(k, k)
+			g = graph.Grid(*k, *k)
 		default:
-			return fmt.Errorf("unknown generator %q", kind)
+			return fmt.Errorf("unknown generator %q", *kind)
 		}
 	}
-	return write(g, orient, shards, out)
+	return write(g, *orient, *shards, *out)
 }
 
 // runShard implements `gengraph shard`: re-partition an existing graph file

@@ -197,8 +197,9 @@ func TestAuxCancellationMidMaterialization(t *testing.T) {
 // auto and on, whole-vertex and hub-sliced tasks — next to the merge-only one,
 // and fails if the default legs miss the kernels their plans should reach:
 // c-map accesses everywhere, no merge iteration at all on the clique plans
-// (every chain of theirs is scannable, and a declined scan gallops), galloping
-// where the skew still calls for it.
+// (every chain of theirs is scannable or local, and a declined scan gallops),
+// galloping where the skew still calls for it, local rows — position map, rows
+// and candidate sets grown by the first tasks, none after — on the 4-clique.
 func TestAuxScratchPooledAllocs(t *testing.T) {
 	g := graph.RMAT(10, 6000, 0.57, 0.19, 0.19, 5)
 	var sink graph.VID
@@ -258,6 +259,9 @@ func TestAuxScratchPooledAllocs(t *testing.T) {
 				}
 				if w.cm == nil || w.stats.BitmapProbes == 0 {
 					t.Errorf("%s %s listing=%v: c-map live = %v, %d dense accesses; the default leg never reached the map", p.Name(), leg.name, listing, w.cm != nil, w.stats.BitmapProbes)
+				}
+				if local := p.Name() == pattern.KClique(4).Name(); local != (w.stats.LocalRows > 0) {
+					t.Errorf("%s %s listing=%v: %d local rows built; only the 4-clique has local nodes, and its warmed tasks must still build theirs", p.Name(), leg.name, listing, w.stats.LocalRows)
 				}
 				clique := p.Name() == pattern.KClique(4).Name() || p.Name() == pattern.Triangle().Name()
 				if clique && w.stats.SetOpIterations != 0 {

@@ -42,8 +42,8 @@ type Options struct {
 	// invariant under slicing; only scheduling (and Stats.Tasks) changes.
 	SliceElems int
 
-	// Kernel selects the set-operation kernels (default KernelAuto:
-	// input-aware c-map scan/galloping/merge selection). Counts are invariant
+	// Kernel selects the set-operation kernels (default KernelAuto: input-aware
+	// local-row/c-map scan/galloping/merge selection). Counts are invariant
 	// under this policy; only CPU wall-clock and the per-kernel Stats
 	// counters change. The simulator ignores it — SIU/SDU cycle accounting
 	// is always merge-model (see kernels.go).
@@ -100,18 +100,21 @@ func (o Options) withDefaults() Options {
 // -kernel merge runs are comparable: SetOpIterations counts only merge-loop
 // iterations actually executed (the SIU/SDU work proxy), GallopProbes counts
 // galloping element comparisons, BitmapProbes counts c-map accesses (byte
-// probes, mark/unmark writes, distinctness probes) and Searches the binary
-// searches none of them sees (DESIGN.md decision 20). Counts, Candidates and
-// Extensions are the invariants across kernel policies; the kernel counters are
-// not, nor are FrontierReuses and Searches — under KernelAuto they fall where a
-// c-map scan replaces a frontier+residual operation or a probe a search.
+// probes, mark/unmark writes, distinctness probes) and local-row accesses
+// (position-map writes and lookups, row-build probes, row words read) and
+// Searches the binary searches none of them sees (DESIGN.md decision 20).
+// Counts, Candidates and Extensions are the invariants across kernel policies;
+// the kernel counters are not, nor are FrontierReuses and Searches — under
+// KernelAuto they fall where a c-map scan or a local row replaces a
+// frontier+residual operation, or a probe or a row limit a search.
 type Stats struct {
 	Tasks           int64 // scheduled tasks executed (sub-tasks when slicing)
 	Extensions      int64 // vertices pushed onto ancestor stacks
 	Candidates      int64 // candidates emitted after pruning
 	SetOpIterations int64 // merge-loop iterations (SIU/SDU work proxy)
 	GallopProbes    int64 // galloping-kernel element comparisons
-	BitmapProbes    int64 // c-map accesses: byte probes, mark/unmark writes, distinctness probes
+	BitmapProbes    int64 // dense-structure accesses: the c-map's, and the local rows' (local.go)
+	LocalRows       int64 // local bit rows built
 	FrontierReuses  int64 // candidate lists built from a memoized frontier
 	Searches        int64 // binary searches: finite-bound prefixes, positions, memberships
 
@@ -140,6 +143,7 @@ func (s *Stats) add(o *Stats) {
 	s.SetOpIterations += o.SetOpIterations
 	s.GallopProbes += o.GallopProbes
 	s.BitmapProbes += o.BitmapProbes
+	s.LocalRows += o.LocalRows
 	s.FrontierReuses += o.FrontierReuses
 	s.Searches += o.Searches
 	s.LeafCountsSkippedMaterialize += o.LeafCountsSkippedMaterialize
@@ -378,6 +382,8 @@ type worker struct {
 	cm     []uint8
 	cmRows [cmLevels][]graph.VID
 	cmDeg  [cmLevels]int
+
+	loc localState // local rows (local.go); untouched unless the program has a local node
 }
 
 // cancelPollPeriod spaces the cancellation polls (a power of two): frequent
@@ -441,7 +447,9 @@ func (w *worker) runTask(t sched.Task) bool {
 	root := w.prog.root
 	w.emb[0] = t.V0
 	w.sliceLo, w.sliceHi = t.Lo, t.Hi
-	w.descend(root)
+	if !w.prog.local || !w.localTask() {
+		w.descend(root)
+	}
 	if w.trace.Enabled() {
 		w.emitTaskTrace(t, &before)
 	}
@@ -627,6 +635,9 @@ func (w *worker) chain(cur []graph.VID, ops []chainOp, bound graph.VID) ([]graph
 // policy-selected set kernels (kernels.go), then the explicit distinctness
 // checks.
 func (w *worker) materialize(n *node) []graph.VID {
+	if n.local && w.loc.on {
+		return w.localList(n)
+	}
 	bound := w.bound(n)
 	base, ops := w.resolve(n, bound)
 	out := w.levels[n.depth][:0]
@@ -646,6 +657,10 @@ func (w *worker) materialize(n *node) []graph.VID {
 // becomes an adjustment: an excluded ancestor below the bound was counted iff it
 // is a candidate — settled at lowering, probed in the c-map, or searched for.
 func (w *worker) count(n *node) int64 {
+	if n.local && w.loc.on {
+		_, cnt := w.localSet(n)
+		return cnt
+	}
 	bound := w.bound(n)
 	base, ops := w.resolve(n, bound)
 	cur, cnt := base, int64(len(base))

@@ -10,7 +10,9 @@ package core
 //   - galloping    — iterate the small side, gallop a stateful cursor over
 //     the large side (O(small·log gap), see setops.Seeker),
 //   - c-map scan   — one byte probe per element of the extender's row against
-//     the worker's connectivity map, settling a whole chain at once (below).
+//     the worker's connectivity map, settling a whole chain at once (below),
+//   - local rows   — word-AND over the bit rows of adj(v0)'s induced graph, for
+//     the levels the plan roots there, in tasks where it fits (local.go).
 //
 // All kernels compute bit-identical candidate sets, so mined counts are
 // invariant under Options.Kernel (enforced by TestKernelInvariance). Kernel
@@ -30,9 +32,9 @@ import (
 type KernelPolicy int
 
 const (
-	// KernelAuto (the default) picks per operation by operand shape: a c-map
-	// scan where the plan marks every level of the chain, galloping for
-	// skewed sizes, merge otherwise.
+	// KernelAuto (the default) picks per operation by operand shape: local
+	// rows or a c-map scan where the plan allows them, galloping for skewed
+	// sizes, merge otherwise.
 	KernelAuto KernelPolicy = iota
 	// KernelMergeOnly always runs the two-pointer merge loop — the exact
 	// software model of the accelerator's SIU/SDU and the configuration of
@@ -169,8 +171,12 @@ func (w *worker) holds(o chainOp, v graph.VID) bool {
 // Stats.BitmapProbes.
 
 // mark inserts the adjacency of n's freshly fixed vertex into the c-map,
-// below the bound every chain that reads it stays under.
+// below the bound every chain that reads it stays under — unless the task runs
+// on local rows and only local nodes read the mark; unmark then finds no row.
 func (w *worker) mark(n *node) {
+	if n.lonly && w.loc.on {
+		return
+	}
 	bound := setops.NoBound
 	for ls := n.markBelow; ls != 0; ls &= ls - 1 {
 		bound = min(bound, w.emb[bits.TrailingZeros32(ls)])

@@ -148,49 +148,57 @@ func TestChooseKernel(t *testing.T) {
 // TestKernelStatsAttribution: the counters must attribute work to the kernel
 // that did it — merge-only runs report no probes, and on a hubby power-law
 // graph the auto policy must actually have used the fast kernels: every chain
-// of a clique plan is scannable and a declined scan gallops, so auto runs no
-// merge iteration at all.
+// of a clique plan is scannable or local and a declined scan gallops, so auto
+// runs no merge iteration at all. The triangle plan has no local node, so its
+// skewed operations still gallop; the 4-clique's run on rows wherever the
+// universe fits.
 func TestKernelStatsAttribution(t *testing.T) {
 	g := graph.ChungLu(1200, 14400, 2.2, 0x55) // power-law: skewed operand sizes occur
-	pl, err := plan.Compile(pattern.KClique(4), plan.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	merge, err := Mine(g, pl, Options{Threads: 2, Kernel: KernelMergeOnly})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if merge.Stats.GallopProbes != 0 || merge.Stats.BitmapProbes != 0 {
-		t.Errorf("merge-only run reported probes: gallop=%d bitmap=%d",
-			merge.Stats.GallopProbes, merge.Stats.BitmapProbes)
-	}
-	if merge.Stats.LeafCountsSkippedMaterialize == 0 {
-		t.Error("count-only leaves never engaged")
-	}
-	auto, err := Mine(g, pl, Options{Threads: 2, Kernel: KernelAuto})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if auto.Stats.GallopProbes == 0 {
-		t.Error("auto policy never galloped on a skewed power-law workload")
-	}
-	if auto.Stats.BitmapProbes == 0 {
-		t.Error("auto policy never touched the c-map")
-	}
-	if auto.Stats.SetOpIterations != 0 {
-		t.Errorf("auto ran %d merge iterations on a clique plan (merge-only: %d)",
-			auto.Stats.SetOpIterations, merge.Stats.SetOpIterations)
-	}
-	// FrontierReuses is not an invariant: a scan that replaces a frontier+residual
-	// operation starts from the extender's row instead.
-	if auto.Stats.FrontierReuses >= merge.Stats.FrontierReuses {
-		t.Errorf("auto reused %d frontiers, merge-only %d; scans should have replaced some",
-			auto.Stats.FrontierReuses, merge.Stats.FrontierReuses)
-	}
-	// Invariant plumbing: candidates and extensions are kernel-independent.
-	if auto.Stats.Candidates != merge.Stats.Candidates || auto.Stats.Extensions != merge.Stats.Extensions {
-		t.Errorf("search-shape stats drifted: auto cand/ext %d/%d, merge %d/%d",
-			auto.Stats.Candidates, auto.Stats.Extensions, merge.Stats.Candidates, merge.Stats.Extensions)
+	for _, k := range []int{3, 4} {
+		pl, err := plan.Compile(pattern.KClique(k), plan.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		merge, err := Mine(g, pl, Options{Threads: 2, Kernel: KernelMergeOnly})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if merge.Stats.GallopProbes != 0 || merge.Stats.BitmapProbes != 0 || merge.Stats.LocalRows != 0 {
+			t.Errorf("%d-clique: merge-only run reported probes: gallop=%d bitmap=%d rows=%d",
+				k, merge.Stats.GallopProbes, merge.Stats.BitmapProbes, merge.Stats.LocalRows)
+		}
+		if merge.Stats.LeafCountsSkippedMaterialize == 0 {
+			t.Errorf("%d-clique: count-only leaves never engaged", k)
+		}
+		auto, err := Mine(g, pl, Options{Threads: 2, Kernel: KernelAuto})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k == 3 && (auto.Stats.GallopProbes == 0 || auto.Stats.LocalRows != 0) {
+			t.Errorf("triangle: %d gallop probes, %d local rows; want the skewed operations galloped and no row built",
+				auto.Stats.GallopProbes, auto.Stats.LocalRows)
+		}
+		if k == 4 && auto.Stats.LocalRows == 0 {
+			t.Error("4-clique: auto policy never built a local row")
+		}
+		if auto.Stats.BitmapProbes == 0 {
+			t.Errorf("%d-clique: auto policy never touched a dense structure", k)
+		}
+		if auto.Stats.SetOpIterations != 0 {
+			t.Errorf("%d-clique: auto ran %d merge iterations on a clique plan (merge-only: %d)",
+				k, auto.Stats.SetOpIterations, merge.Stats.SetOpIterations)
+		}
+		// FrontierReuses is not an invariant: a scan that replaces a frontier+residual
+		// operation starts from the extender's row instead, a local node from a bit set.
+		if k == 4 && auto.Stats.FrontierReuses >= merge.Stats.FrontierReuses {
+			t.Errorf("auto reused %d frontiers, merge-only %d; scans and rows should have replaced some",
+				auto.Stats.FrontierReuses, merge.Stats.FrontierReuses)
+		}
+		// Invariant plumbing: candidates and extensions are kernel-independent.
+		if auto.Stats.Candidates != merge.Stats.Candidates || auto.Stats.Extensions != merge.Stats.Extensions {
+			t.Errorf("%d-clique: search-shape stats drifted: auto cand/ext %d/%d, merge %d/%d",
+				k, auto.Stats.Candidates, auto.Stats.Extensions, merge.Stats.Candidates, merge.Stats.Extensions)
+		}
 	}
 }
 

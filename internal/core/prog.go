@@ -75,6 +75,7 @@ type node struct {
 	depth      int
 	patternIdx int
 	mode       leafMode
+	local      bool // matched from local rows while its task runs locally (below)
 
 	src    source
 	srcIdx int
@@ -99,6 +100,14 @@ type node struct {
 	// adjacency below the least emb[b] over the levels b of markBelow.
 	marked    bool
 	markBelow uint32
+
+	// Local rows (localNodes). A local node takes level lbase's candidate set (level
+	// 0's is all ones) through the rows of lops; llook: the levels it names that are
+	// not local. lonly: only local nodes read this mark, so a local task leaves it out.
+	lonly bool
+	lbase int
+	lops  []chainOp
+	llook uint32
 }
 
 // auxNode is the lowered form of one plan.AuxSpec: its fold chain and the
@@ -120,6 +129,12 @@ type program struct {
 	root  *node
 	aux   []auxNode // nil when the mode or the plan make the aux layer inert
 	marks bool      // some node is marked: workers carry a c-map
+
+	// Local rows: some node is local, and a task whose universe fits lcap runs
+	// locally. By the bounds of every local node and of every level one reads, the
+	// universe is adj(v0) below v0 (lbelow), a row read only below its own vertex (ltri).
+	local, lbelow, ltri bool
+	lcap                int
 }
 
 // lower builds the exec program of pl under o for graph g; listing selects
@@ -142,6 +157,7 @@ func lower(g graph.Store, pl *plan.Plan, o Options, listing bool) *program {
 	}
 	p.root = p.lowerNode(pl.Root, nil, listing)
 	if o.Kernel == KernelAuto {
+		p.localNodes()
 		p.markLevels()
 	}
 	return p
@@ -261,14 +277,15 @@ const cmLevels = 8
 // intersected over the chains — the whole row once a suspect (no bounds) reads it.
 func (p *program) markLevels() {
 	var path []*node
+	var reader *node // the node visit is reading chains at
 	// visit calls read, with path holding n's ancestors, for every chain
 	// evaluated at n: the levels it checks, the levels bounding its
 	// candidates, and where its masked form goes (nil: a suspect's is not
 	// needed). read reports whether it marked the chain's levels.
 	var visit func(n *node, read func(ops []chainOp, bounds []int, scan *[]chainOp) bool)
 	visit = func(n *node, read func([]chainOp, []int, *[]chainOp) bool) {
-		// A frontier consumer with no residual evaluates no chain at all.
-		if len(n.adj) > 0 && (n.src != srcFrontier || len(n.res) > 0) {
+		reader = n
+		if n.chained() {
 			read(n.adj, n.op.UpperBounds, &n.scan)
 		}
 		if n.src == srcAux {
@@ -311,19 +328,14 @@ func (p *program) markLevels() {
 				m.need |= 1 << o.level
 			}
 		}
-		var below uint32
-		for todo := append([]int(nil), bounds...); len(todo) > 0; todo = todo[1:] {
-			if b := todo[0]; below>>b&1 == 0 {
-				below |= 1 << b
-				todo = append(todo, path[b].op.UpperBounds...)
-			}
-		}
+		below := boundClosure(path, bounds)
 		for _, o := range ops {
 			l := path[o.level]
 			if !l.marked {
-				l.marked, l.markBelow = true, 1<<(l.depth+1)-1
+				l.marked, l.lonly, l.markBelow = true, true, 1<<(l.depth+1)-1
 			}
 			l.markBelow &= below
+			l.lonly = l.lonly && reader.local
 		}
 		if scan != nil {
 			*scan = []chainOp{m}
@@ -331,6 +343,79 @@ func (p *program) markLevels() {
 		p.marks = true
 		return true
 	})
+}
+
+// boundClosure is the set of levels whose vertices bound, transitively along
+// the root path, a candidate that stays below those of bounds.
+func boundClosure(path []*node, bounds []int) (below uint32) {
+	for todo := append([]int(nil), bounds...); len(todo) > 0; todo = todo[1:] {
+		if b := todo[0]; below>>b&1 == 0 {
+			below |= 1 << b
+			todo = append(todo, path[b].op.UpperBounds...)
+		}
+	}
+	return below
+}
+
+// chained: n evaluates its adj chain — a frontier consumer with no residual
+// evaluates no chain at all.
+func (n *node) chained() bool {
+	return len(n.adj) > 0 && (n.src != srcFrontier || len(n.res) > 0)
+}
+
+// localCap is the largest universe a task runs locally (rows are d·⌈d/64⌉
+// words: 128 KB), localWords one row's length there.
+const localCap, localWords = 1024, localCap / 64
+
+// localNodes makes the static local-row decisions (DESIGN.md decision 21).
+// Level t ≥ 1 is in the universe when emb[t] ∈ adj(emb[0]) by the plan: level 0
+// is its extender or in its Connected. A node at depth ≥ 2 is capable when it and
+// every level ≥ 1 its op names are in the universe — its candidates are then an
+// AND / AND-NOT of bit rows under a prefix mask — and a trigger when, at depth
+// ≥ 3, it evaluates a chain: only there is a row built once and read from more
+// than one extension. A node is local iff a trigger or a capable ancestor of one.
+func (p *program) localNodes() {
+	var path []*node
+	inUniverse := func(l int) bool {
+		return l == 0 || path[l].op.Extender == 0 || slices.Contains(path[l].op.Connected, 0)
+	}
+	var visit func(n *node) bool // reports a trigger at or below n
+	visit = func(n *node) bool {
+		path = append(path, n)
+		n.local = n.depth >= 2 // capable, while the subtree is visited
+		for _, ls := range [][]int{{n.depth, n.op.Extender}, n.op.Connected, n.op.Disconnected, n.op.UpperBounds} {
+			for _, l := range ls {
+				n.local = n.local && inUniverse(l)
+			}
+		}
+		trigger := n.local && n.depth >= 3 && n.chained()
+		for _, c := range n.children {
+			trigger = visit(c) || trigger
+		}
+		path = path[:n.depth]
+		n.local = n.local && trigger
+		if n.local { // every capable ancestor of n, and no other, ends up local too
+			below := boundClosure(path, n.op.UpperBounds)
+			p.lbelow = p.lbelow && below&1 != 0
+			n.lops = append([]chainOp{{level: n.op.Extender}}, n.adj...)
+			if n.src == srcFrontier && path[n.srcIdx].local {
+				n.lbase, n.lops = n.srcIdx, n.res
+			}
+			n.lops = slices.DeleteFunc(slices.Clone(n.lops), func(o chainOp) bool { return o.level == 0 })
+			for _, o := range append(flatten(n.op.UpperBounds, nil), n.lops...) { // every level n names
+				if l := path[o.level]; o.level > 0 && !l.local {
+					n.llook |= 1 << o.level
+					p.lbelow = p.lbelow && boundClosure(path, l.op.UpperBounds)&1 != 0
+				}
+			}
+			for _, o := range n.lops {
+				p.ltri = p.ltri && below>>o.level&1 != 0
+			}
+		}
+		return trigger
+	}
+	p.lcap, p.lbelow, p.ltri = localCap, true, true
+	p.local = visit(p.root)
 }
 
 func flatten(intersect, difference []int) []chainOp {

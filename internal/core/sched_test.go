@@ -130,7 +130,9 @@ func TestSchedulerInvarianceDAG(t *testing.T) {
 }
 
 // TestMineContextCancel: a cancelled context must stop the run promptly,
-// return partial results with ctx's error, and leak no goroutines.
+// return partial results with ctx's error, and leak no goroutines. The run
+// cancels itself from inside, after its eighth task: a timer would race the
+// engine, and loses to it on a fast enough one.
 func TestMineContextCancel(t *testing.T) {
 	before := runtime.NumGoroutine()
 	g := graph.ChungLu(1500, 30000, 2.2, 5)
@@ -139,12 +141,18 @@ func TestMineContextCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(5 * time.Millisecond)
-		cancel()
-	}()
+	defer cancel()
+	var finished atomic.Int64
+	e, err := NewEngine(g, pl, Options{Threads: 4, OnTaskDone: func(int, int64) {
+		if finished.Add(1) == 8 {
+			cancel()
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	start := time.Now()
-	res, err := MineContext(ctx, g, pl, Options{Threads: 4})
+	res, err := e.MineContext(ctx)
 	elapsed := time.Since(start)
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -152,9 +160,11 @@ func TestMineContextCancel(t *testing.T) {
 	if len(res.Counts) != 1 {
 		t.Fatalf("partial result missing counts: %+v", res)
 	}
-	// A full 5-clique run on this graph takes far longer than the
-	// cancellation budget; promptness means we came back within a small
-	// multiple of the cancel delay even on a loaded host.
+	// Promptness: each worker finishes at most the task it is in, so nearly
+	// every task is left unstarted, and the call is back well inside a second.
+	if ran, all := res.Stats.Tasks, int64(e.TaskCount()); ran < 8 || ran > 8+2*4 || ran >= all {
+		t.Errorf("cancelled after 8 of %d tasks, the run executed %d", all, ran)
+	}
 	if elapsed > 2*time.Second {
 		t.Errorf("cancellation not prompt: took %v", elapsed)
 	}
@@ -168,18 +178,22 @@ func TestMineContextCancel(t *testing.T) {
 	}
 }
 
-// TestMineContextDeadline covers the timeout flavor end to end.
+// TestMineContextDeadline covers the timeout flavor end to end: a deadline
+// already expired at the call runs nothing and reports it.
 func TestMineContextDeadline(t *testing.T) {
 	g := graph.ChungLu(1500, 30000, 2.2, 6)
 	pl, err := plan.Compile(pattern.KClique(5), plan.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Millisecond)
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	_, err = MineContext(ctx, g, pl, Options{Threads: 2})
+	res, err := MineContext(ctx, g, pl, Options{Threads: 2})
 	if err != context.DeadlineExceeded {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+	if len(res.Counts) != 1 || res.Stats.Tasks != 0 {
+		t.Errorf("expired deadline: counts %v after %d tasks, want one zero count and no task", res.Counts, res.Stats.Tasks)
 	}
 }
 

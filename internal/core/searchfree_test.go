@@ -7,25 +7,32 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/graph"
 	"repro/internal/pattern"
 	"repro/internal/plan"
+	"repro/internal/sched"
 	"repro/internal/setops"
 )
 
-// TestLeafEvaluationsAgree: Mine (count path: proofs, probes, positions) ==
-// List (materialize path: dropAncestors still searches) == BruteCount, for
-// every connected pattern of 3–6 vertices under both matching semantics (the
-// vertex-induced plans carry the Disconnected half of the proof rule), with and
-// without symmetry breaking (without it a level reuses a frontier that already
-// dropped an ancestor the leaf excludes too; with it that takes six vertices —
-// and List, which needs a symmetry-broken plan, sits out), whole vertices on one
-// thread and 4-element hub slices on three (the sliceLo offset of a positional
-// bound), with and without the c-map. The 6-vertex patterns run on one graph
-// small enough for BruteCount.
+// TestLeafEvaluationsAgree: Mine (count path: proofs, probes, positions, local
+// rows) == List (materialize path: dropAncestors still searches; set bits walked
+// one by one) == BruteCount, for every connected pattern of 3–6 vertices under
+// both matching semantics (the vertex-induced plans carry the Disconnected half
+// of the proof rule), with and without symmetry breaking (without it a level
+// reuses a frontier that already dropped an ancestor the leaf excludes too; with
+// it that takes six vertices — and List, which needs a symmetry-broken plan, sits
+// out), whole vertices on one thread and 4-element hub slices on three (the
+// sliceLo offset of a positional bound), with and without the c-map. The
+// 6-vertex patterns run on one graph small enough for BruteCount. Then the plans
+// decision 21 is about: the oriented cliques, and the merged trees, where local
+// and non-local siblings hang under one v1 and a node off the rows reuses a
+// local node's frontier. Every auto run is repeated with the universe cap lowered
+// to 4, which on these graphs puts tasks on both sides of it.
 func TestLeafEvaluationsAgree(t *testing.T) {
 	graphs := []*graph.Graph{
 		graph.RMAT(6, 170, 0.57, 0.19, 0.19, 3),
@@ -38,42 +45,192 @@ func TestLeafEvaluationsAgree(t *testing.T) {
 		{Threads: 1, Kernel: KernelMergeOnly},
 		{Threads: 3, SliceElems: 4, Kernel: KernelMergeOnly, AuxGraph: AuxOn},
 	}
-	for k := 3; k <= 6; k++ {
-		if k == 6 {
-			graphs = []*graph.Graph{graph.ErdosRenyi(14, 48, 5)}
+	brute := map[string]int64{}
+	var rows, capped int64
+	check := func(g *graph.Graph, pl *plan.Plan, induced bool) {
+		t.Helper()
+		var store graph.Store = g
+		if pl.RequiresDAG {
+			store = g.Orient()
 		}
-		for _, p := range pattern.Motifs(k) {
-			for _, po := range []plan.Options{{}, {Induced: true}, {NoSymmetry: true}, {NoSymmetry: true, Induced: true}} {
-				pl := mustCompile(t, p, po)
-				for gi, g := range graphs {
-					want := BruteCount(g, p, po.Induced)
-					for _, o := range runs {
-						name := fmt.Sprintf("%s %+v graph %d threads=%d slice=%d kernel=%v", p.Name(), po, gi, o.Threads, o.SliceElems, o.Kernel)
-						mined, err := Mine(g, pl, o)
-						if err != nil {
-							t.Fatalf("%s: %v", name, err)
-						}
-						listed := mined
-						if !po.NoSymmetry {
-							if listed, err = List(g, pl, o, func([]graph.VID, int) {}); err != nil {
-								t.Fatalf("%s: %v", name, err)
-							}
-						}
-						if mined.Count() != want || listed.Count() != want {
-							t.Errorf("%s: Mine %d, List %d, BruteCount %d", name, mined.Count(), listed.Count(), want)
-						}
+		want := make([]int64, len(pl.Patterns))
+		for i, p := range pl.Patterns {
+			key := fmt.Sprintf("%p %s %v", g, p.Name(), induced)
+			if _, ok := brute[key]; !ok {
+				brute[key] = BruteCount(g, p, induced)
+			}
+			want[i] = brute[key]
+		}
+		for _, o := range runs {
+			for _, lcap := range []int{localCap, 4} {
+				if lcap != localCap && o.Kernel != KernelAuto {
+					continue
+				}
+				name := fmt.Sprintf("%s induced=%v divisor=%d |V|=%d threads=%d slice=%d kernel=%v cap=%d", pl.Patterns[0].Name(),
+					induced, pl.CountDivisor[0], g.NumVertices(), o.Threads, o.SliceElems, o.Kernel, lcap)
+				e, err := NewEngine(store, pl, o)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				e.prog.lcap = min(e.prog.lcap, lcap)
+				mined := e.Mine()
+				if lcap == localCap {
+					rows += mined.Stats.LocalRows
+				} else {
+					capped += mined.Stats.LocalRows
+				}
+				listed := slices.Clone(mined.Counts)
+				if pl.CountDivisor[0] == 1 {
+					var mu sync.Mutex
+					clear(listed)
+					e, err = newEngine(store, pl, o, func(_ []graph.VID, i int) {
+						mu.Lock()
+						listed[i]++
+						mu.Unlock()
+					})
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
 					}
+					e.prog.lcap = min(e.prog.lcap, lcap)
+					if got := e.Mine().Counts; !slices.Equal(got, want) {
+						t.Errorf("%s: List returned %v, BruteCount %v", name, got, want)
+					}
+				}
+				if !slices.Equal(mined.Counts, want) || !slices.Equal(listed, want) {
+					t.Errorf("%s: Mine %v, List visits %v, BruteCount %v", name, mined.Counts, listed, want)
 				}
 			}
 		}
 	}
+	for k := 3; k <= 6; k++ {
+		on := graphs
+		if k == 6 {
+			on = []*graph.Graph{graph.ErdosRenyi(14, 48, 5)}
+		}
+		for _, p := range pattern.Motifs(k) {
+			for _, po := range []plan.Options{{}, {Induced: true}, {NoSymmetry: true}, {NoSymmetry: true, Induced: true}} {
+				for _, g := range on {
+					check(g, mustCompile(t, p, po), po.Induced)
+				}
+			}
+		}
+	}
+	compiled := func(pl *plan.Plan, err error) *plan.Plan {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pl
+	}
+	for _, g := range graphs {
+		for k := 4; k <= 6; k++ {
+			check(g, compiled(plan.CompileCliqueDAG(k)), false)
+		}
+		check(g, compiled(plan.CompileMulti(pattern.Motifs(4), plan.Options{})), false)
+		check(g, compiled(plan.CompileMulti(burstPatterns(t), plan.Options{})), false)
+		check(g, compiled(plan.CompileMotifs(4, plan.Options{})), true)
+		check(g, compiled(plan.CompileMotifs(5, plan.Options{})), true)
+	}
+	if rows == 0 || capped == 0 || capped >= rows {
+		t.Errorf("%d local rows built in all, %d under a cap of 4: want both, and fewer under the cap", rows, capped)
+	}
 }
 
-// lowering renders what decision 20 decided for every node of the program, one
-// line per node in tree order: the positional bound, the levels whose values
-// cut the row a marked level inserts, and at a count-only leaf the NotEqual
+// burstPatterns are the six 4-vertex patterns of the benchmark's burst catalog
+// (benchmark/servewl.go), in its order: what the job service batches into one tree.
+func burstPatterns(t *testing.T) []*pattern.Pattern {
+	t.Helper()
+	var burst []*pattern.Pattern
+	for _, name := range []string{"diamond", "tailed-triangle", "4-cycle", "4-clique", "4-star", "4-path"} {
+		p, err := pattern.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		burst = append(burst, p)
+	}
+	return burst
+}
+
+// TestLocalCap: a task whose universe is over the cap builds no row and leaves
+// no position behind; one under it, on a plan with local nodes, is local.
+func TestLocalCap(t *testing.T) {
+	g := graph.RMAT(6, 170, 0.57, 0.19, 0.19, 3)
+	o := Options{Threads: 1}.withDefaults()
+	for _, pl := range []*plan.Plan{mustCompile(t, pattern.KClique(4), plan.Options{}), mustCompile(t, pattern.KClique(5), plan.Options{Induced: true})} {
+		prog := lower(g, pl, o, false)
+		if !prog.local || !prog.lbelow {
+			t.Fatalf("%s: want local nodes over a universe below v0", pl.Patterns[0].Name())
+		}
+		prog.lcap = 4
+		w := newWorker(g, prog, o)
+		var under, over int
+		for _, task := range sched.Expand(g, 0) {
+			universe := len(setops.Bounded(g.Adj(task.V0), task.V0))
+			before := w.stats.LocalRows
+			w.runTask(task)
+			switch built := w.stats.LocalRows - before; {
+			case universe > 4 && built != 0:
+				t.Errorf("v0=%d: universe of %d over the cap, %d rows built", task.V0, universe, built)
+			case universe > 4:
+				over++
+			case built > 0:
+				under++
+			}
+			for x, p := range w.loc.at {
+				if p != 0 {
+					t.Fatalf("v0=%d left at[%d] = %d behind", task.V0, x, p)
+				}
+			}
+		}
+		if under == 0 || over == 0 {
+			t.Errorf("%s: %d tasks built rows, %d were over the cap: want both", pl.Patterns[0].Name(), under, over)
+		}
+	}
+}
+
+// TestMergedTreeWorkBound: in the merged tree the job service compiles for a burst
+// of its six 4-vertex patterns only the 4-clique branch is local, under a v1 whose
+// mark the 4-cycle still reads — so rows add a position map per task and save no
+// mark. They must still cost no more dense accesses, gallop probes and searches
+// than the c-map walk did on the same input (6,772,841 + 73,888 + 143,668 at the
+// parent of decision 21): the benchmark has no engine counters on its serving
+// workloads, so this is where a lookup per level-1 extension, or a search per
+// task for the universe's cut, would show.
+func TestMergedTreeWorkBound(t *testing.T) {
+	g := graph.RMAT(11, 14000, 0.45, 0.22, 0.22, 7^0x31) // benchmark/workloads.go serveBurstShape, seed 7
+	pl, err := plan.CompileMulti(burstPatterns(t), plan.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Mine(g, pl, PaperBaseline(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Mine(g, pl, Options{Threads: 1, AuxGraph: AuxAuto})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got.Counts, want.Counts) {
+		t.Fatalf("counts %v, merge-only baseline %v", got.Counts, want.Counts)
+	}
+	s := got.Stats
+	if work := s.BitmapProbes + s.GallopProbes + s.Searches; work > 6_772_841+73_888+143_668 || s.LocalRows == 0 {
+		t.Errorf("%d dense accesses + %d gallop probes + %d searches = %d with %d local rows; want rows, and no more than 6990397",
+			s.BitmapProbes, s.GallopProbes, s.Searches, work, s.LocalRows)
+	}
+}
+
+// lowering renders what decisions 20 and 21 decided for every node of the
+// program, one line per node in tree order: the positional bound, the levels
+// whose values cut the row a marked level inserts ("lonly": only local nodes read
+// the mark, so a local task leaves it out), and at a count-only leaf the NotEqual
 // split — "probe[j: a~b]" reads "emb[j] is a candidate iff emb[b] is marked
-// adjacent to level a", "never" lists the ancestors proven not to be one.
+// adjacent to level a", "never" lists the ancestors proven not to be one. For
+// local rows the root carries what the universe and the rows leave out
+// ("universe[<v0 tri]": neighbours below v0, rows below their own vertex), a local
+// node its operands ("local[@2 1 !3]": level 2's candidate set AND row of emb[1]
+// AND-NOT row of emb[3]); "pos" marks a level off the rows whose position a local
+// node needs, "list" a local one whose frontier a node off the rows reuses.
 func lowering(p *program) string {
 	var sb strings.Builder
 	var walk func(n *node)
@@ -90,6 +247,33 @@ func lowering(p *program) string {
 				}
 			}
 			sb.WriteString("]")
+			if n.lonly {
+				sb.WriteString(" lonly")
+			}
+		}
+		if n.depth == 0 && p.local {
+			var cuts []string
+			if p.lbelow {
+				cuts = append(cuts, "<v0")
+			}
+			if p.ltri {
+				cuts = append(cuts, "tri")
+			}
+			fmt.Fprintf(&sb, " universe%v", cuts)
+		}
+		if n.local {
+			var ops []string
+			if n.lbase != 0 {
+				ops = append(ops, fmt.Sprintf("@%d", n.lbase))
+			}
+			for _, o := range n.lops {
+				if op := fmt.Sprint(o.level); o.diff {
+					ops = append(ops, "!"+op)
+				} else {
+					ops = append(ops, op)
+				}
+			}
+			fmt.Fprintf(&sb, " local%v", ops)
 		}
 		settled := map[int]bool{}
 		if len(n.certain) > 0 {
@@ -126,13 +310,17 @@ func lowering(p *program) string {
 	return sb.String()
 }
 
-// TestLoweringSplit pins the lowering-time half of decision 20 for the plans
-// the benchmark runs. House's leaf: v0 is adjacent to both sources by
+// TestLoweringSplit pins the lowering-time half of decisions 20 and 21 for the
+// plans the benchmark runs. House's leaf: v0 is adjacent to both sources by
 // construction, v2 ~ v3 is the one open adjacency — a probe that marks level 2
 // whole, a search without a c-map. Tailed-triangle's leaf is deg − 2. 4-star's
 // two deeper levels and the diamond/4-clique frontier consumers end their
 // prefix at a loop index. 4-path's v1 < v0 bounds a vertex by its own extender,
-// which no list position answers.
+// which no list position answers. Local rows: a clique's levels from v2 down, on
+// a DAG over whole out-rows, symmetric over lower-triangular rows below v0; in a
+// merged tree the branches with a trigger and no others; TC, diamond,
+// tailed-triangle, 4-cycle and house have no trigger, so nothing of decision 21
+// — no position map, no lookup — reaches them.
 func TestLoweringSplit(t *testing.T) {
 	g := graph.ErdosRenyi(40, 120, 1)
 	merged, err := plan.CompileMulti(pattern.Motifs(4), plan.Options{})
@@ -143,12 +331,61 @@ func TestLoweringSplit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	dag := func(k int) *plan.Plan {
+		pl, err := plan.CompileCliqueDAG(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pl
+	}
 	for _, c := range []struct {
 		name string
 		pl   *plan.Plan
 		o    Options
 		want string
 	}{
+		{"4-CL on a DAG", dag(4), Options{}, `
+v0 marks[] lonly universe[]
+  v1 marks[] lonly
+    v2 local[1]
+      v3 local[@2 2]
+`},
+		{"5-CL on a DAG", dag(5), Options{}, `
+v0 marks[] lonly universe[]
+  v1 marks[] lonly
+    v2 marks[] lonly local[1]
+      v3 local[@2 2]
+        v4 local[@3 3]
+`},
+		{"4-clique", mustCompile(t, pattern.KClique(4), plan.Options{}), Options{}, `
+v0 marks[<v0] lonly universe[<v0 tri]
+  v1 marks[<v0<v1] lonly
+    v2 local[1]
+      v3 bound@pos[2] local[@2 2]
+`},
+		{"4-clique, merge-only", mustCompile(t, pattern.KClique(4), plan.Options{}), PaperBaseline(1), `
+v0
+  v1
+    v2
+      v3 bound@pos[2]
+`},
+		{"TC on a DAG", dag(3), Options{}, `
+v0 marks[]
+  v1
+    v2
+`},
+		{"4-cycle", mustCompile(t, pattern.FourCycle(), plan.Options{}), Options{}, `
+v0
+  v1 marks[<v0]
+    v2 bound@pos[1]
+      v3
+`},
+		{"diamond, auto", mustCompile(t, pattern.Diamond(), plan.Options{}), Options{}, `
+v0 marks[]
+  v1
+    v2
+      v3 bound@pos[2]
+`},
 		{"house", mustCompile(t, pattern.House(), plan.Options{}), Options{AuxGraph: AuxAuto}, `
 v0 marks[]
   v1 marks[]
@@ -190,7 +427,7 @@ v0
 		// 4-star, 4-path, then tailed-triangle and diamond below one v2, then
 		// 4-cycle and 4-clique below the second v1.
 		{"six merged 4-vertex patterns", merged, Options{}, `
-v0 marks[]
+v0 marks[] universe[<v0 tri]
   v1 marks[]
     v2 bound@pos[1]
       v3 bound@pos[2]
@@ -202,37 +439,40 @@ v0 marks[]
   v1 marks[<v0]
     v2 bound@pos[1]
       v3
-    v2
-      v3 bound@pos[2]
+    v2 local[1]
+      v3 bound@pos[2] local[@2 2]
 `},
 		// K4 plus two vertices on one of its edges: v5 reuses v4's frontier,
 		// which materialize already cut v2 and v3 out of — present again only
 		// when resolve scans v1's row instead, so a search decides, not a proof.
+		// Its K4 runs on rows; v4 then reuses v2's frontier as a list.
 		{"frontier-dropped ancestors", mustCompile(t, pattern.FromEdges(6, [][2]int{{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}, {4, 0}, {4, 1}, {5, 0}, {5, 1}}), plan.Options{}), Options{}, `
-v0 marks[]
-  v1 marks[]
-    v2
-      v3 bound@pos[2]
+v0 marks[] lonly universe[]
+  v1 marks[] lonly
+    v2 local[1]
+      v3 bound@pos[2] local[@2 2]
         v4
           v5 bound@pos[4] check[2] check[3]
 `},
 		// Vertex-induced, every pair of levels is connected or disconnected by
 		// some op, so nothing is left to probe or search.
+		// The induced 4-star and tailed triangle read rows too (AND-NOT), and the
+		// star's v1 has no bound, so the universe is all of adj(v0), rows whole.
 		{"4-motifs, vertex-induced", motifs, Options{}, `
-v0 marks[]
+v0 marks[] universe[]
   v1 marks[]
-    v2 bound@pos[1]
-      v3 bound@pos[2]
+    v2 bound@pos[1] local[!1]
+      v3 bound@pos[2] local[@2 !2]
     v2
       v3 never[0] never[1]
-    v2
-      v3 never[1] never[2]
+    v2 local[1]
+      v3 local[!1 !2] never[1] never[2]
       v3
   v1 marks[<v0]
     v2 bound@pos[1]
       v3
-    v2
-      v3 bound@pos[2]
+    v2 local[1]
+      v3 bound@pos[2] local[@2 2]
 `},
 	} {
 		if got := "\n" + lowering(lower(g, c.pl, c.o.withDefaults(), false)); got != c.want {

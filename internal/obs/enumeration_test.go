@@ -34,6 +34,7 @@ var coreStatsMetricNames = []string{
 	"frontier_reuses",
 	"gallop_probes",
 	"leaf_counts_skipped_materialize",
+	"local_rows",
 	"searches",
 	"set_op_iterations",
 	"tasks",

@@ -8,6 +8,7 @@ package setops
 // `go test -fuzz FuzzIntersectKernels ./internal/setops`.
 
 import (
+	"math/bits"
 	"sort"
 	"testing"
 )
@@ -55,6 +56,24 @@ func decodeSets(data []byte) (a, b []VID, bound VID) {
 // refIntersect, refDifference and equalSets come from setops_test.go, toBitmap
 // from kernels_test.go — the fuzz targets share the property tests' helpers.
 
+// wordsOp runs a ∩ b (a ∖ b with not) below bound through the word kernels, over
+// the identity renumbering: bit x is vertex x, so the ID bound is the position
+// WordsTrim cuts at. It returns the surviving bits as a set, and the count.
+func wordsOp(a, b []VID, bound VID, not bool) ([]VID, int64) {
+	words := max(len(toBitmap(a)), len(toBitmap(b))) + 1 // one more, for WordsTrim to clear
+	dst, wb := append(toBitmap(a), make([]uint64, words)...)[:words], append(toBitmap(b), make([]uint64, words)...)
+	dst[words-1] = ^uint64(0)
+	WordsAnd(dst[:words-1], wb, not)
+	n := WordsTrim(dst, int(min(bound, VID(64*(words-1)))))
+	var set []VID
+	for k, w := range dst {
+		for ; w != 0; w &= w - 1 {
+			set = append(set, VID(k<<6+bits.TrailingZeros64(w)))
+		}
+	}
+	return set, n
+}
+
 func FuzzIntersectKernels(f *testing.F) {
 	f.Add([]byte{3, 1, 2, 3, 2, 3, 4, 7})
 	f.Add([]byte{0, 5, 5, 5})
@@ -86,6 +105,9 @@ func FuzzIntersectKernels(f *testing.F) {
 		}
 		if got, _ := IntersectBitmap(nil, a, toBitmap(b), bound); !equalSets(got, want) {
 			t.Errorf("IntersectBitmap(%v, %v, %d) = %v, want %v", a, b, bound, got, want)
+		}
+		if got, n := wordsOp(a, b, bound, false); !equalSets(got, want) || n != int64(len(want)) {
+			t.Errorf("WordsAnd+WordsTrim(%v, %v, %d) = %v (count %d), want %v", a, b, bound, got, n, want)
 		}
 		if bound == NoBound {
 			if got := Intersect(nil, a, b); !equalSets(got, want) {
@@ -123,6 +145,9 @@ func FuzzDifferenceKernels(f *testing.F) {
 		}
 		if got, _ := DifferenceGallopingCount(a, b, bound); got != int64(len(want)) {
 			t.Errorf("DifferenceGallopingCount(%v, %v, %d) = %d, want %d", a, b, bound, got, len(want))
+		}
+		if got, n := wordsOp(a, b, bound, true); !equalSets(got, want) || n != int64(len(want)) {
+			t.Errorf("WordsAnd(not)+WordsTrim(%v, %v, %d) = %v (count %d), want %v", a, b, bound, got, n, want)
 		}
 		if bound == NoBound {
 			if got := Difference(nil, a, b); !equalSets(got, want) {

@@ -18,6 +18,7 @@
 package setops
 
 import (
+	"math/bits"
 	"slices"
 
 	"repro/internal/graph"
@@ -357,6 +358,35 @@ func MaskCount(a []VID, cm []uint8, need, avoid uint8) int64 {
 		if cm[x]&mask == need {
 			n++
 		}
+	}
+	return n
+}
+
+// The word kernels of the engine's local rows (DESIGN.md decision 21): a set
+// over a renumbered universe is one bit per position, so an intersection is a
+// word AND, a difference an AND-NOT and a count a popcount.
+
+// WordsAnd intersects dst with b in place — subtracts b when not is set. b
+// holds at least len(dst) words.
+func WordsAnd(dst, b []uint64, not bool) {
+	var flip uint64
+	if not {
+		flip = ^flip
+	}
+	for i, x := range b[:len(dst)] {
+		dst[i] &= x ^ flip
+	}
+}
+
+// WordsTrim clears every bit of a at position end or above — an ID bound is a
+// position where the universe keeps ID order — and returns how many stay set.
+func WordsTrim(a []uint64, end int) (n int64) {
+	if w := end >> 6; w < len(a) {
+		a[w] &= 1<<(end&63) - 1
+		clear(a[w+1:])
+	}
+	for _, x := range a[:min((end+63)>>6, len(a))] {
+		n += int64(bits.OnesCount64(x))
 	}
 	return n
 }

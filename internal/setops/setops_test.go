@@ -253,6 +253,7 @@ func TestKernelsZeroAlloc(t *testing.T) {
 		cm[v] |= 1 << 3
 	}
 	dst := make([]VID, 0, 512)
+	wa, wb := toBitmap(a), toBitmap(b)
 	var s Seeker
 	var n, c int64
 	var hit bool
@@ -275,6 +276,9 @@ func TestKernelsZeroAlloc(t *testing.T) {
 		n, c = DifferenceGallopingCount(a, b, NoBound)
 		dst = MaskScan(dst[:0], a, cm, 1<<3, 1<<5)
 		n += MaskCount(a, cm, 0, 1<<3)
+		WordsAnd(wa, wb, false)
+		WordsAnd(wa, wb, true)
+		n += WordsTrim(wa, 700)
 		s.Reset()
 		hit = s.Seek(b, a[len(a)/2]) || Contains(a, 300)
 		n += int64(Index(a, 300) + len(Bounded(a, 900)))
