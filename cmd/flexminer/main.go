@@ -48,6 +48,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pattern"
 	"repro/internal/plan"
+	"repro/internal/sched"
 	"repro/internal/sim"
 )
 
@@ -223,6 +224,9 @@ func run(o options) error {
 			printCPUStats(res.Stats)
 			return fmt.Errorf("cpu engine: %w", err)
 		}
+		if pe := (*sched.PanicError)(nil); errors.As(err, &pe) {
+			return fmt.Errorf("cpu engine: %w\n%s", err, pe.Stack) // what a crash would have printed; the artifacts are still written
+		}
 		if err != nil {
 			return err
 		}
@@ -352,10 +356,11 @@ func printCPUStats(s core.Stats) {
 	// (bitmap-probes: every dense-structure access — c-map byte probes,
 	// mark/unmark writes and distinctness probes, local-row position-map
 	// accesses, build probes and words read; local-rows: the bit rows built;
+	// closed-forms: the nodes counted by formula instead of extended;
 	// searches: the binary searches no kernel counter sees — bounds, aux-row
 	// positions, distinctness memberships).
-	fmt.Printf("  gallop-probes=%d bitmap-probes=%d local-rows=%d searches=%d leaf-count-skips=%d\n",
-		s.GallopProbes, s.BitmapProbes, s.LocalRows, s.Searches, s.LeafCountsSkippedMaterialize)
+	fmt.Printf("  gallop-probes=%d bitmap-probes=%d local-rows=%d closed-forms=%d searches=%d leaf-count-skips=%d\n",
+		s.GallopProbes, s.BitmapProbes, s.LocalRows, s.ClosedForms, s.Searches, s.LeafCountsSkippedMaterialize)
 	if s.AuxBuilt+s.AuxReused+s.AuxSkippedCostModel > 0 {
 		fmt.Printf("  aux-built=%d aux-reused=%d aux-bytes-peak=%d aux-cost-skips=%d\n",
 			s.AuxBuilt, s.AuxReused, s.AuxBytesPeak, s.AuxSkippedCostModel)

@@ -8,7 +8,10 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 	"runtime"
 	"sync"
 
@@ -103,10 +106,12 @@ func (o Options) withDefaults() Options {
 // probes, mark/unmark writes, distinctness probes) and local-row accesses
 // (position-map writes and lookups, row-build probes, row words read) and
 // Searches the binary searches none of them sees (DESIGN.md decision 20).
-// Counts, Candidates and Extensions are the invariants across kernel policies;
-// the kernel counters are not, nor are FrontierReuses and Searches — under
-// KernelAuto they fall where a c-map scan or a local row replaces a
-// frontier+residual operation, or a probe or a row limit a search.
+// Counts and Candidates are the invariants across kernel policies — every
+// policy walks the same tree; the kernel counters are not, nor are
+// FrontierReuses and Searches — under KernelAuto they fall where a c-map scan or
+// a local row replaces a frontier+residual operation, or a probe or a row limit
+// a search — nor Extensions, the work proxy that falls by what ClosedForms
+// counted instead of extending (DESIGN.md decision 22).
 type Stats struct {
 	Tasks           int64 // scheduled tasks executed (sub-tasks when slicing)
 	Extensions      int64 // vertices pushed onto ancestor stacks
@@ -115,6 +120,7 @@ type Stats struct {
 	GallopProbes    int64 // galloping-kernel element comparisons
 	BitmapProbes    int64 // dense-structure accesses: the c-map's, and the local rows' (local.go)
 	LocalRows       int64 // local bit rows built
+	ClosedForms     int64 // closed-form evaluations: nodes counted instead of extended (prog.go, closedForm)
 	FrontierReuses  int64 // candidate lists built from a memoized frontier
 	Searches        int64 // binary searches: finite-bound prefixes, positions, memberships
 
@@ -144,6 +150,7 @@ func (s *Stats) add(o *Stats) {
 	s.GallopProbes += o.GallopProbes
 	s.BitmapProbes += o.BitmapProbes
 	s.LocalRows += o.LocalRows
+	s.ClosedForms += o.ClosedForms
 	s.FrontierReuses += o.FrontierReuses
 	s.Searches += o.Searches
 	s.LeafCountsSkippedMaterialize += o.LeafCountsSkippedMaterialize
@@ -239,13 +246,23 @@ func (e *Engine) TaskCount() int { return len(e.taskList()) }
 // Mine runs the parallel DFS over all start vertices and returns per-pattern
 // counts. It is MineContext without cancellation.
 func (e *Engine) Mine() Result {
-	r, _ := e.MineContext(context.Background())
+	r, err := e.MineContext(context.Background())
+	rethrow(err)
 	return r
+}
+
+// rethrow keeps crash semantics for the entry points that take no context: a
+// task's panic, which the scheduler hands MineContext as an error, is raised again.
+func rethrow(err error) {
+	if pe := (*sched.PanicError)(nil); errors.As(err, &pe) {
+		panic(pe.Value)
+	}
 }
 
 // MineContext is Mine under a context: the run stops promptly once ctx is
 // cancelled or its deadline passes, returning the partial counts and stats
-// accumulated so far together with ctx's error. It is the shared execution
+// accumulated so far together with ctx's error — or, if a task panicked, with
+// the scheduler's *sched.PanicError. It is the shared execution
 // path of Mine, List and ListContext: seed the engine's task list
 // degree-descending and drain it with the work-stealing scheduler.
 func (e *Engine) MineContext(ctx context.Context) (Result, error) {
@@ -479,8 +496,11 @@ func (w *worker) walk(n *node) {
 	}
 	if n.mode == leafCount {
 		cnt := w.count(n)
-		w.stats.Candidates += cnt
-		w.stats.LeafCountsSkippedMaterialize++
+		cands := cnt
+		if cnt > 0 && (n.choose > 1 || n.prod != nil) {
+			cnt, cands = w.closed(n, cnt)
+		}
+		w.stats.Candidates += cands
 		w.counts[n.patternIdx] += cnt
 		return
 	}
@@ -657,6 +677,7 @@ func (w *worker) materialize(n *node) []graph.VID {
 // becomes an adjustment: an excluded ancestor below the bound was counted iff it
 // is a candidate — settled at lowering, probed in the c-map, or searched for.
 func (w *worker) count(n *node) int64 {
+	w.stats.LeafCountsSkippedMaterialize++
 	if n.local && w.loc.on {
 		_, cnt := w.localSet(n)
 		return cnt
@@ -696,6 +717,53 @@ suspects:
 		}
 	}
 	return cnt
+}
+
+// closed evaluates n's closed form (prog.go, closedForm) over its m > 0
+// candidates: the matches under them, and the candidates the walk it replaces
+// would have emitted at n's level and below it, so that Stats.Candidates reads
+// the same under every kernel policy.
+func (w *worker) closed(n *node, m int64) (cnt, cands int64) {
+	w.stats.ClosedForms++
+	if n.prod == nil {
+		return choose(m, n.choose)
+	}
+	a, b := w.count(n.prod[0]), int64(0)
+	switch {
+	case a == 0: // B ⊆ A
+		return 0, m
+	case n.prodAll:
+		b = m
+	case len(n.prod) > 1:
+		b = w.count(n.prod[1])
+	}
+	cnt = mulDiv(m, a-1, 1) + m - b // m·A − B, no term of it above the result
+	return cnt, m + cnt
+}
+
+// choose returns C(m, t) and C(m, 1) + … + C(m, t): what t levels, each the
+// prefix of the one above it, match and emit below a list of m. Each binomial
+// comes from the one before it; they rise with k wherever one could overflow
+// (t < pattern.MaxVertices), so C(m, t) is exact whenever it fits an int64.
+func choose(m int64, t int) (c, sum int64) {
+	c, sum = m, m
+	for k := int64(2); k <= int64(t) && c > 0; k++ {
+		c = mulDiv(c, m-k+1, k)
+		sum += c
+	}
+	return c, sum
+}
+
+// mulDiv is a·b/c through the 128-bit product: exact whenever the quotient fits
+// an int64, math.MaxInt64 when it does not — such a count fits Result.Counts
+// under no evaluation order.
+func mulDiv(a, b, c int64) int64 {
+	hi, lo := bits.Mul64(uint64(a), uint64(b))
+	if hi >= uint64(c) {
+		return math.MaxInt64
+	}
+	q, _ := bits.Div64(hi, lo, uint64(c))
+	return int64(min(q, math.MaxInt64))
 }
 
 // dropAncestors applies the explicit inequality checks the compiler could

@@ -25,7 +25,9 @@ type Visitor func(emb []graph.VID, patternIdx int)
 // Listing plans must use symmetry breaking (CountDivisor 1), since an
 // automorphism-deduplicating visitor cannot be synthesized generically.
 func List(g graph.Store, pl *plan.Plan, o Options, visit Visitor) (Result, error) {
-	return ListContext(context.Background(), g, pl, o, visit)
+	r, err := ListContext(context.Background(), g, pl, o, visit)
+	rethrow(err)
+	return r, err
 }
 
 // ListContext is List under a context: once ctx is cancelled the enumeration

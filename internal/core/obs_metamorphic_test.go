@@ -54,9 +54,11 @@ func TestMetamorphicWorkerStatsInvariance(t *testing.T) {
 }
 
 // TestMetamorphicKernelCostBound: the adaptive policy must (a) reproduce
-// the merge-only counts and search shape exactly and (b) spend no more total
-// probe work than the merge baseline — the adaptive kernels exist to cut the
-// SIU-work proxy, never to inflate it.
+// the merge-only counts and candidates exactly — every policy walks the same
+// tree — in no more extensions (a closed form counts a level instead of
+// extending it: diamond's v2 here) and (b) spend no more total probe work than
+// the merge baseline — the adaptive kernels exist to cut the SIU-work proxy,
+// never to inflate it.
 func TestMetamorphicKernelCostBound(t *testing.T) {
 	g, pl := metamorphicWorkload(t)
 	base, err := Mine(g, pl, Options{Threads: 4, SliceElems: 16, Kernel: KernelMergeOnly})
@@ -74,8 +76,8 @@ func TestMetamorphicKernelCostBound(t *testing.T) {
 		if !reflect.DeepEqual(res.Counts, base.Counts) {
 			t.Errorf("%s: counts %v, want %v", k, res.Counts, base.Counts)
 		}
-		if res.Stats.Extensions != base.Stats.Extensions || res.Stats.Candidates != base.Stats.Candidates {
-			t.Errorf("%s: search shape changed: ext=%d cand=%d, want ext=%d cand=%d",
+		if res.Stats.Extensions > base.Stats.Extensions || res.Stats.Candidates != base.Stats.Candidates {
+			t.Errorf("%s: search tree changed: ext=%d cand=%d, want ext<=%d cand=%d",
 				k, res.Stats.Extensions, res.Stats.Candidates,
 				base.Stats.Extensions, base.Stats.Candidates)
 		}

@@ -2,8 +2,9 @@ package core
 
 // The exec program (DESIGN.md decision 18). The plan IR is what the compiler
 // emits and the goldens pin; the program is what the workers run. NewEngine
-// lowers the plan once: one node per plan.Node, holding a pointer to its op
-// plus every per-level decision that depends only on the plan and the options
+// lowers the plan once: one node per plan.Node (less the leaves a closed form
+// folds into their parents, closedForm), holding a pointer to its op plus
+// every per-level decision that depends only on the plan and the options
 // — leaf mode, operand source, the flattened set-operation chains, and whether
 // the level activates aux specs at all — so the DFS resolves none of it per
 // extension. The program is read-only after lowering and shared by all
@@ -108,6 +109,14 @@ type node struct {
 	lbase int
 	lops  []chainOp
 	llook uint32
+
+	// Closed forms (closedForm): a count-only node that stands for the levels below
+	// it too. Its m candidates match C(m, choose) times; or, prod[0] being A and
+	// prod[1], if there, B, m·A − B times — m·A − m under prodAll, where every
+	// candidate of the node is one of B's and B is not evaluated.
+	choose  int
+	prod    []*node
+	prodAll bool
 }
 
 // auxNode is the lowered form of one plan.AuxSpec: its fold chain and the
@@ -125,10 +134,11 @@ type auxNode struct {
 
 // program is a lowered plan.
 type program struct {
-	pl    *plan.Plan
-	root  *node
-	aux   []auxNode // nil when the mode or the plan make the aux layer inert
-	marks bool      // some node is marked: workers carry a c-map
+	pl     *plan.Plan
+	root   *node
+	aux    []auxNode // nil when the mode or the plan make the aux layer inert
+	marks  bool      // some node is marked: workers carry a c-map
+	closed bool      // closedForm applies: counting under KernelAuto
 
 	// Local rows: some node is local, and a task whose universe fits lcap runs
 	// locally. By the bounds of every local node and of every level one reads, the
@@ -140,7 +150,7 @@ type program struct {
 // lower builds the exec program of pl under o for graph g; listing selects
 // the visitor leaf mode (List) over the counting ones (Mine).
 func lower(g graph.Store, pl *plan.Plan, o Options, listing bool) *program {
-	p := &program{pl: pl}
+	p := &program{pl: pl, closed: o.Kernel == KernelAuto && !listing}
 	if o.AuxGraph != AuxOff && len(pl.AuxSpecs) > 0 {
 		d := max(g.AvgDegree(), 1)
 		p.aux = make([]auxNode, len(pl.AuxSpecs))
@@ -196,6 +206,9 @@ func (p *program) lowerNode(pn *plan.Node, path []*node, listing bool) *node {
 		for i, c := range pn.Children {
 			n.children[i] = p.lowerNode(c, append(path, n), listing)
 		}
+		if p.closed && n.depth >= 2 && len(n.children) == 1 {
+			p.closedForm(n, path)
+		}
 	case listing:
 		n.mode = leafVisit
 	case op.MemoizeFrontier:
@@ -207,6 +220,75 @@ func (p *program) lowerNode(pn *plan.Node, path []*node, listing bool) *node {
 		n.splitNotEqual(path, p.pl.RequiresDAG)
 	}
 	return n
+}
+
+// closedForm counts instead of enumerating (DESIGN.md decision 22). n is an
+// interior node at depth ≥ 2 — a hub slice cuts the list of depth 1 — whose only
+// child c is a count-only leaf; it becomes one itself where the sum of c's counts
+// over n's m candidates depends on counts alone. Prefix: c's candidates are n's
+// list below n's vertex (c is bounded by n's loop position over n's frontier or
+// the same bare row, with no chain and no NotEqual), so c counts pos and the sum
+// is C(m, 2) — C(m, t+1) over a c that stands for t levels. Product: c names n's
+// level in NotEqual only, so its candidates S are the same under every vertex v
+// of n and Σ |S| − [v ∈ S] = m·A − B: A is c one level up without that NotEqual;
+// B, there only if c had it, the candidates of n that pass c's constraints too,
+// from the deepest source's row so that markLevels can serve its chain — and m
+// itself where c's constraints add nothing to n's. A and B are count-only nodes
+// at n's depth. An n that activates aux specs and a c on an aux row stay.
+func (p *program) closedForm(n *node, path []*node) {
+	c, d := n.children[0], n.depth
+	if c.mode != leafCount || c.prod != nil || n.hasAux || c.src == srcAux {
+		return
+	}
+	op, named := c.op, false
+	for _, ls := range [][]int{{op.Extender, op.FrontierBase}, op.Connected, op.Disconnected, op.UpperBounds} {
+		named = named || slices.Contains(ls, d)
+	}
+	prefix := c.boundAt == d && len(op.NotEqual)+len(c.res) == 0 && (c.src == srcFrontier || len(c.adj) == 0)
+	if !prefix && (named || c.choose > 1) {
+		return
+	}
+	n.mode, n.patternIdx, n.children = leafCount, c.patternIdx, nil
+	n.splitNotEqual(path, p.pl.RequiresDAG)
+	if prefix {
+		n.choose = max(c.choose, 1) + 1
+		return
+	}
+	union := func(a []int, b ...int) []int { // a and what it lacks of b, n's own level left out
+		a = slices.Clone(a)
+		for _, l := range b {
+			if l != d && !slices.Contains(a, l) {
+				a = append(a, l)
+			}
+		}
+		return a
+	}
+	leaf := func(op plan.VertexOp) *node { // a leaf builds no aux row and memoizes nothing
+		op.Level = d
+		return p.lowerNode(&plan.Node{Op: op}, path, false)
+	}
+	a := *op
+	a.NotEqual = union(nil, op.NotEqual...)
+	n.prod = []*node{leaf(a)}
+	if !slices.Contains(op.NotEqual, d) {
+		return
+	}
+	srcs := union(append([]int{n.op.Extender}, n.op.Connected...), append([]int{op.Extender}, op.Connected...)...)
+	b := plan.VertexOp{
+		Extender:     slices.Max(srcs),
+		Disconnected: union(n.op.Disconnected, op.Disconnected...),
+		UpperBounds:  union(n.op.UpperBounds, op.UpperBounds...),
+		NotEqual:     union(n.op.NotEqual, op.NotEqual...),
+		FrontierBase: plan.NoLevel,
+		AuxBase:      plan.NoLevel,
+	}
+	b.Connected = slices.DeleteFunc(srcs, func(l int) bool { return l == b.Extender })
+	minus := leaf(b)
+	n.prodAll = len(b.Connected) == len(n.op.Connected) && len(b.Disconnected) == len(n.op.Disconnected) &&
+		len(b.UpperBounds) == len(n.op.UpperBounds) && len(minus.certain)+len(minus.suspects) == len(n.certain)+len(n.suspects)
+	if !n.prodAll {
+		n.prod = append(n.prod, minus)
+	}
 }
 
 // splitNotEqual sorts the leaf's NotEqual ancestors into certain, suspect and
@@ -300,6 +382,9 @@ func (p *program) markLevels() {
 			if s := &n.suspects[i]; s.ops != nil {
 				s.probe = read(s.ops, nil, nil)
 			}
+		}
+		for _, t := range n.prod { // count-only nodes at n's own depth
+			visit(t, read)
 		}
 		path = append(path, n)
 		for _, c := range n.children {
@@ -411,6 +496,9 @@ func (p *program) localNodes() {
 			for _, o := range n.lops {
 				p.ltri = p.ltri && below>>o.level&1 != 0
 			}
+		}
+		for _, t := range n.prod { // count-only nodes at n's own depth
+			trigger = visit(t) || trigger
 		}
 		return trigger
 	}

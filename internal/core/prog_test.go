@@ -210,14 +210,16 @@ func TestEngineExpandsOnce(t *testing.T) {
 // plan does no set-operation work at all and, its bounds being loop positions
 // (decision 20), no search either — every level is an adjacency prefix — so ns
 // per Stats.Extensions is what one push onto the ancestor stack costs beyond
-// the kernels: the figure decision 18 removed the op copies from.
+// the kernels: the figure decision 18 removed the op copies from. Merge-only,
+// because KernelAuto answers 4-star in ≈ |E| extensions (decision 22): the same
+// walk and descend, the same positional bounds, every pair pushed.
 func BenchmarkExtension(b *testing.B) {
 	g := graph.RMAT(11, 16000, 0.57, 0.19, 0.19, 7)
 	pl, err := plan.Compile(pattern.KStar(4), plan.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	e, err := NewEngine(g, pl, Options{Threads: 1, AuxGraph: AuxAuto})
+	e, err := NewEngine(g, pl, Options{Threads: 1, Kernel: KernelMergeOnly, AuxGraph: AuxAuto})
 	if err != nil {
 		b.Fatal(err)
 	}

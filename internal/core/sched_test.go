@@ -7,6 +7,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -233,6 +234,43 @@ func TestListContextCancel(t *testing.T) {
 }
 
 // TestResultCountEmpty: Count on an empty result must not panic.
+// TestTaskPanic: a panic inside a task — here a visitor's — comes back from the
+// context entry points as the scheduler's error beside the partial result, and
+// is raised again, value intact, by the ones that take no context.
+func TestTaskPanic(t *testing.T) {
+	g := graph.ChungLu(300, 2400, 2.3, 9)
+	pl, err := plan.Compile(pattern.Triangle(), plan.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Mine(g, pl, Options{Threads: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var visits atomic.Int64
+	boom := func([]graph.VID, int) {
+		if visits.Add(1) == 10 {
+			panic("boom at match 10")
+		}
+	}
+	res, err := ListContext(context.Background(), g, pl, Options{Threads: 4}, boom)
+	var pe *sched.PanicError
+	if !errors.As(err, &pe) || pe.Value != "boom at match 10" {
+		t.Fatalf("ListContext: err = %v, want the visitor's panic as a *sched.PanicError", err)
+	}
+	if c := res.Count(); c <= 0 || c >= want.Count() {
+		t.Errorf("ListContext: partial count %d, want some of the %d matches", c, want.Count())
+	}
+	defer func() {
+		if v := recover(); v != "boom at match 10" {
+			t.Errorf("List recovered %v, want the visitor's own panic value", v)
+		}
+	}()
+	visits.Store(0)
+	List(g, pl, Options{Threads: 4}, boom) //nolint:errcheck // panics
+	t.Error("List returned from a panicking visitor")
+}
+
 func TestResultCountEmpty(t *testing.T) {
 	if c := (Result{}).Count(); c != 0 {
 		t.Errorf("empty Result.Count() = %d, want 0", c)

@@ -7,6 +7,8 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"math/big"
 	"slices"
 	"strings"
 	"sync"
@@ -32,7 +34,12 @@ import (
 // decision 21 is about: the oriented cliques, and the merged trees, where local
 // and non-local siblings hang under one v1 and a node off the rows reuses a
 // local node's frontier. Every auto run is repeated with the universe cap lowered
-// to 4, which on these graphs puts tasks on both sides of it.
+// to 4, which on these graphs puts tasks on both sides of it. Closed forms
+// (decision 22) ride the same grid: Stats.Candidates is one number over all of a
+// plan's runs, List included — every evaluation walks the same tree —, merge-only
+// and List evaluate none, no vertex-induced plan has one, and the plans the
+// decision names (k-stars and k-paths to six vertices, diamond, tailed-triangle,
+// the merged trees) evaluate some under auto, whole vertices and 4-element slices.
 func TestLeafEvaluationsAgree(t *testing.T) {
 	graphs := []*graph.Graph{
 		graph.RMAT(6, 170, 0.57, 0.19, 0.19, 3),
@@ -47,8 +54,18 @@ func TestLeafEvaluationsAgree(t *testing.T) {
 	}
 	brute := map[string]int64{}
 	var rows, capped int64
-	check := func(g *graph.Graph, pl *plan.Plan, induced bool) {
+	check := func(g *graph.Graph, pl *plan.Plan, induced bool) (closed int64) { // closed forms evaluated, least over the auto runs
 		t.Helper()
+		closed, cands := -1, int64(-1)
+		sameTree := func(name string, s Stats, forms bool) {
+			t.Helper()
+			if cands < 0 {
+				cands = s.Candidates
+			}
+			if s.Candidates != cands || !forms && s.ClosedForms != 0 {
+				t.Errorf("%s: %d candidates, %d closed forms; want %d as in the first run, forms only when counting under auto", name, s.Candidates, s.ClosedForms, cands)
+			}
+		}
 		var store graph.Store = g
 		if pl.RequiresDAG {
 			store = g.Orient()
@@ -74,6 +91,10 @@ func TestLeafEvaluationsAgree(t *testing.T) {
 				}
 				e.prog.lcap = min(e.prog.lcap, lcap)
 				mined := e.Mine()
+				sameTree(name, mined.Stats, o.Kernel == KernelAuto)
+				if o.Kernel == KernelAuto && (closed < 0 || mined.Stats.ClosedForms < closed) {
+					closed = mined.Stats.ClosedForms
+				}
 				if lcap == localCap {
 					rows += mined.Stats.LocalRows
 				} else {
@@ -92,8 +113,10 @@ func TestLeafEvaluationsAgree(t *testing.T) {
 						t.Fatalf("%s: %v", name, err)
 					}
 					e.prog.lcap = min(e.prog.lcap, lcap)
-					if got := e.Mine().Counts; !slices.Equal(got, want) {
-						t.Errorf("%s: List returned %v, BruteCount %v", name, got, want)
+					res := e.Mine()
+					sameTree(name+" List", res.Stats, false)
+					if !slices.Equal(res.Counts, want) {
+						t.Errorf("%s: List returned %v, BruteCount %v", name, res.Counts, want)
 					}
 				}
 				if !slices.Equal(mined.Counts, want) || !slices.Equal(listed, want) {
@@ -101,16 +124,31 @@ func TestLeafEvaluationsAgree(t *testing.T) {
 				}
 			}
 		}
+		if induced && closed != 0 {
+			t.Errorf("%s, vertex-induced: %d closed forms; every level names the one above it", pl.Patterns[0].Name(), closed)
+		}
+		return closed
 	}
+	planOptions := []plan.Options{{}, {Induced: true}, {NoSymmetry: true}, {NoSymmetry: true, Induced: true}}
 	for k := 3; k <= 6; k++ {
 		on := graphs
 		if k == 6 {
 			on = []*graph.Graph{graph.ErdosRenyi(14, 48, 5)}
 		}
 		for _, p := range pattern.Motifs(k) {
-			for _, po := range []plan.Options{{}, {Induced: true}, {NoSymmetry: true}, {NoSymmetry: true, Induced: true}} {
+			for _, po := range planOptions {
 				for _, g := range on {
 					check(g, mustCompile(t, p, po), po.Induced)
+				}
+			}
+		}
+	}
+	for _, p := range []*pattern.Pattern{pattern.Diamond(), pattern.TailedTriangle(), pattern.KStar(4), pattern.KPath(4),
+		pattern.KStar(5), pattern.KPath(5), pattern.KStar(6), pattern.KPath(6)} {
+		for _, po := range planOptions {
+			for _, g := range graphs {
+				if closed := check(g, mustCompile(t, p, po), po.Induced); closed == 0 && po == (plan.Options{}) {
+					t.Errorf("%s |V|=%d: an auto run evaluated no closed form", p.Name(), g.NumVertices())
 				}
 			}
 		}
@@ -126,8 +164,11 @@ func TestLeafEvaluationsAgree(t *testing.T) {
 		for k := 4; k <= 6; k++ {
 			check(g, compiled(plan.CompileCliqueDAG(k)), false)
 		}
-		check(g, compiled(plan.CompileMulti(pattern.Motifs(4), plan.Options{})), false)
-		check(g, compiled(plan.CompileMulti(burstPatterns(t), plan.Options{})), false)
+		for _, ps := range [][]*pattern.Pattern{pattern.Motifs(4), burstPatterns(t)} {
+			if check(g, compiled(plan.CompileMulti(ps, plan.Options{})), false) == 0 {
+				t.Errorf("six merged 4-vertex patterns, |V|=%d: an auto run evaluated no closed form", g.NumVertices())
+			}
+		}
 		check(g, compiled(plan.CompileMotifs(4, plan.Options{})), true)
 		check(g, compiled(plan.CompileMotifs(5, plan.Options{})), true)
 	}
@@ -195,7 +236,10 @@ func TestLocalCap(t *testing.T) {
 // than the c-map walk did on the same input (6,772,841 + 73,888 + 143,668 at the
 // parent of decision 21): the benchmark has no engine counters on its serving
 // workloads, so this is where a lookup per level-1 extension, or a search per
-// task for the universe's cut, would show.
+// task for the universe's cut, would show. Decision 22 on the same tree: the
+// 4-star and 4-path branches were 907,066 of its 1,093,224 extensions and are
+// counted now, in no more set-operation work (merge iterations included: a
+// product's B must not fall off the c-map) and exactly the candidates.
 func TestMergedTreeWorkBound(t *testing.T) {
 	g := graph.RMAT(11, 14000, 0.45, 0.22, 0.22, 7^0x31) // benchmark/workloads.go serveBurstShape, seed 7
 	pl, err := plan.CompileMulti(burstPatterns(t), plan.Options{})
@@ -214,9 +258,13 @@ func TestMergedTreeWorkBound(t *testing.T) {
 		t.Fatalf("counts %v, merge-only baseline %v", got.Counts, want.Counts)
 	}
 	s := got.Stats
-	if work := s.BitmapProbes + s.GallopProbes + s.Searches; work > 6_772_841+73_888+143_668 || s.LocalRows == 0 {
-		t.Errorf("%d dense accesses + %d gallop probes + %d searches = %d with %d local rows; want rows, and no more than 6990397",
-			s.BitmapProbes, s.GallopProbes, s.Searches, work, s.LocalRows)
+	if work := s.SetOpIterations + s.BitmapProbes + s.GallopProbes + s.Searches; work > 6_772_841+73_888+143_668 || s.LocalRows == 0 {
+		t.Errorf("%d merge iterations + %d dense accesses + %d gallop probes + %d searches = %d with %d local rows; want rows, and no more than 6990397",
+			s.SetOpIterations, s.BitmapProbes, s.GallopProbes, s.Searches, work, s.LocalRows)
+	}
+	if s.Extensions > 200_000 || s.ClosedForms == 0 || s.Candidates != want.Stats.Candidates {
+		t.Errorf("%d extensions, %d closed forms, %d candidates; want at most 200000 (merge-only: %d), some, and merge-only's %d",
+			s.Extensions, s.ClosedForms, s.Candidates, want.Stats.Extensions, want.Stats.Candidates)
 	}
 }
 
@@ -230,12 +278,30 @@ func TestMergedTreeWorkBound(t *testing.T) {
 // ("universe[<v0 tri]": neighbours below v0, rows below their own vertex), a local
 // node its operands ("local[@2 1 !3]": level 2's candidate set AND row of emb[1]
 // AND-NOT row of emb[3]); "pos" marks a level off the rows whose position a local
-// node needs, "list" a local one whose frontier a node off the rows reuses.
+// node needs, "list" a local one whose frontier a node off the rows reuses. A
+// closed form (decision 22) reads "choose[t]" — C(m, t) over the node's m
+// candidates — or "product[A B]", m·A − B ("m" for B where B is m and not
+// evaluated), A and B following as count-only nodes of the same depth with the
+// row and chain they start from ("scan": the chain is one masked c-map op).
 func lowering(p *program) string {
 	var sb strings.Builder
-	var walk func(n *node)
-	walk = func(n *node) {
-		fmt.Fprintf(&sb, "%sv%d", strings.Repeat("  ", n.depth), n.depth)
+	var walk func(n *node, term string)
+	walk = func(n *node, term string) {
+		fmt.Fprintf(&sb, "%s%sv%d", strings.Repeat("  ", n.depth)[len(term):], term, n.depth)
+		if term != "" {
+			fmt.Fprintf(&sb, " row[%d", n.op.Extender)
+			for _, o := range n.adj {
+				if o.diff {
+					fmt.Fprintf(&sb, " !%d", o.level)
+				} else {
+					fmt.Fprintf(&sb, " %d", o.level)
+				}
+			}
+			sb.WriteString("]")
+			if n.scan != nil {
+				sb.WriteString(" scan")
+			}
+		}
 		if n.boundAt != plan.NoLevel {
 			fmt.Fprintf(&sb, " bound@pos[%d]", n.boundAt)
 		}
@@ -301,29 +367,51 @@ func lowering(p *program) string {
 				}
 			}
 		}
+		if n.choose > 1 {
+			fmt.Fprintf(&sb, " choose[%d]", n.choose)
+		}
+		switch {
+		case n.prodAll:
+			sb.WriteString(" product[A m]")
+		case len(n.prod) > 1:
+			sb.WriteString(" product[A B]")
+		case n.prod != nil:
+			sb.WriteString(" product[A]")
+		}
 		sb.WriteString("\n")
+		for i, t := range n.prod {
+			walk(t, "A=B="[2*i:2*i+2])
+		}
 		for _, c := range n.children {
-			walk(c)
+			walk(c, "")
 		}
 	}
-	walk(p.root)
+	walk(p.root, "")
 	return sb.String()
 }
 
-// TestLoweringSplit pins the lowering-time half of decisions 20 and 21 for the
-// plans the benchmark runs. House's leaf: v0 is adjacent to both sources by
+// TestLoweringSplit pins the lowering-time half of decisions 20, 21 and 22 for
+// the plans the benchmark runs. House's leaf: v0 is adjacent to both sources by
 // construction, v2 ~ v3 is the one open adjacency — a probe that marks level 2
-// whole, a search without a c-map. Tailed-triangle's leaf is deg − 2. 4-star's
-// two deeper levels and the diamond/4-clique frontier consumers end their
-// prefix at a loop index. 4-path's v1 < v0 bounds a vertex by its own extender,
+// whole, a search without a c-map. Tailed-triangle's leaf is deg − 2 (merged
+// trees; alone it is A of a product). 4-star's two deeper levels and the
+// diamond/4-clique frontier consumers end their prefix at a loop index. 4-path's v1 < v0 bounds a vertex by its own extender,
 // which no list position answers. Local rows: a clique's levels from v2 down, on
 // a DAG over whole out-rows, symmetric over lower-triangular rows below v0; in a
 // merged tree the branches with a trigger and no others; TC, diamond,
 // tailed-triangle, 4-cycle and house have no trigger, so nothing of decision 21
-// — no position map, no lookup — reaches them.
+// — no position map, no lookup — reaches them. Closed forms (decision 22) under
+// auto: stars, diamond, paths and tailed-triangle count their last two levels or
+// more; house, the cycle, every clique, every vertex-induced level (the leaf
+// names the level above it), depth 1, a node with two children and every
+// merge-only lowering stay as they were.
 func TestLoweringSplit(t *testing.T) {
 	g := graph.ErdosRenyi(40, 120, 1)
 	merged, err := plan.CompileMulti(pattern.Motifs(4), plan.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	burst, err := plan.CompileMulti(burstPatterns(t), plan.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,11 +468,11 @@ v0
     v2 bound@pos[1]
       v3
 `},
+		// Prefix: v3 was v2's frontier below v2 — C(|N(v0) ∩ N(v1)|, 2) per edge.
 		{"diamond, auto", mustCompile(t, pattern.Diamond(), plan.Options{}), Options{}, `
 v0 marks[]
   v1
-    v2
-      v3 bound@pos[2]
+    v2 choose[2]
 `},
 		{"house", mustCompile(t, pattern.House(), plan.Options{}), Options{AuxGraph: AuxAuto}, `
 v0 marks[]
@@ -400,17 +488,55 @@ v0
       v3
         v4 certain[0] check[2]
 `},
+		// Product: the tail is any neighbour of v0 but v1 and v2, and every v2 is
+		// one (B = m, not evaluated): m·(deg v0 − 1) − m per edge.
 		{"tailed-triangle", mustCompile(t, pattern.TailedTriangle(), plan.Options{}), Options{}, `
 v0 marks[]
   v1
-    v2
-      v3 certain[1 2]
+    v2 product[A m]
+  A=v2 row[0] certain[1]
 `},
+		// (deg v0 − 1)(deg v1 − 1) − |N(v0) ∩ N(v1)| per edge; B scans v1's row
+		// against the mark of v0, not v0's against a v1 no c-map rule reaches.
 		{"4-path", mustCompile(t, pattern.KPath(4), plan.Options{}), Options{}, `
+v0 marks[]
+  v1
+    v2 certain[1] product[A B]
+  A=v2 row[1] certain[0]
+  B=v2 row[1 0] scan never[1] never[0]
+`},
+		{"4-path, merge-only", mustCompile(t, pattern.KPath(4), plan.Options{}), PaperBaseline(1), `
+v0
+  v1
+    v2
+      v3 certain[0] check[2]
+`},
+		// Σ C(pos(v1), 2) and Σ C(pos(v1), 3): depth 1 is extended — a hub slice
+		// cuts its list — and so the wedge stays as it is.
+		{"4-star, auto", mustCompile(t, pattern.KStar(4), plan.Options{}), Options{}, `
+v0
+  v1
+    v2 bound@pos[1] choose[2]
+`},
+		{"5-star", mustCompile(t, pattern.KStar(5), plan.Options{}), Options{}, `
+v0
+  v1
+    v2 bound@pos[1] choose[3]
+`},
+		{"wedge", mustCompile(t, pattern.Wedge(), plan.Options{}), Options{}, `
+v0
+  v1
+    v2 bound@pos[1]
+`},
+		// v3 and v4 hang off v1 and v2: a product at depth 3, its B from v2's row
+		// so that the chain reads level 1, two levels up and marked.
+		{"5-path", mustCompile(t, pattern.KPath(5), plan.Options{}), Options{}, `
 v0
   v1 marks[]
-    v2
-      v3 certain[0] probe[2: 1~2]
+    v2 bound@pos[1]
+      v3 certain[0] probe[2: 1~2] product[A B]
+    A=v3 row[2] certain[0] probe[1: 1~2]
+    B=v3 row[2 1] scan certain[0] never[2] never[1]
 `},
 		{"4-star", mustCompile(t, pattern.KStar(4), plan.Options{}), PaperBaseline(1), `
 v0
@@ -425,12 +551,12 @@ v0
       v3 bound@pos[2]
 `},
 		// 4-star, 4-path, then tailed-triangle and diamond below one v2, then
-		// 4-cycle and 4-clique below the second v1.
+		// 4-cycle and 4-clique below the second v1. The star takes its closed form;
+		// this order's 4-path extends v3 from v2, and the shared v2 has two children.
 		{"six merged 4-vertex patterns", merged, Options{}, `
 v0 marks[] universe[<v0 tri]
   v1 marks[]
-    v2 bound@pos[1]
-      v3 bound@pos[2]
+    v2 bound@pos[1] choose[2]
     v2
       v3 certain[0] probe[1: 1~2]
     v2
@@ -441,6 +567,25 @@ v0 marks[] universe[<v0 tri]
       v3
     v2 local[1]
       v3 bound@pos[2] local[@2 2]
+`},
+		// The benchmark's burst order: diamond and tailed-triangle below one v2
+		// (two children: extended), 4-cycle, 4-clique, then 4-path — here v3 hangs
+		// off v1, a product — and 4-star below the second v1.
+		{"the burst tree", burst, Options{}, `
+v0 marks[] universe[<v0 tri]
+  v1 marks[<v0]
+    v2
+      v3 bound@pos[2]
+      v3 certain[0 1]
+    v2 bound@pos[1]
+      v3
+    v2 local[1]
+      v3 bound@pos[2] local[@2 2]
+    v2 certain[1] product[A B]
+  A=v2 row[1] certain[0]
+  B=v2 row[1 0] scan never[1] never[0]
+  v1
+    v2 bound@pos[1] choose[2]
 `},
 		// K4 plus two vertices on one of its edges: v5 reuses v4's frontier,
 		// which materialize already cut v2 and v3 out of — present again only
@@ -477,6 +622,45 @@ v0 marks[] universe[]
 	} {
 		if got := "\n" + lowering(lower(g, c.pl, c.o.withDefaults(), false)); got != c.want {
 			t.Errorf("%s lowers to%swant%s", c.name, got, c.want)
+		}
+	}
+}
+
+// TestClosedFormArithmetic holds choose and mulDiv to math/big: every binomial
+// and running sum a chain of up to 14 levels can ask for over small lists, the
+// lists where a naive m·(m−1)·(m−2) leaves 64 bits long before C(m, 3) leaves 63
+// (3,000,000: 2.7e19 against 4.5e18), the largest products that fit, and
+// saturation one step past each.
+func TestClosedFormArithmetic(t *testing.T) {
+	fits := func(x *big.Int) int64 {
+		if !x.IsInt64() {
+			return math.MaxInt64
+		}
+		return x.Int64()
+	}
+	for _, m := range []int64{0, 1, 2, 3, 5, 13, 14, 27, 28, 61, 62, 67, 1000, 2_097_152, 3_000_000, 3_810_778, 3_810_779, 1 << 31, 1 << 32, math.MaxInt64} {
+		sum, exact := new(big.Int), true
+		for k := 1; k <= 14; k++ {
+			c := new(big.Int).Binomial(m, int64(k))
+			exact = exact && sum.Add(sum, c).IsInt64() // past that Stats.Candidates wraps, as the walk's would
+			got, gotSum := choose(m, k)
+			if got != fits(c) || exact && gotSum != sum.Int64() {
+				t.Errorf("choose(%d, %d) = %d, %d; want %d, %d", m, k, got, gotSum, fits(c), fits(sum))
+			}
+		}
+	}
+	if c, _ := choose(3_000_000, 3); c != 4_499_995_500_001_000_000 {
+		t.Errorf("C(3000000, 3) = %d", c)
+	}
+	for _, c := range [][3]int64{
+		{3_037_000_499, 3_037_000_499, 1}, {3_037_000_500, 3_037_000_500, 1}, // ⌊√MaxInt64⌋ squared: the largest square that fits, and the first that does not
+		{math.MaxInt64, 1, 1}, {math.MaxInt64, 2, 2}, {math.MaxInt64, 2, 1}, {1 << 62, 2, 1}, {1<<62 - 1, 2, 1},
+		{math.MaxInt64, math.MaxInt64, math.MaxInt64}, {math.MaxInt64, math.MaxInt64, math.MaxInt64 - 1},
+		{0, math.MaxInt64, 1}, {6, 7, 3}, {4_611_686_014_132_420_609, 2, 1},
+	} {
+		want := new(big.Int).Mul(big.NewInt(c[0]), big.NewInt(c[1]))
+		if got := mulDiv(c[0], c[1], c[2]); got != fits(want.Quo(want, big.NewInt(c[2]))) {
+			t.Errorf("mulDiv(%d, %d, %d) = %d, want %d", c[0], c[1], c[2], got, fits(want))
 		}
 	}
 }

@@ -54,6 +54,7 @@ func (s *Server) registerMetrics() {
 		MetricCancelled:         "jobs finalized cancelled",
 		MetricCompleted:         "jobs finalized done",
 		MetricFailed:            "jobs finalized failed",
+		MetricPanics:            "batches whose compile or run panicked",
 	} {
 		s.reg.Add(name, 0)
 		s.reg.SetHelp(name, help)

@@ -35,6 +35,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"strconv"
 	"strings"
@@ -77,6 +78,7 @@ const (
 	MetricCancelled         = "jobs.cancelled"
 	MetricCompleted         = "jobs.completed"
 	MetricFailed            = "jobs.failed"
+	MetricPanics            = "jobs.panics" // batches whose compile or run panicked (their jobs end failed)
 )
 
 // Sentinel errors mapped onto HTTP statuses by the handlers.
@@ -585,6 +587,22 @@ func (s *Server) runBatch(b *batch) {
 		s.mu.Unlock()
 	}()
 
+	if res, mineErr, ok := s.mineBatch(b); ok {
+		s.deliver(b, res, mineErr)
+	}
+}
+
+// mineBatch is compile → lower → run for b. ok stays false when the batch has
+// failed already — an error before the run, or a panic anywhere in here, which
+// fails this batch's jobs and not the server; a panic inside a task arrives as
+// the run's error (*sched.PanicError), with the partial result.
+func (s *Server) mineBatch(b *batch) (res core.Result, mineErr error, ok bool) {
+	defer func() {
+		if v := recover(); v != nil {
+			s.notePanic(b, v, debug.Stack())
+			s.failBatch(b, fmt.Errorf("panic: %v", v))
+		}
+	}()
 	store, err := s.graphFor(b.gref)
 	if err != nil {
 		s.failBatch(b, fmt.Errorf("resolving graph: %w", err))
@@ -626,9 +644,16 @@ func (s *Server) runBatch(b *batch) {
 	}
 	s.setBatchState(b, StateRunning)
 	b.prog.BeginRun(eng.TaskCount())
-	res, mineErr := eng.MineContext(ctx)
+	res, mineErr = eng.MineContext(ctx)
 	b.prog.EndRun()
+	if pe := (*sched.PanicError)(nil); errors.As(mineErr, &pe) {
+		s.notePanic(b, pe.Value, pe.Stack)
+	}
+	return res, mineErr, true
+}
 
+// deliver demultiplexes a finished run's per-pattern counts onto b's member jobs.
+func (s *Server) deliver(b *batch, res core.Result, mineErr error) {
 	names := make([]string, len(b.legs))
 	for i, l := range b.legs {
 		names[i] = l.pat.Name()
@@ -665,6 +690,17 @@ func (s *Server) runBatch(b *batch) {
 	notes := s.takeNotesLocked()
 	s.mu.Unlock()
 	s.fire(notes)
+}
+
+// notePanic counts a panic under b and appends its event-log record, the one
+// place the stack is kept (its first 4 KB: the panic site is at the top).
+func (s *Server) notePanic(b *batch, v any, stack []byte) {
+	s.reg.Add(MetricPanics, 1)
+	s.mu.Lock()
+	ts := s.clock.Now()
+	s.mu.Unlock()
+	s.elog.Append(obs.LogRecord{TS: ts, Event: "panic", Batch: batchID(b.seq), Error: fmt.Sprint(v),
+		Stack: string(stack[:min(len(stack), 4<<10)])})
 }
 
 // failBatch finalizes every non-terminal member as failed.

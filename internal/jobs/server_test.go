@@ -7,6 +7,7 @@ package jobs
 import (
 	"context"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -328,6 +329,75 @@ func TestCloseJoinsDispatcherAndRunners(t *testing.T) {
 		}
 		if st := waitDone(t, s, idB); st.BatchWidth != 2 {
 			t.Fatalf("round %d: jobs ran in a width-%d batch, want 2", round, st.BatchWidth)
+		}
+		closeServer(t, s)
+	}
+	goroutinesReturnTo(t, before)
+}
+
+// faultyStore is a graph whose reads panic: the adjacency of its highest-degree
+// vertex when adj is set (inside a scheduler task, on a worker goroutine),
+// MaxDegree otherwise (sizing the engine, on the batch runner's own).
+type faultyStore struct {
+	graph.Store
+	adj bool
+}
+
+func (f faultyStore) Adj(v graph.VID) []graph.VID {
+	if f.adj && f.Degree(v) == f.Store.MaxDegree() {
+		panic("adjacency is corrupt")
+	}
+	return f.Store.Adj(v)
+}
+
+func (f faultyStore) MaxDegree() int {
+	if !f.adj {
+		panic("degree table is corrupt")
+	}
+	return f.Store.MaxDegree()
+}
+
+// TestPanickingJobFailsAlone: a job whose run panics — in a task or around the
+// tasks — ends failed with the panic in its error and its status still answering,
+// is counted once in jobs.panics and leaves one event-log record with the panic
+// site's stack (at most 4 KB); the server goes on to run the next tenant's job on
+// a healthy graph to the one-shot count, and every goroutine is joined.
+func TestPanickingJobFailsAlone(t *testing.T) {
+	g := graph.ChungLu(300, 2000, 2.3, 7)
+	want := mineIndividually(t, g, "diamond", "auto", 2)
+	before := runtime.NumGoroutine()
+	for _, c := range []struct {
+		name  string
+		bad   faultyStore
+		frame string
+	}{
+		{"in a task", faultyStore{Store: g, adj: true}, "faultyStore.Adj"},
+		{"around the tasks", faultyStore{Store: g}, "faultyStore.MaxDegree"},
+	} {
+		reg, elog := obs.NewRegistry(nil), obs.NewEventLog(0)
+		s := New(Config{Registry: reg, EventLog: elog, Graphs: map[string]graph.Store{"bad": c.bad, "good": g}})
+		st := waitDone(t, s, submitNamed(t, s, "alice", "bad", "diamond", EngineOptions{Workers: 2}))
+		if st.State != StateFailed || !strings.Contains(st.Error, "panic") || !strings.Contains(st.Error, "is corrupt") {
+			t.Errorf("%s: job on the faulty graph ended %s (%q), want failed with the panic's message", c.name, st.State, st.Error)
+		}
+		good := submitNamed(t, s, "bob", "good", "diamond", EngineOptions{Workers: 2})
+		if st := waitDone(t, s, good); st.State != StateDone {
+			t.Fatalf("%s: next job ended %s (%s), want done", c.name, st.State, st.Error)
+		}
+		if res, err := s.Result(good); err != nil || res.Count != want || res.Partial {
+			t.Errorf("%s: next job returned %+v, %v; want the one-shot count %d", c.name, res, err, want)
+		}
+		if p, f, d := reg.Get(MetricPanics), reg.Get(MetricFailed), reg.Get(MetricCompleted); p != 1 || f != 1 || d != 1 {
+			t.Errorf("%s: %d panics, %d failed, %d completed; want 1 of each", c.name, p, f, d)
+		}
+		var stacks []string
+		for _, rec := range elog.Records() {
+			if rec.Event == "panic" {
+				stacks = append(stacks, rec.Stack)
+			}
+		}
+		if len(stacks) != 1 || !strings.Contains(stacks[0], c.frame) || len(stacks[0]) > 4<<10 {
+			t.Errorf("%s: panic records carry %q; want one stack of at most 4 KB through %s", c.name, stacks, c.frame)
 		}
 		closeServer(t, s)
 	}

@@ -30,6 +30,7 @@ var coreStatsMetricNames = []string{
 	"aux_built", "aux_bytes_peak", "aux_reused", "aux_skipped_cost_model",
 	"bitmap_probes",
 	"candidates",
+	"closed_forms",
 	"extensions",
 	"frontier_reuses",
 	"gallop_probes",
@@ -116,7 +117,7 @@ func TestJobsMetricFamilyEnumeration(t *testing.T) {
 
 	wantCounters := []string{
 		"jobs.batch_width", "jobs.batched", "jobs.cancelled", "jobs.completed",
-		"jobs.failed", "jobs.queued", "jobs.rejected_queue_full",
+		"jobs.failed", "jobs.panics", "jobs.queued", "jobs.rejected_queue_full",
 	}
 	if got := reg.Names(); !reflect.DeepEqual(got, wantCounters) {
 		t.Errorf("plain jobs counters drifted:\n got %v\nwant %v", got, wantCounters)

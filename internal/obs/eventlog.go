@@ -23,7 +23,8 @@ const DefaultEventLogCap = 1 << 14
 // (virtual ticks in tests, wall milliseconds in serve mode). Event names the
 // transition (submitted/compiling/running/done/failed/cancelled), State the
 // job state after it. Fields carries the numeric payload (queue_wait_ms,
-// run_ms, batch_width, matches, …) and marshals with sorted keys.
+// run_ms, batch_width, matches, …) and marshals with sorted keys; Stack is set on
+// the job service's "panic" records only.
 type LogRecord struct {
 	TS     int64            `json:"ts"`
 	Event  string           `json:"event"`
@@ -32,6 +33,7 @@ type LogRecord struct {
 	Batch  string           `json:"batch,omitempty"`
 	State  string           `json:"state,omitempty"`
 	Error  string           `json:"error,omitempty"`
+	Stack  string           `json:"stack,omitempty"`
 	Fields map[string]int64 `json:"fields,omitempty"`
 }
 

@@ -2,10 +2,22 @@ package sched
 
 import (
 	"context"
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
+
+// PanicError is what a run returns when a task function (or a hook) panicked:
+// the run stopped, every other worker retired at its next task boundary, and the
+// first panic's value and stack are kept. Callers hold partial results.
+type PanicError struct {
+	Value any
+	Stack []byte
+}
+
+func (e *PanicError) Error() string { return fmt.Sprintf("sched: task panicked: %v", e.Value) }
 
 // Hooks observe scheduler-internal events for the observability layer
 // (internal/obs). The zero value observes nothing; callbacks run on the
@@ -71,9 +83,9 @@ func MergeHooks(hs ...Hooks) Hooks {
 // per-worker deques with work stealing, and exactly once when the run is
 // neither cancelled nor stopped. fn is invoked with the worker index
 // (0 ≤ w < workers) and the task; returning false halts the whole run
-// (cooperative cancellation detected inside a task). Run returns ctx.Err()
-// — nil unless the context was cancelled or expired, in which case callers
-// hold partial results.
+// (cooperative cancellation detected inside a task). Run returns a *PanicError
+// if a task panicked, else ctx.Err() — nil unless the context was cancelled or
+// expired; either way callers hold partial results.
 func Run(ctx context.Context, workers int, tasks []Task, fn func(worker int, t Task) bool) error {
 	return RunHooked(ctx, workers, tasks, fn, Hooks{})
 }
@@ -132,10 +144,18 @@ func runLoop(ctx context.Context, deques []deque, order [][]int, groupOf []int, 
 	}
 
 	var wg sync.WaitGroup
+	var panicked sync.Once
+	var perr *PanicError
 	for w := range deques {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			defer func() {
+				if v := recover(); v != nil {
+					stopped.Store(true)
+					panicked.Do(func() { perr = &PanicError{Value: v, Stack: debug.Stack()} })
+				}
+			}()
 			self := &deques[w]
 			for !halted() {
 				t, ok := self.popFront()
@@ -176,6 +196,9 @@ func runLoop(ctx context.Context, deques []deque, order [][]int, groupOf []int, 
 		}(w)
 	}
 	wg.Wait()
+	if perr != nil {
+		return perr
+	}
 	return ctx.Err()
 }
 

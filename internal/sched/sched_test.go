@@ -1,7 +1,9 @@
 package sched
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"reflect"
 	"runtime"
 	"sort"
@@ -216,6 +218,51 @@ func TestRunJoinsWorkers(t *testing.T) {
 		}
 		if err != want {
 			t.Errorf("cancelAt=%d: err = %v, want %v", cancelAt, err, want)
+		}
+	}
+	goroutinesReturnTo(t, before)
+}
+
+// TestRunReturnsTaskPanic: a panicking task stops the run instead of the process.
+// Run returns the first panic as a *PanicError with the stack of the panic site,
+// no task runs twice, the other workers retire at their next task boundary and
+// every goroutine is joined — plain and sharded placement alike.
+func TestRunReturnsTaskPanic(t *testing.T) {
+	g := graph.ChungLu(400, 3000, 2.3, 3)
+	tasks := Expand(g, 8)
+	index := map[Task]int{}
+	for i, task := range tasks {
+		index[task] = i
+	}
+	before := runtime.NumGoroutine()
+	for _, sharded := range []bool{false, true} {
+		runs := make([]atomic.Int32, len(tasks))
+		var executed atomic.Int64
+		fn := func(_ int, task Task) bool {
+			runs[index[task]].Add(1)
+			if executed.Add(1) == 20 {
+				panic("boom at task 20")
+			}
+			runtime.Gosched()
+			return true
+		}
+		var err error
+		if sharded {
+			err = RunSharded(context.Background(), 8, tasks, quarterMap(g.NumVertices()), fn, Hooks{})
+		} else {
+			err = Run(context.Background(), 8, tasks, fn)
+		}
+		var pe *PanicError
+		if !errors.As(err, &pe) || pe.Value != "boom at task 20" || !bytes.Contains(pe.Stack, []byte("TestRunReturnsTaskPanic")) {
+			t.Fatalf("sharded=%v: err = %v, want a PanicError carrying the value and the panic site's stack", sharded, err)
+		}
+		if n := executed.Load(); n >= int64(len(tasks)) {
+			t.Errorf("sharded=%v: the panic did not cut the run short (%d/%d)", sharded, n, len(tasks))
+		}
+		for i := range runs {
+			if n := runs[i].Load(); n > 1 {
+				t.Errorf("sharded=%v: task %d ran %d times", sharded, i, n)
+			}
 		}
 	}
 	goroutinesReturnTo(t, before)
