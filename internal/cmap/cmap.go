@@ -137,21 +137,24 @@ func (m *HashMap) hash(key graph.VID) int {
 // cycle examines `banks` successive entries.
 func (m *HashMap) probe(key graph.VID) int {
 	n := len(m.keys)
-	start := m.hash(key)
-	steps := 0
+	slot := m.hash(key)
 	for i := 0; i < n; i++ {
-		slot := (start + i) % n
-		if i%m.banks == 0 {
-			steps++
-		}
 		if m.vals[slot] == 0 || m.keys[slot] == key {
-			m.stats.Probes += int64(steps)
+			m.stats.Probes += m.cycles(i)
 			return slot
 		}
+		if slot++; slot == n {
+			slot = 0
+		}
 	}
-	m.stats.Probes += int64(steps)
+	m.stats.Probes += m.cycles(n - 1)
 	return -1
 }
+
+// cycles is the probe steps of a walk that stopped i entries past the home slot,
+// `banks` entries a cycle. It is the walks' only division: they step the slot by
+// increment-and-wrap, which is most of the simulator's host time per probe.
+func (m *HashMap) cycles(i int) int64 { return int64(i/m.banks) + 1 }
 
 // TryInsertLevel implements Map. The footprint estimate is the paper's: the
 // degree (after the compiler's ID-bound filter) is known before the list is
@@ -211,19 +214,17 @@ func (m *HashMap) removeKeys(keys []graph.VID, bit Bits) {
 // deletion operation will always find the entry").
 func (m *HashMap) findForDelete(key graph.VID) int {
 	n := len(m.keys)
-	start := m.hash(key)
-	steps := 0
+	slot := m.hash(key)
 	for i := 0; i < n; i++ {
-		slot := (start + i) % n
-		if i%m.banks == 0 {
-			steps++
-		}
 		if m.vals[slot] != 0 && m.keys[slot] == key {
-			m.stats.Probes += int64(steps)
+			m.stats.Probes += m.cycles(i)
 			return slot
 		}
+		if slot++; slot == n {
+			slot = 0
+		}
 	}
-	m.stats.Probes += int64(steps)
+	m.stats.Probes += m.cycles(n - 1)
 	return -1
 }
 
@@ -233,20 +234,19 @@ func (m *HashMap) findForDelete(key graph.VID) int {
 // to skip holes.
 func (m *HashMap) findExisting(key graph.VID) (slot int, steps int64) {
 	n := len(m.keys)
-	start := m.hash(key)
+	slot = m.hash(key)
 	for i := 0; i < n; i++ {
-		slot := (start + i) % n
-		if i%m.banks == 0 {
-			steps++
-		}
-		if m.vals[slot] != 0 && m.keys[slot] == key {
-			return slot, steps
-		}
 		if m.vals[slot] == 0 {
-			break
+			return -1, m.cycles(i)
+		}
+		if m.keys[slot] == key {
+			return slot, m.cycles(i)
+		}
+		if slot++; slot == n {
+			slot = 0
 		}
 	}
-	return -1, steps
+	return -1, m.cycles(n - 1)
 }
 
 // Lookup implements Map.

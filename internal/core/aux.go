@@ -38,8 +38,9 @@ const (
 	// the configuration of the paper-figure runners (PaperBaseline).
 	AuxOff AuxMode = iota
 	// AuxAuto (the CLI default) honors directives when the per-activation
-	// cost model predicts enough reuse: Uses × avgdeg^Gap ≥ 2 and a nonzero
-	// fold operand. Skipped activations count as AuxSkippedCostModel.
+	// cost model predicts enough reuse: Uses × avgdeg^Gap ≥ 2, Gap less a level
+	// that is a factor, and a nonzero fold operand. Skipped activations count
+	// as AuxSkippedCostModel.
 	AuxAuto
 	// AuxOn honors every directive unconditionally: the leg tests use to
 	// force row builds independent of the cost gate.

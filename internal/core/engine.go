@@ -111,7 +111,7 @@ func (o Options) withDefaults() Options {
 // FrontierReuses and Searches — under KernelAuto they fall where a c-map scan or
 // a local row replaces a frontier+residual operation, or a probe or a row limit
 // a search — nor Extensions, the work proxy that falls by what ClosedForms
-// counted instead of extending (DESIGN.md decision 22).
+// counted instead of extending (DESIGN.md decisions 22 and 23).
 type Stats struct {
 	Tasks           int64 // scheduled tasks executed (sub-tasks when slicing)
 	Extensions      int64 // vertices pushed onto ancestor stacks
@@ -120,7 +120,7 @@ type Stats struct {
 	GallopProbes    int64 // galloping-kernel element comparisons
 	BitmapProbes    int64 // dense-structure accesses: the c-map's, and the local rows' (local.go)
 	LocalRows       int64 // local bit rows built
-	ClosedForms     int64 // closed-form evaluations: nodes counted instead of extended (prog.go, closedForm)
+	ClosedForms     int64 // nodes counted instead of extended: closed forms and factor lists (prog.go, closedForm, factorNodes)
 	FrontierReuses  int64 // candidate lists built from a memoized frontier
 	Searches        int64 // binary searches: finite-bound prefixes, positions, memberships
 
@@ -378,6 +378,7 @@ type worker struct {
 
 	counts []int64
 	stats  Stats
+	weight int64 // below a factor node: the vertices its level can still take (weighted)
 
 	// trace receives this worker's per-task events (nil when disabled);
 	// widx is the worker index used as the trace thread id.
@@ -494,6 +495,10 @@ func (w *worker) walk(n *node) {
 	if w.stopped {
 		return
 	}
+	if n.fac != nil {
+		w.weighted(n)
+		return
+	}
 	if n.mode == leafCount {
 		cnt := w.count(n)
 		cands := cnt
@@ -524,6 +529,59 @@ func (w *worker) walk(n *node) {
 		w.emb[depth], w.pos[depth] = v, i
 		w.descend(n)
 	}
+}
+
+// weighted is walk at and below a factor node (prog.go, factorNodes). The factor
+// node's list is evaluated once, its level left unbound, and its length is the
+// weight of the one descent: how many vertices that level can still take. Below it
+// a candidate that is itself in the list leaves one fewer, none at 0; a leaf's m
+// candidates match m·weight − B times, B of them being in the list. Every node
+// adds its Σ weights to Stats.Candidates — what walking the list would have emitted.
+func (w *worker) weighted(n *node) {
+	f, wt := n.fac, w.weight
+	if n.mode == leafCount {
+		cnt := mulDiv(w.count(n), wt, 1)
+		if cnt > 0 {
+			cnt -= w.count(f.minus)
+		}
+		w.stats.Candidates += cnt
+		w.counts[n.patternIdx] += cnt
+		return
+	}
+	cands := w.materialize(n)
+	if f.at == n {
+		w.stats.Candidates += int64(len(cands))
+		if w.weight = int64(len(cands)); w.weight > 0 {
+			w.stats.ClosedForms++
+			w.descend(n)
+		}
+		w.weight = wt
+		return
+	}
+	bound := w.bound(f.at)
+	for i, v := range cands {
+		left := wt
+		if w.inFactor(f, v, bound) {
+			left--
+		}
+		w.stats.Candidates += left
+		if left > 0 && !w.cancelled() {
+			w.emb[n.depth], w.pos[n.depth], w.weight = v, i, left
+			w.descend(n)
+		}
+	}
+	w.weight = wt
+}
+
+// inFactor reports whether v, a candidate below f's factor node, is one of that
+// node's: below its bound and adjacent as its op says — one byte probe where
+// markLevels marked every level of it —, or found in its list.
+func (w *worker) inFactor(f *factor, v, bound graph.VID) bool {
+	if f.in == nil {
+		return w.index(w.levels[f.at.depth], v) >= 0
+	}
+	w.stats.BitmapProbes++
+	return v < bound && w.holds(f.in[0], v)
 }
 
 // descend explores the subtree below n's freshly fixed vertex. An aux

@@ -3,7 +3,8 @@ package core
 // The exec program (DESIGN.md decision 18). The plan IR is what the compiler
 // emits and the goldens pin; the program is what the workers run. NewEngine
 // lowers the plan once: one node per plan.Node (less the leaves a closed form
-// folds into their parents, closedForm), holding a pointer to its op plus
+// folds into their parents, closedForm), holding a pointer to its op (its own
+// copy, less one NotEqual, below a factor: factorNodes) plus
 // every per-level decision that depends only on the plan and the options
 // — leaf mode, operand source, the flattened set-operation chains, and whether
 // the level activates aux specs at all — so the DFS resolves none of it per
@@ -117,12 +118,24 @@ type node struct {
 	choose  int
 	prod    []*node
 	prodAll bool
+
+	fac *factor // set at a factor node and at every node below it (factorNodes)
+}
+
+// factor is what a node at or below a factor node carries: at is the factor node,
+// whose level is unbound while its subtree runs. Below it, in is at's candidate
+// set as one masked c-map op (nil: search at's list), and a leaf has minus, the
+// count-only node of its candidates that are at's too (both).
+type factor struct {
+	at    *node
+	in    []chainOp
+	minus *node
 }
 
 // auxNode is the lowered form of one plan.AuxSpec: its fold chain and the
 // static half of the cost model. With d = avg degree an activation is looked
 // up ≈ Uses × d^Gap times, so anything below 2 expected uses cannot amortize
-// even one row copy.
+// even one row copy — a gap level that is a factor (cut) is no loop and no use.
 type auxNode struct {
 	_ noCopy
 
@@ -130,6 +143,7 @@ type auxNode struct {
 	ops  []chainOp
 	scan []chainOp // ops as one masked op, like node.scan
 	gate bool
+	cut  int
 }
 
 // program is a lowered plan.
@@ -152,23 +166,27 @@ type program struct {
 func lower(g graph.Store, pl *plan.Plan, o Options, listing bool) *program {
 	p := &program{pl: pl, closed: o.Kernel == KernelAuto && !listing}
 	if o.AuxGraph != AuxOff && len(pl.AuxSpecs) > 0 {
-		d := max(g.AvgDegree(), 1)
 		p.aux = make([]auxNode, len(pl.AuxSpecs))
 		for i := range p.aux {
 			s := &pl.AuxSpecs[i]
-			reuse := float64(s.Uses)
-			for k := 0; k < s.Gap; k++ {
-				reuse *= d
-			}
-			a := &p.aux[i]
-			a.spec, a.ops = s, flatten(s.Intersect, s.Difference)
-			a.gate = o.AuxGraph == AuxOn || reuse >= 2
+			p.aux[i].spec, p.aux[i].ops = s, flatten(s.Intersect, s.Difference)
 		}
 	}
 	p.root = p.lowerNode(pl.Root, nil, listing)
 	if o.Kernel == KernelAuto {
 		p.localNodes()
+		if p.closed {
+			p.factorNodes(p.root, nil)
+		}
 		p.markLevels()
+	}
+	for i, d := 0, max(g.AvgDegree(), 1); i < len(p.aux); i++ {
+		a := &p.aux[i]
+		reuse := float64(a.spec.Uses)
+		for k := a.cut; k < a.spec.Gap; k++ {
+			reuse *= d
+		}
+		a.gate = o.AuxGraph == AuxOn || reuse >= 2
 	}
 	return p
 }
@@ -240,12 +258,9 @@ func (p *program) closedForm(n *node, path []*node) {
 	if c.mode != leafCount || c.prod != nil || n.hasAux || c.src == srcAux {
 		return
 	}
-	op, named := c.op, false
-	for _, ls := range [][]int{{op.Extender, op.FrontierBase}, op.Connected, op.Disconnected, op.UpperBounds} {
-		named = named || slices.Contains(ls, d)
-	}
+	op := c.op
 	prefix := c.boundAt == d && len(op.NotEqual)+len(c.res) == 0 && (c.src == srcFrontier || len(c.adj) == 0)
-	if !prefix && (named || c.choose > 1) {
+	if !prefix && (names(op, d) || c.choose > 1) {
 		return
 	}
 	n.mode, n.patternIdx, n.children = leafCount, c.patternIdx, nil
@@ -254,41 +269,107 @@ func (p *program) closedForm(n *node, path []*node) {
 		n.choose = max(c.choose, 1) + 1
 		return
 	}
-	union := func(a []int, b ...int) []int { // a and what it lacks of b, n's own level left out
-		a = slices.Clone(a)
-		for _, l := range b {
-			if l != d && !slices.Contains(a, l) {
-				a = append(a, l)
-			}
-		}
-		return a
-	}
-	leaf := func(op plan.VertexOp) *node { // a leaf builds no aux row and memoizes nothing
-		op.Level = d
-		return p.lowerNode(&plan.Node{Op: op}, path, false)
-	}
-	a := *op
-	a.NotEqual = union(nil, op.NotEqual...)
-	n.prod = []*node{leaf(a)}
+	a := *op // a leaf builds no aux row and memoizes nothing
+	a.Level, a.NotEqual = d, union(d, nil, op.NotEqual...)
+	n.prod = []*node{p.lowerNode(&plan.Node{Op: a}, path, false)}
 	if !slices.Contains(op.NotEqual, d) {
 		return
 	}
-	srcs := union(append([]int{n.op.Extender}, n.op.Connected...), append([]int{op.Extender}, op.Connected...)...)
-	b := plan.VertexOp{
-		Extender:     slices.Max(srcs),
-		Disconnected: union(n.op.Disconnected, op.Disconnected...),
-		UpperBounds:  union(n.op.UpperBounds, op.UpperBounds...),
-		NotEqual:     union(n.op.NotEqual, op.NotEqual...),
-		FrontierBase: plan.NoLevel,
-		AuxBase:      plan.NoLevel,
-	}
-	b.Connected = slices.DeleteFunc(srcs, func(l int) bool { return l == b.Extender })
-	minus := leaf(b)
+	minus := p.both(n, c, path)
+	b := minus.op
 	n.prodAll = len(b.Connected) == len(n.op.Connected) && len(b.Disconnected) == len(n.op.Disconnected) &&
 		len(b.UpperBounds) == len(n.op.UpperBounds) && len(minus.certain)+len(minus.suspects) == len(n.certain)+len(n.suspects)
 	if !n.prodAll {
 		n.prod = append(n.prod, minus)
 	}
+}
+
+// names: op reads level d's vertex or list — anything but NotEqual.
+func names(op *plan.VertexOp, d int) bool {
+	for _, ls := range [][]int{{op.Extender, op.FrontierBase}, op.Connected, op.Disconnected, op.UpperBounds, op.IntersectWith, op.DifferenceWith} {
+		if slices.Contains(ls, d) {
+			return true
+		}
+	}
+	return false
+}
+
+// union is a and what it lacks of b, level d left out.
+func union(d int, a []int, b ...int) []int {
+	a = slices.Clone(a)
+	for _, l := range b {
+		if l != d && !slices.Contains(a, l) {
+			a = append(a, l)
+		}
+	}
+	return a
+}
+
+// both lowers the count-only leaf, at depth len(path), of the candidates of c that
+// are candidates of n too — c below n, naming n's level in NotEqual only, and that
+// left out: the union of both ops, from the deepest source's row so that
+// markLevels can serve its chain. It is B of a product and of a factor.
+func (p *program) both(n, c *node, path []*node) *node {
+	d := n.depth
+	srcs := union(d, append([]int{n.op.Extender}, n.op.Connected...), append([]int{c.op.Extender}, c.op.Connected...)...)
+	b := plan.VertexOp{
+		Level:        len(path),
+		Extender:     slices.Max(srcs),
+		Disconnected: union(d, n.op.Disconnected, c.op.Disconnected...),
+		UpperBounds:  union(d, n.op.UpperBounds, c.op.UpperBounds...),
+		NotEqual:     union(d, n.op.NotEqual, c.op.NotEqual...),
+		FrontierBase: plan.NoLevel,
+		AuxBase:      plan.NoLevel,
+	}
+	b.Connected = slices.DeleteFunc(srcs, func(l int) bool { return l == b.Extender })
+	return p.lowerNode(&plan.Node{Op: b}, path, false)
+}
+
+// factorNodes counts an independent level once (DESIGN.md decision 23), under
+// closedForm's gate. An interior node n at depth d ≥ 2 is a factor when every node
+// below it names d in NotEqual and nowhere else (independent): n's candidates C are
+// then one set for the whole subtree, a match that has fixed v_j at the levels
+// below d can take |C| − Σ [v_j ∈ C] vertices at d, and walk carries that weight
+// down one descent with emb[d] unbound instead of descending once per vertex. The
+// nodes below get their op without the NotEqual, a leaf its B (both) — closedForm's
+// product is this rule at depth K−2, counted instead of listed. The first factor
+// on a path is the only one; local rows and nested closed forms stay enumerated.
+func (p *program) factorNodes(n *node, path []*node) {
+	switch f := n.fac; {
+	case f != nil: // below the factor node f.at
+		op := *n.op
+		op.NotEqual = union(f.at.depth, nil, op.NotEqual...)
+		n.op = &op
+		if n.src == srcAux {
+			p.aux[n.srcIdx].cut = 1
+		}
+		if n.mode == leafCount {
+			n.certain, n.suspects = nil, nil
+			n.splitNotEqual(path, p.pl.RequiresDAG)
+			f.minus = p.both(f.at, n, path)
+		}
+	case n.mode == interior && n.depth >= 2 && !n.hasAux && !n.local && p.independent(n.children, n.depth):
+		n.fac = &factor{at: n}
+	}
+	for _, c := range n.children {
+		if n.fac != nil {
+			c.fac = &factor{at: n.fac.at}
+		}
+		p.factorNodes(c, append(path, n))
+	}
+}
+
+// independent: no node of cs or below reads level d — an aux row it starts from
+// was activated above d —, each excludes it, and each is one the weighted walk
+// knows: interior or a plain count-only leaf, off the local rows.
+func (p *program) independent(cs []*node, d int) bool {
+	for _, c := range cs {
+		if names(c.op, d) || !slices.Contains(c.op.NotEqual, d) || c.src == srcAux && p.aux[c.srcIdx].spec.Level >= d ||
+			c.local || c.mode == leafMaterialize || c.choose > 1 || c.prod != nil || !p.independent(c.children, d) {
+			return false
+		}
+	}
+	return true
 }
 
 // splitNotEqual sorts the leaf's NotEqual ancestors into certain, suspect and
@@ -382,6 +463,13 @@ func (p *program) markLevels() {
 			if s := &n.suspects[i]; s.ops != nil {
 				s.probe = read(s.ops, nil, nil)
 			}
+		}
+		switch f := n.fac; {
+		case f == nil || f.at == n:
+		case f.minus != nil: // a count-only node at n's own depth, like prod
+			visit(f.minus, read)
+		default: // is a candidate of n one of the factor's?
+			read(append([]chainOp{{level: f.at.op.Extender}}, f.at.adj...), f.at.op.UpperBounds, &f.in)
 		}
 		for _, t := range n.prod { // count-only nodes at n's own depth
 			visit(t, read)

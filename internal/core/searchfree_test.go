@@ -282,7 +282,11 @@ func TestMergedTreeWorkBound(t *testing.T) {
 // closed form (decision 22) reads "choose[t]" — C(m, t) over the node's m
 // candidates — or "product[A B]", m·A − B ("m" for B where B is m and not
 // evaluated), A and B following as count-only nodes of the same depth with the
-// row and chain they start from ("scan": the chain is one masked c-map op).
+// row and chain they start from ("scan": the chain is one masked c-map op). A
+// "factor" node (decision 23) is descended from once, its level unbound; below it
+// "weighed[d: probe]" takes one from the weight where a candidate is one of level
+// d's, asking the c-map ("search": level d's list), and a leaf "weighed[d]"
+// matches m·weight − B, B following like a product's.
 func lowering(p *program) string {
 	var sb strings.Builder
 	var walk func(n *node, term string)
@@ -378,9 +382,23 @@ func lowering(p *program) string {
 		case n.prod != nil:
 			sb.WriteString(" product[A]")
 		}
+		switch f := n.fac; {
+		case f == nil:
+		case f.at == n:
+			sb.WriteString(" factor")
+		case f.minus != nil:
+			fmt.Fprintf(&sb, " weighed[%d]", f.at.depth)
+		case f.in != nil:
+			fmt.Fprintf(&sb, " weighed[%d: probe]", f.at.depth)
+		default:
+			fmt.Fprintf(&sb, " weighed[%d: search]", f.at.depth)
+		}
 		sb.WriteString("\n")
 		for i, t := range n.prod {
 			walk(t, "A=B="[2*i:2*i+2])
+		}
+		if n.fac != nil && n.fac.minus != nil {
+			walk(n.fac.minus, "B=")
 		}
 		for _, c := range n.children {
 			walk(c, "")
@@ -392,8 +410,8 @@ func lowering(p *program) string {
 
 // TestLoweringSplit pins the lowering-time half of decisions 20, 21 and 22 for
 // the plans the benchmark runs. House's leaf: v0 is adjacent to both sources by
-// construction, v2 ~ v3 is the one open adjacency — a probe that marks level 2
-// whole, a search without a c-map. Tailed-triangle's leaf is deg − 2 (merged
+// construction, v2 ~ v3 is the one open adjacency — a search without a c-map;
+// with one, v2 is a factor and the question is not asked. Tailed-triangle's leaf is deg − 2 (merged
 // trees; alone it is A of a product). 4-star's two deeper levels and the
 // diamond/4-clique frontier consumers end their prefix at a loop index. 4-path's v1 < v0 bounds a vertex by its own extender,
 // which no list position answers. Local rows: a clique's levels from v2 down, on
@@ -402,9 +420,12 @@ func lowering(p *program) string {
 // tailed-triangle, 4-cycle and house have no trigger, so nothing of decision 21
 // — no position map, no lookup — reaches them. Closed forms (decision 22) under
 // auto: stars, diamond, paths and tailed-triangle count their last two levels or
-// more; house, the cycle, every clique, every vertex-induced level (the leaf
+// more; the cycle, every clique, every vertex-induced level (the leaf
 // names the level above it), depth 1, a node with two children and every
-// merge-only lowering stay as they were.
+// merge-only lowering stay as they were. Factors (decision 23) under the same gate:
+// house's v2 and 5-motif-2's; no 4-vertex plan has a level to be one — depth 2 is
+// closedForm's —, no clique, no vertex-induced plan, no merge-only lowering and,
+// checked for every case, no listing one.
 func TestLoweringSplit(t *testing.T) {
 	g := graph.ErdosRenyi(40, 120, 1)
 	merged, err := plan.CompileMulti(pattern.Motifs(4), plan.Options{})
@@ -474,12 +495,28 @@ v0 marks[]
   v1
     v2 choose[2]
 `},
+		// Factor: the roof v2 is named below it in NotEqual only. One descent per
+		// edge with v2 unbound, weight |N(v0) ∩ N(v1)|, a v3 that is in that list —
+		// one probe of the marks of v0 and v1 — leaving one fewer; v4's v2 ~ v3 probe
+		// went with the NotEqual, and B is v4's candidates that are common
+		// neighbours too, off v3's row.
 		{"house", mustCompile(t, pattern.House(), plan.Options{}), Options{AuxGraph: AuxAuto}, `
 v0 marks[]
   v1 marks[]
-    v2 marks[]
-      v3
-        v4 certain[0] probe[2: 2~3]
+    v2 factor
+      v3 weighed[2: probe]
+        v4 certain[0] weighed[2]
+      B=v4 row[3 1 0] scan never[0]
+`},
+		// The triangle's v2 < v1 with two more neighbours of v0: the membership
+		// probe is cut at v1 like v2 itself, so v1's mark keeps its prefix.
+		{"5-motif-2", mustCompile(t, pattern.Motifs(5)[2], plan.Options{}), Options{}, `
+v0 marks[]
+  v1 marks[<v1]
+    v2 factor
+      v3 weighed[2: probe]
+        v4 certain[1] weighed[2]
+      B=v4 row[1 0] scan never[1]
 `},
 		{"house, merge-only", mustCompile(t, pattern.House(), plan.Options{}), PaperBaseline(1), `
 v0
@@ -622,6 +659,9 @@ v0 marks[] universe[]
 	} {
 		if got := "\n" + lowering(lower(g, c.pl, c.o.withDefaults(), false)); got != c.want {
 			t.Errorf("%s lowers to%swant%s", c.name, got, c.want)
+		}
+		if got := lowering(lower(g, c.pl, c.o.withDefaults(), true)); strings.Contains(got, "factor") {
+			t.Errorf("%s, listing, has a factor node:\n%s", c.name, got)
 		}
 	}
 }
