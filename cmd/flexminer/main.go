@@ -22,9 +22,8 @@
 // (catalog name, edge-induced SL) selects the workload. -timeout
 // bounds the run: on expiry the partial counts and stats are printed and the
 // command exits nonzero. -kernel selects the CPU engine's set-kernel policy
-// (auto, or merge for the paper's merge-based baseline); -aux selects the
-// auxiliary-graph pruning layer (off/auto/on, README "Auxiliary-graph
-// pruning"). Neither affects -engine sim.
+// (auto, or merge for the paper's merge-based baseline); it does not affect
+// -engine sim.
 //
 // The serve subcommand is the asynchronous job service: POST /jobs, poll
 // GET /jobs/{id}, with /metrics (Prometheus text), /healthz, /debug/jobs and
@@ -59,7 +58,7 @@ type options struct {
 	app, patName       string
 	induced            bool
 	engine             string
-	cpu                core.Options // -threads -kernel -aux -slice (engineFlags)
+	cpu                core.Options // -threads -kernel -slice (engineFlags)
 	pes                int
 	cmapBytes          int
 	timeout            time.Duration
@@ -110,7 +109,7 @@ func main() {
 	}
 }
 
-// engineFlags declares the CPU-engine knobs (-threads -kernel -aux -slice) on
+// engineFlags declares the CPU-engine knobs (-threads -kernel -slice) on
 // fs and returns the resolver to call once fs is parsed. The help text lists
 // the values the parsers accept, spelled by their own String methods. (A job
 // submitted to `flexminer serve` carries the same knobs in its "options".)
@@ -118,19 +117,13 @@ func engineFlags(fs *flag.FlagSet) func() (core.Options, error) {
 	threads := fs.Int("threads", runtime.GOMAXPROCS(0), "CPU engine threads")
 	kernel := fs.String("kernel", core.KernelAuto.String(),
 		fmt.Sprintf("CPU set-kernel policy: %v, %v", core.KernelAuto, core.KernelMergeOnly))
-	aux := fs.String("aux", core.AuxAuto.String(),
-		fmt.Sprintf("CPU auxiliary-graph pruning: %v, %v (cost-model gated), %v", core.AuxOff, core.AuxAuto, core.AuxOn))
 	slice := fs.Int("slice", 0, "hub-slicing task size in adjacency elements (0 auto, -1 off)")
 	return func() (core.Options, error) {
 		k, err := core.ParseKernelPolicy(*kernel)
 		if err != nil {
 			return core.Options{}, err
 		}
-		a, err := core.ParseAuxMode(*aux)
-		if err != nil {
-			return core.Options{}, err
-		}
-		return core.Options{Threads: *threads, SliceElems: *slice, Kernel: k, AuxGraph: a}, nil
+		return core.Options{Threads: *threads, SliceElems: *slice, Kernel: k}, nil
 	}
 }
 
@@ -361,9 +354,9 @@ func printCPUStats(s core.Stats) {
 	// positions, distinctness memberships).
 	fmt.Printf("  gallop-probes=%d bitmap-probes=%d local-rows=%d closed-forms=%d searches=%d leaf-count-skips=%d\n",
 		s.GallopProbes, s.BitmapProbes, s.LocalRows, s.ClosedForms, s.Searches, s.LeafCountsSkippedMaterialize)
-	if s.AuxBuilt+s.AuxReused+s.AuxSkippedCostModel > 0 {
-		fmt.Printf("  aux-built=%d aux-reused=%d aux-bytes-peak=%d aux-cost-skips=%d\n",
-			s.AuxBuilt, s.AuxReused, s.AuxBytesPeak, s.AuxSkippedCostModel)
+	if s.AuxBuilt+s.AuxReused > 0 {
+		fmt.Printf("  aux-built=%d aux-reused=%d aux-bytes-peak=%d\n",
+			s.AuxBuilt, s.AuxReused, s.AuxBytesPeak)
 	}
 }
 

@@ -1,11 +1,13 @@
 package main
 
 import (
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	flexminer "repro"
 	"repro/internal/graph"
 	"repro/internal/obs"
 )
@@ -69,5 +71,44 @@ func TestAppAndPatternSpellingsAgree(t *testing.T) {
 		if got := count(options{app: app}); got != want {
 			t.Errorf("-app %s mined %d, -pattern 4-cycle mined %d", app, got, want)
 		}
+	}
+}
+
+// TestEngineFlagDefaultsAreTheFacadeDefault: with no engine flag given the CLI
+// runs what a library caller's zero-value MineOptions runs — one configuration,
+// aux rows included — so the two report identical Stats on a plan whose rows are
+// live (the vertex-induced 4-path).
+func TestEngineFlagDefaultsAreTheFacadeDefault(t *testing.T) {
+	fs := flag.NewFlagSet("flexminer", flag.ContinueOnError)
+	engine := engineFlags(fs)
+	if err := fs.Parse(nil); err != nil {
+		t.Fatal(err)
+	}
+	cpu, err := engine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := graph.ChungLu(200, 1200, 2.3, 7)
+	path, err := flexminer.Patterns.ByName("4-path")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, err := flexminer.Compile(path, flexminer.CompileOptions{Induced: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli, err := flexminer.Mine(g, pl, cpu)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lib, err := flexminer.Mine(g, pl, flexminer.MineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cli.Stats != lib.Stats || cli.Counts[0] != lib.Counts[0] {
+		t.Errorf("CLI defaults mined %d with %+v, the zero-value MineOptions %d with %+v", cli.Counts[0], cli.Stats, lib.Counts[0], lib.Stats)
+	}
+	if s := lib.Stats; s.AuxBuilt == 0 || s.AuxReused <= s.AuxBuilt {
+		t.Errorf("default run built %d aux rows and reused %d; want reuse > build > 0", s.AuxBuilt, s.AuxReused)
 	}
 }

@@ -56,16 +56,13 @@ type (
 	Plan = plan.Plan
 	// CompileOptions configure the compiler (induced semantics, AutoMine mode).
 	CompileOptions = plan.Options
-	// MineOptions configure the CPU engine (threads, kernels, aux graphs).
+	// MineOptions configure the CPU engine (threads, slicing, kernels).
 	MineOptions = core.Options
 	// MineResult is the CPU engine outcome.
 	MineResult = core.Result
 	// KernelPolicy selects the CPU engine's set-operation kernels (see
 	// MineOptions.Kernel); the accelerator model never consults it.
 	KernelPolicy = core.KernelPolicy
-	// AuxMode selects the CPU engine's auxiliary-graph pruning layer (see
-	// MineOptions.AuxGraph); the accelerator model never consults it.
-	AuxMode = core.AuxMode
 	// SimConfig configures the accelerator model.
 	SimConfig = sim.Config
 	// SimResult is the accelerator outcome (counts + cycle statistics).
@@ -74,8 +71,8 @@ type (
 
 // Kernel policies for MineOptions.Kernel. KernelAuto (the zero value) picks
 // per set operation: merge for balanced operands, galloping for skewed ones,
-// a c-map scan where the plan proves reuse; KernelMergeOnly is the paper's
-// merge-based baseline.
+// a c-map scan where the plan proves reuse, an auxiliary row where the plan's
+// directives still pay; KernelMergeOnly is the paper's merge-based baseline.
 const (
 	KernelAuto      = core.KernelAuto
 	KernelMergeOnly = core.KernelMergeOnly
@@ -84,20 +81,6 @@ const (
 // ParseKernelPolicy resolves a kernel-policy name ("auto", "merge") as
 // accepted by the flexminer CLI's -kernel flag.
 func ParseKernelPolicy(s string) (KernelPolicy, error) { return core.ParseKernelPolicy(s) }
-
-// Auxiliary-graph modes for MineOptions.AuxGraph. AuxOff (the zero value)
-// ignores the plan's aux directives; AuxAuto honors them when the reuse cost
-// model predicts a win; AuxOn honors every directive. Mined counts are
-// invariant across modes.
-const (
-	AuxOff  = core.AuxOff
-	AuxAuto = core.AuxAuto
-	AuxOn   = core.AuxOn
-)
-
-// ParseAuxMode resolves an aux-graph mode name ("off", "auto", "on") as
-// accepted by the flexminer CLI's -aux flag.
-func ParseAuxMode(s string) (AuxMode, error) { return core.ParseAuxMode(s) }
 
 // NewGraph builds a simple undirected graph from an edge list over n
 // vertices, deduplicating edges and dropping self loops.

@@ -118,18 +118,21 @@ func TestSimCyclesKernelProof(t *testing.T) {
 	}
 }
 
-// TestSimCyclesAuxProof is the aux-graph analog of the kernel proof above:
-// the house plan carries an aux directive, yet simulated cycle accounting is
-// identical no matter which AuxGraph mode the CPU engine runs — the
-// accelerator model never reads the directives (DESIGN.md decision 14), so
-// the paper figures cannot be perturbed by the pruning layer.
+// TestSimCyclesAuxProof is the aux-graph analog of the kernel proof above: the
+// vertex-induced 4-path plan carries an aux directive the default CPU engine
+// acts on and the merge-only one does not, yet simulated cycle accounting is
+// identical around both runs — the accelerator model never reads the directives
+// (DESIGN.md decision 14), so the paper figures cannot be perturbed by the
+// pruning layer. The zero-value MineOptions is the default leg: a library
+// caller, the CLI and the job service run one configuration
+// (cmd/flexminer's TestEngineFlagDefaultsAreTheFacadeDefault holds the CLI to it).
 func TestSimCyclesAuxProof(t *testing.T) {
 	g := graph.ChungLu(600, 5400, 2.2, 0x21)
-	house, err := Patterns.ByName("house")
+	path, err := Patterns.ByName("4-path")
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := Compile(house, CompileOptions{})
+	pl, err := Compile(path, CompileOptions{Induced: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,34 +141,30 @@ func TestSimCyclesAuxProof(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []AuxMode{AuxOff, AuxAuto, AuxOn} {
-		res, err := Mine(g, pl, MineOptions{AuxGraph: mode})
+	for _, opt := range []MineOptions{{}, {Kernel: KernelMergeOnly}} {
+		res, err := Mine(g, pl, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Counts[0] != before.Counts[0] {
-			t.Errorf("aux=%v: CPU count %d != simulated count %d", mode, res.Counts[0], before.Counts[0])
+			t.Errorf("kernel=%v: CPU count %d != simulated count %d", opt.Kernel, res.Counts[0], before.Counts[0])
 		}
-		if mode == AuxOn && res.Stats.AuxBuilt == 0 {
-			t.Error("aux=on mined the house plan without building a single aux row")
+		if s := res.Stats; opt.Kernel == KernelAuto && (s.AuxBuilt == 0 || s.AuxReused <= s.AuxBuilt) {
+			t.Errorf("the zero-value MineOptions built %d aux rows and reused %d; want reuse > build > 0", s.AuxBuilt, s.AuxReused)
+		} else if opt.Kernel == KernelMergeOnly && s.AuxBuilt != 0 {
+			t.Errorf("merge-only built %d aux rows", s.AuxBuilt)
 		}
 		after, err := Simulate(g, pl, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if after.Stats.Cycles != before.Stats.Cycles {
-			t.Errorf("aux=%v perturbed simulated cycles: %d, want %d", mode, after.Stats.Cycles, before.Stats.Cycles)
+			t.Errorf("kernel=%v perturbed simulated cycles: %d, want %d", opt.Kernel, after.Stats.Cycles, before.Stats.Cycles)
 		}
 		if after.Stats.SIUIters != before.Stats.SIUIters || after.Stats.SDUIters != before.Stats.SDUIters {
-			t.Errorf("aux=%v perturbed SIU/SDU iterations: %d/%d, want %d/%d", mode,
+			t.Errorf("kernel=%v perturbed SIU/SDU iterations: %d/%d, want %d/%d", opt.Kernel,
 				after.Stats.SIUIters, after.Stats.SDUIters, before.Stats.SIUIters, before.Stats.SDUIters)
 		}
-	}
-	if _, err := ParseAuxMode("bogus"); err == nil {
-		t.Error("ParseAuxMode accepted a bogus mode")
-	}
-	if m, err := ParseAuxMode("on"); err != nil || m != AuxOn {
-		t.Errorf("ParseAuxMode(on) = %v, %v", m, err)
 	}
 }
 

@@ -1,12 +1,13 @@
 package core
 
-// Auxiliary-graph runtime (Options.AuxGraph; DESIGN.md decision 14). The
-// compiler marks, per plan, which deep ops re-intersect against adjacency
-// rows whose pruned form depends only on shallow ancestors (plan.AuxSpecs,
-// computed by assignAuxDirectives). This file is the engine half: when a DFS
-// enters the activation level of a spec, the worker opens an "activation
-// scope"; the first descendant lookup of each extender value x materializes
-// the pruned row
+// Auxiliary-graph runtime (DESIGN.md decision 14). The compiler marks, per
+// plan, which deep ops re-intersect against adjacency rows whose pruned form
+// depends only on shallow ancestors (plan.AuxSpecs, computed by
+// assignAuxDirectives), and under KernelAuto lowering keeps the specs that
+// still pay once counting has had its turn (prog.go, auxNodes). This file is
+// the engine half: when a DFS enters the activation level of a kept spec, the
+// worker opens an "activation scope"; the first descendant lookup of each
+// extender value x materializes the pruned row
 //
 //	aux[x] = adj(x) ∩ adj(emb[j]) … ∖ adj(emb[j]) …   (bounded by emb[RowBound])
 //
@@ -18,68 +19,31 @@ package core
 // Rows are keyed by x's position in the universe row adj(emb[Universe])
 // (always ⊇ the extender's candidate set, see plan/aux.go), so the slot array
 // is MaxDegree-sized and pooled in the worker — activation is O(1): bump an
-// epoch, reset the arena length. Nothing here is charged by the
-// simulator, which never reads the aux directives; mined counts are invariant
-// under AuxMode (cross-mode tests), only wall-clock and the Aux* Stats move.
+// epoch. Nothing here is charged by the simulator, which never reads the aux
+// directives; mined counts are the merge-only engine's (which builds no row),
+// only wall-clock and the Aux* Stats move.
 
 import (
-	"fmt"
-
 	"repro/internal/graph"
 	"repro/internal/plan"
 	"repro/internal/setops"
 )
 
-// AuxMode selects the auxiliary-graph layer (Options.AuxGraph).
+// AuxMode was the type of Options.AuxGraph. Retired with it (engine.go), as are
+// its two values: only benchmark/mining.go still names them.
 type AuxMode int
 
 const (
-	// AuxOff (the zero value) ignores the plan's aux directives entirely —
-	// the configuration of the paper-figure runners (PaperBaseline).
-	AuxOff AuxMode = iota
-	// AuxAuto (the CLI default) honors directives when the per-activation
-	// cost model predicts enough reuse: Uses × avgdeg^Gap ≥ 2, Gap less a level
-	// that is a factor, and a nonzero fold operand. Skipped activations count
-	// as AuxSkippedCostModel.
-	AuxAuto
-	// AuxOn honors every directive unconditionally: the leg tests use to
-	// force row builds independent of the cost gate.
-	AuxOn
+	AuxOff  AuxMode = iota // Retired.
+	AuxAuto                // Retired.
 )
-
-func (m AuxMode) String() string {
-	switch m {
-	case AuxOff:
-		return "off"
-	case AuxAuto:
-		return "auto"
-	case AuxOn:
-		return "on"
-	}
-	return fmt.Sprintf("AuxMode(%d)", int(m))
-}
-
-// ParseAuxMode resolves a CLI/config spelling of an aux-graph mode.
-func ParseAuxMode(s string) (AuxMode, error) {
-	switch s {
-	case "off":
-		return AuxOff, nil
-	case "auto", "":
-		return AuxAuto, nil
-	case "on":
-		return AuxOn, nil
-	}
-	return 0, fmt.Errorf("core: unknown aux-graph mode %q (want off, auto, or on)", s)
-}
 
 // auxState is the per-worker runtime of one plan.AuxSpec. The arrays are
 // allocated once in newWorker (MaxDegree-sized, like the chain scratch) and
 // live for the worker's lifetime; per-activation reset is the epoch bump plus
 // an arena length reset, never an allocation.
 type auxState struct {
-	universe  []graph.VID // adj(emb[Universe]) view of the live activation
-	active    bool        // inside an activation scope
-	build     bool        // activation passed the cost gate
+	universe  []graph.VID // adj(emb[Universe]) view of the live activation; nil outside one, and in one that builds no row
 	epoch     uint64      // slots[pos].stamp==epoch ⇒ row for universe[pos] is live
 	slots     []auxSlot
 	finger    int         // universe position of the previous lookup
@@ -98,7 +62,7 @@ type auxSlot struct {
 const fingerSteps = 4
 
 // newAuxStates builds the pooled per-spec runtime of one worker, or nil when
-// the program carries no aux layer.
+// the program kept no aux spec.
 func newAuxStates(g graph.Store, p *program) []auxState {
 	if p.aux == nil {
 		return nil
@@ -106,42 +70,31 @@ func newAuxStates(g graph.Store, p *program) []auxState {
 	states := make([]auxState, len(p.aux))
 	maxd := g.MaxDegree()
 	for i := range states {
-		states[i].slots = make([]auxSlot, maxd)
+		if p.aux[i].spec != nil {
+			states[i].slots = make([]auxSlot, maxd)
+		}
 	}
 	return states
 }
 
 // auxActivate opens the activation scope of every spec built at n: the
 // universe and fold ancestors are fixed from here until auxRelease, so rows
-// stamped under the new epoch stay valid for the whole subtree. Under
-// AuxAuto an activation whose fold operand is empty is skipped — the rows
-// would be plain copies (difference against nothing) or trivially empty, and
-// the normal per-step path handles both for free.
+// stamped under the new epoch stay valid for the whole subtree. An activation
+// whose fold operand is empty builds nothing — the rows would be plain copies
+// (difference against nothing) or trivially empty, and the normal per-step
+// path handles both for free.
 func (w *worker) auxActivate(n *node) {
-	for _, i := range n.op.BuildAux {
-		st := &w.aux[i]
-		a := &w.prog.aux[i]
+	for _, i := range n.builds {
+		st, a := &w.aux[i], &w.prog.aux[i]
 		st.epoch++
 		st.finger = 0
-		w.auxLive -= st.liveBytes
-		st.liveBytes = 0
-		st.arena = st.arena[:0]
-		st.active = true
-		st.build = a.gate
-		if st.build && w.o.AuxGraph == AuxAuto {
-			operand := 0
-			for _, o := range a.ops {
-				operand += len(w.g.Adj(w.emb[o.level]))
-			}
-			if operand == 0 {
-				st.build = false
-			}
+		operand := 0
+		for _, o := range a.ops {
+			operand += len(w.g.Adj(w.emb[o.level]))
 		}
-		if !st.build {
-			w.stats.AuxSkippedCostModel++
-			continue
+		if operand > 0 {
+			st.universe = w.g.Adj(w.emb[a.spec.Universe])
 		}
-		st.universe = w.g.Adj(w.emb[a.spec.Universe])
 	}
 }
 
@@ -149,10 +102,8 @@ func (w *worker) auxActivate(n *node) {
 // it on every path — including cancellation unwinds — so live-byte accounting
 // returns to zero between tasks and nothing leaks across them.
 func (w *worker) auxRelease(n *node) {
-	for _, i := range n.op.BuildAux {
+	for _, i := range n.builds {
 		st := &w.aux[i]
-		st.active = false
-		st.build = false
 		w.auxLive -= st.liveBytes
 		st.liveBytes = 0
 		st.arena = st.arena[:0]
@@ -162,17 +113,14 @@ func (w *worker) auxRelease(n *node) {
 
 // auxRow resolves the materialized pruned row for the consumer's extender
 // value, building it on first lookup within the live activation. ok=false
-// falls back to the plain adjacency path: spec inactive (hand-built plan or
-// cost-gated activation) or — defensively — a key neither finger nor search
-// finds, i.e. one outside the universe. The key's universe position is stepped
+// falls back to the plain adjacency path: an activation that builds no row (no
+// universe) or — defensively — a key neither finger nor search finds, i.e. one
+// outside the universe. The key's universe position is stepped
 // to from the previous lookup's: the extender's level iterates a sorted sub-list
 // of the universe, so keys arrive in ascending runs (a smaller key restarts at
 // 0); only a longer gap is searched.
 func (w *worker) auxRow(n *node) ([]graph.VID, bool) {
 	st := &w.aux[n.srcIdx]
-	if !st.active || !st.build {
-		return nil, false
-	}
 	x, u, pos := w.emb[n.op.Extender], st.universe, st.finger
 	if pos >= len(u) || u[pos] > x {
 		pos = 0

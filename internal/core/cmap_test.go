@@ -42,7 +42,7 @@ func TestCMapBalanced(t *testing.T) {
 		for _, mode := range []string{"mine", "list", "cancel"} {
 			for _, slice := range []int{0, 16} {
 				name := fmt.Sprintf("%s %s slice=%d", pl.Patterns[0].Name(), mode, slice)
-				o := Options{Threads: 4, AuxGraph: AuxAuto, SliceElems: slice}.withDefaults()
+				o := Options{Threads: 4, SliceElems: slice}.withDefaults()
 				prog := lower(g, pl, o, mode != "mine")
 				done := make(chan struct{})
 				visits := 0
@@ -120,7 +120,7 @@ func TestCMapNeverUnderMergeOnly(t *testing.T) {
 // under both matching semantics, the merged 4-motif tree — where branches with
 // different bound closures share one marked level, so the inserted prefix has
 // to satisfy all of them — and the oriented clique plans, across thread
-// counts, hub slicing, counting and listing, and every aux mode.
+// counts, hub slicing, counting and listing.
 func TestCMapDifferentialGrid(t *testing.T) {
 	g := graph.ChungLu(36, 170, 2.1, 11)
 	if g.MaxDegree() <= 16 {
@@ -166,28 +166,26 @@ func TestCMapDifferentialGrid(t *testing.T) {
 		for _, kernel := range allKernels {
 			for _, threads := range []int{1, 4} {
 				for _, slice := range []int{SliceOff, 16} {
-					for _, aux := range []AuxMode{AuxOff, AuxAuto, AuxOn} {
-						o := Options{Threads: threads, Kernel: kernel, SliceElems: slice, AuxGraph: aux}
-						where := fmt.Sprintf("%s kernel=%v threads=%d slice=%d aux=%v", f.name, kernel, threads, slice, aux)
-						mined, err := Mine(f.g, f.pl, o)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !reflect.DeepEqual(mined.Counts, f.want) {
-							t.Errorf("%s: Mine %v, brute force %v", where, mined.Counts, f.want)
-						}
-						o.Threads = 1 // the visitor below is not synchronized
-						visits := make([]int64, len(f.want))
-						listed, err := List(f.g, f.pl, o, func(_ []graph.VID, pat int) { visits[pat]++ })
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !reflect.DeepEqual(listed.Counts, f.want) || !reflect.DeepEqual(visits, f.want) {
-							t.Errorf("%s: List %v with %v visits, brute force %v", where, listed.Counts, visits, f.want)
-						}
-						if kernel == KernelAuto && lower(f.g, f.pl, o.withDefaults(), false).marks {
-							scanned++
-						}
+					o := Options{Threads: threads, Kernel: kernel, SliceElems: slice}
+					where := fmt.Sprintf("%s kernel=%v threads=%d slice=%d", f.name, kernel, threads, slice)
+					mined, err := Mine(f.g, f.pl, o)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(mined.Counts, f.want) {
+						t.Errorf("%s: Mine %v, brute force %v", where, mined.Counts, f.want)
+					}
+					o.Threads = 1 // the visitor below is not synchronized
+					visits := make([]int64, len(f.want))
+					listed, err := List(f.g, f.pl, o, func(_ []graph.VID, pat int) { visits[pat]++ })
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(listed.Counts, f.want) || !reflect.DeepEqual(visits, f.want) {
+						t.Errorf("%s: List %v with %v visits, brute force %v", where, listed.Counts, visits, f.want)
+					}
+					if kernel == KernelAuto && lower(f.g, f.pl, o.withDefaults(), false).marks {
+						scanned++
 					}
 				}
 			}

@@ -46,7 +46,8 @@ type Options struct {
 	SliceElems int
 
 	// Kernel selects the set-operation kernels (default KernelAuto: input-aware
-	// local-row/c-map scan/galloping/merge selection). Counts are invariant
+	// local-row/c-map scan/galloping/merge selection, closed forms, and the
+	// auxiliary rows lowering keeps — aux.go). Counts are invariant
 	// under this policy; only CPU wall-clock and the per-kernel Stats
 	// counters change. The simulator ignores it — SIU/SDU cycle accounting
 	// is always merge-model (see kernels.go).
@@ -58,13 +59,10 @@ type Options struct {
 	// sets it.
 	HubBitmaps int
 
-	// AuxGraph enables plan-directed auxiliary graphs (default AuxOff, see
-	// aux.go): materialize the pruned adjacency row of a deep op's extender
-	// once per shallow activation and substitute it for the full Adj row in
-	// every descendant lookup. Counts are invariant under this mode; only
-	// CPU wall-clock and the Aux* Stats counters change. The simulator
-	// ignores it — cycle accounting never reads the aux directives — and the
-	// paper-figure runners pin it off (PaperBaseline).
+	// AuxGraph is read by nothing. Retired — delete with benchmark round two
+	// (ROADMAP 1f): auxiliary rows are a lowering decision under KernelAuto
+	// (prog.go, auxNodes; DESIGN decision 14) and only benchmark/mining.go's
+	// two option literals still set it.
 	AuxGraph AuxMode
 
 	// Trace, when non-nil, receives scheduler events (task completions,
@@ -129,12 +127,10 @@ type Stats struct {
 	// candidate list (the count-only leaf optimization).
 	LeafCountsSkippedMaterialize int64
 
-	// Auxiliary-graph counters (Options.AuxGraph, aux.go): rows
-	// materialized into the arena, lookups served from a live row, and
-	// activations the auto cost model declined.
-	AuxBuilt            int64
-	AuxReused           int64
-	AuxSkippedCostModel int64
+	// Auxiliary-graph counters (aux.go): rows materialized into the arena
+	// and lookups served from a live row.
+	AuxBuilt  int64
+	AuxReused int64
 
 	// AuxBytesPeak is the largest number of live auxiliary-row bytes any
 	// single task reached. Workers run tasks concurrently, so peaks merge by
@@ -156,7 +152,6 @@ func (s *Stats) add(o *Stats) {
 	s.LeafCountsSkippedMaterialize += o.LeafCountsSkippedMaterialize
 	s.AuxBuilt += o.AuxBuilt
 	s.AuxReused += o.AuxReused
-	s.AuxSkippedCostModel += o.AuxSkippedCostModel
 	if o.AuxBytesPeak > s.AuxBytesPeak {
 		s.AuxBytesPeak = o.AuxBytesPeak
 	}
@@ -367,8 +362,8 @@ type worker struct {
 	scratch [2][]graph.VID // ping-pong buffers for chained set operations
 
 	// Auxiliary-graph runtime (aux.go): one pooled state per plan.AuxSpec
-	// (nil when the mode or plan disable the layer) and the live-row byte
-	// ledger behind Stats.AuxBytesPeak.
+	// (nil when lowering kept none) and the live-row byte ledger behind
+	// Stats.AuxBytesPeak.
 	aux     []auxState
 	auxLive int64
 
@@ -589,7 +584,7 @@ func (w *worker) inFactor(f *factor, v, bound graph.VID) bool {
 // call; both are undone on the way back on every path, cancellation included.
 func (w *worker) descend(n *node) {
 	w.stats.Extensions++
-	if n.hasAux {
+	if n.builds != nil {
 		w.auxActivate(n)
 	}
 	if n.marked {
@@ -601,7 +596,7 @@ func (w *worker) descend(n *node) {
 	if n.marked {
 		w.unmark(n)
 	}
-	if n.hasAux {
+	if n.builds != nil {
 		w.auxRelease(n)
 	}
 }

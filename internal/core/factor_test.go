@@ -50,8 +50,8 @@ func searching(n *node) {
 // a star and a windmill graph (the hubs of the last two are cut into 32-element
 // slices, the complete graph makes every candidate of a level below a factor one
 // of the factor's, the star none), one and four threads, hub slices
-// off and on, every aux mode (AuxOn also with the membership test searching the
-// factor's list, what a source level past the c-map's eight falls back to); then
+// off and on, the membership test probing the c-map and searching the
+// factor's list (what a source level past the c-map's eight falls back to); then
 // house merged with 5-motif-13, an enumerated branch below the same v1, and with
 // 5-motif-6, whose branch runs on local rows, so that tasks are local with a
 // weighted branch in them. Per run: counts == BruteCount; Stats.Candidates equals
@@ -105,16 +105,16 @@ func TestFactorDifferential(t *testing.T) {
 				if merge.Stats.ClosedForms != 0 {
 					t.Fatalf("%s: merge-only evaluated %d closed forms", pl.Patterns[0].Name(), merge.Stats.ClosedForms)
 				}
-				for _, aux := range []AuxMode{AuxOff, AuxAuto, AuxOn} {
-					name := fmt.Sprintf("%s on %s threads=%d slice=%d aux=%v", pl.Patterns[0].Name(), in.name, threads, slice, aux)
-					e, err := NewEngine(in.g, pl, Options{Threads: threads, SliceElems: slice, AuxGraph: aux})
+				for _, search := range []bool{false, true} {
+					name := fmt.Sprintf("%s on %s threads=%d slice=%d search=%v", pl.Patterns[0].Name(), in.name, threads, slice, search)
+					e, err := NewEngine(in.g, pl, Options{Threads: threads, SliceElems: slice})
 					if err != nil {
 						t.Fatal(err)
 					}
 					if got := factored(e.prog); got != wantFactor {
 						t.Fatalf("%s: factor node: %v, want %v", name, got, wantFactor)
 					}
-					if aux == AuxOn { // and the membership test searching, as with a source past cmLevels
+					if search { // the membership test as with a source past cmLevels
 						searching(e.prog.root)
 					}
 					res := e.Mine()

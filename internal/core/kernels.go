@@ -64,12 +64,12 @@ func ParseKernelPolicy(s string) (KernelPolicy, error) {
 }
 
 // PaperBaseline returns the options of the paper's software baselines
-// (GraphZero, AutoMine): merge-only kernels — so no c-map either — and no
-// auxiliary graphs. It is the only way the paper runners of internal/bench
-// obtain Options (enforced by the kernelpin analyzer), so the accelerator
-// speedup figures keep their meaning.
+// (GraphZero, AutoMine). Merge-only kernels are the whole pin: the c-map, local
+// rows, closed forms and auxiliary rows all exist under KernelAuto only. It is
+// the only way the paper runners of internal/bench obtain Options (enforced by
+// the kernelpin analyzer), so the accelerator speedup figures keep their meaning.
 func PaperBaseline(threads int) Options {
-	return Options{Threads: threads, Kernel: KernelMergeOnly, AuxGraph: AuxOff}
+	return Options{Threads: threads, Kernel: KernelMergeOnly}
 }
 
 // gallopRatio is the size skew at which galloping beats merging under

@@ -6,8 +6,8 @@ package core
 // folds into their parents, closedForm), holding a pointer to its op (its own
 // copy, less one NotEqual, below a factor: factorNodes) plus
 // every per-level decision that depends only on the plan and the options
-// — leaf mode, operand source, the flattened set-operation chains, and whether
-// the level activates aux specs at all — so the DFS resolves none of it per
+// — leaf mode, operand source, the flattened set-operation chains, and which
+// aux specs the level activates — so the DFS resolves none of it per
 // extension. The program is read-only after lowering and shared by all
 // workers; ops, nodes and aux specs travel by pointer only.
 
@@ -41,7 +41,7 @@ type source uint8
 const (
 	srcAdj      source = iota // the extender's (possibly hub-sliced) adjacency
 	srcFrontier               // a memoized frontier, w.levels[srcIdx]
-	srcAux                    // an auxiliary row of spec srcIdx; adjacency when the activation was gated off
+	srcAux                    // an auxiliary row of spec srcIdx; adjacency where the activation folds nothing
 )
 
 // chainOp is one chained set operation: cur ∘ adj(emb[level]), ∘ being
@@ -96,7 +96,7 @@ type node struct {
 	certain  []int
 	suspects []suspect
 
-	hasAux bool // the aux layer is on and the op activates specs
+	builds []int // the aux specs this level activates (auxNodes)
 
 	// marked: while this level's vertex is fixed, the c-map holds its
 	// adjacency below the least emb[b] over the levels b of markBelow.
@@ -132,25 +132,20 @@ type factor struct {
 	minus *node
 }
 
-// auxNode is the lowered form of one plan.AuxSpec: its fold chain and the
-// static half of the cost model. With d = avg degree an activation is looked
-// up ≈ Uses × d^Gap times, so anything below 2 expected uses cannot amortize
-// even one row copy — a gap level that is a factor (cut) is no loop and no use.
+// auxNode is the lowered form of one plan.AuxSpec that auxNodes kept: its fold chain.
 type auxNode struct {
 	_ noCopy
 
 	spec *plan.AuxSpec
 	ops  []chainOp
 	scan []chainOp // ops as one masked op, like node.scan
-	gate bool
-	cut  int
 }
 
 // program is a lowered plan.
 type program struct {
 	pl     *plan.Plan
 	root   *node
-	aux    []auxNode // nil when the mode or the plan make the aux layer inert
+	aux    []auxNode // by spec index, a spec auxNodes dropped left zero; nil when it kept none
 	marks  bool      // some node is marked: workers carry a c-map
 	closed bool      // closedForm applies: counting under KernelAuto
 
@@ -165,28 +160,14 @@ type program struct {
 // the visitor leaf mode (List) over the counting ones (Mine).
 func lower(g graph.Store, pl *plan.Plan, o Options, listing bool) *program {
 	p := &program{pl: pl, closed: o.Kernel == KernelAuto && !listing}
-	if o.AuxGraph != AuxOff && len(pl.AuxSpecs) > 0 {
-		p.aux = make([]auxNode, len(pl.AuxSpecs))
-		for i := range p.aux {
-			s := &pl.AuxSpecs[i]
-			p.aux[i].spec, p.aux[i].ops = s, flatten(s.Intersect, s.Difference)
-		}
-	}
 	p.root = p.lowerNode(pl.Root, nil, listing)
 	if o.Kernel == KernelAuto {
 		p.localNodes()
 		if p.closed {
 			p.factorNodes(p.root, nil)
 		}
+		p.auxNodes(max(g.AvgDegree(), 1))
 		p.markLevels()
-	}
-	for i, d := 0, max(g.AvgDegree(), 1); i < len(p.aux); i++ {
-		a := &p.aux[i]
-		reuse := float64(a.spec.Uses)
-		for k := a.cut; k < a.spec.Gap; k++ {
-			reuse *= d
-		}
-		a.gate = o.AuxGraph == AuxOn || reuse >= 2
 	}
 	return p
 }
@@ -200,15 +181,10 @@ func (p *program) lowerNode(pn *plan.Node, path []*node, listing bool) *node {
 		patternIdx: pn.PatternIdx,
 		adj:        flatten(op.Connected, op.Disconnected),
 		boundAt:    plan.NoLevel,
-		hasAux:     p.aux != nil && len(op.BuildAux) > 0,
 	}
-	switch {
-	case op.FrontierBase != plan.NoLevel:
+	if op.FrontierBase != plan.NoLevel {
 		n.src, n.srcIdx = srcFrontier, op.FrontierBase
 		n.res = flatten(op.IntersectWith, op.DifferenceWith)
-	case op.AuxBase >= 0 && op.AuxBase < len(p.aux):
-		n.src, n.srcIdx = srcAux, op.AuxBase
-		n.res = flatten(op.AuxIntersect, op.AuxDifference)
 	}
 	if bs := op.UpperBounds; len(bs) == 1 {
 		l := path[bs[0]]
@@ -252,10 +228,10 @@ func (p *program) lowerNode(pn *plan.Node, path []*node, listing bool) *node {
 // B, there only if c had it, the candidates of n that pass c's constraints too,
 // from the deepest source's row so that markLevels can serve its chain — and m
 // itself where c's constraints add nothing to n's. A and B are count-only nodes
-// at n's depth. An n that activates aux specs and a c on an aux row stay.
+// at n's depth.
 func (p *program) closedForm(n *node, path []*node) {
 	c, d := n.children[0], n.depth
-	if c.mode != leafCount || c.prod != nil || n.hasAux || c.src == srcAux {
+	if c.mode != leafCount || c.prod != nil {
 		return
 	}
 	op := c.op
@@ -269,7 +245,7 @@ func (p *program) closedForm(n *node, path []*node) {
 		n.choose = max(c.choose, 1) + 1
 		return
 	}
-	a := *op // a leaf builds no aux row and memoizes nothing
+	a := *op // a leaf memoizes nothing
 	a.Level, a.NotEqual = d, union(d, nil, op.NotEqual...)
 	n.prod = []*node{p.lowerNode(&plan.Node{Op: a}, path, false)}
 	if !slices.Contains(op.NotEqual, d) {
@@ -340,15 +316,12 @@ func (p *program) factorNodes(n *node, path []*node) {
 		op := *n.op
 		op.NotEqual = union(f.at.depth, nil, op.NotEqual...)
 		n.op = &op
-		if n.src == srcAux {
-			p.aux[n.srcIdx].cut = 1
-		}
 		if n.mode == leafCount {
 			n.certain, n.suspects = nil, nil
 			n.splitNotEqual(path, p.pl.RequiresDAG)
 			f.minus = p.both(f.at, n, path)
 		}
-	case n.mode == interior && n.depth >= 2 && !n.hasAux && !n.local && p.independent(n.children, n.depth):
+	case n.mode == interior && n.depth >= 2 && !n.local && independent(n.children, n.depth):
 		n.fac = &factor{at: n}
 	}
 	for _, c := range n.children {
@@ -359,17 +332,67 @@ func (p *program) factorNodes(n *node, path []*node) {
 	}
 }
 
-// independent: no node of cs or below reads level d — an aux row it starts from
-// was activated above d —, each excludes it, and each is one the weighted walk
-// knows: interior or a plain count-only leaf, off the local rows.
-func (p *program) independent(cs []*node, d int) bool {
+// independent: no node of cs or below reads level d, each excludes it, and each is
+// one the weighted walk knows: interior or a plain count-only leaf, off the local rows.
+func independent(cs []*node, d int) bool {
 	for _, c := range cs {
-		if names(c.op, d) || !slices.Contains(c.op.NotEqual, d) || c.src == srcAux && p.aux[c.srcIdx].spec.Level >= d ||
-			c.local || c.mode == leafMaterialize || c.choose > 1 || c.prod != nil || !p.independent(c.children, d) {
+		if names(c.op, d) || !slices.Contains(c.op.NotEqual, d) ||
+			c.local || c.mode == leafMaterialize || c.choose > 1 || c.prod != nil || !independent(c.children, d) {
 			return false
 		}
 	}
 	return true
+}
+
+// auxNodes hands the plan's aux directives (DESIGN.md decision 14) to the consumers
+// the passes above left in the tree — the last structural pass, so that a row never
+// stands in the way of a count. A consumer folded into a closed form is gone; one
+// below a factor takes no row activated at or under the factor's level, which is
+// unbound there, and where it takes one that level is no loop of the gap. With
+// d = avg degree a kept spec is then looked up ≈ uses × d^gap times per activation,
+// and anything below 2 cannot amortize even one row copy: such a spec is dropped,
+// its consumers and the levels that would have built it staying as lowerNode made them.
+func (p *program) auxNodes(d float64) {
+	specs := p.pl.AuxSpecs
+	var path []*node
+	var each func(n *node, f func(n *node, i int)) // f(n, i) for every consumer n of spec i still standing, path its ancestors
+	each = func(n *node, f func(*node, int)) {
+		if i := n.op.AuxBase; i >= 0 && i < len(specs) && (n.fac == nil || specs[i].Level < n.fac.at.depth) {
+			f(n, i)
+		}
+		path = append(path, n)
+		for _, c := range n.children {
+			each(c, f)
+		}
+		path = path[:n.depth]
+	}
+	reuse, cut := make([]float64, len(specs)), make([]int, len(specs)) // reuse: a spec's uses, then its expected lookups
+	each(p.root, func(n *node, i int) {
+		reuse[i]++
+		if n.fac != nil && n.fac.at != n {
+			cut[i] = 1
+		}
+	})
+	for i := range specs {
+		for k := cut[i]; k < specs[i].Gap; k++ {
+			reuse[i] *= d
+		}
+		if reuse[i] >= 2 {
+			if p.aux == nil {
+				p.aux = make([]auxNode, len(specs))
+			}
+			p.aux[i].spec, p.aux[i].ops = &specs[i], flatten(specs[i].Intersect, specs[i].Difference)
+		}
+	}
+	each(p.root, func(n *node, i int) {
+		if reuse[i] < 2 {
+			return
+		}
+		n.src, n.srcIdx, n.res = srcAux, i, flatten(n.op.AuxIntersect, n.op.AuxDifference)
+		if b := path[specs[i].Level]; !slices.Contains(b.builds, i) {
+			b.builds = append(b.builds, i)
+		}
+	})
 }
 
 // splitNotEqual sorts the leaf's NotEqual ancestors into certain, suspect and

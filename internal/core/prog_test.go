@@ -75,8 +75,8 @@ func checkLowered(t *testing.T, p *program, pn *plan.Node, n *node, depth int, o
 			t.Fatalf("%s: source %d with residual %v, want plain adjacency", where, n.src, n.res)
 		}
 	}
-	if n.hasAux != (p.aux != nil && len(op.BuildAux) > 0) {
-		t.Fatalf("%s: hasAux=%v disagrees with the op under %+v", where, n.hasAux, o)
+	if p.aux == nil && n.builds != nil || p.aux != nil && !sameLevels(n.builds, op.BuildAux) {
+		t.Fatalf("%s: builds aux specs %v, the op has %v under %+v", where, n.builds, op.BuildAux, o)
 	}
 	wantMode := interior
 	switch {
@@ -111,7 +111,9 @@ func countPlanNodes(n *plan.Node) int {
 
 // TestLowerMirrorsPlan: the exec program is the plan tree, node for node —
 // same shape, child order, leaf pattern indices and operand lists — with only
-// derived state added, for every option that changes what is derived.
+// derived state added, for every option that changes what is derived. These
+// plans (vertex-induced, or cliques on a DAG) have no level to count instead of
+// extending, and on this graph every aux spec pays: auto keeps them all, merge none.
 func TestLowerMirrorsPlan(t *testing.T) {
 	var plans []*plan.Plan
 	motifs5 := pattern.Motifs(5)
@@ -137,11 +139,11 @@ func TestLowerMirrorsPlan(t *testing.T) {
 
 	g := graph.ErdosRenyi(40, 120, 1)
 	for _, pl := range plans {
-		for _, o := range []Options{{}, {AuxGraph: AuxOn}, {AuxGraph: AuxAuto}} {
+		for _, o := range []Options{{}, {Kernel: KernelMergeOnly}} {
 			for _, listing := range []bool{false, true} {
 				p := lower(g, pl, o.withDefaults(), listing)
-				if (p.aux != nil) != (o.AuxGraph != AuxOff && len(pl.AuxSpecs) > 0) || (p.aux != nil && len(p.aux) != len(pl.AuxSpecs)) {
-					t.Fatalf("%s: %d lowered aux specs for %d plan specs under %v", pl.Patterns[0].Name(), len(p.aux), len(pl.AuxSpecs), o.AuxGraph)
+				if (p.aux != nil) != (o.Kernel == KernelAuto && len(pl.AuxSpecs) > 0) || (p.aux != nil && len(p.aux) != len(pl.AuxSpecs)) {
+					t.Fatalf("%s: %d lowered aux specs for %d plan specs under %v", pl.Patterns[0].Name(), len(p.aux), len(pl.AuxSpecs), o.Kernel)
 				}
 				for i := range p.aux {
 					a := &p.aux[i]
@@ -219,7 +221,7 @@ func BenchmarkExtension(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	e, err := NewEngine(g, pl, Options{Threads: 1, Kernel: KernelMergeOnly, AuxGraph: AuxAuto})
+	e, err := NewEngine(g, pl, Options{Threads: 1, Kernel: KernelMergeOnly})
 	if err != nil {
 		b.Fatal(err)
 	}

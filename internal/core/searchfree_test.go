@@ -47,10 +47,10 @@ func TestLeafEvaluationsAgree(t *testing.T) {
 		graph.RMAT(5, 110, 0.45, 0.22, 0.22, 21),
 	}
 	runs := []Options{
-		{Threads: 1, AuxGraph: AuxAuto},
-		{Threads: 3, SliceElems: 4, AuxGraph: AuxOn},
+		{Threads: 1},
+		{Threads: 3, SliceElems: 4},
 		{Threads: 1, Kernel: KernelMergeOnly},
-		{Threads: 3, SliceElems: 4, Kernel: KernelMergeOnly, AuxGraph: AuxOn},
+		{Threads: 3, SliceElems: 4, Kernel: KernelMergeOnly},
 	}
 	brute := map[string]int64{}
 	var rows, capped int64
@@ -250,7 +250,7 @@ func TestMergedTreeWorkBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Mine(g, pl, Options{Threads: 1, AuxGraph: AuxAuto})
+	got, err := Mine(g, pl, Options{Threads: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,8 @@ func TestMergedTreeWorkBound(t *testing.T) {
 // "factor" node (decision 23) is descended from once, its level unbound; below it
 // "weighed[d: probe]" takes one from the weight where a candidate is one of level
 // d's, asking the c-map ("search": level d's list), and a leaf "weighed[d]"
-// matches m·weight − B, B following like a product's.
+// matches m·weight − B, B following like a product's. Aux rows (decision 14):
+// "builds[i]" at the level that activates spec i, "aux#i" at a consumer of its rows.
 func lowering(p *program) string {
 	var sb strings.Builder
 	var walk func(n *node, term string)
@@ -308,6 +309,12 @@ func lowering(p *program) string {
 		}
 		if n.boundAt != plan.NoLevel {
 			fmt.Fprintf(&sb, " bound@pos[%d]", n.boundAt)
+		}
+		if n.src == srcAux {
+			fmt.Fprintf(&sb, " aux#%d", n.srcIdx)
+		}
+		if n.builds != nil {
+			fmt.Fprintf(&sb, " builds%v", n.builds)
 		}
 		if n.marked {
 			sb.WriteString(" marks[")
@@ -425,7 +432,9 @@ func lowering(p *program) string {
 // merge-only lowering stay as they were. Factors (decision 23) under the same gate:
 // house's v2 and 5-motif-2's; no 4-vertex plan has a level to be one — depth 2 is
 // closedForm's —, no clique, no vertex-induced plan, no merge-only lowering and,
-// checked for every case, no listing one.
+// checked for every case, no listing one. Aux rows (decision 14) go to what is left:
+// the vertex-induced 4-path keeps its spec, 5-motif-15 the one whose consumer was
+// not counted away, house none, and no merge-only lowering any.
 func TestLoweringSplit(t *testing.T) {
 	g := graph.ErdosRenyi(40, 120, 1)
 	merged, err := plan.CompileMulti(pattern.Motifs(4), plan.Options{})
@@ -499,8 +508,9 @@ v0 marks[]
 		// edge with v2 unbound, weight |N(v0) ∩ N(v1)|, a v3 that is in that list —
 		// one probe of the marks of v0 and v1 — leaving one fewer; v4's v2 ~ v3 probe
 		// went with the NotEqual, and B is v4's candidates that are common
-		// neighbours too, off v3's row.
-		{"house", mustCompile(t, pattern.House(), plan.Options{}), Options{AuxGraph: AuxAuto}, `
+		// neighbours too, off v3's row. The plan's aux spec (v4 off a row built at
+		// v1) had v2 as its gap's only loop: one lookup per row, so it is dropped.
+		{"house", mustCompile(t, pattern.House(), plan.Options{}), Options{}, `
 v0 marks[]
   v1 marks[]
     v2 factor
@@ -517,6 +527,27 @@ v0 marks[]
       v3 weighed[2: probe]
         v4 certain[1] weighed[2]
       B=v4 row[1 0] scan never[1]
+`},
+		// Aux rows come last (decision 14). v4 read spec 1's rows and is folded into
+		// v3's product, so spec 1 is gone and nothing builds it; v3 itself still
+		// stands and reads spec 0's row of v1 once per v2 (off the local rows, that is:
+		// a task whose universe is over the cap). Before the reordering either spec
+		// kept v3 and v4 enumerated.
+		{"5-motif-15", mustCompile(t, pattern.Motifs(5)[15], plan.Options{}), Options{}, `
+v0 builds[0] marks[] lonly universe[]
+  v1 marks[] lonly
+    v2 local[1]
+      v3 aux#0 local[1] certain[2] product[A B]
+    A=v3 row[2 0] scan local[2] certain[1]
+    B=v3 row[2 1 0] scan local[2 1] never[2] never[1]
+`},
+		// Nothing to count — v3 names v2 —, so the consumer is kept as the plan has
+		// it: v1's row less v0's, built at v0 and looked up once per v2.
+		{"4-path, vertex-induced", mustCompile(t, pattern.KPath(4), plan.Options{Induced: true}), Options{}, `
+v0 builds[0] marks[]
+  v1
+    v2
+      v3 aux#0 never[0] never[2]
 `},
 		{"house, merge-only", mustCompile(t, pattern.House(), plan.Options{}), PaperBaseline(1), `
 v0
@@ -711,13 +742,13 @@ func TestClosedFormArithmetic(t *testing.T) {
 // to the row the directive defines.
 func TestAuxRowFinger(t *testing.T) {
 	g := graph.RMAT(8, 1500, 0.57, 0.19, 0.19, 5)
-	o := Options{Threads: 1, AuxGraph: AuxOn}.withDefaults()
-	prog := lower(g, mustCompile(t, pattern.House(), plan.Options{}), o, false)
+	o := Options{Threads: 1}.withDefaults()
+	prog := lower(g, mustCompile(t, pattern.KPath(4), plan.Options{Induced: true}), o, false)
 	w := newWorker(g, prog, o)
-	v1node := prog.root.children[0]
-	leaf := v1node.children[0].children[0].children[0]
-	if !v1node.hasAux || leaf.src != srcAux {
-		t.Fatal("house must build its aux spec at v1 and consume it at v4")
+	root := prog.root
+	leaf := root.children[0].children[0].children[0]
+	if root.builds == nil || leaf.src != srcAux {
+		t.Fatal("the vertex-induced 4-path must build its aux spec at v0 and consume it at v3")
 	}
 	var v0 graph.VID
 	for v := 0; v < g.NumVertices(); v++ {
@@ -729,9 +760,11 @@ func TestAuxRowFinger(t *testing.T) {
 	if len(universe) < 4*fingerSteps {
 		t.Fatalf("hub degree %d is too small to outrun the finger", len(universe))
 	}
-	w.emb[0], w.emb[1] = v0, universe[len(universe)/2]
-	w.auxActivate(v1node)
-	defer w.auxRelease(v1node)
+	w.emb[0] = v0
+	w.mark(root) // the spec's fold chain scans the c-map for v0's row
+	defer w.unmark(root)
+	w.auxActivate(root)
+	defer w.auxRelease(root)
 	st := &w.aux[leaf.srcIdx]
 
 	var keys []graph.VID
@@ -764,7 +797,7 @@ func TestAuxRowFinger(t *testing.T) {
 		if st.finger != pos {
 			t.Fatalf("key %d (%d): finger at %d, Index=%d", i, x, st.finger, pos)
 		}
-		if want := setops.Intersect(nil, g.Adj(x), g.Adj(w.emb[1])); fmt.Sprint(row) != fmt.Sprint(want) {
+		if want := setops.Difference(nil, g.Adj(x), universe); fmt.Sprint(row) != fmt.Sprint(want) {
 			t.Fatalf("key %d (%d): row %v, want %v", i, x, row, want)
 		}
 	}

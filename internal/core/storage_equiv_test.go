@@ -4,10 +4,12 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -130,12 +132,18 @@ func TestStorageBackendEquivalence(t *testing.T) {
 // works on every backend: the run returns the context error, and the partial
 // counts never exceed the full run's.
 func TestStorageBackendCancellation(t *testing.T) {
-	g := graph.RMAT(11, 40000, 0.57, 0.19, 0.19, 23)
-	stores := storageBackends(t, g)
 	pl, err := plan.CompileMotifs(3, plan.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	cancelOnEveryBackend(t, graph.RMAT(11, 40000, 0.57, 0.19, 0.19, 23), pl)
+}
+
+// cancelOnEveryBackend mines pl on every backend of g, cancelling after the
+// tenth task, and returns the uncancelled heap run it held the partial results to.
+func cancelOnEveryBackend(t *testing.T, g *graph.Graph, pl *plan.Plan) Result {
+	t.Helper()
+	stores := storageBackends(t, g)
 	full, err := Mine(stores["heap"], pl, Options{Threads: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -152,7 +160,7 @@ func TestStorageBackendCancellation(t *testing.T) {
 		cancel()
 		if err == nil {
 			// The run may legitimately finish before poll latency bites on
-			// tiny inputs, but this fixture is large enough that it must not.
+			// tiny inputs, but these fixtures are large enough that it must not.
 			t.Fatalf("%s: cancelled run returned nil error", name)
 		}
 		for i := range got.Counts {
@@ -164,6 +172,7 @@ func TestStorageBackendCancellation(t *testing.T) {
 			t.Fatalf("%s: cancelled run executed %d tasks, want partial progress below %d", name, got.Stats.Tasks, full.Stats.Tasks)
 		}
 	}
+	return full
 }
 
 // TestMappedMineConstantHeap is the acceptance bound end-to-end: mining a
@@ -171,7 +180,19 @@ func TestStorageBackendCancellation(t *testing.T) {
 // only — O(maxDegree), not O(|E|) — so heap growth stays far below the file
 // size.
 func TestMappedMineConstantHeap(t *testing.T) {
-	g := graph.RMAT(14, 250_000, 0.57, 0.19, 0.19, 11)
+	pl, err := plan.Compile(pattern.Triangle(), plan.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mappedMineConstantHeap(t, graph.RMAT(14, 250_000, 0.57, 0.19, 0.19, 11), pl, Options{Threads: 2, Kernel: KernelMergeOnly})
+}
+
+// mappedMineConstantHeap mines pl over g's file through OpenMapped, holds the
+// count to the heap run's and the heap growth to a quarter of the file — workers
+// allocate O(K · maxDegree) scratch, far below the adjacency arrays of a file of
+// several MB —, and returns the mapped run.
+func mappedMineConstantHeap(t *testing.T, g *graph.Graph, pl *plan.Plan, o Options) Result {
+	t.Helper()
 	bin := filepath.Join(t.TempDir(), "g.bin")
 	if err := graph.SaveBinary(bin, g); err != nil {
 		t.Fatal(err)
@@ -180,7 +201,7 @@ func TestMappedMineConstantHeap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := TriangleCountStoreFixture(g)
+	want, err := Mine(g, pl, o) // the reference count, before the MemStats window opens
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,11 +214,7 @@ func TestMappedMineConstantHeap(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	pl, err := plan.Compile(pattern.Triangle(), plan.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Mine(m, pl, Options{Threads: 2, Kernel: KernelMergeOnly})
+	res, err := Mine(m, pl, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,29 +223,14 @@ func TestMappedMineConstantHeap(t *testing.T) {
 	// must not include any copy of the adjacency arrays.
 	runtime.GC()
 	runtime.ReadMemStats(&after)
-	if res.Count() != want {
-		t.Fatalf("mapped mine count %d != heap count %d", res.Count(), want)
+	if res.Count() != want.Count() {
+		t.Fatalf("mapped mine count %d != heap count %d", res.Count(), want.Count())
 	}
-	// Workers allocate O(K · maxDegree) scratch; bound generously but far
-	// below the adjacency arrays (the file is several MB).
 	grew := int64(after.HeapAlloc) - int64(before.HeapAlloc)
 	if bound := fi.Size() / 4; grew > bound {
 		t.Fatalf("mapped mine grew heap by %d bytes for a %d-byte graph; want < %d", grew, fi.Size(), bound)
 	}
-}
-
-// TriangleCountStoreFixture computes the reference triangle count on the
-// heap store before the MemStats window opens.
-func TriangleCountStoreFixture(g *graph.Graph) (int64, error) {
-	pl, err := plan.Compile(pattern.Triangle(), plan.Options{})
-	if err != nil {
-		return 0, err
-	}
-	res, err := Mine(g, pl, Options{Threads: 2, Kernel: KernelMergeOnly})
-	if err != nil {
-		return 0, err
-	}
-	return res.Count(), nil
+	return res
 }
 
 // TestStorageBackendListEquivalence drives the listing path (per-embedding
@@ -241,26 +243,26 @@ func TestStorageBackendListEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	collect := func(st graph.Store) map[[3]graph.VID]int {
-		seen := map[[3]graph.VID]int{}
-		var mu = make(chan struct{}, 1)
-		mu <- struct{}{}
-		_, err := List(st, pl, Options{Threads: 4}, func(emb []graph.VID, pat int) {
-			var k [3]graph.VID
-			copy(k[:], emb)
-			<-mu
-			seen[k]++
-			mu <- struct{}{}
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return seen
-	}
-	want := collect(stores["heap"])
+	want, _ := listed(t, stores["heap"], pl, Options{Threads: 4})
 	for _, name := range []string{"mmap", "shard1", "shard4"} {
-		if got := collect(stores[name]); !reflect.DeepEqual(got, want) {
+		if got, _ := listed(t, stores[name], pl, Options{Threads: 4}); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: listed embeddings differ from heap (%d vs %d distinct)", name, len(got), len(want))
 		}
 	}
+}
+
+// listed lists pl over st and returns the multiset of embeddings the visitor saw.
+func listed(t *testing.T, st graph.Store, pl *plan.Plan, o Options) (map[string]int, Result) {
+	t.Helper()
+	seen := map[string]int{}
+	var mu sync.Mutex
+	res, err := List(st, pl, o, func(emb []graph.VID, pat int) {
+		mu.Lock()
+		seen[fmt.Sprint(emb)]++
+		mu.Unlock()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return seen, res
 }

@@ -58,7 +58,7 @@ func TestMergedPlanSmallerThanSum(t *testing.T) {
 // TestBatchedRunSharesWork: a batched diamond + tailed-triangle run must
 // perform strictly fewer set-op iterations (the SIU/SDU work proxy) than the
 // same two jobs mined individually, while producing identical counts.
-// Deterministic knobs: merge kernel, aux off, one worker.
+// Deterministic knobs: merge kernel, one worker.
 func TestBatchedRunSharesWork(t *testing.T) {
 	g := graph.ChungLu(300, 2100, 2.3, 11)
 	mineOne := func(name string) (int64, core.Stats) {
@@ -70,9 +70,7 @@ func TestBatchedRunSharesWork(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng, err := core.NewEngine(g, pl, core.Options{
-			Threads: 1, Kernel: core.KernelMergeOnly, AuxGraph: core.AuxOff,
-		})
+		eng, err := core.NewEngine(g, pl, core.Options{Threads: 1, Kernel: core.KernelMergeOnly})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +84,7 @@ func TestBatchedRunSharesWork(t *testing.T) {
 	s := New(Config{Registry: reg, Graphs: map[string]graph.Store{"g": g}, StartPaused: true})
 	defer closeServer(t, s)
 
-	opts := EngineOptions{Workers: 1, Kernel: "merge", Aux: "off"}
+	opts := EngineOptions{Workers: 1, Kernel: "merge"}
 	idD := submitNamed(t, s, "A", "g", "diamond", opts)
 	idT := submitNamed(t, s, "B", "g", "tailed-triangle", opts)
 	s.Resume()

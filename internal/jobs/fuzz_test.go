@@ -19,7 +19,7 @@ func FuzzJobSubmitJSON(f *testing.F) {
 	seeds := []string{
 		// The happy paths.
 		`{"tenant":"alice","graph":{"name":"default"},"pattern":{"name":"triangle"}}`,
-		`{"graph":{"path":"web.bin","mmap":true},"pattern":{"name":"diamond"},"options":{"workers":4,"kernel":"merge","aux":"off","slice":1024,"timeout_ms":5000}}`,
+		`{"graph":{"path":"web.bin","mmap":true},"pattern":{"name":"diamond"},"options":{"workers":4,"kernel":"merge","slice":1024,"timeout_ms":5000}}`,
 		`{"graph":{"name":"g"},"pattern":{"vertices":4,"edges":[[0,1],[1,2],[2,3],[3,0]],"induced":true}}`,
 		`{"graph":{"name":"g"},"pattern":{"name":"5-clique"}}`,
 		`{"graph":{"name":"g"},"pattern":{"name":"wedge"},"options":{"kernel":"merge-only"}}`,
@@ -67,7 +67,7 @@ func FuzzJobSubmitJSON(f *testing.F) {
 		if (req.Graph.Name == "") == (req.Graph.Path == "") {
 			t.Fatalf("accepted ambiguous graph ref %+v", req.Graph)
 		}
-		if req.Options.Kernel == "" || req.Options.Aux == "" {
+		if req.Options.Kernel == "" {
 			t.Fatalf("accepted un-normalized options %+v", req.Options)
 		}
 		if _, err := req.Options.coreOptions(); err != nil {

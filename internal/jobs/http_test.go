@@ -290,10 +290,11 @@ func TestHTTPErrorStatuses(t *testing.T) {
 			t.Errorf("%s %s: status %d, want 404", probe.method, probe.path, code)
 		}
 	}
-	// Malformed submit, and a retired kernel policy: 400.
+	// Malformed submit, a retired kernel policy, a retired option: 400.
 	for _, body := range []string{
 		"{not json",
 		`{"graph":{"name":"default"},"pattern":{"name":"triangle"},"options":{"kernel":"bitmap"}}`,
+		`{"graph":{"name":"default"},"pattern":{"name":"triangle"},"options":{"aux":"auto"}}`,
 	} {
 		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
 		if err != nil {

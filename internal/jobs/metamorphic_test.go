@@ -64,7 +64,7 @@ func submitCombo(t *testing.T, s *Server, combo []string, kernel string, workers
 			Tenant:  "meta",
 			Graph:   GraphRef{Name: "g"},
 			Pattern: PatternRef{Name: name},
-			Options: EngineOptions{Workers: workers, Kernel: kernel, Aux: "auto"},
+			Options: EngineOptions{Workers: workers, Kernel: kernel},
 		}, pat)
 		if err != nil {
 			t.Fatal(err)

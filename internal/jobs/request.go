@@ -89,8 +89,6 @@ type EngineOptions struct {
 	Workers int `json:"workers,omitempty"`
 	// Kernel is the set-kernel policy: auto, merge ("" = auto).
 	Kernel string `json:"kernel,omitempty"`
-	// Aux is the auxiliary-graph pruning mode: off, auto, on ("" = auto).
-	Aux string `json:"aux,omitempty"`
 	// Slice is the hub-slicing task size (0 auto, -1 off).
 	Slice int `json:"slice,omitempty"`
 	// TimeoutMS bounds the mining run; on expiry the job is cancelled with
@@ -105,11 +103,7 @@ func (o EngineOptions) coreOptions() (core.Options, error) {
 	if err != nil {
 		return core.Options{}, err
 	}
-	aux, err := core.ParseAuxMode(o.Aux)
-	if err != nil {
-		return core.Options{}, err
-	}
-	return core.Options{Threads: o.Workers, SliceElems: o.Slice, Kernel: kernel, AuxGraph: aux}, nil
+	return core.Options{Threads: o.Workers, SliceElems: o.Slice, Kernel: kernel}, nil
 }
 
 // SubmitRequest is the POST /jobs document.
@@ -263,10 +257,6 @@ func normalizeOptions(o EngineOptions) (EngineOptions, error) {
 	if err != nil {
 		return o, fmt.Errorf("jobs: %w", err)
 	}
-	aux, err := core.ParseAuxMode(o.Aux)
-	if err != nil {
-		return o, fmt.Errorf("jobs: %w", err)
-	}
-	o.Kernel, o.Aux = kernel.String(), aux.String()
+	o.Kernel = kernel.String()
 	return o, nil
 }

@@ -26,9 +26,6 @@ func submitNamed(t *testing.T, s *Server, tenant, graphName, patName string, opt
 	if opts.Kernel == "" {
 		opts.Kernel = "auto"
 	}
-	if opts.Aux == "" {
-		opts.Aux = "auto"
-	}
 	id, err := s.Submit(SubmitRequest{
 		Tenant:  tenant,
 		Graph:   GraphRef{Name: graphName},
@@ -445,7 +442,7 @@ func TestDrainWaitsForRunningJobs(t *testing.T) {
 		t.Fatalf("queued job after drain = %s, want cancelled", st.State)
 	}
 	pat, _ := pattern.ByName("triangle")
-	if _, err := s.Submit(SubmitRequest{Tenant: "A", Graph: GraphRef{Name: "g"}, Pattern: PatternRef{Name: "triangle"}, Options: EngineOptions{Kernel: "auto", Aux: "auto"}}, pat); err != ErrClosed {
+	if _, err := s.Submit(SubmitRequest{Tenant: "A", Graph: GraphRef{Name: "g"}, Pattern: PatternRef{Name: "triangle"}, Options: EngineOptions{Kernel: "auto"}}, pat); err != ErrClosed {
 		t.Fatalf("submit after drain: %v, want ErrClosed", err)
 	}
 	closeServer(t, s)
@@ -512,7 +509,7 @@ func TestSubmitValidation(t *testing.T) {
 		{Tenant: "A", Graph: GraphRef{Path: "x.bin"}, Pattern: PatternRef{Name: "triangle"}}, // path refs disabled
 	}
 	for _, req := range cases {
-		req.Options = EngineOptions{Kernel: "auto", Aux: "auto"}
+		req.Options = EngineOptions{Kernel: "auto"}
 		if _, err := s.Submit(req, pat); err == nil {
 			t.Fatalf("submit %+v: expected error", req)
 		}

@@ -23,7 +23,6 @@ func Table2() {
 func Fig7() {
 	use(core.Options{Threads: 20, Kernel: core.KernelMergeOnly}) // want `core.Options literal in a paper-runner package`
 	use(core.Options{})                                          // want `core.Options literal in a paper-runner package`
-	use(core.Options{AuxGraph: core.AuxAuto})                    // want `core.Options literal in a paper-runner package`
 }
 
 // BaselineSeconds starts from the baseline and then edits it.
@@ -31,8 +30,8 @@ func BaselineSeconds(k core.KernelPolicy) {
 	o := core.PaperBaseline(4)
 	o.Kernel = k // want `write to core.Options.Kernel in a paper-runner package`
 	p := &o
-	p.AuxGraph = core.AuxOn // want `write to core.Options.AuxGraph in a paper-runner package`
-	(*p).Threads++          // want `write to core.Options.Threads in a paper-runner package`
+	p.SliceElems = 8 // want `write to core.Options.SliceElems in a paper-runner package`
+	(*p).Threads++   // want `write to core.Options.Threads in a paper-runner package`
 	var po plan.Options
 	po.Induced = true // different Options type: ignored
 	use(o)

@@ -27,7 +27,7 @@ var cmapMetricNames = []string{
 }
 
 var coreStatsMetricNames = []string{
-	"aux_built", "aux_bytes_peak", "aux_reused", "aux_skipped_cost_model",
+	"aux_built", "aux_bytes_peak", "aux_reused",
 	"bitmap_probes",
 	"candidates",
 	"closed_forms",

@@ -193,7 +193,8 @@ type AuxSpec struct {
 
 	// Uses counts the consumer ops referencing this spec; Gap is the
 	// maximum number of intermediate levels between activation and a
-	// consumer (both feed the runtime cost model, AuxAuto).
+	// consumer (both feed the engine's lowering-time cost model, core's
+	// auxNodes).
 	Uses int
 	Gap  int
 }
@@ -227,7 +228,7 @@ type Plan struct {
 
 	// AuxSpecs are the auxiliary graphs the compiler proved profitable to
 	// offer; ops reference them by index via BuildAux/AuxBase. Engines may
-	// ignore them entirely (counts are invariant under the aux mode).
+	// ignore them entirely (counts do not depend on them).
 	AuxSpecs []AuxSpec
 
 	// less[a][b] records that emb[a] < emb[b] is provable from the symmetry
