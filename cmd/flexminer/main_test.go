@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	flexminer "repro"
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/obs"
 )
@@ -37,31 +38,38 @@ func TestRunRejectsFlagMistakesBeforeLoading(t *testing.T) {
 	}
 }
 
+// runCounters runs o on the CPU engine with a -metrics artifact in a fresh
+// directory and returns the artifact's counters: cpu.count.<i> and cpu.<stat>.
+func runCounters(t *testing.T, o options) map[string]int64 {
+	t.Helper()
+	o.engine, o.metricsPath = "cpu", filepath.Join(t.TempDir(), "m.json")
+	if err := run(o); err != nil {
+		t.Fatalf("run(%+v): %v", o, err)
+	}
+	f, err := os.Open(o.metricsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	m, err := obs.ReadMetricsJSON(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m.Counters
+}
+
 // TestAppAndPatternSpellingsAgree: -app goes through the one workload grammar,
 // so the paper's SL-4cycle, the catalog's SL-4-cycle and -pattern 4-cycle are
 // the same workload and mine the same count.
 func TestAppAndPatternSpellingsAgree(t *testing.T) {
-	dir := t.TempDir()
-	bin := filepath.Join(dir, "g.bin")
+	bin := filepath.Join(t.TempDir(), "g.bin")
 	if err := graph.SaveBinary(bin, graph.ChungLu(200, 1200, 2.3, 7)); err != nil {
 		t.Fatal(err)
 	}
 	count := func(o options) int64 {
 		t.Helper()
-		o.graphPath, o.engine, o.metricsPath = bin, "cpu", filepath.Join(dir, "m.json")
-		if err := run(o); err != nil {
-			t.Fatalf("run(%+v): %v", o, err)
-		}
-		f, err := os.Open(o.metricsPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer f.Close()
-		m, err := obs.ReadMetricsJSON(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m.Counters["cpu.count.0"]
+		o.graphPath = bin
+		return runCounters(t, o)["cpu.count.0"]
 	}
 	want := count(options{patName: "4-cycle"})
 	if want == 0 {
@@ -110,5 +118,80 @@ func TestEngineFlagDefaultsAreTheFacadeDefault(t *testing.T) {
 	}
 	if s := lib.Stats; s.AuxBuilt == 0 || s.AuxReused <= s.AuxBuilt {
 		t.Errorf("default run built %d aux rows and reused %d; want reuse > build > 0", s.AuxBuilt, s.AuxReused)
+	}
+}
+
+// TestWorkProxyGates is CI's machine-independent gate on the lowering passes
+// (DESIGN.md decision 18): a lowering change that turns a mechanism off moves no
+// count, only the clock — and one exact work proxy, which this holds through the
+// CLI's own run and its -metrics artifact on a 512-vertex RMAT graph, symmetric
+// and oriented. Every row mines the merge-only count under the default; its gate
+// is the inequality the mechanism's PR measured (figures in the DESIGN decisions).
+func TestWorkProxyGates(t *testing.T) {
+	dir := t.TempDir()
+	sym, dag := filepath.Join(dir, "g.bin"), filepath.Join(dir, "dag.bin")
+	g := graph.RMAT(9, 4500, 0.57, 0.19, 0.19, 7)
+	for path, st := range map[string]*graph.Graph{sym: g, dag: g.Orient()} {
+		if err := graph.SaveBinary(path, st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	type counters = map[string]int64
+	type gate struct {
+		what string
+		ok   func(auto, merge counters) bool
+	}
+	searchFree := gate{"searches < candidates/100 (decision 20)", func(a, _ counters) bool {
+		return a["cpu.searches"] < a["cpu.candidates"]/100
+	}}
+	lastLevels := gate{"the last two levels are counted, merge-only enumerates them (decision 22)", func(a, m counters) bool {
+		return a["cpu.closed_forms"] > 0 && a["cpu.extensions"] < 10000 && m["cpu.closed_forms"] == 0 && m["cpu.extensions"] > 10*a["cpu.extensions"]
+	}}
+	counts := map[string]int64{}
+	for _, c := range []struct {
+		name  string
+		o     options
+		gates []gate
+	}{
+		{"induced 4-path", options{graphPath: sym, patName: "4-path", induced: true}, []gate{
+			{"lowering keeps the spec and a row is reused more often than built (decision 14)", func(a, m counters) bool {
+				return a["cpu.aux_built"] > 0 && a["cpu.aux_reused"] > a["cpu.aux_built"] && m["cpu.aux_built"] == 0
+			}},
+		}},
+		{"SL-house", options{graphPath: sym, app: "SL-house"}, []gate{
+			searchFree,
+			{"the roof is a factor: one closed form per edge, a quarter of the extensions (decision 23)", func(a, m counters) bool {
+				return a["cpu.closed_forms"] > 0 && m["cpu.closed_forms"] == 0 && 4*a["cpu.extensions"] < m["cpu.extensions"]
+			}},
+		}},
+		{"tailed-triangle", options{graphPath: sym, patName: "tailed-triangle"}, []gate{searchFree}},
+		{"4-star", options{graphPath: sym, patName: "4-star"}, []gate{lastLevels}},
+		{"4-path", options{graphPath: sym, patName: "4-path"}, []gate{lastLevels}},
+		{"4-CL", options{graphPath: dag, app: "4-CL"}, []gate{
+			{"the clique levels run on local rows, under two dense accesses per candidate (decision 21)", func(a, m counters) bool {
+				return a["cpu.local_rows"] > 0 && a["cpu.bitmap_probes"] < 2*a["cpu.candidates"] && m["cpu.local_rows"] == 0 && m["cpu.bitmap_probes"] == 0
+			}},
+			{"no clique level is a closed form", func(a, _ counters) bool { return a["cpu.closed_forms"] == 0 }},
+		}},
+		{"TC", options{graphPath: dag, app: "TC"}, []gate{
+			{"no level roots in adj(v0) twice: no local row", func(a, _ counters) bool { return a["cpu.local_rows"] == 0 }},
+		}},
+		{"4-clique", options{graphPath: sym, patName: "4-clique"}, nil},
+	} {
+		auto := runCounters(t, c.o)
+		c.o.cpu.Kernel = core.KernelMergeOnly
+		merge := runCounters(t, c.o)
+		counts[c.name] = auto["cpu.count.0"]
+		if auto["cpu.count.0"] == 0 || auto["cpu.count.0"] != merge["cpu.count.0"] {
+			t.Errorf("%s: default mined %d, -kernel merge %d; want equal and not 0", c.name, auto["cpu.count.0"], merge["cpu.count.0"])
+		}
+		for _, g := range c.gates {
+			if !g.ok(auto, merge) {
+				t.Errorf("%s: %s — does not hold\n  default %v\n  merge   %v", c.name, g.what, auto, merge)
+			}
+		}
+	}
+	if counts["4-CL"] != counts["4-clique"] {
+		t.Errorf("the oriented plan mined %d 4-cliques, the symmetric one %d", counts["4-CL"], counts["4-clique"])
 	}
 }

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	flexminer "repro"
-	"repro/internal/core"
 	"repro/internal/graph"
 )
 
@@ -45,12 +44,16 @@ func main() {
 
 		// Cross-check against the generic plan on the symmetric graph
 		// (symmetry order instead of orientation).
-		generic, err := core.CliqueCountGeneric(g, k, core.Options{})
+		gpl, err := flexminer.Compile(flexminer.Patterns.KClique(k), flexminer.CompileOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}
-		if generic != res.Counts[0] {
-			log.Fatalf("%d-clique: DAG=%d generic=%d", k, res.Counts[0], generic)
+		generic, err := flexminer.Mine(g, gpl, flexminer.MineOptions{})
+		if err != nil {
+			log.Fatal(err)
+		}
+		if generic.Counts[0] != res.Counts[0] {
+			log.Fatalf("%d-clique: DAG=%d generic=%d", k, res.Counts[0], generic.Counts[0])
 		}
 		fmt.Printf("  %d-cliques: %10d  (%v, frontier reuses: %d)\n",
 			k, res.Counts[0], dagTime, res.Stats.FrontierReuses)

@@ -14,6 +14,7 @@ import (
 	"fmt"
 
 	"repro/internal/graph"
+	"repro/internal/setops"
 )
 
 // Bits is the connectivity bitset: bit d set means "connected to the vertex
@@ -74,7 +75,7 @@ type Map interface {
 }
 
 // NoBound disables the insertion ID filter.
-const NoBound = ^graph.VID(0)
+const NoBound = setops.NoBound
 
 // EntryBytes is the storage cost per entry in the paper's design: 4-byte key
 // plus 1-byte value.
@@ -161,7 +162,7 @@ func (m *HashMap) cycles(i int) int64 { return int64(i/m.banks) + 1 }
 // fetched, so the PE can predict overflow and fall back to SIU/SDU without
 // touching the map.
 func (m *HashMap) TryInsertLevel(adj []graph.VID, depth int, bound graph.VID) bool {
-	filtered := boundedPrefix(adj, bound)
+	filtered := setops.Bounded(adj, bound)
 	if float64(m.occupied+len(filtered)) > m.threshold*float64(len(m.keys)) {
 		m.stats.Overflows++
 		return false
@@ -190,7 +191,7 @@ func (m *HashMap) TryInsertLevel(adj []graph.VID, depth int, bound graph.VID) bo
 // RemoveLevel implements Map: clear this depth's bit on every inserted key
 // and invalidate entries whose value drops to zero.
 func (m *HashMap) RemoveLevel(adj []graph.VID, depth int, bound graph.VID) {
-	m.removeKeys(boundedPrefix(adj, bound), Bits(1)<<uint(depth))
+	m.removeKeys(setops.Bounded(adj, bound), Bits(1)<<uint(depth))
 }
 
 func (m *HashMap) removeKeys(keys []graph.VID, bit Bits) {
@@ -293,7 +294,7 @@ func NewVector(n int) *Vector { return &Vector{vals: make([]Bits, n)} }
 // TryInsertLevel implements Map; the vector never overflows.
 func (v *Vector) TryInsertLevel(adj []graph.VID, depth int, bound graph.VID) bool {
 	bit := Bits(1) << uint(depth)
-	for _, w := range boundedPrefix(adj, bound) {
+	for _, w := range setops.Bounded(adj, bound) {
 		v.vals[w] |= bit
 		v.stats.Inserts++
 	}
@@ -303,7 +304,7 @@ func (v *Vector) TryInsertLevel(adj []graph.VID, depth int, bound graph.VID) boo
 // RemoveLevel implements Map.
 func (v *Vector) RemoveLevel(adj []graph.VID, depth int, bound graph.VID) {
 	bit := Bits(1) << uint(depth)
-	for _, w := range boundedPrefix(adj, bound) {
+	for _, w := range setops.Bounded(adj, bound) {
 		v.vals[w] &^= bit
 		v.stats.Removes++
 	}
@@ -331,21 +332,3 @@ func (v *Vector) Reset() {
 
 // Stats implements Map.
 func (v *Vector) Stats() Stats { return v.stats }
-
-// boundedPrefix returns the prefix of the ascending-sorted list with IDs
-// strictly below bound.
-func boundedPrefix(adj []graph.VID, bound graph.VID) []graph.VID {
-	if bound == NoBound {
-		return adj
-	}
-	lo, hi := 0, len(adj)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if adj[mid] < bound {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return adj[:lo]
-}

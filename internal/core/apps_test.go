@@ -10,6 +10,20 @@ import (
 	"repro/internal/plan"
 )
 
+// mineApp runs one of the paper's four applications (§II-A) as the CLI's -app
+// spells it: plan.CompileApp + Mine, on g's orientation where the plan wants a DAG.
+func mineApp(t *testing.T, g *graph.Graph, app string, o Options) (Result, *plan.Plan) {
+	t.Helper()
+	pl, err := plan.CompileApp(app, plan.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pl.RequiresDAG {
+		g = g.Orient()
+	}
+	return mustMine(t, g, pl, o), pl
+}
+
 func TestAppsOnKnownGraphs(t *testing.T) {
 	// Petersen graph: girth 5 — no triangles, no 4-cycles; 12 5-cycles.
 	petersen := graph.MustFromEdges(10, []graph.Edge{
@@ -17,22 +31,15 @@ func TestAppsOnKnownGraphs(t *testing.T) {
 		{U: 5, V: 7}, {U: 7, V: 9}, {U: 9, V: 6}, {U: 6, V: 8}, {U: 8, V: 5},
 		{U: 0, V: 5}, {U: 1, V: 6}, {U: 2, V: 7}, {U: 3, V: 8}, {U: 4, V: 9},
 	})
-	if tc, _ := TriangleCount(petersen, Options{}); tc != 0 {
-		t.Errorf("petersen triangles = %d", tc)
-	}
-	if c4, _ := SubgraphListing(petersen, pattern.FourCycle(), Options{}); c4 != 0 {
-		t.Errorf("petersen 4-cycles = %d", c4)
-	}
-	if c5, _ := SubgraphListing(petersen, pattern.KCycle(5), Options{}); c5 != 12 {
-		t.Errorf("petersen 5-cycles = %d want 12", c5)
+	for app, want := range map[string]int64{"TC": 0, "SL-4cycle": 0, "SL-5-cycle": 12} {
+		if r, _ := mineApp(t, petersen, app, Options{}); r.Count() != want {
+			t.Errorf("petersen %s = %d want %d", app, r.Count(), want)
+		}
 	}
 	// K6: C(6,2) edges; wedges = 6·C(5,2) = 60; triangles = 20.
 	k6 := graph.Clique(6)
-	counts, motifs, err := MotifCounts(k6, 3, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, m := range motifs {
+	res, pl := mineApp(t, k6, "3-MC", Options{})
+	for i, m := range pl.Patterns {
 		want := int64(0)
 		switch m.Name() {
 		case "triangle":
@@ -40,8 +47,8 @@ func TestAppsOnKnownGraphs(t *testing.T) {
 		case "wedge":
 			want = 0 // induced wedges don't exist in a clique
 		}
-		if counts[i] != want {
-			t.Errorf("K6 %s = %d want %d", m.Name(), counts[i], want)
+		if res.Counts[i] != want {
+			t.Errorf("K6 %s = %d want %d", m.Name(), res.Counts[i], want)
 		}
 	}
 	// Grid 4x4: 9 unit squares + 4 2x2 squares... edge-induced 4-cycles in
@@ -49,8 +56,8 @@ func TestAppsOnKnownGraphs(t *testing.T) {
 	// brute force instead of hand-derivation.
 	grid := graph.Grid(4, 4)
 	want := BruteCount(grid, pattern.FourCycle(), false)
-	if got, _ := SubgraphListing(grid, pattern.FourCycle(), Options{}); got != want {
-		t.Errorf("grid 4-cycles = %d want %d", got, want)
+	if got, _ := mineApp(t, grid, "SL-4cycle", Options{}); got.Count() != want {
+		t.Errorf("grid 4-cycles = %d want %d", got.Count(), want)
 	}
 }
 

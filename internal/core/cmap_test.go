@@ -230,11 +230,11 @@ func TestCMapEightLevels(t *testing.T) {
 	var top uint8
 	n := lower(g, pl, Options{Threads: 1}, false).root
 	for ; len(n.children) > 0; n = n.children[0] {
-		if n.marked && n.depth >= cmLevels {
+		if n.cmap.marked && n.depth >= cmLevels {
 			t.Errorf("level %d is marked", n.depth)
 		}
-		if n.scan != nil {
-			top |= n.scan[0].need | n.scan[0].avoid
+		if n.cmap.scan != nil {
+			top |= n.cmap.scan[0].need | n.cmap.scan[0].avoid
 		}
 	}
 	if top>>(cmLevels-1) == 0 {
@@ -244,7 +244,7 @@ func TestCMapEightLevels(t *testing.T) {
 	for _, o := range n.adj {
 		reads8 = reads8 || o.level == cmLevels
 	}
-	if !reads8 || n.scan != nil {
-		t.Errorf("leaf chain %v: reads level 8 = %v, scannable = %v; want a level-8 read kept off the map", n.adj, reads8, n.scan != nil)
+	if !reads8 || n.cmap.scan != nil {
+		t.Errorf("leaf chain %v: reads level 8 = %v, scannable = %v; want a level-8 read kept off the map", n.adj, reads8, n.cmap.scan != nil)
 	}
 }

@@ -3,7 +3,7 @@
 // compared against — GraphZero [57] with symmetry breaking and frontier
 // memoization, or AutoMine [58] when the plan is compiled without symmetry),
 // plus the pattern-oblivious ESU engine and a brute-force reference counter
-// used as test oracles, and the four GPM applications of §II-A.
+// used as test oracles (§II-A's four applications: plan.CompileApp + Mine).
 package core
 
 import (
@@ -118,7 +118,7 @@ type Stats struct {
 	GallopProbes    int64 // galloping-kernel element comparisons
 	BitmapProbes    int64 // dense-structure accesses: the c-map's, and the local rows' (local.go)
 	LocalRows       int64 // local bit rows built
-	ClosedForms     int64 // nodes counted instead of extended: closed forms and factor lists (prog.go, closedForm, factorNodes)
+	ClosedForms     int64 // nodes counted instead of extended: closed forms and factor lists (prog.go, closedForms, factorNodes)
 	FrontierReuses  int64 // candidate lists built from a memoized frontier
 	Searches        int64 // binary searches: finite-bound prefixes, positions, memberships
 
@@ -497,7 +497,7 @@ func (w *worker) walk(n *node) {
 	if n.mode == leafCount {
 		cnt := w.count(n)
 		cands := cnt
-		if cnt > 0 && (n.choose > 1 || n.prod != nil) {
+		if cnt > 0 && (n.closed.choose > 1 || n.closed.prod != nil) {
 			cnt, cands = w.closed(n, cnt)
 		}
 		w.stats.Candidates += cands
@@ -507,13 +507,11 @@ func (w *worker) walk(n *node) {
 	cands := w.materialize(n)
 	w.stats.Candidates += int64(len(cands))
 	depth := n.depth
-	if n.mode != interior {
+	if n.mode == leafVisit {
 		w.counts[n.patternIdx] += int64(len(cands))
-		if n.mode == leafVisit {
-			for _, v := range cands {
-				w.emb[depth] = v
-				w.visit(w.emb[:depth+1], n.patternIdx)
-			}
+		for _, v := range cands {
+			w.emb[depth] = v
+			w.visit(w.emb[:depth+1], n.patternIdx)
 		}
 		return
 	}
@@ -587,13 +585,13 @@ func (w *worker) descend(n *node) {
 	if n.builds != nil {
 		w.auxActivate(n)
 	}
-	if n.marked {
+	if n.cmap.marked {
 		w.mark(n)
 	}
 	for _, c := range n.children {
 		w.walk(c)
 	}
-	if n.marked {
+	if n.cmap.marked {
 		w.unmark(n)
 	}
 	if n.builds != nil {
@@ -639,17 +637,17 @@ func (w *worker) resolve(n *node, bound graph.VID) ([]graph.VID, []chainOp) {
 		} else {
 			front = w.bounded(front, bound)
 		}
-		if n.scan != nil {
+		if n.cmap.scan != nil {
 			if row := w.extenderRow(n, bound); w.scanPays(n.adj, len(row)) && w.outreads(n, front, len(row)) {
-				return row, n.scan
+				return row, n.cmap.scan
 			}
 		}
 		w.stats.FrontierReuses++
 		return front, n.res
 	}
 	row := w.extenderRow(n, bound)
-	if n.scan != nil && w.scanPays(n.adj, len(row)) {
-		return row, n.scan
+	if n.cmap.scan != nil && w.scanPays(n.adj, len(row)) {
+		return row, n.cmap.scan
 	}
 	return row, n.adj
 }
@@ -708,7 +706,7 @@ func (w *worker) chain(cur []graph.VID, ops []chainOp, bound graph.VID) ([]graph
 // policy-selected set kernels (kernels.go), then the explicit distinctness
 // checks.
 func (w *worker) materialize(n *node) []graph.VID {
-	if n.local && w.loc.on {
+	if n.local.on && w.loc.on {
 		return w.localList(n)
 	}
 	bound := w.bound(n)
@@ -731,7 +729,7 @@ func (w *worker) materialize(n *node) []graph.VID {
 // is a candidate — settled at lowering, probed in the c-map, or searched for.
 func (w *worker) count(n *node) int64 {
 	w.stats.LeafCountsSkippedMaterialize++
-	if n.local && w.loc.on {
+	if n.local.on && w.loc.on {
 		_, cnt := w.localSet(n)
 		return cnt
 	}
@@ -743,14 +741,14 @@ func (w *worker) count(n *node) int64 {
 		cur, last = w.chain(base, ops, bound)
 		_, cnt = w.setOp(nil, false, cur, last, bound)
 	}
-	for _, j := range n.certain {
+	for _, j := range n.proof.certain {
 		if w.emb[j] < bound {
 			cnt--
 		}
 	}
 suspects:
-	for i := range n.suspects {
-		s := &n.suspects[i]
+	for i := range n.proof.suspects {
+		s := &n.proof.suspects[i]
 		v := w.emb[s.j]
 		switch {
 		case v >= bound:
@@ -772,23 +770,23 @@ suspects:
 	return cnt
 }
 
-// closed evaluates n's closed form (prog.go, closedForm) over its m > 0
+// closed evaluates n's closed form (prog.go, closedForms) over its m > 0
 // candidates: the matches under them, and the candidates the walk it replaces
 // would have emitted at n's level and below it, so that Stats.Candidates reads
 // the same under every kernel policy.
 func (w *worker) closed(n *node, m int64) (cnt, cands int64) {
 	w.stats.ClosedForms++
-	if n.prod == nil {
-		return choose(m, n.choose)
+	if n.closed.prod == nil {
+		return choose(m, n.closed.choose)
 	}
-	a, b := w.count(n.prod[0]), int64(0)
+	a, b := w.count(n.closed.prod[0]), int64(0)
 	switch {
 	case a == 0: // B ⊆ A
 		return 0, m
-	case n.prodAll:
+	case n.closed.prodAll:
 		b = m
-	case len(n.prod) > 1:
-		b = w.count(n.prod[1])
+	case len(n.closed.prod) > 1:
+		b = w.count(n.closed.prod[1])
 	}
 	cnt = mulDiv(m, a-1, 1) + m - b // m·A − B, no term of it above the result
 	return cnt, m + cnt

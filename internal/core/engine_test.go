@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/graph"
@@ -80,14 +81,9 @@ func TestEngineMatchesBruteForce(t *testing.T) {
 func TestCliqueDAGPath(t *testing.T) {
 	for gname, g := range testGraphs(t) {
 		for k := 3; k <= 5; k++ {
-			dag, err := CliqueCount(g, k, Options{Threads: 3})
-			if err != nil {
-				t.Fatal(err)
-			}
-			gen, err := CliqueCountGeneric(g, k, Options{Threads: 3})
-			if err != nil {
-				t.Fatal(err)
-			}
+			res, _ := mineApp(t, g, fmt.Sprintf("%d-CL", k), Options{Threads: 3})
+			dag := res.Count()
+			gen := mustMine(t, g, mustCompile(t, pattern.KClique(k), plan.Options{}), Options{Threads: 3}).Count()
 			if dag != gen {
 				t.Errorf("%d-CL on %s: DAG=%d generic=%d", k, gname, dag, gen)
 			}
@@ -96,12 +92,8 @@ func TestCliqueDAGPath(t *testing.T) {
 	// K_6: C(6,k) cliques of size k.
 	k6 := graph.Clique(6)
 	for k, want := range map[int]int64{3: 20, 4: 15, 5: 6, 6: 1} {
-		got, err := CliqueCount(k6, k, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Errorf("%d-CL on K6: got %d want %d", k, got, want)
+		if got, _ := mineApp(t, k6, fmt.Sprintf("%d-CL", k), Options{}); got.Count() != want {
+			t.Errorf("%d-CL on K6: got %d want %d", k, got.Count(), want)
 		}
 	}
 }
@@ -145,10 +137,8 @@ func TestNoSymmetryMode(t *testing.T) {
 func TestMotifCountsMatchOracles(t *testing.T) {
 	for gname, g := range testGraphs(t) {
 		for k := 3; k <= 4; k++ {
-			counts, motifs, err := MotifCounts(g, k, Options{Threads: 4})
-			if err != nil {
-				t.Fatalf("%d-MC on %s: %v", k, gname, err)
-			}
+			res, pl := mineApp(t, g, fmt.Sprintf("%d-MC", k), Options{Threads: 4})
+			counts, motifs := res.Counts, pl.Patterns
 			obl := MineOblivious(g, k, 2)
 			var oblTotal int64
 			for i, m := range motifs {

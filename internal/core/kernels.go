@@ -174,11 +174,11 @@ func (w *worker) holds(o chainOp, v graph.VID) bool {
 // below the bound every chain that reads it stays under — unless the task runs
 // on local rows and only local nodes read the mark; unmark then finds no row.
 func (w *worker) mark(n *node) {
-	if n.lonly && w.loc.on {
+	if n.cmap.lonly && w.loc.on {
 		return
 	}
 	bound := setops.NoBound
-	for ls := n.markBelow; ls != 0; ls &= ls - 1 {
+	for ls := n.cmap.markBelow; ls != 0; ls &= ls - 1 {
 		bound = min(bound, w.emb[bits.TrailingZeros32(ls)])
 	}
 	adj := w.g.Adj(w.emb[n.depth])

@@ -76,7 +76,7 @@ func (w *worker) localAt(n *node, l int) int {
 		return w.loc.cut
 	case l == 1:
 		return w.pos[1] + w.sliceLo
-	case n.llook>>l&1 == 0:
+	case n.local.look>>l&1 == 0:
 		return int(w.loc.idx[l*localCap+w.pos[l]])
 	}
 	w.stats.BitmapProbes++
@@ -121,8 +121,8 @@ func (w *worker) localSet(n *node) ([]uint64, int64) {
 	}
 	nw := (end + 63) >> 6
 	out := l.sets[n.depth*localWords:][:l.words]
-	copy(out[:nw], l.sets[n.lbase*localWords:])
-	for _, o := range n.lops {
+	copy(out[:nw], l.sets[n.local.base*localWords:])
+	for _, o := range n.local.ops {
 		i := w.localAt(n, o.level)
 		if l.stamp[i] != l.epoch {
 			w.localBuild(i)
@@ -134,7 +134,7 @@ func (w *worker) localSet(n *node) ([]uint64, int64) {
 			out[(p-1)>>6] &^= 1 << ((p - 1) & 63)
 		}
 	}
-	w.stats.BitmapProbes += int64(nw*max(len(n.lops), 1) + len(n.op.NotEqual))
+	w.stats.BitmapProbes += int64(nw*max(len(n.local.ops), 1) + len(n.op.NotEqual))
 	return out, setops.WordsTrim(out, end)
 }
 

@@ -2,14 +2,14 @@ package core
 
 // The exec program (DESIGN.md decision 18). The plan IR is what the compiler
 // emits and the goldens pin; the program is what the workers run. NewEngine
-// lowers the plan once: one node per plan.Node (less the leaves a closed form
-// folds into their parents, closedForm), holding a pointer to its op (its own
-// copy, less one NotEqual, below a factor: factorNodes) plus
-// every per-level decision that depends only on the plan and the options
-// — leaf mode, operand source, the flattened set-operation chains, and which
-// aux specs the level activates — so the DFS resolves none of it per
-// extension. The program is read-only after lowering and shared by all
-// workers; ops, nodes and aux specs travel by pointer only.
+// lowers the plan once: one node per plan.Node, holding a pointer to its op plus
+// every per-level decision that depends only on the plan and the options — leaf
+// mode, operand source, the flattened set-operation chains, which aux specs the
+// level activates — so the DFS resolves none of it per extension. Lowering is a
+// pipeline: lower states the order of the passes, each pass's comment what it
+// needs of the tree and what it leaves, each field's the one pass that writes it.
+// The program is read-only after lowering and shared by all workers; ops, nodes
+// and aux specs travel by pointer only.
 
 import (
 	"slices"
@@ -29,10 +29,9 @@ func (*noCopy) Unlock() {}
 type leafMode uint8
 
 const (
-	interior        leafMode = iota // extend every candidate, recurse
-	leafCount                       // counting kernel, nothing materialized
-	leafMaterialize                 // memoized leaf: count the materialized list
-	leafVisit                       // List: one visitor call per candidate
+	interior  leafMode = iota // extend every candidate, recurse
+	leafCount                 // counting kernel, nothing materialized
+	leafVisit                 // List: one visitor call per candidate
 )
 
 // source is where a node's base candidate list comes from.
@@ -59,67 +58,82 @@ func (o chainOp) masked() bool { return o.need|o.avoid != 0 }
 // suspect is a NotEqual ancestor of a count-only leaf that lowering could not
 // settle: emb[j] is a candidate iff, for every k, emb[at[k]] is adjacent to
 // emb[ops[k].level] — pairs of levels the plan neither connects nor disconnects.
-// With probe set (markLevels marked every ops level) the c-map answers with one
-// byte probe per pair; otherwise, and with no pair, the leaf searches for emb[j].
+// With probe set the c-map answers with one byte probe per pair; otherwise, and
+// with no pair, the leaf searches for emb[j].
 type suspect struct {
 	j     int
 	ops   []chainOp
 	at    []int
-	probe bool
+	probe bool // markLevels: it marked every level of ops
 }
 
-// node is the lowered form of one plan.Node.
+// node is the lowered form of one plan.Node. build writes the fields down to
+// boundAt; a comment that names a pass names the only other writer of the field.
 type node struct {
 	_ noCopy
 
-	op         *plan.VertexOp
-	children   []*node
+	op         *plan.VertexOp // below a factor its own copy, less one NotEqual (factorNodes)
+	children   []*node        // nil once the node stands for the levels below it (closedForms)
 	depth      int
-	patternIdx int
-	mode       leafMode
-	local      bool // matched from local rows while its task runs locally (below)
+	patternIdx int      // the folded leaf's (closedForms)
+	mode       leafMode // leafCount once a leaf is folded into the node (closedForms)
 
-	src    source
+	src    source // srcAux, with srcIdx and res, at a consumer of a kept spec (auxNodes)
 	srcIdx int
 	res    []chainOp // residual chain on top of a frontier or aux row
 	adj    []chainOp // Connected/Disconnected on top of plain adjacency
-	scan   []chainOp // adj as one masked op over the c-map; nil when some level of it is unmarked
 
 	// boundAt, if not NoLevel, is the node's only UpperBounds level, its vertex
 	// drawn from the list this node starts from — the frontier it reuses, or the
 	// same extender's bare adjacency — so the bounded prefix ends at its loop index.
 	boundAt int
 
-	// NotEqual of a count-only leaf, split by what the plan proves (decision 20):
-	// a certain ancestor is adjacent to every source and to nothing in Disconnected,
-	// so counted iff below the bound; one proven no candidate is in neither list.
+	proof  proof    // splitNotEqual, for the pass that makes the node count-only or changes its NotEqual
+	closed closed   // closedForms
+	local  localUse // localNodes
+	fac    *factor  // factorNodes: set at a factor node and at every node below it
+	builds []int    // auxNodes: the aux specs this level activates
+	cmap   cmapUse  // markLevels
+}
+
+// proof is NotEqual of a count-only node, split by what the plan proves (decision
+// 20): a certain ancestor is adjacent to every source and to nothing in
+// Disconnected, so counted iff below the bound; one proven no candidate is in
+// neither list.
+type proof struct {
 	certain  []int
 	suspects []suspect
+}
 
-	builds []int // the aux specs this level activates (auxNodes)
-
-	// marked: while this level's vertex is fixed, the c-map holds its
-	// adjacency below the least emb[b] over the levels b of markBelow.
-	marked    bool
-	markBelow uint32
-
-	// Local rows (localNodes). A local node takes level lbase's candidate set (level
-	// 0's is all ones) through the rows of lops; llook: the levels it names that are
-	// not local. lonly: only local nodes read this mark, so a local task leaves it out.
-	lonly bool
-	lbase int
-	lops  []chainOp
-	llook uint32
-
-	// Closed forms (closedForm): a count-only node that stands for the levels below
-	// it too. Its m candidates match C(m, choose) times; or, prod[0] being A and
-	// prod[1], if there, B, m·A − B times — m·A − m under prodAll, where every
-	// candidate of the node is one of B's and B is not evaluated.
+// closed is a closed form: a count-only node that stands for the levels below it
+// too. Its m candidates match C(m, choose) times; or, prod[0] being A and prod[1],
+// if there, B, m·A − B times — m·A − m under prodAll, where every candidate of the
+// node is one of B's and B is not evaluated.
+type closed struct {
 	choose  int
 	prod    []*node
 	prodAll bool
+}
 
-	fac *factor // set at a factor node and at every node below it (factorNodes)
+// localUse is a node matched from local rows while its task runs locally (on). It
+// takes level base's candidate set (level 0's is all ones) through the rows of
+// ops; look: the levels it names that are not local.
+type localUse struct {
+	on   bool
+	base int
+	ops  []chainOp
+	look uint32
+}
+
+// cmapUse is what a node asks of the c-map. scan: adj as one masked op, nil when
+// some level of it is unmarked. marked: while this level's vertex is fixed, the
+// c-map holds its adjacency below the least emb[b] over the levels b of markBelow
+// — lonly: read by local nodes only, so a local task leaves the mark out.
+type cmapUse struct {
+	scan      []chainOp
+	marked    bool
+	markBelow uint32
+	lonly     bool
 }
 
 // factor is what a node at or below a factor node carries: at is the factor node,
@@ -127,41 +141,49 @@ type node struct {
 // set as one masked c-map op (nil: search at's list), and a leaf has minus, the
 // count-only node of its candidates that are at's too (both).
 type factor struct {
-	at    *node
-	in    []chainOp
-	minus *node
+	at    *node     // factorNodes
+	in    []chainOp // markLevels
+	minus *node     // factorNodes
 }
 
 // auxNode is the lowered form of one plan.AuxSpec that auxNodes kept: its fold chain.
 type auxNode struct {
 	_ noCopy
 
-	spec *plan.AuxSpec
-	ops  []chainOp
-	scan []chainOp // ops as one masked op, like node.scan
+	spec *plan.AuxSpec // auxNodes
+	ops  []chainOp     // auxNodes
+	scan []chainOp     // markLevels: ops as one masked op, like cmapUse.scan
 }
 
 // program is a lowered plan.
 type program struct {
 	pl     *plan.Plan
 	root   *node
-	aux    []auxNode // by spec index, a spec auxNodes dropped left zero; nil when it kept none
-	marks  bool      // some node is marked: workers carry a c-map
-	closed bool      // closedForm applies: counting under KernelAuto
+	closed bool      // lower: closedForms and factorNodes apply — counting under KernelAuto
+	aux    []auxNode // auxNodes: by spec index, a dropped spec left zero; nil when it kept none
+	marks  bool      // markLevels: some node is marked, workers carry a c-map
 
-	// Local rows: some node is local, and a task whose universe fits lcap runs
-	// locally. By the bounds of every local node and of every level one reads, the
-	// universe is adj(v0) below v0 (lbelow), a row read only below its own vertex (ltri).
+	// Local rows (localNodes): some node is local, and a task whose universe fits
+	// lcap runs locally. By the bounds of every local node and of every level one reads,
+	// the universe is adj(v0) below v0 (lbelow), a row read only below its own vertex (ltri).
 	local, lbelow, ltri bool
 	lcap                int
 }
 
-// lower builds the exec program of pl under o for graph g; listing selects
-// the visitor leaf mode (List) over the counting ones (Mine).
+// lower builds the exec program of pl under o for graph g; listing selects the
+// visitor leaf mode (List) over the counting one (Mine). It alone names the passes
+// and their order: all but build are KernelAuto's (a merge-only program is the
+// plan's tree and its proofs), the two that count instead of extending run for
+// counting only. closedForms goes first because it removes nodes, factorNodes after
+// localNodes because a local node is no factor, auxNodes after both because a row
+// goes to a consumer still standing, markLevels last because it reads every chain.
 func lower(g graph.Store, pl *plan.Plan, o Options, listing bool) *program {
 	p := &program{pl: pl, closed: o.Kernel == KernelAuto && !listing}
-	p.root = p.lowerNode(pl.Root, nil, listing)
+	p.root = p.build(pl.Root, nil, listing)
 	if o.Kernel == KernelAuto {
+		if p.closed {
+			p.closedForms(p.root, nil)
+		}
 		p.localNodes()
 		if p.closed {
 			p.factorNodes(p.root, nil)
@@ -172,8 +194,34 @@ func lower(g graph.Store, pl *plan.Plan, o Options, listing bool) *program {
 	return p
 }
 
-// lowerNode lowers pn below its ancestors path (root first).
-func (p *program) lowerNode(pn *plan.Node, path []*node, listing bool) *node {
+// each calls f for every node a worker can evaluate, parents first, path holding
+// the node's ancestors (path[l] is level l): the tree through children, and the
+// count-only side nodes — a closed form's A and B, a weighted leaf's B — under the
+// path of the node they stand beside, whose depth is theirs. f does not keep path.
+func (p *program) each(f func(n *node, path []*node)) {
+	var path []*node
+	var visit func(n *node)
+	visit = func(n *node) {
+		f(n, path)
+		for _, t := range n.closed.prod {
+			visit(t)
+		}
+		if n.fac != nil && n.fac.minus != nil {
+			visit(n.fac.minus)
+		}
+		path = append(path, n)
+		for _, c := range n.children {
+			visit(c)
+		}
+		path = path[:n.depth]
+	}
+	visit(p.root)
+}
+
+// build lowers pn below its ancestors path (root first): the plan's tree node for
+// node, sources and chains flattened, a leaf count-only with its proof or, listing,
+// visited. It reads only path and calls no pass; passes make side nodes with it.
+func (p *program) build(pn *plan.Node, path []*node, listing bool) *node {
 	op := &pn.Op
 	n := &node{
 		op:         op,
@@ -198,65 +246,67 @@ func (p *program) lowerNode(pn *plan.Node, path []*node, listing bool) *node {
 	case !pn.IsLeaf():
 		n.children = make([]*node, len(pn.Children))
 		for i, c := range pn.Children {
-			n.children[i] = p.lowerNode(c, append(path, n), listing)
-		}
-		if p.closed && n.depth >= 2 && len(n.children) == 1 {
-			p.closedForm(n, path)
+			n.children[i] = p.build(c, append(path, n), listing)
 		}
 	case listing:
 		n.mode = leafVisit
-	case op.MemoizeFrontier:
-		n.mode = leafMaterialize
 	default:
-		// Nothing below a leaf reads its candidate list, so its size comes
-		// from a counting kernel instead of a materialized w.levels[depth].
+		// Nothing below a leaf reads its candidate list (the compiler memoizes
+		// interior frontiers only), so its size comes from a counting kernel
+		// instead of a materialized w.levels[depth].
 		n.mode = leafCount
 		n.splitNotEqual(path, p.pl.RequiresDAG)
 	}
 	return n
 }
 
-// closedForm counts instead of enumerating (DESIGN.md decision 22). n is an
-// interior node at depth ≥ 2 — a hub slice cuts the list of depth 1 — whose only
-// child c is a count-only leaf; it becomes one itself where the sum of c's counts
-// over n's m candidates depends on counts alone. Prefix: c's candidates are n's
-// list below n's vertex (c is bounded by n's loop position over n's frontier or
-// the same bare row, with no chain and no NotEqual), so c counts pos and the sum
-// is C(m, 2) — C(m, t+1) over a c that stands for t levels. Product: c names n's
-// level in NotEqual only, so its candidates S are the same under every vertex v
-// of n and Σ |S| − [v ∈ S] = m·A − B: A is c one level up without that NotEqual;
-// B, there only if c had it, the candidates of n that pass c's constraints too,
-// from the deepest source's row so that markLevels can serve its chain — and m
-// itself where c's constraints add nothing to n's. A and B are count-only nodes
-// at n's depth.
-func (p *program) closedForm(n *node, path []*node) {
+// closedForms counts instead of enumerating (DESIGN.md decision 22). It needs
+// build's tree, visits it children first, and leaves it smaller, with side nodes.
+// n is an interior node at depth ≥ 2 — a hub slice cuts the list of depth 1 —
+// whose only child c is a count-only leaf; it becomes one itself where the sum of
+// c's counts over n's m candidates depends on counts alone. Prefix: c's candidates
+// are n's list below n's vertex (c is bounded by n's loop position over n's
+// frontier or the same bare row, with no chain and no NotEqual), so c counts pos
+// and the sum is C(m, 2) — C(m, t+1) over a c that stands for t levels. Product:
+// c names n's level in NotEqual only, so its candidates S are the same under every
+// vertex v of n and Σ |S| − [v ∈ S] = m·A − B: A is c one level up without that
+// NotEqual, off the aux rows; B, there only if c had it, the candidates of n that
+// pass c's constraints too (both) — and m itself where c's constraints add nothing
+// to n's, decided here so that no later pass sees a B the engine never evaluates.
+func (p *program) closedForms(n *node, path []*node) {
+	for _, c := range n.children {
+		p.closedForms(c, append(path, n))
+	}
+	if n.depth < 2 || len(n.children) != 1 {
+		return
+	}
 	c, d := n.children[0], n.depth
-	if c.mode != leafCount || c.prod != nil {
+	if c.mode != leafCount || c.closed.prod != nil {
 		return
 	}
 	op := c.op
 	prefix := c.boundAt == d && len(op.NotEqual)+len(c.res) == 0 && (c.src == srcFrontier || len(c.adj) == 0)
-	if !prefix && (names(op, d) || c.choose > 1) {
+	if !prefix && (names(op, d) || c.closed.choose > 1) {
 		return
 	}
 	n.mode, n.patternIdx, n.children = leafCount, c.patternIdx, nil
 	n.splitNotEqual(path, p.pl.RequiresDAG)
 	if prefix {
-		n.choose = max(c.choose, 1) + 1
+		n.closed.choose = max(c.closed.choose, 1) + 1
 		return
 	}
-	a := *op // a leaf memoizes nothing
-	a.Level, a.NotEqual = d, union(d, nil, op.NotEqual...)
-	n.prod = []*node{p.lowerNode(&plan.Node{Op: a}, path, false)}
+	a := *op
+	a.Level, a.NotEqual, a.AuxBase = d, union(d, nil, op.NotEqual...), plan.NoLevel
+	n.closed.prod = []*node{p.build(&plan.Node{Op: a}, path, false)}
 	if !slices.Contains(op.NotEqual, d) {
 		return
 	}
 	minus := p.both(n, c, path)
 	b := minus.op
-	n.prodAll = len(b.Connected) == len(n.op.Connected) && len(b.Disconnected) == len(n.op.Disconnected) &&
-		len(b.UpperBounds) == len(n.op.UpperBounds) && len(minus.certain)+len(minus.suspects) == len(n.certain)+len(n.suspects)
-	if !n.prodAll {
-		n.prod = append(n.prod, minus)
+	n.closed.prodAll = len(b.Connected) == len(n.op.Connected) && len(b.Disconnected) == len(n.op.Disconnected) &&
+		len(b.UpperBounds) == len(n.op.UpperBounds) && len(minus.proof.certain)+len(minus.proof.suspects) == len(n.proof.certain)+len(n.proof.suspects)
+	if !n.closed.prodAll {
+		n.closed.prod = append(n.closed.prod, minus)
 	}
 }
 
@@ -281,7 +331,7 @@ func union(d int, a []int, b ...int) []int {
 	return a
 }
 
-// both lowers the count-only leaf, at depth len(path), of the candidates of c that
+// both builds the count-only leaf, at depth len(path), of the candidates of c that
 // are candidates of n too — c below n, naming n's level in NotEqual only, and that
 // left out: the union of both ops, from the deepest source's row so that
 // markLevels can serve its chain. It is B of a product and of a factor.
@@ -298,16 +348,18 @@ func (p *program) both(n, c *node, path []*node) *node {
 		AuxBase:      plan.NoLevel,
 	}
 	b.Connected = slices.DeleteFunc(srcs, func(l int) bool { return l == b.Extender })
-	return p.lowerNode(&plan.Node{Op: b}, path, false)
+	return p.build(&plan.Node{Op: b}, path, false)
 }
 
-// factorNodes counts an independent level once (DESIGN.md decision 23), under
-// closedForm's gate. An interior node n at depth d ≥ 2 is a factor when every node
-// below it names d in NotEqual and nowhere else (independent): n's candidates C are
-// then one set for the whole subtree, a match that has fixed v_j at the levels
-// below d can take |C| − Σ [v_j ∈ C] vertices at d, and walk carries that weight
-// down one descent with emb[d] unbound instead of descending once per vertex. The
-// nodes below get their op without the NotEqual, a leaf its B (both) — closedForm's
+// factorNodes counts an independent level once (DESIGN.md decision 23). It needs
+// the closed forms and the local nodes decided, visits the tree parents first, and
+// leaves fac, the ops below a factor and their leaves' side nodes. An interior
+// node n at depth d ≥ 2 is a factor when every node below it names d in NotEqual
+// and nowhere else (independent): n's candidates C are then one set for the whole
+// subtree, a match that has fixed v_j at the levels below d can take
+// |C| − Σ [v_j ∈ C] vertices at d, and walk carries that weight down one descent
+// with emb[d] unbound instead of descending once per vertex. The nodes below get
+// their op without the NotEqual, a leaf its proof again and its B (both) — a
 // product is this rule at depth K−2, counted instead of listed. The first factor
 // on a path is the only one; local rows and nested closed forms stay enumerated.
 func (p *program) factorNodes(n *node, path []*node) {
@@ -317,11 +369,10 @@ func (p *program) factorNodes(n *node, path []*node) {
 		op.NotEqual = union(f.at.depth, nil, op.NotEqual...)
 		n.op = &op
 		if n.mode == leafCount {
-			n.certain, n.suspects = nil, nil
 			n.splitNotEqual(path, p.pl.RequiresDAG)
 			f.minus = p.both(f.at, n, path)
 		}
-	case n.mode == interior && n.depth >= 2 && !n.local && independent(n.children, n.depth):
+	case n.mode == interior && n.depth >= 2 && !n.local.on && independent(n.children, n.depth):
 		n.fac = &factor{at: n}
 	}
 	for _, c := range n.children {
@@ -337,7 +388,7 @@ func (p *program) factorNodes(n *node, path []*node) {
 func independent(cs []*node, d int) bool {
 	for _, c := range cs {
 		if names(c.op, d) || !slices.Contains(c.op.NotEqual, d) ||
-			c.local || c.mode == leafMaterialize || c.choose > 1 || c.prod != nil || !independent(c.children, d) {
+			c.local.on || c.closed.choose > 1 || c.closed.prod != nil || !independent(c.children, d) {
 			return false
 		}
 	}
@@ -345,32 +396,28 @@ func independent(cs []*node, d int) bool {
 }
 
 // auxNodes hands the plan's aux directives (DESIGN.md decision 14) to the consumers
-// the passes above left in the tree — the last structural pass, so that a row never
-// stands in the way of a count. A consumer folded into a closed form is gone; one
-// below a factor takes no row activated at or under the factor's level, which is
-// unbound there, and where it takes one that level is no loop of the gap. With
-// d = avg degree a kept spec is then looked up ≈ uses × d^gap times per activation,
-// and anything below 2 cannot amortize even one row copy: such a spec is dropped,
-// its consumers and the levels that would have built it staying as lowerNode made them.
+// the passes above left standing — the last structural pass, so that a row never
+// stands in the way of a count. It needs the tree final and every factor set, and
+// leaves p.aux, builds and the consumers' sources. A consumer folded into a closed
+// form is gone (no side node is one: AuxBase is NoLevel there); one below a factor
+// takes no row activated at or under the factor's level, which is unbound there,
+// and where it takes one that level is no loop of the gap. With d = avg degree a
+// kept spec is then looked up ≈ uses × d^gap times per activation, and anything
+// below 2 cannot amortize even one row copy: such a spec is dropped, its consumers
+// and the levels that would have built it staying as build made them.
 func (p *program) auxNodes(d float64) {
 	specs := p.pl.AuxSpecs
-	var path []*node
-	var each func(n *node, f func(n *node, i int)) // f(n, i) for every consumer n of spec i still standing, path its ancestors
-	each = func(n *node, f func(*node, int)) {
-		if i := n.op.AuxBase; i >= 0 && i < len(specs) && (n.fac == nil || specs[i].Level < n.fac.at.depth) {
-			f(n, i)
-		}
-		path = append(path, n)
-		for _, c := range n.children {
-			each(c, f)
-		}
-		path = path[:n.depth]
+	uses := func(n *node) (int, bool) { // the spec n consumes, if n still may
+		i := n.op.AuxBase
+		return i, i >= 0 && i < len(specs) && (n.fac == nil || specs[i].Level < n.fac.at.depth)
 	}
 	reuse, cut := make([]float64, len(specs)), make([]int, len(specs)) // reuse: a spec's uses, then its expected lookups
-	each(p.root, func(n *node, i int) {
-		reuse[i]++
-		if n.fac != nil && n.fac.at != n {
-			cut[i] = 1
+	p.each(func(n *node, _ []*node) {
+		if i, ok := uses(n); ok {
+			reuse[i]++
+			if n.fac != nil && n.fac.at != n {
+				cut[i] = 1
+			}
 		}
 	})
 	for i := range specs {
@@ -384,8 +431,9 @@ func (p *program) auxNodes(d float64) {
 			p.aux[i].spec, p.aux[i].ops = &specs[i], flatten(specs[i].Intersect, specs[i].Difference)
 		}
 	}
-	each(p.root, func(n *node, i int) {
-		if reuse[i] < 2 {
+	p.each(func(n *node, path []*node) {
+		i, ok := uses(n)
+		if !ok || reuse[i] < 2 {
 			return
 		}
 		n.src, n.srcIdx, n.res = srcAux, i, flatten(n.op.AuxIntersect, n.op.AuxDifference)
@@ -395,14 +443,16 @@ func (p *program) auxNodes(d float64) {
 	})
 }
 
-// splitNotEqual sorts the leaf's NotEqual ancestors into certain, suspect and
-// (dropped) never-a-candidate. Levels a < b are proven adjacent when a is the
+// splitNotEqual writes n's proof, for whichever pass makes n count-only or changes
+// its NotEqual: it sorts the ancestors there into certain, suspect and (dropped)
+// never-a-candidate. Levels a < b are proven adjacent when a is the
 // extender or in Connected of the op at depth b, apart when it is in its
 // Disconnected or a == b (no self loops) — on symmetric adjacency only: on a DAG
 // every ancestor is searched for. So is one in NotEqual of a frontier under n's
 // base: materialize cut it out of that list, so it is there to subtract only
 // when resolve scans the extender's row instead.
 func (n *node) splitNotEqual(path []*node, dag bool) {
+	n.proof = proof{}
 	proven := func(a, b int) int { // +1 adjacent, -1 apart, 0 unknown
 		op := path[max(a, b)].op
 		switch a = min(a, b); {
@@ -437,13 +487,13 @@ next:
 				search = true
 			}
 		}
-		switch {
+		switch q := &n.proof; {
 		case search:
-			n.suspects = append(n.suspects, suspect{j: j})
+			q.suspects = append(q.suspects, suspect{j: j})
 		case s.ops != nil:
-			n.suspects = append(n.suspects, s)
+			q.suspects = append(q.suspects, s)
 		default:
-			n.certain = append(n.certain, j)
+			q.certain = append(q.certain, j)
 		}
 	}
 }
@@ -451,60 +501,53 @@ next:
 // cmLevels: the c-map's byte (the paper's 8-bit value field) has a bit for this many levels.
 const cmLevels = 8
 
-// markLevels makes the static c-map decisions (DESIGN.md decision 19). A chain
-// is read where it is evaluated: a node's adj chain at the node, an aux spec's
-// fold chain at each consumer, a suspect's pairs at its leaf. Level L is wanted
-// when a chain read at depth ≥ L+2 checks connectivity to it — only then is one
+// markLevels makes the static c-map decisions (DESIGN.md decision 19). It needs
+// every chain final — nodes, side nodes, aux specs, factors — and leaves cmapUse,
+// auxNode.scan, factor.in, suspect.probe and p.marks.
+// A chain is read where it is evaluated: a node's adj chain at the node,
+// an aux spec's fold chain at each consumer, a suspect's pairs at its leaf, a
+// factor's own chain at every interior node below it. Level L is wanted when a
+// chain read at depth ≥ L+2 checks connectivity to it — only then is one
 // insertion probed from more than one extension. A chain whose levels are all
 // wanted gets its masked form and marks the levels it reads. A marked level
 // inserts only the prefix every such chain can probe: below emb[b] for each
 // b ≤ L in the transitive closure of the chain's bounds along the root path
 // (the candidate stays below emb[b], itself matched below path[b]'s bounds),
 // intersected over the chains — the whole row once a suspect (no bounds) reads it.
+// Neither sweep depends on each's order: want is a set, markBelow and lonly are
+// ANDs over the chains that read the level.
 func (p *program) markLevels() {
+	var reader *node // the node sweep is reading chains at, path its ancestors
 	var path []*node
-	var reader *node // the node visit is reading chains at
-	// visit calls read, with path holding n's ancestors, for every chain
-	// evaluated at n: the levels it checks, the levels bounding its
-	// candidates, and where its masked form goes (nil: a suspect's is not
-	// needed). read reports whether it marked the chain's levels.
-	var visit func(n *node, read func(ops []chainOp, bounds []int, scan *[]chainOp) bool)
-	visit = func(n *node, read func([]chainOp, []int, *[]chainOp) bool) {
-		reader = n
-		if n.chained() {
-			read(n.adj, n.op.UpperBounds, &n.scan)
-		}
-		if n.src == srcAux {
-			a := &p.aux[n.srcIdx]
-			var bounds []int
-			if a.spec.RowBound != plan.NoLevel {
-				bounds = []int{a.spec.RowBound}
+	// sweep calls read for every chain of every node: the levels it checks, the
+	// levels bounding its candidates, and where its masked form goes (nil: a
+	// suspect's is not needed). read reports whether it marked the chain's levels.
+	sweep := func(read func(ops []chainOp, bounds []int, scan *[]chainOp) bool) {
+		p.each(func(n *node, ancestors []*node) {
+			reader, path = n, ancestors
+			if n.chained() {
+				read(n.adj, n.op.UpperBounds, &n.cmap.scan)
 			}
-			read(a.ops, bounds, &a.scan)
-		}
-		for i := range n.suspects {
-			if s := &n.suspects[i]; s.ops != nil {
-				s.probe = read(s.ops, nil, nil)
+			if n.src == srcAux {
+				a := &p.aux[n.srcIdx]
+				var bounds []int
+				if a.spec.RowBound != plan.NoLevel {
+					bounds = []int{a.spec.RowBound}
+				}
+				read(a.ops, bounds, &a.scan)
 			}
-		}
-		switch f := n.fac; {
-		case f == nil || f.at == n:
-		case f.minus != nil: // a count-only node at n's own depth, like prod
-			visit(f.minus, read)
-		default: // is a candidate of n one of the factor's?
-			read(append([]chainOp{{level: f.at.op.Extender}}, f.at.adj...), f.at.op.UpperBounds, &f.in)
-		}
-		for _, t := range n.prod { // count-only nodes at n's own depth
-			visit(t, read)
-		}
-		path = append(path, n)
-		for _, c := range n.children {
-			visit(c, read)
-		}
-		path = path[:len(path)-1]
+			for i := range n.proof.suspects {
+				if s := &n.proof.suspects[i]; s.ops != nil {
+					s.probe = read(s.ops, nil, nil)
+				}
+			}
+			if f := n.fac; f != nil && f.at != n && f.minus == nil { // is a candidate of n one of the factor's?
+				read(append([]chainOp{{level: f.at.op.Extender}}, f.at.adj...), f.at.op.UpperBounds, &f.in)
+			}
+		})
 	}
 	want := map[*node]bool{}
-	visit(p.root, func(ops []chainOp, _ []int, _ *[]chainOp) bool {
+	sweep(func(ops []chainOp, _ []int, _ *[]chainOp) bool {
 		for _, o := range ops {
 			if o.level+2 <= len(path) && o.level < cmLevels {
 				want[path[o.level]] = true
@@ -512,7 +555,7 @@ func (p *program) markLevels() {
 		}
 		return false
 	})
-	visit(p.root, func(ops []chainOp, bounds []int, scan *[]chainOp) bool {
+	sweep(func(ops []chainOp, bounds []int, scan *[]chainOp) bool {
 		var m chainOp
 		for _, o := range ops {
 			if !want[path[o.level]] {
@@ -526,12 +569,12 @@ func (p *program) markLevels() {
 		}
 		below := boundClosure(path, bounds)
 		for _, o := range ops {
-			l := path[o.level]
+			l := &path[o.level].cmap
 			if !l.marked {
-				l.marked, l.lonly, l.markBelow = true, true, 1<<(l.depth+1)-1
+				l.marked, l.lonly, l.markBelow = true, true, 1<<(o.level+1)-1
 			}
 			l.markBelow &= below
-			l.lonly = l.lonly && reader.local
+			l.lonly = l.lonly && reader.local.on
 		}
 		if scan != nil {
 			*scan = []chainOp{m}
@@ -563,58 +606,58 @@ func (n *node) chained() bool {
 // words: 128 KB), localWords one row's length there.
 const localCap, localWords = 1024, localCap / 64
 
-// localNodes makes the static local-row decisions (DESIGN.md decision 21).
+// localNodes makes the static local-row decisions (DESIGN.md decision 21). It
+// needs the tree's final shape — a closed form's side nodes are nodes like any
+// other — and leaves localUse and the program's local fields.
 // Level t ≥ 1 is in the universe when emb[t] ∈ adj(emb[0]) by the plan: level 0
 // is its extender or in its Connected. A node at depth ≥ 2 is capable when it and
 // every level ≥ 1 its op names are in the universe — its candidates are then an
 // AND / AND-NOT of bit rows under a prefix mask — and a trigger when, at depth
 // ≥ 3, it evaluates a chain: only there is a row built once and read from more
-// than one extension. A node is local iff a trigger or a capable ancestor of one.
+// than one extension. A node is local iff a trigger or a capable ancestor of one
+// (first sweep); its rows and the universe's cuts need every ancestor's answer.
 func (p *program) localNodes() {
-	var path []*node
-	inUniverse := func(l int) bool {
-		return l == 0 || path[l].op.Extender == 0 || slices.Contains(path[l].op.Connected, 0)
-	}
-	var visit func(n *node) bool // reports a trigger at or below n
-	visit = func(n *node) bool {
-		path = append(path, n)
-		n.local = n.depth >= 2 // capable, while the subtree is visited
-		for _, ls := range [][]int{{n.depth, n.op.Extender}, n.op.Connected, n.op.Disconnected, n.op.UpperBounds} {
-			for _, l := range ls {
-				n.local = n.local && inUniverse(l)
-			}
-		}
-		trigger := n.local && n.depth >= 3 && n.chained()
-		for _, c := range n.children {
-			trigger = visit(c) || trigger
-		}
-		path = path[:n.depth]
-		n.local = n.local && trigger
-		if n.local { // every capable ancestor of n, and no other, ends up local too
-			below := boundClosure(path, n.op.UpperBounds)
-			p.lbelow = p.lbelow && below&1 != 0
-			n.lops = append([]chainOp{{level: n.op.Extender}}, n.adj...)
-			if n.src == srcFrontier && path[n.srcIdx].local {
-				n.lbase, n.lops = n.srcIdx, n.res
-			}
-			n.lops = slices.DeleteFunc(slices.Clone(n.lops), func(o chainOp) bool { return o.level == 0 })
-			for _, o := range append(flatten(n.op.UpperBounds, nil), n.lops...) { // every level n names
-				if l := path[o.level]; o.level > 0 && !l.local {
-					n.llook |= 1 << o.level
-					p.lbelow = p.lbelow && boundClosure(path, l.op.UpperBounds)&1 != 0
-				}
-			}
-			for _, o := range n.lops {
-				p.ltri = p.ltri && below>>o.level&1 != 0
-			}
-		}
-		for _, t := range n.prod { // count-only nodes at n's own depth
-			trigger = visit(t) || trigger
-		}
-		return trigger
-	}
 	p.lcap, p.lbelow, p.ltri = localCap, true, true
-	p.local = visit(p.root)
+	capable := map[*node]bool{}
+	p.each(func(n *node, path []*node) {
+		outside := func(l int) bool {
+			op := n.op
+			if l < n.depth {
+				op = path[l].op
+			}
+			return l != 0 && op.Extender != 0 && !slices.Contains(op.Connected, 0)
+		}
+		capable[n] = n.depth >= 2 && !slices.ContainsFunc(
+			slices.Concat([]int{n.depth, n.op.Extender}, n.op.Connected, n.op.Disconnected, n.op.UpperBounds), outside)
+		if capable[n] && n.depth >= 3 && n.chained() { // a trigger
+			p.local, n.local.on = true, true
+			for _, a := range path {
+				a.local.on = capable[a]
+			}
+		}
+	})
+	p.each(func(n *node, path []*node) {
+		if !n.local.on {
+			return
+		}
+		u := &n.local
+		below := boundClosure(path, n.op.UpperBounds)
+		p.lbelow = p.lbelow && below&1 != 0
+		u.ops = append([]chainOp{{level: n.op.Extender}}, n.adj...)
+		if n.src == srcFrontier && path[n.srcIdx].local.on {
+			u.base, u.ops = n.srcIdx, n.res
+		}
+		u.ops = slices.DeleteFunc(slices.Clone(u.ops), func(o chainOp) bool { return o.level == 0 })
+		for _, o := range append(flatten(n.op.UpperBounds, nil), u.ops...) { // every level n names
+			if l := path[o.level]; o.level > 0 && !l.local.on {
+				u.look |= 1 << o.level
+				p.lbelow = p.lbelow && boundClosure(path, l.op.UpperBounds)&1 != 0
+			}
+		}
+		for _, o := range u.ops {
+			p.ltri = p.ltri && below>>o.level&1 != 0
+		}
+	})
 }
 
 func flatten(intersect, difference []int) []chainOp {

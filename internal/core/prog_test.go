@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -83,8 +85,6 @@ func checkLowered(t *testing.T, p *program, pn *plan.Node, n *node, depth int, o
 	case !pn.IsLeaf():
 	case listing:
 		wantMode = leafVisit
-	case op.MemoizeFrontier:
-		wantMode = leafMaterialize
 	default:
 		wantMode = leafCount
 	}
@@ -160,6 +160,227 @@ func TestLowerMirrorsPlan(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// catalogPlans is every connected 3–6-vertex motif, edge- and vertex-induced, the
+// merged 4- and 5-motif trees of both kinds, and the DAG clique plans 3…6.
+func catalogPlans(t *testing.T) []*plan.Plan {
+	t.Helper()
+	var plans []*plan.Plan
+	add := func(pl *plan.Plan, err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans = append(plans, pl)
+	}
+	for _, induced := range []bool{false, true} {
+		for k := 3; k <= 6; k++ {
+			for _, m := range pattern.Motifs(k) {
+				add(plan.Compile(m, plan.Options{Induced: induced}))
+			}
+		}
+		add(plan.CompileMulti(pattern.Motifs(4), plan.Options{Induced: induced}))
+		add(plan.CompileMulti(pattern.Motifs(5), plan.Options{Induced: induced}))
+	}
+	for k := 3; k <= 6; k++ {
+		add(plan.CompileCliqueDAG(k))
+	}
+	return plans
+}
+
+// TestLoweringInvariants holds every lowering pass (DESIGN.md decision 18's table)
+// to the postcondition its comment states, over the whole catalog × {auto, merge}
+// × {count, list}: what a pass leaves is what the passes after it, and the
+// engine, may assume.
+func TestLoweringInvariants(t *testing.T) {
+	g := graph.ErdosRenyi(40, 120, 1)
+	var sides, factors, locals, kept int
+	for _, pl := range catalogPlans(t) {
+		for _, o := range []Options{{}, {Kernel: KernelMergeOnly}} {
+			for _, listing := range []bool{false, true} {
+				p := lower(g, pl, o.withDefaults(), listing)
+				name := fmt.Sprintf("%s under %v, listing=%v", pl.Patterns[0].Name(), o.Kernel, listing)
+				bad := func(n *node, format string, args ...any) {
+					t.Helper()
+					t.Fatalf("%s, depth %d: %s\n%s", name, n.depth, fmt.Sprintf(format, args...), lowering(p))
+				}
+				consumers := map[int]bool{}
+				var marked, local bool
+				p.each(func(n *node, path []*node) {
+					// build: the path is the ancestors, a leaf is count-only or visited, and
+					// no plan leaf memoizes its list (why there is no materializing leaf mode).
+					if len(path) != n.depth || n.depth > 0 && path[n.depth-1].depth != n.depth-1 {
+						bad(n, "each handed a path of %d ancestors", len(path))
+					}
+					if leaf := len(n.children) == 0; leaf != (n.mode != interior) || leaf && n.op.MemoizeFrontier && reflect.DeepEqual(n.closed, closed{}) || listing && n.mode == leafCount {
+						bad(n, "mode %d with %d children, MemoizeFrontier=%v", n.mode, len(n.children), n.op.MemoizeFrontier)
+					}
+					if n.mode != leafCount && !reflect.DeepEqual(n.proof, proof{}) {
+						bad(n, "a proof on a node that counts nothing")
+					}
+					// closedForms: a closed form is a count-only leaf at depth ≥ 2; its side
+					// nodes are plain count-only leaves of its own depth, off the aux rows.
+					c := n.closed
+					if (c.choose > 1 || c.prod != nil) && (n.mode != leafCount || n.depth < 2 || c.choose > 1 && c.prod != nil || len(c.prod) > 2 || c.prodAll && len(c.prod) != 1) {
+						bad(n, "closed form %+v on mode %d", c, n.mode)
+					}
+					ts := c.prod
+					if n.fac != nil && n.fac.minus != nil {
+						ts = append(slices.Clone(ts), n.fac.minus)
+					}
+					for _, s := range ts {
+						sides++
+						if s.depth != n.depth || s.children != nil || s.mode != leafCount || s.closed.prod != nil || s.closed.choose > 1 || s.fac != nil || s.op.AuxBase != plan.NoLevel || s.builds != nil {
+							bad(n, "side node at depth %d: %+v", s.depth, s.op)
+						}
+					}
+					// localNodes: local from depth 2 on, looking up shallower levels only.
+					if u := n.local; u.on && n.depth < 2 || !u.on && !reflect.DeepEqual(u, localUse{}) || u.look>>max(n.depth, 1) != 0 || u.base >= max(n.depth, 1) {
+						bad(n, "local %+v", u)
+					}
+					if n.local.on {
+						local = true
+						locals++
+					}
+					// factorNodes: one factor on a path, an interior node at depth ≥ 2; at and
+					// below it nothing is local or a closed form, every op below has dropped
+					// the factor's level, and exactly the leaves carry a B.
+					if f := n.fac; f != nil {
+						factors++
+						d := f.at.depth
+						if f.at != n && (d >= n.depth || path[d] != f.at || slices.Contains(n.op.NotEqual, d)) || f.at == n && (n.mode != interior || d < 2) {
+							bad(n, "factor at depth %d", d)
+						}
+						if n.local.on || c.choose > 1 || c.prod != nil || (f.minus != nil) != (n.mode == leafCount) || f.at == n && f.in != nil {
+							bad(n, "at or below a factor: local %v, closed %+v, minus %v, in %v", n.local.on, c, f.minus != nil, f.in)
+						}
+					} else if n.depth > 0 && path[n.depth-1].fac != nil && slices.Contains(path[n.depth-1].children, n) {
+						bad(n, "no factor below one")
+					}
+					// auxNodes: a consumer reads a kept spec its activation level builds, from
+					// above the factor if it is below one; builds names kept specs of this level.
+					if n.src == srcAux {
+						kept++
+						i := n.srcIdx
+						if p.aux[i].spec != &pl.AuxSpecs[i] || i != n.op.AuxBase || !slices.Contains(path[p.aux[i].spec.Level].builds, i) || n.fac != nil && p.aux[i].spec.Level >= n.fac.at.depth {
+							bad(n, "consumer of aux spec %d", i)
+						}
+						consumers[i] = true
+					}
+					for _, i := range n.builds {
+						if p.aux[i].spec == nil || p.aux[i].spec.Level != n.depth {
+							bad(n, "builds %v", n.builds)
+						}
+					}
+					// markLevels: a marked level has a bit in the c-map's byte and inserts below
+					// levels up to its own; a masked chain reads marked levels only.
+					m := n.cmap
+					if m.marked && (n.depth >= cmLevels || m.markBelow>>(n.depth+1) != 0) || !m.marked && (m.markBelow != 0 || m.lonly) {
+						bad(n, "c-map use %+v", m)
+					}
+					marked = marked || m.marked
+					masks := [][]chainOp{m.scan}
+					if n.fac != nil {
+						masks = append(masks, n.fac.in)
+					}
+					for _, s := range n.proof.suspects {
+						if s.probe {
+							masks = append(masks, s.ops)
+						}
+					}
+					for _, ops := range masks {
+						for _, o := range ops {
+							ls := uint32(o.need | o.avoid)
+							if !o.masked() { // a suspect's pairs
+								ls = 1 << o.level
+							}
+							for ; ls != 0; ls &= ls - 1 {
+								if l := bits.TrailingZeros32(ls); l >= n.depth || !path[l].cmap.marked {
+									bad(n, "chain %+v reads level %d, not marked", ops, l)
+								}
+							}
+						}
+					}
+					// A merge-only lowering is build's tree and nothing else; a listing one
+					// counts nothing in closed form.
+					if o.Kernel == KernelMergeOnly && (n.local.on || n.fac != nil || n.builds != nil || n.src == srcAux || !reflect.DeepEqual(m, cmapUse{})) ||
+						(o.Kernel == KernelMergeOnly || listing) && (n.fac != nil || !reflect.DeepEqual(c, closed{})) {
+						bad(n, "state of a pass that did not run")
+					}
+				})
+				for i := range p.aux {
+					if (p.aux[i].spec != nil) != consumers[i] {
+						t.Fatalf("%s: aux spec %d kept=%v, consumed=%v", name, i, p.aux[i].spec != nil, consumers[i])
+					}
+				}
+				if p.marks != marked || p.local != local || (o.Kernel == KernelMergeOnly || listing) && p.closed || o.Kernel == KernelMergeOnly && p.aux != nil {
+					t.Fatalf("%s: program says marks=%v local=%v closed=%v aux=%v, its nodes marks=%v local=%v", name, p.marks, p.local, p.closed, p.aux != nil, marked, local)
+				}
+			}
+		}
+	}
+	if sides == 0 || factors == 0 || locals == 0 || kept == 0 {
+		t.Fatalf("the catalog exercised %d side nodes, %d nodes at or below a factor, %d local nodes, %d aux consumers: a pass is vacuous here", sides, factors, locals, kept)
+	}
+}
+
+// reach collects every *node reachable from v through any field, slice or
+// pointer: what a worker handed the program could come to evaluate.
+func reach(v reflect.Value, seen map[*node]bool) {
+	switch v.Kind() {
+	case reflect.Pointer:
+		if v.IsNil() {
+			return
+		}
+		if v.Type() == reflect.TypeOf((*node)(nil)) {
+			n := (*node)(v.UnsafePointer())
+			if seen[n] {
+				return
+			}
+			seen[n] = true
+		}
+		reach(v.Elem(), seen)
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			reach(v.Field(i), seen)
+		}
+	case reflect.Slice, reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			reach(v.Index(i), seen)
+		}
+	}
+}
+
+// TestEachVisitsEveryNode: program.each hands its callback every node reachable
+// from the root exactly once — by reflection, so a side-node field added to node
+// (or to a sub-struct of it) that each does not follow fails here, not in a pass
+// that silently skipped it.
+func TestEachVisitsEveryNode(t *testing.T) {
+	g := graph.ErdosRenyi(40, 120, 1)
+	var sides int
+	for _, pl := range catalogPlans(t) {
+		p := lower(g, pl, Options{}.withDefaults(), false)
+		want := map[*node]bool{}
+		reach(reflect.ValueOf(p.root), want)
+		got := map[*node]int{}
+		p.each(func(n *node, path []*node) {
+			got[n]++
+			if n.depth > 0 && !slices.Contains(path[n.depth-1].children, n) {
+				sides++
+			}
+		})
+		for n := range want {
+			if got[n] != 1 {
+				t.Fatalf("%s: each visited a reachable node at depth %d %d times\n%s", pl.Patterns[0].Name(), n.depth, got[n], lowering(p))
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: each visited %d nodes, %d are reachable", pl.Patterns[0].Name(), len(got), len(want))
+		}
+	}
+	if sides == 0 {
+		t.Fatal("no program of the catalog has a side node: the test is vacuous")
 	}
 }
 

@@ -303,7 +303,7 @@ func lowering(p *program) string {
 				}
 			}
 			sb.WriteString("]")
-			if n.scan != nil {
+			if n.cmap.scan != nil {
 				sb.WriteString(" scan")
 			}
 		}
@@ -316,15 +316,15 @@ func lowering(p *program) string {
 		if n.builds != nil {
 			fmt.Fprintf(&sb, " builds%v", n.builds)
 		}
-		if n.marked {
+		if n.cmap.marked {
 			sb.WriteString(" marks[")
 			for l := 0; l <= n.depth; l++ {
-				if n.markBelow>>l&1 != 0 {
+				if n.cmap.markBelow>>l&1 != 0 {
 					fmt.Fprintf(&sb, "<v%d", l)
 				}
 			}
 			sb.WriteString("]")
-			if n.lonly {
+			if n.cmap.lonly {
 				sb.WriteString(" lonly")
 			}
 		}
@@ -338,12 +338,12 @@ func lowering(p *program) string {
 			}
 			fmt.Fprintf(&sb, " universe%v", cuts)
 		}
-		if n.local {
+		if n.local.on {
 			var ops []string
-			if n.lbase != 0 {
-				ops = append(ops, fmt.Sprintf("@%d", n.lbase))
+			if n.local.base != 0 {
+				ops = append(ops, fmt.Sprintf("@%d", n.local.base))
 			}
-			for _, o := range n.lops {
+			for _, o := range n.local.ops {
 				if op := fmt.Sprint(o.level); o.diff {
 					ops = append(ops, "!"+op)
 				} else {
@@ -353,13 +353,13 @@ func lowering(p *program) string {
 			fmt.Fprintf(&sb, " local%v", ops)
 		}
 		settled := map[int]bool{}
-		if len(n.certain) > 0 {
-			fmt.Fprintf(&sb, " certain%v", n.certain)
+		if len(n.proof.certain) > 0 {
+			fmt.Fprintf(&sb, " certain%v", n.proof.certain)
 		}
-		for _, j := range n.certain {
+		for _, j := range n.proof.certain {
 			settled[j] = true
 		}
-		for _, s := range n.suspects {
+		for _, s := range n.proof.suspects {
 			settled[s.j] = true
 			if !s.probe {
 				fmt.Fprintf(&sb, " check[%d]", s.j)
@@ -378,15 +378,15 @@ func lowering(p *program) string {
 				}
 			}
 		}
-		if n.choose > 1 {
-			fmt.Fprintf(&sb, " choose[%d]", n.choose)
+		if n.closed.choose > 1 {
+			fmt.Fprintf(&sb, " choose[%d]", n.closed.choose)
 		}
 		switch {
-		case n.prodAll:
+		case n.closed.prodAll:
 			sb.WriteString(" product[A m]")
-		case len(n.prod) > 1:
+		case len(n.closed.prod) > 1:
 			sb.WriteString(" product[A B]")
-		case n.prod != nil:
+		case n.closed.prod != nil:
 			sb.WriteString(" product[A]")
 		}
 		switch f := n.fac; {
@@ -401,7 +401,7 @@ func lowering(p *program) string {
 			fmt.Fprintf(&sb, " weighed[%d: search]", f.at.depth)
 		}
 		sb.WriteString("\n")
-		for i, t := range n.prod {
+		for i, t := range n.closed.prod {
 			walk(t, "A=B="[2*i:2*i+2])
 		}
 		if n.fac != nil && n.fac.minus != nil {
@@ -431,7 +431,7 @@ func lowering(p *program) string {
 // names the level above it), depth 1, a node with two children and every
 // merge-only lowering stay as they were. Factors (decision 23) under the same gate:
 // house's v2 and 5-motif-2's; no 4-vertex plan has a level to be one — depth 2 is
-// closedForm's —, no clique, no vertex-induced plan, no merge-only lowering and,
+// closedForms' —, no clique, no vertex-induced plan, no merge-only lowering and,
 // checked for every case, no listing one. Aux rows (decision 14) go to what is left:
 // the vertex-induced 4-path keeps its spec, 5-motif-15 the one whose consumer was
 // not counted away, house none, and no merge-only lowering any.

@@ -30,8 +30,8 @@ type Hooks struct {
 
 	// OnStealTier fires after a successful steal under a sharded run, with
 	// the locality tier: StealLocal when thief and victim share a worker
-	// group, StealCross otherwise. Runs without shard grouping (Run /
-	// RunHooked) never fire it.
+	// group, StealCross otherwise. Runs without shard grouping (RunHooked)
+	// never fire it.
 	OnStealTier func(thief, victim, ntasks, tier int)
 
 	// OnTask fires after fn returns for a task — the task was executed
@@ -79,18 +79,14 @@ func MergeHooks(hs ...Hooks) Hooks {
 	return out
 }
 
-// Run executes every task at most once across workers goroutines using
+// RunHooked executes every task at most once across workers goroutines using
 // per-worker deques with work stealing, and exactly once when the run is
 // neither cancelled nor stopped. fn is invoked with the worker index
 // (0 ≤ w < workers) and the task; returning false halts the whole run
-// (cooperative cancellation detected inside a task). Run returns a *PanicError
+// (cooperative cancellation detected inside a task). h observes scheduler
+// events; the zero Hooks observes nothing. RunHooked returns a *PanicError
 // if a task panicked, else ctx.Err() — nil unless the context was cancelled or
 // expired; either way callers hold partial results.
-func Run(ctx context.Context, workers int, tasks []Task, fn func(worker int, t Task) bool) error {
-	return RunHooked(ctx, workers, tasks, fn, Hooks{})
-}
-
-// RunHooked is Run with scheduler-event observation.
 func RunHooked(ctx context.Context, workers int, tasks []Task, fn func(worker int, t Task) bool, h Hooks) error {
 	if workers < 1 {
 		workers = 1

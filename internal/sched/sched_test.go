@@ -133,13 +133,13 @@ func TestRunExecutesEachTaskOnce(t *testing.T) {
 		for i, task := range tasks {
 			index[task] = i
 		}
-		err := Run(context.Background(), workers, tasks, func(w int, task Task) bool {
+		err := RunHooked(context.Background(), workers, tasks, func(w int, task Task) bool {
 			if w < 0 || w >= workers {
 				t.Errorf("worker index %d out of range", w)
 			}
 			ran[index[task]].Add(1)
 			return true
-		})
+		}, Hooks{})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -152,7 +152,7 @@ func TestRunExecutesEachTaskOnce(t *testing.T) {
 }
 
 func TestRunEmptyTaskList(t *testing.T) {
-	if err := Run(context.Background(), 4, nil, func(int, Task) bool { return true }); err != nil {
+	if err := RunHooked(context.Background(), 4, nil, func(int, Task) bool { return true }, Hooks{}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -162,12 +162,12 @@ func TestRunCancelled(t *testing.T) {
 	tasks := Expand(g, 0)
 	ctx, cancel := context.WithCancel(context.Background())
 	var executed atomic.Int64
-	err := Run(ctx, 4, tasks, func(w int, task Task) bool {
+	err := RunHooked(ctx, 4, tasks, func(w int, task Task) bool {
 		if executed.Add(1) == 10 {
 			cancel()
 		}
 		return true
-	})
+	}, Hooks{})
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -199,7 +199,7 @@ func TestRunJoinsWorkers(t *testing.T) {
 	for _, cancelAt := range []int64{0, 10} { // 0: never, run to completion
 		ctx, cancel := context.WithCancel(context.Background())
 		var executed, inFlight atomic.Int64
-		err := Run(ctx, 8, tasks, func(int, Task) bool {
+		err := RunHooked(ctx, 8, tasks, func(int, Task) bool {
 			inFlight.Add(1)
 			defer inFlight.Add(-1)
 			if executed.Add(1) == cancelAt {
@@ -207,7 +207,7 @@ func TestRunJoinsWorkers(t *testing.T) {
 			}
 			runtime.Gosched()
 			return true
-		})
+		}, Hooks{})
 		cancel()
 		if n := inFlight.Load(); n != 0 {
 			t.Errorf("cancelAt=%d: Run returned with %d task functions still executing", cancelAt, n)
@@ -250,7 +250,7 @@ func TestRunReturnsTaskPanic(t *testing.T) {
 		if sharded {
 			err = RunSharded(context.Background(), 8, tasks, quarterMap(g.NumVertices()), fn, Hooks{})
 		} else {
-			err = Run(context.Background(), 8, tasks, fn)
+			err = RunHooked(context.Background(), 8, tasks, fn, Hooks{})
 		}
 		var pe *PanicError
 		if !errors.As(err, &pe) || pe.Value != "boom at task 20" || !bytes.Contains(pe.Stack, []byte("TestRunReturnsTaskPanic")) {
@@ -272,9 +272,9 @@ func TestRunStopsWhenFnReturnsFalse(t *testing.T) {
 	g := graph.ChungLu(400, 3000, 2.3, 3)
 	tasks := Expand(g, 0)
 	var executed atomic.Int64
-	err := Run(context.Background(), 4, tasks, func(w int, task Task) bool {
+	err := RunHooked(context.Background(), 4, tasks, func(w int, task Task) bool {
 		return executed.Add(1) < 5
-	})
+	}, Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -120,18 +120,20 @@ func TestCancellationMidSteal(t *testing.T) {
 	}
 }
 
-// TestRunHookedNilHooksEquivalent pins that Run is exactly RunHooked with
-// zero Hooks — the hook plumbing must not change scheduling semantics.
+// TestRunHookedNilHooksEquivalent pins that observation changes nothing: a run
+// with zero Hooks executes exactly the tasks a fully hooked run does, and the
+// hooked run's OnTask saw each of them.
 func TestRunHookedNilHooksEquivalent(t *testing.T) {
 	_, tasks := stressTasks(t, 5)
-	var a, b atomic.Int64
-	if err := Run(context.Background(), 4, tasks, func(int, Task) bool { a.Add(1); return true }); err != nil {
+	var a, b, seen atomic.Int64
+	if err := RunHooked(context.Background(), 4, tasks, func(int, Task) bool { a.Add(1); return true }, Hooks{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := RunHooked(context.Background(), 4, tasks, func(int, Task) bool { b.Add(1); return true }, Hooks{}); err != nil {
+	h := Hooks{OnSteal: func(int, int, int) {}, OnTask: func(int, Task) { seen.Add(1) }}
+	if err := RunHooked(context.Background(), 4, tasks, func(int, Task) bool { b.Add(1); return true }, h); err != nil {
 		t.Fatal(err)
 	}
-	if a.Load() != b.Load() || a.Load() != int64(len(tasks)) {
-		t.Fatalf("Run executed %d, RunHooked %d, want %d", a.Load(), b.Load(), len(tasks))
+	if n := int64(len(tasks)); a.Load() != n || b.Load() != n || seen.Load() != n {
+		t.Fatalf("zero Hooks executed %d, hooked %d (OnTask saw %d), want %d", a.Load(), b.Load(), seen.Load(), n)
 	}
 }

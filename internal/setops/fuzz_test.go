@@ -82,8 +82,8 @@ func FuzzIntersectKernels(f *testing.F) {
 		a, b, bound := decodeSets(data)
 		want := refIntersect(a, b, bound)
 
-		if got := IntersectBelow(nil, a, b, bound); !equalSets(got, want) {
-			t.Errorf("IntersectBelow(%v, %v, %d) = %v, want %v", a, b, bound, got, want)
+		if got := list(IntersectCost(nil, a, b, bound)); !equalSets(got, want) {
+			t.Errorf("IntersectCost(%v, %v, %d) = %v, want %v", a, b, bound, got, want)
 		}
 		if got, _ := IntersectCost(nil, a, b, bound); !equalSets(got, want) {
 			t.Errorf("IntersectCost(%v, %v, %d) = %v, want %v", a, b, bound, got, want)
@@ -125,20 +125,20 @@ func FuzzDifferenceKernels(f *testing.F) {
 		a, b, bound := decodeSets(data)
 		want := refDifference(a, b, bound)
 
-		if got := DifferenceBelow(nil, a, b, bound); !equalSets(got, want) {
-			t.Errorf("DifferenceBelow(%v, %v, %d) = %v, want %v", a, b, bound, got, want)
+		if got := list(DifferenceCost(nil, a, b, bound)); !equalSets(got, want) {
+			t.Errorf("DifferenceCost(%v, %v, %d) = %v, want %v", a, b, bound, got, want)
 		}
 		if got, _ := DifferenceCost(nil, a, b, bound); !equalSets(got, want) {
 			t.Errorf("DifferenceCost(%v, %v, %d) = %v, want %v", a, b, bound, got, want)
 		}
-		if got := DifferenceCount(a, b, bound); got != int64(len(want)) {
-			t.Errorf("DifferenceCount(%v, %v, %d) = %d, want %d", a, b, bound, got, len(want))
+		if got := count(DifferenceCountCost(a, b, bound)); got != int64(len(want)) {
+			t.Errorf("DifferenceCountCost(%v, %v, %d) = %d, want %d", a, b, bound, got, len(want))
 		}
 		if got, _ := DifferenceCountCost(a, b, bound); got != int64(len(want)) {
 			t.Errorf("DifferenceCountCost(%v, %v, %d) = %d, want %d", a, b, bound, got, len(want))
 		}
-		if got := DifferenceGalloping(nil, a, b, bound); !equalSets(got, want) {
-			t.Errorf("DifferenceGalloping(%v, %v, %d) = %v, want %v", a, b, bound, got, want)
+		if got := list(DifferenceGallopingCost(nil, a, b, bound)); !equalSets(got, want) {
+			t.Errorf("DifferenceGallopingCost(%v, %v, %d) = %v, want %v", a, b, bound, got, want)
 		}
 		if got, _ := DifferenceGallopingCost(nil, a, b, bound); !equalSets(got, want) {
 			t.Errorf("DifferenceGallopingCost(%v, %v, %d) = %v, want %v", a, b, bound, got, want)
@@ -199,14 +199,14 @@ func FuzzSeeker(f *testing.F) {
 		set, keys, _ := decodeSets(data) // both halves sorted ascending
 		var s Seeker
 		for _, x := range keys {
-			if got, want := s.Seek(set, x), Contains(set, x); got != want {
+			if got, want := s.Seek(set, x), Index(set, x) >= 0; got != want {
 				t.Fatalf("Seek(%v, %d) = %v, want %v (keys %v)", set, x, got, want, keys)
 			}
 		}
 		// A Reset must make the cursor reusable for a fresh pass.
 		s.Reset()
 		for _, x := range keys {
-			if got, want := s.Seek(set, x), Contains(set, x); got != want {
+			if got, want := s.Seek(set, x), Index(set, x) >= 0; got != want {
 				t.Fatalf("after Reset: Seek(%v, %d) = %v, want %v", set, x, got, want)
 			}
 		}

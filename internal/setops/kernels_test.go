@@ -20,7 +20,7 @@ func TestSeekerAscendingPass(t *testing.T) {
 	}
 	var s Seeker
 	for x := VID(0); x < 1600; x++ {
-		want := Contains(b, x)
+		want := Index(b, x) >= 0
 		if got := s.Seek(b, x); got != want {
 			t.Fatalf("Seek(%d) = %v, want %v", x, got, want)
 		}
@@ -69,8 +69,8 @@ func TestGallopingKernelsMatchMerge(t *testing.T) {
 		gd, _ := DifferenceGallopingCost(nil, a, b, bound)
 		ci, _ := IntersectGallopingCount(a, b, bound)
 		cd, _ := DifferenceGallopingCount(a, b, bound)
-		mi := IntersectBelow(nil, a, b, bound)
-		md := DifferenceBelow(nil, a, b, bound)
+		mi := list(IntersectCost(nil, a, b, bound))
+		md := list(DifferenceCost(nil, a, b, bound))
 		return equalSets(gi, mi) && equalSets(gd, md) &&
 			ci == int64(len(mi)) && cd == int64(len(md))
 	}
@@ -85,7 +85,7 @@ func TestDifferenceCountMatchesMaterialized(t *testing.T) {
 		if rawBound%3 == 0 {
 			bound = NoBound
 		}
-		return DifferenceCount(a, b, bound) == int64(len(DifferenceBelow(nil, a, b, bound)))
+		return count(DifferenceCountCost(a, b, bound)) == int64(len(list(DifferenceCost(nil, a, b, bound))))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Error(err)
@@ -113,7 +113,7 @@ func TestBitmapKernelsMatchMerge(t *testing.T) {
 		}
 		bm := toBitmap(b)
 		bi, _ := IntersectBitmap(nil, a, bm, bound)
-		return equalSets(bi, IntersectBelow(nil, a, b, bound))
+		return equalSets(bi, list(IntersectCost(nil, a, b, bound)))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)

@@ -27,7 +27,7 @@ import (
 // VID aliases the graph vertex ID type.
 type VID = graph.VID
 
-// NoBound disables the ID upper bound in the *Below variants.
+// NoBound disables the ID upper bound of the kernels that take one.
 const NoBound = ^VID(0)
 
 // Intersect appends a ∩ b to dst and returns it.
@@ -36,14 +36,8 @@ func Intersect(dst, a, b []VID) []VID {
 	return dst
 }
 
-// IntersectBelow appends {x ∈ a ∩ b : x < bound} to dst and returns it.
-func IntersectBelow(dst, a, b []VID, bound VID) []VID {
-	dst, _ = IntersectCost(dst, a, b, bound)
-	return dst
-}
-
-// IntersectCost is IntersectBelow instrumented with the number of merge-loop
-// iterations executed (= SIU cycles).
+// IntersectCost appends {x ∈ a ∩ b : x < bound} to dst and returns it with the
+// number of merge-loop iterations executed (= SIU cycles).
 func IntersectCost(dst, a, b []VID, bound VID) ([]VID, int64) {
 	i, j := 0, 0
 	var iters int64
@@ -103,14 +97,8 @@ func Difference(dst, a, b []VID) []VID {
 	return dst
 }
 
-// DifferenceBelow appends {x ∈ a \ b : x < bound} to dst and returns it.
-func DifferenceBelow(dst, a, b []VID, bound VID) []VID {
-	dst, _ = DifferenceCost(dst, a, b, bound)
-	return dst
-}
-
-// DifferenceCost is DifferenceBelow instrumented with merge-loop iterations
-// (= SDU cycles).
+// DifferenceCost appends {x ∈ a \ b : x < bound} to dst and returns it with the
+// merge-loop iterations executed (= SDU cycles).
 func DifferenceCost(dst, a, b []VID, bound VID) ([]VID, int64) {
 	i, j := 0, 0
 	var iters int64
@@ -135,13 +123,8 @@ func DifferenceCost(dst, a, b []VID, bound VID) ([]VID, int64) {
 	return dst, iters
 }
 
-// DifferenceCount returns |{x ∈ a \ b : x < bound}| without materializing.
-func DifferenceCount(a, b []VID, bound VID) int64 {
-	n, _ := DifferenceCountCost(a, b, bound)
-	return n
-}
-
-// DifferenceCountCost is DifferenceCount instrumented with merge iterations.
+// DifferenceCountCost returns |{x ∈ a \ b : x < bound}| and the merge
+// iterations, without materializing.
 func DifferenceCountCost(a, b []VID, bound VID) (int64, int64) {
 	i, j := 0, 0
 	var n, iters int64
@@ -166,13 +149,8 @@ func DifferenceCountCost(a, b []VID, bound VID) (int64, int64) {
 	return n, iters
 }
 
-// Contains reports membership of x in the sorted slice a via galloping
-// (exponential + binary) search. Software frameworks fall back to this when
-// one side of an intersection is much smaller.
-func Contains(a []VID, x VID) bool { return Index(a, x) >= 0 }
-
 // Seeker is a stateful galloping cursor over one sorted set. Unlike repeated
-// Contains calls — which re-bracket from index 0 and cost O(log|b|) each — a
+// Index calls — which re-bracket from index 0 and cost O(log|b|) each — a
 // Seeker remembers where the previous key landed, so a pass of ascending keys
 // costs O(log gap) per key: the galloping kernels below are
 // O(|a|·log(|b|/|a|)) instead of O(|a|·log|b|).
@@ -259,15 +237,8 @@ func IntersectGallopingCount(a, b []VID, bound VID) (int64, int64) {
 	return n, s.Probes
 }
 
-// DifferenceGalloping appends {x ∈ a \ b : x < bound} to dst via galloping
-// lookups into b; used when len(a) << len(b).
-func DifferenceGalloping(dst, a, b []VID, bound VID) []VID {
-	dst, _ = DifferenceGallopingCost(dst, a, b, bound)
-	return dst
-}
-
-// DifferenceGallopingCost is DifferenceGalloping instrumented with gallop
-// probes.
+// DifferenceGallopingCost appends {x ∈ a \ b : x < bound} to dst via galloping
+// lookups into b, for len(a) << len(b), and returns it with the gallop probes.
 func DifferenceGallopingCost(dst, a, b []VID, bound VID) ([]VID, int64) {
 	var s Seeker
 	for _, x := range a {

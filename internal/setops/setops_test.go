@@ -3,6 +3,7 @@ package setops
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -67,13 +68,17 @@ func equalSets(a, b []VID) bool {
 	return true
 }
 
+// list and count drop the cost of a kernel's (result, cost) pair.
+func list(l []VID, _ int64) []VID { return l }
+func count(n, _ int64) int64      { return n }
+
 func TestIntersectMatchesReference(t *testing.T) {
 	f := func(a, b sortedSet, rawBound uint32) bool {
 		bound := VID(rawBound % 64)
 		if rawBound%5 == 0 {
 			bound = NoBound
 		}
-		got := IntersectBelow(nil, a, b, bound)
+		got := list(IntersectCost(nil, a, b, bound))
 		return equalSets(got, refIntersect(a, b, bound))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
@@ -87,7 +92,7 @@ func TestDifferenceMatchesReference(t *testing.T) {
 		if rawBound%5 == 0 {
 			bound = NoBound
 		}
-		got := DifferenceBelow(nil, a, b, bound)
+		got := list(DifferenceCost(nil, a, b, bound))
 		return equalSets(got, refDifference(a, b, bound))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
@@ -109,28 +114,11 @@ func TestGallopingMatchesMerge(t *testing.T) {
 		bound := VID(rawBound % 64)
 		return equalSets(
 			IntersectGalloping(nil, a, b, bound),
-			IntersectBelow(nil, a, b, bound),
+			list(IntersectCost(nil, a, b, bound)),
 		)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestContains(t *testing.T) {
-	a := []VID{2, 3, 5, 8, 13, 21, 34, 55}
-	for _, x := range a {
-		if !Contains(a, x) {
-			t.Errorf("Contains(%d) = false", x)
-		}
-	}
-	for _, x := range []VID{0, 1, 4, 9, 22, 56, 1000} {
-		if Contains(a, x) {
-			t.Errorf("Contains(%d) = true", x)
-		}
-	}
-	if Contains(nil, 1) {
-		t.Error("Contains on empty set")
 	}
 }
 
@@ -164,15 +152,15 @@ func TestIndex(t *testing.T) {
 	}
 }
 
-// TestIndexAgreesWithContains: Index ≥ 0 exactly when Contains, and the
-// returned position holds the key.
-func TestIndexAgreesWithContains(t *testing.T) {
+// TestIndexAgreesWithLinearScan: Index ≥ 0 exactly when the key is in the set,
+// and the returned position holds it.
+func TestIndexAgreesWithLinearScan(t *testing.T) {
 	f := func(a sortedSet, x VID) bool {
-		i := Index(a, x%64)
-		if i != -1 {
-			return Contains(a, x%64) && a[i] == x%64
+		x %= 64
+		if i := Index(a, x); i != -1 {
+			return a[i] == x
 		}
-		return !Contains(a, x%64)
+		return !slices.Contains(a, x)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Error(err)
@@ -259,17 +247,14 @@ func TestKernelsZeroAlloc(t *testing.T) {
 	var hit bool
 	if avg := testing.AllocsPerRun(10, func() {
 		dst = Intersect(dst[:0], a, b)
-		dst = IntersectBelow(dst[:0], a, b, 600)
 		dst, c = IntersectCost(dst[:0], a, b, NoBound)
 		dst = Difference(dst[:0], a, b)
-		dst = DifferenceBelow(dst[:0], a, b, 600)
 		dst, c = DifferenceCost(dst[:0], a, b, NoBound)
 		dst = IntersectGalloping(dst[:0], a, b, NoBound)
 		dst, c = IntersectGallopingCost(dst[:0], a, b, NoBound)
-		dst = DifferenceGalloping(dst[:0], a, b, NoBound)
 		dst, c = DifferenceGallopingCost(dst[:0], a, b, NoBound)
 		dst, c = IntersectBitmap(dst[:0], a, bm, NoBound)
-		n = IntersectCount(a, b, NoBound) + DifferenceCount(a, b, NoBound)
+		n = IntersectCount(a, b, NoBound)
 		n, c = IntersectCountCost(a, b, NoBound)
 		n, c = DifferenceCountCost(a, b, NoBound)
 		n, c = IntersectGallopingCount(a, b, NoBound)
@@ -280,7 +265,7 @@ func TestKernelsZeroAlloc(t *testing.T) {
 		WordsAnd(wa, wb, true)
 		n += WordsTrim(wa, 700)
 		s.Reset()
-		hit = s.Seek(b, a[len(a)/2]) || Contains(a, 300)
+		hit = s.Seek(b, a[len(a)/2])
 		n += int64(Index(a, 300) + len(Bounded(a, 900)))
 	}); avg > 0 {
 		t.Fatalf("set kernels allocate %.1f times per round; want 0", avg)

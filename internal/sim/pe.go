@@ -7,6 +7,8 @@ package sim
 // microarchitectural event.
 
 import (
+	"math"
+
 	"repro/internal/cmap"
 	"repro/internal/graph"
 	"repro/internal/obs"
@@ -112,10 +114,12 @@ func (p *pe) tickSched(n int64) {
 	p.bkt.DispatchWait += n
 }
 
-// readRange streams [addr, addr+bytes) through the private cache; misses go
-// to the shared side and stall the PE until the line returns (simple
-// in-order blocking PE, matching the FSM design).
-func (p *pe) readRange(addr uint64, bytes int64) {
+// stream walks [addr, addr+bytes) through the private cache a line at a time; a
+// miss goes to the shared side and stalls the PE until the line returns (simple
+// in-order blocking PE, matching the FSM design) — an evicted frontier list was
+// "written to the shared cache" (§IV). scratch is a frontier-list write: the tag
+// is maintained, but a miss costs only the L1 latency, the line being PE-local.
+func (p *pe) stream(addr uint64, bytes int64, scratch bool) {
 	if bytes <= 0 {
 		return
 	}
@@ -129,52 +133,30 @@ func (p *pe) readRange(addr uint64, bytes int64) {
 			continue
 		}
 		p.l1Misses++
-		p.memLine(l * line)
-	}
-}
-
-// touchLocal models private-only accesses (frontier-list reads/writes):
-// cache-tag maintained, but misses cost only the L1 latency since the data
-// is PE-local scratch (spills are charged when the region no longer fits,
-// via normal shared-side reads).
-func (p *pe) touchLocal(addr uint64, bytes int64, spillable bool) {
-	if bytes <= 0 {
-		return
-	}
-	line := uint64(p.sim.cfg.LineBytes)
-	first := addr / line
-	last := (addr + uint64(bytes) - 1) / line
-	for l := first; l <= last; l++ {
-		if p.l1.access(l * line) {
-			p.l1Hits++
+		if scratch {
 			p.tickL1(int64(p.sim.cfg.L1Latency))
-			continue
-		}
-		p.l1Misses++
-		if spillable {
-			// The frontier was evicted to the shared cache (§IV: "written
-			// to the shared cache when evicted from the private cache").
-			p.memLine(l * line)
 		} else {
-			p.tickL1(int64(p.sim.cfg.L1Latency))
+			p.memLine(l * line)
 		}
 	}
 }
 
-// readAdjPrefix fetches vertex v's degree bounds (Row) and streams the
-// neighbor-list prefix below bound; it returns the prefix slice.
-func (p *pe) readAdjPrefix(v graph.VID, bound graph.VID) []graph.VID {
+// readAdjPrefix fetches vertex v's degree bounds (Row) and streams elements
+// [lo, hi) of its neighbor list, cut to the degree — a hub slice pays for just
+// its own, [0, math.MaxInt) is the whole list — below bound; it returns them.
+func (p *pe) readAdjPrefix(v graph.VID, lo, hi int, bound graph.VID) []graph.VID {
 	am := p.sim.am
-	p.readRange(am.rowAddr(v), 16) // Row[v], Row[v+1]
+	p.stream(am.rowAddr(v), 16, false) // Row[v], Row[v+1]
 	adj := p.sim.g.Adj(v)
-	prefix := setops.Bounded(adj, bound)
+	lo, hi = min(lo, len(adj)), min(hi, len(adj))
+	prefix := setops.Bounded(adj[lo:hi], bound)
 	// The hardware streams elements until the bound is exceeded: one extra
 	// element read detects the bound.
 	read := len(prefix)
-	if read < len(adj) {
+	if read < hi-lo {
 		read++
 	}
-	p.readRange(am.colAddr(p.sim.g.AdjStart(v)), int64(read)*4)
+	p.stream(am.colAddr(p.sim.g.AdjStart(v)+int64(lo)), int64(read)*4, false)
 	return prefix
 }
 
@@ -250,7 +232,7 @@ func (p *pe) cmapInsert(op *plan.VertexOp, depth int, v graph.VID) bool {
 	if ok {
 		// Stream the (bounded) neighbor list; degree was known from Row.
 		prefix := setops.Bounded(p.sim.g.Adj(v), bound)
-		p.readRange(p.sim.am.colAddr(p.sim.g.AdjStart(v)), int64(len(prefix))*4)
+		p.stream(p.sim.am.colAddr(p.sim.g.AdjStart(v)), int64(len(prefix))*4, false)
 		p.chargeCMap(before, after)
 	} else {
 		p.tickCMap(1) // occupancy estimate rejected the insertion
@@ -302,38 +284,22 @@ func (p *pe) candidates(op *plan.VertexOp, depth int) []graph.VID {
 
 	var base []graph.VID
 	var intersect, difference []int
-	fromFrontier := false
 	if op.FrontierBase != plan.NoLevel {
 		full := p.levels[op.FrontierBase]
 		base = setops.Bounded(full, bound)
 		intersect, difference = op.IntersectWith, op.DifferenceWith
-		fromFrontier = true
 		// Frontier-list table lookup + stream the memoized list from the
 		// private cache (spillable to L2).
 		p.tick(1)
-		p.touchLocal(frontierAddr(p.id, op.FrontierBase, 0), int64(len(base))*4, true)
-	} else if depth == 1 && p.sliceHi >= 0 {
-		// Task slicing: this task covers only elements [sliceLo, sliceHi)
-		// of the start vertex's adjacency; stream (and pay for) just those.
-		v := p.emb[op.Extender]
-		adj := p.sim.g.Adj(v)
-		lo, hi := p.sliceLo, p.sliceHi
-		if lo > len(adj) {
-			lo = len(adj)
-		}
-		if hi > len(adj) {
-			hi = len(adj)
-		}
-		p.readRange(p.sim.am.rowAddr(v), 16)
-		base = setops.Bounded(adj[lo:hi], bound)
-		read := len(base)
-		if read < hi-lo {
-			read++ // one extra element detects the bound
-		}
-		p.readRange(p.sim.am.colAddr(p.sim.g.AdjStart(v)+int64(lo)), int64(read)*4)
-		intersect, difference = op.Connected, op.Disconnected
+		p.stream(frontierAddr(p.id, op.FrontierBase, 0), int64(len(base))*4, false)
 	} else {
-		base = p.readAdjPrefix(p.emb[op.Extender], bound)
+		lo, hi := 0, math.MaxInt
+		if depth == 1 && p.sliceHi >= 0 {
+			// Task slicing: this task covers only elements [sliceLo, sliceHi)
+			// of the start vertex's adjacency; stream (and pay for) just those.
+			lo, hi = p.sliceLo, p.sliceHi
+		}
+		base = p.readAdjPrefix(p.emb[op.Extender], lo, hi, bound)
 		intersect, difference = op.Connected, op.Disconnected
 	}
 
@@ -348,10 +314,9 @@ func (p *pe) candidates(op *plan.VertexOp, depth int) []graph.VID {
 	if op.MemoizeFrontier {
 		// Write the qualified list into the frontier region and update the
 		// frontier-list table entry.
-		p.touchLocal(frontierAddr(p.id, depth, 0), int64(len(out))*4, false)
+		p.stream(frontierAddr(p.id, depth, 0), int64(len(out))*4, true)
 		p.tick(1)
 	}
-	_ = fromFrontier
 	return out
 }
 
@@ -359,14 +324,11 @@ func (p *pe) cmapCovers(intersect, difference []int) bool {
 	if p.cm == nil || (len(intersect) == 0 && len(difference) == 0) {
 		return false
 	}
-	for _, j := range intersect {
-		if !p.cmLevelOK[j] {
-			return false
-		}
-	}
-	for _, j := range difference {
-		if !p.cmLevelOK[j] {
-			return false
+	for _, ls := range [2][]int{intersect, difference} {
+		for _, j := range ls {
+			if !p.cmLevelOK[j] {
+				return false
+			}
 		}
 	}
 	return true
@@ -410,7 +372,7 @@ func (p *pe) filterViaMerge(out, base []graph.VID, op *plan.VertexOp, intersect,
 	step := func(j int, diff bool) {
 		opStart := p.clock
 		// Stream the second operand (the first is cur, just produced).
-		p.readAdjPrefix(p.emb[j], bound)
+		p.readAdjPrefix(p.emb[j], 0, math.MaxInt, bound)
 		dst := p.mergeB[:0]
 		if useA {
 			dst = p.mergeA[:0]
@@ -447,12 +409,9 @@ func (p *pe) filterViaMerge(out, base []graph.VID, op *plan.VertexOp, intersect,
 	for _, j := range difference {
 		step(j, true)
 	}
-	if len(intersect) == 0 && len(difference) == 0 {
-		// Pure bound/distinctness filtering still inspects each element.
-		p.tick(int64(len(cur)))
-	} else {
-		p.tick(int64(len(cur))) // emit + distinctness pass
-	}
+	// Emit + distinctness pass; with no set operation, pure bound/distinctness
+	// filtering still inspects each element.
+	p.tick(int64(len(cur)))
 	for _, v := range cur {
 		if p.distinct(v, op) {
 			out = append(out, v)
