@@ -167,6 +167,14 @@ func TestWorkProxyGates(t *testing.T) {
 		{"tailed-triangle", options{graphPath: sym, patName: "tailed-triangle"}, []gate{searchFree}},
 		{"4-star", options{graphPath: sym, patName: "4-star"}, []gate{lastLevels}},
 		{"4-path", options{graphPath: sym, patName: "4-path"}, []gate{lastLevels}},
+		// The c-map walk scanned one row per pair of v0's neighbours: 1,417,060 dense
+		// accesses and 30,303 extensions here at the parent of decision 24 (30,373 in
+		// hub slices), against 244,298 and 512 (278,528 and 582: a slice re-sweeps its head).
+		{"4-cycle", options{graphPath: sym, patName: "4-cycle"}, []gate{
+			{"the twins are swept from the far corner: one extension per task, a quarter of the c-map walk's dense accesses (decision 24)", func(a, m counters) bool {
+				return a["cpu.closed_forms"] > 0 && m["cpu.closed_forms"] == 0 && 4*a["cpu.extensions"] < m["cpu.extensions"] && 4*a["cpu.bitmap_probes"] < 1_417_060
+			}},
+		}},
 		{"4-CL", options{graphPath: dag, app: "4-CL"}, []gate{
 			{"the clique levels run on local rows, under two dense accesses per candidate (decision 21)", func(a, m counters) bool {
 				return a["cpu.local_rows"] > 0 && a["cpu.bitmap_probes"] < 2*a["cpu.candidates"] && m["cpu.local_rows"] == 0 && m["cpu.bitmap_probes"] == 0

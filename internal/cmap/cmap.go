@@ -12,6 +12,7 @@ package cmap
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/graph"
 	"repro/internal/setops"
@@ -90,6 +91,7 @@ type HashMap struct {
 	vals []Bits
 
 	banks     int
+	shift     int     // log2(banks) where banks is a power of two, else -1: cycles divides
 	threshold float64 // max occupancy fraction before overflow is signaled
 	occupied  int
 	stats     Stats
@@ -102,12 +104,17 @@ func NewHashMap(entries, banks int) *HashMap {
 	if entries <= 0 || banks <= 0 {
 		panic(fmt.Sprintf("cmap: bad geometry entries=%d banks=%d", entries, banks))
 	}
-	return &HashMap{
+	m := &HashMap{
 		keys:      make([]graph.VID, entries),
 		vals:      make([]Bits, entries),
 		banks:     banks,
+		shift:     -1,
 		threshold: 0.75,
 	}
+	if banks&(banks-1) == 0 {
+		m.shift = bits.TrailingZeros(uint(banks))
+	}
+	return m
 }
 
 // NewHashMapBytes sizes the c-map from a byte budget at EntryBytes per entry
@@ -126,10 +133,11 @@ func (m *HashMap) Capacity() int { return len(m.keys) }
 // Occupancy returns the live-entry count.
 func (m *HashMap) Occupancy() int { return m.occupied }
 
-func (m *HashMap) hash(key graph.VID) int {
+// hash is key's home slot in a table of n entries, n hoisted by the walk that asks.
+func hash(key graph.VID, n int) int {
 	// Multiplicative hashing (Knuth); cheap in hardware, good spread.
 	h := uint64(key) * 0x9e3779b97f4a7c15
-	return int(h % uint64(len(m.keys)))
+	return int(h % uint64(n))
 }
 
 // probe walks the table from key's home slot. It returns the slot holding
@@ -138,7 +146,7 @@ func (m *HashMap) hash(key graph.VID) int {
 // cycle examines `banks` successive entries.
 func (m *HashMap) probe(key graph.VID) int {
 	n := len(m.keys)
-	slot := m.hash(key)
+	slot := hash(key, n)
 	for i := 0; i < n; i++ {
 		if m.vals[slot] == 0 || m.keys[slot] == key {
 			m.stats.Probes += m.cycles(i)
@@ -153,9 +161,15 @@ func (m *HashMap) probe(key graph.VID) int {
 }
 
 // cycles is the probe steps of a walk that stopped i entries past the home slot,
-// `banks` entries a cycle. It is the walks' only division: they step the slot by
+// `banks` entries a cycle — a shift for the power-of-two bank counts every
+// configuration uses, the walks' only division otherwise: they step the slot by
 // increment-and-wrap, which is most of the simulator's host time per probe.
-func (m *HashMap) cycles(i int) int64 { return int64(i/m.banks) + 1 }
+func (m *HashMap) cycles(i int) int64 {
+	if m.shift >= 0 {
+		return int64(i>>m.shift) + 1
+	}
+	return int64(i/m.banks) + 1
+}
 
 // TryInsertLevel implements Map. The footprint estimate is the paper's: the
 // degree (after the compiler's ID-bound filter) is known before the list is
@@ -215,7 +229,7 @@ func (m *HashMap) removeKeys(keys []graph.VID, bit Bits) {
 // deletion operation will always find the entry").
 func (m *HashMap) findForDelete(key graph.VID) int {
 	n := len(m.keys)
-	slot := m.hash(key)
+	slot := hash(key, n)
 	for i := 0; i < n; i++ {
 		if m.vals[slot] != 0 && m.keys[slot] == key {
 			m.stats.Probes += m.cycles(i)
@@ -235,7 +249,7 @@ func (m *HashMap) findForDelete(key graph.VID) int {
 // to skip holes.
 func (m *HashMap) findExisting(key graph.VID) (slot int, steps int64) {
 	n := len(m.keys)
-	slot = m.hash(key)
+	slot = hash(key, n)
 	for i := 0; i < n; i++ {
 		if m.vals[slot] == 0 {
 			return -1, m.cycles(i)

@@ -342,3 +342,19 @@ func TestStatsAddAggregatesEveryField(t *testing.T) {
 		}
 	}
 }
+
+// TestHashMapCyclesShiftEqualsDivision: a power-of-two bank count charges its
+// probe cycles by a shift, any other by the division — the same ⌊i/banks⌋ + 1.
+func TestHashMapCyclesShiftEqualsDivision(t *testing.T) {
+	for banks := 1; banks <= 9; banks++ {
+		m := NewHashMap(64, banks)
+		if pow2 := banks&(banks-1) == 0; pow2 != (m.shift >= 0) {
+			t.Errorf("banks=%d: shift %d", banks, m.shift)
+		}
+		for i := 0; i < 64; i++ {
+			if got, want := m.cycles(i), int64(i/banks)+1; got != want {
+				t.Errorf("banks=%d: cycles(%d) = %d, want %d", banks, i, got, want)
+			}
+		}
+	}
+}

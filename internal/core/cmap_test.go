@@ -34,8 +34,12 @@ func TestCMapBalanced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plans := []*plan.Plan{motifs}
-	for _, p := range []*pattern.Pattern{pattern.KClique(4), pattern.House(), pattern.FourCycle()} {
+	burst, err := plan.CompileMulti(burstPatterns(t), plan.Options{}) // the 4-cycle alone marks nothing (decision 24)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plans := []*plan.Plan{motifs, burst}
+	for _, p := range []*pattern.Pattern{pattern.KClique(4), pattern.House()} {
 		plans = append(plans, mustCompile(t, p, plan.Options{}))
 	}
 	for _, pl := range plans {

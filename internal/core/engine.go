@@ -103,22 +103,23 @@ func (o Options) withDefaults() Options {
 // galloping element comparisons, BitmapProbes counts c-map accesses (byte
 // probes, mark/unmark writes, distinctness probes) and local-row accesses
 // (position-map writes and lookups, row-build probes, row words read) and
+// far-side counter accesses (increments and resets, decision 24), and
 // Searches the binary searches none of them sees (DESIGN.md decision 20).
 // Counts and Candidates are the invariants across kernel policies — every
 // policy walks the same tree; the kernel counters are not, nor are
 // FrontierReuses and Searches — under KernelAuto they fall where a c-map scan or
 // a local row replaces a frontier+residual operation, or a probe or a row limit
 // a search — nor Extensions, the work proxy that falls by what ClosedForms
-// counted instead of extending (DESIGN.md decisions 22 and 23).
+// counted instead of extending (DESIGN.md decisions 22 to 24).
 type Stats struct {
 	Tasks           int64 // scheduled tasks executed (sub-tasks when slicing)
 	Extensions      int64 // vertices pushed onto ancestor stacks
 	Candidates      int64 // candidates emitted after pruning
 	SetOpIterations int64 // merge-loop iterations (SIU/SDU work proxy)
 	GallopProbes    int64 // galloping-kernel element comparisons
-	BitmapProbes    int64 // dense-structure accesses: the c-map's, and the local rows' (local.go)
+	BitmapProbes    int64 // dense-structure accesses: the c-map's, the local rows' (local.go) and the far-side counters'
 	LocalRows       int64 // local bit rows built
-	ClosedForms     int64 // nodes counted instead of extended: closed forms and factor lists (prog.go, closedForms, factorNodes)
+	ClosedForms     int64 // nodes counted instead of extended: closed forms, factor lists and far-side sweeps (prog.go, closedForms, factorNodes, farSides)
 	FrontierReuses  int64 // candidate lists built from a memoized frontier
 	Searches        int64 // binary searches: finite-bound prefixes, positions, memberships
 
@@ -397,6 +398,10 @@ type worker struct {
 	cmDeg  [cmLevels]int
 
 	loc localState // local rows (local.go); untouched unless the program has a local node
+
+	// far[x] counts, during one far-side sweep, the vertices of the swept list that
+	// x is adjacent to; all-zero between sweeps, nil until the first.
+	far []uint32
 }
 
 // cancelPollPeriod spaces the cancellation polls (a power of two): frequent
@@ -515,6 +520,12 @@ func (w *worker) walk(n *node) {
 		}
 		return
 	}
+	if n.far != nil && len(cands) > 0 {
+		w.farSide(n, cands)
+	}
+	if len(n.children) == 0 { // they were its twins, all of them
+		return
+	}
 	for i, v := range cands {
 		if w.cancelled() {
 			return
@@ -522,6 +533,107 @@ func (w *worker) walk(n *node) {
 		w.emb[depth], w.pos[depth] = v, i
 		w.descend(n)
 	}
+}
+
+// sliceHead is the part of n's list a hub slice leaves to the tasks before this
+// one: the start vertex's adjacency up to the slice, n being at depth 1 with some
+// candidate in the slice, so that all of it is below n's bound.
+func (w *worker) sliceHead(n *node) []graph.VID {
+	if n.depth != 1 || w.sliceHi < 0 {
+		return nil
+	}
+	return w.g.Adj(w.emb[0])[:w.sliceLo]
+}
+
+// farSide counts the twin levels that started from a's list (prog.go, farSides)
+// from their far corner f: Σ C(far[x], t) over the x that f's op admits, far[x]
+// being how many vertices of the list x is adjacent to. The sum grows by
+// C(k, t−1) with every increment k → k+1, so one sweep suffices and a hub slice
+// [lo, hi) is the sweep of the whole [0, hi) less what it had reached at lo.
+// Stats.Candidates gets what the levels would have emitted: every subset of two
+// to t list vertices the task owns, and the matches. The counters are reset by a
+// second sweep over the same rows — all of them at once if the first one panics.
+func (w *worker) farSide(a *node, list []graph.VID) {
+	f, head := a.far, w.sliceHead(a)
+	lo, hi := int64(len(head)), int64(len(head)+len(list))
+	_, emitted := choose(hi, f.twins)
+	_, before := choose(lo, f.twins)
+	w.stats.Candidates += emitted - hi - before + lo
+	if hi < int64(f.twins) {
+		return
+	}
+	if w.far == nil {
+		w.far = make([]uint32, w.g.NumVertices())
+	}
+	clean := false
+	defer func() {
+		if !clean {
+			clear(w.far)
+		}
+	}()
+	w.stats.ClosedForms++
+	bound := w.bound(f)
+	w.farSweep(f, head, bound) // for the counters alone: the tasks before this one own these
+	out := w.farOut(f, bound)
+	cnt := w.farSweep(f, list, bound) - (w.farOut(f, bound) - out)
+	for _, us := range [2][]graph.VID{head, list} {
+		for _, u := range us {
+			for _, x := range w.g.Adj(u) {
+				if x >= bound {
+					break
+				}
+				w.far[x] = 0
+			}
+		}
+	}
+	clean = true
+	w.stats.Candidates += cnt
+	w.counts[f.patternIdx] += cnt
+}
+
+// farSweep adds the rows of us below bound into the counters and returns what the
+// sum grew by at the vertices f's chain admits. It charges Stats.BitmapProbes two
+// accesses a counter — this one and the reset — and the chain's probe.
+func (w *worker) farSweep(f *node, us []graph.VID, bound graph.VID) (sum int64) {
+	far, t, masked, per := w.far, f.twins, f.cmap.scan != nil, int64(2)
+	var m chainOp
+	if masked {
+		m, per = f.cmap.scan[0], 3
+	}
+	for _, u := range us {
+		if w.cancelled() {
+			break
+		}
+		row, i := w.g.Adj(u), 0
+		for ; i < len(row) && row[i] < bound; i++ {
+			x := row[i]
+			k := far[x]
+			far[x] = k + 1
+			switch {
+			case masked && w.cm[x]&(m.need|m.avoid) != m.need:
+			case t == 2:
+				sum += int64(k)
+			default:
+				c, _ := choose(int64(k), t-1)
+				sum += c
+			}
+		}
+		w.stats.BitmapProbes += per * int64(i)
+	}
+	return sum
+}
+
+// farOut is what the sum holds, at this point of a sweep, for the NotEqual
+// ancestors that f's bound and chain admit: no candidates, so taken out again.
+func (w *worker) farOut(f *node, bound graph.VID) (sum int64) {
+	for _, j := range f.op.NotEqual {
+		if y := w.emb[j]; y < bound && (f.cmap.scan == nil || w.holds(f.cmap.scan[0], y)) {
+			c, _ := choose(int64(w.far[y]), f.twins)
+			sum += c
+		}
+	}
+	w.stats.BitmapProbes += int64(len(f.op.NotEqual))
+	return sum
 }
 
 // weighted is walk at and below a factor node (prog.go, factorNodes). The factor
@@ -777,7 +889,10 @@ suspects:
 func (w *worker) closed(n *node, m int64) (cnt, cands int64) {
 	w.stats.ClosedForms++
 	if n.closed.prod == nil {
-		return choose(m, n.closed.choose)
+		lo := int64(len(w.sliceHead(n))) // a hub slice is [lo, lo+m) of its list: C(lo+m, ·) − C(lo, ·)
+		cnt, cands = choose(lo+m, n.closed.choose)
+		c0, s0 := choose(lo, n.closed.choose)
+		return cnt - c0, cands - s0
 	}
 	a, b := w.count(n.closed.prod[0]), int64(0)
 	switch {

@@ -92,6 +92,8 @@ type node struct {
 	closed closed   // closedForms
 	local  localUse // localNodes
 	fac    *factor  // factorNodes: set at a factor node and at every node below it
+	far    *node    // farSides: the far corner of the twin levels that started from this node's list
+	twins  int      // farSides: on a far corner, the levels it stands for: its parent's and the ones cut below it
 	builds []int    // auxNodes: the aux specs this level activates
 	cmap   cmapUse  // markLevels
 }
@@ -173,10 +175,11 @@ type program struct {
 // lower builds the exec program of pl under o for graph g; listing selects the
 // visitor leaf mode (List) over the counting one (Mine). It alone names the passes
 // and their order: all but build are KernelAuto's (a merge-only program is the
-// plan's tree and its proofs), the two that count instead of extending run for
+// plan's tree and its proofs), the three that count instead of extending run for
 // counting only. closedForms goes first because it removes nodes, factorNodes after
-// localNodes because a local node is no factor, auxNodes after both because a row
-// goes to a consumer still standing, markLevels last because it reads every chain.
+// localNodes because a local node is no factor, farSides after both because local
+// twins and twins below a factor stay as they are, auxNodes after all three because
+// a row goes to a consumer still standing, markLevels last because it reads every chain.
 func lower(g graph.Store, pl *plan.Plan, o Options, listing bool) *program {
 	p := &program{pl: pl, closed: o.Kernel == KernelAuto && !listing}
 	p.root = p.build(pl.Root, nil, listing)
@@ -187,6 +190,7 @@ func lower(g graph.Store, pl *plan.Plan, o Options, listing bool) *program {
 		p.localNodes()
 		if p.closed {
 			p.factorNodes(p.root, nil)
+			p.farSides()
 		}
 		p.auxNodes(max(g.AvgDegree(), 1))
 		p.markLevels()
@@ -197,7 +201,9 @@ func lower(g graph.Store, pl *plan.Plan, o Options, listing bool) *program {
 // each calls f for every node a worker can evaluate, parents first, path holding
 // the node's ancestors (path[l] is level l): the tree through children, and the
 // count-only side nodes — a closed form's A and B, a weighted leaf's B — under the
-// path of the node they stand beside, whose depth is theirs. f does not keep path.
+// path of the node they stand beside, whose depth is theirs, a far corner under
+// that of the children it stands for. f does not keep path; it may cut children
+// from the node it is handed.
 func (p *program) each(f func(n *node, path []*node)) {
 	var path []*node
 	var visit func(n *node)
@@ -210,6 +216,9 @@ func (p *program) each(f func(n *node, path []*node)) {
 			visit(n.fac.minus)
 		}
 		path = append(path, n)
+		if n.far != nil {
+			visit(n.far)
+		}
 		for _, c := range n.children {
 			visit(c)
 		}
@@ -262,12 +271,12 @@ func (p *program) build(pn *plan.Node, path []*node, listing bool) *node {
 
 // closedForms counts instead of enumerating (DESIGN.md decision 22). It needs
 // build's tree, visits it children first, and leaves it smaller, with side nodes.
-// n is an interior node at depth ≥ 2 — a hub slice cuts the list of depth 1 —
-// whose only child c is a count-only leaf; it becomes one itself where the sum of
-// c's counts over n's m candidates depends on counts alone. Prefix: c's candidates
-// are n's list below n's vertex (c is bounded by n's loop position over n's
-// frontier or the same bare row, with no chain and no NotEqual), so c counts pos
-// and the sum is C(m, 2) — C(m, t+1) over a c that stands for t levels. Product:
+// n is an interior node at depth ≥ 1 whose only child c is a count-only leaf; it
+// becomes one itself where the sum of c's counts over n's m candidates depends on
+// counts alone. Prefix: c's candidates are n's list below n's vertex (prefix), so c
+// counts pos and the sum is C(m, 2) — C(m, t+1) over a c that stands for t levels,
+// C(hi, ·) − C(lo, ·) over the [lo, hi) of depth 1's list a hub slice is. Product,
+// at depth ≥ 2, where a list is whole:
 // c names n's level in NotEqual only, so its candidates S are the same under every
 // vertex v of n and Σ |S| − [v ∈ S] = m·A − B: A is c one level up without that
 // NotEqual, off the aux rows; B, there only if c had it, the candidates of n that
@@ -277,7 +286,7 @@ func (p *program) closedForms(n *node, path []*node) {
 	for _, c := range n.children {
 		p.closedForms(c, append(path, n))
 	}
-	if n.depth < 2 || len(n.children) != 1 {
+	if n.depth < 1 || len(n.children) != 1 {
 		return
 	}
 	c, d := n.children[0], n.depth
@@ -285,8 +294,8 @@ func (p *program) closedForms(n *node, path []*node) {
 		return
 	}
 	op := c.op
-	prefix := c.boundAt == d && len(op.NotEqual)+len(c.res) == 0 && (c.src == srcFrontier || len(c.adj) == 0)
-	if !prefix && (names(op, d) || c.closed.choose > 1) {
+	prefix := c.prefix(d)
+	if !prefix && (d < 2 || names(op, d) || c.closed.choose > 1) {
 		return
 	}
 	n.mode, n.patternIdx, n.children = leafCount, c.patternIdx, nil
@@ -308,6 +317,13 @@ func (p *program) closedForms(n *node, path []*node) {
 	if !n.closed.prodAll {
 		n.closed.prod = append(n.closed.prod, minus)
 	}
+}
+
+// prefix: c's candidates are level d's list below level d's vertex — c is bounded
+// by that level's loop position over its frontier or the same bare row, with no
+// chain of its own and no NotEqual.
+func (c *node) prefix(d int) bool {
+	return c.boundAt == d && len(c.op.NotEqual)+len(c.res) == 0 && (c.src == srcFrontier || len(c.adj) == 0)
 }
 
 // names: op reads level d's vertex or list — anything but NotEqual.
@@ -393,6 +409,49 @@ func independent(cs []*node, d int) bool {
 		}
 	}
 	return true
+}
+
+// farSides counts twin levels from their far corner (DESIGN.md decision 24). It
+// needs the closed forms, the local nodes and the factors decided, visits the tree
+// parents first, and leaves far corners and a tree without the levels they stand
+// for. A node a at depth d ≥ 1 has twins where a chain of only children hangs off
+// it, each the prefix of the list above it — t levels with a's, every t-subset of
+// a's list L once — and ends in a plain count-only leaf c that is adjacent to
+// every twin and names none anywhere else: summed over the subsets, c's counts are
+// Σ_{x ∈ X} C(|adj(x) ∩ L|, t), X being what the rest of c's op — bounds, NotEqual
+// and a chain, all of levels above d, few enough for the c-map to hold — leaves of
+// V. The chain goes; a keeps the far corner, that rest as a count-only node one
+// level down — made here, not by build: there is no proof to split, its NotEqual
+// comes out of the sum —, which walk sweeps once per L (engine.go, farSide) and
+// markLevels reads like any other. Local twins and twins at or below a factor stay
+// enumerated.
+func (p *program) farSides() {
+	p.each(func(a *node, path []*node) {
+		d := a.depth
+		if d < 1 || d > cmLevels || a.mode != interior || a.fac != nil {
+			return
+		}
+		for i, c := range a.children {
+			t := 1
+			for ; c.mode == interior && len(c.children) == 1 && c.prefix(d+t-1) && !c.local.on; t++ {
+				c = c.children[0]
+			}
+			if t < 2 || c.mode != leafCount || c.local.on || c.closed.choose > 1 || c.closed.prod != nil {
+				continue
+			}
+			twin := func(l int) bool { return l >= d }
+			srcs := append([]int{c.op.Extender}, c.op.Connected...)
+			op := plan.VertexOp{Level: d + 1, Extender: d, Connected: slices.DeleteFunc(srcs, twin), Disconnected: c.op.Disconnected,
+				UpperBounds: c.op.UpperBounds, NotEqual: c.op.NotEqual, FrontierBase: plan.NoLevel, AuxBase: plan.NoLevel}
+			if len(srcs)-len(op.Connected) != t || slices.ContainsFunc(slices.Concat(op.Disconnected, op.UpperBounds, op.NotEqual), twin) {
+				continue
+			}
+			a.far = &node{op: &op, depth: d + 1, patternIdx: c.patternIdx, mode: leafCount,
+				adj: flatten(op.Connected, op.Disconnected), boundAt: plan.NoLevel, twins: t}
+			a.children = slices.Delete(a.children, i, i+1)
+			return
+		}
+	})
 }
 
 // auxNodes hands the plan's aux directives (DESIGN.md decision 14) to the consumers

@@ -195,7 +195,7 @@ func catalogPlans(t *testing.T) []*plan.Plan {
 // engine, may assume.
 func TestLoweringInvariants(t *testing.T) {
 	g := graph.ErdosRenyi(40, 120, 1)
-	var sides, factors, locals, kept int
+	var sides, factors, locals, kept, fars int
 	for _, pl := range catalogPlans(t) {
 		for _, o := range []Options{{}, {Kernel: KernelMergeOnly}} {
 			for _, listing := range []bool{false, true} {
@@ -213,16 +213,16 @@ func TestLoweringInvariants(t *testing.T) {
 					if len(path) != n.depth || n.depth > 0 && path[n.depth-1].depth != n.depth-1 {
 						bad(n, "each handed a path of %d ancestors", len(path))
 					}
-					if leaf := len(n.children) == 0; leaf != (n.mode != interior) || leaf && n.op.MemoizeFrontier && reflect.DeepEqual(n.closed, closed{}) || listing && n.mode == leafCount {
+					if leaf := len(n.children) == 0 && n.far == nil; leaf != (n.mode != interior) || leaf && n.op.MemoizeFrontier && reflect.DeepEqual(n.closed, closed{}) || listing && n.mode == leafCount {
 						bad(n, "mode %d with %d children, MemoizeFrontier=%v", n.mode, len(n.children), n.op.MemoizeFrontier)
 					}
 					if n.mode != leafCount && !reflect.DeepEqual(n.proof, proof{}) {
 						bad(n, "a proof on a node that counts nothing")
 					}
-					// closedForms: a closed form is a count-only leaf at depth ≥ 2; its side
-					// nodes are plain count-only leaves of its own depth, off the aux rows.
+					// closedForms: a closed form is a count-only leaf, a product at depth ≥ 2;
+					// its side nodes are plain count-only leaves of its own depth, off the aux rows.
 					c := n.closed
-					if (c.choose > 1 || c.prod != nil) && (n.mode != leafCount || n.depth < 2 || c.choose > 1 && c.prod != nil || len(c.prod) > 2 || c.prodAll && len(c.prod) != 1) {
+					if (c.choose > 1 || c.prod != nil) && (n.mode != leafCount || n.depth < 1 || c.prod != nil && n.depth < 2 || c.choose > 1 && c.prod != nil || len(c.prod) > 2 || c.prodAll && len(c.prod) != 1) {
 						bad(n, "closed form %+v on mode %d", c, n.mode)
 					}
 					ts := c.prod
@@ -257,6 +257,23 @@ func TestLoweringInvariants(t *testing.T) {
 						}
 					} else if n.depth > 0 && path[n.depth-1].fac != nil && slices.Contains(path[n.depth-1].children, n) {
 						bad(n, "no factor below one")
+					}
+					// farSides: a far corner hangs one level below an interior node that is
+					// not under a factor, stands for two levels or more, and is a
+					// plain count-only node whose op names no level it stands for — none below
+					// the node it hangs off, whose list is the rows it sweeps.
+					if f := n.far; f != nil {
+						fars++
+						named := slices.Concat(f.op.Connected, f.op.Disconnected, f.op.UpperBounds, f.op.NotEqual)
+						if n.mode != interior || n.depth < 1 || n.fac != nil || f.depth != n.depth+1 || f.twins < 2 || f.op.Extender != n.depth ||
+							slices.ContainsFunc(named, func(l int) bool { return l >= n.depth }) || len(f.adj) != len(f.op.Connected)+len(f.op.Disconnected) ||
+							f.mode != leafCount || f.children != nil || f.far != nil || f.fac != nil || f.local.on || f.src != srcAdj || f.op.AuxBase != plan.NoLevel ||
+							!reflect.DeepEqual(f.closed, closed{}) || !reflect.DeepEqual(f.proof, proof{}) {
+							bad(n, "far corner %+v of %d twins", f.op, f.twins)
+						}
+					}
+					if (n.twins > 0) != (n.depth > 0 && path[n.depth-1].far == n) {
+						bad(n, "twins=%d on a node that is its parent's far corner: %v", n.twins, n.twins == 0)
 					}
 					// auxNodes: a consumer reads a kept spec its activation level builds, from
 					// above the factor if it is below one; builds names kept specs of this level.
@@ -305,7 +322,7 @@ func TestLoweringInvariants(t *testing.T) {
 					// A merge-only lowering is build's tree and nothing else; a listing one
 					// counts nothing in closed form.
 					if o.Kernel == KernelMergeOnly && (n.local.on || n.fac != nil || n.builds != nil || n.src == srcAux || !reflect.DeepEqual(m, cmapUse{})) ||
-						(o.Kernel == KernelMergeOnly || listing) && (n.fac != nil || !reflect.DeepEqual(c, closed{})) {
+						(o.Kernel == KernelMergeOnly || listing) && (n.fac != nil || n.far != nil || !reflect.DeepEqual(c, closed{})) {
 						bad(n, "state of a pass that did not run")
 					}
 				})
@@ -320,8 +337,8 @@ func TestLoweringInvariants(t *testing.T) {
 			}
 		}
 	}
-	if sides == 0 || factors == 0 || locals == 0 || kept == 0 {
-		t.Fatalf("the catalog exercised %d side nodes, %d nodes at or below a factor, %d local nodes, %d aux consumers: a pass is vacuous here", sides, factors, locals, kept)
+	if sides == 0 || factors == 0 || locals == 0 || kept == 0 || fars == 0 {
+		t.Fatalf("the catalog exercised %d side nodes, %d nodes at or below a factor, %d local nodes, %d aux consumers, %d far corners: a pass is vacuous here", sides, factors, locals, kept, fars)
 	}
 }
 
