@@ -54,7 +54,7 @@ type Options struct {
 	Kernel KernelPolicy
 
 	// HubBitmaps is read by nothing. Retired — delete with benchmark round
-	// two (ROADMAP 5d): the hub-bitmap index it sized is gone (DESIGN
+	// two (ROADMAP 1f): the hub-bitmap index it sized is gone (DESIGN
 	// decision 8) and only benchmark/mining.go's baseline literal still
 	// sets it.
 	HubBitmaps int

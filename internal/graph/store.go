@@ -75,7 +75,7 @@ func Open(path string, mmap bool) (Store, func() error, error) {
 	return g, noop, nil
 }
 
-// Retired — delete with benchmark round two (ROADMAP 5d). The hub-bitmap
+// Retired — delete with benchmark round two (ROADMAP 1f). The hub-bitmap
 // index is gone (DESIGN decision 8) and no store implements HubIndexer;
 // benchmark/mining.go still type-asserts for it, the assertion is false, and
 // graph.hubindex_s is never observed. Nothing else may name either type.

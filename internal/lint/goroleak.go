@@ -7,11 +7,13 @@ package lint
 // reviewer nor a test author can find from the spawn site.
 //
 // That the body then terminates into its spawner (WaitGroup pairing,
-// ctx/done-channel receive, completion send) is proven at runtime, where it
-// is cheaper and covers more: each spawning package (sched, sim, serve, jobs,
-// core) has a goroutine-baseline test that counts goroutines, drives the
-// spawner through completion and cancellation, and fails unless the count
-// returns.
+// ctx/done-channel receive) is proven at runtime, where it is cheaper and
+// covers more: each spawning package (sched, serve, jobs, core) has a
+// goroutine-baseline test that counts goroutines, drives the spawner through
+// completion and cancellation, and fails unless the count returns. sim has no
+// `go` statement for this rule to look at — its PEs are iter.Pull coroutines —
+// and keeps its baseline test all the same: a pull coroutine is a goroutine
+// to runtime.NumGoroutine until its stop is called.
 
 import (
 	"go/ast"

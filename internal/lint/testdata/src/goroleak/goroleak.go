@@ -1,6 +1,7 @@
 // Package goroleakfix seeds spawn sites for the goroleak analyzer tests,
-// mirroring sched's worker pool (literal), sim's PE coroutines (method) and
-// jobs' dispatcher (method on the owner).
+// mirroring sched's worker pool (literal) and jobs' dispatcher (method on the
+// owner). sim is not mirrored: its PEs are pull coroutines and it has no spawn
+// site; pe.loop below is just a method spawned with `go`.
 package goroleakfix
 
 import "sync"

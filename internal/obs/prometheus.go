@@ -3,6 +3,8 @@ package obs
 import (
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 	"strings"
 )
 
@@ -43,7 +45,7 @@ func (r *Registry) WritePrometheus(w io.Writer, namespace string) error {
 	hists := r.histogramSnapshots()
 
 	bw := &errWriter{w: w}
-	for _, name := range sortedKeys(counters) {
+	for _, name := range slices.Sorted(maps.Keys(counters)) {
 		metric := namespace + "_" + sanitizeMetricName(name)
 		h := help[name]
 		if h == "" {
@@ -51,7 +53,7 @@ func (r *Registry) WritePrometheus(w io.Writer, namespace string) error {
 		}
 		bw.printf("# HELP %s %s\n# TYPE %s counter\n%s %d\n", metric, h, metric, metric, counters[name])
 	}
-	for _, name := range sortedKeys(labeled) {
+	for _, name := range slices.Sorted(maps.Keys(labeled)) {
 		fam := labeled[name]
 		metric := namespace + "_" + sanitizeMetricName(name)
 		h := fam.Help
@@ -60,11 +62,11 @@ func (r *Registry) WritePrometheus(w io.Writer, namespace string) error {
 		}
 		bw.printf("# HELP %s %s\n# TYPE %s counter\n", metric, h, metric)
 		label := sanitizeMetricName(fam.Label)
-		for _, lv := range sortedKeys(fam.Values) {
+		for _, lv := range slices.Sorted(maps.Keys(fam.Values)) {
 			bw.printf("%s{%s=%q} %d\n", metric, label, lv, fam.Values[lv])
 		}
 	}
-	for _, name := range sortedKeys(hists) {
+	for _, name := range slices.Sorted(maps.Keys(hists)) {
 		writeHistogramFamily(bw, namespace, name, hists[name])
 	}
 	if len(phases) > 0 {
@@ -91,7 +93,7 @@ func writeHistogramFamily(bw *errWriter, namespace, name string, fam HistogramSn
 	}
 	bw.printf("# HELP %s %s\n# TYPE %s histogram\n", metric, h, metric)
 	label := sanitizeMetricName(fam.Label)
-	for _, lv := range sortedKeys(fam.Series) {
+	for _, lv := range slices.Sorted(maps.Keys(fam.Series)) {
 		s := fam.Series[lv]
 		pair := fmt.Sprintf("%s=%q", label, lv)
 		var cum int64

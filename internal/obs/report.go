@@ -4,7 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 )
 
@@ -99,14 +100,14 @@ func HistogramQuantile(bounds []int64, s HistogramSeries, q float64) int64 {
 // series (per tenant on the serving path) with count, mean and p50/p95/p99
 // upper-bound estimates.
 func renderHistograms(bw *errWriter, hists map[string]HistogramSnapshot) {
-	for _, name := range sortedKeys(hists) {
+	for _, name := range slices.Sorted(maps.Keys(hists)) {
 		fam := hists[name]
 		bw.printf("\n## Histogram: %s\n\n", name)
 		if fam.Help != "" {
 			bw.printf("%s\n\n", fam.Help)
 		}
 		bw.printf("| %s | count | mean | p50 | p95 | p99 |\n|---|---:|---:|---:|---:|---:|\n", fam.Label)
-		for _, lv := range sortedKeys(fam.Series) {
+		for _, lv := range slices.Sorted(maps.Keys(fam.Series)) {
 			s := fam.Series[lv]
 			mean := "—"
 			if s.Count > 0 {
@@ -123,7 +124,7 @@ func renderHistograms(bw *errWriter, hists map[string]HistogramSnapshot) {
 // renderLabeledCounters emits one table per labeled counter family, a row
 // per label value plus a total — the per-tenant throughput/fairness view.
 func renderLabeledCounters(bw *errWriter, lcs map[string]LabeledCounterSnapshot) {
-	for _, name := range sortedKeys(lcs) {
+	for _, name := range slices.Sorted(maps.Keys(lcs)) {
 		fam := lcs[name]
 		bw.printf("\n## Labeled counter: %s\n\n", name)
 		if fam.Help != "" {
@@ -134,7 +135,7 @@ func renderLabeledCounters(bw *errWriter, lcs map[string]LabeledCounterSnapshot)
 			total += v
 		}
 		bw.printf("| %s | value | share |\n|---|---:|---:|\n", fam.Label)
-		for _, lv := range sortedKeys(fam.Values) {
+		for _, lv := range slices.Sorted(maps.Keys(fam.Values)) {
 			bw.printf("| %s | %d | %s |\n", lv, fam.Values[lv], pct(fam.Values[lv], total))
 		}
 		bw.printf("| **total** | **%d** | 100.0%% |\n", total)
@@ -157,14 +158,14 @@ func renderBreakdowns(bw *errWriter, counters map[string]int64) {
 		}
 		groups[prefix][bucket] = v
 	}
-	for _, prefix := range sortedKeys(groups) {
+	for _, prefix := range slices.Sorted(maps.Keys(groups)) {
 		buckets := groups[prefix]
 		var total int64
 		for _, v := range buckets {
 			total += v
 		}
 		bw.printf("\n## Cycle breakdown: %s\n\n| bucket | cycles | share |\n|---|---:|---:|\n", prefix)
-		for _, b := range sortedKeys(buckets) {
+		for _, b := range slices.Sorted(maps.Keys(buckets)) {
 			bw.printf("| %s | %d | %s |\n", b, buckets[b], pct(buckets[b], total))
 		}
 		bw.printf("| **total** | **%d** | 100.0%% |\n", total)
@@ -186,9 +187,9 @@ func renderCounterGroups(bw *errWriter, counters map[string]int64) {
 		}
 		groups[g] = append(groups[g], name)
 	}
-	for _, g := range sortedKeys(groups) {
+	for _, g := range slices.Sorted(maps.Keys(groups)) {
 		names := groups[g]
-		sort.Strings(names)
+		slices.Sort(names)
 		bw.printf("\n## Counters: %s\n\n| counter | value |\n|---|---:|\n", g)
 		for _, name := range names {
 			bw.printf("| %s | %d |\n", name, counters[name])
@@ -206,7 +207,7 @@ func renderTimeseries(bw *errWriter, ts *Timeseries) {
 	last := ts.Samples[len(ts.Samples)-1]
 	bw.printf("\n## Time series\n\n%d samples over %d cycles (window %d).\n\n| series | final | peak Δ/window |\n|---|---:|---:|\n",
 		len(ts.Samples), last.T, ts.Window)
-	for _, key := range sortedKeys(last.Values) {
+	for _, key := range slices.Sorted(maps.Keys(last.Values)) {
 		var prev, peak int64
 		for _, s := range ts.Samples {
 			if d := s.Values[key] - prev; d > peak {
@@ -224,15 +225,6 @@ func pct(part, total int64) string {
 		return "—"
 	}
 	return fmt.Sprintf("%.1f%%", 100*float64(part)/float64(total))
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // errWriter latches the first write error so the renderers stay linear.

@@ -24,7 +24,10 @@ package plan
 // runs) mine identical counts, and the plan itself is byte-identical either
 // way — the goldens lock the directives alongside the other hints.
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // auxSpecFor derives the auxiliary-graph spec for one op on one root path,
 // or reports that none qualifies. Qualification mirrors the frontier-base
@@ -182,7 +185,7 @@ func assignAuxDirectives(pl *Plan, lesses [][][]bool) {
 			// spec may be consumed on several branches with distinct
 			// activation nodes).
 			build := &path[spec.Level].Op
-			if !containsInt(build.BuildAux, id) {
+			if !slices.Contains(build.BuildAux, id) {
 				build.BuildAux = append(build.BuildAux, id)
 			}
 			op.AuxBase = id
@@ -201,7 +204,7 @@ func assignAuxDirectives(pl *Plan, lesses [][][]bool) {
 func residualLevels(all, folded []int) []int {
 	var out []int
 	for _, j := range all {
-		if !containsInt(folded, j) {
+		if !slices.Contains(folded, j) {
 			out = append(out, j)
 		}
 	}

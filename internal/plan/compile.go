@@ -7,6 +7,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/pattern"
 )
@@ -318,12 +319,12 @@ func assignFrontierBases(ops []VertexOp, less [][]bool) {
 		op.FrontierBase = best
 		baseS := sourceSet(ops[best])
 		for _, s := range si {
-			if !containsInt(baseS, s) {
+			if !slices.Contains(baseS, s) {
 				op.IntersectWith = append(op.IntersectWith, s)
 			}
 		}
 		for _, d := range op.Disconnected {
-			if !containsInt(ops[best].Disconnected, d) {
+			if !slices.Contains(ops[best].Disconnected, d) {
 				op.DifferenceWith = append(op.DifferenceWith, d)
 			}
 		}
@@ -350,20 +351,11 @@ func boundsImplied(cur, base []int, less [][]bool) bool {
 
 func subset(a, b []int) bool {
 	for _, x := range a {
-		if !containsInt(b, x) {
+		if !slices.Contains(b, x) {
 			return false
 		}
 	}
 	return true
-}
-
-func containsInt(s []int, x int) bool {
-	for _, v := range s {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }
 
 // chainToNodes turns an op chain into a degenerate tree whose leaf completes

@@ -47,7 +47,6 @@ type Hooks struct {
 func MergeHooks(hs ...Hooks) Hooks {
 	var out Hooks
 	for _, h := range hs {
-		h := h
 		if h.OnSteal != nil {
 			prev := out.OnSteal
 			out.OnSteal = func(thief, victim, ntasks int) {

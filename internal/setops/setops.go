@@ -271,7 +271,7 @@ func DifferenceGallopingCount(a, b []VID, bound VID) (int64, int64) {
 // BitmapWords returns the number of uint64 words a dense vertex bitmap needs
 // to cover IDs < n.
 //
-// Retired — delete with benchmark round two (ROADMAP 5d): only
+// Retired — delete with benchmark round two (ROADMAP 1f): only
 // benchmark/micro.go sizes a bitmap with it, for IntersectBitmap below.
 func BitmapWords(n int) int { return (n + 63) / 64 }
 
@@ -279,7 +279,7 @@ func BitmapWords(n int) int { return (n + 63) / 64 }
 // dense bitmap indexed by vertex ID (out-of-range IDs read as absent). The
 // second result is the probe count.
 //
-// Retired — delete with benchmark round two (ROADMAP 5d): the hub-bitmap
+// Retired — delete with benchmark round two (ROADMAP 1f): the hub-bitmap
 // kernels went with the index they probed (DESIGN decision 8) and the engine
 // never calls this one; benchmark/micro.go still times it for
 // setops.bitmap_ns_per_elem, so it stays, held to the merge reference by this

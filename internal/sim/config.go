@@ -15,7 +15,11 @@
 // access per cycle for single-group probes (§VI-A), 1.3 GHz PEs.
 package sim
 
-import "repro/internal/obs"
+import (
+	"fmt"
+
+	"repro/internal/obs"
+)
 
 // Config describes an accelerator configuration. The zero value is unusable;
 // start from DefaultConfig.
@@ -154,10 +158,6 @@ func (c Config) validate() error {
 	return nil
 }
 
-type configError string
-
-func (e configError) Error() string { return "sim: bad config: " + string(e) }
-
 func errf(format string, args ...any) error {
-	return configError(sprintf(format, args...))
+	return fmt.Errorf("sim: bad config: "+format, args...)
 }

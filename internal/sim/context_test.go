@@ -68,10 +68,11 @@ func goroutinesReturnTo(t *testing.T, before int) {
 	}
 }
 
-// TestSimulateJoinsPEs holds the runtime half of the goroutine-leak invariant
-// for the PE coroutines (flexlint's goroleak holds the static half): a run to
-// completion and a run whose deadline fires mid-simulation both retire every
-// PE before returning.
+// TestSimulateJoinsPEs holds the leak invariant for the PE coroutines — the
+// package has no `go` statement for flexlint's goroleak to look at, but a pull
+// coroutine is a goroutine to runtime.NumGoroutine until its stop is called: a
+// run to completion and a run whose deadline fires mid-simulation both retire
+// and stop every PE before returning.
 func TestSimulateJoinsPEs(t *testing.T) {
 	g := graph.ChungLu(2000, 24000, 2.3, 5)
 	pl, err := plan.Compile(pattern.Diamond(), plan.Options{})
@@ -92,6 +93,30 @@ func TestSimulateJoinsPEs(t *testing.T) {
 	if res.Stats.Tasks >= int64(g.NumVertices()) {
 		t.Errorf("deadline run dispatched all %d tasks; want it cut short", res.Stats.Tasks)
 	}
+	goroutinesReturnTo(t, before)
+}
+
+// TestPEPanicIsTheCallersPanic: a PE that panics mid-task panics the goroutine
+// that called Simulate, where it can be recovered, and the other PEs — parked
+// at a shared event, most of them mid-task — are stopped, not abandoned.
+func TestPEPanicIsTheCallersPanic(t *testing.T) {
+	g := graph.ChungLu(400, 3000, 2.3, 5)
+	pl, err := plan.Compile(pattern.Triangle(), plan.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Row still promises the whole edge array: the first Adj past the cut is
+	// a slice-bounds panic deep in some PE's walk.
+	g.Col = g.Col[: len(g.Col)/2 : len(g.Col)/2]
+	before := runtime.NumGoroutine()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Simulate returned; want the PE's panic in this goroutine")
+			}
+		}()
+		Simulate(g, pl, DefaultConfig().WithPEs(8))
+	}()
 	goroutinesReturnTo(t, before)
 }
 

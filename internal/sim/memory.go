@@ -1,9 +1,5 @@
 package sim
 
-import "fmt"
-
-func sprintf(format string, args ...any) string { return fmt.Sprintf(format, args...) }
-
 // cache is a tag-only set-associative LRU cache. The simulator tracks which
 // lines would be resident, not their contents (the functional data comes
 // from the in-memory graph).
@@ -125,22 +121,12 @@ func (m *memSystem) line(addr uint64, t int64) (done int64, fromDRAM bool) {
 	return done + int64(m.cfg.NoCLatency), fromDRAM
 }
 
-// dramBusy returns the per-channel occupied cycles of the reservation
-// cursors.
-func (m *memSystem) dramBusy() []int64 {
-	out := make([]int64, len(m.dram))
-	for i := range m.dram {
-		out[i] = m.dram[i].busy
-	}
-	return out
-}
-
-// l2BankBusy returns the per-bank occupied cycles of the L2 reservation
-// cursors.
-func (m *memSystem) l2BankBusy() []int64 {
-	out := make([]int64, len(m.l2Banks))
-	for i := range m.l2Banks {
-		out[i] = m.l2Banks[i].busy
+// busyCycles returns the occupied cycles of each reservation cursor (the
+// DRAM channels, the L2 banks).
+func busyCycles(rs []resource) []int64 {
+	out := make([]int64, len(rs))
+	for i := range rs {
+		out[i] = rs[i].busy
 	}
 	return out
 }

@@ -26,12 +26,8 @@ type pe struct {
 	stall int64 // cycles waiting for memory
 
 	// bkt attributes every clock advance to one Breakdown bucket (Idle is
-	// filled in by collect, from the retirement-to-makespan gap). lineDRAM
-	// is set by the coordinator before answering an evNeedLine request and
-	// tells the stall accounting whether the line came from DRAM or the L2;
-	// the write happens-before the reply-channel receive, so it is race-free.
-	bkt      Breakdown
-	lineDRAM bool
+	// filled in by collect, from the retirement-to-makespan gap).
+	bkt Breakdown
 
 	l1       *cache
 	l1Hits   int64
@@ -45,7 +41,8 @@ type pe struct {
 	mergeA []graph.VID
 	mergeB []graph.VID
 
-	reply chan int64 // coordinator → PE resume channel
+	yield func(event) bool // iter.Pull's: parks the PE at a shared event
+	reply reply            // what the coordinator left before resuming it
 
 	// sliceLo/sliceHi restrict the current task's level-1 adjacency range
 	// (task slicing; hi == -1 means unrestricted).
@@ -57,7 +54,7 @@ type pe struct {
 	tasks    int64
 	extends  int64
 
-	// retired flips once the scheduler runs dry and the PE sends evDone;
+	// retired flips once the scheduler runs dry and the PE yields evDone;
 	// the coordinator reads it for the pes_active time-series value.
 	retired bool
 }
@@ -72,7 +69,6 @@ func newPE(id int, s *simulator) *pe {
 		emb:       make([]graph.VID, s.pl.K),
 		levels:    make([][]graph.VID, s.pl.K),
 		counts:    make([]int64, len(s.pl.Patterns)),
-		reply:     make(chan int64),
 	}
 	for i := range p.levels {
 		p.levels[i] = make([]graph.VID, 0, s.g.MaxDegree())

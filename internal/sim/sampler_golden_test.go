@@ -11,6 +11,7 @@ package sim
 
 import (
 	"bytes"
+	"fmt"
 	"path/filepath"
 	"testing"
 
@@ -68,7 +69,7 @@ func TestSimTimeseriesGolden(t *testing.T) {
 	}
 	var dramBusy int64
 	for ch := range res.Stats.DRAMChannelBusy {
-		dramBusy += last.Values[sprintf("dram_busy_cycles.%d", ch)]
+		dramBusy += last.Values[fmt.Sprintf("dram_busy_cycles.%d", ch)]
 	}
 	if dramBusy != res.Stats.DRAMBusyCycles {
 		t.Errorf("final per-channel dram busy sums to %d, Stats=%d", dramBusy, res.Stats.DRAMBusyCycles)

@@ -1,17 +1,19 @@
 package sim
 
-// Top-level simulator: a conservative discrete-event engine. Each PE runs as
-// a coroutine (goroutine) that blocks at every *shared* event — a scheduler
-// task request or a shared-memory line fetch — while pure compute and
-// private-cache hits advance its local clock without synchronization. The
-// coordinator always resumes the pending event with the smallest simulated
-// time (ties broken by PE id), so shared resources observe requests in
-// global time order and their queueing is exact and deterministic.
+// Top-level simulator: a conservative discrete-event engine, and a sequential
+// program. Each PE is a pull coroutine (iter.Pull over pe.loop) that yields at
+// every *shared* event — a scheduler task request or a shared-memory line
+// fetch — while pure compute and private-cache hits advance its local clock.
+// The coordinator always resumes the pending event with the smallest simulated
+// time (ties broken by PE id), so shared resources observe requests in global
+// time order and their queueing is exact and deterministic. The package starts
+// no goroutine and owns no channel (TestPackageIsSequential).
 
 import (
 	"container/heap"
 	"context"
 	"fmt"
+	"iter"
 
 	"repro/internal/cmap"
 	"repro/internal/graph"
@@ -90,7 +92,7 @@ func (r Result) Speedup(baselineSeconds float64) float64 {
 	return baselineSeconds / r.Stats.Seconds
 }
 
-// event kinds exchanged between PE coroutines and the coordinator.
+// event kinds a PE coroutine yields to the coordinator.
 const (
 	evNeedTask = iota // PE idle, wants the next start vertex
 	evNeedLine        // PE blocked on a shared-memory line fetch
@@ -104,6 +106,13 @@ type event struct {
 	addr uint64 // for evNeedLine
 }
 
+// reply is the coordinator's answer, left in the PE before it is resumed: the
+// task index (-1: none left), or a line's arrival cycle and whether DRAM served it.
+type reply struct {
+	n        int64
+	fromDRAM bool
+}
+
 type simulator struct {
 	cfg Config
 	g   *graph.Graph
@@ -112,7 +121,6 @@ type simulator struct {
 	mem *memSystem
 	pes []*pe
 
-	evCh     chan event
 	tasks    []sched.Task
 	nextTask int
 	done     <-chan struct{} // run context's cancellation signal
@@ -147,7 +155,6 @@ func SimulateContext(ctx context.Context, g *graph.Graph, pl *plan.Plan, cfg Con
 		pl:   pl,
 		am:   newAddressMap(g.NumVertices()),
 		mem:  newMemSystem(cfg),
-		evCh: make(chan event),
 		done: ctx.Done(),
 	}
 	s.tasks = sched.Expand(g, cfg.TaskSliceElems)
@@ -177,27 +184,26 @@ func (s *simulator) cancelled() bool {
 	}
 }
 
-// run launches the PE coroutines and processes events in simulated-time
-// order until every PE has retired.
+// run processes events in simulated-time order until every PE has retired.
+// Every coroutine is stopped on every way out: a retired PE is parked on its
+// evDone, and when a PE panics (here, out of its next) the others are mid-task.
 func (s *simulator) run() {
-	for _, p := range s.pes {
-		go p.loop()
-	}
 	// Every live PE has exactly one outstanding event; keep them in a
 	// min-(time, id) heap and always service the earliest.
-	pq := make(eventHeap, 0, len(s.pes))
-	for range s.pes {
-		ev := <-s.evCh
-		pq = append(pq, ev)
+	pq := make(eventHeap, len(s.pes))
+	next := make([]func() (event, bool), len(s.pes)) // next[i] runs PE i to its next event
+	for i, p := range s.pes {
+		var stop func()
+		next[i], stop = iter.Pull(p.loop)
+		defer stop()
+		pq[i], _ = next[i]()
 	}
 	heap.Init(&pq)
-	live := len(s.pes)
-	for live > 0 {
+	for live := len(s.pes); live > 0; {
 		ev := heap.Pop(&pq).(event)
 		// Sampling rides the global event order: before the earliest pending
-		// event executes, snapshot every window boundary it crosses. All
-		// live PEs are blocked on their reply channels here, so reading
-		// their counters is race-free, and sampling only reads — cycle
+		// event executes, snapshot every window boundary it crosses. Every
+		// PE is parked at a yield here, and sampling only reads — cycle
 		// counts are provably invariant under it.
 		if sp := s.cfg.Sample; sp.Enabled() {
 			for sp.Due(ev.t) {
@@ -209,44 +215,54 @@ func (s *simulator) run() {
 			live--
 			continue
 		case evNeedTask:
+			ev.pe.reply = reply{n: -1}
 			if s.nextTask < len(s.tasks) && !s.cancelled() {
 				if tr := s.cfg.Trace; tr.Enabled() {
 					tr.EmitAt(obs.CatSched, "dispatch", ev.pe.id, ev.t, 0,
 						obs.Arg{Key: "task", Val: int64(s.nextTask)},
 						obs.Arg{Key: "v0", Val: int64(s.tasks[s.nextTask].V0)})
 				}
-				ev.pe.reply <- int64(s.nextTask)
+				ev.pe.reply.n = int64(s.nextTask)
 				s.nextTask++
-			} else {
-				ev.pe.reply <- -1
 			}
 		case evNeedLine:
-			done, fromDRAM := s.mem.line(ev.addr, ev.t)
-			ev.pe.lineDRAM = fromDRAM
-			ev.pe.reply <- done
+			ev.pe.reply.n, ev.pe.reply.fromDRAM = s.mem.line(ev.addr, ev.t)
 		}
-		// The resumed PE runs until its next shared event; no other PE is
-		// runnable meanwhile, so this receive is race-free.
-		heap.Push(&pq, <-s.evCh)
+		// Always an event: a PE yields evDone before its loop returns.
+		ev, _ = next[ev.pe.id]()
+		heap.Push(&pq, ev)
 	}
 }
 
-// await sends an event and blocks for the coordinator's answer.
-func (p *pe) await(kind int, addr uint64) int64 {
-	p.sim.evCh <- event{pe: p, kind: kind, t: p.clock, addr: addr}
-	return <-p.reply
+// stopped unwinds a PE that is stopped while parked mid-task: await panics
+// with it from whatever DFS depth the PE yielded at, loop recovers it.
+type stopped struct{}
+
+// await yields an event and returns the coordinator's answer.
+func (p *pe) await(kind int, addr uint64) reply {
+	if !p.yield(event{pe: p, kind: kind, t: p.clock, addr: addr}) {
+		panic(stopped{})
+	}
+	return p.reply
 }
 
-// loop is the PE coroutine body: fetch tasks until the scheduler runs dry.
-func (p *pe) loop() {
+// loop is the PE coroutine body, an iter.Seq[event]: fetch tasks until the
+// scheduler runs dry, then park on evDone until stopped.
+func (p *pe) loop(yield func(event) bool) {
+	p.yield = yield
+	defer func() {
+		if r := recover(); r != nil && r != (stopped{}) {
+			panic(r)
+		}
+	}()
 	for {
-		id := p.await(evNeedTask, 0)
+		id := p.await(evNeedTask, 0).n
 		if id < 0 {
 			if tr := p.sim.cfg.Trace; tr.Enabled() {
 				tr.EmitAt(obs.CatSimPE, "retire", p.id, p.clock, 0)
 			}
 			p.retired = true
-			p.sim.evCh <- event{pe: p, kind: evDone, t: p.clock}
+			yield(event{pe: p, kind: evDone, t: p.clock})
 			return
 		}
 		p.runTask(p.sim.tasks[id])
@@ -255,19 +271,18 @@ func (p *pe) loop() {
 
 // memLine blocks the PE until the line containing addr arrives from the
 // shared side, advancing its clock to the completion time. The stall is
-// attributed to the L2 or DRAM bucket according to where the line was
-// served (lineDRAM, set by the coordinator before the reply).
+// attributed to the L2 or DRAM bucket according to where the line was served.
 func (p *pe) memLine(addr uint64) {
-	done := p.await(evNeedLine, addr)
-	if done > p.clock {
-		d := done - p.clock
+	r := p.await(evNeedLine, addr)
+	if r.n > p.clock {
+		d := r.n - p.clock
 		p.stall += d
-		if p.lineDRAM {
+		if r.fromDRAM {
 			p.bkt.DRAMStall += d
 		} else {
 			p.bkt.L2Stall += d
 		}
-		p.clock = done
+		p.clock = r.n
 	}
 }
 
@@ -300,8 +315,8 @@ func (s *simulator) collect() Result {
 	st.DRAMAccesses = s.mem.dramReqs
 	st.L2Hits = s.mem.l2Hits
 	st.L2Misses = s.mem.l2Misses
-	st.DRAMChannelBusy = s.mem.dramBusy()
-	st.L2BankBusy = s.mem.l2BankBusy()
+	st.DRAMChannelBusy = busyCycles(s.mem.dram)
+	st.L2BankBusy = busyCycles(s.mem.l2Banks)
 	for _, b := range st.DRAMChannelBusy {
 		st.DRAMBusyCycles += b
 	}
@@ -329,9 +344,8 @@ func (s *simulator) collect() Result {
 }
 
 // snapshot captures the simulator's cumulative activity counters for one
-// time-series sample. It only reads state: every live PE is parked on its
-// reply channel when the coordinator calls this, and the memory-side
-// cursors belong to the coordinator itself.
+// time-series sample. It only reads state, and only the coordinator calls it:
+// every PE is parked at a yield meanwhile.
 func (s *simulator) snapshot() map[string]int64 {
 	vals := map[string]int64{
 		"tasks_dispatched": int64(s.nextTask),
@@ -362,11 +376,11 @@ func (s *simulator) snapshot() map[string]int64 {
 	vals["c_map_lookups"] = cm.Lookups
 	vals["c_map_hits"] = cm.Hits
 	var l2busy int64
-	for _, b := range s.mem.l2BankBusy() {
+	for _, b := range busyCycles(s.mem.l2Banks) {
 		l2busy += b
 	}
 	vals["l2_busy_cycles"] = l2busy
-	for ch, b := range s.mem.dramBusy() {
+	for ch, b := range busyCycles(s.mem.dram) {
 		vals[fmt.Sprintf("dram_busy_cycles.%d", ch)] = b
 	}
 	return vals

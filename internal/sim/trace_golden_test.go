@@ -1,7 +1,8 @@
 package sim
 
-// Golden-file lockdown of the simulator event trace. The coordinator
-// serializes PE coroutines, so a traced simulation emits an identical event
+// Golden-file lockdown of the simulator event trace. The simulator is a
+// sequential program — the coordinator resumes one PE coroutine at a time, in
+// simulated-time order — so a traced simulation emits an identical event
 // sequence every run — which makes the Chrome trace_event export and the
 // text summary byte-comparable artifacts. The golden files pin them; any
 // change to PE cycle accounting, dispatch order, or the exporters shows up
