@@ -65,20 +65,17 @@ type Options struct {
 	// two option literals still set it.
 	AuxGraph AuxMode
 
-	// Trace, when non-nil, receives scheduler events (task completions,
-	// work steals) and per-task kernel-dispatch summaries. Tracing never
-	// changes counts, stats, or scheduling — a nil Trace costs each task one
-	// pointer test. With >1 threads, event interleaving (and therefore
+	// Trace, when non-nil, receives scheduler events (task completions) and
+	// per-task kernel-dispatch summaries. Tracing never changes counts,
+	// stats, or scheduling — a nil Trace costs each task one pointer test. With >1 threads, event interleaving (and therefore
 	// virtual-clock timestamps) is schedule-dependent; byte-stable traces
 	// come from the simulator, whose coordinator serializes emission.
 	Trace *obs.Tracer
 
-	// SchedHooks observe the work-stealing scheduler (steals, task
-	// retirements) during the run — the job service's per-batch progress
-	// feed (internal/jobs; benchmark/ wires them too).
-	// Callbacks run on worker goroutines and are merged with (fire before)
-	// the tracer's own steal instrumentation; like tracing, they must not
-	// mutate engine state and never affect counts or stats.
+	// SchedHooks observe the scheduler (task retirements) during the run —
+	// the job service's per-batch progress feed (internal/jobs; benchmark/
+	// wires them too). Callbacks run on worker goroutines; like tracing,
+	// they must not mutate engine state and never affect counts or stats.
 	SchedHooks sched.Hooks
 
 	// OnTaskDone, when non-nil, fires after every completed task with the
@@ -224,8 +221,8 @@ func (e *Engine) sliceElems() int {
 }
 
 // taskList expands the vertex set into (possibly hub-sliced) tasks and orders
-// them degree-descending, once per engine. The schedulers copy tasks into
-// their deques and never write the slice, so concurrent runs share it.
+// them degree-descending, once per engine. The scheduler reads the slice
+// through its cursor and never writes it, so concurrent runs share it.
 func (e *Engine) taskList() []sched.Task {
 	e.tasksOnce.Do(func() {
 		e.tasks = sched.Expand(e.g, e.sliceElems())
@@ -259,8 +256,8 @@ func rethrow(err error) {
 // cancelled or its deadline passes, returning the partial counts and stats
 // accumulated so far together with ctx's error — or, if a task panicked, with
 // the scheduler's *sched.PanicError. It is the shared execution
-// path of Mine, List and ListContext: seed the engine's task list
-// degree-descending and drain it with the work-stealing scheduler.
+// path of Mine, List and ListContext: order the engine's task list
+// degree-descending and let the workers claim it front to back.
 func (e *Engine) MineContext(ctx context.Context) (Result, error) {
 	tasks := e.taskList()
 	threads := e.o.Threads
@@ -276,18 +273,6 @@ func (e *Engine) MineContext(ctx context.Context) (Result, error) {
 		workers[t].visit = e.visit
 		workers[t].ctxDone = ctx.Done()
 		workers[t].widx = t
-	}
-	hooks := e.o.SchedHooks
-	if tr := e.o.Trace; tr.Enabled() {
-		prev := hooks.OnSteal
-		hooks.OnSteal = func(thief, victim, ntasks int) {
-			if prev != nil {
-				prev(thief, victim, ntasks)
-			}
-			tr.Emit(obs.CatSched, "steal", thief, 0,
-				obs.Arg{Key: "victim", Val: int64(victim)},
-				obs.Arg{Key: "tasks", Val: int64(ntasks)})
-		}
 	}
 	onDone := e.o.OnTaskDone
 	run := func(t int, task sched.Task) bool {
@@ -307,16 +292,7 @@ func (e *Engine) MineContext(ctx context.Context) (Result, error) {
 		onDone(t, after-before)
 		return ok
 	}
-	var err error
-	if sm, ok := e.g.(sched.ShardMap); ok && sm.NumShards() > 1 {
-		// Sharded store: seed each root task onto the worker group bound to
-		// its start vertex's shard so a task's first adjacency read stays in
-		// local pages, and steal cross-group only as a last resort. Counts
-		// and Stats are placement-invariant; only steal traffic changes.
-		err = sched.RunSharded(ctx, threads, tasks, sm, run, hooks)
-	} else {
-		err = sched.RunHooked(ctx, threads, tasks, run, hooks)
-	}
+	err := sched.RunHooked(ctx, threads, tasks, run, e.o.SchedHooks)
 	pl := e.prog.pl
 	total := Result{Counts: make([]int64, len(pl.Patterns))}
 	for _, w := range workers {

@@ -4,8 +4,8 @@ package core
 // last-level optimization); subgraph *listing* (SL proper) materializes each
 // match. The visitor runs inside the worker, so it must be fast and must not
 // retain the embedding slice. Listing rides the same task-scheduling runtime
-// as counting (internal/sched): hub slicing, degree-descending seeding, work
-// stealing and context cancellation all apply.
+// as counting (internal/sched): hub slicing, the degree-descending task list
+// and context cancellation all apply.
 
 import (
 	"context"

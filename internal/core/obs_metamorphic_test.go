@@ -5,7 +5,7 @@ package core
 // sound if the counters themselves are invariant under thread count and
 // kernel policy, and if tracing never perturbs a run. Each test states one
 // such invariant and sweeps it over power-law inputs where kernel choice and
-// work stealing actually vary.
+// the task-to-worker assignment actually vary.
 
 import (
 	"reflect"

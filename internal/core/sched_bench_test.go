@@ -1,27 +1,32 @@
 package core
 
-// Old-vs-new scheduler comparison on the Table-I stand-ins (TC and 4-CL on
-// the livejournal/orkut stand-ins, 16 workers — the acceptance workloads).
+// The scheduler against the contiguous-chunk dispatch it replaced, on the
+// Table-I stand-ins (TC and 4-CL on the livejournal/orkut stand-ins, 16
+// workers — the acceptance workloads).
 //
 // Two instruments:
 //
 //   - BenchmarkScheduler* measures wall clock. On a multicore host the
-//     work-stealing scheduler wins by eliminating the serial hub tail; on a
-//     single-core host both degenerate to total-work time and measure only
-//     scheduler overhead.
+//     sliced LPT list wins by eliminating the serial hub tail; on a host with
+//     fewer cores than workers both degenerate to total-work time and measure
+//     only dispatch overhead.
 //   - TestSchedulerMakespanModel* are deterministic on any host: they
 //     measure the true per-task work of every task, then replay both
-//     schedulers' dispatch in virtual time with 16 ideal workers. The
-//     modeled makespan is what wall clock converges to on a 16-core machine.
+//     dispatches in virtual time with 16 ideal workers. modelListMakespan is
+//     not an approximation of sched.RunHooked: tasks in list order, each
+//     claimed by whichever worker is free first, is the scheduler's schedule
+//     (sched.TestRunClaimsInListOrder and TestRunIsGreedy pin the two halves),
+//     so the modeled makespan is what wall clock reads on a 16-core machine
+//     up to the cost of one atomic add per task.
 //
 // The acceptance workloads run the GraphZero-class plans (plan.Compile with
 // symmetry breaking) on the symmetric graphs, where power-law hubs
 // (dmax 944 on Lj, 1242 on Or) serialize whole chunks; there the sliced
-// LPT-seeded schedule wins 27–61%. The orientation-optimized DAG variants
-// are covered separately: orientation caps the max out-degree at 52/35, so
-// the contiguous-chunk schedule is already within 6–8% of the total/16
-// lower bound — the near-optimality test pins the steal schedule to that
-// bound instead of an unattainable relative gap.
+// LPT list wins 27–61%. The orientation-optimized DAG variants are covered
+// separately: orientation caps the max out-degree at 52/35, so the
+// contiguous-chunk schedule is already within 6–8% of the total/16 lower
+// bound — the near-optimality test pins the list schedule to that bound
+// instead of an unattainable relative gap.
 
 import (
 	"testing"
@@ -99,7 +104,7 @@ func BenchmarkSchedulerChunk(b *testing.B) {
 	}
 }
 
-func BenchmarkSchedulerSteal(b *testing.B) {
+func BenchmarkScheduler(b *testing.B) {
 	for _, w := range schedWorkloads(b) {
 		b.Run(w.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -113,7 +118,7 @@ func BenchmarkSchedulerSteal(b *testing.B) {
 
 // taskCosts measures each task's true work (extensions + merge iterations +
 // candidates) by running it on a sequential merge-only worker: the merge model
-// is the one work measure no kernel choice moves, so the schedulers are
+// is the one work measure no kernel choice moves, so the dispatches are
 // compared on the tasks' sizes and not on what KernelAuto does to them (its
 // c-map re-inserts adj(v0) per hub slice — DESIGN.md decision 19 has the cost).
 func taskCosts(g *graph.Graph, pl *plan.Plan, tasks []sched.Task) []int64 {
@@ -130,7 +135,7 @@ func taskCosts(g *graph.Graph, pl *plan.Plan, tasks []sched.Task) []int64 {
 	return costs
 }
 
-// modelChunkMakespan replays the old scheduler in virtual time: contiguous
+// modelChunkMakespan replays the old dispatch in virtual time: contiguous
 // 16-vertex chunks handed to whichever ideal worker is free first.
 func modelChunkMakespan(costs []int64, workers, chunk int) int64 {
 	clocks := make([]int64, workers)
@@ -148,10 +153,9 @@ func modelChunkMakespan(costs []int64, workers, chunk int) int64 {
 	return maxClock(clocks)
 }
 
-// modelStealMakespan replays the new scheduler in virtual time: sliced
-// tasks, heaviest first, each claimed by whichever worker is free first —
-// the schedule degree-descending seeding plus work stealing converges to.
-func modelStealMakespan(costs []int64, order []int, workers int) int64 {
+// modelListMakespan replays sched.RunHooked in virtual time: sliced tasks,
+// heaviest first, each claimed by whichever worker is free first.
+func modelListMakespan(costs []int64, order []int, workers int) int64 {
 	clocks := make([]int64, workers)
 	for _, i := range order {
 		*minClock(clocks) += costs[i]
@@ -179,15 +183,15 @@ func maxClock(clocks []int64) int64 {
 	return m
 }
 
-// modelWorkload returns the modeled makespans of both schedulers plus the
+// modelWorkload returns the modeled makespans of both dispatches plus the
 // total/workers lower bound for one workload.
-func modelWorkload(w benchWorkload) (chunkSpan, stealSpan, lowerBound int64, nWhole, nSliced int) {
-	// Old scheduler: whole-vertex tasks, contiguous chunks of 16.
+func modelWorkload(w benchWorkload) (chunkSpan, listSpan, lowerBound int64, nWhole, nSliced int) {
+	// Old dispatch: whole-vertex tasks, contiguous chunks of 16.
 	whole := sched.Expand(w.g, 0)
 	wholeCosts := taskCosts(w.g, w.pl, whole)
 	chunkSpan = modelChunkMakespan(wholeCosts, benchThreads, 16)
 
-	// New scheduler: hub-sliced tasks, degree-descending greedy.
+	// sched.RunHooked: hub-sliced tasks, degree-descending, greedy.
 	sliced := sched.Expand(w.g, autoSliceElems)
 	sched.OrderByDegreeDesc(w.g, sliced)
 	slicedCosts := taskCosts(w.g, w.pl, sliced)
@@ -195,26 +199,26 @@ func modelWorkload(w benchWorkload) (chunkSpan, stealSpan, lowerBound int64, nWh
 	for i := range order {
 		order[i] = i
 	}
-	stealSpan = modelStealMakespan(slicedCosts, order, benchThreads)
+	listSpan = modelListMakespan(slicedCosts, order, benchThreads)
 
 	var total int64
 	for _, c := range wholeCosts {
 		total += c
 	}
 	lowerBound = total / benchThreads
-	return chunkSpan, stealSpan, lowerBound, len(whole), len(sliced)
+	return chunkSpan, listSpan, lowerBound, len(whole), len(sliced)
 }
 
-// TestSchedulerMakespanModel: with 16 ideal workers, the sliced LPT-seeded
+// TestSchedulerMakespanModel: with 16 ideal workers, the sliced LPT-ordered
 // schedule must beat the contiguous-chunk schedule by ≥ 15% on every
 // acceptance workload (measured: TC-Lj 49%, TC-Or 27%, 4CL-Lj 61%,
 // 4CL-Or 33%).
 func TestSchedulerMakespanModel(t *testing.T) {
 	for _, w := range schedWorkloads(t) {
-		chunkSpan, stealSpan, lb, nWhole, nSliced := modelWorkload(w)
-		improvement := 1 - float64(stealSpan)/float64(chunkSpan)
-		t.Logf("%s: chunk makespan %d, steal makespan %d, lower bound %d (%.1f%% better, %d→%d tasks)",
-			w.name, chunkSpan, stealSpan, lb, improvement*100, nWhole, nSliced)
+		chunkSpan, listSpan, lb, nWhole, nSliced := modelWorkload(w)
+		improvement := 1 - float64(listSpan)/float64(chunkSpan)
+		t.Logf("%s: chunk makespan %d, list makespan %d, lower bound %d (%.1f%% better, %d→%d tasks)",
+			w.name, chunkSpan, listSpan, lb, improvement*100, nWhole, nSliced)
 		if improvement < 0.15 {
 			t.Errorf("%s: modeled improvement %.1f%% < 15%%", w.name, improvement*100)
 		}
@@ -224,19 +228,19 @@ func TestSchedulerMakespanModel(t *testing.T) {
 // TestSchedulerMakespanModelOriented: on the orientation-optimized DAG
 // variants the hubs are already flattened (max out-degree 52/35), so the
 // chunk schedule sits within 6–8% of the total/16 lower bound and no 15%
-// relative gap exists. The stronger property that does hold: the steal
+// relative gap exists. The stronger property that does hold: the list
 // schedule achieves the lower bound to within 2%, i.e. it is near-optimal.
 func TestSchedulerMakespanModelOriented(t *testing.T) {
 	for _, w := range dagWorkloads(t) {
-		chunkSpan, stealSpan, lb, nWhole, nSliced := modelWorkload(w)
-		improvement := 1 - float64(stealSpan)/float64(chunkSpan)
-		t.Logf("%s: chunk makespan %d, steal makespan %d, lower bound %d (%.1f%% better, %d→%d tasks)",
-			w.name, chunkSpan, stealSpan, lb, improvement*100, nWhole, nSliced)
-		if stealSpan > lb+lb/50 {
-			t.Errorf("%s: steal makespan %d not within 2%% of lower bound %d", w.name, stealSpan, lb)
+		chunkSpan, listSpan, lb, nWhole, nSliced := modelWorkload(w)
+		improvement := 1 - float64(listSpan)/float64(chunkSpan)
+		t.Logf("%s: chunk makespan %d, list makespan %d, lower bound %d (%.1f%% better, %d→%d tasks)",
+			w.name, chunkSpan, listSpan, lb, improvement*100, nWhole, nSliced)
+		if listSpan > lb+lb/50 {
+			t.Errorf("%s: list makespan %d not within 2%% of lower bound %d", w.name, listSpan, lb)
 		}
 		if improvement < 0 {
-			t.Errorf("%s: steal schedule worse than chunk (%.1f%%)", w.name, improvement*100)
+			t.Errorf("%s: list schedule worse than chunk (%.1f%%)", w.name, improvement*100)
 		}
 	}
 }

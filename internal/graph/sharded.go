@@ -4,9 +4,9 @@ package graph
 // contiguous ranges balanced by arc count (degree-aware, in the spirit of
 // G²Miner's pattern-aware edge partitioning), each range's CSR slice lives in
 // its own mmap'd file, and a manifest ties the directory together. Adj(v)
-// routes to the owning shard in O(log shards); combined with shard-local task
-// seeding in internal/sched, a DFS task's working set stays inside one
-// shard's pages.
+// routes to the owning shard in O(log shards). What it buys is capacity — a
+// graph whose CSR exceeds one file or one mapping — not locality: the
+// scheduler places tasks by degree, not by shard (DESIGN decision 13).
 
 import (
 	"encoding/json"
@@ -236,8 +236,7 @@ func OpenSharded(dir string) (*Sharded, error) {
 	return s, nil
 }
 
-// NumShards returns the number of shards; internal/sched uses it (through
-// its ShardMap seam) to group root tasks.
+// NumShards returns the number of shards.
 func (s *Sharded) NumShards() int { return len(s.shards) }
 
 // ShardOf returns the index of the shard owning vertex v.

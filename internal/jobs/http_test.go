@@ -12,8 +12,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -70,6 +72,21 @@ func httpJSON(t *testing.T, method, url string, body any) (int, map[string]json.
 		}
 	}
 	return resp.StatusCode, doc
+}
+
+// scrapeMetrics returns the body of GET /metrics.
+func scrapeMetrics(t *testing.T, ts *httptest.Server) string {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(body)
 }
 
 func jsonStr(t *testing.T, doc map[string]json.RawMessage, key string) string {
@@ -142,14 +159,9 @@ func TestHTTPSubmitPollResult(t *testing.T) {
 	}
 
 	// The jobs.* counters surface on /metrics through the shared registry.
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
+	body := scrapeMetrics(t, ts)
 	for _, metric := range []string{"flexminer_jobs_queued 1", "flexminer_jobs_completed 1"} {
-		if !strings.Contains(string(body), metric) {
+		if !strings.Contains(body, metric) {
 			t.Fatalf("/metrics missing %q:\n%s", metric, body)
 		}
 	}
@@ -232,8 +244,11 @@ func TestHTTPQueueFullRejection(t *testing.T) {
 	}
 }
 
-func TestHTTPCancelMidRun(t *testing.T) {
-	g := graph.ChungLu(1000, 12000, 2.3, 13) // heavy: ~7s single-thread
+// runningHouseJob submits a job heavy enough (~7s single-thread) to still be
+// running when the caller looks, and returns once it is.
+func runningHouseJob(t *testing.T) (*httptest.Server, string) {
+	t.Helper()
+	g := graph.ChungLu(1000, 12000, 2.3, 13)
 	running := make(chan string, 4)
 	_, ts := newHTTPServer(t, Config{
 		Graphs: map[string]graph.Store{"default": g},
@@ -251,12 +266,43 @@ func TestHTTPCancelMidRun(t *testing.T) {
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: %d", code)
 	}
-	id := jsonStr(t, doc, "id")
 	select {
 	case <-running:
 	case <-time.After(30 * time.Second):
 		t.Fatal("job never started running")
 	}
+	return ts, jsonStr(t, doc, "id")
+}
+
+// TestHTTPProgressKeySet pins the live surface of a running job: its
+// "progress" object has exactly these keys, and /metrics has no scheduler
+// family — the scheduler has no event besides a task retiring.
+func TestHTTPProgressKeySet(t *testing.T) {
+	ts, id := runningHouseJob(t)
+	code, doc := httpJSON(t, "GET", ts.URL+"/jobs/"+id, nil)
+	if code != http.StatusOK {
+		t.Fatalf("poll: status %d", code)
+	}
+	var progress map[string]json.RawMessage
+	if err := json.Unmarshal(doc["progress"], &progress); err != nil {
+		t.Fatalf("running job has no progress object: %v in %s", err, doc["progress"])
+	}
+	keys := slices.Sorted(maps.Keys(progress))
+	want := []string{"partial_matches", "running", "runs_completed", "tasks", "tasks_done"}
+	if !slices.Equal(keys, want) {
+		t.Errorf("progress keys = %v, want %v", keys, want)
+	}
+	if metrics := scrapeMetrics(t, ts); !strings.Contains(metrics, "flexminer_jobs_") || strings.Contains(metrics, "sched_") {
+		t.Errorf("/metrics must carry the jobs families and no sched_ family:\n%s", metrics)
+	}
+	if ccode, _ := httpJSON(t, "POST", ts.URL+"/jobs/"+id+"/cancel", nil); ccode != http.StatusOK {
+		t.Fatalf("cancel: status %d", ccode)
+	}
+	pollUntilTerminal(t, ts.URL, id)
+}
+
+func TestHTTPCancelMidRun(t *testing.T) {
+	ts, id := runningHouseJob(t)
 	ccode, _ := httpJSON(t, "POST", ts.URL+"/jobs/"+id+"/cancel", nil)
 	if ccode != http.StatusOK {
 		t.Fatalf("cancel: status %d", ccode)

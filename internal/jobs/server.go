@@ -99,8 +99,7 @@ const retainJobs = 1024
 // request that leaves Options.Workers at 0 runs on GOMAXPROCS threads, and
 // the per-tenant metric families hold obs.DefaultLabelCap tenants.
 type Config struct {
-	// Registry receives the jobs.* counters (and, via scheduler hooks, the
-	// sched.* steal counters of job runs). Nil creates a private registry.
+	// Registry receives the jobs.* counters. Nil creates a private registry.
 	Registry *obs.Registry
 
 	// MaxQueue bounds the number of queued (not yet dispatched) jobs;
@@ -629,7 +628,7 @@ func (s *Server) mineBatch(b *batch) (res core.Result, mineErr error, ok bool) {
 		s.failBatch(b, err)
 		return
 	}
-	copts.SchedHooks = sched.MergeHooks(b.prog.Hooks(), obs.SchedHooks(s.reg))
+	copts.SchedHooks = b.prog.Hooks()
 	copts.OnTaskDone = b.prog.OnTaskDone
 	eng, err := core.NewEngine(store, pl, copts)
 	if err != nil {

@@ -1,6 +1,5 @@
 // Package atomicfix seeds function-style sync/atomic uses for the
-// atomichygiene analyzer tests, mirroring the serve.Progress / sched
-// steal-counter shapes.
+// atomichygiene analyzer tests, mirroring the serve.Progress counter shapes.
 package atomicfix
 
 import "sync/atomic"

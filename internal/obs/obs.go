@@ -1,7 +1,7 @@
 // Package obs is the observability spine of the system: a deterministic
 // metrics registry, scoped phase timers, and a ring-buffered event trace with
 // a Chrome trace_event exporter. Every execution layer — the CPU engine
-// (internal/core), the work-stealing scheduler (internal/sched), the
+// (internal/core), the task scheduler (internal/sched), the
 // cycle-level accelerator model (internal/sim) and the evaluation harness
 // (internal/bench) — reports through it, replacing ad-hoc printf-style stats
 // plumbing with one exportable surface.

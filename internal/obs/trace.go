@@ -12,7 +12,7 @@ import (
 // groups timelines by these, and the acceptance tests assert all three appear
 // in a simulator trace.
 const (
-	// CatSched covers scheduling: CPU work-steals and task starts, and the
+	// CatSched covers scheduling: one event per CPU task, and the
 	// simulator's global task-dispatch decisions.
 	CatSched = "sched"
 	// CatKernel covers set-operation kernel work: per-task kernel-dispatch

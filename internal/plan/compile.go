@@ -174,7 +174,7 @@ func bestMergeableChain(p *pattern.Pattern, opt Options, prev [][]VertexOp) ([]V
 	bestShared := -1
 	var bestOrder MatchingOrder
 	for _, o := range EnumerateMatchingOrders(p) {
-		if !intsEqual(connectedAncestorCounts(p, o), bestCA) {
+		if !slices.Equal(connectedAncestorCounts(p, o), bestCA) {
 			continue
 		}
 		ops, less, err := compileChainOrdered(p, opt, o)
@@ -273,7 +273,7 @@ func notEqualSet(q *pattern.Pattern, op VertexOp, less [][]bool, induced bool) [
 // sourceSet returns {Extender} ∪ Connected as a sorted slice.
 func sourceSet(op VertexOp) []int {
 	s := append([]int{op.Extender}, op.Connected...)
-	sortInts(s)
+	slices.Sort(s)
 	return s
 }
 
@@ -406,8 +406,8 @@ func mergeChains(chains [][]VertexOp) *Node {
 // the decomposition is a deterministic function of it).
 func hintsEqual(a, b VertexOp) bool {
 	return a.FrontierBase == b.FrontierBase &&
-		intsEqual(a.IntersectWith, b.IntersectWith) &&
-		intsEqual(a.DifferenceWith, b.DifferenceWith)
+		slices.Equal(a.IntersectWith, b.IntersectWith) &&
+		slices.Equal(a.DifferenceWith, b.DifferenceWith)
 }
 
 // finalizeHints runs the whole-tree hint passes: frontier memoization marks
@@ -453,7 +453,7 @@ func finalizeHints(pl *Plan, opt Options, lesses [][][]bool) {
 				op.CMapQuery = append(op.CMapQuery, op.Connected...)
 				op.CMapQuery = append(op.CMapQuery, op.Disconnected...)
 			}
-			sortInts(op.CMapQuery)
+			slices.Sort(op.CMapQuery)
 		}
 		for _, c := range n.Children {
 			setQueries(c)

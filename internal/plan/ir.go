@@ -20,6 +20,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/pattern"
@@ -109,16 +110,16 @@ type VertexOp struct {
 // clone returns a deep copy of the op.
 func (op VertexOp) clone() VertexOp {
 	cp := op
-	cp.Connected = append([]int(nil), op.Connected...)
-	cp.Disconnected = append([]int(nil), op.Disconnected...)
-	cp.UpperBounds = append([]int(nil), op.UpperBounds...)
-	cp.NotEqual = append([]int(nil), op.NotEqual...)
-	cp.IntersectWith = append([]int(nil), op.IntersectWith...)
-	cp.DifferenceWith = append([]int(nil), op.DifferenceWith...)
-	cp.CMapQuery = append([]int(nil), op.CMapQuery...)
-	cp.BuildAux = append([]int(nil), op.BuildAux...)
-	cp.AuxIntersect = append([]int(nil), op.AuxIntersect...)
-	cp.AuxDifference = append([]int(nil), op.AuxDifference...)
+	cp.Connected = slices.Clone(op.Connected)
+	cp.Disconnected = slices.Clone(op.Disconnected)
+	cp.UpperBounds = slices.Clone(op.UpperBounds)
+	cp.NotEqual = slices.Clone(op.NotEqual)
+	cp.IntersectWith = slices.Clone(op.IntersectWith)
+	cp.DifferenceWith = slices.Clone(op.DifferenceWith)
+	cp.CMapQuery = slices.Clone(op.CMapQuery)
+	cp.BuildAux = slices.Clone(op.BuildAux)
+	cp.AuxIntersect = slices.Clone(op.AuxIntersect)
+	cp.AuxDifference = slices.Clone(op.AuxDifference)
 	return cp
 }
 
@@ -127,21 +128,9 @@ func (op VertexOp) clone() VertexOp {
 func (a VertexOp) structurallyEqual(b VertexOp) bool {
 	return a.Level == b.Level &&
 		a.Extender == b.Extender &&
-		intsEqual(a.Connected, b.Connected) &&
-		intsEqual(a.Disconnected, b.Disconnected) &&
-		intsEqual(a.UpperBounds, b.UpperBounds)
-}
-
-func intsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+		slices.Equal(a.Connected, b.Connected) &&
+		slices.Equal(a.Disconnected, b.Disconnected) &&
+		slices.Equal(a.UpperBounds, b.UpperBounds)
 }
 
 // Node is one vertex-extension step in a (possibly multi-pattern) dependency

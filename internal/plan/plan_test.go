@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -58,7 +59,7 @@ func TestSymmetryOrderFourCycleMatchesPaper(t *testing.T) {
 	// Paper (Listing 1): bounds v1<v0, v2<v1, v3<v0.
 	wantBounds := [][]int{nil, {0}, {1}, {0}}
 	for lvl, want := range wantBounds {
-		if !intsEqual(ops[lvl].UpperBounds, want) {
+		if !slices.Equal(ops[lvl].UpperBounds, want) {
 			t.Errorf("level %d bounds = %v want %v", lvl, ops[lvl].UpperBounds, want)
 		}
 	}
@@ -97,7 +98,7 @@ func TestSymmetryOrderCliqueIsTotal(t *testing.T) {
 		if lvl == 0 {
 			continue
 		}
-		if !intsEqual(op.UpperBounds, []int{lvl - 1}) {
+		if !slices.Equal(op.UpperBounds, []int{lvl - 1}) {
 			t.Errorf("K4 level %d bounds %v want [%d]", lvl, op.UpperBounds, lvl-1)
 		}
 	}
@@ -132,7 +133,7 @@ func TestCliqueDAGFrontierChain(t *testing.T) {
 		if ops[lvl].FrontierBase != lvl-1 {
 			t.Errorf("5-clique DAG level %d frontier base = %d want %d", lvl, ops[lvl].FrontierBase, lvl-1)
 		}
-		if !intsEqual(ops[lvl].IntersectWith, []int{lvl - 1}) {
+		if !slices.Equal(ops[lvl].IntersectWith, []int{lvl - 1}) {
 			t.Errorf("5-clique DAG level %d residual = %v want [%d]", lvl, ops[lvl].IntersectWith, lvl-1)
 		}
 	}

@@ -12,7 +12,7 @@ package plan
 // a *later* level, so all constraints become vid upper bounds — exactly the
 // pruneBy bound field of the IR (Listing 1).
 
-import "sort"
+import "slices"
 
 // SymmetryConstraint asserts emb[Hi] < emb[Lo] for levels Lo < Hi: the vertex
 // matched later must have the smaller data-vertex ID (the paper's convention,
@@ -60,7 +60,7 @@ func SymmetryOrder(q patternLike) []SymmetryConstraint {
 				members = append(members, a[v])
 			}
 		}
-		sort.Ints(members)
+		slices.Sort(members)
 		for _, u := range members {
 			out = append(out, SymmetryConstraint{Lo: v, Hi: u})
 		}
@@ -136,15 +136,7 @@ func boundsPerLevel(k int, cs []SymmetryConstraint, less [][]bool) [][]int {
 				out[lvl] = append(out[lvl], b)
 			}
 		}
-		sortInts(out[lvl])
+		slices.Sort(out[lvl])
 	}
 	return out
-}
-
-func sortInts(s []int) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"testing"
@@ -226,7 +228,7 @@ func TestRunJoinsWorkers(t *testing.T) {
 // TestRunReturnsTaskPanic: a panicking task stops the run instead of the process.
 // Run returns the first panic as a *PanicError with the stack of the panic site,
 // no task runs twice, the other workers retire at their next task boundary and
-// every goroutine is joined — plain and sharded placement alike.
+// every goroutine is joined.
 func TestRunReturnsTaskPanic(t *testing.T) {
 	g := graph.ChungLu(400, 3000, 2.3, 3)
 	tasks := Expand(g, 8)
@@ -235,34 +237,26 @@ func TestRunReturnsTaskPanic(t *testing.T) {
 		index[task] = i
 	}
 	before := runtime.NumGoroutine()
-	for _, sharded := range []bool{false, true} {
-		runs := make([]atomic.Int32, len(tasks))
-		var executed atomic.Int64
-		fn := func(_ int, task Task) bool {
-			runs[index[task]].Add(1)
-			if executed.Add(1) == 20 {
-				panic("boom at task 20")
-			}
-			runtime.Gosched()
-			return true
+	runs := make([]atomic.Int32, len(tasks))
+	var executed atomic.Int64
+	err := RunHooked(context.Background(), 8, tasks, func(_ int, task Task) bool {
+		runs[index[task]].Add(1)
+		if executed.Add(1) == 20 {
+			panic("boom at task 20")
 		}
-		var err error
-		if sharded {
-			err = RunSharded(context.Background(), 8, tasks, quarterMap(g.NumVertices()), fn, Hooks{})
-		} else {
-			err = RunHooked(context.Background(), 8, tasks, fn, Hooks{})
-		}
-		var pe *PanicError
-		if !errors.As(err, &pe) || pe.Value != "boom at task 20" || !bytes.Contains(pe.Stack, []byte("TestRunReturnsTaskPanic")) {
-			t.Fatalf("sharded=%v: err = %v, want a PanicError carrying the value and the panic site's stack", sharded, err)
-		}
-		if n := executed.Load(); n >= int64(len(tasks)) {
-			t.Errorf("sharded=%v: the panic did not cut the run short (%d/%d)", sharded, n, len(tasks))
-		}
-		for i := range runs {
-			if n := runs[i].Load(); n > 1 {
-				t.Errorf("sharded=%v: task %d ran %d times", sharded, i, n)
-			}
+		runtime.Gosched()
+		return true
+	}, Hooks{})
+	var pe *PanicError
+	if !errors.As(err, &pe) || pe.Value != "boom at task 20" || !bytes.Contains(pe.Stack, []byte("TestRunReturnsTaskPanic")) {
+		t.Fatalf("err = %v, want a PanicError carrying the value and the panic site's stack", err)
+	}
+	if n := executed.Load(); n >= int64(len(tasks)) {
+		t.Errorf("the panic did not cut the run short (%d/%d)", n, len(tasks))
+	}
+	for i := range runs {
+		if n := runs[i].Load(); n > 1 {
+			t.Errorf("task %d ran %d times", i, n)
 		}
 	}
 	goroutinesReturnTo(t, before)
@@ -330,5 +324,142 @@ func TestRunHookedOnTaskFiresForHaltingTask(t *testing.T) {
 	}
 	if observed.Load() != executed.Load() {
 		t.Fatalf("OnTask fired %d times for %d executions", observed.Load(), executed.Load())
+	}
+}
+
+// positions returns n distinct tasks whose V0 is their position in the list, so
+// a task function can tell which position it was handed.
+func positions(n int) []Task {
+	tasks := make([]Task, n)
+	for i := range tasks {
+		tasks[i] = Task{V0: graph.VID(i), Hi: All}
+	}
+	return tasks
+}
+
+// TestRunClaimsInListOrder pins the first property core's modelListMakespan
+// assumes: tasks leave the list front to back. One worker executes them in
+// slice order. With 8 workers every worker's claimed positions strictly
+// increase, their union is every position once, and when position i starts
+// all but at most workers-1 earlier positions have started — and all of that
+// while the worker holding position 0 is stalled, because no position belongs
+// to a worker before it claims it.
+func TestRunClaimsInListOrder(t *testing.T) {
+	tasks := positions(500)
+	var order []int
+	if err := RunHooked(context.Background(), 1, tasks, func(_ int, task Task) bool {
+		order = append(order, int(task.V0))
+		return true
+	}, Hooks{}); err != nil {
+		t.Fatal(err)
+	}
+	for i, pos := range order {
+		if pos != i {
+			t.Fatalf("one worker executed position %d at step %d", pos, i)
+		}
+	}
+	if len(order) != len(tasks) {
+		t.Fatalf("one worker executed %d of %d tasks", len(order), len(tasks))
+	}
+
+	const workers = 8
+	claimed := make([][]int, workers) // claimed[w] is written by worker w only
+	var started atomic.Int64
+	var skipped atomic.Bool // report the first skip only
+	err := RunHooked(context.Background(), workers, tasks, func(w int, task Task) bool {
+		pos := int(task.V0)
+		if before := started.Add(1) - 1; int64(pos)-before > workers-1 && skipped.CompareAndSwap(false, true) {
+			t.Errorf("position %d started after only %d others: claims skipped ahead", pos, before)
+		}
+		claimed[w] = append(claimed[w], pos)
+		if pos == 0 {
+			for deadline := time.Now().Add(5 * time.Second); started.Load() < int64(len(tasks)); time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Errorf("%d of %d positions started while position 0's worker was stalled", started.Load(), len(tasks))
+					break
+				}
+			}
+		}
+		return true
+	}, Hooks{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := make([]int, len(tasks))
+	for w, ps := range claimed {
+		for k, pos := range ps {
+			if k > 0 && pos <= ps[k-1] {
+				t.Fatalf("worker %d claimed position %d after %d", w, pos, ps[k-1])
+			}
+			seen[pos]++
+		}
+	}
+	for pos, n := range seen {
+		if n != 1 {
+			t.Fatalf("position %d claimed %d times", pos, n)
+		}
+	}
+}
+
+// TestRunIsGreedy pins the second property: the next task goes to whichever
+// worker is free first. Every task blocks on its own gate; once the K workers
+// hold positions 0..K-1, releasing gates in a shuffled order must hand
+// position K+i to the worker whose gate was released i-th — never to another
+// worker, never a later position, and never before the release.
+func TestRunIsGreedy(t *testing.T) {
+	const workers, n = 6, 40
+	tasks := positions(n)
+	type claim struct{ worker, pos int }
+	claims := make(chan claim, n)
+	gates := make([]chan struct{}, n)
+	for i := range gates {
+		gates[i] = make(chan struct{})
+	}
+	errc := make(chan error, 1)
+	go func() {
+		errc <- RunHooked(context.Background(), workers, tasks, func(w int, task Task) bool {
+			claims <- claim{w, int(task.V0)}
+			<-gates[task.V0]
+			return true
+		}, Hooks{})
+	}()
+	next := func() claim {
+		select {
+		case c := <-claims:
+			return c
+		case <-time.After(5 * time.Second):
+			t.Fatal("no worker claimed the next task")
+			panic("unreachable")
+		}
+	}
+	var held []claim // every worker is blocked on the gate of one of these
+	for len(held) < workers {
+		c := next()
+		if c.pos >= workers {
+			t.Fatalf("position %d claimed while %d workers were still free", c.pos, workers-len(held))
+		}
+		held = append(held, c)
+	}
+	rng := rand.New(rand.NewSource(9))
+	for want := workers; len(held) > 0; want++ {
+		k := rng.Intn(len(held))
+		freed := held[k]
+		select {
+		case c := <-claims:
+			t.Fatalf("worker %d claimed position %d while every worker was blocked", c.worker, c.pos)
+		default:
+		}
+		close(gates[freed.pos])
+		if want >= n { // the list is drained: the freed worker retires
+			held = slices.Delete(held, k, k+1)
+			continue
+		}
+		if held[k] = next(); held[k] != (claim{freed.worker, want}) {
+			t.Fatalf("after worker %d was freed, worker %d claimed position %d; want worker %d on position %d",
+				freed.worker, held[k].worker, held[k].pos, freed.worker, want)
+		}
+	}
+	if err := <-errc; err != nil {
+		t.Fatal(err)
 	}
 }

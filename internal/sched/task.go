@@ -6,10 +6,12 @@
 //   - task expansion — turning the vertex set into schedulable units,
 //     slicing hub vertices into several independent sub-tasks so one
 //     power-law hub cannot serialize a whole worker or PE;
-//   - task dispatch — for the CPU engine, a per-worker deque work-stealing
-//     scheduler seeded degree-descending (longest-processing-time-first),
-//     with first-class context cancellation. The simulator keeps its own
-//     deterministic event-driven dispatch but consumes the same task list.
+//   - task dispatch — for the CPU engine, one shared cursor over the
+//     degree-descending task list (greedy longest-processing-time-first
+//     list scheduling: an idle worker claims the next task), with
+//     first-class context cancellation. The simulator keeps its own
+//     deterministic event-driven dispatch — the same policy, simulator.nextTask
+//     — and consumes the same task list.
 package sched
 
 import "repro/internal/graph"
@@ -59,10 +61,10 @@ func Expand(g graph.Store, slice int) []Task {
 	return tasks
 }
 
-// OrderByDegreeDesc reorders tasks heaviest-start-vertex-first (an LPT
-// schedule seed): dealt round-robin across worker deques, every worker
-// starts on a comparably heavy prefix and the cheap tail absorbs imbalance.
-// The order is stable, so sub-tasks of one hub keep their Lo order.
+// OrderByDegreeDesc reorders tasks heaviest-start-vertex-first (the LPT
+// order): claimed front to back by whichever worker is idle, the heavy tasks
+// start first and the cheap tail absorbs imbalance. The order is stable, so
+// sub-tasks of one hub stay adjacent and keep their Lo order.
 //
 // It is a counting sort on degree, O(len(tasks) + MaxDegree) with one Degree
 // call per task, applied in place through a 4-byte-per-task destination

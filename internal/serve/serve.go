@@ -26,32 +26,17 @@ import (
 // hooks on worker goroutines and read by the /debug/progress handler. The
 // zero value is ready to use.
 type Progress struct {
-	tasksDone   atomic.Int64
-	steals      atomic.Int64
-	stolen      atomic.Int64 // tasks moved by steals
-	stealsLocal atomic.Int64 // sharded runs: steals within the thief's group
-	stealsCross atomic.Int64 // sharded runs: steals across shard groups
-	matches     atomic.Int64 // raw (pre-divisor) matches found so far
-	tasks       atomic.Int64 // total tasks of the current run
-	runs        atomic.Int64 // completed engine runs
-	running     atomic.Bool
+	tasksDone atomic.Int64
+	matches   atomic.Int64 // raw (pre-divisor) matches found so far
+	tasks     atomic.Int64 // total tasks of the current run
+	runs      atomic.Int64 // completed engine runs
+	running   atomic.Bool
 }
 
 // Hooks returns the scheduler hooks that feed p — wire them into
 // core.Options.SchedHooks.
 func (p *Progress) Hooks() sched.Hooks {
 	return sched.Hooks{
-		OnSteal: func(thief, victim, ntasks int) {
-			p.steals.Add(1)
-			p.stolen.Add(int64(ntasks))
-		},
-		OnStealTier: func(thief, victim, ntasks, tier int) {
-			if tier == sched.StealCross {
-				p.stealsCross.Add(1)
-			} else {
-				p.stealsLocal.Add(1)
-			}
-		},
 		OnTask: func(worker int, t sched.Task) {
 			p.tasksDone.Add(1)
 		},
@@ -81,11 +66,7 @@ type Snapshot struct {
 	Running        bool  `json:"running"`
 	Tasks          int64 `json:"tasks"`
 	TasksDone      int64 `json:"tasks_done"`
-	Steals         int64 `json:"steals"`
-	TasksStolen    int64 `json:"tasks_stolen"`
-	StealsLocal    int64 `json:"steals_local"`       // sharded runs only
-	StealsCross    int64 `json:"steals_cross_shard"` // sharded runs only
-	PartialMatches int64 `json:"partial_matches"`    // raw, before symmetry divisors
+	PartialMatches int64 `json:"partial_matches"` // raw, before symmetry divisors
 	RunsCompleted  int64 `json:"runs_completed"`
 }
 
@@ -97,10 +78,6 @@ func (p *Progress) Snapshot() Snapshot {
 		Running:        p.running.Load(),
 		Tasks:          p.tasks.Load(),
 		TasksDone:      p.tasksDone.Load(),
-		Steals:         p.steals.Load(),
-		TasksStolen:    p.stolen.Load(),
-		StealsLocal:    p.stealsLocal.Load(),
-		StealsCross:    p.stealsCross.Load(),
 		PartialMatches: p.matches.Load(),
 		RunsCompleted:  p.runs.Load(),
 	}
@@ -112,7 +89,7 @@ func (p *Progress) Snapshot() Snapshot {
 //
 //	/metrics         Prometheus text exposition of every registry counter
 //	/healthz         liveness: always "ok"
-//	/debug/progress  live task/steal/partial-count snapshot (JSON)
+//	/debug/progress  live task/partial-count snapshot (JSON)
 //	/debug/pprof/    the standard net/http/pprof endpoints
 func NewMux(reg *obs.Registry, prog *Progress, namespace string) *http.ServeMux {
 	mux := http.NewServeMux()

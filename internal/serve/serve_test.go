@@ -144,45 +144,6 @@ func TestServeProgressDuringRun(t *testing.T) {
 	}
 }
 
-// TestProgressStealTiers checks the sharded-run locality split reaches the
-// snapshot and the /debug/progress document under the documented field names.
-func TestProgressStealTiers(t *testing.T) {
-	var prog Progress
-	h := prog.Hooks()
-	h.OnSteal(1, 0, 3)
-	h.OnStealTier(1, 0, 3, sched.StealLocal)
-	h.OnSteal(2, 0, 2)
-	h.OnStealTier(2, 0, 2, sched.StealCross)
-	h.OnSteal(3, 0, 1)
-	h.OnStealTier(3, 0, 1, sched.StealCross)
-
-	snap := prog.Snapshot()
-	if snap.Steals != 3 || snap.TasksStolen != 6 {
-		t.Errorf("steals=%d stolen=%d, want 3/6", snap.Steals, snap.TasksStolen)
-	}
-	if snap.StealsLocal != 1 || snap.StealsCross != 2 {
-		t.Errorf("local=%d cross=%d, want 1/2", snap.StealsLocal, snap.StealsCross)
-	}
-	if snap.StealsLocal+snap.StealsCross != snap.Steals {
-		t.Errorf("tier split %d+%d does not account for all %d steals",
-			snap.StealsLocal, snap.StealsCross, snap.Steals)
-	}
-
-	srv := httptest.NewServer(NewMux(nil, &prog, ""))
-	defer srv.Close()
-	_, body := get(t, srv, "/debug/progress")
-	var doc map[string]any
-	if err := json.Unmarshal([]byte(body), &doc); err != nil {
-		t.Fatalf("/debug/progress not JSON: %v", err)
-	}
-	if got := doc["steals_local"]; got != float64(1) {
-		t.Errorf("steals_local = %v, want 1", got)
-	}
-	if got := doc["steals_cross_shard"]; got != float64(2) {
-		t.Errorf("steals_cross_shard = %v, want 2", got)
-	}
-}
-
 // TestProgressHooksAreInert: wiring progress observation must not change
 // counts or stats (the serve-mode half of the observers-never-perturb
 // contract).
