@@ -1,9 +1,7 @@
 package core
 
 import (
-	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/graph"
 	"repro/internal/pattern"
@@ -58,64 +56,6 @@ func TestAppsOnKnownGraphs(t *testing.T) {
 	want := BruteCount(grid, pattern.FourCycle(), false)
 	if got, _ := mineApp(t, grid, "SL-4cycle", Options{}); got.Count() != want {
 		t.Errorf("grid 4-cycles = %d want %d", got.Count(), want)
-	}
-}
-
-// randomConnectedPattern draws a connected pattern on k vertices.
-func randomConnectedPattern(r *rand.Rand, k int) *pattern.Pattern {
-	for {
-		p := pattern.New(k)
-		// Random spanning tree guarantees connectivity.
-		for v := 1; v < k; v++ {
-			p.AddEdge(v, r.Intn(v))
-		}
-		for u := 0; u < k; u++ {
-			for v := u + 1; v < k; v++ {
-				if !p.HasEdge(u, v) && r.Intn(3) == 0 {
-					p.AddEdge(u, v)
-				}
-			}
-		}
-		if p.IsConnected() {
-			return p
-		}
-	}
-}
-
-// TestRandomPatternsMatchBruteForce is the strongest compiler test: random
-// connected patterns (sizes 2–5), random graphs, both semantics, engine vs
-// brute force.
-func TestRandomPatternsMatchBruteForce(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		k := 2 + r.Intn(4)
-		p := randomConnectedPattern(r, k)
-		n := k + r.Intn(18)
-		var edges []graph.Edge
-		m := r.Intn(3*n + 1)
-		for i := 0; i < m; i++ {
-			edges = append(edges, graph.Edge{U: graph.VID(r.Intn(n)), V: graph.VID(r.Intn(n))})
-		}
-		g := graph.MustFromEdges(n, edges)
-		induced := r.Intn(2) == 0
-		pl, err := plan.Compile(p, plan.Options{Induced: induced})
-		if err != nil {
-			return false
-		}
-		res, err := Mine(g, pl, Options{Threads: 2})
-		if err != nil {
-			return false
-		}
-		want := BruteCount(g, p, induced)
-		if res.Count() != want {
-			t.Logf("seed=%d pattern=%s induced=%v: engine=%d brute=%d\n%s",
-				seed, p, induced, res.Count(), want, pl)
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -28,44 +28,6 @@ func inducedPath(t *testing.T) *plan.Plan {
 	return mustCompile(t, pattern.KPath(4), plan.Options{Induced: true})
 }
 
-// TestAuxModeCountInvariance is the correctness core: the default engine, which
-// builds the rows lowering kept, must mine bit-identical counts to the merge-only
-// one, which builds none — for a plan whose directive survives (the
-// vertex-induced 4-path), one whose does not (house: its v2 is a factor,
-// decision 23, so the loop a row was looked up in is gone) and plans without any
-// (cliques, the merged 4-motif census).
-func TestAuxModeCountInvariance(t *testing.T) {
-	inputs := map[string]*graph.Graph{
-		"er":   graph.ErdosRenyi(300, 2400, 17),
-		"rmat": graph.RMAT(9, 4500, 0.57, 0.19, 0.19, 5),
-	}
-	plans := map[string]*plan.Plan{
-		"house":  mustCompile(t, pattern.House(), plan.Options{}),
-		"4-CL":   mustCompile(t, pattern.KClique(4), plan.Options{}),
-		"4-path": inducedPath(t),
-	}
-	if pl, err := plan.CompileMotifs(4, plan.Options{}); err != nil {
-		t.Fatal(err)
-	} else {
-		plans["4-MC"] = pl
-	}
-	for gname, g := range inputs {
-		for pname, pl := range plans {
-			merge := mustMine(t, g, pl, Options{Threads: 4, Kernel: KernelMergeOnly, SliceElems: 16})
-			got := mustMine(t, g, pl, Options{Threads: 4, SliceElems: 16})
-			if !reflect.DeepEqual(got.Counts, merge.Counts) {
-				t.Fatalf("%s/%s counts %v != merge-only %v", gname, pname, got.Counts, merge.Counts)
-			}
-			if s := merge.Stats; s.AuxBuilt+s.AuxReused+s.AuxBytesPeak != 0 {
-				t.Errorf("%s/%s: merge-only built %d aux rows, reused %d", gname, pname, s.AuxBuilt, s.AuxReused)
-			}
-			if rows := pname == "4-path"; rows != (got.Stats.AuxBuilt > 0) {
-				t.Errorf("%s/%s built %d aux rows; want some iff a directive survives lowering", gname, pname, got.Stats.AuxBuilt)
-			}
-		}
-	}
-}
-
 // TestAuxNeverBlocksCounting: a plan's aux directives may add rows, never take a
 // count away. For every catalog plan of 4–6 vertices, under both semantics, that
 // carries a spec, on a skewed and a power-law graph: the default engine mines the
@@ -131,38 +93,6 @@ func TestAuxReuseDominatesBuilds(t *testing.T) {
 		}
 		if res.Stats.AuxBytesPeak <= 0 {
 			t.Fatalf("AuxBytesPeak = %d after %d builds", res.Stats.AuxBytesPeak, res.Stats.AuxBuilt)
-		}
-	}
-}
-
-// TestAuxCrossBackendEquivalence: Counts and the full Stats block (including
-// the Aux* counters and the max-merged byte peak) must be DeepEqual across
-// heap/mmap/1-shard/4-shard and across worker counts 1/4/16 — materialization is per-task-deterministic, so scheduling
-// must not show through. SliceElems is pinned so all legs share a task set.
-func TestAuxCrossBackendEquivalence(t *testing.T) {
-	g := graph.RMAT(9, 4000, 0.57, 0.19, 0.19, 5)
-	stores := storageBackends(t, g)
-	plans := map[string]*plan.Plan{"house": mustCompile(t, pattern.House(), plan.Options{}), "4-path": inducedPath(t)}
-	if pl, err := plan.CompileMotifs(4, plan.Options{}); err != nil {
-		t.Fatal(err)
-	} else {
-		plans["4-MC"] = pl
-	}
-	for pname, pl := range plans {
-		ref := mustMine(t, stores["heap"], pl, Options{Threads: 4, SliceElems: 16})
-		if pname == "4-path" && ref.Stats.AuxBuilt == 0 {
-			t.Fatalf("%s built no aux row: nothing of the layer is compared", pname)
-		}
-		for sname, st := range stores {
-			for _, threads := range []int{1, 4, 16} {
-				got := mustMine(t, st, pl, Options{Threads: threads, SliceElems: 16})
-				if !reflect.DeepEqual(got.Counts, ref.Counts) {
-					t.Fatalf("%s %s/w%d counts %v != heap/w4 %v", pname, sname, threads, got.Counts, ref.Counts)
-				}
-				if !reflect.DeepEqual(got.Stats, ref.Stats) {
-					t.Fatalf("%s %s/w%d stats diverge:\n%+v\n%+v", pname, sname, threads, got.Stats, ref.Stats)
-				}
-			}
 		}
 	}
 }
@@ -300,24 +230,5 @@ func TestAuxMineConstantHeap(t *testing.T) {
 	res := mappedMineConstantHeap(t, graph.ErdosRenyi(30_000, 240_000, 23), inducedPath(t), Options{Threads: 2})
 	if res.Stats.AuxBuilt == 0 {
 		t.Fatal("the mapped run built no aux row")
-	}
-}
-
-// TestAuxListEquivalence drives the listing path: per-embedding visitors must
-// see the identical multiset of embeddings from aux rows (a listing walk has no
-// factor, so house keeps its spec) and from the merge-only walk.
-func TestAuxListEquivalence(t *testing.T) {
-	g := graph.ErdosRenyi(200, 1400, 29)
-	pl := mustCompile(t, pattern.House(), plan.Options{})
-	want, merge := listed(t, g, pl, Options{Threads: 4, Kernel: KernelMergeOnly})
-	if len(want) == 0 {
-		t.Fatal("fixture lists no houses; enlarge the graph")
-	}
-	got, auto := listed(t, g, pl, Options{Threads: 4})
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("aux rows listed %d embeddings, merge-only listed %d — sets differ", len(got), len(want))
-	}
-	if merge.Stats.AuxBuilt != 0 || auto.Stats.AuxBuilt == 0 {
-		t.Fatalf("%d aux rows built under merge-only, %d under the default; want none and some", merge.Stats.AuxBuilt, auto.Stats.AuxBuilt)
 	}
 }

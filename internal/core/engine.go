@@ -72,10 +72,11 @@ type Options struct {
 	// come from the simulator, whose coordinator serializes emission.
 	Trace *obs.Tracer
 
-	// SchedHooks observe the scheduler (task retirements) during the run —
-	// the job service's per-batch progress feed (internal/jobs; benchmark/
-	// wires them too). Callbacks run on worker goroutines; like tracing,
-	// they must not mutate engine state and never affect counts or stats.
+	// SchedHooks observe the scheduler (task retirements) during the run.
+	// Only benchmark/ sets them — the job service's progress feed is
+	// OnTaskDone — and ROADMAP 1f deletes the field. Callbacks run on worker
+	// goroutines; like tracing, they must not mutate engine state and never
+	// affect counts or stats.
 	SchedHooks sched.Hooks
 
 	// OnTaskDone, when non-nil, fires after every completed task with the

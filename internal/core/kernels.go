@@ -15,7 +15,7 @@ package core
 //     the levels the plan roots there, in tasks where it fits (local.go).
 //
 // All kernels compute bit-identical candidate sets, so mined counts are
-// invariant under Options.Kernel (enforced by TestKernelInvariance). Kernel
+// invariant under Options.Kernel (enforced by TestDifferential). Kernel
 // selection is a CPU-engine concern only: the simulator always charges
 // merge-model SIU/SDU cycles regardless of this option (DESIGN.md "Software
 // kernels vs SIU/SDU").

@@ -192,10 +192,14 @@ func catalogPlans(t *testing.T) []*plan.Plan {
 // TestLoweringInvariants holds every lowering pass (DESIGN.md decision 18's table)
 // to the postcondition its comment states, over the whole catalog × {auto, merge}
 // × {count, list}: what a pass leaves is what the passes after it, and the
-// engine, may assume.
+// engine, may assume. It also counts the single patterns a pass reaches, so that
+// a pass that stops reaching one shows here and not only in the clock: the
+// three 5-vertex and twenty 6-vertex patterns with a factor (decision 23), the
+// four with a far corner (decision 24).
 func TestLoweringInvariants(t *testing.T) {
 	g := graph.ErdosRenyi(40, 120, 1)
 	var sides, factors, locals, kept, fars int
+	var bearing [2][7]int // single-pattern programs with a factor, with a far corner, by pattern size
 	for _, pl := range catalogPlans(t) {
 		for _, o := range []Options{{}, {Kernel: KernelMergeOnly}} {
 			for _, listing := range []bool{false, true} {
@@ -207,6 +211,7 @@ func TestLoweringInvariants(t *testing.T) {
 				}
 				consumers := map[int]bool{}
 				var marked, local bool
+				factors0, fars0 := factors, fars
 				p.each(func(n *node, path []*node) {
 					// build: the path is the ancestors, a leaf is count-only or visited, and
 					// no plan leaf memoizes its list (why there is no materializing leaf mode).
@@ -326,6 +331,10 @@ func TestLoweringInvariants(t *testing.T) {
 						bad(n, "state of a pass that did not run")
 					}
 				})
+				if len(pl.Patterns) == 1 {
+					bearing[0][pl.K] += min(factors-factors0, 1)
+					bearing[1][pl.K] += min(fars-fars0, 1)
+				}
 				for i := range p.aux {
 					if (p.aux[i].spec != nil) != consumers[i] {
 						t.Fatalf("%s: aux spec %d kept=%v, consumed=%v", name, i, p.aux[i].spec != nil, consumers[i])
@@ -339,6 +348,10 @@ func TestLoweringInvariants(t *testing.T) {
 	}
 	if sides == 0 || factors == 0 || locals == 0 || kept == 0 || fars == 0 {
 		t.Fatalf("the catalog exercised %d side nodes, %d nodes at or below a factor, %d local nodes, %d aux consumers, %d far corners: a pass is vacuous here", sides, factors, locals, kept, fars)
+	}
+	if bearing != [2][7]int{{5: 3, 6: 20}, {4: 1, 5: 1, 6: 2}} {
+		t.Errorf("catalog patterns with a factor, with a far corner, by size: %v; want 3 of 5 vertices (house, 5-motif-2, -9) and 20 of 6, "+
+			"then the 4-cycle, 5-motif-16, 6-motif-74 and -95", bearing)
 	}
 }
 

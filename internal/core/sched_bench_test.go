@@ -6,10 +6,9 @@ package core
 //
 // Two instruments:
 //
-//   - BenchmarkScheduler* measures wall clock. On a multicore host the
-//     sliced LPT list wins by eliminating the serial hub tail; on a host with
-//     fewer cores than workers both degenerate to total-work time and measure
-//     only dispatch overhead.
+//   - BenchmarkScheduler measures the list's wall clock. On a host with
+//     fewer cores than workers it degenerates to total-work time plus
+//     dispatch overhead.
 //   - TestSchedulerMakespanModel* are deterministic on any host: they
 //     measure the true per-task work of every task, then replay both
 //     dispatches in virtual time with 16 ideal workers. modelListMakespan is
@@ -93,16 +92,6 @@ func dagWorkloads(tb testing.TB) []benchWorkload {
 }
 
 const benchThreads = 16
-
-func BenchmarkSchedulerChunk(b *testing.B) {
-	for _, w := range schedWorkloads(b) {
-		b.Run(w.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				chunkMine(w.g, w.pl, benchThreads)
-			}
-		})
-	}
-}
 
 func BenchmarkScheduler(b *testing.B) {
 	for _, w := range schedWorkloads(b) {

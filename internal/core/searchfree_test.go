@@ -11,7 +11,6 @@ import (
 	"math/big"
 	"slices"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/graph"
@@ -21,175 +20,10 @@ import (
 	"repro/internal/setops"
 )
 
-// TestLeafEvaluationsAgree: Mine (count path: proofs, probes, positions, local
-// rows) == List (materialize path: dropAncestors still searches; set bits walked
-// one by one) == BruteCount, for every connected pattern of 3–6 vertices under
-// both matching semantics (the vertex-induced plans carry the Disconnected half
-// of the proof rule), with and without symmetry breaking (without it a level
-// reuses a frontier that already dropped an ancestor the leaf excludes too; with
-// it that takes six vertices — and List, which needs a symmetry-broken plan, sits
-// out), whole vertices on one thread and 4-element hub slices on three (the
-// sliceLo offset of a positional bound), with and without the c-map. The
-// 6-vertex patterns run on one graph small enough for BruteCount. Then the plans
-// decision 21 is about: the oriented cliques, and the merged trees, where local
-// and non-local siblings hang under one v1 and a node off the rows reuses a
-// local node's frontier. Every auto run is repeated with the universe cap lowered
-// to 4, which on these graphs puts tasks on both sides of it. Closed forms
-// (decision 22) ride the same grid: Stats.Candidates is one number over all of a
-// plan's runs, List included — every evaluation walks the same tree —, merge-only
-// and List evaluate none, no vertex-induced plan has one, and the plans the
-// decision names (k-stars and k-paths to six vertices, diamond, tailed-triangle,
-// the merged trees) evaluate some under auto, whole vertices and 4-element slices.
-func TestLeafEvaluationsAgree(t *testing.T) {
-	graphs := []*graph.Graph{
-		graph.RMAT(6, 170, 0.57, 0.19, 0.19, 3),
-		graph.ErdosRenyi(40, 140, 9),
-		graph.RMAT(5, 110, 0.45, 0.22, 0.22, 21),
-	}
-	runs := []Options{
-		{Threads: 1},
-		{Threads: 3, SliceElems: 4},
-		{Threads: 1, Kernel: KernelMergeOnly},
-		{Threads: 3, SliceElems: 4, Kernel: KernelMergeOnly},
-	}
-	brute := map[string]int64{}
-	var rows, capped int64
-	check := func(g *graph.Graph, pl *plan.Plan, induced bool) (closed int64) { // closed forms evaluated, least over the auto runs
-		t.Helper()
-		closed, cands := -1, int64(-1)
-		sameTree := func(name string, s Stats, forms bool) {
-			t.Helper()
-			if cands < 0 {
-				cands = s.Candidates
-			}
-			if s.Candidates != cands || !forms && s.ClosedForms != 0 {
-				t.Errorf("%s: %d candidates, %d closed forms; want %d as in the first run, forms only when counting under auto", name, s.Candidates, s.ClosedForms, cands)
-			}
-		}
-		var store graph.Store = g
-		if pl.RequiresDAG {
-			store = g.Orient()
-		}
-		want := make([]int64, len(pl.Patterns))
-		for i, p := range pl.Patterns {
-			key := fmt.Sprintf("%p %s %v", g, p.Name(), induced)
-			if _, ok := brute[key]; !ok {
-				brute[key] = BruteCount(g, p, induced)
-			}
-			want[i] = brute[key]
-		}
-		for _, o := range runs {
-			for _, lcap := range []int{localCap, 4} {
-				if lcap != localCap && o.Kernel != KernelAuto {
-					continue
-				}
-				name := fmt.Sprintf("%s induced=%v divisor=%d |V|=%d threads=%d slice=%d kernel=%v cap=%d", pl.Patterns[0].Name(),
-					induced, pl.CountDivisor[0], g.NumVertices(), o.Threads, o.SliceElems, o.Kernel, lcap)
-				e, err := NewEngine(store, pl, o)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				e.prog.lcap = min(e.prog.lcap, lcap)
-				mined := e.Mine()
-				sameTree(name, mined.Stats, o.Kernel == KernelAuto)
-				if o.Kernel == KernelAuto && (closed < 0 || mined.Stats.ClosedForms < closed) {
-					closed = mined.Stats.ClosedForms
-				}
-				if lcap == localCap {
-					rows += mined.Stats.LocalRows
-				} else {
-					capped += mined.Stats.LocalRows
-				}
-				listed := slices.Clone(mined.Counts)
-				if pl.CountDivisor[0] == 1 {
-					var mu sync.Mutex
-					clear(listed)
-					e, err = newEngine(store, pl, o, func(_ []graph.VID, i int) {
-						mu.Lock()
-						listed[i]++
-						mu.Unlock()
-					})
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					e.prog.lcap = min(e.prog.lcap, lcap)
-					res := e.Mine()
-					sameTree(name+" List", res.Stats, false)
-					if !slices.Equal(res.Counts, want) {
-						t.Errorf("%s: List returned %v, BruteCount %v", name, res.Counts, want)
-					}
-				}
-				if !slices.Equal(mined.Counts, want) || !slices.Equal(listed, want) {
-					t.Errorf("%s: Mine %v, List visits %v, BruteCount %v", name, mined.Counts, listed, want)
-				}
-			}
-		}
-		if induced && closed != 0 {
-			t.Errorf("%s, vertex-induced: %d closed forms; every level names the one above it", pl.Patterns[0].Name(), closed)
-		}
-		return closed
-	}
-	planOptions := []plan.Options{{}, {Induced: true}, {NoSymmetry: true}, {NoSymmetry: true, Induced: true}}
-	for k := 3; k <= 6; k++ {
-		on := graphs
-		if k == 6 {
-			on = []*graph.Graph{graph.ErdosRenyi(14, 48, 5)}
-		}
-		for _, p := range pattern.Motifs(k) {
-			for _, po := range planOptions {
-				for _, g := range on {
-					check(g, mustCompile(t, p, po), po.Induced)
-				}
-			}
-		}
-	}
-	for _, p := range []*pattern.Pattern{pattern.Diamond(), pattern.TailedTriangle(), pattern.KStar(4), pattern.KPath(4),
-		pattern.KStar(5), pattern.KPath(5), pattern.KStar(6), pattern.KPath(6)} {
-		for _, po := range planOptions {
-			for _, g := range graphs {
-				if closed := check(g, mustCompile(t, p, po), po.Induced); closed == 0 && po == (plan.Options{}) {
-					t.Errorf("%s |V|=%d: an auto run evaluated no closed form", p.Name(), g.NumVertices())
-				}
-			}
-		}
-	}
-	compiled := func(pl *plan.Plan, err error) *plan.Plan {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return pl
-	}
-	for _, g := range graphs {
-		for k := 4; k <= 6; k++ {
-			check(g, compiled(plan.CompileCliqueDAG(k)), false)
-		}
-		for _, ps := range [][]*pattern.Pattern{pattern.Motifs(4), burstPatterns(t)} {
-			if check(g, compiled(plan.CompileMulti(ps, plan.Options{})), false) == 0 {
-				t.Errorf("six merged 4-vertex patterns, |V|=%d: an auto run evaluated no closed form", g.NumVertices())
-			}
-		}
-		check(g, compiled(plan.CompileMotifs(4, plan.Options{})), true)
-		check(g, compiled(plan.CompileMotifs(5, plan.Options{})), true)
-	}
-	if rows == 0 || capped == 0 || capped >= rows {
-		t.Errorf("%d local rows built in all, %d under a cap of 4: want both, and fewer under the cap", rows, capped)
-	}
-}
-
 // burstPatterns are the six 4-vertex patterns of the benchmark's burst catalog
 // (benchmark/servewl.go), in its order: what the job service batches into one tree.
-func burstPatterns(t *testing.T) []*pattern.Pattern {
-	t.Helper()
-	var burst []*pattern.Pattern
-	for _, name := range []string{"diamond", "tailed-triangle", "4-cycle", "4-clique", "4-star", "4-path"} {
-		p, err := pattern.ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		burst = append(burst, p)
-	}
-	return burst
+func burstPatterns() []*pattern.Pattern {
+	return []*pattern.Pattern{pattern.Diamond(), pattern.TailedTriangle(), pattern.FourCycle(), pattern.KClique(4), pattern.KStar(4), pattern.KPath(4)}
 }
 
 // TestLocalCap: a task whose universe is over the cap builds no row and leaves
@@ -242,7 +76,7 @@ func TestLocalCap(t *testing.T) {
 // alone. Exactly the candidates throughout.
 func TestMergedTreeWorkBound(t *testing.T) {
 	g := graph.RMAT(11, 14000, 0.45, 0.22, 0.22, 7^0x31) // benchmark/workloads.go serveBurstShape, seed 7
-	pl, err := plan.CompileMulti(burstPatterns(t), plan.Options{})
+	pl, err := plan.CompileMulti(burstPatterns(), plan.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,7 +289,7 @@ func TestLoweringSplit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	burst, err := plan.CompileMulti(burstPatterns(t), plan.Options{})
+	burst, err := plan.CompileMulti(burstPatterns(), plan.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -535,6 +369,15 @@ v0 marks[]
   v1
     v2
     X=v3 row[2] twins[3] less[0 1]
+`},
+		// K₂,₃ has twins and, in the compiler's order, no far corner: neither v3 nor v4
+		// ends at a loop position of the list above it, so no chain of prefixes hangs off v2.
+		{"K₂,₃", mustCompile(t, pattern.FromEdges(5, [][2]int{{0, 2}, {0, 3}, {0, 4}, {1, 2}, {1, 3}, {1, 4}}), plan.Options{}), Options{}, `
+v0 marks[]
+  v1 marks[<v0]
+    v2 bound@pos[1]
+      v3
+        v4
 `},
 		// Prefix: v3 was v2's frontier below v2 — C(|N(v0) ∩ N(v1)|, 2) per edge.
 		{"diamond, auto", mustCompile(t, pattern.Diamond(), plan.Options{}), Options{}, `

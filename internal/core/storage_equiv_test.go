@@ -4,12 +4,9 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -51,81 +48,6 @@ func storageBackends(t *testing.T, g *graph.Graph) map[string]graph.Store {
 		}
 	}
 	return stores
-}
-
-// equivPlans compiles the workload catalog the equivalence suite mines:
-// the full 3-motif census, two subgraph-listing patterns, a generic 4-clique
-// plan, and (for oriented inputs) the DAG clique plan.
-func equivPlans(t *testing.T, dag bool) map[string]*plan.Plan {
-	t.Helper()
-	plans := map[string]*plan.Plan{}
-	compile := func(name string, pl *plan.Plan, err error) {
-		if err != nil {
-			t.Fatalf("compile %s: %v", name, err)
-		}
-		plans[name] = pl
-	}
-	if dag {
-		pl, err := plan.CompileCliqueDAG(4)
-		compile("4-CL-dag", pl, err)
-		return plans
-	}
-	pl, err := plan.CompileMotifs(3, plan.Options{})
-	compile("3-MC", pl, err)
-	pl, err = plan.Compile(pattern.Diamond(), plan.Options{})
-	compile("SL-diamond", pl, err)
-	pl, err = plan.Compile(pattern.FourCycle(), plan.Options{})
-	compile("SL-4cycle", pl, err)
-	pl, err = plan.Compile(pattern.KClique(4), plan.Options{})
-	compile("4-CL-sym", pl, err)
-	return plans
-}
-
-// TestStorageBackendEquivalence is the acceptance suite: for every workload
-// in the catalog, Counts AND the full Stats block must be DeepEqual across
-// heap, mmap, 1-shard, and 4-shard backends — storage (and shard-local
-// placement) may move bytes and tasks around, but never the computation.
-func TestStorageBackendEquivalence(t *testing.T) {
-	inputs := map[string]*graph.Graph{
-		"er":   graph.ErdosRenyi(400, 3000, 17),
-		"rmat": graph.RMAT(10, 6000, 0.57, 0.19, 0.19, 5),
-	}
-	opts := []Options{
-		{Threads: 4},
-		{Threads: 8, Kernel: KernelMergeOnly, SliceElems: 16},
-	}
-	for gname, g := range inputs {
-		for dag := 0; dag < 2; dag++ {
-			base := g
-			if dag == 1 {
-				base = g.Orient()
-			}
-			stores := storageBackends(t, base)
-			for pname, pl := range equivPlans(t, dag == 1) {
-				for oi, o := range opts {
-					want, err := Mine(stores["heap"], pl, o)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for sname, st := range stores {
-						if sname == "heap" {
-							continue
-						}
-						got, err := Mine(st, pl, o)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !reflect.DeepEqual(got.Counts, want.Counts) {
-							t.Fatalf("%s/%s/opt%d: %s counts %v != heap %v", gname, pname, oi, sname, got.Counts, want.Counts)
-						}
-						if !reflect.DeepEqual(got.Stats, want.Stats) {
-							t.Fatalf("%s/%s/opt%d: %s stats diverge from heap:\n%+v\n%+v", gname, pname, oi, sname, got.Stats, want.Stats)
-						}
-					}
-				}
-			}
-		}
-	}
 }
 
 // TestStorageBackendCancellation checks cancellation-with-partial-results
@@ -231,38 +153,4 @@ func mappedMineConstantHeap(t *testing.T, g *graph.Graph, pl *plan.Plan, o Optio
 		t.Fatalf("mapped mine grew heap by %d bytes for a %d-byte graph; want < %d", grew, fi.Size(), bound)
 	}
 	return res
-}
-
-// TestStorageBackendListEquivalence drives the listing path (per-embedding
-// visitor) through a mapped store, confirming visitors see identical
-// embeddings regardless of backend.
-func TestStorageBackendListEquivalence(t *testing.T) {
-	g := graph.ErdosRenyi(200, 1200, 29)
-	stores := storageBackends(t, g)
-	pl, err := plan.Compile(pattern.Triangle(), plan.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := listed(t, stores["heap"], pl, Options{Threads: 4})
-	for _, name := range []string{"mmap", "shard1", "shard4"} {
-		if got, _ := listed(t, stores[name], pl, Options{Threads: 4}); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: listed embeddings differ from heap (%d vs %d distinct)", name, len(got), len(want))
-		}
-	}
-}
-
-// listed lists pl over st and returns the multiset of embeddings the visitor saw.
-func listed(t *testing.T, st graph.Store, pl *plan.Plan, o Options) (map[string]int, Result) {
-	t.Helper()
-	seen := map[string]int{}
-	var mu sync.Mutex
-	res, err := List(st, pl, o, func(emb []graph.VID, pat int) {
-		mu.Lock()
-		seen[fmt.Sprint(emb)]++
-		mu.Unlock()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return seen, res
 }

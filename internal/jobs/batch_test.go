@@ -229,62 +229,3 @@ func TestBatchingDisabledByMaxBatchOne(t *testing.T) {
 		}
 	}
 }
-
-// TestBurstSetEqualsSolo: the benchmark's burst — two tenants, the eight catalog
-// patterns each, sixteen jobs co-queued behind a pause — returns per job the
-// count its pattern mines alone on the merge-only engine, with batching engaged.
-// The merged trees are where lowering counts one child of a node and extends the
-// others (DESIGN.md decisions 22 and 24): a count that leaked between the
-// patterns of a tree would show here and in no single-pattern test.
-func TestBurstSetEqualsSolo(t *testing.T) {
-	g := graph.RMAT(9, 5000, 0.45, 0.22, 0.22, 7)
-	burst := []string{"diamond", "tailed-triangle", "4-cycle", "4-clique", "4-star", "4-path", "triangle", "wedge"}
-	want := map[string]int64{}
-	for _, name := range burst {
-		pat, err := pattern.ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pl, err := plan.Compile(pat, plan.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := core.Mine(g, pl, core.PaperBaseline(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want[name] = res.Count(); want[name] == 0 {
-			t.Fatalf("the graph holds no %s; the comparison would be vacuous", name)
-		}
-	}
-	for _, workers := range []int{1, 4} {
-		s := New(Config{Graphs: map[string]graph.Store{"g": g}, StartPaused: true})
-		ids := map[string]string{}
-		for _, tenant := range []string{"A", "B"} {
-			for _, name := range burst {
-				ids[submitNamed(t, s, tenant, "g", name, EngineOptions{Workers: workers})] = name
-			}
-		}
-		s.Resume()
-		batched := 0
-		for id, name := range ids {
-			if st := waitDone(t, s, id); st.State != StateDone {
-				t.Fatalf("workers=%d: job %s (%s): %s (%s)", workers, id, name, st.State, st.Error)
-			}
-			res, err := s.Result(id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Count != want[name] {
-				t.Errorf("workers=%d: %s in a batch of %d counted %d, alone %d", workers, name, res.BatchWidth, res.Count, want[name])
-			}
-			if res.BatchWidth > 1 {
-				batched++
-			}
-		}
-		if batched < len(ids)/2 {
-			t.Errorf("workers=%d: %d of %d jobs ran batched; the burst did not merge", workers, batched, len(ids))
-		}
-		closeServer(t, s)
-	}
-}

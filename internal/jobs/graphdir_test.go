@@ -43,7 +43,7 @@ func submitPath(t *testing.T, s *Server, path string, mmap bool) string {
 
 func TestGraphPathBackends(t *testing.T) {
 	dir, g := writeGraphDir(t)
-	want := mineIndividually(t, g, "triangle", "auto", 2)
+	want := solo(t, g, "triangle")
 	s := New(Config{GraphDir: dir})
 	defer closeServer(t, s)
 	if s.Registry() == nil {

@@ -154,7 +154,7 @@ func TestHTTPSubmitPollResult(t *testing.T) {
 	if err := json.Unmarshal(doc["count"], &count); err != nil || count <= 0 {
 		t.Fatalf("result count %s: %v", doc["count"], err)
 	}
-	if want := mineIndividually(t, g, "triangle", "auto", 2); count != want {
+	if want := solo(t, g, "triangle"); count != want {
 		t.Fatalf("HTTP count %d != engine count %d", count, want)
 	}
 
@@ -175,7 +175,7 @@ func TestHTTPConcurrentTenants(t *testing.T) {
 		Graphs:   map[string]graph.Store{"default": g},
 		MaxQueue: 256,
 	})
-	want := mineIndividually(t, g, "triangle", "auto", 2)
+	want := solo(t, g, "triangle")
 
 	const tenants, perTenant = 4, 5
 	var wg sync.WaitGroup

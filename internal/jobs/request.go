@@ -96,8 +96,8 @@ type EngineOptions struct {
 	TimeoutMS int `json:"timeout_ms,omitempty"`
 }
 
-// coreOptions maps the validated knobs onto core.Options (scheduler hooks and
-// progress callbacks are layered on by the batch runner).
+// coreOptions maps the validated knobs onto core.Options (the progress
+// callback is layered on by the batch runner).
 func (o EngineOptions) coreOptions() (core.Options, error) {
 	kernel, err := core.ParseKernelPolicy(o.Kernel)
 	if err != nil {

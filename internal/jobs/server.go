@@ -628,7 +628,6 @@ func (s *Server) mineBatch(b *batch) (res core.Result, mineErr error, ok bool) {
 		s.failBatch(b, err)
 		return
 	}
-	copts.SchedHooks = b.prog.Hooks()
 	copts.OnTaskDone = b.prog.OnTaskDone
 	eng, err := core.NewEngine(store, pl, copts)
 	if err != nil {

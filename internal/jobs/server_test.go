@@ -79,7 +79,7 @@ func TestJobLifecycleSingle(t *testing.T) {
 	if res.Count <= 0 || res.Partial || res.BatchWidth != 1 {
 		t.Fatalf("unexpected result %+v", res)
 	}
-	if got := mineIndividually(t, g, "triangle", "auto", 2); res.Count != got {
+	if got := solo(t, g, "triangle"); res.Count != got {
 		t.Fatalf("job count %d != direct engine count %d", res.Count, got)
 	}
 	if v := reg.Get(MetricCompleted); v != 1 {
@@ -276,7 +276,7 @@ func TestCancelOneOfBatch(t *testing.T) {
 	if resB.Partial || resB.BatchWidth != 2 {
 		t.Fatalf("surviving member result %+v: want full (non-partial) count from a width-2 batch", resB)
 	}
-	if want := mineIndividually(t, g, "tailed-triangle", "auto", 1); resB.Count != want {
+	if want := solo(t, g, "tailed-triangle"); resB.Count != want {
 		t.Fatalf("surviving member count %d != individual count %d", resB.Count, want)
 	}
 }
@@ -361,7 +361,7 @@ func (f faultyStore) MaxDegree() int {
 // a healthy graph to the one-shot count, and every goroutine is joined.
 func TestPanickingJobFailsAlone(t *testing.T) {
 	g := graph.ChungLu(300, 2000, 2.3, 7)
-	want := mineIndividually(t, g, "diamond", "auto", 2)
+	want := solo(t, g, "diamond")
 	before := runtime.NumGoroutine()
 	for _, c := range []struct {
 		name  string

@@ -32,8 +32,9 @@ type Hooks struct {
 	OnStealTier func(thief, victim, ntasks, tier int)
 
 	// OnTask fires after fn returns for a task — the task was executed
-	// (possibly partially, when cancellation latched mid-task). This is the
-	// live-progress feed behind serve.Progress (a job's "progress").
+	// (possibly partially, when cancellation latched mid-task). Only
+	// benchmark/mining.go sets it: a job's "progress" counts tasks through
+	// core.Options.OnTaskDone, and ROADMAP 1f deletes this field.
 	OnTask func(worker int, t Task)
 }
 

@@ -1,10 +1,10 @@
 // Package serve is the live observation surface of the system: an HTTP
 // server exposing the obs.Registry in Prometheus text format (/metrics), a
-// liveness probe (/healthz), a live mining-progress snapshot fed by
-// scheduler hooks (/debug/progress), and the standard net/http/pprof
-// endpoints — the serving half of the ROADMAP's production-service goal.
-// Everything rendered here is a view over the observability spine
-// (internal/obs) and the scheduler's hook stream (internal/sched); the
+// liveness probe (/healthz), a live mining-progress snapshot fed by the
+// engine's per-task callback (/debug/progress), and the standard
+// net/http/pprof endpoints — the serving half of the ROADMAP's
+// production-service goal. Everything rendered here is a view over the
+// observability spine (internal/obs) and core.Options.OnTaskDone; the
 // server introduces no counters of its own (DESIGN.md decision 12).
 package serve
 
@@ -19,11 +19,10 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/sched"
 )
 
-// Progress is a race-free live view of a mining run, updated from scheduler
-// hooks on worker goroutines and read by the /debug/progress handler. The
+// Progress is a race-free live view of a mining run, updated from the
+// engine's worker goroutines and read by the /debug/progress handler. The
 // zero value is ready to use.
 type Progress struct {
 	tasksDone atomic.Int64
@@ -33,19 +32,10 @@ type Progress struct {
 	running   atomic.Bool
 }
 
-// Hooks returns the scheduler hooks that feed p — wire them into
-// core.Options.SchedHooks.
-func (p *Progress) Hooks() sched.Hooks {
-	return sched.Hooks{
-		OnTask: func(worker int, t sched.Task) {
-			p.tasksDone.Add(1)
-		},
-	}
-}
-
-// OnTaskDone is the core.Options.OnTaskDone callback accumulating partial
-// match counts.
+// OnTaskDone is the core.Options.OnTaskDone callback that feeds p: one task
+// done, and the partial matches it found.
 func (p *Progress) OnTaskDone(worker int, matches int64) {
+	p.tasksDone.Add(1)
 	p.matches.Add(matches)
 }
 

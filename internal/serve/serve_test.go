@@ -1,8 +1,9 @@
 package serve
 
 // httptest smoke for the serving surface, exercised concurrently with a
-// real engine run so the -race CI step covers the hook path: scheduler
-// workers write the Progress atomics while HTTP handlers read them.
+// real engine run so the -race CI step covers the progress feed: engine
+// workers write the Progress atomics through core.Options.OnTaskDone while
+// HTTP handlers read them.
 
 import (
 	"context"
@@ -21,7 +22,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pattern"
 	"repro/internal/plan"
-	"repro/internal/sched"
 )
 
 func get(t *testing.T, srv *httptest.Server, path string) (int, string) {
@@ -82,8 +82,8 @@ func TestServeSmoke(t *testing.T) {
 }
 
 // TestServeProgressDuringRun drives a real parallel mine with the Progress
-// hooks wired while hammering /debug/progress — the race detector proves
-// the hook path is sound, and the final snapshot must agree with the run.
+// feed wired while hammering /debug/progress — the race detector proves
+// the OnTaskDone path is sound, and the final snapshot must agree with the run.
 func TestServeProgressDuringRun(t *testing.T) {
 	g := graph.ChungLu(600, 4800, 2.3, 9)
 	pl, err := plan.Compile(pattern.Diamond(), plan.Options{})
@@ -94,8 +94,12 @@ func TestServeProgressDuringRun(t *testing.T) {
 	srv := httptest.NewServer(NewMux(obs.NewRegistry(nil), &prog, "flexminer"))
 	defer srv.Close()
 
-	tasks := sched.Expand(g, 16)
-	prog.BeginRun(len(tasks))
+	e, err := core.NewEngine(g, pl, core.Options{Threads: 4, SliceElems: 16, OnTaskDone: prog.OnTaskDone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tasks := e.TaskCount()
+	prog.BeginRun(tasks)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	wg.Add(1)
@@ -111,25 +115,17 @@ func TestServeProgressDuringRun(t *testing.T) {
 			}
 		}
 	}()
-	res, err := core.Mine(g, pl, core.Options{
-		Threads:    4,
-		SliceElems: 16,
-		SchedHooks: prog.Hooks(),
-		OnTaskDone: prog.OnTaskDone,
-	})
+	res := e.Mine()
 	prog.EndRun()
 	close(stop)
 	wg.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	snap := prog.Snapshot()
 	if snap.Running {
 		t.Error("snapshot still running after EndRun")
 	}
-	if snap.TasksDone != int64(len(tasks)) {
-		t.Errorf("tasks_done=%d, want %d", snap.TasksDone, len(tasks))
+	if snap.TasksDone != int64(tasks) {
+		t.Errorf("tasks_done=%d, want %d", snap.TasksDone, tasks)
 	}
 	if snap.TasksDone != res.Stats.Tasks {
 		t.Errorf("tasks_done=%d disagrees with Stats.Tasks=%d", snap.TasksDone, res.Stats.Tasks)
@@ -144,7 +140,7 @@ func TestServeProgressDuringRun(t *testing.T) {
 	}
 }
 
-// TestProgressHooksAreInert: wiring progress observation must not change
+// TestProgressHooksAreInert: wiring the progress feed must not change
 // counts or stats (the serve-mode half of the observers-never-perturb
 // contract).
 func TestProgressHooksAreInert(t *testing.T) {
@@ -158,10 +154,7 @@ func TestProgressHooksAreInert(t *testing.T) {
 		t.Fatal(err)
 	}
 	var prog Progress
-	hooked, err := core.Mine(g, pl, core.Options{
-		Threads: 4, SliceElems: 16,
-		SchedHooks: prog.Hooks(), OnTaskDone: prog.OnTaskDone,
-	})
+	hooked, err := core.Mine(g, pl, core.Options{Threads: 4, SliceElems: 16, OnTaskDone: prog.OnTaskDone})
 	if err != nil {
 		t.Fatal(err)
 	}
