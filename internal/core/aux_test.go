@@ -166,7 +166,8 @@ func TestAuxScratchPooledAllocs(t *testing.T) {
 	// Triangle: one scannable chain, one marked level. Induced 4-cycle:
 	// difference kernels and a two-operation chain (one masked scan under the
 	// default legs). Each runs as Mine (count-only leaves) and as List
-	// (leafVisit).
+	// (leafVisit). Oriented TC and 4-CL, on the graph oriented: their last level is
+	// swept (decision 25) — a c-map scan, a local-row AND — while counting.
 	induced := mustCompile(t, pattern.KCycle(4), plan.Options{Induced: true})
 	path := mustCompile(t, pattern.KPath(4), plan.Options{}) // the one plan with no set operation to dispatch
 	rows := inducedPath(t)
@@ -174,8 +175,19 @@ func TestAuxScratchPooledAllocs(t *testing.T) {
 	for _, p := range []*pattern.Pattern{pattern.House(), pattern.Diamond(), pattern.KClique(4), pattern.Triangle()} {
 		plans = append(plans, mustCompile(t, p, plan.Options{}))
 	}
+	for _, k := range []int{3, 4} {
+		pl, err := plan.CompileCliqueDAG(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans = append(plans, pl)
+	}
+	dag := g.Orient()
 	for _, pl := range plans {
-		p := pl.Patterns[0]
+		p, g := pl.Patterns[0], g
+		if pl.RequiresDAG {
+			g = dag
+		}
 		for _, leg := range legs {
 			// RMAT puts the hubs at the low IDs, so the first tasks are
 			// the heavy ones.
@@ -195,6 +207,11 @@ func TestAuxScratchPooledAllocs(t *testing.T) {
 				if avg := testing.AllocsPerRun(3, batch); avg > 0 {
 					t.Errorf("%s %s listing=%v: warmed worker allocates %.1f times per task batch; scratch must be pooled", p.Name(), leg.name, listing, avg)
 				}
+				swept := false
+				w.prog.each(func(n *node, _ []*node) { swept = swept || n.sweep != noSweep })
+				if swept != (pl.RequiresDAG && o.Kernel == KernelAuto && !listing) {
+					t.Errorf("%s %s listing=%v: a swept last level %v; want one on the oriented cliques' counting legs alone", p.Name(), leg.name, listing, swept)
+				}
 				if built := w.stats.AuxBuilt > 0; built != (o.Kernel == KernelAuto && (pl == rows || listing && p.Name() == pattern.House().Name())) {
 					t.Errorf("%s %s listing=%v: %d aux rows built", p.Name(), leg.name, listing, w.stats.AuxBuilt)
 				}
@@ -207,7 +224,7 @@ func TestAuxScratchPooledAllocs(t *testing.T) {
 				if local := p.Name() == pattern.KClique(4).Name(); local != (w.stats.LocalRows > 0) {
 					t.Errorf("%s %s listing=%v: %d local rows built; only the 4-clique has local nodes, and its warmed tasks must still build theirs", p.Name(), leg.name, listing, w.stats.LocalRows)
 				}
-				clique := p.Name() == pattern.KClique(4).Name() || p.Name() == pattern.Triangle().Name()
+				clique := p.Name() == pattern.KClique(4).Name() || p.Name() == pattern.Triangle().Name() || pl.RequiresDAG
 				if clique && w.stats.SetOpIterations != 0 {
 					t.Errorf("%s %s listing=%v: %d merge iterations on a plan whose every chain is scannable", p.Name(), leg.name, listing, w.stats.SetOpIterations)
 				}

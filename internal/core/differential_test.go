@@ -18,6 +18,7 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -38,6 +39,7 @@ type vec struct {
 	slice   int  // SliceElems
 	store   int  // storeAxis
 	capped  bool // the local-row cap lowered to 4 on e.prog
+	unswept bool // every sweep kind cleared on e.prog, the Result held to the swept run's
 	trace   bool
 	shape   int // shapeAxis
 }
@@ -68,7 +70,7 @@ var ref = [2]vec{{merge: true, threads: 1, slice: SliceOff}, {threads: 1, slice:
 // decode spreads x over the axes.
 func decode(x uint32) vec {
 	return vec{merge: x&1 != 0, threads: threadAxis[(x>>1)%3], slice: sliceAxis[(x>>3)%5],
-		store: int((x >> 6) % 3), capped: x>>8&1 != 0, trace: x>>9&1 != 0, shape: int((x >> 10) % 3)}
+		store: int((x >> 6) % 3), capped: x>>8&1 != 0, trace: x>>9&1 != 0, shape: int((x >> 10) % 3), unswept: x>>31 != 0}
 }
 
 func (v vec) String() string {
@@ -79,6 +81,9 @@ func (v vec) String() string {
 	s := fmt.Sprintf("%v/t%d/s%d/%s/%s", kernel, v.threads, v.slice, storeAxis[v.store], shapeAxis[v.shape])
 	if v.capped {
 		s += "/cap4"
+	}
+	if v.unswept {
+		s += "/unswept"
 	}
 	if v.trace {
 		s += "/trace"
@@ -165,6 +170,8 @@ var pins = []key{
 	{c: "4-star,edge", g: gspec{"star", 40, 0, 0}},                         // C(m, 3) at depth 1, hub slices with heads
 	{c: "burst", g: gspec{"rmat", 6, 220, 3}},                              // the job service's merged tree
 	{c: "5-motifs,induced", g: gspec{"rmat", 5, 110, 3}},                   // the census: vertex-induced chains on the c-map
+	{c: "3-clique,oriented", g: gspec{"rmat", 6, 220, 3}},                  // TC: a swept c-map scan
+	{c: "4-clique,oriented", g: gspec{"rmat", 6, 220, 3}},                  // 4-CL: a swept local-row AND
 }
 
 func hash(s string) uint64 {
@@ -406,8 +413,10 @@ func (l *lister) visit(emb []graph.VID, i int) {
 // divides; Candidates is one number across the runs; merge-only runs use no
 // mechanism of KernelAuto's, and neither List nor a vertex-induced plan a closed
 // form; Stats is one block across threads, stores, shapes and tracing at one
-// resolved slice; Extensions is no more under auto than under merge-only at one
-// slice, and no fewer without symmetry breaking than with it. It returns one line
+// resolved slice; a program whose sweep kinds are cleared returns the swept run's
+// Result exactly, every Stats field included; Extensions is no more under auto
+// than under merge-only at one slice, and no fewer without symmetry breaking
+// than with it. It returns one line
 // per failure. mutate, when not nil, edits every counting program after lowering
 // (TestDifferentialKillsMutants); edited reports whether it found something to edit.
 func (s *suite) check(k key, vs []vec, mutate func(*program) bool) (fails []string, edited bool) {
@@ -472,7 +481,11 @@ func (s *suite) check(k key, vs []vec, mutate func(*program) bool) (fails []stri
 		if mutate != nil && !listing && mutate(e.prog) {
 			edited = true
 		}
-		res, err := func() (r Result, err error) {
+		has := func(f func(n *node) bool) (yes bool) {
+			e.prog.each(func(n *node, _ []*node) { yes = yes || f(n) })
+			return yes
+		}
+		mine := func() (r Result, err error) {
 			defer func() {
 				if p := recover(); p != nil {
 					err = fmt.Errorf("panic: %v", p)
@@ -482,7 +495,17 @@ func (s *suite) check(k key, vs []vec, mutate func(*program) bool) (fails []stri
 				return e.MineContext(context.Background())
 			}
 			return e.Mine(), nil
-		}()
+		}
+		res, err := mine()
+		if unswept := v.unswept && has(func(n *node) bool { return n.sweep != noSweep }); unswept && err == nil {
+			swept := res
+			tally.Store(0)
+			e.prog.each(func(n *node, _ []*node) { n.sweep = noSweep })
+			if res, err = mine(); err == nil && !reflect.DeepEqual(res, swept) {
+				fail(v, "without the sweep %+v, with it %+v", res, swept)
+			}
+			fire("sweep off", true)
+		}
 		if err != nil {
 			fail(v, "%v", err)
 			continue
@@ -512,14 +535,12 @@ func (s *suite) check(k key, vs []vec, mutate func(*program) bool) (fails []stri
 		if tr := o.Trace; tr != nil && (len(tr.Events()) == 0 || len(tr.Categories()) < 2) {
 			fail(v, "the tracer recorded %d events in %v", len(tr.Events()), tr.Categories())
 		}
-		has := func(f func(n *node) bool) (yes bool) {
-			e.prog.each(func(n *node, _ []*node) { yes = yes || f(n) })
-			return yes
-		}
 		fire("closed form", rs.ClosedForms > 0 && has(func(n *node) bool { return n.closed.choose > 1 || n.closed.prod != nil }))
 		fire("factor", rs.ClosedForms > 0 && has(func(n *node) bool { return n.fac != nil }))
 		fire("far corner", rs.ClosedForms > 0 && has(func(n *node) bool { return n.far != nil }))
 		fire(fmt.Sprintf("local rows, cap4=%v", v.capped), rs.LocalRows > 0)
+		fire("swept scans", rs.BitmapProbes > 0 && has(func(n *node) bool { return n.sweep == sweepScan }))
+		fire("swept local rows", rs.LocalRows > 0 && has(func(n *node) bool { return n.sweep == sweepLocal }))
 		fire("c-map mark", e.prog.marks && rs.BitmapProbes > 0)
 		fire("aux reuse", rs.AuxReused > 0)
 		fire("hub slices", rs.Tasks > int64(g.NumVertices()))
@@ -633,6 +654,7 @@ func TestDifferential(t *testing.T) {
 		return
 	}
 	mechanisms := []string{"closed form", "factor", "far corner", "local rows, cap4=false", "local rows, cap4=true",
+		"swept scans", "swept local rows", "sweep off",
 		"c-map mark", "aux reuse", "hub slices", "simulator", "Stats compared across threads",
 		"Stats compared across stores", "Stats compared with tracing on and off"}
 	for _, st := range storeAxis {
@@ -914,6 +936,13 @@ func TestDifferentialKillsMutants(t *testing.T) {
 				return false
 			}
 			n.cmap.scan[0].need &= n.cmap.scan[0].need - 1
+			return true
+		}},
+		{"a swept leaf replaced by nothing", true, func(n *node, p *program) bool {
+			if n.sweep == noSweep {
+				return false
+			}
+			n.children[0] = nothing(p, n.depth+1)
 			return true
 		}},
 		{"a factor's membership searched", false, func(n *node, _ *program) bool {

@@ -463,7 +463,8 @@ func (w *worker) emitTaskTrace(t sched.Task, before *Stats) {
 	w.trace.Emit(obs.CatKernel, "dispatch", w.widx, 0,
 		obs.Arg{Key: "merge_iters", Val: w.stats.SetOpIterations - before.SetOpIterations},
 		obs.Arg{Key: "gallop_probes", Val: w.stats.GallopProbes - before.GallopProbes},
-		// C-map accesses: byte probes, mark/unmark writes, distinctness probes.
+		// Dense-structure accesses, as Stats.BitmapProbes counts them: the c-map's
+		// probes and mark/unmark writes, the local rows' and the far-side counters'.
 		obs.Arg{Key: "bitmap_probes", Val: w.stats.BitmapProbes - before.BitmapProbes})
 }
 
@@ -503,6 +504,10 @@ func (w *worker) walk(n *node) {
 	if len(n.children) == 0 { // they were its twins, all of them
 		return
 	}
+	if n.sweep == sweepScan || n.sweep == sweepLocal && w.loc.on {
+		w.sweep(n, cands)
+		return
+	}
 	for i, v := range cands {
 		if w.cancelled() {
 			return
@@ -510,6 +515,50 @@ func (w *worker) walk(n *node) {
 		w.emb[depth], w.pos[depth] = v, i
 		w.descend(n)
 	}
+}
+
+// sweep is the loop of walk over cands, and of descend and count over n's only
+// child c, for a node sweepLeaves gave a kind: per candidate the cancellation poll,
+// emb and pos, and c's one kernel on the candidate's row — the masked scan or, where
+// scanPays declines, chain and setOp; or the word AND of n's local set with the
+// row, built on first read. What the calls would have charged per candidate is
+// charged once.
+func (w *worker) sweep(n *node, cands []graph.VID) {
+	c, d, k := n.children[0], n.depth, 0
+	var cnt, probes int64
+	switch n.sweep {
+	case sweepScan:
+		m := c.cmap.scan[0]
+		for ; k < len(cands) && !w.cancelled(); k++ {
+			w.emb[d], w.pos[d] = cands[k], k
+			row := w.g.Adj(w.emb[c.op.Extender])
+			if w.scanPays(c.adj, len(row)) {
+				cnt += setops.MaskCount(row, w.cm, m.need, m.avoid)
+				probes += int64(len(row))
+			} else {
+				cur, last := w.chain(row, c.adj, setops.NoBound)
+				_, x := w.setOp(nil, false, cur, last, setops.NoBound)
+				cnt += x
+			}
+		}
+	case sweepLocal:
+		l := &w.loc
+		set, at := l.sets[c.local.base*localWords:][:l.words], l.idx[c.local.ops[0].level*localCap:]
+		for ; k < len(cands) && !w.cancelled(); k++ {
+			w.emb[d], w.pos[d] = cands[k], k
+			i := int(at[k])
+			if l.stamp[i] != l.epoch {
+				w.localBuild(i)
+			}
+			cnt += setops.WordsAndCount(set, l.rows[i*l.words:], len(l.u))
+		}
+		probes = int64(k * l.words)
+	}
+	w.stats.Extensions += int64(k)
+	w.stats.LeafCountsSkippedMaterialize += int64(k)
+	w.stats.BitmapProbes += probes
+	w.stats.Candidates += cnt
+	w.counts[c.patternIdx] += cnt
 }
 
 // sliceHead is the part of n's list a hub slice leaves to the tasks before this

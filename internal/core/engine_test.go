@@ -2,11 +2,13 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
 	"repro/internal/pattern"
 	"repro/internal/plan"
+	"repro/internal/sched"
 )
 
 // testGraphs returns a diverse set of small graphs with known structure.
@@ -52,6 +54,41 @@ func TestCliqueDAGPath(t *testing.T) {
 	for k, want := range map[int]int64{3: 20, 4: 15, 5: 6, 6: 1} {
 		if got, _ := mineApp(t, k6, fmt.Sprintf("%d-CL", k), Options{}); got.Count() != want {
 			t.Errorf("%d-CL on K6: got %d want %d", k, got.Count(), want)
+		}
+	}
+}
+
+// TestSweepStopsLikeTheWalk: a swept last level (decision 25) polls for
+// cancellation once per candidate, as the loop it replaces did, so a worker whose
+// run is already cancelled stops at the same candidate — the 1024th poll — and
+// leaves the same partial counts and Stats with the sweep and without it.
+func TestSweepStopsLikeTheWalk(t *testing.T) {
+	g := graph.RMAT(10, 6000, 0.57, 0.19, 0.19, 5).Orient()
+	done := make(chan struct{})
+	close(done)
+	o := Options{Threads: 1}.withDefaults()
+	for k := 3; k <= 4; k++ {
+		pl, err := plan.CompileCliqueDAG(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ws [2]*worker
+		for i := range ws {
+			p := lower(g, pl, o, false)
+			if i == 1 {
+				p.each(func(n *node, _ []*node) { n.sweep = noSweep })
+			}
+			ws[i] = newWorker(g, p, o)
+			ws[i].ctxDone = done
+			for _, task := range sched.Expand(g, 0) {
+				if !ws[i].runTask(task) {
+					break
+				}
+			}
+		}
+		swept, walked := ws[0], ws[1]
+		if !swept.stopped || swept.stats != walked.stats || !slices.Equal(swept.counts, walked.counts) {
+			t.Errorf("%d-CL: stopped %v with %v and %+v; without the sweep %v and %+v", k, swept.stopped, swept.counts, swept.stats, walked.counts, walked.stats)
 		}
 	}
 }

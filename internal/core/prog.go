@@ -43,6 +43,16 @@ const (
 	srcAux                    // an auxiliary row of spec srcIdx; adjacency where the activation folds nothing
 )
 
+// sweepKind is how walk counts an interior node's only child over the node's list
+// in one loop (sweepLeaves): the child's kernel per candidate v.
+type sweepKind uint8
+
+const (
+	noSweep    sweepKind = iota
+	sweepScan            // a c-map masked scan of adj(v)
+	sweepLocal           // the AND of the node's local set with row(v)
+)
+
 // chainOp is one chained set operation: cur ∘ adj(emb[level]), ∘ being
 // difference when diff is set and intersection otherwise — or, when a mask is
 // set, a whole chain at once: cur filtered by cm[x]&(need|avoid) == need
@@ -96,6 +106,8 @@ type node struct {
 	twins  int      // farSides: on a far corner, the levels it stands for: its parent's and the ones cut below it
 	builds []int    // auxNodes: the aux specs this level activates
 	cmap   cmapUse  // markLevels
+
+	sweep sweepKind // sweepLeaves: on an interior node, how walk counts its only child
 }
 
 // proof is NotEqual of a count-only node, split by what the plan proves (decision
@@ -179,7 +191,8 @@ type program struct {
 // counting only. closedForms goes first because it removes nodes, factorNodes after
 // localNodes because a local node is no factor, farSides after both because local
 // twins and twins below a factor stay as they are, auxNodes after all three because
-// a row goes to a consumer still standing, markLevels last because it reads every chain.
+// a row goes to a consumer still standing, markLevels after every chain is final
+// because it reads them all, sweepLeaves last because it reads what each kernel got.
 func lower(g graph.Store, pl *plan.Plan, o Options, listing bool) *program {
 	p := &program{pl: pl, closed: o.Kernel == KernelAuto && !listing}
 	p.root = p.build(pl.Root, nil, listing)
@@ -194,6 +207,7 @@ func lower(g graph.Store, pl *plan.Plan, o Options, listing bool) *program {
 		}
 		p.auxNodes(max(g.AvgDegree(), 1))
 		p.markLevels()
+		p.sweepLeaves()
 	}
 	return p
 }
@@ -659,6 +673,31 @@ func boundClosure(path []*node, bounds []int) (below uint32) {
 // evaluates no chain at all.
 func (n *node) chained() bool {
 	return len(n.adj) > 0 && (n.src != srcFrontier || len(n.res) > 0)
+}
+
+// sweepLeaves makes a last level a loop instead of a call per candidate (DESIGN.md
+// decision 25). It needs every other pass done and leaves sweep. An interior node n
+// at depth ≥ 1 with no factor, far corner, aux build or mark, whose only child c is
+// a plain count-only leaf — no closed form, aux source, bound or NotEqual —, gets a
+// kind where c's work per candidate v is one dense pass over v's own row: a masked
+// c-map scan of adj(v) off the rows (no frontier source either), or, n and c local,
+// the AND of n's set with row(v). walk then counts c over n's list (engine.go, sweep).
+func (p *program) sweepLeaves() {
+	p.each(func(n *node, _ []*node) {
+		if n.mode != interior || n.depth < 1 || len(n.children) != 1 || n.fac != nil || n.far != nil || n.builds != nil || n.cmap.marked {
+			return
+		}
+		c, d := n.children[0], n.depth
+		if c.mode != leafCount || c.closed.choose > 1 || c.closed.prod != nil || c.src == srcAux || len(c.op.UpperBounds)+len(c.op.NotEqual) > 0 {
+			return
+		}
+		switch {
+		case !c.local.on && c.src == srcAdj && c.op.Extender == d && c.cmap.scan != nil:
+			n.sweep = sweepScan
+		case c.local.on && n.local.on && c.local.base == d && slices.Equal(c.local.ops, []chainOp{{level: d}}):
+			n.sweep = sweepLocal
+		}
+	})
 }
 
 // localCap is the largest universe a task runs locally (rows are d·⌈d/64⌉

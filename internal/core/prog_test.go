@@ -199,6 +199,7 @@ func catalogPlans(t *testing.T) []*plan.Plan {
 func TestLoweringInvariants(t *testing.T) {
 	g := graph.ErdosRenyi(40, 120, 1)
 	var sides, factors, locals, kept, fars int
+	var swept [3]int      // nodes by sweep kind
 	var bearing [2][7]int // single-pattern programs with a factor, with a far corner, by pattern size
 	for _, pl := range catalogPlans(t) {
 		for _, o := range []Options{{}, {Kernel: KernelMergeOnly}} {
@@ -324,6 +325,26 @@ func TestLoweringInvariants(t *testing.T) {
 							}
 						}
 					}
+					// sweepLeaves: a kind iff n, unmarked and building nothing, has one child,
+					// a plain count-only leaf — no closed form, aux row, bound or NotEqual —
+					// whose one kernel reads the candidate's own row: a masked scan of it off
+					// the rows, or n's local set AND its row; never under merge-only or listing.
+					kind := noSweep
+					if n.mode == interior && n.depth >= 1 && len(n.children) == 1 && n.fac == nil && n.far == nil && n.builds == nil && !m.marked {
+						if c := n.children[0]; c.mode == leafCount && reflect.DeepEqual(c.closed, closed{}) && reflect.DeepEqual(c.proof, proof{}) &&
+							c.src != srcAux && len(c.op.UpperBounds)+len(c.op.NotEqual) == 0 {
+							switch {
+							case !c.local.on && c.src == srcAdj && c.op.Extender == n.depth && len(c.cmap.scan) == 1 && c.cmap.scan[0].masked():
+								kind = sweepScan
+							case c.local.on && n.local.on && c.local.base == n.depth && slices.Equal(c.local.ops, []chainOp{{level: n.depth}}):
+								kind = sweepLocal
+							}
+						}
+					}
+					if n.sweep != kind || n.sweep != noSweep && (o.Kernel == KernelMergeOnly || listing) {
+						bad(n, "sweep kind %d, the rule gives %d", n.sweep, kind)
+					}
+					swept[n.sweep]++
 					// A merge-only lowering is build's tree and nothing else; a listing one
 					// counts nothing in closed form.
 					if o.Kernel == KernelMergeOnly && (n.local.on || n.fac != nil || n.builds != nil || n.src == srcAux || !reflect.DeepEqual(m, cmapUse{})) ||
@@ -346,8 +367,9 @@ func TestLoweringInvariants(t *testing.T) {
 			}
 		}
 	}
-	if sides == 0 || factors == 0 || locals == 0 || kept == 0 || fars == 0 {
-		t.Fatalf("the catalog exercised %d side nodes, %d nodes at or below a factor, %d local nodes, %d aux consumers, %d far corners: a pass is vacuous here", sides, factors, locals, kept, fars)
+	if sides == 0 || factors == 0 || locals == 0 || kept == 0 || fars == 0 || swept[sweepScan] == 0 || swept[sweepLocal] == 0 {
+		t.Fatalf("the catalog exercised %d side nodes, %d nodes at or below a factor, %d local nodes, %d aux consumers, %d far corners, %d swept scans and %d swept local rows: a pass is vacuous here",
+			sides, factors, locals, kept, fars, swept[sweepScan], swept[sweepLocal])
 	}
 	if bearing != [2][7]int{{5: 3, 6: 20}, {4: 1, 5: 1, 6: 2}} {
 		t.Errorf("catalog patterns with a factor, with a far corner, by size: %v; want 3 of 5 vertices (house, 5-motif-2, -9) and 20 of 6, "+
@@ -486,4 +508,41 @@ func BenchmarkExtension(b *testing.B) {
 		ext += e.Mine().Stats.Extensions
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(ext), "ns/extension")
+}
+
+// BenchmarkLeaf is the per-leaf constant of a count-only last level, the figure
+// decision 25 lowered: TC (a c-map scan per leaf) and 4-CL (a local-row AND per
+// leaf) on an oriented RMAT graph at one thread, ns per
+// Stats.LeafCountsSkippedMaterialize — the leaf's kernel and whatever the walk
+// spends reaching it. It fails unless sweepLeaves gave each plan its kind and,
+// for 4-CL, tasks ran on the rows.
+func BenchmarkLeaf(b *testing.B) {
+	g := graph.RMAT(13, 1<<16, 0.57, 0.19, 0.19, 7).Orient()
+	for _, c := range []struct {
+		name string
+		k    int
+		kind sweepKind
+	}{{"TC", 3, sweepScan}, {"4-CL", 4, sweepLocal}} {
+		b.Run(c.name, func(b *testing.B) {
+			pl, err := plan.CompileCliqueDAG(c.k)
+			if err != nil {
+				b.Fatal(err)
+			}
+			e, err := NewEngine(g, pl, Options{Threads: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			swept := false
+			e.prog.each(func(n *node, _ []*node) { swept = swept || n.sweep == c.kind })
+			if warm := e.Mine(); !swept || c.kind == sweepLocal && warm.Stats.LocalRows == 0 {
+				b.Fatalf("the sweep did not fire: kind %d lowered %v, %d local rows", c.kind, swept, warm.Stats.LocalRows)
+			}
+			b.ResetTimer()
+			var leaves int64
+			for i := 0; i < b.N; i++ {
+				leaves += e.Mine().Stats.LeafCountsSkippedMaterialize
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(leaves), "ns/leaf")
+		})
+	}
 }

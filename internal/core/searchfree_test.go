@@ -125,6 +125,9 @@ func TestMergedTreeWorkBound(t *testing.T) {
 // list and the chain above it, "twins[t]" the levels it stands for, "less[j]" the
 // ancestors whose C(·, t) comes out of the sum again. Aux rows (decision 14):
 // "builds[i]" at the level that activates spec i, "aux#i" at a consumer of its rows.
+// A node whose only child walk counts over its list in one loop (decision 25) reads
+// "sweep[scan]" — the child scans each candidate's row against the c-map — or
+// "sweep[local]", the child ANDs the node's local set with each candidate's row.
 func lowering(p *program) string {
 	var sb strings.Builder
 	var walk func(n *node, term string)
@@ -232,6 +235,12 @@ func lowering(p *program) string {
 		case n.closed.prod != nil:
 			sb.WriteString(" product[A]")
 		}
+		switch n.sweep {
+		case sweepScan:
+			sb.WriteString(" sweep[scan]")
+		case sweepLocal:
+			sb.WriteString(" sweep[local]")
+		}
 		switch f := n.fac; {
 		case f == nil:
 		case f.at == n:
@@ -282,7 +291,9 @@ func lowering(p *program) string {
 // closedForms' —, no clique, no vertex-induced plan, no merge-only lowering and,
 // checked for every case, no listing one. Aux rows (decision 14) go to what is left:
 // the vertex-induced 4-path keeps its spec, 5-motif-15 the one whose consumer was
-// not counted away, house none, and no merge-only lowering any.
+// not counted away, house none, and no merge-only lowering any. Sweeps (decision
+// 25) go to the DAG cliques alone: TC's v1 scans each candidate's row, 4-CL's v2 and
+// 5-CL's v3 AND their set with it; a symmetric clique's leaf is bounded and stays a call.
 func TestLoweringSplit(t *testing.T) {
 	g := graph.ErdosRenyi(40, 120, 1)
 	merged, err := plan.CompileMulti(pattern.Motifs(4), plan.Options{})
@@ -313,14 +324,14 @@ func TestLoweringSplit(t *testing.T) {
 		{"4-CL on a DAG", dag(4), Options{}, `
 v0 marks[] lonly universe[]
   v1 marks[] lonly
-    v2 local[1]
+    v2 local[1] sweep[local]
       v3 local[@2 2]
 `},
 		{"5-CL on a DAG", dag(5), Options{}, `
 v0 marks[] lonly universe[]
   v1 marks[] lonly
     v2 marks[] lonly local[1]
-      v3 local[@2 2]
+      v3 local[@2 2] sweep[local]
         v4 local[@3 3]
 `},
 		{"4-clique", mustCompile(t, pattern.KClique(4), plan.Options{}), Options{}, `
@@ -337,7 +348,7 @@ v0
 `},
 		{"TC on a DAG", dag(3), Options{}, `
 v0 marks[]
-  v1
+  v1 sweep[scan]
     v2
 `},
 		// Far corner: v2 is the prefix of v1's list L = adj(v0) below v0 and v3 the

@@ -8,7 +8,9 @@ package setops
 // `go test -fuzz FuzzIntersectKernels ./internal/setops`.
 
 import (
+	"encoding/binary"
 	"math/bits"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -185,6 +187,34 @@ func FuzzMaskKernels(f *testing.F) {
 		}
 		if got := MaskCount(a, cm, need, avoid); got != int64(len(want)) {
 			t.Errorf("MaskCount(%v, sets %v, roles %v) = %d, want %d", a, sets, roles, got, len(want))
+		}
+	})
+}
+
+// FuzzWordsAndCount checks the non-writing count of a last local level against
+// WordsAnd then WordsTrim on copies (andTrimCount, setops_test.go): the payload's
+// first two bytes are the end position, the rest two word sets of equal length,
+// empty when the payload is short — ends past the words and inside a word alike.
+func FuzzWordsAndCount(f *testing.F) {
+	f.Add([]byte{70, 0, 0xff, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
+	f.Add([]byte{0, 0})
+	f.Add([]byte{200, 1, 0xaa})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		end, data := int(data[0])|int(data[1])<<8, data[2:]
+		words := len(data) / 16
+		a, b := make([]uint64, words), make([]uint64, words)
+		for i := range words {
+			a[i], b[i] = binary.LittleEndian.Uint64(data[16*i:]), binary.LittleEndian.Uint64(data[16*i+8:])
+		}
+		a0, b0 := slices.Clone(a), slices.Clone(b)
+		if got, want := WordsAndCount(a, b, end), andTrimCount(a, b, end); got != want {
+			t.Errorf("WordsAndCount(%x, %x, %d) = %d, WordsAnd+WordsTrim = %d", a, b, end, got, want)
+		}
+		if !slices.Equal(a, a0) || !slices.Equal(b, b0) {
+			t.Errorf("WordsAndCount(%x, %x, %d) wrote an operand", a0, b0, end)
 		}
 	})
 }

@@ -335,7 +335,8 @@ func MaskCount(a []VID, cm []uint8, need, avoid uint8) int64 {
 
 // The word kernels of the engine's local rows (DESIGN.md decision 21): a set
 // over a renumbered universe is one bit per position, so an intersection is a
-// word AND, a difference an AND-NOT and a count a popcount.
+// word AND, a difference an AND-NOT and a count a popcount — of a last level,
+// without the AND's write (WordsAndCount, decision 25).
 
 // WordsAnd intersects dst with b in place — subtracts b when not is set. b
 // holds at least len(dst) words.
@@ -358,6 +359,20 @@ func WordsTrim(a []uint64, end int) (n int64) {
 	}
 	for _, x := range a[:min((end+63)>>6, len(a))] {
 		n += int64(bits.OnesCount64(x))
+	}
+	return n
+}
+
+// WordsAndCount is WordsAnd then WordsTrim with nothing written: how many bits
+// of a ∧ b lie below position end. b holds at least len(a) words.
+func WordsAndCount(a, b []uint64, end int) (n int64) {
+	w := min(end>>6, len(a))
+	b = b[:len(a)]
+	for i, x := range a[:w] {
+		n += int64(bits.OnesCount64(x & b[i]))
+	}
+	if w < len(a) {
+		n += int64(bits.OnesCount64(a[w] & b[w] & (1<<(end&63) - 1)))
 	}
 	return n
 }

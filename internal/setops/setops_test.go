@@ -195,6 +195,42 @@ func TestIntersectEmptyAndDisjoint(t *testing.T) {
 	}
 }
 
+// andTrimCount is what WordsAndCount must answer: WordsAnd then WordsTrim, on
+// copies, so that neither operand is written.
+func andTrimCount(a, b []uint64, end int) int64 {
+	a = slices.Clone(a)
+	WordsAnd(a, b, false)
+	return WordsTrim(a, end)
+}
+
+// TestWordsAndCount holds the non-writing count to the writing pair at every end
+// from 0 past the last word — most not a multiple of 64 — and on empty sets, and
+// checks that it writes neither operand.
+func TestWordsAndCount(t *testing.T) {
+	r := rand.New(rand.NewSource(25))
+	for _, words := range []int{0, 1, 2, 3, 16} {
+		a, b := make([]uint64, words), make([]uint64, words+1) // b may be longer than a
+		for i := range a {
+			a[i] = r.Uint64()
+		}
+		for i := range b {
+			b[i] = r.Uint64()
+		}
+		a0, b0 := slices.Clone(a), slices.Clone(b)
+		for end := 0; end <= 64*words+70; end++ {
+			if got, want := WordsAndCount(a, b, end), andTrimCount(a, b, end); got != want {
+				t.Fatalf("%d words, end %d: WordsAndCount = %d, WordsAnd+WordsTrim = %d", words, end, got, want)
+			}
+		}
+		if !slices.Equal(a, a0) || !slices.Equal(b, b0) {
+			t.Fatalf("%d words: WordsAndCount wrote an operand", words)
+		}
+		if got := WordsAndCount(make([]uint64, words), b, 64*words); got != 0 {
+			t.Fatalf("%d words: the empty set ∧ b counts %d", words, got)
+		}
+	}
+}
+
 func BenchmarkIntersectMerge(b *testing.B) {
 	a := make([]VID, 1024)
 	c := make([]VID, 1024)
@@ -264,6 +300,7 @@ func TestKernelsZeroAlloc(t *testing.T) {
 		WordsAnd(wa, wb, false)
 		WordsAnd(wa, wb, true)
 		n += WordsTrim(wa, 700)
+		n += WordsAndCount(wa, wb, 700)
 		s.Reset()
 		hit = s.Seek(b, a[len(a)/2])
 		n += int64(Index(a, 300) + len(Bounded(a, 900)))
