@@ -166,8 +166,11 @@ func TestAuxScratchPooledAllocs(t *testing.T) {
 	// Triangle: one scannable chain, one marked level. Induced 4-cycle:
 	// difference kernels and a two-operation chain (one masked scan under the
 	// default legs). Each runs as Mine (count-only leaves) and as List
-	// (leafVisit). Oriented TC and 4-CL, on the graph oriented: their last level is
-	// swept (decision 25) — a c-map scan, a local-row AND — while counting.
+	// (leafVisit). Oriented TC and 4-CL, on the graph oriented. Every counting leg
+	// under auto that has a qualifying node sweeps its last level (decision 25) — a
+	// c-map scan, bounded or not, a local-row AND, bounded or not, house's fused
+	// two-mask scan — and allocates no more for it: all but the 4-paths (an aux
+	// consumer, a product) and the diamond (a closed form).
 	induced := mustCompile(t, pattern.KCycle(4), plan.Options{Induced: true})
 	path := mustCompile(t, pattern.KPath(4), plan.Options{}) // the one plan with no set operation to dispatch
 	rows := inducedPath(t)
@@ -209,8 +212,9 @@ func TestAuxScratchPooledAllocs(t *testing.T) {
 				}
 				swept := false
 				w.prog.each(func(n *node, _ []*node) { swept = swept || n.sweep != noSweep })
-				if swept != (pl.RequiresDAG && o.Kernel == KernelAuto && !listing) {
-					t.Errorf("%s %s listing=%v: a swept last level %v; want one on the oriented cliques' counting legs alone", p.Name(), leg.name, listing, swept)
+				qualifies := pl != rows && pl != path && p.Name() != pattern.Diamond().Name()
+				if swept != (qualifies && o.Kernel == KernelAuto && !listing) {
+					t.Errorf("%s %s listing=%v: a swept last level %v; want one on every counting leg under auto but the 4-paths' and the diamond's", p.Name(), leg.name, listing, swept)
 				}
 				if built := w.stats.AuxBuilt > 0; built != (o.Kernel == KernelAuto && (pl == rows || listing && p.Name() == pattern.House().Name())) {
 					t.Errorf("%s %s listing=%v: %d aux rows built", p.Name(), leg.name, listing, w.stats.AuxBuilt)

@@ -14,7 +14,7 @@ import (
 	"repro/internal/sched"
 )
 
-func mustCompile(t *testing.T, p *pattern.Pattern, o plan.Options) *plan.Plan {
+func mustCompile(t testing.TB, p *pattern.Pattern, o plan.Options) *plan.Plan {
 	t.Helper()
 	pl, err := plan.Compile(p, o)
 	if err != nil {

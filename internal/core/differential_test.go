@@ -172,6 +172,7 @@ var pins = []key{
 	{c: "5-motifs,induced", g: gspec{"rmat", 5, 110, 3}},                   // the census: vertex-induced chains on the c-map
 	{c: "3-clique,oriented", g: gspec{"rmat", 6, 220, 3}},                  // TC: a swept c-map scan
 	{c: "4-clique,oriented", g: gspec{"rmat", 6, 220, 3}},                  // 4-CL: a swept local-row AND
+	{c: "4-clique,edge", g: gspec{"rmat", 6, 220, 3}},                      // a swept local-row AND below each candidate's position
 }
 
 func hash(s string) uint64 {
@@ -413,11 +414,10 @@ func (l *lister) visit(emb []graph.VID, i int) {
 // divides; Candidates is one number across the runs; merge-only runs use no
 // mechanism of KernelAuto's, and neither List nor a vertex-induced plan a closed
 // form; Stats is one block across threads, stores, shapes and tracing at one
-// resolved slice; a program whose sweep kinds are cleared returns the swept run's
-// Result exactly, every Stats field included; Extensions is no more under auto
-// than under merge-only at one slice, and no fewer without symmetry breaking
-// than with it. It returns one line
-// per failure. mutate, when not nil, edits every counting program after lowering
+// resolved slice; a program whose sweep kinds — weighed included — are cleared
+// returns the swept run's Result exactly, every Stats field included; Extensions
+// is no more under auto than under merge-only at one slice, and no fewer without
+// symmetry breaking than with it. It returns one line per failure. mutate, when not nil, edits every counting program after lowering
 // (TestDifferentialKillsMutants); edited reports whether it found something to edit.
 func (s *suite) check(k key, vs []vec, mutate func(*program) bool) (fails []string, edited bool) {
 	c := caseNamed(k.c)
@@ -498,13 +498,14 @@ func (s *suite) check(k key, vs []vec, mutate func(*program) bool) (fails []stri
 		}
 		res, err := mine()
 		if unswept := v.unswept && has(func(n *node) bool { return n.sweep != noSweep }); unswept && err == nil {
-			swept := res
+			swept, weighed := res, has(func(n *node) bool { return n.sweep == sweepWeighed })
 			tally.Store(0)
 			e.prog.each(func(n *node, _ []*node) { n.sweep = noSweep })
 			if res, err = mine(); err == nil && !reflect.DeepEqual(res, swept) {
 				fail(v, "without the sweep %+v, with it %+v", res, swept)
 			}
 			fire("sweep off", true)
+			fire("weighed sweep off", weighed)
 		}
 		if err != nil {
 			fail(v, "%v", err)
@@ -541,6 +542,10 @@ func (s *suite) check(k key, vs []vec, mutate func(*program) bool) (fails []stri
 		fire(fmt.Sprintf("local rows, cap4=%v", v.capped), rs.LocalRows > 0)
 		fire("swept scans", rs.BitmapProbes > 0 && has(func(n *node) bool { return n.sweep == sweepScan }))
 		fire("swept local rows", rs.LocalRows > 0 && has(func(n *node) bool { return n.sweep == sweepLocal }))
+		fire("swept weighed leaves", rs.ClosedForms > 0 && has(func(n *node) bool { return n.sweep == sweepWeighed }))
+		fire("swept bounded leaves", rs.BitmapProbes > 0 && has(func(n *node) bool {
+			return (n.sweep == sweepScan || n.sweep == sweepLocal) && len(n.children[0].op.UpperBounds)+len(n.children[0].proof.certain) > 0
+		}))
 		fire("c-map mark", e.prog.marks && rs.BitmapProbes > 0)
 		fire("aux reuse", rs.AuxReused > 0)
 		fire("hub slices", rs.Tasks > int64(g.NumVertices()))
@@ -654,7 +659,7 @@ func TestDifferential(t *testing.T) {
 		return
 	}
 	mechanisms := []string{"closed form", "factor", "far corner", "local rows, cap4=false", "local rows, cap4=true",
-		"swept scans", "swept local rows", "sweep off",
+		"swept scans", "swept local rows", "swept weighed leaves", "swept bounded leaves", "sweep off", "weighed sweep off",
 		"c-map mark", "aux reuse", "hub slices", "simulator", "Stats compared across threads",
 		"Stats compared across stores", "Stats compared with tracing on and off"}
 	for _, st := range storeAxis {
@@ -943,6 +948,15 @@ func TestDifferentialKillsMutants(t *testing.T) {
 				return false
 			}
 			n.children[0] = nothing(p, n.depth+1)
+			return true
+		}},
+		// The fused pass's B half needs the bit of a level no pattern here has, so B
+		// counts nothing wherever the two scans pay and the subtraction is skipped.
+		{"a weighed sweep without its B", true, func(n *node, _ *program) bool {
+			if n.sweep != sweepWeighed {
+				return false
+			}
+			n.children[0].fac.minus.cmap.scan = []chainOp{{need: 1 << (cmLevels - 1)}}
 			return true
 		}},
 		{"a factor's membership searched", false, func(n *node, _ *program) bool {

@@ -99,7 +99,8 @@ func (o Options) withDefaults() Options {
 // -kernel merge runs are comparable: SetOpIterations counts only merge-loop
 // iterations actually executed (the SIU/SDU work proxy), GallopProbes counts
 // galloping element comparisons, BitmapProbes counts c-map accesses (byte
-// probes, mark/unmark writes, distinctness probes) and local-row accesses
+// probes, mark/unmark writes, distinctness probes — a fused scan of one row under
+// two masks charges each mask it answers, as two scans would) and local-row accesses
 // (position-map writes and lookups, row-build probes, row words read) and
 // far-side counter accesses (increments and resets, decision 24), and
 // Searches the binary searches none of them sees (DESIGN.md decision 20).
@@ -518,16 +519,19 @@ func (w *worker) walk(n *node) {
 }
 
 // sweep is the loop of walk over cands, and of descend and count over n's only
-// child c, for a node sweepLeaves gave a kind: per candidate the cancellation poll,
-// emb and pos, and c's one kernel on the candidate's row — the masked scan or, where
-// scanPays declines, chain and setOp; or the word AND of n's local set with the
-// row, built on first read. What the calls would have charged per candidate is
-// charged once.
+// child c, for a node sweepLeaves gave a scan or local kind: per candidate the
+// cancellation poll, emb and pos, and c's one kernel on the candidate's row — the
+// masked scan or, where scanPays declines, chain and setOp; or the word AND of n's
+// local set with the row, built on first read. What the calls would have charged
+// per candidate is charged once. A bounded c has loops of its own, picked here once
+// per list, so that no unbounded leaf pays for a bound it does not have.
 func (w *worker) sweep(n *node, cands []graph.VID) {
 	c, d, k := n.children[0], n.depth, 0
 	var cnt, probes int64
-	switch n.sweep {
-	case sweepScan:
+	switch {
+	case len(c.op.UpperBounds)+len(c.proof.certain) > 0:
+		k, cnt, probes = w.sweepBounded(n, cands)
+	case n.sweep == sweepScan:
 		m := c.cmap.scan[0]
 		for ; k < len(cands) && !w.cancelled(); k++ {
 			w.emb[d], w.pos[d] = cands[k], k
@@ -541,7 +545,7 @@ func (w *worker) sweep(n *node, cands []graph.VID) {
 				cnt += x
 			}
 		}
-	case sweepLocal:
+	case n.sweep == sweepLocal:
 		l := &w.loc
 		set, at := l.sets[c.local.base*localWords:][:l.words], l.idx[c.local.ops[0].level*localCap:]
 		for ; k < len(cands) && !w.cancelled(); k++ {
@@ -558,6 +562,100 @@ func (w *worker) sweep(n *node, cands []graph.VID) {
 	w.stats.LeafCountsSkippedMaterialize += int64(k)
 	w.stats.BitmapProbes += probes
 	w.stats.Candidates += cnt
+	w.counts[c.patternIdx] += cnt
+}
+
+// sweepBounded is sweep's loop for a child c with UpperBounds or certain ancestors.
+// A local c is bounded by the candidate v alone: it ends below v's own position i
+// in the universe. A scan takes per candidate count's bound, its row cut there — a
+// search, charged as count charges it — and its adjustment for the certain ones.
+func (w *worker) sweepBounded(n *node, cands []graph.VID) (k int, cnt, probes int64) {
+	c, d := n.children[0], n.depth
+	if n.sweep == sweepLocal {
+		l := &w.loc
+		set, at := l.sets[c.local.base*localWords:][:l.words], l.idx[d*localCap:]
+		for ; k < len(cands) && !w.cancelled(); k++ {
+			w.emb[d], w.pos[d] = cands[k], k
+			i := int(at[k])
+			if l.stamp[i] != l.epoch {
+				w.localBuild(i)
+			}
+			cnt += setops.WordsAndCount(set, l.rows[i*l.words:], i)
+			probes += int64(i+63) >> 6
+		}
+		return k, cnt, probes
+	}
+	m := c.cmap.scan[0]
+	for ; k < len(cands) && !w.cancelled(); k++ {
+		w.emb[d], w.pos[d] = cands[k], k
+		bound := w.bound(c)
+		row := w.extenderRow(c, bound)
+		if w.scanPays(c.adj, len(row)) {
+			cnt += setops.MaskCount(row, w.cm, m.need, m.avoid)
+			probes += int64(len(row))
+		} else {
+			cur, last := w.chain(row, c.adj, bound)
+			_, x := w.setOp(nil, false, cur, last, bound)
+			cnt += x
+		}
+		for _, j := range c.proof.certain {
+			if w.emb[j] < bound {
+				cnt--
+			}
+		}
+	}
+	return k, cnt, probes
+}
+
+// sweepWeighed is weighted's loop over cands for a node sweepLeaves gave the weighed
+// kind, and descend, weighted and count over its only child c and c's B: per
+// candidate the membership probe, the weight left and, where some is, the poll; then
+// one pass over the candidate's row that counts A and B at once — c's count times
+// the weight, less B's count where that product is positive —, or count(c) and
+// count(B) where scanPays declines either scan. What the calls would have charged is
+// charged once: B's leaf and probes only where the walk evaluates B, and every
+// candidate's weight, after a cancellation too.
+func (w *worker) sweepWeighed(n *node, cands []graph.VID, bound graph.VID) {
+	f, c, d, wt := n.fac, n.children[0], n.depth, w.weight
+	b := c.fac.minus
+	ma, mb := c.cmap.scan[0], b.cmap.scan[0]
+	ca, cb := int64(len(c.proof.certain)), int64(len(b.proof.certain)) // no bound: every one is counted
+	var ext, leaves, probes, emitted, cnt int64
+	for i, v := range cands {
+		left := wt
+		if w.inFactor(f, v, bound) {
+			left--
+		}
+		emitted += left
+		if left <= 0 || w.cancelled() {
+			continue
+		}
+		w.emb[d], w.pos[d] = v, i
+		ext++
+		row := w.g.Adj(v)
+		if !w.scanPays(c.adj, len(row)) || !w.scanPays(b.adj, len(row)) {
+			x := mulDiv(w.count(c), left, 1)
+			if x > 0 {
+				x -= w.count(b)
+			}
+			cnt += x
+			continue
+		}
+		na, nb := setops.MaskCountPair(row, w.cm, ma.need, ma.avoid, mb.need, mb.avoid)
+		x := mulDiv(na-ca, left, 1)
+		leaves++
+		probes += int64(len(row))
+		if x > 0 {
+			x -= nb - cb
+			leaves++
+			probes += int64(len(row))
+		}
+		cnt += x
+	}
+	w.stats.Extensions += ext
+	w.stats.LeafCountsSkippedMaterialize += leaves
+	w.stats.BitmapProbes += probes
+	w.stats.Candidates += emitted + cnt
 	w.counts[c.patternIdx] += cnt
 }
 
@@ -690,6 +788,10 @@ func (w *worker) weighted(n *node) {
 		return
 	}
 	bound := w.bound(f.at)
+	if n.sweep == sweepWeighed {
+		w.sweepWeighed(n, cands, bound)
+		return
+	}
 	for i, v := range cands {
 		left := wt
 		if w.inFactor(f, v, bound) {

@@ -61,16 +61,28 @@ func TestCliqueDAGPath(t *testing.T) {
 // TestSweepStopsLikeTheWalk: a swept last level (decision 25) polls for
 // cancellation once per candidate, as the loop it replaces did, so a worker whose
 // run is already cancelled stops at the same candidate — the 1024th poll — and
-// leaves the same partial counts and Stats with the sweep and without it.
+// leaves the same partial counts and Stats with the sweep and without it: on the
+// oriented cliques, on house (a weighed sweep, which polls only where weight is
+// left and charges every candidate's after the stop) and on the symmetric 4-clique
+// (a bounded local sweep).
 func TestSweepStopsLikeTheWalk(t *testing.T) {
-	g := graph.RMAT(10, 6000, 0.57, 0.19, 0.19, 5).Orient()
+	g := graph.RMAT(10, 6000, 0.57, 0.19, 0.19, 5)
+	dag := g.Orient()
 	done := make(chan struct{})
 	close(done)
 	o := Options{Threads: 1}.withDefaults()
+	plans := []*plan.Plan{mustCompile(t, pattern.House(), plan.Options{}), mustCompile(t, pattern.KClique(4), plan.Options{})}
 	for k := 3; k <= 4; k++ {
 		pl, err := plan.CompileCliqueDAG(k)
 		if err != nil {
 			t.Fatal(err)
+		}
+		plans = append(plans, pl)
+	}
+	for _, pl := range plans {
+		g := g
+		if pl.RequiresDAG {
+			g = dag
 		}
 		var ws [2]*worker
 		for i := range ws {
@@ -88,7 +100,7 @@ func TestSweepStopsLikeTheWalk(t *testing.T) {
 		}
 		swept, walked := ws[0], ws[1]
 		if !swept.stopped || swept.stats != walked.stats || !slices.Equal(swept.counts, walked.counts) {
-			t.Errorf("%d-CL: stopped %v with %v and %+v; without the sweep %v and %+v", k, swept.stopped, swept.counts, swept.stats, walked.counts, walked.stats)
+			t.Errorf("%s: stopped %v with %v and %+v; without the sweep %v and %+v", pl.Patterns[0].Name(), swept.stopped, swept.counts, swept.stats, walked.counts, walked.stats)
 		}
 	}
 }

@@ -48,9 +48,10 @@ const (
 type sweepKind uint8
 
 const (
-	noSweep    sweepKind = iota
-	sweepScan            // a c-map masked scan of adj(v)
-	sweepLocal           // the AND of the node's local set with row(v)
+	noSweep      sweepKind = iota
+	sweepScan              // a c-map masked scan of adj(v)
+	sweepLocal             // the AND of the node's local set with row(v)
+	sweepWeighed           // below a factor: the leaf's and its B's masked scans of adj(v), in one pass
 )
 
 // chainOp is one chained set operation: cur ∘ adj(emb[level]), ∘ being
@@ -677,24 +678,33 @@ func (n *node) chained() bool {
 
 // sweepLeaves makes a last level a loop instead of a call per candidate (DESIGN.md
 // decision 25). It needs every other pass done and leaves sweep. An interior node n
-// at depth ≥ 1 with no factor, far corner, aux build or mark, whose only child c is
-// a plain count-only leaf — no closed form, aux source, bound or NotEqual —, gets a
-// kind where c's work per candidate v is one dense pass over v's own row: a masked
-// c-map scan of adj(v) off the rows (no frontier source either), or, n and c local,
-// the AND of n's set with row(v). walk then counts c over n's list (engine.go, sweep).
+// at depth ≥ 1 that is no factor node and has no far corner, aux build or mark,
+// whose only child c is a plain count-only leaf — no closed form, aux source or
+// suspect —, gets a kind where c's work per candidate v is one dense pass over v's
+// own row: a masked c-map scan of adj(v) off the rows (no frontier source either),
+// bounded or not, its certain ancestors subtracted as count does; below a factor,
+// that scan for c and for its B at once, neither bounded; or, n and c local and c
+// bounded by v at most, with no NotEqual, the AND of n's set with row(v). walk, or
+// weighted below a factor, then counts c over n's list (engine.go, sweep).
 func (p *program) sweepLeaves() {
 	p.each(func(n *node, _ []*node) {
-		if n.mode != interior || n.depth < 1 || len(n.children) != 1 || n.fac != nil || n.far != nil || n.builds != nil || n.cmap.marked {
+		if n.mode != interior || n.depth < 1 || len(n.children) != 1 || n.fac != nil && n.fac.at == n || n.far != nil || n.builds != nil || n.cmap.marked {
 			return
 		}
 		c, d := n.children[0], n.depth
-		if c.mode != leafCount || c.closed.choose > 1 || c.closed.prod != nil || c.src == srcAux || len(c.op.UpperBounds)+len(c.op.NotEqual) > 0 {
+		if c.mode != leafCount || c.closed.choose > 1 || c.closed.prod != nil || c.src == srcAux || c.proof.suspects != nil {
 			return
 		}
-		switch {
-		case !c.local.on && c.src == srcAdj && c.op.Extender == d && c.cmap.scan != nil:
+		scans := func(c *node) bool { return !c.local.on && c.src == srcAdj && c.op.Extender == d && c.cmap.scan != nil }
+		switch f := c.fac; {
+		case f != nil:
+			if b := f.minus; scans(c) && scans(b) && b.proof.suspects == nil && len(c.op.UpperBounds)+len(b.op.UpperBounds) == 0 {
+				n.sweep = sweepWeighed
+			}
+		case scans(c):
 			n.sweep = sweepScan
-		case c.local.on && n.local.on && c.local.base == d && slices.Equal(c.local.ops, []chainOp{{level: d}}):
+		case c.local.on && n.local.on && c.local.base == d && slices.Equal(c.local.ops, []chainOp{{level: d}}) &&
+			len(c.op.NotEqual) == 0 && (len(c.op.UpperBounds) == 0 || slices.Equal(c.op.UpperBounds, []int{d})):
 			n.sweep = sweepLocal
 		}
 	})

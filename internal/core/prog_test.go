@@ -199,7 +199,8 @@ func catalogPlans(t *testing.T) []*plan.Plan {
 func TestLoweringInvariants(t *testing.T) {
 	g := graph.ErdosRenyi(40, 120, 1)
 	var sides, factors, locals, kept, fars int
-	var swept [3]int      // nodes by sweep kind
+	var swept [4]int      // nodes by sweep kind
+	var boundedLeaves int // swept scan and local nodes whose leaf has a bound or a certain ancestor
 	var bearing [2][7]int // single-pattern programs with a factor, with a far corner, by pattern size
 	for _, pl := range catalogPlans(t) {
 		for _, o := range []Options{{}, {Kernel: KernelMergeOnly}} {
@@ -325,19 +326,31 @@ func TestLoweringInvariants(t *testing.T) {
 							}
 						}
 					}
-					// sweepLeaves: a kind iff n, unmarked and building nothing, has one child,
-					// a plain count-only leaf — no closed form, aux row, bound or NotEqual —
-					// whose one kernel reads the candidate's own row: a masked scan of it off
-					// the rows, or n's local set AND its row; never under merge-only or listing.
+					// sweepLeaves: a kind iff n — no factor node, unmarked, building nothing —
+					// has one child, a plain count-only leaf — no closed form, aux row or
+					// suspect — whose one kernel reads the candidate's own row: a masked scan
+					// of it off the rows, bounded or not (below a factor: the leaf's and its
+					// B's, suspect-free, neither bounded), or n's local set AND its row, no
+					// NotEqual, bounded by the candidate at most; never under merge-only or listing.
 					kind := noSweep
-					if n.mode == interior && n.depth >= 1 && len(n.children) == 1 && n.fac == nil && n.far == nil && n.builds == nil && !m.marked {
-						if c := n.children[0]; c.mode == leafCount && reflect.DeepEqual(c.closed, closed{}) && reflect.DeepEqual(c.proof, proof{}) &&
-							c.src != srcAux && len(c.op.UpperBounds)+len(c.op.NotEqual) == 0 {
+					if n.mode == interior && n.depth >= 1 && len(n.children) == 1 && (n.fac == nil || n.fac.at != n) && n.far == nil && n.builds == nil && !m.marked {
+						scans := func(s *node) bool {
+							return !s.local.on && s.src == srcAdj && s.op.Extender == n.depth && len(s.cmap.scan) == 1 && s.cmap.scan[0].masked()
+						}
+						if c := n.children[0]; c.mode == leafCount && reflect.DeepEqual(c.closed, closed{}) && len(c.proof.suspects) == 0 && c.src != srcAux {
 							switch {
-							case !c.local.on && c.src == srcAdj && c.op.Extender == n.depth && len(c.cmap.scan) == 1 && c.cmap.scan[0].masked():
+							case n.fac != nil:
+								if b := c.fac.minus; scans(c) && scans(b) && len(b.proof.suspects) == 0 && len(c.op.UpperBounds)+len(b.op.UpperBounds) == 0 {
+									kind = sweepWeighed
+								}
+							case scans(c):
 								kind = sweepScan
-							case c.local.on && n.local.on && c.local.base == n.depth && slices.Equal(c.local.ops, []chainOp{{level: n.depth}}):
+							case c.local.on && n.local.on && c.local.base == n.depth && slices.Equal(c.local.ops, []chainOp{{level: n.depth}}) &&
+								len(c.op.NotEqual) == 0 && (len(c.op.UpperBounds) == 0 || slices.Equal(c.op.UpperBounds, []int{n.depth})):
 								kind = sweepLocal
+							}
+							if kind == sweepScan || kind == sweepLocal {
+								boundedLeaves += min(len(c.op.UpperBounds)+len(c.proof.certain), 1)
 							}
 						}
 					}
@@ -367,9 +380,10 @@ func TestLoweringInvariants(t *testing.T) {
 			}
 		}
 	}
-	if sides == 0 || factors == 0 || locals == 0 || kept == 0 || fars == 0 || swept[sweepScan] == 0 || swept[sweepLocal] == 0 {
-		t.Fatalf("the catalog exercised %d side nodes, %d nodes at or below a factor, %d local nodes, %d aux consumers, %d far corners, %d swept scans and %d swept local rows: a pass is vacuous here",
-			sides, factors, locals, kept, fars, swept[sweepScan], swept[sweepLocal])
+	if sides == 0 || factors == 0 || locals == 0 || kept == 0 || fars == 0 || swept[sweepScan] == 0 || swept[sweepLocal] == 0 || swept[sweepWeighed] == 0 || boundedLeaves == 0 {
+		t.Fatalf("the catalog exercised %d side nodes, %d nodes at or below a factor, %d local nodes, %d aux consumers, %d far corners, %d swept scans, %d swept local rows, "+
+			"%d weighed sweeps and %d bounded swept leaves: a pass is vacuous here",
+			sides, factors, locals, kept, fars, swept[sweepScan], swept[sweepLocal], swept[sweepWeighed], boundedLeaves)
 	}
 	if bearing != [2][7]int{{5: 3, 6: 20}, {4: 1, 5: 1, 6: 2}} {
 		t.Errorf("catalog patterns with a factor, with a far corner, by size: %v; want 3 of 5 vertices (house, 5-motif-2, -9) and 20 of 6, "+
@@ -511,31 +525,48 @@ func BenchmarkExtension(b *testing.B) {
 }
 
 // BenchmarkLeaf is the per-leaf constant of a count-only last level, the figure
-// decision 25 lowered: TC (a c-map scan per leaf) and 4-CL (a local-row AND per
-// leaf) on an oriented RMAT graph at one thread, ns per
-// Stats.LeafCountsSkippedMaterialize — the leaf's kernel and whatever the walk
-// spends reaching it. It fails unless sweepLeaves gave each plan its kind and,
-// for 4-CL, tasks ran on the rows.
+// decision 25 lowered, at one thread, in ns per Stats.LeafCountsSkippedMaterialize
+// — the leaf's kernel and whatever the walk spends reaching it: TC (a c-map scan
+// per leaf) and 4-CL (a local-row AND per leaf) on an oriented RMAT graph, the
+// triangle (a bounded scan) and the 4-clique (a bounded AND) on the same graph
+// symmetric, and house (a factor's leaf and its B in one two-mask scan) on a
+// smaller, denser symmetric RMAT graph, the benchmark's house shape. It fails unless
+// sweepLeaves gave each plan its kind — a bounded leaf where the leg is one — and,
+// for a local kind, tasks ran on the rows.
 func BenchmarkLeaf(b *testing.B) {
-	g := graph.RMAT(13, 1<<16, 0.57, 0.19, 0.19, 7).Orient()
+	sym := graph.RMAT(13, 1<<16, 0.57, 0.19, 0.19, 7)
+	dag, dense := sym.Orient(), graph.RMAT(10, 8000, 0.45, 0.22, 0.22, 7)
+	cliqueDAG := func(k int) *plan.Plan {
+		pl, err := plan.CompileCliqueDAG(k)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return pl
+	}
 	for _, c := range []struct {
-		name string
-		k    int
-		kind sweepKind
-	}{{"TC", 3, sweepScan}, {"4-CL", 4, sweepLocal}} {
+		name    string
+		g       *graph.Graph
+		pl      *plan.Plan
+		kind    sweepKind
+		bounded bool
+	}{
+		{"TC", dag, cliqueDAG(3), sweepScan, false},
+		{"4-CL", dag, cliqueDAG(4), sweepLocal, false},
+		{"house", dense, mustCompile(b, pattern.House(), plan.Options{}), sweepWeighed, false},
+		{"triangle", sym, mustCompile(b, pattern.Triangle(), plan.Options{}), sweepScan, true},
+		{"4-clique", sym, mustCompile(b, pattern.KClique(4), plan.Options{}), sweepLocal, true},
+	} {
 		b.Run(c.name, func(b *testing.B) {
-			pl, err := plan.CompileCliqueDAG(c.k)
-			if err != nil {
-				b.Fatal(err)
-			}
-			e, err := NewEngine(g, pl, Options{Threads: 1})
+			e, err := NewEngine(c.g, c.pl, Options{Threads: 1})
 			if err != nil {
 				b.Fatal(err)
 			}
 			swept := false
-			e.prog.each(func(n *node, _ []*node) { swept = swept || n.sweep == c.kind })
+			e.prog.each(func(n *node, _ []*node) {
+				swept = swept || n.sweep == c.kind && c.bounded == (len(n.children[0].op.UpperBounds) > 0)
+			})
 			if warm := e.Mine(); !swept || c.kind == sweepLocal && warm.Stats.LocalRows == 0 {
-				b.Fatalf("the sweep did not fire: kind %d lowered %v, %d local rows", c.kind, swept, warm.Stats.LocalRows)
+				b.Fatalf("the sweep did not fire: kind %d (bounded %v) lowered %v, %d local rows", c.kind, c.bounded, swept, warm.Stats.LocalRows)
 			}
 			b.ResetTimer()
 			var leaves int64

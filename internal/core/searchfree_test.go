@@ -126,8 +126,9 @@ func TestMergedTreeWorkBound(t *testing.T) {
 // ancestors whose C(·, t) comes out of the sum again. Aux rows (decision 14):
 // "builds[i]" at the level that activates spec i, "aux#i" at a consumer of its rows.
 // A node whose only child walk counts over its list in one loop (decision 25) reads
-// "sweep[scan]" — the child scans each candidate's row against the c-map — or
-// "sweep[local]", the child ANDs the node's local set with each candidate's row.
+// "sweep[scan]" — the child scans each candidate's row against the c-map —,
+// "sweep[local]", the child ANDs the node's local set with each candidate's row, or
+// "sweep[weighed]": below a factor, the child and its B scan each row in one pass.
 func lowering(p *program) string {
 	var sb strings.Builder
 	var walk func(n *node, term string)
@@ -240,6 +241,8 @@ func lowering(p *program) string {
 			sb.WriteString(" sweep[scan]")
 		case sweepLocal:
 			sb.WriteString(" sweep[local]")
+		case sweepWeighed:
+			sb.WriteString(" sweep[weighed]")
 		}
 		switch f := n.fac; {
 		case f == nil:
@@ -292,8 +295,11 @@ func lowering(p *program) string {
 // checked for every case, no listing one. Aux rows (decision 14) go to what is left:
 // the vertex-induced 4-path keeps its spec, 5-motif-15 the one whose consumer was
 // not counted away, house none, and no merge-only lowering any. Sweeps (decision
-// 25) go to the DAG cliques alone: TC's v1 scans each candidate's row, 4-CL's v2 and
-// 5-CL's v3 AND their set with it; a symmetric clique's leaf is bounded and stays a call.
+// 25): TC's v1 on a DAG scans each candidate's row, 4-CL's v2 and 5-CL's v3 AND their
+// set with it; bounded leaves too — K₂,₃'s v3 and the vertex-induced census's v2s
+// scan, the symmetric 4-clique's v2 (alone, merged, in the burst tree) ANDs below
+// each candidate's position —; house's v3 scans its leaf and the leaf's B in one pass,
+// while 5-motif-2's B reads v1's row, not v3's, and stays a call.
 func TestLoweringSplit(t *testing.T) {
 	g := graph.ErdosRenyi(40, 120, 1)
 	merged, err := plan.CompileMulti(pattern.Motifs(4), plan.Options{})
@@ -337,7 +343,7 @@ v0 marks[] lonly universe[]
 		{"4-clique", mustCompile(t, pattern.KClique(4), plan.Options{}), Options{}, `
 v0 marks[<v0] lonly universe[<v0 tri]
   v1 marks[<v0<v1] lonly
-    v2 local[1]
+    v2 local[1] sweep[local]
       v3 bound@pos[2] local[@2 2]
 `},
 		{"4-clique, merge-only", mustCompile(t, pattern.KClique(4), plan.Options{}), PaperBaseline(1), `
@@ -387,7 +393,7 @@ v0 marks[]
 v0 marks[]
   v1 marks[<v0]
     v2 bound@pos[1]
-      v3
+      v3 sweep[scan]
         v4
 `},
 		// Prefix: v3 was v2's frontier below v2 — C(|N(v0) ∩ N(v1)|, 2) per edge.
@@ -406,7 +412,7 @@ v0 marks[]
 v0 marks[]
   v1 marks[]
     v2 factor
-      v3 weighed[2: probe]
+      v3 sweep[weighed] weighed[2: probe]
         v4 certain[0] weighed[2]
       B=v4 row[3 1 0] scan never[0]
 `},
@@ -523,7 +529,7 @@ v0 marks[] universe[<v0 tri]
       v3
   v1 marks[<v0<v1] lonly
   X=v2 row[1] twins[2]
-    v2 local[1]
+    v2 local[1] sweep[local]
       v3 bound@pos[2] local[@2 2]
 `},
 		// The benchmark's burst order: diamond and tailed-triangle below one v2
@@ -538,7 +544,7 @@ v0 marks[] universe[<v0 tri]
     v2
       v3 bound@pos[2]
       v3 certain[0 1]
-    v2 local[1]
+    v2 local[1] sweep[local]
       v3 bound@pos[2] local[@2 2]
     v2 certain[1] product[A B]
   A=v2 row[1] certain[0]
@@ -566,15 +572,15 @@ v0 marks[] universe[]
   v1 marks[]
     v2 bound@pos[1] local[!1]
       v3 bound@pos[2] local[@2 !2]
-    v2
+    v2 sweep[scan]
       v3 never[0] never[1]
     v2 local[1]
       v3 local[!1 !2] never[1] never[2]
       v3
   v1 marks[<v0]
-    v2 bound@pos[1]
+    v2 bound@pos[1] sweep[scan]
       v3
-    v2 local[1]
+    v2 local[1] sweep[local]
       v3 bound@pos[2] local[@2 2]
 `},
 	} {

@@ -191,6 +191,37 @@ func FuzzMaskKernels(f *testing.F) {
 	})
 }
 
+// FuzzMaskCountPair checks the one-pass count under two masks against two
+// MaskCount calls: the payload's first two bytes give each mask its roles over four
+// ancestor sets, the rest becomes the row and the sets as in FuzzMaskKernels —
+// empty when the payload is short, masks that share, clash or coincide alike.
+func FuzzMaskCountPair(f *testing.F) {
+	f.Add([]byte{0b01_10_01_00, 0b01_01_10_00, 3, 1, 2, 3, 2, 3, 4, 7, 1, 3, 9, 2, 3})
+	f.Add([]byte{0b01_00_00_01, 0b01_00_00_01, 0, 5, 5, 5, 6, 7})
+	f.Add([]byte{0b10, 0b01})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		selA, selB, data := data[0], data[1], data[2:]
+		parts, ra, rb := make([][]VID, 5), make([]int, 4), make([]int, 4)
+		for k := range parts {
+			lo, hi := k*len(data)/5, (k+1)*len(data)/5
+			parts[k], _, _ = decodeSets(append([]byte{255}, data[lo:hi]...))
+		}
+		for k := range ra {
+			ra[k], rb[k] = int(selA>>(2*k)&3), int(selB>>(2*k)&3)
+		}
+		a, sets := parts[0], parts[1:]
+		cm, needA, avoidA, _ := maskCase(a, sets, ra)
+		_, needB, avoidB, _ := maskCase(a, sets, rb)
+		na, nb := MaskCountPair(a, cm, needA, avoidA, needB, avoidB)
+		if wa, wb := MaskCount(a, cm, needA, avoidA), MaskCount(a, cm, needB, avoidB); na != wa || nb != wb {
+			t.Errorf("MaskCountPair(%v, sets %v, roles %v and %v) = %d, %d; MaskCount: %d, %d", a, sets, ra, rb, na, nb, wa, wb)
+		}
+	})
+}
+
 // FuzzWordsAndCount checks the non-writing count of a last local level against
 // WordsAnd then WordsTrim on copies (andTrimCount, setops_test.go): the payload's
 // first two bytes are the end position, the rest two word sets of equal length,

@@ -170,6 +170,47 @@ func TestMaskKernelsMatchMerge(t *testing.T) {
 	}
 }
 
+// TestMaskCountPair holds the one-pass count under two masks to two MaskCount
+// calls on one c-map — the masks drawn independently, so they share bits, clash
+// (one needs what the other avoids) or coincide — on the drawn row and on the
+// empty one. It also checks the halves of the packed count apart on a row every
+// element of which passes both masks, and pins the limit the packing relies on.
+func TestMaskCountPair(t *testing.T) {
+	f := func(a sortedSet, sets [8]sortedSet, rawA, rawB [8]uint8) bool {
+		anc, ra, rb := make([][]VID, 8), make([]int, 8), make([]int, 8)
+		for k := range anc {
+			anc[k], ra[k], rb[k] = sets[k], int(rawA[k]%3), int(rawB[k]%3)
+		}
+		cm, needA, avoidA, _ := maskCase(a, anc, ra)
+		_, needB, avoidB, _ := maskCase(a, anc, rb)
+		for _, row := range [][]VID{a, nil} {
+			na, nb := MaskCountPair(row, cm, needA, avoidA, needB, avoidB)
+			if na != MaskCount(row, cm, needA, avoidA) || nb != MaskCount(row, cm, needB, avoidB) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+	row, cm := make([]VID, 1<<16), make([]uint8, 1<<16)
+	for i := range row {
+		row[i], cm[i] = VID(i), 0b101
+	}
+	if na, nb := MaskCountPair(row, cm, 0b001, 0b010, 0b101, 0); na != 1<<16 || nb != 1<<16 {
+		t.Errorf("every element passes both masks: counts %d and %d, want %d each", na, nb, 1<<16)
+	}
+	if na, nb := MaskCountPair(row, cm, 0b010, 0, 0b100, 0); na != 0 || nb != 1<<16 {
+		t.Errorf("every element passes B only: counts %d and %d, want 0 and %d", na, nb, 1<<16)
+	}
+	// A's half holds at most len(a) < 2³² as long as no row of distinct VIDs below
+	// NoBound has 2³² elements — as long as a VID is 32 bits wide.
+	if uint64(NoBound) >= 1<<32 {
+		t.Errorf("NoBound is %d: a row can reach 2³² elements and A's count would carry into B's", uint64(NoBound))
+	}
+}
+
 // skewedInputs builds a skewed intersection workload: |a|/|b| = 1/ratio with
 // |b| = n, a random-ish but deterministic overlap.
 func skewedInputs(n, ratio int) (a, b []VID) {

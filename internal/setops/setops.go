@@ -333,6 +333,28 @@ func MaskCount(a []VID, cm []uint8, need, avoid uint8) int64 {
 	return n
 }
 
+// MaskCountPair is MaskCount under two masks in one pass over a: how many elements
+// pass (needA, avoidA), and how many pass (needB, avoidB). The two counts share one
+// uint64, A's in the low 32 bits, so that each element adds a flag pair and no branch
+// depends on the data; len(a) must stay below 2³² for A's half never to carry into
+// B's — every adjacency row does, its elements being distinct VIDs below NoBound.
+func MaskCountPair(a []VID, cm []uint8, needA, avoidA, needB, avoidB uint8) (na, nb int64) {
+	ma, mb := needA|avoidA, needB|avoidB
+	var n uint64
+	for _, x := range a {
+		c := cm[x]
+		var p uint64
+		if c&ma == needA {
+			p = 1
+		}
+		if c&mb == needB {
+			p |= 1 << 32
+		}
+		n += p
+	}
+	return int64(uint32(n)), int64(n >> 32)
+}
+
 // The word kernels of the engine's local rows (DESIGN.md decision 21): a set
 // over a renumbered universe is one bit per position, so an intersection is a
 // word AND, a difference an AND-NOT and a count a popcount — of a last level,

@@ -297,6 +297,7 @@ func TestKernelsZeroAlloc(t *testing.T) {
 		n, c = DifferenceGallopingCount(a, b, NoBound)
 		dst = MaskScan(dst[:0], a, cm, 1<<3, 1<<5)
 		n += MaskCount(a, cm, 0, 1<<3)
+		n, c = MaskCountPair(a, cm, 1<<3, 0, 0, 1<<3)
 		WordsAnd(wa, wb, false)
 		WordsAnd(wa, wb, true)
 		n += WordsTrim(wa, 700)
