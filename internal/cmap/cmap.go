@@ -54,6 +54,8 @@ func (s Stats) ReadRatio() float64 {
 }
 
 // Map is the interface shared by the hardware model and the vector oracle.
+// It has no reset: a PE empties its map by removing levels in stack order,
+// so the map is empty again when a task's last level is removed.
 type Map interface {
 	// TryInsertLevel bulk-inserts neighbor list adj at depth, keeping only
 	// IDs < bound (NoBound disables filtering). It reports false — without
@@ -65,12 +67,12 @@ type Map interface {
 	RemoveLevel(adj []graph.VID, depth int, bound graph.VID)
 	// Lookup returns the connectivity bitset for key (zero if absent).
 	Lookup(key graph.VID) Bits
-	// LookupCost is Lookup that also reports the probe steps this query
-	// took — what the cycle model charges per pruned candidate — so a
-	// caller need not difference two Stats snapshots around every query.
-	LookupCost(key graph.VID) (Bits, int64)
-	// Reset invalidates all entries (end of a task).
-	Reset()
+	// Filter is the pruner over a whole candidate list: it appends to dst,
+	// in order, the keys whose bitset holds every bit of need and none of
+	// avoid, and returns it with the cycles the lookups took — Σ max(probe
+	// steps, 1), what the cycle model charges per pruned candidate. Stats
+	// count one lookup per key, exactly as a loop of Lookup calls would.
+	Filter(dst, keys []graph.VID, need, avoid Bits) ([]graph.VID, int64)
 	// Stats returns accumulated counters.
 	Stats() Stats
 }
@@ -266,24 +268,48 @@ func (m *HashMap) findExisting(key graph.VID) (slot int, steps int64) {
 
 // Lookup implements Map.
 func (m *HashMap) Lookup(key graph.VID) Bits {
-	b, _ := m.LookupCost(key)
-	return b
-}
-
-// LookupCost implements Map.
-func (m *HashMap) LookupCost(key graph.VID) (Bits, int64) {
 	m.stats.Lookups++
 	slot, steps := m.findExisting(key)
 	m.stats.Probes += steps
 	if slot < 0 {
-		return 0, steps
+		return 0
 	}
 	m.stats.Hits++
-	return m.vals[slot], steps
+	return m.vals[slot]
 }
 
-// Reset implements Map ("when a task is completed, all entries in c-map are
-// invalidated").
+// Filter implements Map. Almost every query ends at its home slot (empty, or
+// holding the key) in one probe step, so that case is decided inline and only
+// a collision walks the chain.
+func (m *HashMap) Filter(dst, keys []graph.VID, need, avoid Bits) ([]graph.VID, int64) {
+	n := len(m.keys)
+	var hits, cycles int64
+	for _, key := range keys {
+		slot := hash(key, n)
+		b, steps := m.vals[slot], int64(1)
+		if b != 0 && m.keys[slot] != key {
+			if slot, steps = m.findExisting(key); slot < 0 {
+				b = 0
+			} else {
+				b = m.vals[slot]
+			}
+		}
+		cycles += steps
+		if b != 0 {
+			hits++
+		}
+		if b&need == need && b&avoid == 0 {
+			dst = append(dst, key)
+		}
+	}
+	m.stats.Lookups += int64(len(keys))
+	m.stats.Hits += hits
+	m.stats.Probes += cycles
+	return dst, cycles
+}
+
+// Reset invalidates all entries ("when a task is completed, all entries in
+// c-map are invalidated").
 func (m *HashMap) Reset() {
 	for i := range m.vals {
 		m.vals[i] = 0
@@ -334,14 +360,22 @@ func (v *Vector) Lookup(key graph.VID) Bits {
 	return b
 }
 
-// LookupCost implements Map; a vector access probes nothing.
-func (v *Vector) LookupCost(key graph.VID) (Bits, int64) { return v.Lookup(key), 0 }
-
-// Reset implements Map.
-func (v *Vector) Reset() {
-	for i := range v.vals {
-		v.vals[i] = 0
+// Filter implements Map; a vector access probes nothing, so each key costs
+// the one access cycle.
+func (v *Vector) Filter(dst, keys []graph.VID, need, avoid Bits) ([]graph.VID, int64) {
+	var hits int64
+	for _, key := range keys {
+		b := v.vals[key]
+		if b != 0 {
+			hits++
+		}
+		if b&need == need && b&avoid == 0 {
+			dst = append(dst, key)
+		}
 	}
+	v.stats.Lookups += int64(len(keys))
+	v.stats.Hits += hits
+	return dst, int64(len(keys))
 }
 
 // Stats implements Map.

@@ -272,8 +272,8 @@ func BenchmarkHashMapLookup(b *testing.B) {
 // TestMapZeroAlloc holds the c-map's zero-allocation invariant for every
 // implementation of Map, driven through the interface the simulator's PE
 // uses: a level insert (bounded, unbounded, and one the hash map rejects for
-// overflow), hit and miss lookups, and the stack-ordered removals all work in
-// the storage the constructor sized.
+// overflow), hit and miss lookups, a filter into a sized destination, and the
+// stack-ordered removals all work in the storage the constructor sized.
 func TestMapZeroAlloc(t *testing.T) {
 	small := []graph.VID{3, 9, 17, 40, 41, 90}
 	other := []graph.VID{9, 12, 41, 77}
@@ -281,6 +281,8 @@ func TestMapZeroAlloc(t *testing.T) {
 	for v := graph.VID(100); v < 160; v++ {
 		big = append(big, v)
 	}
+	probe := []graph.VID{9, 41, 77, 90, 5}
+	dst := make([]graph.VID, 0, len(probe))
 	for _, tc := range []struct {
 		name    string
 		m       Map
@@ -291,7 +293,7 @@ func TestMapZeroAlloc(t *testing.T) {
 	} {
 		m := tc.m
 		var bits Bits
-		var cost int64
+		var kept []graph.VID
 		round := func() {
 			if !m.TryInsertLevel(small, 1, 50) || !m.TryInsertLevel(other, 2, NoBound) {
 				t.Fatalf("%s: small level rejected", tc.name)
@@ -301,22 +303,23 @@ func TestMapZeroAlloc(t *testing.T) {
 			} else if tc.bigFits {
 				m.RemoveLevel(big, 3, NoBound)
 			}
-			for _, k := range []graph.VID{9, 41, 77, 90, 5} {
+			for _, k := range probe {
 				bits |= m.Lookup(k)
-				b, c := m.LookupCost(k)
-				bits, cost = bits|b, cost+c
 			}
+			kept, _ = m.Filter(dst[:0], probe, 1<<2, 1<<1)
 			m.RemoveLevel(other, 2, NoBound)
 			m.RemoveLevel(small, 1, 50)
 		}
 		round() // warm
 		if avg := testing.AllocsPerRun(10, round); avg > 0 {
-			t.Errorf("%s allocates %.1f times per insert/lookup/remove round; want 0", tc.name, avg)
+			t.Errorf("%s allocates %.1f times per insert/lookup/filter/remove round; want 0", tc.name, avg)
 		}
 		if bits != 1<<1|1<<2 || m.Lookup(9) != 0 {
 			t.Errorf("%s: lookups saw bits %b, leftover %b; want levels 1 and 2, then empty", tc.name, bits, m.Lookup(9))
 		}
-		_ = cost
+		if !reflect.DeepEqual(kept, []graph.VID{77}) { // level 2 without level 1: 9 and 41 have both
+			t.Errorf("%s: Filter kept %v; want [77]", tc.name, kept)
+		}
 	}
 }
 

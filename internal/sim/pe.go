@@ -331,7 +331,8 @@ func (p *pe) cmapCovers(intersect, difference []int) bool {
 }
 
 // filterViaCMap prunes each streamed candidate with a c-map query: one cycle
-// per element plus extra probe groups, all in the pruner.
+// per element plus extra probe groups, all in the pruner. The whole list is
+// one Filter call; distinctness then runs over its survivors in place.
 func (p *pe) filterViaCMap(out, base []graph.VID, op *plan.VertexOp, intersect, difference []int) []graph.VID {
 	var need, avoid cmap.Bits
 	for _, j := range intersect {
@@ -340,23 +341,15 @@ func (p *pe) filterViaCMap(out, base []graph.VID, op *plan.VertexOp, intersect, 
 	for _, j := range difference {
 		avoid |= 1 << uint(j)
 	}
-	for _, v := range base {
-		// One access cycle plus one per probe group beyond the first — what
-		// chargeCMap derives from Stats deltas, read off the lookup itself.
-		bits, probes := p.cm.LookupCost(v)
-		if probes < 1 {
-			probes = 1
+	out, cycles := p.cm.Filter(out, base, need, avoid)
+	p.tickCMap(cycles)
+	kept := out[:0]
+	for _, v := range out {
+		if p.distinct(v, op) {
+			kept = append(kept, v)
 		}
-		p.tickCMap(probes)
-		if bits&need != need || bits&avoid != 0 {
-			continue
-		}
-		if !p.distinct(v, op) {
-			continue
-		}
-		out = append(out, v)
 	}
-	return out
+	return kept
 }
 
 // filterViaMerge runs the SIU/SDU path (Fig 9): both operand lists stream

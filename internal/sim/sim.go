@@ -10,7 +10,6 @@ package sim
 // no goroutine and owns no channel (TestPackageIsSequential).
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 	"iter"
@@ -99,11 +98,13 @@ const (
 	evDone            // PE retired (no more tasks)
 )
 
+// event is pointer-free, so the coordinator's heap moves it without write
+// barriers: the PE is named by its index in simulator.pes.
 type event struct {
-	pe   *pe
-	kind int
 	t    int64  // PE clock at the event
 	addr uint64 // for evNeedLine
+	pe   int
+	kind int
 }
 
 // reply is the coordinator's answer, left in the PE before it is resumed: the
@@ -189,7 +190,8 @@ func (s *simulator) cancelled() bool {
 // evDone, and when a PE panics (here, out of its next) the others are mid-task.
 func (s *simulator) run() {
 	// Every live PE has exactly one outstanding event; keep them in a
-	// min-(time, id) heap and always service the earliest.
+	// min-(time, id) heap and always service the earliest, the root. The
+	// serviced PE's next event replaces the root in place.
 	pq := make(eventHeap, len(s.pes))
 	next := make([]func() (event, bool), len(s.pes)) // next[i] runs PE i to its next event
 	for i, p := range s.pes {
@@ -198,9 +200,12 @@ func (s *simulator) run() {
 		defer stop()
 		pq[i], _ = next[i]()
 	}
-	heap.Init(&pq)
-	for live := len(s.pes); live > 0; {
-		ev := heap.Pop(&pq).(event)
+	for i := len(pq)/2 - 1; i >= 0; i-- {
+		pq.down(i)
+	}
+	for len(pq) > 0 {
+		ev := pq[0]
+		p := s.pes[ev.pe]
 		// Sampling rides the global event order: before the earliest pending
 		// event executes, snapshot every window boundary it crosses. Every
 		// PE is parked at a yield here, and sampling only reads — cycle
@@ -212,25 +217,28 @@ func (s *simulator) run() {
 		}
 		switch ev.kind {
 		case evDone:
-			live--
+			last := len(pq) - 1
+			pq[0] = pq[last]
+			pq = pq[:last]
+			pq.down(0)
 			continue
 		case evNeedTask:
-			ev.pe.reply = reply{n: -1}
+			p.reply = reply{n: -1}
 			if s.nextTask < len(s.tasks) && !s.cancelled() {
 				if tr := s.cfg.Trace; tr.Enabled() {
-					tr.EmitAt(obs.CatSched, "dispatch", ev.pe.id, ev.t, 0,
+					tr.EmitAt(obs.CatSched, "dispatch", p.id, ev.t, 0,
 						obs.Arg{Key: "task", Val: int64(s.nextTask)},
 						obs.Arg{Key: "v0", Val: int64(s.tasks[s.nextTask].V0)})
 				}
-				ev.pe.reply.n = int64(s.nextTask)
+				p.reply.n = int64(s.nextTask)
 				s.nextTask++
 			}
 		case evNeedLine:
-			ev.pe.reply.n, ev.pe.reply.fromDRAM = s.mem.line(ev.addr, ev.t)
+			p.reply.n, p.reply.fromDRAM = s.mem.line(ev.addr, ev.t)
 		}
 		// Always an event: a PE yields evDone before its loop returns.
-		ev, _ = next[ev.pe.id]()
-		heap.Push(&pq, ev)
+		pq[0], _ = next[ev.pe]()
+		pq.down(0)
 	}
 }
 
@@ -240,7 +248,7 @@ type stopped struct{}
 
 // await yields an event and returns the coordinator's answer.
 func (p *pe) await(kind int, addr uint64) reply {
-	if !p.yield(event{pe: p, kind: kind, t: p.clock, addr: addr}) {
+	if !p.yield(event{pe: p.id, kind: kind, t: p.clock, addr: addr}) {
 		panic(stopped{})
 	}
 	return p.reply
@@ -262,7 +270,7 @@ func (p *pe) loop(yield func(event) bool) {
 				tr.EmitAt(obs.CatSimPE, "retire", p.id, p.clock, 0)
 			}
 			p.retired = true
-			yield(event{pe: p, kind: evDone, t: p.clock})
+			yield(event{pe: p.id, kind: evDone, t: p.clock})
 			return
 		}
 		p.runTask(p.sim.tasks[id])
@@ -386,22 +394,29 @@ func (s *simulator) snapshot() map[string]int64 {
 	return vals
 }
 
-// eventHeap orders pending events by (time, PE id) for determinism.
+// eventHeap is a binary min-heap of pending events ordered by (time, PE id).
+// Each live PE has exactly one pending event, so no two keys tie and the
+// service order is the same whatever the heap's shape.
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
-	}
-	return h[i].pe.id < h[j].pe.id
+func (h eventHeap) less(i, j int) bool {
+	return h[i].t < h[j].t || h[i].t == h[j].t && h[i].pe < h[j].pe
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+
+// down sifts the event at i down to its place below.
+func (h eventHeap) down(i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if r := c + 1; r < len(h) && h.less(r, c) {
+			c = r
+		}
+		if !h.less(c, i) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
