@@ -41,7 +41,6 @@ func runServe(args []string) error {
 	useMmap := fs.Bool("mmap", false, "memory-map the -graph .bin file zero-copy instead of loading it onto the heap")
 	jobsQueue := fs.Int("jobs-queue", 64, "job queue bound (submits beyond it get 429)")
 	jobsBatch := fs.Int("jobs-batch", 8, "max distinct patterns merged into one batched plan (1 disables batching)")
-	jobsRunning := fs.Int("jobs-running", 1, "max concurrently executing job batches")
 	jobsGraphDir := fs.String("jobs-graph-dir", "", "root directory for job graph path references (empty = named graphs only)")
 	jobsPaused := fs.Bool("jobs-paused", false, "start the job dispatcher paused (POST /jobs/queue/resume to release)")
 	eventlogPath := fs.String("eventlog", "", "flush the job service's structured event log (NDJSON) here on shutdown")
@@ -84,7 +83,6 @@ func runServe(args []string) error {
 		Registry:    reg,
 		MaxQueue:    *jobsQueue,
 		MaxBatch:    *jobsBatch,
-		MaxRunning:  *jobsRunning,
 		Graphs:      named,
 		GraphDir:    *jobsGraphDir,
 		StartPaused: *jobsPaused,

@@ -32,7 +32,9 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden observability 
 // obsScenario runs the canonical observability workload — five jobs from
 // three tenants, four of which batch into one engine run, one (triangle,
 // size 3) dispatching alone — on a paused server with deterministic clocks.
-// The caller owns closing the returned server.
+// A one-thread budget runs the two batches one after the other, so the clock
+// reads come in one order on any host. The caller owns closing the returned
+// server.
 func obsScenario(t *testing.T, g graph.Store, tracer *obs.Tracer, elog *obs.EventLog) (*Server, *obs.Registry, []string) {
 	t.Helper()
 	reg := obs.NewRegistry(obs.NewVirtualClock())
@@ -44,6 +46,7 @@ func obsScenario(t *testing.T, g graph.Store, tracer *obs.Tracer, elog *obs.Even
 		Graphs:      map[string]graph.Store{"g": g},
 		StartPaused: true,
 	})
+	setThreads(s, 1)
 	opts := EngineOptions{Workers: 1}
 	var ids []string
 	ids = append(ids, submitNamed(t, s, "alpha", "g", "4-path", opts))

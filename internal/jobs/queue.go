@@ -75,6 +75,25 @@ func (q *drrQueue) pop() *Job {
 	}
 }
 
+// peek returns the job pop would return next, or nil when the queue is empty,
+// and changes nothing: the dispatcher waits on the head this way, so a head
+// that waits for engine threads keeps its turn.
+func (q *drrQueue) peek() *Job {
+	if q.size == 0 {
+		return nil
+	}
+	if t := q.ring[q.cur]; q.deficit > 0 && len(t.fifo) > 0 {
+		return t.fifo[0]
+	}
+	// pop would move on with a fresh quantum (≥ 1): the first non-empty FIFO
+	// after cur in ring order, cur itself last.
+	for i := 1; ; i++ {
+		if t := q.ring[(q.cur+i)%len(q.ring)]; len(t.fifo) > 0 {
+			return t.fifo[0]
+		}
+	}
+}
+
 // remove deletes j from its tenant's FIFO (a queued-job cancellation).
 // Reports whether the job was present.
 func (q *drrQueue) remove(j *Job) bool {

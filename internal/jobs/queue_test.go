@@ -5,6 +5,8 @@ package jobs
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -69,12 +71,7 @@ func TestDRRRoundRobinAcrossThreeTenants(t *testing.T) {
 		"A-5", // only A remains
 	}
 	for pos, id := range want {
-		j := q.pop()
-		if j == nil || j.id != id {
-			got := "<nil>"
-			if j != nil {
-				got = j.id
-			}
+		if got := qid(q.pop()); got != id {
 			t.Fatalf("pop %d: got %s, want %s", pos+1, got, id)
 		}
 	}
@@ -118,6 +115,54 @@ func TestDRRCollectPullsMatchingJobs(t *testing.T) {
 	if j := q.pop(); j != b1 {
 		t.Fatalf("survivor = %v, want B-1", j)
 	}
+}
+
+// TestDRRPeekIsTheNextPop: over seeded scripts of pushes, pops, removes and
+// collects across four tenants and quanta 1–3, peek returns exactly the job the
+// next pop returns — nil on an empty queue — and leaves cur, deficit and size
+// as it found them, so a head the dispatcher waits on keeps its DRR turn.
+func TestDRRPeekIsTheNextPop(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		q := newDRRQueue(32, 1+r.Intn(3))
+		var queued []*Job // pushed and still in q, for remove to draw from
+		for step, n := 0, 0; step < 400; step++ {
+			cur, deficit, size := q.cur, q.deficit, q.size
+			head := q.peek()
+			if q.cur != cur || q.deficit != deficit || q.size != size {
+				t.Fatalf("seed %d step %d: peek moved (cur, deficit, size) from (%d, %d, %d) to (%d, %d, %d)",
+					seed, step, cur, deficit, size, q.cur, q.deficit, q.size)
+			}
+			switch op := r.Intn(10); {
+			case op < 5:
+				n++
+				if j := qjob(string(rune('A'+r.Intn(4))), n); q.push(j) == nil {
+					queued = append(queued, j)
+				}
+			case op < 8:
+				if j := q.pop(); j != head {
+					t.Fatalf("seed %d step %d: peek %s, pop %s", seed, step, qid(head), qid(j))
+				}
+				queued = slices.DeleteFunc(queued, func(x *Job) bool { return x == head })
+			case op < 9 && len(queued) > 0:
+				j := queued[r.Intn(len(queued))]
+				q.remove(j)
+				queued = slices.DeleteFunc(queued, func(x *Job) bool { return x == j })
+			default:
+				tenant := string(rune('A' + r.Intn(4)))
+				for _, j := range q.collect(func(j *Job) bool { return j.tenant == tenant && r.Intn(2) == 0 }) {
+					queued = slices.DeleteFunc(queued, func(x *Job) bool { return x == j })
+				}
+			}
+		}
+	}
+}
+
+func qid(j *Job) string {
+	if j == nil {
+		return "<nil>"
+	}
+	return j.id
 }
 
 func mustPush(t *testing.T, q *drrQueue, j *Job) {

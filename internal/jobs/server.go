@@ -3,7 +3,9 @@
 // tenants submit jobs (tenant + graph reference + pattern + engine options)
 // over HTTP, poll their state through queued → compiling → running → done /
 // failed / cancelled, fetch results, and cancel mid-run (wired through
-// MineContext's cancellation, which returns partial counts).
+// MineContext's cancellation, which returns partial counts). A job turns
+// compiling when the dispatcher admits its batch, before the batch resolves
+// its graph, so a graph that fails to open reads queued → compiling → failed.
 //
 // Two properties distinguish it from a plain work queue:
 //
@@ -94,10 +96,11 @@ var (
 const retainJobs = 1024
 
 // Config parameterizes a Server. The zero value is usable: private registry,
-// queue of 64, batches up to 8 plan legs, one batch in flight, named graphs
-// only. Not configurable: the DRR quantum is one job per tenant per round, a
-// request that leaves Options.Workers at 0 runs on GOMAXPROCS threads, and
-// the per-tenant metric families hold obs.DefaultLabelCap tenants.
+// queue of 64, batches up to 8 plan legs, named graphs only. Not
+// configurable: the DRR quantum is one job per tenant per round, a request
+// that leaves Options.Workers at 0 runs on GOMAXPROCS threads, the batches in
+// flight share GOMAXPROCS engine threads (see admitsLocked), and the
+// per-tenant metric families hold obs.DefaultLabelCap tenants.
 type Config struct {
 	// Registry receives the jobs.* counters. Nil creates a private registry.
 	Registry *obs.Registry
@@ -110,11 +113,6 @@ type Config struct {
 	// plan (isomorphic duplicates ride on existing legs for free).
 	// 1 disables batching. Default 8.
 	MaxBatch int
-
-	// MaxRunning caps concurrently executing batches. Default 1 — the
-	// engine already parallelizes across workers, so queueing discipline,
-	// not batch concurrency, is the scaling knob.
-	MaxRunning int
 
 	// Graphs are the preregistered named graphs (GraphRef.Name). The map is
 	// read-only after New.
@@ -165,9 +163,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 8
-	}
-	if c.MaxRunning <= 0 {
-		c.MaxRunning = 1
 	}
 	if c.Clock == nil {
 		c.Clock = wallMillis{}
@@ -265,7 +260,8 @@ type Server struct {
 	evicted   int      // highest seq evicted: ids are sequential, so an id at or below it that is not in jobs was evicted
 	nextID    int
 	nextBatch int
-	running   int
+	threads   int // engine threads the running batches share (GOMAXPROCS; tests lower it)
+	busy      int // engine threads the running batches hold
 	paused    bool
 	closing   bool
 	notes     []transition
@@ -308,6 +304,7 @@ func New(cfg Config) *Server {
 		q:              newDRRQueue(cfg.MaxQueue, 1),
 		jobs:           map[string]*Job{},
 		retain:         retainJobs,
+		threads:        runtime.GOMAXPROCS(0),
 		widthFields:    map[int]map[string]int64{},
 		paused:         cfg.StartPaused,
 		graphs:         map[string]resolvedGraph{},
@@ -415,6 +412,7 @@ func (s *Server) Cancel(id string) (State, error) {
 	if j.batch == nil {
 		s.q.remove(j)
 		s.finishLocked(j, StateCancelled, "cancelled while queued", nil)
+		s.cond.Broadcast() // j may have been a head waiting for threads; the next may fit
 	} else if !j.cancelled {
 		j.cancelled = true
 		b := j.batch
@@ -484,29 +482,32 @@ func (s *Server) Close(ctx context.Context) error {
 	return err
 }
 
-// dispatch is the scheduler loop: it pops the DRR head, gathers a compatible
-// batch around it, and hands the batch to a runner goroutine, keeping at most
-// MaxRunning batches in flight.
+// dispatch is the scheduler loop: it waits until the DRR head admits (see
+// admitsLocked), pops it, gathers a compatible batch around it, marks the batch
+// compiling and hands it to a runner goroutine. The head is never skipped, so
+// batches dispatch — and their compiling transitions fire, all from this
+// goroutine — in exact DRR order; gathering after the wait lets a head that
+// waited for threads take every compatible job queued meanwhile.
 func (s *Server) dispatch() {
 	defer close(s.dispatcherDone)
 	s.mu.Lock()
 	for {
-		for !s.closing && (s.paused || s.q.size == 0 || s.running >= s.cfg.MaxRunning) {
+		for !s.closing && (s.paused || !s.admitsLocked()) {
 			s.cond.Wait()
 		}
 		if s.closing {
 			for j := s.q.pop(); j != nil; j = s.q.pop() {
 				s.finishLocked(j, StateCancelled, "server shutting down", nil)
 			}
-			if s.running == 0 {
+			if s.busy == 0 {
 				break
 			}
 			s.cond.Wait()
 			continue
 		}
-		head := s.q.pop()
-		b := s.gatherLocked(head)
-		s.running++
+		b := s.gatherLocked(s.q.pop())
+		s.busy += b.opts.Workers
+		s.markLocked(b, StateCompiling)
 		notes := s.takeNotesLocked()
 		s.mu.Unlock()
 		s.reg.Add(MetricBatchWidth, int64(b.width))
@@ -520,6 +521,17 @@ func (s *Server) dispatch() {
 	notes := s.takeNotesLocked()
 	s.mu.Unlock()
 	s.fire(notes)
+}
+
+// admitsLocked reports whether the DRR head may dispatch now: its engine
+// threads — its normalized Workers, shared by every job a batch gathers — fit
+// in s.threads beside those the running batches hold, or nothing runs, so a
+// batch asking for more than the budget runs alone. A default job (Workers 0,
+// so GOMAXPROCS) fills the budget and never shares the processors. Called with
+// s.mu held.
+func (s *Server) admitsLocked() bool {
+	head := s.q.peek()
+	return head != nil && (s.busy == 0 || s.busy+head.opts.Workers <= s.threads)
 }
 
 // gatherLocked builds the dispatch batch around the DRR head: every queued
@@ -581,7 +593,7 @@ func (s *Server) runBatch(b *batch) {
 		// (Cancel returns early on terminal jobs); finished jobs keep b for
 		// their status, and need not keep its context alive with it.
 		b.ctx, b.cancel = nil, nil
-		s.running--
+		s.busy -= b.opts.Workers
 		s.cond.Broadcast()
 		s.mu.Unlock()
 	}()
@@ -607,7 +619,6 @@ func (s *Server) mineBatch(b *batch) (res core.Result, mineErr error, ok bool) {
 		s.failBatch(b, fmt.Errorf("resolving graph: %w", err))
 		return
 	}
-	s.setBatchState(b, StateCompiling)
 	pats := make([]*pattern.Pattern, len(b.legs))
 	for i, l := range b.legs {
 		pats[i] = l.pat
@@ -716,9 +727,18 @@ func (s *Server) failBatch(b *batch, err error) {
 	s.fire(notes)
 }
 
-// setBatchState advances every non-terminal member of b (compiling, running).
+// setBatchState advances every non-terminal member of b (running).
 func (s *Server) setBatchState(b *batch, st State) {
 	s.mu.Lock()
+	s.markLocked(b, st)
+	notes := s.takeNotesLocked()
+	s.mu.Unlock()
+	s.fire(notes)
+}
+
+// markLocked moves every non-terminal member of b to st (compiling, running)
+// and queues the transitions for the caller to fire. Called with s.mu held.
+func (s *Server) markLocked(b *batch, st State) {
 	now := s.clock.Now() // one read per transition: members share the instant
 	if st == StateRunning {
 		b.startedAt = now
@@ -740,9 +760,6 @@ func (s *Server) setBatchState(b *batch, st State) {
 			}
 		}
 	}
-	notes := s.takeNotesLocked()
-	s.mu.Unlock()
-	s.fire(notes)
 }
 
 // finishLocked moves a job to a terminal state exactly once, records the
@@ -812,7 +829,9 @@ func (s *Server) fire(notes []transition) {
 
 // graphFor resolves a graph reference: named graphs come straight from the
 // config; path references open (and cache, keyed by the canonical ref) a
-// file or sharded directory under GraphDir.
+// file or sharded directory under GraphDir. The open runs under gmu, so
+// concurrent batches never load one file twice, but a batch whose graph is
+// cached waits behind another batch's open (ROADMAP item 3).
 func (s *Server) graphFor(ref GraphRef) (graph.Store, error) {
 	if ref.Name != "" {
 		g := s.cfg.Graphs[ref.Name]

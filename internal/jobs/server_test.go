@@ -7,6 +7,7 @@ package jobs
 import (
 	"context"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -92,7 +93,7 @@ func TestJobLifecycleSingle(t *testing.T) {
 	// A finished job keeps its batch for the status surface but not the
 	// batch's cancel context, and cancelling it stays a harmless no-op.
 	s.mu.Lock()
-	for s.running > 0 {
+	for s.busy > 0 {
 		s.cond.Wait()
 	}
 	b := s.jobs[id].batch
@@ -111,59 +112,50 @@ func TestJobLifecycleSingle(t *testing.T) {
 
 // TestTenantFairnessEndToEnd is the fairness acceptance criterion at the
 // server level: tenant A floods the queue with 20 jobs before tenant B's
-// single job arrives; with batching disabled (MaxBatch 1) and one batch in
-// flight, completion order equals DRR dequeue order, so B's job MUST be the
-// second job to finish — deterministically, not probabilistically.
+// single job arrives; with batching disabled (MaxBatch 1) the dispatch order —
+// the order of the compiling transitions, which the dispatcher fires itself —
+// is the exact DRR schedule, A's first job, B's, then A's backlog, whether one
+// one-thread batch runs at a time or two do (budgets 1 and 2).
 func TestTenantFairnessEndToEnd(t *testing.T) {
 	g := graph.ChungLu(120, 600, 2.3, 5)
-	var mu sync.Mutex
-	var doneOrder []string
-	s := New(Config{
-		Graphs:      map[string]graph.Store{"g": g},
-		MaxQueue:    64,
-		MaxBatch:    1, // isolate fairness from batching
-		StartPaused: true,
-		OnTransition: func(id string, st State) {
-			if st == StateDone {
-				mu.Lock()
-				doneOrder = append(doneOrder, id)
-				mu.Unlock()
+	for _, budget := range []int{1, 2} {
+		var mu sync.Mutex
+		var dispatched []string
+		s := New(Config{
+			Graphs:      map[string]graph.Store{"g": g},
+			MaxQueue:    64,
+			MaxBatch:    1, // isolate fairness from batching
+			StartPaused: true,
+			OnTransition: func(id string, st State) {
+				if st == StateCompiling {
+					mu.Lock()
+					dispatched = append(dispatched, id)
+					mu.Unlock()
+				}
+			},
+		})
+		setThreads(s, budget)
+
+		var aIDs []string
+		for i := 0; i < 20; i++ {
+			aIDs = append(aIDs, submitNamed(t, s, "A", "g", "triangle", EngineOptions{Workers: 1}))
+		}
+		bID := submitNamed(t, s, "B", "g", "wedge", EngineOptions{Workers: 1})
+		s.Resume()
+
+		want := append([]string{aIDs[0], bID}, aIDs[1:]...)
+		for _, id := range want {
+			if st := waitDone(t, s, id); st.State != StateDone {
+				t.Fatalf("budget %d: job %s: state %s (%s)", budget, id, st.State, st.Error)
 			}
-		},
-	})
-	defer closeServer(t, s)
-
-	var aIDs []string
-	for i := 0; i < 20; i++ {
-		aIDs = append(aIDs, submitNamed(t, s, "A", "g", "triangle", EngineOptions{Workers: 1}))
-	}
-	bID := submitNamed(t, s, "B", "g", "wedge", EngineOptions{Workers: 1})
-	s.Resume()
-
-	for _, id := range append(append([]string{}, aIDs...), bID) {
-		if st := waitDone(t, s, id); st.State != StateDone {
-			t.Fatalf("job %s: state %s (%s)", id, st.State, st.Error)
 		}
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(doneOrder) != 21 {
-		t.Fatalf("completions = %d, want 21", len(doneOrder))
-	}
-	// DRR with quantum 1: A's first job, then B's, then A's backlog.
-	if doneOrder[0] != aIDs[0] || doneOrder[1] != bID {
-		t.Fatalf("completion order %v: tenant B's job finished at position %d, want 2 (after exactly one A job)",
-			doneOrder[:3], indexOf(doneOrder, bID)+1)
-	}
-}
-
-func indexOf(s []string, x string) int {
-	for i, v := range s {
-		if v == x {
-			return i
+		closeServer(t, s)
+		mu.Lock()
+		if !slices.Equal(dispatched, want) {
+			t.Errorf("budget %d: dispatch order %v, want the DRR schedule %v", budget, dispatched, want)
 		}
+		mu.Unlock()
 	}
-	return -1
 }
 
 func TestCancelQueuedJob(t *testing.T) {
@@ -403,7 +395,8 @@ func TestPanickingJobFailsAlone(t *testing.T) {
 
 // TestDrainWaitsForRunningJobs: Drain must let the in-flight batch finish
 // (done, full result), cancel everything still queued, and reject new
-// submissions.
+// submissions. The running job holds the whole thread budget, so the second
+// one stays queued on any host.
 func TestDrainWaitsForRunningJobs(t *testing.T) {
 	g := graph.ChungLu(400, 3200, 2.3, 9)
 	running := make(chan string, 8)
@@ -416,6 +409,7 @@ func TestDrainWaitsForRunningJobs(t *testing.T) {
 			}
 		},
 	})
+	setThreads(s, 2)
 
 	idRun := submitNamed(t, s, "A", "g", "house", EngineOptions{Workers: 2})
 	select {

@@ -6,7 +6,7 @@ package sim
 type cache struct {
 	sets      int
 	ways      int
-	lineShift uint
+	lineShift uint     // log2 of the line size (Config.validate: a power of two)
 	tags      []uint64 // sets×ways, 0 = invalid (tag stored +1)
 	hits      int64
 	misses    int64
@@ -78,24 +78,22 @@ func (r *resource) reserve(t, svc int64) int64 {
 // PEs call read with their local clock; the return value is the cycle at
 // which the last requested line arrives.
 type memSystem struct {
-	cfg       Config
-	l2        *cache
-	l2Banks   []resource
-	dram      []resource
-	nocReqs   int64 // PE→L2 requests (the paper's "NoC traffic", Fig 16)
-	dramReqs  int64
-	l2Hits    int64
-	l2Misses  int64
-	lineBytes uint64
+	cfg      Config
+	l2       *cache
+	l2Banks  []resource
+	dram     []resource
+	nocReqs  int64 // PE→L2 requests (the paper's "NoC traffic", Fig 16)
+	dramReqs int64
+	l2Hits   int64
+	l2Misses int64
 }
 
 func newMemSystem(cfg Config) *memSystem {
 	return &memSystem{
-		cfg:       cfg,
-		l2:        newCache(cfg.SharedCacheBytes, cfg.SharedWays, cfg.LineBytes),
-		l2Banks:   make([]resource, cfg.SharedBanks),
-		dram:      make([]resource, cfg.DRAMChannels),
-		lineBytes: uint64(cfg.LineBytes),
+		cfg:     cfg,
+		l2:      newCache(cfg.SharedCacheBytes, cfg.SharedWays, cfg.LineBytes),
+		l2Banks: make([]resource, cfg.SharedBanks),
+		dram:    make([]resource, cfg.DRAMChannels),
 	}
 }
 
@@ -105,7 +103,8 @@ func newMemSystem(cfg Config) *memSystem {
 func (m *memSystem) line(addr uint64, t int64) (done int64, fromDRAM bool) {
 	m.nocReqs++
 	arrive := t + int64(m.cfg.NoCLatency)
-	bank := int(addr / m.lineBytes % uint64(len(m.l2Banks)))
+	line := addr >> m.l2.lineShift
+	bank := int(line % uint64(len(m.l2Banks)))
 	grant := m.l2Banks[bank].reserve(arrive, int64(m.cfg.L2ServiceCycles))
 	done = grant + int64(m.cfg.L2Latency)
 	if m.l2.access(addr) {
@@ -114,7 +113,7 @@ func (m *memSystem) line(addr uint64, t int64) (done int64, fromDRAM bool) {
 		m.l2Misses++
 		m.dramReqs++
 		fromDRAM = true
-		ch := int(addr / m.lineBytes / 8 % uint64(len(m.dram)))
+		ch := int((line >> 3) % uint64(len(m.dram)))
 		dgrant := m.dram[ch].reserve(done, int64(m.cfg.DRAMServiceCycles))
 		done = dgrant + int64(m.cfg.DRAMLatency)
 	}

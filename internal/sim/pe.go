@@ -119,11 +119,11 @@ func (p *pe) stream(addr uint64, bytes int64, scratch bool) {
 	if bytes <= 0 {
 		return
 	}
-	line := uint64(p.sim.cfg.LineBytes)
-	first := addr / line
-	last := (addr + uint64(bytes) - 1) / line
+	shift := p.l1.lineShift
+	first := addr >> shift
+	last := (addr + uint64(bytes) - 1) >> shift
 	for l := first; l <= last; l++ {
-		if p.l1.access(l * line) {
+		if p.l1.access(l << shift) {
 			p.l1Hits++
 			p.tickL1(int64(p.sim.cfg.L1Latency))
 			continue
@@ -132,7 +132,7 @@ func (p *pe) stream(addr uint64, bytes int64, scratch bool) {
 		if scratch {
 			p.tickL1(int64(p.sim.cfg.L1Latency))
 		} else {
-			p.memLine(l * line)
+			p.memLine(l << shift)
 		}
 	}
 }
