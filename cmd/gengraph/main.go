@@ -17,6 +17,8 @@
 // orientation optimization of §V-C) so clique apps can mine mapped files
 // without an in-heap copy. Each generator reads its own size flags (rmat:
 // -scale and -m, never -n); one it does not read is an error, not ignored.
+// Every size must be positive, an rmat -scale at most 31 and a bipartite -n
+// at least 2.
 package main
 
 import (
@@ -92,6 +94,17 @@ func run(args []string) error {
 	}
 	if len(unread) > 0 {
 		return fmt.Errorf("%s: not read by -kind %s, whose size flags are -%s", strings.Join(unread, ", "), *kind, strings.Join(reads, ", -"))
+	}
+	for _, name := range reads {
+		if f := fs.Lookup(name); name != "beta" && f.Value.(flag.Getter).Get().(int) < 1 {
+			return fmt.Errorf("-%s %s: must be positive", name, f.Value)
+		}
+	}
+	switch {
+	case *kind == "rmat" && *scale > 31:
+		return fmt.Errorf("-scale %d: must be at most 31 (2^31 vertices)", *scale)
+	case *kind == "bipartite" && *n < 2:
+		return fmt.Errorf("-n %d: a bipartite graph needs a vertex on each side", *n)
 	}
 	var g *graph.Graph
 	var err error

@@ -13,7 +13,7 @@ import (
 // used to be ignored without a word (`-kind rmat -n 4096` built 2^14 vertices).
 // It now fails before anything is written, naming the flags that do count.
 func TestRunRejectsUnreadSizeFlags(t *testing.T) {
-	for _, c := range []struct{ args, want string }{
+	runRejects(t, []rejection{
 		{"-kind rmat -n 4096 -m 100", "-n: not read by -kind rmat, whose size flags are -scale, -m"},
 		{"-kind grid -n 16", "-n: not read by -kind grid, whose size flags are -k"},
 		{"-kind er -n 64 -m 100 -scale 6", "-scale: not read by -kind er"},
@@ -22,7 +22,39 @@ func TestRunRejectsUnreadSizeFlags(t *testing.T) {
 		{"-kind clique -n 8 -k 3", "-k: not read by -kind clique"},
 		{"-kind ring -n 8 -k 2 -m 5", "-m: not read by -kind ring, whose size flags are -n, -k"},
 		{"-convert in.txt -n 8", "-n: not read with -convert"},
-	} {
+	})
+}
+
+// TestRunRejectsDegenerateSizes: sizes that used to panic (a division by zero
+// in the generator, a negative make) or exhaust memory are errors, and
+// nothing is written.
+func TestRunRejectsDegenerateSizes(t *testing.T) {
+	runRejects(t, []rejection{
+		{"-kind er -n 0 -m 10", "-n 0: must be positive"},
+		{"-kind er -n 10 -m -5", "-m -5: must be positive"},
+		{"-kind chunglu -n -3 -m 10", "-n -3: must be positive"},
+		{"-kind chunglu -n 10 -m 0", "-m 0: must be positive"},
+		{"-kind bipartite -n 1 -m 10", "-n 1: a bipartite graph needs a vertex on each side"},
+		{"-kind bipartite -n 0 -m 10", "-n 0: must be positive"},
+		{"-kind rmat -scale 40 -m 10", "-scale 40: must be at most 31"},
+		{"-kind rmat -scale 0 -m 10", "-scale 0: must be positive"},
+		{"-kind rmat -scale 8 -m -5", "-m -5: must be positive"},
+		{"-kind ring -n 0 -k 2", "-n 0: must be positive"},
+		{"-kind ring -n 8 -k 0", "-k 0: must be positive"},
+		{"-kind clique -n 0", "-n 0: must be positive"},
+		{"-kind grid -k -1", "-k -1: must be positive"},
+	})
+}
+
+// rejection is a gengraph command line and a substring of the error it must
+// fail with.
+type rejection struct{ args, want string }
+
+// runRejects runs each command line and requires its error, with nothing
+// written to the output path.
+func runRejects(t *testing.T, cases []rejection) {
+	t.Helper()
+	for _, c := range cases {
 		out := filepath.Join(t.TempDir(), "g.bin")
 		err := run(append(strings.Fields(c.args), "-o", out))
 		if err == nil || !strings.Contains(err.Error(), c.want) {
@@ -47,6 +79,8 @@ func TestRunSizes(t *testing.T) {
 		{"-kind ring -n 12 -k 2", 12},
 		{"-kind clique -n 7", 7},
 		{"-kind bipartite -n 20 -m 40", 20},
+		{"-kind bipartite -n 2 -m 1", 2},
+		{"-kind rmat -scale 1 -m 1", 2},
 		{"-kind grid -k 5", 25},
 	} {
 		out := filepath.Join(t.TempDir(), "g.bin")

@@ -92,29 +92,41 @@ func ChungLu(n, m int, beta float64, seed uint64) *Graph {
 // vertices and m sampled edges using the standard (a,b,c,d) quadrant
 // probabilities. R-MAT graphs exhibit power-law degrees and community
 // structure, similar to the social-network datasets in Table I.
+//
+// Each quadrant is picked on integers: with k = next()>>11, float64v() < t is
+// exactly k < ⌈t·2⁵³⌉, because float64v() is k/2⁵³ without rounding. The
+// thresholds are made monotone, as the first-match order of the quadrants
+// makes them, so each bit is set from three comparisons without a branch.
 func RMAT(scale int, m int, a, b, c float64, seed uint64) *Graph {
 	r := newRNG(seed)
 	n := 1 << scale
+	ta := threshold(a)
+	tb := max(ta, threshold(a+b))
+	tc := max(tb, threshold(a+b+c))
+	// Kept minus one: (t-1-k)>>63 is 1 exactly when k >= t, since neither
+	// exceeds 2⁵³ (t = 0 wraps to all ones, and every k is >= 0).
+	ta, tb, tc = ta-1, tb-1, tc-1
 	edges := make([]Edge, 0, m)
-	for i := 0; i < m; i++ {
-		u, v := 0, 0
-		for bit := 0; bit < scale; bit++ {
-			x := r.float64v()
-			switch {
-			case x < a:
-				// top-left: neither bit set
-			case x < a+b:
-				v |= 1 << bit
-			case x < a+b+c:
-				u |= 1 << bit
-			default:
-				u |= 1 << bit
-				v |= 1 << bit
-			}
+	for range m {
+		var u, v uint64
+		for bit := range uint(scale) {
+			k := r.next() >> 11
+			gb := (tb - k) >> 63
+			u |= gb << (bit & 63)
+			v |= ((ta-k)>>63 ^ gb ^ (tc-k)>>63) << (bit & 63)
 		}
 		edges = append(edges, Edge{VID(u), VID(v)})
 	}
 	return MustFromEdges(n, edges)
+}
+
+// threshold returns ⌈t·2⁵³⌉ clamped to [0, 2⁵³]: the integers k < 2⁵³ below
+// it are exactly those with k/2⁵³ < t.
+func threshold(t float64) uint64 {
+	if !(t > 0) { // NaN compares false, as it does in float64v() < t
+		return 0
+	}
+	return uint64(math.Ceil(min(t, 1) * (1 << 53)))
 }
 
 // Ring generates a ring lattice where each vertex connects to its k nearest

@@ -11,6 +11,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -111,39 +112,49 @@ type Edge struct{ U, V VID }
 // Self loops are dropped and duplicate edges are merged, matching the paper's
 // input preparation ("symmetric, no self-loops, no duplicated edges"). n is
 // the number of vertices; every endpoint must be < n.
+//
+// The build is linear and comparison-free: the arcs are scattered into their
+// sources' rows, then one transpose pass reads the rows in vertex order and
+// appends v to the row of every u it lists. The arcs are symmetric, so each
+// row receives exactly its own neighbours, in ascending order, and merging
+// duplicates is a scan for equal neighbours.
 func FromEdges(n int, edges []Edge) (*Graph, error) {
 	if n < 0 {
 		return nil, errors.New("graph: negative vertex count")
 	}
-	deg := make([]int64, n+1)
+	row := make([]int64, n+1)
 	for _, e := range edges {
 		if int(e.U) >= n || int(e.V) >= n {
 			return nil, fmt.Errorf("graph: edge (%d,%d) out of range for n=%d", e.U, e.V, n)
 		}
-		if e.U == e.V {
-			continue // self loop
+		if e.U != e.V { // self loops are dropped
+			row[e.U+1]++
+			row[e.V+1]++
 		}
-		deg[e.U+1]++
-		deg[e.V+1]++
 	}
-	row := make([]int64, n+1)
 	for i := 1; i <= n; i++ {
-		row[i] = row[i-1] + deg[i]
+		row[i] += row[i-1]
 	}
-	col := make([]VID, row[n])
-	next := make([]int64, n)
-	copy(next, row[:n])
+	next := slices.Clone(row[:n])
+	arcs := make([]VID, row[n])
 	for _, e := range edges {
-		if e.U == e.V {
-			continue
+		if e.U != e.V {
+			arcs[next[e.U]] = e.V
+			next[e.U]++
+			arcs[next[e.V]] = e.U
+			next[e.V]++
 		}
-		col[next[e.U]] = e.V
-		next[e.U]++
-		col[next[e.V]] = e.U
-		next[e.V]++
+	}
+	copy(next, row[:n])
+	col := make([]VID, row[n])
+	for v := 0; v < n; v++ {
+		for _, u := range arcs[row[v]:row[v+1]] {
+			col[next[u]] = VID(v)
+			next[u]++
+		}
 	}
 	g := &Graph{Row: row, Col: col}
-	g.sortAndDedup()
+	g.dedup()
 	return g, nil
 }
 
@@ -157,35 +168,25 @@ func MustFromEdges(n int, edges []Edge) *Graph {
 	return g
 }
 
-// sortAndDedup sorts each adjacency list and removes duplicate neighbors,
-// compacting storage in place.
-func (g *Graph) sortAndDedup() {
+// dedup removes repeated neighbours from each (sorted) adjacency list,
+// compacting storage in place, and records the maximum degree.
+func (g *Graph) dedup() {
 	n := g.NumVertices()
-	newRow := make([]int64, n+1)
-	out := int64(0)
+	out, start := int64(0), int64(0)
 	for v := 0; v < n; v++ {
-		adj := g.Col[g.Row[v]:g.Row[v+1]]
-		sort.Slice(adj, func(i, j int) bool { return adj[i] < adj[j] })
-		start := out
-		var last VID
-		first := true
-		for _, w := range adj {
-			if !first && w == last {
-				continue
+		end := g.Row[v+1]
+		g.Row[v] = out
+		for _, w := range g.Col[start:end] {
+			if out == g.Row[v] || g.Col[out-1] != w {
+				g.Col[out] = w
+				out++
 			}
-			g.Col[out] = w
-			out++
-			last, first = w, false
 		}
-		newRow[v] = start
+		g.maxDegree = max(g.maxDegree, int(out-g.Row[v]))
+		start = end
 	}
-	newRow[n] = out
-	// Shift row starts: newRow currently holds starts; rebuild prefix form.
-	row := make([]int64, n+1)
-	copy(row, newRow)
-	g.Row = row
+	g.Row[n] = out
 	g.Col = g.Col[:out]
-	g.recomputeMaxDegree()
 }
 
 func (g *Graph) recomputeMaxDegree() {
@@ -200,48 +201,35 @@ func (g *Graph) recomputeMaxDegree() {
 // Orient converts a symmetric graph into a DAG using the degree-ordering
 // technique of §V-C: each undirected edge is kept only as an arc from the
 // endpoint with smaller (degree, ID) to the larger. After orientation no
-// symmetry-order checking is needed for k-clique mining.
+// symmetry-order checking is needed for k-clique mining. Each row is filtered
+// in order from a sorted row, so it is sorted too.
 func (g *Graph) Orient() *Graph {
 	if g.DAG {
 		return g
 	}
 	n := g.NumVertices()
-	rank := func(v VID) uint64 {
-		// degree-major, ID-minor rank; ties broken by vertex ID.
-		return uint64(g.Degree(v))<<32 | uint64(v)
+	rank := make([]uint64, n) // degree-major, ID-minor
+	for v := range rank {
+		rank[v] = uint64(g.Degree(VID(v)))<<32 | uint64(v)
 	}
-	deg := make([]int64, n+1)
+	row := make([]int64, n+1)
 	for v := 0; v < n; v++ {
-		rv := rank(VID(v))
+		row[v+1] = row[v]
 		for _, w := range g.Adj(VID(v)) {
-			if rv < rank(w) {
-				deg[v+1]++
+			if rank[v] < rank[w] {
+				row[v+1]++
 			}
 		}
 	}
-	row := make([]int64, n+1)
-	for i := 1; i <= n; i++ {
-		row[i] = row[i-1] + deg[i]
-	}
-	col := make([]VID, row[n])
-	next := make([]int64, n)
-	copy(next, row[:n])
+	col := make([]VID, 0, row[n])
 	for v := 0; v < n; v++ {
-		rv := rank(VID(v))
 		for _, w := range g.Adj(VID(v)) {
-			if rv < rank(w) {
-				col[next[v]] = w
-				next[v]++
+			if rank[v] < rank[w] {
+				col = append(col, w)
 			}
 		}
 	}
 	out := &Graph{Row: row, Col: col, DAG: true}
-	// Adjacency of the source graph was sorted; arcs to higher-ranked
-	// vertices preserve ID order only within, so re-sort to be safe.
-	for v := 0; v < n; v++ {
-		adj := out.Col[out.Row[v]:out.Row[v+1]]
-		sort.Slice(adj, func(i, j int) bool { return adj[i] < adj[j] })
-	}
 	out.recomputeMaxDegree()
 	return out
 }
@@ -249,6 +237,12 @@ func (g *Graph) Orient() *Graph {
 // Validate checks structural invariants: monotone Row, sorted unique
 // neighbor lists, no self loops, in-range IDs, and (for symmetric graphs)
 // that every arc has its reverse.
+//
+// The reverse check is one cursor pass: rows are read in ascending vertex
+// order, so in a symmetric graph the arcs into w arrive in the order of w's
+// own sorted row, and cur[w] steps through that row one match at a time.
+// Every arc consumes one entry, so when the pass succeeds every cursor has
+// reached the end of its row.
 func (g *Graph) Validate() error {
 	n := g.NumVertices()
 	if len(g.Row) == 0 {
@@ -261,6 +255,12 @@ func (g *Graph) Validate() error {
 		if g.Row[v] > g.Row[v+1] {
 			return fmt.Errorf("graph: Row not monotone at %d", v)
 		}
+	}
+	var cur []int64
+	if !g.DAG {
+		cur = slices.Clone(g.Row[:n])
+	}
+	for v := 0; v < n; v++ {
 		adj := g.Adj(VID(v))
 		for i, w := range adj {
 			if int(w) >= n {
@@ -272,9 +272,15 @@ func (g *Graph) Validate() error {
 			if i > 0 && adj[i-1] >= w {
 				return fmt.Errorf("graph: adjacency of %d not sorted/unique", v)
 			}
-			if !g.DAG && !g.HasEdge(w, VID(v)) {
+			if cur == nil {
+				continue
+			}
+			if c := cur[w]; c < g.Row[w+1] && g.Col[c] < VID(v) {
+				return fmt.Errorf("graph: arc %d->%d missing reverse", w, g.Col[c])
+			} else if c == g.Row[w+1] || g.Col[c] != VID(v) {
 				return fmt.Errorf("graph: arc %d->%d missing reverse", v, w)
 			}
+			cur[w]++
 		}
 	}
 	return nil
