@@ -147,6 +147,14 @@ func TestWorkProxyGates(t *testing.T) {
 	lastLevels := gate{"the last two levels are counted, merge-only enumerates them (decision 22)", func(a, m counters) bool {
 		return a["cpu.closed_forms"] > 0 && a["cpu.extensions"] < 10000 && m["cpu.closed_forms"] == 0 && m["cpu.extensions"] > 10*a["cpu.extensions"]
 	}}
+	// Before a bounded count-only scan stopped at its bound, and before a c-map mark
+	// did, each searched for it: 4,042 searches for the triangle and 6,036 for the
+	// tailed-triangle here (4,182 and 6,036 in hub slices).
+	scansStop := func(parent int64) gate {
+		return gate{"bounded scans and marks stop at their bound: under a third of the searches before (decisions 20, 25)", func(a, _ counters) bool {
+			return 3*a["cpu.searches"] < parent
+		}}
+	}
 	counts := map[string]int64{}
 	for _, c := range []struct {
 		name  string
@@ -164,7 +172,8 @@ func TestWorkProxyGates(t *testing.T) {
 				return a["cpu.closed_forms"] > 0 && m["cpu.closed_forms"] == 0 && 4*a["cpu.extensions"] < m["cpu.extensions"]
 			}},
 		}},
-		{"tailed-triangle", options{graphPath: sym, patName: "tailed-triangle"}, []gate{searchFree}},
+		{"tailed-triangle", options{graphPath: sym, patName: "tailed-triangle"}, []gate{searchFree, scansStop(6036)}},
+		{"triangle", options{graphPath: sym, patName: "triangle"}, []gate{scansStop(4042)}},
 		{"4-star", options{graphPath: sym, patName: "4-star"}, []gate{lastLevels}},
 		{"4-path", options{graphPath: sym, patName: "4-path"}, []gate{lastLevels}},
 		// The c-map walk scanned one row per pair of v0's neighbours: 1,417,060 dense

@@ -169,8 +169,8 @@ func TestAuxScratchPooledAllocs(t *testing.T) {
 	// (leafVisit). Oriented TC and 4-CL, on the graph oriented. Every counting leg
 	// under auto that has a qualifying node sweeps its last level (decision 25) — a
 	// c-map scan, bounded or not, a local-row AND, bounded or not, house's fused
-	// two-mask scan — and allocates no more for it: all but the 4-paths (an aux
-	// consumer, a product) and the diamond (a closed form).
+	// two-mask scan, the closed forms of 4-path and diamond — and allocates no more
+	// for it: all but the vertex-induced 4-path (an aux consumer).
 	induced := mustCompile(t, pattern.KCycle(4), plan.Options{Induced: true})
 	path := mustCompile(t, pattern.KPath(4), plan.Options{}) // the one plan with no set operation to dispatch
 	rows := inducedPath(t)
@@ -212,9 +212,8 @@ func TestAuxScratchPooledAllocs(t *testing.T) {
 				}
 				swept := false
 				w.prog.each(func(n *node, _ []*node) { swept = swept || n.sweep != noSweep })
-				qualifies := pl != rows && pl != path && p.Name() != pattern.Diamond().Name()
-				if swept != (qualifies && o.Kernel == KernelAuto && !listing) {
-					t.Errorf("%s %s listing=%v: a swept last level %v; want one on every counting leg under auto but the 4-paths' and the diamond's", p.Name(), leg.name, listing, swept)
+				if swept != (pl != rows && o.Kernel == KernelAuto && !listing) {
+					t.Errorf("%s %s listing=%v: a swept last level %v; want one on every counting leg under auto but the vertex-induced 4-path's", p.Name(), leg.name, listing, swept)
 				}
 				if built := w.stats.AuxBuilt > 0; built != (o.Kernel == KernelAuto && (pl == rows || listing && p.Name() == pattern.House().Name())) {
 					t.Errorf("%s %s listing=%v: %d aux rows built", p.Name(), leg.name, listing, w.stats.AuxBuilt)

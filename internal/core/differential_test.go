@@ -166,6 +166,7 @@ var pins = []key{
 	{c: "5-motif-16,edge", g: gspec{"clique", 9, 0, 0}, fewer: true},       // a far corner less its NotEqual ancestors
 	{c: "6-motif-74,edge", g: gspec{"clique", 8, 0, 0}, fewer: true},       // three twins
 	{c: "4-path,edge", g: gspec{"er", 40, 140, 9}},                         // a product with a B
+	{c: "diamond,edge", g: gspec{"er", 40, 140, 9}},                        // C(m, 2) swept over v1's list
 	{c: "5-motif-3,edge", g: gspec{"er", 30, 90, 9}},                       // 5-path: a probed suspect
 	{c: "4-star,edge", g: gspec{"star", 40, 0, 0}},                         // C(m, 3) at depth 1, hub slices with heads
 	{c: "burst", g: gspec{"rmat", 6, 220, 3}},                              // the job service's merged tree
@@ -546,6 +547,10 @@ func (s *suite) check(k key, vs []vec, mutate func(*program) bool) (fails []stri
 		fire("swept bounded leaves", rs.BitmapProbes > 0 && has(func(n *node) bool {
 			return (n.sweep == sweepScan || n.sweep == sweepLocal) && len(n.children[0].op.UpperBounds)+len(n.children[0].proof.certain) > 0
 		}))
+		fire("swept closed forms", rs.ClosedForms > 0 && has(func(n *node) bool { return n.sweep == sweepClosed }))
+		fire("bounded scans stopped at their bound", rs.BitmapProbes > 0 && has(func(n *node) bool {
+			return n.mode == leafCount && n.src == srcAdj && n.boundAt == plan.NoLevel && n.cmap.scan != nil && len(n.op.UpperBounds) > 0
+		}))
 		fire("c-map mark", e.prog.marks && rs.BitmapProbes > 0)
 		fire("aux reuse", rs.AuxReused > 0)
 		fire("hub slices", rs.Tasks > int64(g.NumVertices()))
@@ -659,7 +664,8 @@ func TestDifferential(t *testing.T) {
 		return
 	}
 	mechanisms := []string{"closed form", "factor", "far corner", "local rows, cap4=false", "local rows, cap4=true",
-		"swept scans", "swept local rows", "swept weighed leaves", "swept bounded leaves", "sweep off", "weighed sweep off",
+		"swept scans", "swept local rows", "swept weighed leaves", "swept bounded leaves", "swept closed forms", "sweep off", "weighed sweep off",
+		"bounded scans stopped at their bound",
 		"c-map mark", "aux reuse", "hub slices", "simulator", "Stats compared across threads",
 		"Stats compared across stores", "Stats compared with tracing on and off"}
 	for _, st := range storeAxis {
@@ -894,24 +900,46 @@ func nothing(p *program, d int) *node {
 // probe, what a source level past cmLevels gets — and must fail on none.
 func TestDifferentialKillsMutants(t *testing.T) {
 	s := newSuite(t)
+	// A closed form's mutants die where walk reaches it and where a closed sweep does.
+	dropB := func(swept bool) func(n *node, p *program) bool {
+		return func(n *node, p *program) bool {
+			if len(n.closed.prod) < 2 || swept && !sweptForm(p, n) {
+				return false
+			}
+			n.closed.prod = n.closed.prod[:1]
+			return true
+		}
+	}
+	chooseUp := func(swept bool) func(n *node, p *program) bool {
+		return func(n *node, p *program) bool {
+			if n.closed.choose < 2 || swept && !sweptForm(p, n) {
+				return false
+			}
+			n.closed.choose++
+			return true
+		}
+	}
 	for _, m := range []struct {
 		name string
 		dies bool
 		edit func(n *node, p *program) bool
 	}{
-		{"a product's B dropped", true, func(n *node, _ *program) bool {
-			if len(n.closed.prod) < 2 {
+		{"a product's B dropped", true, dropB(false)},
+		{"a swept product's B dropped", true, dropB(true)},
+		{"closed.choose + 1", true, chooseUp(false)},
+		{"a swept closed.choose + 1", true, chooseUp(true)},
+		{"a candidate-dependent operand evaluated once per list", true, func(n *node, _ *program) bool {
+			if n.sweep != sweepClosed {
 				return false
 			}
-			n.closed.prod = n.closed.prod[:1]
-			return true
-		}},
-		{"closed.choose + 1", true, func(n *node, _ *program) bool {
-			if n.closed.choose < 2 {
-				return false
+			c := n.children[0]
+			for _, t := range append([]*node{c}, c.closed.prod...) {
+				if !t.once {
+					t.once = true
+					return true
+				}
 			}
-			n.closed.choose++
-			return true
+			return false
 		}},
 		{"a far corner's twins − 1", true, func(n *node, _ *program) bool {
 			if n.twins < 2 {
@@ -979,6 +1007,12 @@ func TestDifferentialKillsMutants(t *testing.T) {
 			t.Errorf("%s: edited a program %v, failed the oracle %v; want an edit, and a failure %v", m.name, edited, failed, m.dies)
 		}
 	}
+}
+
+// sweptForm: n is the closed form of a node that sweepLeaves gave the closed kind.
+func sweptForm(p *program, n *node) (yes bool) {
+	p.each(func(a *node, _ []*node) { yes = yes || a.sweep == sweepClosed && a.children[0] == n })
+	return yes
 }
 
 // drawable: the fuzzer can draw k's graph — no larger than the sweep draws for

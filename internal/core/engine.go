@@ -107,8 +107,8 @@ func (o Options) withDefaults() Options {
 // Counts and Candidates are the invariants across kernel policies — every
 // policy walks the same tree; the kernel counters are not, nor are
 // FrontierReuses and Searches — under KernelAuto they fall where a c-map scan or
-// a local row replaces a frontier+residual operation, or a probe or a row limit
-// a search — nor Extensions, the work proxy that falls by what ClosedForms
+// a local row replaces a frontier+residual operation, or a probe, a row limit or
+// a scan that stops at its bound a search — nor Extensions, the work proxy that falls by what ClosedForms
 // counted instead of extending (DESIGN.md decisions 22 to 24).
 type Stats struct {
 	Tasks           int64 // scheduled tasks executed (sub-tasks when slicing)
@@ -120,7 +120,7 @@ type Stats struct {
 	LocalRows       int64 // local bit rows built
 	ClosedForms     int64 // nodes counted instead of extended: closed forms, factor lists and far-side sweeps (prog.go, closedForms, factorNodes, farSides)
 	FrontierReuses  int64 // candidate lists built from a memoized frontier
-	Searches        int64 // binary searches: finite-bound prefixes, positions, memberships
+	Searches        int64 // binary searches: finite-bound prefixes no scan ends itself, positions, memberships
 
 	// LeafCountsSkippedMaterialize counts leaf evaluations that produced
 	// their count via a counting kernel without materializing the
@@ -482,7 +482,7 @@ func (w *worker) walk(n *node) {
 		cnt := w.count(n)
 		cands := cnt
 		if cnt > 0 && (n.closed.choose > 1 || n.closed.prod != nil) {
-			cnt, cands = w.closed(n, cnt)
+			cnt, cands = w.closed(n, cnt, nil)
 		}
 		w.stats.Candidates += cands
 		w.counts[n.patternIdx] += cnt
@@ -505,7 +505,11 @@ func (w *worker) walk(n *node) {
 	if len(n.children) == 0 { // they were its twins, all of them
 		return
 	}
-	if n.sweep == sweepScan || n.sweep == sweepLocal && w.loc.on {
+	switch {
+	case n.sweep == sweepClosed:
+		w.sweepClosed(n)
+		return
+	case n.sweep == sweepScan || n.sweep == sweepLocal && w.loc.on:
 		w.sweep(n, cands)
 		return
 	}
@@ -567,8 +571,9 @@ func (w *worker) sweep(n *node, cands []graph.VID) {
 
 // sweepBounded is sweep's loop for a child c with UpperBounds or certain ancestors.
 // A local c is bounded by the candidate v alone: it ends below v's own position i
-// in the universe. A scan takes per candidate count's bound, its row cut there — a
-// search, charged as count charges it — and its adjustment for the certain ones.
+// in the universe. A scan takes per candidate count's bound, count's kernel on the
+// row (rowCount: a pass that stops at the bound) and its adjustment for the certain
+// ones.
 func (w *worker) sweepBounded(n *node, cands []graph.VID) (k int, cnt, probes int64) {
 	c, d := n.children[0], n.depth
 	if n.sweep == sweepLocal {
@@ -585,19 +590,11 @@ func (w *worker) sweepBounded(n *node, cands []graph.VID) (k int, cnt, probes in
 		}
 		return k, cnt, probes
 	}
-	m := c.cmap.scan[0]
 	for ; k < len(cands) && !w.cancelled(); k++ {
 		w.emb[d], w.pos[d] = cands[k], k
 		bound := w.bound(c)
-		row := w.extenderRow(c, bound)
-		if w.scanPays(c.adj, len(row)) {
-			cnt += setops.MaskCount(row, w.cm, m.need, m.avoid)
-			probes += int64(len(row))
-		} else {
-			cur, last := w.chain(row, c.adj, bound)
-			_, x := w.setOp(nil, false, cur, last, bound)
-			cnt += x
-		}
+		x, _, _ := w.rowCount(c, bound)
+		cnt += x
 		for _, j := range c.proof.certain {
 			if w.emb[j] < bound {
 				cnt--
@@ -605,6 +602,52 @@ func (w *worker) sweepBounded(n *node, cands []graph.VID) (k int, cnt, probes in
 		}
 	}
 	return k, cnt, probes
+}
+
+// sweepClosed is sweep's loop for a child c that is a closed form, over n's list as
+// materialize left it: per candidate the poll, emb and pos, c's m and, where it is
+// not 0, closed — each operand a count, but one that sweepLeaves found to name the
+// swept level nowhere (once) is counted at its first evaluation in the list only,
+// and later ones charge what it charged.
+func (w *worker) sweepClosed(n *node) {
+	c, d, cands := n.children[0], n.depth, w.levels[n.depth]
+	var once onceTerms
+	var cnt, emitted int64
+	k := 0
+	for ; k < len(cands) && !w.cancelled(); k++ {
+		w.emb[d], w.pos[d] = cands[k], k
+		if m := w.term(c, &once, 0); m > 0 {
+			x, e := w.closed(c, m, &once)
+			cnt, emitted = cnt+x, emitted+e
+		}
+	}
+	w.stats.Extensions += int64(k)
+	w.stats.Candidates += emitted
+	w.counts[c.patternIdx] += cnt
+}
+
+// onceTerms is, during a closed sweep, what each once operand — m, A and B by
+// index — counted, and the searches that took, once it has been counted (known).
+type onceTerms struct {
+	val, searches [3]int64
+	known         [3]bool
+}
+
+// term is count(t) for operand i of a closed form — in a closed sweep (once not
+// nil), for a once operand, its count in the list, charged as a count is.
+func (w *worker) term(t *node, once *onceTerms, i int) int64 {
+	switch {
+	case once == nil || !t.once:
+		return w.count(t)
+	case !once.known[i]:
+		s := w.stats.Searches
+		once.val[i], once.known[i] = w.count(t), true
+		once.searches[i] = w.stats.Searches - s
+	default:
+		w.stats.LeafCountsSkippedMaterialize++
+		w.stats.Searches += once.searches[i]
+	}
+	return once.val[i]
 }
 
 // sweepWeighed is weighted's loop over cands for a node sweepLeaves gave the weighed
@@ -974,12 +1017,19 @@ func (w *worker) count(n *node) int64 {
 		return cnt
 	}
 	bound := w.bound(n)
-	base, ops := w.resolve(n, bound)
-	cur, cnt := base, int64(len(base))
+	var cur []graph.VID
+	var cnt int64
 	var last chainOp
-	if len(ops) > 0 {
-		cur, last = w.chain(base, ops, bound)
-		_, cnt = w.setOp(nil, false, cur, last, bound)
+	ops := n.cmap.scan
+	if n.src == srcAdj && n.boundAt == plan.NoLevel && ops != nil {
+		cnt, cur, last = w.rowCount(n, bound)
+	} else {
+		cur, ops = w.resolve(n, bound)
+		cnt = int64(len(cur))
+		if len(ops) > 0 {
+			cur, last = w.chain(cur, ops, bound)
+			_, cnt = w.setOp(nil, false, cur, last, bound)
+		}
 	}
 	for _, j := range n.proof.certain {
 		if w.emb[j] < bound {
@@ -1010,11 +1060,33 @@ suspects:
 	return cnt
 }
 
+// rowCount is count's kernel for a node that scans its extender's own row — no
+// frontier, aux row or positional bound: its candidates below bound before count's
+// adjustments, with the list and the operation count's suspects are checked against.
+// Where scanPays holds for the whole row, and so for any prefix of it, one masked
+// pass stops at the bound (setops.MaskCountBelow) and nothing is searched for;
+// elsewhere the prefix is searched for and the kernel picked on it, as resolve does.
+// No hub slice cuts the row: a chain read at depth 1 is never masked (markLevels).
+func (w *worker) rowCount(n *node, bound graph.VID) (cnt int64, cur []graph.VID, last chainOp) {
+	row, ops := w.g.Adj(w.emb[n.op.Extender]), n.cmap.scan
+	if w.scanPays(n.adj, len(row)) {
+		cnt, k := setops.MaskCountBelow(row, w.cm, ops[0].need, ops[0].avoid, bound)
+		w.stats.BitmapProbes += int64(k)
+		return cnt, row[:k], ops[0]
+	}
+	if row = w.bounded(row, bound); !w.scanPays(n.adj, len(row)) {
+		ops = n.adj
+	}
+	cur, last = w.chain(row, ops, bound)
+	_, cnt = w.setOp(nil, false, cur, last, bound)
+	return cnt, cur, last
+}
+
 // closed evaluates n's closed form (prog.go, closedForms) over its m > 0
 // candidates: the matches under them, and the candidates the walk it replaces
 // would have emitted at n's level and below it, so that Stats.Candidates reads
-// the same under every kernel policy.
-func (w *worker) closed(n *node, m int64) (cnt, cands int64) {
+// the same under every kernel policy. once is a closed sweep's (sweepClosed).
+func (w *worker) closed(n *node, m int64, once *onceTerms) (cnt, cands int64) {
 	w.stats.ClosedForms++
 	if n.closed.prod == nil {
 		lo := int64(len(w.sliceHead(n))) // a hub slice is [lo, lo+m) of its list: C(lo+m, ·) − C(lo, ·)
@@ -1022,14 +1094,14 @@ func (w *worker) closed(n *node, m int64) (cnt, cands int64) {
 		c0, s0 := choose(lo, n.closed.choose)
 		return cnt - c0, cands - s0
 	}
-	a, b := w.count(n.closed.prod[0]), int64(0)
+	a, b := w.term(n.closed.prod[0], once, 1), int64(0)
 	switch {
 	case a == 0: // B ⊆ A
 		return 0, m
 	case n.closed.prodAll:
 		b = m
 	case len(n.closed.prod) > 1:
-		b = w.count(n.closed.prod[1])
+		b = w.term(n.closed.prod[1], once, 2)
 	}
 	cnt = mulDiv(m, a-1, 1) + m - b // m·A − B, no term of it above the result
 	return cnt, m + cnt

@@ -63,15 +63,19 @@ func TestCliqueDAGPath(t *testing.T) {
 // run is already cancelled stops at the same candidate — the 1024th poll — and
 // leaves the same partial counts and Stats with the sweep and without it: on the
 // oriented cliques, on house (a weighed sweep, which polls only where weight is
-// left and charges every candidate's after the stop) and on the symmetric 4-clique
-// (a bounded local sweep).
+// left and charges every candidate's after the stop), on the symmetric 4-clique
+// (a bounded local sweep) and on the diamond and the 4-path (closed sweeps, the
+// 4-path's with an operand counted once per list).
 func TestSweepStopsLikeTheWalk(t *testing.T) {
 	g := graph.RMAT(10, 6000, 0.57, 0.19, 0.19, 5)
 	dag := g.Orient()
 	done := make(chan struct{})
 	close(done)
 	o := Options{Threads: 1}.withDefaults()
-	plans := []*plan.Plan{mustCompile(t, pattern.House(), plan.Options{}), mustCompile(t, pattern.KClique(4), plan.Options{})}
+	var plans []*plan.Plan
+	for _, p := range []*pattern.Pattern{pattern.House(), pattern.KClique(4), pattern.Diamond(), pattern.KPath(4)} {
+		plans = append(plans, mustCompile(t, p, plan.Options{}))
+	}
 	for k := 3; k <= 4; k++ {
 		pl, err := plan.CompileCliqueDAG(k)
 		if err != nil {

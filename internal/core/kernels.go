@@ -171,8 +171,9 @@ func (w *worker) holds(o chainOp, v graph.VID) bool {
 // Stats.BitmapProbes.
 
 // mark inserts the adjacency of n's freshly fixed vertex into the c-map,
-// below the bound every chain that reads it stays under — unless the task runs
-// on local rows and only local nodes read the mark; unmark then finds no row.
+// below the bound every chain that reads it stays under — the insertion loop
+// stops there, nothing searches for it — unless the task runs on local rows and
+// only local nodes read the mark; unmark then finds no row.
 func (w *worker) mark(n *node) {
 	if n.cmap.lonly && w.loc.on {
 		return
@@ -181,14 +182,12 @@ func (w *worker) mark(n *node) {
 	for ls := n.cmap.markBelow; ls != 0; ls &= ls - 1 {
 		bound = min(bound, w.emb[bits.TrailingZeros32(ls)])
 	}
-	adj := w.g.Adj(w.emb[n.depth])
-	row := w.bounded(adj, bound)
-	bit := uint8(1) << n.depth
-	for _, x := range row {
-		w.cm[x] |= bit
+	adj, cm, bit, k := w.g.Adj(w.emb[n.depth]), w.cm, uint8(1)<<n.depth, 0
+	for ; k < len(adj) && adj[k] < bound; k++ {
+		cm[adj[k]] |= bit
 	}
-	w.cmRows[n.depth], w.cmDeg[n.depth] = row, len(adj)
-	w.stats.BitmapProbes += int64(len(row))
+	w.cmRows[n.depth], w.cmDeg[n.depth] = adj[:k], len(adj)
+	w.stats.BitmapProbes += int64(k)
 }
 
 // unmark clears exactly what mark set, so the map is all-zero between tasks.

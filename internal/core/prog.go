@@ -52,6 +52,7 @@ const (
 	sweepScan              // a c-map masked scan of adj(v)
 	sweepLocal             // the AND of the node's local set with row(v)
 	sweepWeighed           // below a factor: the leaf's and its B's masked scans of adj(v), in one pass
+	sweepClosed            // a closed form's m, A and B: counts of adj(v), or once per list
 )
 
 // chainOp is one chained set operation: cur ∘ adj(emb[level]), ∘ being
@@ -109,6 +110,7 @@ type node struct {
 	cmap   cmapUse  // markLevels
 
 	sweep sweepKind // sweepLeaves: on an interior node, how walk counts its only child
+	once  bool      // sweepLeaves: an operand of a swept closed form that names the swept level nowhere
 }
 
 // proof is NotEqual of a count-only node, split by what the plan proves (decision
@@ -677,22 +679,23 @@ func (n *node) chained() bool {
 }
 
 // sweepLeaves makes a last level a loop instead of a call per candidate (DESIGN.md
-// decision 25). It needs every other pass done and leaves sweep. An interior node n
-// at depth ≥ 1 that is no factor node and has no far corner, aux build or mark,
-// whose only child c is a plain count-only leaf — no closed form, aux source or
+// decision 25). It needs every other pass done and leaves sweep and once. An
+// interior node n at depth ≥ 1 that is no factor node and has no far corner, aux
+// build or mark, whose only child c is a count-only leaf — no aux source or
 // suspect —, gets a kind where c's work per candidate v is one dense pass over v's
 // own row: a masked c-map scan of adj(v) off the rows (no frontier source either),
 // bounded or not, its certain ancestors subtracted as count does; below a factor,
 // that scan for c and for its B at once, neither bounded; or, n and c local and c
-// bounded by v at most, with no NotEqual, the AND of n's set with row(v). walk, or
-// weighted below a factor, then counts c over n's list (engine.go, sweep).
+// bounded by v at most, with no NotEqual, the AND of n's set with row(v). A closed
+// form c gets one where each of its m, A and B is a term (below). walk, or weighted
+// below a factor, then counts c over n's list (engine.go, sweep, sweepClosed).
 func (p *program) sweepLeaves() {
 	p.each(func(n *node, _ []*node) {
 		if n.mode != interior || n.depth < 1 || len(n.children) != 1 || n.fac != nil && n.fac.at == n || n.far != nil || n.builds != nil || n.cmap.marked {
 			return
 		}
 		c, d := n.children[0], n.depth
-		if c.mode != leafCount || c.closed.choose > 1 || c.closed.prod != nil || c.src == srcAux || c.proof.suspects != nil {
+		if c.mode != leafCount || c.src == srcAux || c.proof.suspects != nil {
 			return
 		}
 		scans := func(c *node) bool { return !c.local.on && c.src == srcAdj && c.op.Extender == d && c.cmap.scan != nil }
@@ -701,6 +704,13 @@ func (p *program) sweepLeaves() {
 			if b := f.minus; scans(c) && scans(b) && b.proof.suspects == nil && len(c.op.UpperBounds)+len(b.op.UpperBounds) == 0 {
 				n.sweep = sweepWeighed
 			}
+		case c.closed.choose > 1 || c.closed.prod != nil:
+			if ts := append([]*node{c}, c.closed.prod...); !slices.ContainsFunc(ts, func(t *node) bool { _, ok := t.term(d); return !ok }) {
+				n.sweep = sweepClosed
+				for _, t := range ts {
+					t.once, _ = t.term(d)
+				}
+			}
 		case scans(c):
 			n.sweep = sweepScan
 		case c.local.on && n.local.on && c.local.base == d && slices.Equal(c.local.ops, []chainOp{{level: d}}) &&
@@ -708,6 +718,23 @@ func (p *program) sweepLeaves() {
 			n.sweep = sweepLocal
 		}
 	})
+}
+
+// term: t, m or a term of a closed form below a node at depth d, counts off plain
+// adjacency, with no local row, aux row or suspect, and is one of the two operands
+// a closed sweep evaluates: the count of the candidate's own row — extender d, no
+// positional bound, its chain none or one masked scan —, or once: one number for
+// the whole list, with no chain and naming level d nowhere — a certain d being no
+// name only where nothing bounds t, so that every vertex of the list is below.
+func (t *node) term(d int) (once, ok bool) {
+	if t.src != srcAdj || t.local.on || t.proof.suspects != nil {
+		return false, false
+	}
+	if t.op.Extender == d {
+		return false, t.boundAt == plan.NoLevel && (len(t.adj) == 0 || t.cmap.scan != nil)
+	}
+	once = len(t.adj) == 0 && !names(t.op, d) && (len(t.op.UpperBounds) == 0 || !slices.Contains(t.proof.certain, d))
+	return once, once
 }
 
 // localCap is the largest universe a task runs locally (rows are d·⌈d/64⌉

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"math/bits"
 	"reflect"
 	"slices"
@@ -199,8 +200,9 @@ func catalogPlans(t *testing.T) []*plan.Plan {
 func TestLoweringInvariants(t *testing.T) {
 	g := graph.ErdosRenyi(40, 120, 1)
 	var sides, factors, locals, kept, fars int
-	var swept [4]int      // nodes by sweep kind
+	var swept [5]int      // nodes by sweep kind
 	var boundedLeaves int // swept scan and local nodes whose leaf has a bound or a certain ancestor
+	var onceOps int       // operands of swept closed forms counted once per list
 	var bearing [2][7]int // single-pattern programs with a factor, with a far corner, by pattern size
 	for _, pl := range catalogPlans(t) {
 		for _, o := range []Options{{}, {Kernel: KernelMergeOnly}} {
@@ -211,7 +213,7 @@ func TestLoweringInvariants(t *testing.T) {
 					t.Helper()
 					t.Fatalf("%s, depth %d: %s\n%s", name, n.depth, fmt.Sprintf(format, args...), lowering(p))
 				}
-				consumers := map[int]bool{}
+				consumers, onceWant := map[int]bool{}, map[*node]bool{}
 				var marked, local bool
 				factors0, fars0 := factors, fars
 				p.each(func(n *node, path []*node) {
@@ -327,18 +329,39 @@ func TestLoweringInvariants(t *testing.T) {
 						}
 					}
 					// sweepLeaves: a kind iff n — no factor node, unmarked, building nothing —
-					// has one child, a plain count-only leaf — no closed form, aux row or
-					// suspect — whose one kernel reads the candidate's own row: a masked scan
-					// of it off the rows, bounded or not (below a factor: the leaf's and its
-					// B's, suspect-free, neither bounded), or n's local set AND its row, no
-					// NotEqual, bounded by the candidate at most; never under merge-only or listing.
+					// has one child, a count-only leaf — no aux row or suspect — whose one
+					// kernel reads the candidate's own row: a masked scan of it off the rows,
+					// bounded or not (below a factor: the leaf's and its B's, suspect-free,
+					// neither bounded), or n's local set AND its row, no NotEqual, bounded by
+					// the candidate at most; or a closed form whose m, A and B are each, off
+					// the rows, aux rows and suspects, the count of the candidate's row — no
+					// positional bound, no chain or a masked scan — or one that names n's level
+					// nowhere and has no chain, a certain n unbounded only: once, and nothing
+					// else is; never under merge-only or listing.
 					kind := noSweep
 					if n.mode == interior && n.depth >= 1 && len(n.children) == 1 && (n.fac == nil || n.fac.at != n) && n.far == nil && n.builds == nil && !m.marked {
 						scans := func(s *node) bool {
 							return !s.local.on && s.src == srcAdj && s.op.Extender == n.depth && len(s.cmap.scan) == 1 && s.cmap.scan[0].masked()
 						}
-						if c := n.children[0]; c.mode == leafCount && reflect.DeepEqual(c.closed, closed{}) && len(c.proof.suspects) == 0 && c.src != srcAux {
-							switch {
+						if c := n.children[0]; c.mode == leafCount && len(c.proof.suspects) == 0 && c.src != srcAux {
+							switch d := n.depth; {
+							case c.closed.choose > 1 || c.closed.prod != nil:
+								kind = sweepClosed
+								once := map[*node]bool{}
+								for _, s := range append([]*node{c}, c.closed.prod...) {
+									plain := s.src == srcAdj && !s.local.on && len(s.proof.suspects) == 0
+									row := s.op.Extender == d && s.boundAt == plan.NoLevel && (len(s.adj) == 0 || scans(s))
+									named := slices.Contains(slices.Concat(s.op.Connected, s.op.Disconnected, s.op.UpperBounds), d) ||
+										len(s.op.UpperBounds) > 0 && slices.Contains(s.proof.certain, d)
+									once[s] = plain && s.op.Extender != d && len(s.adj) == 0 && !named
+									if !plain || !row && !once[s] {
+										kind = noSweep
+									}
+								}
+								if kind == sweepClosed {
+									maps.Copy(onceWant, once)
+								}
+							case !reflect.DeepEqual(c.closed, closed{}):
 							case n.fac != nil:
 								if b := c.fac.minus; scans(c) && scans(b) && len(b.proof.suspects) == 0 && len(c.op.UpperBounds)+len(b.op.UpperBounds) == 0 {
 									kind = sweepWeighed
@@ -358,11 +381,19 @@ func TestLoweringInvariants(t *testing.T) {
 						bad(n, "sweep kind %d, the rule gives %d", n.sweep, kind)
 					}
 					swept[n.sweep]++
+					if n.once {
+						onceOps++
+					}
 					// A merge-only lowering is build's tree and nothing else; a listing one
 					// counts nothing in closed form.
 					if o.Kernel == KernelMergeOnly && (n.local.on || n.fac != nil || n.builds != nil || n.src == srcAux || !reflect.DeepEqual(m, cmapUse{})) ||
 						(o.Kernel == KernelMergeOnly || listing) && (n.fac != nil || n.far != nil || !reflect.DeepEqual(c, closed{})) {
 						bad(n, "state of a pass that did not run")
+					}
+				})
+				p.each(func(n *node, _ []*node) {
+					if n.once != onceWant[n] {
+						bad(n, "once=%v, the rule gives %v", n.once, onceWant[n])
 					}
 				})
 				if len(pl.Patterns) == 1 {
@@ -380,10 +411,10 @@ func TestLoweringInvariants(t *testing.T) {
 			}
 		}
 	}
-	if sides == 0 || factors == 0 || locals == 0 || kept == 0 || fars == 0 || swept[sweepScan] == 0 || swept[sweepLocal] == 0 || swept[sweepWeighed] == 0 || boundedLeaves == 0 {
+	if sides == 0 || factors == 0 || locals == 0 || kept == 0 || fars == 0 || slices.Contains(swept[1:], 0) || boundedLeaves == 0 || onceOps == 0 {
 		t.Fatalf("the catalog exercised %d side nodes, %d nodes at or below a factor, %d local nodes, %d aux consumers, %d far corners, %d swept scans, %d swept local rows, "+
-			"%d weighed sweeps and %d bounded swept leaves: a pass is vacuous here",
-			sides, factors, locals, kept, fars, swept[sweepScan], swept[sweepLocal], swept[sweepWeighed], boundedLeaves)
+			"%d weighed sweeps, %d closed sweeps, %d bounded swept leaves and %d once operands: a pass is vacuous here",
+			sides, factors, locals, kept, fars, swept[sweepScan], swept[sweepLocal], swept[sweepWeighed], swept[sweepClosed], boundedLeaves, onceOps)
 	}
 	if bearing != [2][7]int{{5: 3, 6: 20}, {4: 1, 5: 1, 6: 2}} {
 		t.Errorf("catalog patterns with a factor, with a far corner, by size: %v; want 3 of 5 vertices (house, 5-motif-2, -9) and 20 of 6, "+
@@ -529,8 +560,10 @@ func BenchmarkExtension(b *testing.B) {
 // — the leaf's kernel and whatever the walk spends reaching it: TC (a c-map scan
 // per leaf) and 4-CL (a local-row AND per leaf) on an oriented RMAT graph, the
 // triangle (a bounded scan) and the 4-clique (a bounded AND) on the same graph
-// symmetric, and house (a factor's leaf and its B in one two-mask scan) on a
-// smaller, denser symmetric RMAT graph, the benchmark's house shape. It fails unless
+// symmetric, house (a factor's leaf and its B in one two-mask scan) on a smaller,
+// denser symmetric RMAT graph, the benchmark's house shape, and the diamond (C(m, 2),
+// m an unbounded scan) and the tailed-triangle (m·A − m, m a bounded scan, A once per
+// list) on the symmetric graph, closed forms swept over v1's list. It fails unless
 // sweepLeaves gave each plan its kind — a bounded leaf where the leg is one — and,
 // for a local kind, tasks ran on the rows.
 func BenchmarkLeaf(b *testing.B) {
@@ -555,6 +588,8 @@ func BenchmarkLeaf(b *testing.B) {
 		{"house", dense, mustCompile(b, pattern.House(), plan.Options{}), sweepWeighed, false},
 		{"triangle", sym, mustCompile(b, pattern.Triangle(), plan.Options{}), sweepScan, true},
 		{"4-clique", sym, mustCompile(b, pattern.KClique(4), plan.Options{}), sweepLocal, true},
+		{"diamond", sym, mustCompile(b, pattern.Diamond(), plan.Options{}), sweepClosed, false},
+		{"tailed-triangle", sym, mustCompile(b, pattern.TailedTriangle(), plan.Options{}), sweepClosed, true},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			e, err := NewEngine(c.g, c.pl, Options{Threads: 1})

@@ -128,7 +128,9 @@ func TestMergedTreeWorkBound(t *testing.T) {
 // A node whose only child walk counts over its list in one loop (decision 25) reads
 // "sweep[scan]" — the child scans each candidate's row against the c-map —,
 // "sweep[local]", the child ANDs the node's local set with each candidate's row, or
-// "sweep[weighed]": below a factor, the child and its B scan each row in one pass.
+// "sweep[weighed]": below a factor, the child and its B scan each row in one pass,
+// or "sweep[closed]": the child is a closed form whose m, A and B each count the
+// candidate's row or are "once", counted once per list (they name its level nowhere).
 func lowering(p *program) string {
 	var sb strings.Builder
 	var walk func(n *node, term string)
@@ -243,6 +245,11 @@ func lowering(p *program) string {
 			sb.WriteString(" sweep[local]")
 		case sweepWeighed:
 			sb.WriteString(" sweep[weighed]")
+		case sweepClosed:
+			sb.WriteString(" sweep[closed]")
+		}
+		if n.once {
+			sb.WriteString(" once")
 		}
 		switch f := n.fac; {
 		case f == nil:
@@ -299,7 +306,10 @@ func lowering(p *program) string {
 // set with it; bounded leaves too — K₂,₃'s v3 and the vertex-induced census's v2s
 // scan, the symmetric 4-clique's v2 (alone, merged, in the burst tree) ANDs below
 // each candidate's position —; house's v3 scans its leaf and the leaf's B in one pass,
-// while 5-motif-2's B reads v1's row, not v3's, and stays a call.
+// while 5-motif-2's B reads v1's row, not v3's, and stays a call; the closed forms of
+// diamond, tailed-triangle and 4-path are evaluated over v1's list in one loop, an
+// operand that does not read v1 counted once per list. A merged tree's closed form
+// beside a sibling is still reached through the walk.
 func TestLoweringSplit(t *testing.T) {
 	g := graph.ErdosRenyi(40, 120, 1)
 	merged, err := plan.CompileMulti(pattern.Motifs(4), plan.Options{})
@@ -396,10 +406,11 @@ v0 marks[]
       v3 sweep[scan]
         v4
 `},
-		// Prefix: v3 was v2's frontier below v2 — C(|N(v0) ∩ N(v1)|, 2) per edge.
+		// Prefix: v3 was v2's frontier below v2 — C(|N(v0) ∩ N(v1)|, 2) per edge, m
+		// scanned off each v1's row in v1's one loop (decision 25).
 		{"diamond, auto", mustCompile(t, pattern.Diamond(), plan.Options{}), Options{}, `
 v0 marks[]
-  v1
+  v1 sweep[closed]
     v2 choose[2]
 `},
 		// Factor: the roof v2 is named below it in NotEqual only. One descent per
@@ -455,19 +466,20 @@ v0
         v4 certain[0] check[2]
 `},
 		// Product: the tail is any neighbour of v0 but v1 and v2, and every v2 is
-		// one (B = m, not evaluated): m·(deg v0 − 1) − m per edge.
+		// one (B = m, not evaluated): m·(deg v0 − 1) − m per edge, A once per v0.
 		{"tailed-triangle", mustCompile(t, pattern.TailedTriangle(), plan.Options{}), Options{}, `
 v0 marks[]
-  v1
+  v1 sweep[closed]
     v2 product[A m]
-  A=v2 row[0] certain[1]
+  A=v2 row[0] certain[1] once
 `},
 		// (deg v0 − 1)(deg v1 − 1) − |N(v0) ∩ N(v1)| per edge; B scans v1's row
-		// against the mark of v0, not v0's against a v1 no c-map rule reaches.
+		// against the mark of v0, not v0's against a v1 no c-map rule reaches; m is
+		// deg v0 − 1 whatever v1 is, so it is counted once per v0.
 		{"4-path", mustCompile(t, pattern.KPath(4), plan.Options{}), Options{}, `
 v0 marks[]
-  v1
-    v2 certain[1] product[A B]
+  v1 sweep[closed]
+    v2 certain[1] product[A B] once
   A=v2 row[1] certain[0]
   B=v2 row[1 0] scan never[1] never[0]
 `},

@@ -272,8 +272,11 @@ type Server struct {
 	// a fifth of what the server retains per job.
 	widthFields map[int]map[string]int64
 
-	gmu    sync.Mutex
-	graphs map[string]resolvedGraph
+	// Path graphs (graphFor): gmu guards the map and gclosed, never an open.
+	gmu     sync.Mutex
+	graphs  map[string]*pathGraph
+	gclosed bool
+	open    func(path string, mmap bool) (graph.Store, func() error, error) // graph.Open; tests replace it
 
 	dispatcherDone chan struct{}
 }
@@ -283,9 +286,15 @@ type transition struct {
 	state State
 }
 
-type resolvedGraph struct {
+// pathGraph is one path graph, opened once for every request of its key: done is
+// closed, under gmu, when the open has finished; store, close and err are set
+// before. A failed open's entry leaves the map, its error going to the requests
+// that waited for it.
+type pathGraph struct {
+	done  chan struct{}
 	store graph.Store
 	close func() error
+	err   error
 }
 
 // New starts a job server (and its dispatcher goroutine). Callers must Close
@@ -307,7 +316,8 @@ func New(cfg Config) *Server {
 		threads:        runtime.GOMAXPROCS(0),
 		widthFields:    map[int]map[string]int64{},
 		paused:         cfg.StartPaused,
-		graphs:         map[string]resolvedGraph{},
+		graphs:         map[string]*pathGraph{},
+		open:           graph.Open,
 		dispatcherDone: make(chan struct{}),
 	}
 	s.registerMetrics()
@@ -472,11 +482,16 @@ func (s *Server) Close(ctx context.Context) error {
 	err := s.Drain(ctx)
 	s.stopAll()
 	s.gmu.Lock()
+	s.gclosed = true
 	for key, r := range s.graphs {
-		if cerr := r.close(); cerr != nil && err == nil {
-			err = cerr
+		select {
+		case <-r.done:
+			if cerr := r.close(); cerr != nil && err == nil {
+				err = cerr
+			}
+			delete(s.graphs, key)
+		default: // still opening: its opener closes it
 		}
-		delete(s.graphs, key)
 	}
 	s.gmu.Unlock()
 	return err
@@ -829,9 +844,11 @@ func (s *Server) fire(notes []transition) {
 
 // graphFor resolves a graph reference: named graphs come straight from the
 // config; path references open (and cache, keyed by the canonical ref) a
-// file or sharded directory under GraphDir. The open runs under gmu, so
-// concurrent batches never load one file twice, but a batch whose graph is
-// cached waits behind another batch's open (ROADMAP item 3).
+// file or sharded directory under GraphDir. Each key is opened once, outside
+// gmu: a request for a key being opened waits for that open and shares its
+// store or its error, one for any other key does not wait at all. A failed open
+// is not cached, so the next request tries again; a store whose open ends after
+// Close began is closed, not cached.
 func (s *Server) graphFor(ref GraphRef) (graph.Store, error) {
 	if ref.Name != "" {
 		g := s.cfg.Graphs[ref.Name]
@@ -840,21 +857,50 @@ func (s *Server) graphFor(ref GraphRef) (graph.Store, error) {
 		}
 		return g, nil
 	}
-	s.gmu.Lock()
-	defer s.gmu.Unlock()
-	if r, ok := s.graphs[ref.key()]; ok {
-		return r.store, nil
-	}
 	full, err := confinePath(s.cfg.GraphDir, ref.Path)
 	if err != nil {
 		return nil, err
 	}
-	store, closeStore, err := graph.Open(full, ref.Mmap)
-	if err != nil {
-		return nil, err
+	key := ref.key()
+	s.gmu.Lock()
+	r, owner := s.graphs[key], false
+	if r == nil && !s.gclosed {
+		r, owner = &pathGraph{done: make(chan struct{})}, true
+		s.graphs[key] = r
 	}
-	s.graphs[ref.key()] = resolvedGraph{store: store, close: closeStore}
-	return store, nil
+	s.gmu.Unlock()
+	switch {
+	case r == nil:
+		return nil, errServerClosed
+	case owner:
+		s.openGraph(r, key, full, ref.Mmap)
+	}
+	<-r.done
+	return r.store, r.err
+}
+
+var errServerClosed = errors.New("jobs: server closed")
+
+// openGraph opens r, key's entry, and publishes the outcome under gmu — a
+// panicking open as an error to the waiters, the panic going on to the caller's.
+func (s *Server) openGraph(r *pathGraph, key, path string, mmap bool) {
+	store, closeStore, err := graph.Store(nil), func() error { return nil }, errors.New("jobs: the graph open panicked")
+	defer func() {
+		s.gmu.Lock()
+		defer s.gmu.Unlock()
+		if err == nil && s.gclosed {
+			_ = closeStore() // no batch read the store, so nothing waits on how its close went
+			err = errServerClosed
+		}
+		if err != nil {
+			r.err = err
+			delete(s.graphs, key)
+		} else {
+			r.store, r.close = store, closeStore
+		}
+		close(r.done)
+	}()
+	store, closeStore, err = s.open(path, mmap)
 }
 
 // confinePath resolves rel under root, rejecting absolute paths and any

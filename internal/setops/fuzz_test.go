@@ -162,7 +162,10 @@ func FuzzDifferenceKernels(f *testing.F) {
 // FuzzMaskKernels checks the c-map scan kernels: the payload becomes a row and
 // four ancestor sets with fuzzer-chosen roles (needed, avoided, inserted but
 // unasked), and scanning the row against their connectivity map must equal
-// the chained merge Intersect/Difference over the same sets.
+// the chained merge Intersect/Difference over the same sets. The scan that stops
+// at a bound must count what MaskCount counts of Bounded's prefix and pass exactly
+// that prefix, at every bound: none, 0, each element, and one past each — between
+// two elements, or above the last.
 func FuzzMaskKernels(f *testing.F) {
 	f.Add([]byte{0b01_10_01_00, 3, 1, 2, 3, 2, 3, 4, 7, 1, 3, 9, 2, 3})
 	f.Add([]byte{0b10_10_10_10, 0, 5, 5, 5})
@@ -187,6 +190,17 @@ func FuzzMaskKernels(f *testing.F) {
 		}
 		if got := MaskCount(a, cm, need, avoid); got != int64(len(want)) {
 			t.Errorf("MaskCount(%v, sets %v, roles %v) = %d, want %d", a, sets, roles, got, len(want))
+		}
+		bounds := []VID{NoBound, 0}
+		for _, x := range a {
+			bounds = append(bounds, x, x+1)
+		}
+		for _, b := range bounds {
+			pre := Bounded(a, b)
+			if n, k := MaskCountBelow(a, cm, need, avoid, b); n != MaskCount(pre, cm, need, avoid) || k != len(pre) {
+				t.Errorf("MaskCountBelow(%v, sets %v, roles %v, bound %d) = %d, %d; MaskCount of the %d-element prefix %d",
+					a, sets, roles, b, n, k, len(pre), MaskCount(pre, cm, need, avoid))
+			}
 		}
 	})
 }

@@ -333,6 +333,22 @@ func MaskCount(a []VID, cm []uint8, need, avoid uint8) int64 {
 	return n
 }
 
+// MaskCountBelow is MaskCount of Bounded(a, bound) in one pass: it stops at the first
+// element ≥ bound instead of searching for it, and returns besides the count how many
+// elements it passed, k = len(Bounded(a, bound)).
+func MaskCountBelow(a []VID, cm []uint8, need, avoid uint8, bound VID) (n int64, k int) {
+	mask := need | avoid
+	for k, x := range a {
+		if x >= bound {
+			return n, k
+		}
+		if cm[x]&mask == need {
+			n++
+		}
+	}
+	return n, len(a)
+}
+
 // MaskCountPair is MaskCount under two masks in one pass over a: how many elements
 // pass (needA, avoidA), and how many pass (needB, avoidB). The two counts share one
 // uint64, A's in the low 32 bits, so that each element adds a flag pair and no branch

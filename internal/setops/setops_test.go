@@ -135,6 +135,35 @@ func TestBounded(t *testing.T) {
 	}
 }
 
+// TestMaskCountBelow: the scan that stops at its bound counts what MaskCount counts
+// of Bounded's prefix, and passes exactly that prefix — at no bound, below the first
+// element, on one, between two and past the last, on a row empty or not.
+func TestMaskCountBelow(t *testing.T) {
+	a := []VID{1, 4, 9, 16, 25}
+	cm := make([]uint8, 26)
+	for _, x := range []VID{4, 16, 25} {
+		cm[x] = 0b01
+	}
+	cm[9] = 0b11
+	cases := []struct {
+		row         []VID
+		need, avoid uint8
+		bound       VID
+		n           int64
+		k           int
+	}{
+		{a, 0b01, 0, NoBound, 4, 5}, {a, 0b01, 0b10, NoBound, 3, 5}, {a, 0, 0, NoBound, 5, 5},
+		{a, 0b01, 0, 0, 0, 0}, {a, 0b01, 0, 1, 0, 0}, {a, 0b01, 0, 2, 0, 1},
+		{a, 0b01, 0, 9, 1, 2}, {a, 0b01, 0, 10, 2, 3}, {a, 0b01, 0b10, 17, 2, 4}, {a, 0b01, 0, 26, 4, 5},
+		{nil, 0b01, 0, NoBound, 0, 0}, {nil, 0, 0, 3, 0, 0},
+	}
+	for _, c := range cases {
+		if n, k := MaskCountBelow(c.row, cm, c.need, c.avoid, c.bound); n != c.n || k != c.k {
+			t.Errorf("MaskCountBelow(%v, need %b, avoid %b, bound %d) = %d, %d; want %d, %d", c.row, c.need, c.avoid, c.bound, n, k, c.n, c.k)
+		}
+	}
+}
+
 func TestIndex(t *testing.T) {
 	a := []VID{2, 3, 5, 8, 13, 21, 34, 55}
 	for i, x := range a {
