@@ -184,6 +184,9 @@ func write(g *graph.Graph, orient bool, shards int, out string) error {
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return graph.WriteEdgeList(f, g)
+	err = graph.WriteEdgeList(f, g)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

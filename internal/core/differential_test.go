@@ -544,10 +544,13 @@ func (s *suite) check(k key, vs []vec, mutate func(*program) bool) (fails []stri
 		fire("swept scans", rs.BitmapProbes > 0 && has(func(n *node) bool { return n.sweep == sweepScan }))
 		fire("swept local rows", rs.LocalRows > 0 && has(func(n *node) bool { return n.sweep == sweepLocal }))
 		fire("swept weighed leaves", rs.ClosedForms > 0 && has(func(n *node) bool { return n.sweep == sweepWeighed }))
-		fire("swept bounded leaves", rs.BitmapProbes > 0 && has(func(n *node) bool {
-			return (n.sweep == sweepScan || n.sweep == sweepLocal) && len(n.children[0].op.UpperBounds)+len(n.children[0].proof.certain) > 0
-		}))
-		fire("swept closed forms", rs.ClosedForms > 0 && has(func(n *node) bool { return n.sweep == sweepClosed }))
+		counted := func(f func(c *node) bool) bool {
+			return rs.LeafCountsSkippedMaterialize > 0 && has(func(n *node) bool { return n.sweep == sweepCount && f(n.children[0]) })
+		}
+		fire("swept count leaves", counted(func(*node) bool { return true }))
+		fire("swept count leaves with a suspect", counted(func(c *node) bool { return c.proof.suspects != nil }))
+		fire("swept count leaves of an aux consumer", rs.AuxReused > 0 && counted(func(c *node) bool { return c.src == srcAux }))
+		fire("swept local kind off the rows", rs.LeafCountsSkippedMaterialize > 0 && overCap(st, e.prog) && has(func(n *node) bool { return n.sweep == sweepLocal }))
 		fire("bounded scans stopped at their bound", rs.BitmapProbes > 0 && has(func(n *node) bool {
 			return n.mode == leafCount && n.src == srcAdj && n.boundAt == plan.NoLevel && n.cmap.scan != nil && len(n.op.UpperBounds) > 0
 		}))
@@ -664,7 +667,8 @@ func TestDifferential(t *testing.T) {
 		return
 	}
 	mechanisms := []string{"closed form", "factor", "far corner", "local rows, cap4=false", "local rows, cap4=true",
-		"swept scans", "swept local rows", "swept weighed leaves", "swept bounded leaves", "swept closed forms", "sweep off", "weighed sweep off",
+		"swept scans", "swept local rows", "swept weighed leaves", "swept count leaves", "swept count leaves with a suspect",
+		"swept count leaves of an aux consumer", "swept local kind off the rows", "sweep off", "weighed sweep off",
 		"bounded scans stopped at their bound",
 		"c-map mark", "aux reuse", "hub slices", "simulator", "Stats compared across threads",
 		"Stats compared across stores", "Stats compared with tracing on and off"}
@@ -900,7 +904,7 @@ func nothing(p *program, d int) *node {
 // probe, what a source level past cmLevels gets — and must fail on none.
 func TestDifferentialKillsMutants(t *testing.T) {
 	s := newSuite(t)
-	// A closed form's mutants die where walk reaches it and where a closed sweep does.
+	// A closed form's mutants die where walk reaches it and where a count sweep does.
 	dropB := func(swept bool) func(n *node, p *program) bool {
 		return func(n *node, p *program) bool {
 			if len(n.closed.prod) < 2 || swept && !sweptForm(p, n) {
@@ -929,7 +933,7 @@ func TestDifferentialKillsMutants(t *testing.T) {
 		{"closed.choose + 1", true, chooseUp(false)},
 		{"a swept closed.choose + 1", true, chooseUp(true)},
 		{"a candidate-dependent operand evaluated once per list", true, func(n *node, _ *program) bool {
-			if n.sweep != sweepClosed {
+			if n.sweep != sweepCount {
 				return false
 			}
 			c := n.children[0]
@@ -1009,10 +1013,25 @@ func TestDifferentialKillsMutants(t *testing.T) {
 	}
 }
 
-// sweptForm: n is the closed form of a node that sweepLeaves gave the closed kind.
+// sweptForm: n is the closed form of a node that sweepLeaves gave the count kind.
 func sweptForm(p *program, n *node) (yes bool) {
-	p.each(func(a *node, _ []*node) { yes = yes || a.sweep == sweepClosed && a.children[0] == n })
+	p.each(func(a *node, _ []*node) { yes = yes || a.sweep == sweepCount && a.children[0] == n })
 	return yes
+}
+
+// overCap: some task on st runs off p's local rows, its universe past the cap.
+func overCap(st graph.Store, p *program) bool {
+	for v := range st.NumVertices() {
+		u := st.Adj(graph.VID(v))
+		if p.lbelow {
+			i, _ := slices.BinarySearch(u, graph.VID(v))
+			u = u[:i]
+		}
+		if len(u) > p.lcap {
+			return true
+		}
+	}
+	return false
 }
 
 // drawable: the fuzzer can draw k's graph — no larger than the sweep draws for

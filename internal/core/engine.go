@@ -506,11 +506,12 @@ func (w *worker) walk(n *node) {
 		return
 	}
 	switch {
-	case n.sweep == sweepClosed:
-		w.sweepClosed(n)
-		return
+	case n.sweep == noSweep: // the loop below
 	case n.sweep == sweepScan || n.sweep == sweepLocal && w.loc.on:
 		w.sweep(n, cands)
+		return
+	default: // count, or local off the rows
+		w.sweepCount(n)
 		return
 	}
 	for i, v := range cands {
@@ -526,14 +527,14 @@ func (w *worker) walk(n *node) {
 // child c, for a node sweepLeaves gave a scan or local kind: per candidate the
 // cancellation poll, emb and pos, and c's one kernel on the candidate's row — the
 // masked scan or, where scanPays declines, chain and setOp; or the word AND of n's
-// local set with the row, built on first read. What the calls would have charged
-// per candidate is charged once. A bounded c has loops of its own, picked here once
-// per list, so that no unbounded leaf pays for a bound it does not have.
+// local set with the row, built on first read, ending below the candidate's own
+// position where c is bounded by it. What the calls would have charged per
+// candidate is charged once.
 func (w *worker) sweep(n *node, cands []graph.VID) {
 	c, d, k := n.children[0], n.depth, 0
 	var cnt, probes int64
 	switch {
-	case len(c.op.UpperBounds)+len(c.proof.certain) > 0:
+	case len(c.op.UpperBounds)+len(c.proof.certain) > 0: // a bounded local c: a scan has neither
 		k, cnt, probes = w.sweepBounded(n, cands)
 	case n.sweep == sweepScan:
 		m := c.cmap.scan[0]
@@ -569,56 +570,42 @@ func (w *worker) sweep(n *node, cands []graph.VID) {
 	w.counts[c.patternIdx] += cnt
 }
 
-// sweepBounded is sweep's loop for a child c with UpperBounds or certain ancestors.
-// A local c is bounded by the candidate v alone: it ends below v's own position i
-// in the universe. A scan takes per candidate count's bound, count's kernel on the
-// row (rowCount: a pass that stops at the bound) and its adjustment for the certain
-// ones.
+// sweepBounded is sweep's loop for a local c bounded by the candidate v: it ends
+// below v's own position i in the universe. It is a loop of its own so that no
+// unbounded leaf pays for a bound it does not have.
 func (w *worker) sweepBounded(n *node, cands []graph.VID) (k int, cnt, probes int64) {
-	c, d := n.children[0], n.depth
-	if n.sweep == sweepLocal {
-		l := &w.loc
-		set, at := l.sets[c.local.base*localWords:][:l.words], l.idx[d*localCap:]
-		for ; k < len(cands) && !w.cancelled(); k++ {
-			w.emb[d], w.pos[d] = cands[k], k
-			i := int(at[k])
-			if l.stamp[i] != l.epoch {
-				w.localBuild(i)
-			}
-			cnt += setops.WordsAndCount(set, l.rows[i*l.words:], i)
-			probes += int64(i+63) >> 6
-		}
-		return k, cnt, probes
-	}
+	c, d, l := n.children[0], n.depth, &w.loc
+	set, at := l.sets[c.local.base*localWords:][:l.words], l.idx[d*localCap:]
 	for ; k < len(cands) && !w.cancelled(); k++ {
 		w.emb[d], w.pos[d] = cands[k], k
-		bound := w.bound(c)
-		x, _, _ := w.rowCount(c, bound)
-		cnt += x
-		for _, j := range c.proof.certain {
-			if w.emb[j] < bound {
-				cnt--
-			}
+		i := int(at[k])
+		if l.stamp[i] != l.epoch {
+			w.localBuild(i)
 		}
+		cnt += setops.WordsAndCount(set, l.rows[i*l.words:], i)
+		probes += int64(i+63) >> 6
 	}
 	return k, cnt, probes
 }
 
-// sweepClosed is sweep's loop for a child c that is a closed form, over n's list as
-// materialize left it: per candidate the poll, emb and pos, c's m and, where it is
-// not 0, closed — each operand a count, but one that sweepLeaves found to name the
-// swept level nowhere (once) is counted at its first evaluation in the list only,
-// and later ones charge what it charged.
-func (w *worker) sweepClosed(n *node) {
+// sweepCount is walk's loop over n's list, as materialize left it, for every other
+// node sweepLeaves gave a kind, less the descend and walk calls: per candidate the
+// poll, emb and pos, count(c) and, for a closed form with m > 0, closed — except
+// that an operand sweepLeaves found to name n's level nowhere (once) is counted at
+// its first evaluation in the list only, and later ones charge what it charged.
+func (w *worker) sweepCount(n *node) {
 	c, d, cands := n.children[0], n.depth, w.levels[n.depth]
 	var once onceTerms
 	var cnt, emitted int64
 	k := 0
 	for ; k < len(cands) && !w.cancelled(); k++ {
 		w.emb[d], w.pos[d] = cands[k], k
-		if m := w.term(c, &once, 0); m > 0 {
+		switch m := w.term(c, &once, 0); {
+		case m > 0 && (c.closed.choose > 1 || c.closed.prod != nil):
 			x, e := w.closed(c, m, &once)
 			cnt, emitted = cnt+x, emitted+e
+		default:
+			cnt, emitted = cnt+m, emitted+m
 		}
 	}
 	w.stats.Extensions += int64(k)
@@ -626,14 +613,14 @@ func (w *worker) sweepClosed(n *node) {
 	w.counts[c.patternIdx] += cnt
 }
 
-// onceTerms is, during a closed sweep, what each once operand — m, A and B by
+// onceTerms is, during a count sweep, what each once operand — m, A and B by
 // index — counted, and the searches that took, once it has been counted (known).
 type onceTerms struct {
 	val, searches [3]int64
 	known         [3]bool
 }
 
-// term is count(t) for operand i of a closed form — in a closed sweep (once not
+// term is count(t) for operand i of a closed form — in a count sweep (once not
 // nil), for a once operand, its count in the list, charged as a count is.
 func (w *worker) term(t *node, once *onceTerms, i int) int64 {
 	switch {
@@ -1085,7 +1072,7 @@ func (w *worker) rowCount(n *node, bound graph.VID) (cnt int64, cur []graph.VID,
 // closed evaluates n's closed form (prog.go, closedForms) over its m > 0
 // candidates: the matches under them, and the candidates the walk it replaces
 // would have emitted at n's level and below it, so that Stats.Candidates reads
-// the same under every kernel policy. once is a closed sweep's (sweepClosed).
+// the same under every kernel policy. once is a count sweep's (sweepCount).
 func (w *worker) closed(n *node, m int64, once *onceTerms) (cnt, cands int64) {
 	w.stats.ClosedForms++
 	if n.closed.prod == nil {

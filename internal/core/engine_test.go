@@ -64,33 +64,44 @@ func TestCliqueDAGPath(t *testing.T) {
 // leaves the same partial counts and Stats with the sweep and without it: on the
 // oriented cliques, on house (a weighed sweep, which polls only where weight is
 // left and charges every candidate's after the stop), on the symmetric 4-clique
-// (a bounded local sweep) and on the diamond and the 4-path (closed sweeps, the
-// 4-path's with an operand counted once per list).
+// (a bounded local sweep and, its local-row cap lowered to 4 as the differential
+// suite's cap4 vector does, the local kind counted off the rows), and on the count
+// loop: the diamond and the 4-path (closed forms, the 4-path's with an operand
+// counted once per list), the 5-path (a suspect) and the vertex-induced 4-path (an
+// aux consumer).
 func TestSweepStopsLikeTheWalk(t *testing.T) {
 	g := graph.RMAT(10, 6000, 0.57, 0.19, 0.19, 5)
 	dag := g.Orient()
 	done := make(chan struct{})
 	close(done)
 	o := Options{Threads: 1}.withDefaults()
-	var plans []*plan.Plan
-	for _, p := range []*pattern.Pattern{pattern.House(), pattern.KClique(4), pattern.Diamond(), pattern.KPath(4)} {
-		plans = append(plans, mustCompile(t, p, plan.Options{}))
+	type leg struct {
+		pl     *plan.Plan
+		capped bool // the local-row cap lowered to 4
 	}
+	var legs []leg
+	for _, p := range []*pattern.Pattern{pattern.House(), pattern.KClique(4), pattern.Diamond(), pattern.KPath(4), pattern.KPath(5)} {
+		legs = append(legs, leg{pl: mustCompile(t, p, plan.Options{})})
+	}
+	legs = append(legs, leg{pl: inducedPath(t)}, leg{pl: mustCompile(t, pattern.KClique(4), plan.Options{}), capped: true})
 	for k := 3; k <= 4; k++ {
 		pl, err := plan.CompileCliqueDAG(k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		plans = append(plans, pl)
+		legs = append(legs, leg{pl: pl})
 	}
-	for _, pl := range plans {
-		g := g
+	for _, l := range legs {
+		pl, g := l.pl, g
 		if pl.RequiresDAG {
 			g = dag
 		}
 		var ws [2]*worker
 		for i := range ws {
 			p := lower(g, pl, o, false)
+			if l.capped {
+				p.lcap = min(p.lcap, 4)
+			}
 			if i == 1 {
 				p.each(func(n *node, _ []*node) { n.sweep = noSweep })
 			}
@@ -104,7 +115,7 @@ func TestSweepStopsLikeTheWalk(t *testing.T) {
 		}
 		swept, walked := ws[0], ws[1]
 		if !swept.stopped || swept.stats != walked.stats || !slices.Equal(swept.counts, walked.counts) {
-			t.Errorf("%s: stopped %v with %v and %+v; without the sweep %v and %+v", pl.Patterns[0].Name(), swept.stopped, swept.counts, swept.stats, walked.counts, walked.stats)
+			t.Errorf("%s (cap4 %v): stopped %v with %v and %+v; without the sweep %v and %+v", pl.Patterns[0].Name(), l.capped, swept.stopped, swept.counts, swept.stats, walked.counts, walked.stats)
 		}
 	}
 }

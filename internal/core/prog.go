@@ -49,10 +49,10 @@ type sweepKind uint8
 
 const (
 	noSweep      sweepKind = iota
-	sweepScan              // a c-map masked scan of adj(v)
+	sweepScan              // an unbounded c-map masked scan of adj(v)
 	sweepLocal             // the AND of the node's local set with row(v)
 	sweepWeighed           // below a factor: the leaf's and its B's masked scans of adj(v), in one pass
-	sweepClosed            // a closed form's m, A and B: counts of adj(v), or once per list
+	sweepCount             // count and, for a closed form, closed: the walk's calls, an operand once per list
 )
 
 // chainOp is one chained set operation: cur ∘ adj(emb[level]), ∘ being
@@ -681,60 +681,53 @@ func (n *node) chained() bool {
 // sweepLeaves makes a last level a loop instead of a call per candidate (DESIGN.md
 // decision 25). It needs every other pass done and leaves sweep and once. An
 // interior node n at depth ≥ 1 that is no factor node and has no far corner, aux
-// build or mark, whose only child c is a count-only leaf — no aux source or
-// suspect —, gets a kind where c's work per candidate v is one dense pass over v's
-// own row: a masked c-map scan of adj(v) off the rows (no frontier source either),
-// bounded or not, its certain ancestors subtracted as count does; below a factor,
-// that scan for c and for its B at once, neither bounded; or, n and c local and c
-// bounded by v at most, with no NotEqual, the AND of n's set with row(v). A closed
-// form c gets one where each of its m, A and B is a term (below). walk, or weighted
-// below a factor, then counts c over n's list (engine.go, sweep, sweepClosed).
+// build or mark, and whose only child c is count-only, sweeps c over n's list:
+// below a factor only where c and its B are each an unbounded, suspect-free masked
+// scan of the candidate's row (weighed); elsewhere that scan with no certain
+// ancestor either (scan), n's local set AND the candidate's row, c local with no
+// NotEqual and bounded by the candidate at most (local), and every other c, closed
+// forms first, through count (engine.go, sweepCount) — where an operand of a closed
+// form that names n's level nowhere is counted once per list.
 func (p *program) sweepLeaves() {
 	p.each(func(n *node, _ []*node) {
 		if n.mode != interior || n.depth < 1 || len(n.children) != 1 || n.fac != nil && n.fac.at == n || n.far != nil || n.builds != nil || n.cmap.marked {
 			return
 		}
 		c, d := n.children[0], n.depth
-		if c.mode != leafCount || c.src == srcAux || c.proof.suspects != nil {
+		if c.mode != leafCount {
 			return
 		}
-		scans := func(c *node) bool { return !c.local.on && c.src == srcAdj && c.op.Extender == d && c.cmap.scan != nil }
+		scans := func(c *node) bool {
+			return !c.local.on && c.src == srcAdj && c.op.Extender == d && c.cmap.scan != nil && c.proof.suspects == nil && len(c.op.UpperBounds) == 0
+		}
 		switch f := c.fac; {
 		case f != nil:
-			if b := f.minus; scans(c) && scans(b) && b.proof.suspects == nil && len(c.op.UpperBounds)+len(b.op.UpperBounds) == 0 {
+			if scans(c) && scans(f.minus) {
 				n.sweep = sweepWeighed
 			}
 		case c.closed.choose > 1 || c.closed.prod != nil:
-			if ts := append([]*node{c}, c.closed.prod...); !slices.ContainsFunc(ts, func(t *node) bool { _, ok := t.term(d); return !ok }) {
-				n.sweep = sweepClosed
-				for _, t := range ts {
-					t.once, _ = t.term(d)
-				}
+			n.sweep = sweepCount
+			for _, t := range append([]*node{c}, c.closed.prod...) {
+				t.once = t.term(d)
 			}
-		case scans(c):
+		case scans(c) && c.proof.certain == nil:
 			n.sweep = sweepScan
 		case c.local.on && n.local.on && c.local.base == d && slices.Equal(c.local.ops, []chainOp{{level: d}}) &&
 			len(c.op.NotEqual) == 0 && (len(c.op.UpperBounds) == 0 || slices.Equal(c.op.UpperBounds, []int{d})):
 			n.sweep = sweepLocal
+		default:
+			n.sweep = sweepCount
 		}
 	})
 }
 
-// term: t, m or a term of a closed form below a node at depth d, counts off plain
-// adjacency, with no local row, aux row or suspect, and is one of the two operands
-// a closed sweep evaluates: the count of the candidate's own row — extender d, no
-// positional bound, its chain none or one masked scan —, or once: one number for
-// the whole list, with no chain and naming level d nowhere — a certain d being no
-// name only where nothing bounds t, so that every vertex of the list is below.
-func (t *node) term(d int) (once, ok bool) {
-	if t.src != srcAdj || t.local.on || t.proof.suspects != nil {
-		return false, false
-	}
-	if t.op.Extender == d {
-		return false, t.boundAt == plan.NoLevel && (len(t.adj) == 0 || t.cmap.scan != nil)
-	}
-	once = len(t.adj) == 0 && !names(t.op, d) && (len(t.op.UpperBounds) == 0 || !slices.Contains(t.proof.certain, d))
-	return once, once
+// term: t, m or a term of a closed form below a node at depth d, counts the same
+// number, at the same cost, under every vertex of d's list: off plain adjacency,
+// with no local row, suspect or chain, naming level d nowhere — a certain d being
+// no name only where nothing bounds t, so that every vertex of the list is below.
+func (t *node) term(d int) bool {
+	return t.src == srcAdj && !t.local.on && t.proof.suspects == nil && len(t.adj) == 0 && !names(t.op, d) &&
+		(len(t.op.UpperBounds) == 0 || !slices.Contains(t.proof.certain, d))
 }
 
 // localCap is the largest universe a task runs locally (rows are d·⌈d/64⌉

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"maps"
 	"math/bits"
 	"reflect"
 	"slices"
@@ -196,12 +195,14 @@ func catalogPlans(t *testing.T) []*plan.Plan {
 // engine, may assume. It also counts the single patterns a pass reaches, so that
 // a pass that stops reaching one shows here and not only in the clock: the
 // three 5-vertex and twenty 6-vertex patterns with a factor (decision 23), the
-// four with a far corner (decision 24).
+// four with a far corner (decision 24); and the nodes a sweep reaches (decision
+// 25): 283 of the 309 whose only child is count-only, 72 of the 82 closed forms.
 func TestLoweringInvariants(t *testing.T) {
 	g := graph.ErdosRenyi(40, 120, 1)
 	var sides, factors, locals, kept, fars int
 	var swept [5]int      // nodes by sweep kind
-	var boundedLeaves int // swept scan and local nodes whose leaf has a bound or a certain ancestor
+	var counted [4]int    // count sweeps of a leaf with a suspect, an aux source, a frontier source, a bounded scan
+	var reached [2][2]int // auto, counting: nodes whose only child is count-only, closed forms; how many, how many swept
 	var onceOps int       // operands of swept closed forms counted once per list
 	var bearing [2][7]int // single-pattern programs with a factor, with a far corner, by pattern size
 	for _, pl := range catalogPlans(t) {
@@ -328,52 +329,46 @@ func TestLoweringInvariants(t *testing.T) {
 							}
 						}
 					}
-					// sweepLeaves: a kind iff n — no factor node, unmarked, building nothing —
-					// has one child, a count-only leaf — no aux row or suspect — whose one
-					// kernel reads the candidate's own row: a masked scan of it off the rows,
-					// bounded or not (below a factor: the leaf's and its B's, suspect-free,
-					// neither bounded), or n's local set AND its row, no NotEqual, bounded by
-					// the candidate at most; or a closed form whose m, A and B are each, off
-					// the rows, aux rows and suspects, the count of the candidate's row — no
-					// positional bound, no chain or a masked scan — or one that names n's level
-					// nowhere and has no chain, a certain n unbounded only: once, and nothing
-					// else is; never under merge-only or listing.
-					kind := noSweep
-					if n.mode == interior && n.depth >= 1 && len(n.children) == 1 && (n.fac == nil || n.fac.at != n) && n.far == nil && n.builds == nil && !m.marked {
+					// sweepLeaves: a kind iff n — no factor node, far corner, mark or build — has
+					// one child c, count-only. Below a factor, weighed where c and its B each scan
+					// the candidate's row, unbounded and suspect-free; nothing else. Elsewhere a
+					// closed form counts, its operands once where they count the same under every
+					// vertex of n's list: off plain adjacency, no local row, suspect or chain, and
+					// naming n's level nowhere (a certain one unbounded only); such a scan with no
+					// certain ancestor either scans; n's local set AND the row, no NotEqual, bounded
+					// by the candidate at most, is local; everything else counts. Only under auto,
+					// and never listing.
+					kind, d := noSweep, n.depth
+					if o.Kernel == KernelAuto && n.mode == interior && d >= 1 && len(n.children) == 1 && (n.fac == nil || n.fac.at != n) && n.far == nil && n.builds == nil && !m.marked {
 						scans := func(s *node) bool {
-							return !s.local.on && s.src == srcAdj && s.op.Extender == n.depth && len(s.cmap.scan) == 1 && s.cmap.scan[0].masked()
+							return !s.local.on && s.src == srcAdj && s.op.Extender == d && len(s.cmap.scan) == 1 && s.cmap.scan[0].masked() &&
+								len(s.proof.suspects)+len(s.op.UpperBounds) == 0
 						}
-						if c := n.children[0]; c.mode == leafCount && len(c.proof.suspects) == 0 && c.src != srcAux {
-							switch d := n.depth; {
-							case c.closed.choose > 1 || c.closed.prod != nil:
-								kind = sweepClosed
-								once := map[*node]bool{}
-								for _, s := range append([]*node{c}, c.closed.prod...) {
-									plain := s.src == srcAdj && !s.local.on && len(s.proof.suspects) == 0
-									row := s.op.Extender == d && s.boundAt == plan.NoLevel && (len(s.adj) == 0 || scans(s))
-									named := slices.Contains(slices.Concat(s.op.Connected, s.op.Disconnected, s.op.UpperBounds), d) ||
-										len(s.op.UpperBounds) > 0 && slices.Contains(s.proof.certain, d)
-									once[s] = plain && s.op.Extender != d && len(s.adj) == 0 && !named
-									if !plain || !row && !once[s] {
-										kind = noSweep
-									}
-								}
-								if kind == sweepClosed {
-									maps.Copy(onceWant, once)
-								}
-							case !reflect.DeepEqual(c.closed, closed{}):
-							case n.fac != nil:
-								if b := c.fac.minus; scans(c) && scans(b) && len(b.proof.suspects) == 0 && len(c.op.UpperBounds)+len(b.op.UpperBounds) == 0 {
-									kind = sweepWeighed
-								}
-							case scans(c):
-								kind = sweepScan
-							case c.local.on && n.local.on && c.local.base == n.depth && slices.Equal(c.local.ops, []chainOp{{level: n.depth}}) &&
-								len(c.op.NotEqual) == 0 && (len(c.op.UpperBounds) == 0 || slices.Equal(c.op.UpperBounds, []int{n.depth})):
-								kind = sweepLocal
+						switch c := n.children[0]; {
+						case c.mode != leafCount:
+						case n.fac != nil:
+							if scans(c) && scans(c.fac.minus) {
+								kind = sweepWeighed
 							}
-							if kind == sweepScan || kind == sweepLocal {
-								boundedLeaves += min(len(c.op.UpperBounds)+len(c.proof.certain), 1)
+						case c.closed.choose > 1 || c.closed.prod != nil:
+							kind = sweepCount
+							for _, s := range append([]*node{c}, c.closed.prod...) {
+								named := slices.Contains(slices.Concat([]int{s.op.Extender, s.op.FrontierBase}, s.op.Connected, s.op.Disconnected, s.op.UpperBounds, s.op.IntersectWith, s.op.DifferenceWith), d) ||
+									len(s.op.UpperBounds) > 0 && slices.Contains(s.proof.certain, d)
+								onceWant[s] = s.src == srcAdj && !s.local.on && len(s.proof.suspects)+len(s.adj) == 0 && !named
+							}
+						case scans(c) && len(c.proof.certain) == 0:
+							kind = sweepScan
+						case c.local.on && n.local.on && c.local.base == d && slices.Equal(c.local.ops, []chainOp{{level: d}}) &&
+							len(c.op.NotEqual) == 0 && (len(c.op.UpperBounds) == 0 || slices.Equal(c.op.UpperBounds, []int{d})):
+							kind = sweepLocal
+						default:
+							kind = sweepCount
+							bounded := c.src == srcAdj && c.op.Extender == d && c.cmap.scan != nil && len(c.op.UpperBounds) > 0
+							for i, yes := range [4]bool{c.proof.suspects != nil, c.src == srcAux, c.src == srcFrontier, bounded} {
+								if yes {
+									counted[i]++
+								}
 							}
 						}
 					}
@@ -381,6 +376,18 @@ func TestLoweringInvariants(t *testing.T) {
 						bad(n, "sweep kind %d, the rule gives %d", n.sweep, kind)
 					}
 					swept[n.sweep]++
+					if o.Kernel == KernelAuto && !listing {
+						if cs := n.children; n.mode == interior && len(cs) == 1 && cs[0].mode == leafCount {
+							reached[0][0]++
+							reached[0][1] += min(int(n.sweep), 1)
+						}
+						for _, c := range n.children {
+							if c.closed.choose > 1 || c.closed.prod != nil {
+								reached[1][0]++
+								reached[1][1] += min(int(n.sweep), 1)
+							}
+						}
+					}
 					if n.once {
 						onceOps++
 					}
@@ -411,10 +418,13 @@ func TestLoweringInvariants(t *testing.T) {
 			}
 		}
 	}
-	if sides == 0 || factors == 0 || locals == 0 || kept == 0 || fars == 0 || slices.Contains(swept[1:], 0) || boundedLeaves == 0 || onceOps == 0 {
+	if sides == 0 || factors == 0 || locals == 0 || kept == 0 || fars == 0 || slices.Contains(swept[1:], 0) || slices.Contains(counted[:], 0) || onceOps == 0 {
 		t.Fatalf("the catalog exercised %d side nodes, %d nodes at or below a factor, %d local nodes, %d aux consumers, %d far corners, %d swept scans, %d swept local rows, "+
-			"%d weighed sweeps, %d closed sweeps, %d bounded swept leaves and %d once operands: a pass is vacuous here",
-			sides, factors, locals, kept, fars, swept[sweepScan], swept[sweepLocal], swept[sweepWeighed], swept[sweepClosed], boundedLeaves, onceOps)
+			"%d weighed sweeps, %d count sweeps — %v of a leaf with a suspect, an aux source, a frontier source, a bounded scan — and %d once operands: a pass is vacuous here",
+			sides, factors, locals, kept, fars, swept[sweepScan], swept[sweepLocal], swept[sweepWeighed], swept[sweepCount], counted, onceOps)
+	}
+	if reached != [2][2]int{{309, 283}, {82, 72}} {
+		t.Errorf("catalog nodes whose only child is count-only, and closed forms, each with how many sweep: %v; want 283 of 309 and 72 of 82", reached)
 	}
 	if bearing != [2][7]int{{5: 3, 6: 20}, {4: 1, 5: 1, 6: 2}} {
 		t.Errorf("catalog patterns with a factor, with a far corner, by size: %v; want 3 of 5 vertices (house, 5-motif-2, -9) and 20 of 6, "+
@@ -559,13 +569,13 @@ func BenchmarkExtension(b *testing.B) {
 // decision 25 lowered, at one thread, in ns per Stats.LeafCountsSkippedMaterialize
 // — the leaf's kernel and whatever the walk spends reaching it: TC (a c-map scan
 // per leaf) and 4-CL (a local-row AND per leaf) on an oriented RMAT graph, the
-// triangle (a bounded scan) and the 4-clique (a bounded AND) on the same graph
-// symmetric, house (a factor's leaf and its B in one two-mask scan) on a smaller,
-// denser symmetric RMAT graph, the benchmark's house shape, and the diamond (C(m, 2),
-// m an unbounded scan) and the tailed-triangle (m·A − m, m a bounded scan, A once per
-// list) on the symmetric graph, closed forms swept over v1's list. It fails unless
-// sweepLeaves gave each plan its kind — a bounded leaf where the leg is one — and,
-// for a local kind, tasks ran on the rows.
+// 4-clique (a bounded AND) on the same graph symmetric, house (a factor's leaf and
+// its B in one two-mask scan) on a smaller, denser symmetric RMAT graph, the
+// benchmark's house shape; and the count loop: the triangle (a bounded scan), the
+// diamond (C(m, 2), m an unbounded scan) and the tailed-triangle (m·A − m, m a
+// bounded scan, A once per list) on the symmetric graph, the 5-path (a product
+// whose m has a suspect) on house's. It fails unless sweepLeaves gave each plan its kind — a bounded
+// leaf where the leg is one — and, for a local kind, tasks ran on the rows.
 func BenchmarkLeaf(b *testing.B) {
 	sym := graph.RMAT(13, 1<<16, 0.57, 0.19, 0.19, 7)
 	dag, dense := sym.Orient(), graph.RMAT(10, 8000, 0.45, 0.22, 0.22, 7)
@@ -586,10 +596,11 @@ func BenchmarkLeaf(b *testing.B) {
 		{"TC", dag, cliqueDAG(3), sweepScan, false},
 		{"4-CL", dag, cliqueDAG(4), sweepLocal, false},
 		{"house", dense, mustCompile(b, pattern.House(), plan.Options{}), sweepWeighed, false},
-		{"triangle", sym, mustCompile(b, pattern.Triangle(), plan.Options{}), sweepScan, true},
 		{"4-clique", sym, mustCompile(b, pattern.KClique(4), plan.Options{}), sweepLocal, true},
-		{"diamond", sym, mustCompile(b, pattern.Diamond(), plan.Options{}), sweepClosed, false},
-		{"tailed-triangle", sym, mustCompile(b, pattern.TailedTriangle(), plan.Options{}), sweepClosed, true},
+		{"triangle", sym, mustCompile(b, pattern.Triangle(), plan.Options{}), sweepCount, true},
+		{"diamond", sym, mustCompile(b, pattern.Diamond(), plan.Options{}), sweepCount, false},
+		{"tailed-triangle", sym, mustCompile(b, pattern.TailedTriangle(), plan.Options{}), sweepCount, true},
+		{"5-path", dense, mustCompile(b, pattern.KPath(5), plan.Options{}), sweepCount, false},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			e, err := NewEngine(c.g, c.pl, Options{Threads: 1})

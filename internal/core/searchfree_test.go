@@ -129,8 +129,8 @@ func TestMergedTreeWorkBound(t *testing.T) {
 // "sweep[scan]" — the child scans each candidate's row against the c-map —,
 // "sweep[local]", the child ANDs the node's local set with each candidate's row, or
 // "sweep[weighed]": below a factor, the child and its B scan each row in one pass,
-// or "sweep[closed]": the child is a closed form whose m, A and B each count the
-// candidate's row or are "once", counted once per list (they name its level nowhere).
+// or "sweep[count]": the child is counted per candidate as the walk counts it, a
+// closed form's operands that name the node's level nowhere "once", once per list.
 func lowering(p *program) string {
 	var sb strings.Builder
 	var walk func(n *node, term string)
@@ -245,8 +245,8 @@ func lowering(p *program) string {
 			sb.WriteString(" sweep[local]")
 		case sweepWeighed:
 			sb.WriteString(" sweep[weighed]")
-		case sweepClosed:
-			sb.WriteString(" sweep[closed]")
+		case sweepCount:
+			sb.WriteString(" sweep[count]")
 		}
 		if n.once {
 			sb.WriteString(" once")
@@ -302,14 +302,17 @@ func lowering(p *program) string {
 // checked for every case, no listing one. Aux rows (decision 14) go to what is left:
 // the vertex-induced 4-path keeps its spec, 5-motif-15 the one whose consumer was
 // not counted away, house none, and no merge-only lowering any. Sweeps (decision
-// 25): TC's v1 on a DAG scans each candidate's row, 4-CL's v2 and 5-CL's v3 AND their
-// set with it; bounded leaves too — K₂,₃'s v3 and the vertex-induced census's v2s
-// scan, the symmetric 4-clique's v2 (alone, merged, in the burst tree) ANDs below
-// each candidate's position —; house's v3 scans its leaf and the leaf's B in one pass,
-// while 5-motif-2's B reads v1's row, not v3's, and stays a call; the closed forms of
-// diamond, tailed-triangle and 4-path are evaluated over v1's list in one loop, an
-// operand that does not read v1 counted once per list. A merged tree's closed form
-// beside a sibling is still reached through the walk.
+// 25): TC's v1 on a DAG and the vertex-induced census's unbounded v2 scan each
+// candidate's row, 4-CL's v2 and 5-CL's v3 AND their set with it, the symmetric
+// 4-clique's v2 (alone, merged, in the burst tree) below each candidate's position;
+// house's v3 scans its leaf and the leaf's B in one pass, while 5-motif-2's B reads
+// v1's row, not v3's, and that level walks. Every other last level below a lone
+// child's parent is counted per candidate in one loop: bounded scans (K₂,₃'s v3, the
+// census's bounded v2s), suspects (5-path, the merged tree's 4-path, frontier-dropped
+// ancestors), aux consumers (the vertex-induced 4-path, 5-motif-15), and the closed
+// forms of diamond, tailed-triangle and 4-path over v1's list, an operand that does
+// not read v1 counted once per list. A leaf beside a sibling, below a mark or a
+// build — the burst tree's 4-path — is still reached through the walk.
 func TestLoweringSplit(t *testing.T) {
 	g := graph.ErdosRenyi(40, 120, 1)
 	merged, err := plan.CompileMulti(pattern.Motifs(4), plan.Options{})
@@ -403,14 +406,14 @@ v0 marks[]
 v0 marks[]
   v1 marks[<v0]
     v2 bound@pos[1]
-      v3 sweep[scan]
+      v3 sweep[count]
         v4
 `},
 		// Prefix: v3 was v2's frontier below v2 — C(|N(v0) ∩ N(v1)|, 2) per edge, m
 		// scanned off each v1's row in v1's one loop (decision 25).
 		{"diamond, auto", mustCompile(t, pattern.Diamond(), plan.Options{}), Options{}, `
 v0 marks[]
-  v1 sweep[closed]
+  v1 sweep[count]
     v2 choose[2]
 `},
 		// Factor: the roof v2 is named below it in NotEqual only. One descent per
@@ -445,7 +448,7 @@ v0 marks[]
 		{"5-motif-15", mustCompile(t, pattern.Motifs(5)[15], plan.Options{}), Options{}, `
 v0 builds[0] marks[] lonly universe[]
   v1 marks[] lonly
-    v2 local[1]
+    v2 local[1] sweep[count]
       v3 aux#0 local[1] certain[2] product[A B]
     A=v3 row[2 0] scan local[2] certain[1]
     B=v3 row[2 1 0] scan local[2 1] never[2] never[1]
@@ -455,7 +458,7 @@ v0 builds[0] marks[] lonly universe[]
 		{"4-path, vertex-induced", mustCompile(t, pattern.KPath(4), plan.Options{Induced: true}), Options{}, `
 v0 builds[0] marks[]
   v1
-    v2
+    v2 sweep[count]
       v3 aux#0 never[0] never[2]
 `},
 		{"house, merge-only", mustCompile(t, pattern.House(), plan.Options{}), PaperBaseline(1), `
@@ -469,7 +472,7 @@ v0
 		// one (B = m, not evaluated): m·(deg v0 − 1) − m per edge, A once per v0.
 		{"tailed-triangle", mustCompile(t, pattern.TailedTriangle(), plan.Options{}), Options{}, `
 v0 marks[]
-  v1 sweep[closed]
+  v1 sweep[count]
     v2 product[A m]
   A=v2 row[0] certain[1] once
 `},
@@ -478,7 +481,7 @@ v0 marks[]
 		// deg v0 − 1 whatever v1 is, so it is counted once per v0.
 		{"4-path", mustCompile(t, pattern.KPath(4), plan.Options{}), Options{}, `
 v0 marks[]
-  v1 sweep[closed]
+  v1 sweep[count]
     v2 certain[1] product[A B] once
   A=v2 row[1] certain[0]
   B=v2 row[1 0] scan never[1] never[0]
@@ -508,7 +511,7 @@ v0
 		{"5-path", mustCompile(t, pattern.KPath(5), plan.Options{}), Options{}, `
 v0
   v1 marks[]
-    v2 bound@pos[1]
+    v2 bound@pos[1] sweep[count]
       v3 certain[0] probe[2: 1~2] product[A B]
     A=v3 row[2] certain[0] probe[1: 1~2]
     B=v3 row[2 1] scan certain[0] never[2] never[1]
@@ -534,7 +537,7 @@ v0
 v0 marks[] universe[<v0 tri]
   v1 marks[]
     v2 bound@pos[1] choose[2]
-    v2
+    v2 sweep[count]
       v3 certain[0] probe[1: 1~2]
     v2
       v3 certain[1 2]
@@ -572,7 +575,7 @@ v0 marks[] lonly universe[]
   v1 marks[] lonly
     v2 local[1]
       v3 bound@pos[2] local[@2 2]
-        v4
+        v4 sweep[count]
           v5 bound@pos[4] check[2] check[3]
 `},
 		// Vertex-induced, every pair of levels is connected or disconnected by
@@ -582,7 +585,7 @@ v0 marks[] lonly universe[]
 		{"4-motifs, vertex-induced", motifs, Options{}, `
 v0 marks[] universe[]
   v1 marks[]
-    v2 bound@pos[1] local[!1]
+    v2 bound@pos[1] local[!1] sweep[count]
       v3 bound@pos[2] local[@2 !2]
     v2 sweep[scan]
       v3 never[0] never[1]
@@ -590,7 +593,7 @@ v0 marks[] universe[]
       v3 local[!1 !2] never[1] never[2]
       v3
   v1 marks[<v0]
-    v2 bound@pos[1] sweep[scan]
+    v2 bound@pos[1] sweep[count]
       v3
     v2 local[1] sweep[local]
       v3 bound@pos[2] local[@2 2]

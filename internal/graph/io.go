@@ -356,8 +356,11 @@ func SaveBinary(path string, g *Graph) error {
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return WriteBinary(f, g)
+	err = WriteBinary(f, g)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // LoadBinary reads the binary CSR format from a file.

@@ -3,6 +3,7 @@ package graph
 import (
 	"bytes"
 	"encoding/binary"
+	"os"
 	"strings"
 	"testing"
 )
@@ -68,6 +69,19 @@ func TestWriteBinaryPageAlignedHeader(t *testing.T) {
 	}
 	if int64(le.Uint64(b[binHeaderSize:])) != 0 {
 		t.Fatalf("Row[0] not at offset %d", binHeaderSize)
+	}
+}
+
+// TestSaveBinaryReportsWriteError: a file that takes no bytes makes SaveBinary
+// fail, not return nil with the graph lost. /dev/full refuses every write with
+// ENOSPC; a failing Close, the other error SaveBinary returns, cannot be forced on
+// a local filesystem.
+func TestSaveBinaryReportsWriteError(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full here")
+	}
+	if err := SaveBinary("/dev/full", MustFromEdges(4, []Edge{{0, 1}, {1, 2}, {2, 3}})); err == nil {
+		t.Fatal("SaveBinary to /dev/full returned nil")
 	}
 }
 

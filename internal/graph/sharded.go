@@ -245,9 +245,6 @@ func (s *Sharded) ShardOf(v VID) int {
 	return sort.Search(len(s.shards), func(i int) bool { return s.cuts[i+1] > v })
 }
 
-// Extents returns the manifest's shard ranges (for reporting).
-func (s *Sharded) Extents() []ShardExtent { return s.man.Shards }
-
 // NumVertices returns |V|.
 func (s *Sharded) NumVertices() int { return s.man.Vertices }
 

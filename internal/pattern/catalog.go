@@ -73,9 +73,6 @@ func House() *Pattern {
 // FourCycle returns C_4.
 func FourCycle() *Pattern { return KCycle(4) }
 
-// FiveClique returns K_5.
-func FiveClique() *Pattern { return KClique(5) }
-
 // ByName resolves a pattern from its catalog name; it understands the fixed
 // names above plus "k-clique", "k-cycle", "k-path", "k-star" forms such as
 // "6-clique".

@@ -228,9 +228,6 @@ type Plan struct {
 // Less reports whether the symmetry order proves emb[a] < emb[b].
 func (p *Plan) Less(a, b int) bool { return p.less[a][b] }
 
-// SinglePattern reports whether the plan mines exactly one pattern.
-func (p *Plan) SinglePattern() bool { return len(p.Patterns) == 1 }
-
 // Chain returns the ops of a single-pattern plan as a flat slice, or nil if
 // the plan branches.
 func (p *Plan) Chain() []VertexOp {
