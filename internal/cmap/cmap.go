@@ -13,6 +13,7 @@ package cmap
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/setops"
@@ -190,17 +191,18 @@ func (m *HashMap) TryInsertLevel(adj []graph.VID, depth int, bound graph.VID) bo
 			// Estimation said it fits but the table is full (can only
 			// happen with threshold ≥ 1 in stress tests): undo exactly
 			// the keys inserted so far.
+			m.stats.Inserts += int64(i)
 			m.removeKeys(filtered[:i], bit)
 			m.stats.Overflows++
 			return false
 		}
-		if m.vals[slot] == 0 {
-			m.keys[slot] = w
-			m.occupied++
-		}
+		// The probed slot is empty or already holds w, so storing w is
+		// right either way, and only an empty slot adds to the occupancy.
+		m.occupied += b2i(m.vals[slot] == 0)
+		m.keys[slot] = w
 		m.vals[slot] |= bit
-		m.stats.Inserts++
 	}
+	m.stats.Inserts += int64(len(filtered))
 	return true
 }
 
@@ -213,14 +215,16 @@ func (m *HashMap) RemoveLevel(adj []graph.VID, depth int, bound graph.VID) {
 func (m *HashMap) removeKeys(keys []graph.VID, bit Bits) {
 	for _, w := range keys {
 		slot := m.findForDelete(w)
-		if slot < 0 || m.vals[slot]&bit == 0 {
+		if slot < 0 {
 			continue
 		}
-		m.vals[slot] &^= bit
-		m.stats.Removes++
-		if m.vals[slot] == 0 {
-			m.occupied--
-		}
+		// A live entry without this depth's bit stays as it is: it neither
+		// counts as a removal nor drops to zero.
+		b := m.vals[slot]
+		m.stats.Removes += int64(b2i(b&bit != 0))
+		b &^= bit
+		m.vals[slot] = b
+		m.occupied -= b2i(b == 0)
 	}
 }
 
@@ -280,14 +284,20 @@ func (m *HashMap) Lookup(key graph.VID) Bits {
 
 // Filter implements Map. Almost every query ends at its home slot (empty, or
 // holding the key) in one probe step, so that case is decided inline and only
-// a collision walks the chain.
+// a collision walks the chain. Like setops.MaskScan, the loop decides by
+// arithmetic, not by branch: it stores every key and advances the write
+// position and the hit count by flags computed as integers, and whether the
+// home slot is live folds into the one collision test. (b&need)^need is the
+// need bits b lacks, so a key survives when neither that nor b&avoid has a bit.
 func (m *HashMap) Filter(dst, keys []graph.VID, need, avoid Bits) ([]graph.VID, int64) {
 	n := len(m.keys)
+	w := len(dst)
+	dst = slices.Grow(dst, len(keys))[:w+len(keys)]
 	var hits, cycles int64
 	for _, key := range keys {
 		slot := hash(key, n)
 		b, steps := m.vals[slot], int64(1)
-		if b != 0 && m.keys[slot] != key {
+		if b2i(b != 0)&b2i(m.keys[slot] != key) != 0 {
 			if slot, steps = m.findExisting(key); slot < 0 {
 				b = 0
 			} else {
@@ -295,17 +305,31 @@ func (m *HashMap) Filter(dst, keys []graph.VID, need, avoid Bits) ([]graph.VID, 
 			}
 		}
 		cycles += steps
-		if b != 0 {
-			hits++
-		}
-		if b&need == need && b&avoid == 0 {
-			dst = append(dst, key)
-		}
+		hits += live(b)
+		dst[w] = key
+		w += b2i(b&need^need|b&avoid == 0)
 	}
 	m.stats.Lookups += int64(len(keys))
 	m.stats.Hits += hits
 	m.stats.Probes += cycles
-	return dst, cycles
+	return dst[:w], cycles
+}
+
+// live is 1 when b is non-zero and 0 otherwise, by arithmetic: b | -b has
+// its top bit set exactly when b has any bit set.
+func live(b Bits) int64 {
+	x := uint32(b)
+	return int64((x | -x) >> 31)
+}
+
+// b2i is 1 for true and 0 for false; the compiler lowers it to a flag set,
+// not a branch.
+func b2i(c bool) int {
+	var i int
+	if c {
+		i = 1
+	}
+	return i
 }
 
 // Reset invalidates all entries ("when a task is completed, all entries in
@@ -360,22 +384,21 @@ func (v *Vector) Lookup(key graph.VID) Bits {
 	return b
 }
 
-// Filter implements Map; a vector access probes nothing, so each key costs
-// the one access cycle.
+// Filter implements Map with HashMap.Filter's loop; a vector access probes
+// nothing, so each key costs the one access cycle.
 func (v *Vector) Filter(dst, keys []graph.VID, need, avoid Bits) ([]graph.VID, int64) {
+	w := len(dst)
+	dst = slices.Grow(dst, len(keys))[:w+len(keys)]
 	var hits int64
 	for _, key := range keys {
 		b := v.vals[key]
-		if b != 0 {
-			hits++
-		}
-		if b&need == need && b&avoid == 0 {
-			dst = append(dst, key)
-		}
+		hits += live(b)
+		dst[w] = key
+		w += b2i(b&need^need|b&avoid == 0)
 	}
 	v.stats.Lookups += int64(len(keys))
 	v.stats.Hits += hits
-	return dst, int64(len(keys))
+	return dst[:w], int64(len(keys))
 }
 
 // Stats implements Map.

@@ -99,7 +99,8 @@ func checkFilter(t *testing.T, name string, m Map, keys []graph.VID, need, avoid
 // filterScript drives a HashMap of the given geometry and a Vector through one
 // seeded sequence of level inserts and removals — mostly in stack order, now
 // and then a lower level first, which leaves holes inside probe chains — and
-// checks Filter against lookups on both after every step. With full set the
+// checks Filter against lookups on both after every step, and the hash map's
+// Occupancy against the live slots it holds. With full set the
 // hash map's occupancy threshold is lifted past its capacity, so the table
 // fills, chains wrap, a walk can go all the way round, and an insert can run
 // out of slots mid-list and undo itself.
@@ -154,6 +155,15 @@ func filterScript(t *testing.T, seed int64, entries, banks int, full bool, cov *
 			}
 			stack = append(stack, l)
 		}
+		held := 0
+		for _, b := range hm.vals {
+			if b != 0 {
+				held++
+			}
+		}
+		if hm.Occupancy() != held {
+			t.Fatalf("step %d: Occupancy() = %d; the table holds %d live entries", step, hm.Occupancy(), held)
+		}
 		if hm.Occupancy() == hm.Capacity() {
 			cov.full++
 		}
@@ -198,4 +208,44 @@ func FuzzFilter(f *testing.F) {
 		var cov filterCoverage
 		filterScript(t, seed, 1+int(entries%64), 1+int(banks%9), full, &cov)
 	})
+}
+
+// filterSink keeps BenchmarkFilter's survivors live.
+var filterSink []graph.VID
+
+// BenchmarkFilter is the pruner's per-layer number, in ns per filtered key: the
+// default geometry (8 kB, 4 banks: 1,638 entries) holding one 300-key level,
+// queried in turn with 16 lists of 1,500 keys drawn from five times the level's
+// ID range, so about one key in five hits — the simulator's SL-4cycle ratio —
+// and no branch predictor learns the lists.
+func BenchmarkFilter(b *testing.B) {
+	const level, spread, n, lists = 300, 5, 1500, 16
+	m := NewHashMapBytes(8<<10, 4)
+	adj := make([]graph.VID, level)
+	for i := range adj {
+		adj[i] = graph.VID(spread * i)
+	}
+	if !m.TryInsertLevel(adj, 1, NoBound) {
+		b.Fatal("level rejected")
+	}
+	r := rand.New(rand.NewSource(1))
+	keys := make([][]graph.VID, lists)
+	for i := range keys {
+		keys[i] = make([]graph.VID, n)
+		for j := range keys[i] {
+			keys[i][j] = graph.VID(r.Intn(spread * level))
+		}
+	}
+	dst := make([]graph.VID, 0, n)
+	s0 := m.Stats()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		filterSink, _ = m.Filter(dst[:0], keys[i%lists], 1<<1, 0)
+	}
+	b.StopTimer()
+	s := statsDelta(m.Stats(), s0)
+	if hit := float64(s.Hits) / float64(s.Lookups); hit < 0.15 || hit > 0.25 {
+		b.Fatalf("hit ratio %.2f; the benchmark wants about 0.2", hit)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/key")
 }

@@ -154,6 +154,8 @@ func (c Config) validate() error {
 		return errf("DRAMChannels=%d", c.DRAMChannels)
 	case c.CMapBytes < 0:
 		return errf("CMapBytes=%d", c.CMapBytes)
+	case c.CMapBytes > 0 && !c.CMapUnlimited && c.CMapBanks < 1:
+		return errf("CMapBanks=%d with a %dB hash c-map", c.CMapBanks, c.CMapBytes)
 	}
 	return nil
 }

@@ -1,8 +1,12 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 
+	"repro/internal/graph"
+	"repro/internal/pattern"
+	"repro/internal/plan"
 	"repro/internal/sched"
 )
 
@@ -23,6 +27,35 @@ func TestConfigValidation(t *testing.T) {
 	for i, c := range bad {
 		if err := c.validate(); err == nil {
 			t.Errorf("bad config %d accepted", i)
+		}
+	}
+}
+
+// TestZeroCMapBanks: a hash c-map needs at least one bank, so Simulate refuses
+// CMapBanks 0 with a config error instead of panicking in cmap.NewHashMap; a
+// configuration without a hash c-map — none at all, or the unlimited vector —
+// never reads the bank count and still runs.
+func TestZeroCMapBanks(t *testing.T) {
+	g := graph.ErdosRenyi(60, 200, 3)
+	pl, err := plan.Compile(pattern.Triangle(), plan.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	noBanks := DefaultConfig().WithPEs(2)
+	noBanks.CMapBanks = 0
+	if _, err := Simulate(g, pl, noBanks); err == nil || !strings.Contains(err.Error(), "sim: bad config: CMapBanks=0") {
+		t.Errorf("hash c-map with 0 banks: err = %v; want a CMapBanks config error", err)
+	}
+	want, err := Simulate(g, pl, DefaultConfig().WithPEs(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range []Config{noBanks.WithCMapBytes(0), noBanks.WithUnlimitedCMap()} {
+		got, err := Simulate(g, pl, cfg)
+		if err != nil {
+			t.Errorf("0 banks, cmap=%d unlimited=%v: %v", cfg.CMapBytes, cfg.CMapUnlimited, err)
+		} else if got.Count() != want.Count() {
+			t.Errorf("0 banks, cmap=%d unlimited=%v: %d triangles, want %d", cfg.CMapBytes, cfg.CMapUnlimited, got.Count(), want.Count())
 		}
 	}
 }

@@ -220,14 +220,15 @@ func (p *pe) cmapInsert(op *plan.VertexOp, depth int, v graph.VID) bool {
 	if p.cm == nil || !op.InsertCMap {
 		return false
 	}
-	bound := p.cmapBoundVal(op)
+	// One bound search serves the insert and the stream: the map gets the
+	// bounded prefix with no bound of its own.
+	prefix := setops.Bounded(p.sim.g.Adj(v), p.cmapBoundVal(op))
 	before := p.cm.Stats()
-	ok := p.cm.TryInsertLevel(p.sim.g.Adj(v), depth, bound)
+	ok := p.cm.TryInsertLevel(prefix, depth, cmap.NoBound)
 	p.cmLevelOK[depth] = ok
 	after := p.cm.Stats()
 	if ok {
 		// Stream the (bounded) neighbor list; degree was known from Row.
-		prefix := setops.Bounded(p.sim.g.Adj(v), bound)
 		p.stream(p.sim.am.colAddr(p.sim.g.AdjStart(v)), int64(len(prefix))*4, false)
 		p.chargeCMap(before, after)
 	} else {
