@@ -166,10 +166,16 @@ func TestWorkProxyGates(t *testing.T) {
 				return a["cpu.aux_built"] > 0 && a["cpu.aux_reused"] > a["cpu.aux_built"] && m["cpu.aux_built"] == 0
 			}},
 		}},
+		// Before the square side was gathered from counters kept per v0, each edge
+		// scanned the row of every neighbour of v0: 8,619,457 dense accesses here at
+		// the parent of decision 27 (8,606,623 on one thread), 4,963,833 after it.
 		{"SL-house", options{graphPath: sym, app: "SL-house"}, []gate{
 			searchFree,
 			{"the roof is a factor: one closed form per edge, a quarter of the extensions (decision 23)", func(a, m counters) bool {
 				return a["cpu.closed_forms"] > 0 && m["cpu.closed_forms"] == 0 && 4*a["cpu.extensions"] < m["cpu.extensions"]
+			}},
+			{"the square side is hoisted: dense accesses under two thirds of the parent's (decision 27)", func(a, _ counters) bool {
+				return 3*a["cpu.bitmap_probes"] < 2*8_619_457
 			}},
 		}},
 		{"tailed-triangle", options{graphPath: sym, patName: "tailed-triangle"}, []gate{searchFree, scansStop(6036)}},

@@ -544,6 +544,9 @@ func (s *suite) check(k key, vs []vec, mutate func(*program) bool) (fails []stri
 		fire("swept scans", rs.BitmapProbes > 0 && has(func(n *node) bool { return n.sweep == sweepScan }))
 		fire("swept local rows", rs.LocalRows > 0 && has(func(n *node) bool { return n.sweep == sweepLocal }))
 		fire("swept weighed leaves", rs.ClosedForms > 0 && has(func(n *node) bool { return n.sweep == sweepWeighed }))
+		hoisted := func(kind sweepKind) bool { return has(func(n *node) bool { return n.hoist != nil && n.sweep == kind }) }
+		fire("hoisted weighed sweeps", rs.ClosedForms > 0 && hoisted(sweepWeighed))
+		fire("hoisted count sweeps", rs.ClosedForms > 0 && hoisted(sweepCount))
 		counted := func(f func(c *node) bool) bool {
 			return rs.LeafCountsSkippedMaterialize > 0 && has(func(n *node) bool { return n.sweep == sweepCount && f(n.children[0]) })
 		}
@@ -669,6 +672,7 @@ func TestDifferential(t *testing.T) {
 	mechanisms := []string{"closed form", "factor", "far corner", "local rows, cap4=false", "local rows, cap4=true",
 		"swept scans", "swept local rows", "swept weighed leaves", "swept count leaves", "swept count leaves with a suspect",
 		"swept count leaves of an aux consumer", "swept local kind off the rows", "sweep off", "weighed sweep off",
+		"hoisted weighed sweeps", "hoisted count sweeps",
 		"bounded scans stopped at their bound",
 		"c-map mark", "aux reuse", "hub slices", "simulator", "Stats compared across threads",
 		"Stats compared across stores", "Stats compared with tracing on and off"}
@@ -989,6 +993,36 @@ func TestDifferentialKillsMutants(t *testing.T) {
 				return false
 			}
 			n.children[0].fac.minus.cmap.scan = []chainOp{{need: 1 << (cmLevels - 1)}}
+			return true
+		}},
+		// A hoisted sweep (decision 27) gathers from counters its owner's vertex owns;
+		// pointed at an owner that never descends, they outlive that vertex.
+		{"a hoisted sweep's counters carried over to its owner's next vertex", true, func(n *node, _ *program) bool {
+			if n.hoist == nil {
+				return false
+			}
+			n.hoist = &node{depth: n.hoist.depth}
+			return true
+		}},
+		// The counters cover the owner's whole row; the list's NotEqual ancestors are
+		// what the rows outside the list take out again.
+		{"a hoisted sweep's NotEqual ancestor not taken out", true, func(n *node, _ *program) bool {
+			if n.hoist == nil || len(n.op.NotEqual) == 0 {
+				return false
+			}
+			op := *n.op
+			op.NotEqual = nil
+			n.op = &op
+			return true
+		}},
+		// The hoisted weighed sum takes B out for every candidate, also where the
+		// weighted product is 0 — right only because B ⊆ A. With A counting nothing
+		// and B left as it is, that no longer holds.
+		{"B subtracted where the weighted product is 0", true, func(n *node, _ *program) bool {
+			if n.hoist == nil || n.sweep != sweepWeighed {
+				return false
+			}
+			n.children[0].cmap.scan = []chainOp{{need: 1 << (cmLevels - 1)}}
 			return true
 		}},
 		{"a factor's membership searched", false, func(n *node, _ *program) bool {

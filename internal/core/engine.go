@@ -102,14 +102,16 @@ func (o Options) withDefaults() Options {
 // probes, mark/unmark writes, distinctness probes — a fused scan of one row under
 // two masks charges each mask it answers, as two scans would) and local-row accesses
 // (position-map writes and lookups, row-build probes, row words read) and
-// far-side counter accesses (increments and resets, decision 24), and
+// far-side counter accesses (increments and resets, decision 24; a hoisted sweep's
+// too, and one read per element it gathers, decision 27), and
 // Searches the binary searches none of them sees (DESIGN.md decision 20).
 // Counts and Candidates are the invariants across kernel policies — every
 // policy walks the same tree; the kernel counters are not, nor are
 // FrontierReuses and Searches — under KernelAuto they fall where a c-map scan or
 // a local row replaces a frontier+residual operation, or a probe, a row limit or
 // a scan that stops at its bound a search — nor Extensions, the work proxy that falls by what ClosedForms
-// counted instead of extending (DESIGN.md decisions 22 to 24).
+// counted instead of extending (DESIGN.md decisions 22 to 24, and 27: a gathering hoisted
+// sweep extends none of its candidates and is one closed form, its leaf one count per list).
 type Stats struct {
 	Tasks           int64 // scheduled tasks executed (sub-tasks when slicing)
 	Extensions      int64 // vertices pushed onto ancestor stacks
@@ -118,7 +120,7 @@ type Stats struct {
 	GallopProbes    int64 // galloping-kernel element comparisons
 	BitmapProbes    int64 // dense-structure accesses: the c-map's, the local rows' (local.go) and the far-side counters'
 	LocalRows       int64 // local bit rows built
-	ClosedForms     int64 // nodes counted instead of extended: closed forms, factor lists and far-side sweeps (prog.go, closedForms, factorNodes, farSides)
+	ClosedForms     int64 // nodes counted instead of extended: closed forms, factor lists, far-side and hoisted sweeps (prog.go, closedForms, factorNodes, farSides, hoistSweeps)
 	FrontierReuses  int64 // candidate lists built from a memoized frontier
 	Searches        int64 // binary searches: finite-bound prefixes no scan ends itself, positions, memberships
 
@@ -377,9 +379,16 @@ type worker struct {
 
 	loc localState // local rows (local.go); untouched unless the program has a local node
 
-	// far[x] counts, during one far-side sweep, the vertices of the swept list that
-	// x is adjacent to; all-zero between sweeps, nil until the first.
-	far []uint32
+	// far[x] counts the vertices of a list that x is adjacent to: of the list of one
+	// far-side sweep while it runs, or of hrows, the row of owner hown's vertex, for
+	// the hoisted sweeps below hown until it descends again (hown nil: stale; hbuilt
+	// unset: one sweep ran under it, none built). The counts of hrows are zeroed by
+	// the next build or far-side sweep, so the two share the array (DESIGN.md
+	// decision 27); nil until either runs.
+	far    []uint32
+	hown   *node
+	hbuilt bool
+	hrows  []graph.VID
 }
 
 // cancelPollPeriod spaces the cancellation polls (a power of two): frequent
@@ -503,6 +512,10 @@ func (w *worker) walk(n *node) {
 		w.farSide(n, cands)
 	}
 	if len(n.children) == 0 { // they were its twins, all of them
+		return
+	}
+	if n.hoist != nil && len(cands) > 0 && w.hoistReady(n) {
+		w.hoistSweep(n, cands)
 		return
 	}
 	switch {
@@ -700,7 +713,7 @@ func (w *worker) sliceHead(n *node) []graph.VID {
 }
 
 // farSide counts the twin levels that started from a's list (prog.go, farSides)
-// from their far corner f: Σ C(far[x], t) over the x that f's op admits, far[x]
+// from their far corner f: Σ C(far[x], t) over the x below f's bound, far[x]
 // being how many vertices of the list x is adjacent to. The sum grows by
 // C(k, t−1) with every increment k → k+1, so one sweep suffices and a hub slice
 // [lo, hi) is the sweep of the whole [0, hi) less what it had reached at lo.
@@ -716,6 +729,7 @@ func (w *worker) farSide(a *node, list []graph.VID) {
 	if hi < int64(f.twins) {
 		return
 	}
+	w.hoistFlush()
 	if w.far == nil {
 		w.far = make([]uint32, w.g.NumVertices())
 	}
@@ -746,14 +760,10 @@ func (w *worker) farSide(a *node, list []graph.VID) {
 }
 
 // farSweep adds the rows of us below bound into the counters and returns what the
-// sum grew by at the vertices f's chain admits. It charges Stats.BitmapProbes two
-// accesses a counter — this one and the reset — and the chain's probe.
+// sum grew by. It charges Stats.BitmapProbes two accesses a counter — this one and
+// the reset.
 func (w *worker) farSweep(f *node, us []graph.VID, bound graph.VID) (sum int64) {
-	far, t, masked, per := w.far, f.twins, f.cmap.scan != nil, int64(2)
-	var m chainOp
-	if masked {
-		m, per = f.cmap.scan[0], 3
-	}
+	far, t := w.far, f.twins
 	for _, u := range us {
 		if w.cancelled() {
 			break
@@ -763,31 +773,163 @@ func (w *worker) farSweep(f *node, us []graph.VID, bound graph.VID) (sum int64) 
 			x := row[i]
 			k := far[x]
 			far[x] = k + 1
-			switch {
-			case masked && w.cm[x]&(m.need|m.avoid) != m.need:
-			case t == 2:
+			if t == 2 {
 				sum += int64(k)
-			default:
+			} else {
 				c, _ := choose(int64(k), t-1)
 				sum += c
 			}
 		}
-		w.stats.BitmapProbes += per * int64(i)
+		w.stats.BitmapProbes += 2 * int64(i)
 	}
 	return sum
 }
 
 // farOut is what the sum holds, at this point of a sweep, for the NotEqual
-// ancestors that f's bound and chain admit: no candidates, so taken out again.
+// ancestors that f's bound admits: no candidates, so taken out again.
 func (w *worker) farOut(f *node, bound graph.VID) (sum int64) {
 	for _, j := range f.op.NotEqual {
-		if y := w.emb[j]; y < bound && (f.cmap.scan == nil || w.holds(f.cmap.scan[0], y)) {
+		if y := w.emb[j]; y < bound {
 			c, _ := choose(int64(w.far[y]), f.twins)
 			sum += c
 		}
 	}
 	w.stats.BitmapProbes += int64(len(f.op.NotEqual))
 	return sum
+}
+
+// hoistSweep counts the only child c of a node hoistSweeps gave an owner over
+// its list, as sweep or sweepCount would: Σ over the list of c's masked scan of
+// each candidate's row, less c's certain ancestors once per candidate. Stats get
+// one closed form and one leaf for the whole list, nothing per candidate.
+func (w *worker) hoistSweep(n *node, cands []graph.VID) {
+	c := n.children[0]
+	if w.cancelled() {
+		return
+	}
+	m := c.cmap.scan[0]
+	a, _ := w.hoisted(n, cands, m, m, 1)
+	cnt := a - int64(len(c.proof.certain)*len(cands))
+	w.stats.ClosedForms++
+	w.stats.LeafCountsSkippedMaterialize++
+	w.stats.Candidates += cnt
+	w.counts[c.patternIdx] += cnt
+}
+
+// hoistWeighed is sweepWeighed for a node hoistSweeps gave an owner. With A and B
+// the masked scans of a candidate's row for its leaf c and c's B, less their certain
+// ancestors, and F the factor's list, the loop counts
+// Σ_v left(v)·A(v) − B(v) = wt·ΣA − Σ_{v ∈ F} A(v) − ΣB: B is taken unguarded, as
+// B ⊆ A and left(v) = 0 only where v is all that F has left, v ∉ adj(v). The
+// membership probes and the weights emitted are sweepWeighed's, per candidate; the
+// two sums are one gather, charged one closed form and two leaves.
+func (w *worker) hoistWeighed(n *node, cands []graph.VID, bound graph.VID) {
+	f, c, wt := n.fac, n.children[0], w.weight
+	b := c.fac.minus
+	ma, mb := c.cmap.scan[0], b.cmap.scan[0]
+	ca, cb, k := int64(len(c.proof.certain)), int64(len(b.proof.certain)), int64(len(cands))
+	var emitted, inF, probes, cnt int64
+	for _, v := range cands {
+		left := wt
+		if w.inFactor(f, v, bound) {
+			left--
+			row := w.g.Adj(v)
+			inF += setops.MaskCount(row, w.cm, ma.need, ma.avoid) - ca
+			probes += int64(len(row))
+		}
+		emitted += left
+	}
+	if !w.cancelled() {
+		sa, sb := w.hoisted(n, cands, ma, mb, 2)
+		cnt = mulDiv(sa-ca*k, wt, 1) - inF - (sb - cb*k)
+		w.stats.ClosedForms++
+		w.stats.LeafCountsSkippedMaterialize += 2
+	}
+	w.stats.BitmapProbes += probes
+	w.stats.Candidates += emitted + cnt
+	w.counts[c.patternIdx] += cnt
+}
+
+// hoisted returns Σ over list of the rows' counts under masks a and b — list being
+// n's candidates, R less the NotEqual ancestors materialize dropped, R the row of
+// n's owner's vertex: the counters hoistReady built for R, gathered over the
+// shortest row a needs, less the rows of the dropped ancestors.
+// masks is how many of the two the caller reads; each answered mask is one dense
+// access an element, as is a counter read.
+func (w *worker) hoisted(n *node, list []graph.VID, a, b chainOp, masks int64) (sa, sb int64) {
+	row := w.g.Adj(w.emb[n.hoist.depth])
+	var g []graph.VID
+	for ls := a.need; ls != 0; ls &= ls - 1 {
+		if r := w.cmRows[bits.TrailingZeros8(ls)]; g == nil || len(r) < len(g) {
+			g = r
+		}
+	}
+	sa, sb = setops.MaskSumPair(g, w.cm, w.far, a.need, a.avoid, b.need, b.avoid)
+	probes := int64(len(g)) * (masks + 1)
+	for i, j, dropped := 0, 0, len(row)-len(list); dropped > 0; j++ {
+		if i < len(list) && list[i] == row[j] {
+			i++
+			continue
+		}
+		r := w.g.Adj(row[j])
+		x, y := setops.MaskCountPair(r, w.cm, a.need, a.avoid, b.need, b.avoid)
+		sa, sb, dropped = sa-x, sb-y, dropped-1
+		probes += int64(len(r)) * masks
+	}
+	w.stats.BitmapProbes += probes
+	return sa, sb
+}
+
+// hoistBuild zeroes what the counters held and files the rows of R into them for
+// own's vertex, two dense accesses a counter (the increment and its reset). It
+// polls for cancellation per row and reports whether it got through: the counters
+// are own's (hbuilt) only once every row is in, and hrows names the rows to zero
+// before any is — a build cut short, by a cancellation or a panicking store, is
+// zeroed whole by the next.
+func (w *worker) hoistBuild(own *node, row []graph.VID) bool {
+	w.hoistFlush()
+	if w.far == nil {
+		w.far = make([]uint32, w.g.NumVertices())
+	}
+	w.hrows = row
+	for _, v := range row {
+		if w.cancelled() {
+			return false
+		}
+		r := w.g.Adj(v)
+		for _, x := range r {
+			w.far[x]++
+		}
+		w.stats.BitmapProbes += 2 * int64(len(r))
+	}
+	w.hown, w.hbuilt = own, true
+	return true
+}
+
+// hoistReady reports whether n's sweep gathers: the first sweep under its owner's
+// vertex runs its kind's loop and only notes the owner — an owner that sweeps once
+// pays nothing for the counters —, the second builds them.
+func (w *worker) hoistReady(n *node) bool {
+	own := n.hoist
+	switch {
+	case w.hown != own:
+		w.hown, w.hbuilt = own, false
+		return false
+	case w.hbuilt:
+		return true
+	}
+	return w.hoistBuild(own, w.g.Adj(w.emb[own.depth]))
+}
+
+// hoistFlush zeroes the counters of hrows by a second sweep over the same rows.
+func (w *worker) hoistFlush() {
+	w.hown = nil
+	for _, v := range w.hrows {
+		for _, x := range w.g.Adj(v) {
+			w.far[x] = 0
+		}
+	}
+	w.hrows = nil
 }
 
 // weighted is walk at and below a factor node (prog.go, factorNodes). The factor
@@ -818,6 +960,10 @@ func (w *worker) weighted(n *node) {
 		return
 	}
 	bound := w.bound(f.at)
+	if n.hoist != nil && len(cands) > 0 && w.hoistReady(n) {
+		w.hoistWeighed(n, cands, bound)
+		return
+	}
 	if n.sweep == sweepWeighed {
 		w.sweepWeighed(n, cands, bound)
 		return
@@ -850,8 +996,12 @@ func (w *worker) inFactor(f *factor, v, bound graph.VID) bool {
 // descend explores the subtree below n's freshly fixed vertex. An aux
 // activation or a c-map mark the node does not carry costs one flag test, no
 // call; both are undone on the way back on every path, cancellation included.
+// Counters n owns for hoisted sweeps go stale here: they were for its last vertex.
 func (w *worker) descend(n *node) {
 	w.stats.Extensions++
+	if w.hown == n { // a new vertex: the counters hoisted sweeps gather from are stale
+		w.hown = nil
+	}
 	if n.builds != nil {
 		w.auxActivate(n)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -117,5 +118,53 @@ func TestSweepStopsLikeTheWalk(t *testing.T) {
 		if !swept.stopped || swept.stats != walked.stats || !slices.Equal(swept.counts, walked.counts) {
 			t.Errorf("%s (cap4 %v): stopped %v with %v and %+v; without the sweep %v and %+v", pl.Patterns[0].Name(), l.capped, swept.stopped, swept.counts, swept.stats, walked.counts, walked.stats)
 		}
+	}
+}
+
+// TestNewEngineRejectsPairings: NewEngine refuses a plan that does not validate,
+// a DAG plan on a symmetric store and a symmetric plan on a DAG, each with an
+// error that names the fault, and pairs each plan with the store it wants.
+func TestNewEngineRejectsPairings(t *testing.T) {
+	sym := graph.ErdosRenyi(20, 40, 1)
+	dagPlan, err := plan.CompileCliqueDAG(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	symPlan := mustCompile(t, pattern.Triangle(), plan.Options{})
+	for _, c := range []struct {
+		name string
+		g    graph.Store
+		pl   *plan.Plan
+		want string
+	}{
+		{"no root", sym, &plan.Plan{Patterns: symPlan.Patterns}, "nil root"},
+		{"DAG plan, symmetric store", sym, dagPlan, "requires an oriented DAG"},
+		{"symmetric plan, DAG store", sym.Orient(), symPlan, "requires a symmetric graph"},
+	} {
+		if _, err := NewEngine(c.g, c.pl, Options{}); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: NewEngine returned %v; want an error containing %q", c.name, err, c.want)
+		}
+	}
+	if _, err := NewEngine(sym.Orient(), dagPlan, Options{}); err != nil {
+		t.Errorf("DAG plan on a DAG: %v", err)
+	}
+	if _, err := NewEngine(sym, symPlan, Options{}); err != nil {
+		t.Errorf("symmetric plan on a symmetric store: %v", err)
+	}
+}
+
+// TestParseKernelPolicy: every spelling the CLI and the job service accept, and
+// the error and String of the rest.
+func TestParseKernelPolicy(t *testing.T) {
+	for s, want := range map[string]KernelPolicy{"": KernelAuto, "auto": KernelAuto, "merge": KernelMergeOnly, "merge-only": KernelMergeOnly} {
+		if got, err := ParseKernelPolicy(s); err != nil || got != want {
+			t.Errorf("ParseKernelPolicy(%q) = %v, %v; want %v", s, got, err, want)
+		}
+	}
+	if _, err := ParseKernelPolicy("bitmap"); err == nil || !strings.Contains(err.Error(), `"bitmap"`) {
+		t.Errorf("ParseKernelPolicy(\"bitmap\") error %v; want one naming the spelling", err)
+	}
+	if s := KernelPolicy(7).String(); s != "KernelPolicy(7)" {
+		t.Errorf("KernelPolicy(7).String() = %q", s)
 	}
 }

@@ -118,3 +118,97 @@ func TestFarSideScratch(t *testing.T) {
 		}
 	}
 }
+
+// TestHoistScratch: the counters hoisted sweeps gather from (decision 27) are
+// either whole for the row they name or zeroed by the next build, whatever cuts a
+// task short. House on K₁₂, one task faulted at each of its adjacency reads in
+// turn: after a cancellation, counters the worker still calls its owner's hold
+// exactly that row's counts, and the tasks it runs next count what a fresh worker
+// counts; after a store panic, the same holds before the flush, and the flush
+// leaves every counter zero. Some fault must land inside a build. Last, a far-side
+// sweep on a worker that holds such counters counts what a fresh worker does.
+func TestHoistScratch(t *testing.T) {
+	g := graph.Clique(12)
+	o := Options{Threads: 1}.withDefaults()
+	p := lower(g, mustCompile(t, pattern.House(), plan.Options{}), o, false)
+	tasks := sched.Expand(g, 0)
+	slices.Reverse(tasks)            // the last vertex first: house's v1 is below v0
+	whole := func(w *worker) error { // the counters are the named rows' counts
+		if w.hown == nil || !w.hbuilt {
+			return nil
+		}
+		want := make([]uint32, g.NumVertices())
+		for _, v := range w.hrows {
+			for _, x := range g.Adj(v) {
+				want[x]++
+			}
+		}
+		if !slices.Equal(w.far, want) {
+			return fmt.Errorf("counters %v for rows %v, want %v", w.far, w.hrows, want)
+		}
+		return nil
+	}
+	probe := &tripStore{Store: g, at: -1}
+	if w := newWorker(probe, p, o); !w.runTask(tasks[0]) || !w.hbuilt {
+		t.Fatal("house's first task built no counters")
+	}
+	reads, cut := probe.reads.Load(), 0
+	fresh := newWorker(g, p, o)
+	for _, task := range tasks[1:9] {
+		fresh.runTask(task)
+	}
+	for at := int64(1); at <= reads; at++ {
+		for _, fault := range []string{"cancel", "panic"} {
+			done := make(chan struct{})
+			store := &tripStore{Store: g, at: at}
+			w := newWorker(store, p, o)
+			w.ctxDone = done
+			switch fault {
+			case "cancel":
+				store.trip = func() { close(done); w.cancelPoll = cancelPollPeriod - 1 }
+			case "panic":
+				store.trip = func() { panic("adjacency is corrupt") }
+			}
+			func() {
+				defer func() { recover() }()
+				w.runTask(tasks[0])
+			}()
+			if err := whole(w); err != nil {
+				t.Fatalf("%s at read %d: %v", fault, at, err)
+			}
+			if w.hrows != nil && w.hown == nil {
+				cut++
+			}
+			if fault == "panic" { // the c-map may hold marks: only the counters are checked
+				w.hoistFlush()
+				if i := slices.IndexFunc(w.far, func(c uint32) bool { return c != 0 }); i >= 0 {
+					t.Fatalf("panic at read %d: far[%d] = %d after the flush", at, i, w.far[i])
+				}
+				continue
+			}
+			w.stopped, w.ctxDone, w.counts[0] = false, nil, 0
+			for _, task := range tasks[1:9] {
+				w.runTask(task)
+			}
+			if w.counts[0] != fresh.counts[0] {
+				t.Errorf("cancel at read %d: the tasks after it counted %d, a fresh worker %d", at, w.counts[0], fresh.counts[0])
+			}
+		}
+	}
+	if cut == 0 {
+		t.Errorf("none of the task's %d reads cut a build short", reads)
+	}
+	// Far corners share the array: a far-side sweep zeroes what a hoisted sweep
+	// left there before it counts. No catalog program has both, so the counters are
+	// planted here.
+	cyc := lower(g, mustCompile(t, pattern.FourCycle(), plan.Options{}), o, false)
+	w, clean := newWorker(g, cyc, o), newWorker(g, cyc, o)
+	w.hoistBuild(cyc.root, g.Adj(3))
+	for _, task := range tasks[:4] {
+		w.runTask(task)
+		clean.runTask(task)
+	}
+	if w.counts[0] != clean.counts[0] || w.hrows != nil {
+		t.Errorf("4-cycle tasks after a hoisted sweep's counters counted %d, a fresh worker %d", w.counts[0], clean.counts[0])
+	}
+}

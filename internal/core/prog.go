@@ -111,6 +111,7 @@ type node struct {
 
 	sweep sweepKind // sweepLeaves: on an interior node, how walk counts its only child
 	once  bool      // sweepLeaves: an operand of a swept closed form that names the swept level nowhere
+	hoist *node     // hoistSweeps: on a swept node, the ancestor whose row its list is cut from
 }
 
 // proof is NotEqual of a count-only node, split by what the plan proves (decision
@@ -195,7 +196,8 @@ type program struct {
 // localNodes because a local node is no factor, farSides after both because local
 // twins and twins below a factor stay as they are, auxNodes after all three because
 // a row goes to a consumer still standing, markLevels after every chain is final
-// because it reads them all, sweepLeaves last because it reads what each kernel got.
+// because it reads them all, sweepLeaves after it because it reads what each kernel
+// got, hoistSweeps last because it reads the sweep kinds.
 func lower(g graph.Store, pl *plan.Plan, o Options, listing bool) *program {
 	p := &program{pl: pl, closed: o.Kernel == KernelAuto && !listing}
 	p.root = p.build(pl.Root, nil, listing)
@@ -211,6 +213,7 @@ func lower(g graph.Store, pl *plan.Plan, o Options, listing bool) *program {
 		p.auxNodes(max(g.AvgDegree(), 1))
 		p.markLevels()
 		p.sweepLeaves()
+		p.hoistSweeps()
 	}
 	return p
 }
@@ -433,15 +436,16 @@ func independent(cs []*node, d int) bool {
 // parents first, and leaves far corners and a tree without the levels they stand
 // for. A node a at depth d ≥ 1 has twins where a chain of only children hangs off
 // it, each the prefix of the list above it — t levels with a's, every t-subset of
-// a's list L once — and ends in a plain count-only leaf c that is adjacent to
-// every twin and names none anywhere else: summed over the subsets, c's counts are
-// Σ_{x ∈ X} C(|adj(x) ∩ L|, t), X being what the rest of c's op — bounds, NotEqual
-// and a chain, all of levels above d, few enough for the c-map to hold — leaves of
-// V. The chain goes; a keeps the far corner, that rest as a count-only node one
-// level down — made here, not by build: there is no proof to split, its NotEqual
-// comes out of the sum —, which walk sweeps once per L (engine.go, farSide) and
-// markLevels reads like any other. Local twins and twins at or below a factor stay
-// enumerated.
+// a's list L once — and ends in a plain count-only leaf c whose sources are the
+// twins and which names none anywhere else: summed over the subsets, c's counts are
+// Σ_{x ∈ X} C(|adj(x) ∩ L|, t), X being what the rest of c's op — bounds and
+// NotEqual, of levels above d — leaves of V. The chain goes; a keeps the far
+// corner, that rest as a count-only node one level down — made here, not by build:
+// there is no proof to split, its NotEqual comes out of the sum —, which walk
+// sweeps once per L (engine.go, farSide). A c with a source or a Disconnected
+// above d — a chain on the corner — stays as it is: no connected pattern of up to
+// seven vertices has one off the local rows. Local twins and twins at or below a
+// factor stay enumerated.
 func (p *program) farSides() {
 	p.each(func(a *node, path []*node) {
 		d := a.depth
@@ -458,13 +462,12 @@ func (p *program) farSides() {
 			}
 			twin := func(l int) bool { return l >= d }
 			srcs := append([]int{c.op.Extender}, c.op.Connected...)
-			op := plan.VertexOp{Level: d + 1, Extender: d, Connected: slices.DeleteFunc(srcs, twin), Disconnected: c.op.Disconnected,
-				UpperBounds: c.op.UpperBounds, NotEqual: c.op.NotEqual, FrontierBase: plan.NoLevel, AuxBase: plan.NoLevel}
-			if len(srcs)-len(op.Connected) != t || slices.ContainsFunc(slices.Concat(op.Disconnected, op.UpperBounds, op.NotEqual), twin) {
+			if len(srcs) != t || slices.ContainsFunc(srcs, func(l int) bool { return !twin(l) }) || len(c.op.Disconnected) > 0 ||
+				slices.ContainsFunc(slices.Concat(c.op.UpperBounds, c.op.NotEqual), twin) {
 				continue
 			}
-			a.far = &node{op: &op, depth: d + 1, patternIdx: c.patternIdx, mode: leafCount,
-				adj: flatten(op.Connected, op.Disconnected), boundAt: plan.NoLevel, twins: t}
+			op := plan.VertexOp{Level: d + 1, Extender: d, UpperBounds: c.op.UpperBounds, NotEqual: c.op.NotEqual, FrontierBase: plan.NoLevel, AuxBase: plan.NoLevel}
+			a.far = &node{op: &op, depth: d + 1, patternIdx: c.patternIdx, mode: leafCount, boundAt: plan.NoLevel, twins: t}
 			a.children = slices.Delete(a.children, i, i+1)
 			return
 		}
@@ -718,6 +721,38 @@ func (p *program) sweepLeaves() {
 		default:
 			n.sweep = sweepCount
 		}
+	})
+}
+
+// hoistSweeps counts a swept last level from counters kept per vertex of an
+// ancestor (DESIGN.md decision 27). It needs the sweep kinds and leaves hoist. A
+// node n at depth d that sweeps by scan, weighed or count has as its list L the
+// row R of level o = its extender, o ≤ d−2, less its NotEqual ancestors — plain
+// adjacency, no chain, no bound —, and its only child c is a plain leaf that scans
+// the candidate's own row under one masked op with a need bit, unbounded and
+// suspect-free (below a factor, c's B too, needing what c needs). Then
+// Σ_{v ∈ L} |adj(v) ∩ S| = Σ_{x ∈ S} far[x] − Σ_{v ∈ R∖L} |adj(v) ∩ S|, S being
+// what the mask passes and far[x] = |adj(x) ∩ R|: counters that stay right while
+// level o keeps its vertex, so the sweeps below it gather instead of scan. A list
+// cut by deeper rows (a vertex-induced chain) leaves too much of R outside it.
+func (p *program) hoistSweeps() {
+	p.each(func(n *node, path []*node) {
+		d := n.depth
+		if n.sweep == noSweep || n.sweep == sweepLocal || n.src != srcAdj || n.op.Extender > d-2 || len(n.adj)+len(n.op.UpperBounds) > 0 {
+			return
+		}
+		gathers := func(t *node) bool {
+			return t.src == srcAdj && !t.local.on && t.op.Extender == d && t.cmap.scan != nil && t.cmap.scan[0].need != 0 &&
+				t.proof.suspects == nil && len(t.op.UpperBounds) == 0 && t.closed.choose < 2 && t.closed.prod == nil
+		}
+		c := n.children[0]
+		if !gathers(c) {
+			return
+		}
+		if need := c.cmap.scan[0].need; n.sweep == sweepWeighed && c.fac.minus.cmap.scan[0].need&need != need {
+			return // B's elements are not all in the rows c's gather reads
+		}
+		n.hoist = path[n.op.Extender]
 	})
 }
 

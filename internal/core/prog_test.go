@@ -195,8 +195,15 @@ func catalogPlans(t *testing.T) []*plan.Plan {
 // engine, may assume. It also counts the single patterns a pass reaches, so that
 // a pass that stops reaching one shows here and not only in the clock: the
 // three 5-vertex and twenty 6-vertex patterns with a factor (decision 23), the
-// four with a far corner (decision 24); and the nodes a sweep reaches (decision
-// 25): 283 of the 309 whose only child is count-only, 72 of the 82 closed forms.
+// four with a far corner (decision 24); the nodes a sweep reaches (decision
+// 25): 283 of the 309 whose only child is count-only, 72 of the 82 closed forms;
+// and the sweeps that hoist (decision 27): of the 42 single-pattern sweeps whose
+// list is cut, unbounded, from the row of a level above their parent's (9 scan,
+// 1 weighed, 32 count), one, house's weighed one. 21 lists are cut by deeper rows
+// too — vertex-induced chains, all 9 scans and 12 counts —, where what the gather
+// takes out again is most of the row; each of the other 20, count kinds, has a
+// leaf that fails one of the rule's tests (a suspect, a bound, an aux source,
+// another row than the candidate's).
 func TestLoweringInvariants(t *testing.T) {
 	g := graph.ErdosRenyi(40, 120, 1)
 	var sides, factors, locals, kept, fars int
@@ -205,6 +212,7 @@ func TestLoweringInvariants(t *testing.T) {
 	var reached [2][2]int // auto, counting: nodes whose only child is count-only, closed forms; how many, how many swept
 	var onceOps int       // operands of swept closed forms counted once per list
 	var bearing [2][7]int // single-pattern programs with a factor, with a far corner, by pattern size
+	var hoists [2][5]int  // single-pattern sweeps by kind: lists cut from the row of a level above the parent's, hoisted
 	for _, pl := range catalogPlans(t) {
 		for _, o := range []Options{{}, {Kernel: KernelMergeOnly}} {
 			for _, listing := range []bool{false, true} {
@@ -271,12 +279,12 @@ func TestLoweringInvariants(t *testing.T) {
 					// farSides: a far corner hangs one level below an interior node that is
 					// not under a factor, stands for two levels or more, and is a
 					// plain count-only node whose op names no level it stands for — none below
-					// the node it hangs off, whose list is the rows it sweeps.
+					// the node it hangs off, whose list is the rows it sweeps — and no chain.
 					if f := n.far; f != nil {
 						fars++
 						named := slices.Concat(f.op.Connected, f.op.Disconnected, f.op.UpperBounds, f.op.NotEqual)
 						if n.mode != interior || n.depth < 1 || n.fac != nil || f.depth != n.depth+1 || f.twins < 2 || f.op.Extender != n.depth ||
-							slices.ContainsFunc(named, func(l int) bool { return l >= n.depth }) || len(f.adj) != len(f.op.Connected)+len(f.op.Disconnected) ||
+							slices.ContainsFunc(named, func(l int) bool { return l >= n.depth }) || len(f.adj)+len(f.op.Connected)+len(f.op.Disconnected) > 0 ||
 							f.mode != leafCount || f.children != nil || f.far != nil || f.fac != nil || f.local.on || f.src != srcAdj || f.op.AuxBase != plan.NoLevel ||
 							!reflect.DeepEqual(f.closed, closed{}) || !reflect.DeepEqual(f.proof, proof{}) {
 							bad(n, "far corner %+v of %d twins", f.op, f.twins)
@@ -375,6 +383,40 @@ func TestLoweringInvariants(t *testing.T) {
 					if n.sweep != kind || n.sweep != noSweep && (o.Kernel == KernelMergeOnly || listing) {
 						bad(n, "sweep kind %d, the rule gives %d", n.sweep, kind)
 					}
+					// hoistSweeps: a scan, weighed or count sweep whose list is the row of a level
+					// o ≤ d−2 less NotEqual ancestors — plain adjacency, no chain, no bound —
+					// gathers from o's counters where its child (and the child's B) scans the
+					// candidate's row under a mask with a need bit, unbounded, suspect-free and
+					// plain; B needing all that the child needs. Every level the gather reads
+					// inserts its whole row into the c-map, so the gather finds every element.
+					var owner *node
+					row := kind != noSweep && kind != sweepLocal && n.src == srcAdj && n.op.Extender <= d-2 && len(n.op.UpperBounds) == 0
+					if row && len(n.adj) == 0 {
+						c := n.children[0]
+						gathers := func(s *node) bool {
+							return s.src == srcAdj && !s.local.on && s.op.Extender == d && len(s.cmap.scan) == 1 && s.cmap.scan[0].need != 0 &&
+								s.proof.suspects == nil && len(s.op.UpperBounds) == 0 && s.closed.choose < 2 && s.closed.prod == nil
+						}
+						if gathers(c) && (kind != sweepWeighed || c.fac.minus.cmap.scan[0].need&c.cmap.scan[0].need == c.cmap.scan[0].need) {
+							owner = path[n.op.Extender]
+						}
+					}
+					if n.hoist != owner {
+						bad(n, "hoisted to %v, the rule gives %v", n.hoist, owner)
+					}
+					if owner != nil {
+						for ls := n.children[0].cmap.scan[0].need; ls != 0; ls &= ls - 1 {
+							if l := path[bits.TrailingZeros8(ls)]; l.cmap.markBelow != 0 {
+								bad(n, "the gather reads level %d, which inserts only below %b", l.depth, l.cmap.markBelow)
+							}
+						}
+					}
+					if o.Kernel == KernelAuto && !listing && len(pl.Patterns) == 1 && row {
+						hoists[0][kind]++
+						if owner != nil {
+							hoists[1][kind]++
+						}
+					}
 					swept[n.sweep]++
 					if o.Kernel == KernelAuto && !listing {
 						if cs := n.children; n.mode == interior && len(cs) == 1 && cs[0].mode == leafCount {
@@ -425,6 +467,10 @@ func TestLoweringInvariants(t *testing.T) {
 	}
 	if reached != [2][2]int{{309, 283}, {82, 72}} {
 		t.Errorf("catalog nodes whose only child is count-only, and closed forms, each with how many sweep: %v; want 283 of 309 and 72 of 82", reached)
+	}
+	if hoists != [2][5]int{{sweepScan: 9, sweepWeighed: 1, sweepCount: 32}, {sweepWeighed: 1}} {
+		t.Errorf("single-pattern sweeps whose list is cut from the row of a level above their parent's, by kind, and how many hoist: %v; "+
+			"want 9 scan, 1 weighed, 32 count, and house's weighed one", hoists)
 	}
 	if bearing != [2][7]int{{5: 3, 6: 20}, {4: 1, 5: 1, 6: 2}} {
 		t.Errorf("catalog patterns with a factor, with a far corner, by size: %v; want 3 of 5 vertices (house, 5-motif-2, -9) and 20 of 6, "+
@@ -570,12 +616,13 @@ func BenchmarkExtension(b *testing.B) {
 // — the leaf's kernel and whatever the walk spends reaching it: TC (a c-map scan
 // per leaf) and 4-CL (a local-row AND per leaf) on an oriented RMAT graph, the
 // 4-clique (a bounded AND) on the same graph symmetric, house (a factor's leaf and
-// its B in one two-mask scan) on a smaller, denser symmetric RMAT graph, the
+// its B, hoisted: one gather per edge from counters kept per v0, each gather one
+// leaf per operand, decision 27) on a smaller, denser symmetric RMAT graph, the
 // benchmark's house shape; and the count loop: the triangle (a bounded scan), the
 // diamond (C(m, 2), m an unbounded scan) and the tailed-triangle (m·A − m, m a
 // bounded scan, A once per list) on the symmetric graph, the 5-path (a product
 // whose m has a suspect) on house's. It fails unless sweepLeaves gave each plan its kind — a bounded
-// leaf where the leg is one — and, for a local kind, tasks ran on the rows.
+// leaf where the leg is one, a hoisted sweep where it is one — and, for a local kind, tasks ran on the rows.
 func BenchmarkLeaf(b *testing.B) {
 	sym := graph.RMAT(13, 1<<16, 0.57, 0.19, 0.19, 7)
 	dag, dense := sym.Orient(), graph.RMAT(10, 8000, 0.45, 0.22, 0.22, 7)
@@ -592,15 +639,16 @@ func BenchmarkLeaf(b *testing.B) {
 		pl      *plan.Plan
 		kind    sweepKind
 		bounded bool
+		hoisted bool
 	}{
-		{"TC", dag, cliqueDAG(3), sweepScan, false},
-		{"4-CL", dag, cliqueDAG(4), sweepLocal, false},
-		{"house", dense, mustCompile(b, pattern.House(), plan.Options{}), sweepWeighed, false},
-		{"4-clique", sym, mustCompile(b, pattern.KClique(4), plan.Options{}), sweepLocal, true},
-		{"triangle", sym, mustCompile(b, pattern.Triangle(), plan.Options{}), sweepCount, true},
-		{"diamond", sym, mustCompile(b, pattern.Diamond(), plan.Options{}), sweepCount, false},
-		{"tailed-triangle", sym, mustCompile(b, pattern.TailedTriangle(), plan.Options{}), sweepCount, true},
-		{"5-path", dense, mustCompile(b, pattern.KPath(5), plan.Options{}), sweepCount, false},
+		{"TC", dag, cliqueDAG(3), sweepScan, false, false},
+		{"4-CL", dag, cliqueDAG(4), sweepLocal, false, false},
+		{"house", dense, mustCompile(b, pattern.House(), plan.Options{}), sweepWeighed, false, true},
+		{"4-clique", sym, mustCompile(b, pattern.KClique(4), plan.Options{}), sweepLocal, true, false},
+		{"triangle", sym, mustCompile(b, pattern.Triangle(), plan.Options{}), sweepCount, true, false},
+		{"diamond", sym, mustCompile(b, pattern.Diamond(), plan.Options{}), sweepCount, false, false},
+		{"tailed-triangle", sym, mustCompile(b, pattern.TailedTriangle(), plan.Options{}), sweepCount, true, false},
+		{"5-path", dense, mustCompile(b, pattern.KPath(5), plan.Options{}), sweepCount, false, false},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			e, err := NewEngine(c.g, c.pl, Options{Threads: 1})
@@ -609,10 +657,10 @@ func BenchmarkLeaf(b *testing.B) {
 			}
 			swept := false
 			e.prog.each(func(n *node, _ []*node) {
-				swept = swept || n.sweep == c.kind && c.bounded == (len(n.children[0].op.UpperBounds) > 0)
+				swept = swept || n.sweep == c.kind && c.bounded == (len(n.children[0].op.UpperBounds) > 0) && c.hoisted == (n.hoist != nil)
 			})
 			if warm := e.Mine(); !swept || c.kind == sweepLocal && warm.Stats.LocalRows == 0 {
-				b.Fatalf("the sweep did not fire: kind %d (bounded %v) lowered %v, %d local rows", c.kind, c.bounded, swept, warm.Stats.LocalRows)
+				b.Fatalf("the sweep did not fire: kind %d (bounded %v, hoisted %v) lowered %v, %d local rows", c.kind, c.bounded, c.hoisted, swept, warm.Stats.LocalRows)
 			}
 			b.ResetTimer()
 			var leaves int64

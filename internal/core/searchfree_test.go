@@ -121,8 +121,8 @@ func TestMergedTreeWorkBound(t *testing.T) {
 // "weighed[d: probe]" takes one from the weight where a candidate is one of level
 // d's, asking the c-map ("search": level d's list), and a leaf "weighed[d]"
 // matches m·weight − B, B following like a product's. A far corner (decision 24)
-// follows the node whose list it sweeps as "X=", "row[d …]" the rows of level d's
-// list and the chain above it, "twins[t]" the levels it stands for, "less[j]" the
+// follows the node whose list it sweeps as "X=", "row[d]" the rows of level d's
+// list, "twins[t]" the levels it stands for, "less[j]" the
 // ancestors whose C(·, t) comes out of the sum again. Aux rows (decision 14):
 // "builds[i]" at the level that activates spec i, "aux#i" at a consumer of its rows.
 // A node whose only child walk counts over its list in one loop (decision 25) reads
@@ -131,6 +131,8 @@ func TestMergedTreeWorkBound(t *testing.T) {
 // "sweep[weighed]": below a factor, the child and its B scan each row in one pass,
 // or "sweep[count]": the child is counted per candidate as the walk counts it, a
 // closed form's operands that name the node's level nowhere "once", once per list.
+// A swept node that counts from the counters of an ancestor's row (decision 27)
+// adds "hoist[o]", o being that ancestor's level.
 func lowering(p *program) string {
 	var sb strings.Builder
 	var walk func(n *node, term string)
@@ -248,6 +250,9 @@ func lowering(p *program) string {
 		case sweepCount:
 			sb.WriteString(" sweep[count]")
 		}
+		if n.hoist != nil {
+			fmt.Fprintf(&sb, " hoist[%d]", n.hoist.depth)
+		}
 		if n.once {
 			sb.WriteString(" once")
 		}
@@ -306,7 +311,10 @@ func lowering(p *program) string {
 // candidate's row, 4-CL's v2 and 5-CL's v3 AND their set with it, the symmetric
 // 4-clique's v2 (alone, merged, in the burst tree) below each candidate's position;
 // house's v3 scans its leaf and the leaf's B in one pass, while 5-motif-2's B reads
-// v1's row, not v3's, and that level walks. Every other last level below a lone
+// v1's row, not v3's, and that level walks. Hoists (decision 27): house's v3 and the
+// 4-cycle's v2 without symmetry breaking read v0's row less an ancestor, so each
+// sweep gathers from counters kept per v0; the vertex-induced house's v3 reads v0's
+// row less two deeper rows and scans; 5-motif-2's v3 does not sweep. Every other last level below a lone
 // child's parent is counted per candidate in one loop: bounded scans (K₂,₃'s v3, the
 // census's bounded v2s), suspects (5-path, the merged tree's 4-path, frontier-dropped
 // ancestors), aux consumers (the vertex-induced 4-path, 5-motif-15), and the closed
@@ -422,13 +430,32 @@ v0 marks[]
 		// went with the NotEqual, and B is v4's candidates that are common
 		// neighbours too, off v3's row. The plan's aux spec (v4 off a row built at
 		// v1) had v2 as its gap's only loop: one lookup per row, so it is dropped.
+		// Hoist (decision 27): v3's list is v0's row less v1, so the two scans per
+		// candidate become one gather per edge from counters built once per v0.
 		{"house", mustCompile(t, pattern.House(), plan.Options{}), Options{}, `
 v0 marks[]
   v1 marks[]
     v2 factor
-      v3 sweep[weighed] weighed[2: probe]
+      v3 sweep[weighed] hoist[0] weighed[2: probe]
         v4 certain[0] weighed[2]
       B=v4 row[3 1 0] scan never[0]
+`},
+		// Vertex-induced, v3's list is v0's row less the rows of v1 and v2: what a
+		// gather would take out again is most of v0's row, so it scans per candidate.
+		{"house, vertex-induced", mustCompile(t, pattern.House(), plan.Options{Induced: true}), Options{}, `
+v0 marks[] universe[]
+  v1 marks[]
+    v2 marks[] local[1]
+      v3 local[!1 !2] sweep[scan]
+        v4 never[0] never[2]
+`},
+		// Without symmetry breaking the 4-cycle has no far corner (v2 is no prefix of
+		// v1's list), and v3 has a certain ancestor: a hoisted count kind.
+		{"4-cycle, no symmetry breaking", mustCompile(t, pattern.FourCycle(), plan.Options{NoSymmetry: true}), Options{}, `
+v0
+  v1 marks[]
+    v2 sweep[count] hoist[0]
+      v3 certain[0]
 `},
 		// The triangle's v2 < v1 with two more neighbours of v0: the membership
 		// probe is cut at v1 like v2 itself, so v1's mark keeps its prefix.

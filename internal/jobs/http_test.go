@@ -244,11 +244,11 @@ func TestHTTPQueueFullRejection(t *testing.T) {
 	}
 }
 
-// runningHouseJob submits a job heavy enough (~7s single-thread) to still be
-// running when the caller looks, and returns once it is.
+// runningHouseJob submits a job heavy enough (≈ 1.6 s single-thread on a 2-vCPU
+// Xeon) to still be running when the caller looks, and returns once it is.
 func runningHouseJob(t *testing.T) (*httptest.Server, string) {
 	t.Helper()
-	g := graph.ChungLu(1000, 12000, 2.3, 13)
+	g := graph.ChungLu(4000, 100000, 2.3, 13)
 	running := make(chan string, 4)
 	_, ts := newHTTPServer(t, Config{
 		Graphs: map[string]graph.Store{"default": g},

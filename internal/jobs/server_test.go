@@ -189,8 +189,9 @@ func TestCancelQueuedJob(t *testing.T) {
 // engine is running and asserts the cancelled state carries a partial result
 // (MineContext returns the counts accumulated before cancellation).
 func TestCancelMidRunReturnsPartials(t *testing.T) {
-	// ~7s of single-thread work if left alone — cancelled almost immediately.
-	g := graph.ChungLu(1000, 12000, 2.3, 13)
+	// ≈ 1.6 s of single-thread work on a 2-vCPU Xeon if left alone — cancelled
+	// almost immediately.
+	g := graph.ChungLu(4000, 100000, 2.3, 13)
 	running := make(chan string, 4)
 	s := New(Config{
 		Graphs: map[string]graph.Store{"big": g},
@@ -445,7 +446,7 @@ func TestDrainWaitsForRunningJobs(t *testing.T) {
 // TestDrainDeadlineCancelsRunning: when the drain context expires first, the
 // running engines are cancelled and unwind with partial results.
 func TestDrainDeadlineCancelsRunning(t *testing.T) {
-	g := graph.ChungLu(1000, 12000, 2.3, 13) // ~7s single-thread if left alone
+	g := graph.ChungLu(4000, 100000, 2.3, 13) // ≈ 1.6 s single-thread on a 2-vCPU Xeon if left alone
 	running := make(chan string, 4)
 	s := New(Config{
 		Graphs: map[string]graph.Store{"g": g},
@@ -477,7 +478,7 @@ func TestDrainDeadlineCancelsRunning(t *testing.T) {
 }
 
 func TestJobTimeoutCancelsWithPartials(t *testing.T) {
-	g := graph.ChungLu(1000, 12000, 2.3, 13)
+	g := graph.ChungLu(4000, 100000, 2.3, 13)
 	s := New(Config{Graphs: map[string]graph.Store{"g": g}})
 	defer closeServer(t, s)
 

@@ -211,6 +211,40 @@ func TestMaskCountPair(t *testing.T) {
 	}
 }
 
+// TestMaskSumPair holds the weighted pass to a sum over MaskScan's output, under
+// two masks drawn as TestMaskCountPair draws them, with weights drawn per vertex —
+// up to 2³²−1, so that a sum leaves 32 bits — on the drawn row and the empty one.
+func TestMaskSumPair(t *testing.T) {
+	f := func(a sortedSet, sets [8]sortedSet, rawA, rawB [8]uint8, seed uint32) bool {
+		anc, ra, rb := make([][]VID, 8), make([]int, 8), make([]int, 8)
+		for k := range anc {
+			anc[k], ra[k], rb[k] = sets[k], int(rawA[k]%3), int(rawB[k]%3)
+		}
+		cm, needA, avoidA, _ := maskCase(a, anc, ra)
+		_, needB, avoidB, _ := maskCase(a, anc, rb)
+		w := make([]uint32, len(cm))
+		for i := range w {
+			w[i] = seed * uint32(2*i+1)
+		}
+		sum := func(row []VID, need, avoid uint8) (s int64) {
+			for _, x := range MaskScan(nil, row, cm, need, avoid) {
+				s += int64(w[x])
+			}
+			return s
+		}
+		for _, row := range [][]VID{a, nil} {
+			sa, sb := MaskSumPair(row, cm, w, needA, avoidA, needB, avoidB)
+			if sa != sum(row, needA, avoidA) || sb != sum(row, needB, avoidB) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+}
+
 // skewedInputs builds a skewed intersection workload: |a|/|b| = 1/ratio with
 // |b| = n, a random-ish but deterministic overlap.
 func skewedInputs(n, ratio int) (a, b []VID) {

@@ -371,6 +371,26 @@ func MaskCountPair(a []VID, cm []uint8, needA, avoidA, needB, avoidB uint8) (na,
 	return int64(uint32(n)), int64(n >> 32)
 }
 
+// MaskSumPair is MaskCountPair weighted by w: Σ w[x] over the elements x of a
+// that pass (needA, avoidA), and over those that pass (needB, avoidB). Like the
+// counting kernels it adds a masked weight per element instead of branching.
+func MaskSumPair(a []VID, cm []uint8, w []uint32, needA, avoidA, needB, avoidB uint8) (sa, sb int64) {
+	ma, mb := needA|avoidA, needB|avoidB
+	for _, x := range a {
+		c, k := cm[x], int64(w[x])
+		var fa, fb int64
+		if c&ma == needA {
+			fa = 1
+		}
+		if c&mb == needB {
+			fb = 1
+		}
+		sa += k & -fa
+		sb += k & -fb
+	}
+	return sa, sb
+}
+
 // The word kernels of the engine's local rows (DESIGN.md decision 21): a set
 // over a renumbered universe is one bit per position, so an intersection is a
 // word AND, a difference an AND-NOT and a count a popcount — of a last level,
