@@ -39,8 +39,8 @@ func runServe(args []string) error {
 	graphPath := fs.String("graph", "", "graph registered as \"default\" (edge list, .bin CSR, or sharded store directory)")
 	dataset := fs.String("dataset", "", "built-in dataset stand-in registered as graph \"default\" (As, Mi, Pa, Yo, Lj, Or)")
 	useMmap := fs.Bool("mmap", false, "memory-map the -graph .bin file zero-copy instead of loading it onto the heap")
-	jobsQueue := fs.Int("jobs-queue", 64, "job queue bound (submits beyond it get 429)")
-	jobsBatch := fs.Int("jobs-batch", 8, "max distinct patterns merged into one batched plan (1 disables batching)")
+	jobsQueue := fs.Int("jobs-queue", 64, "job queue bound, unfinished joiners included (submits beyond it get 429)")
+	jobsBatch := fs.Int("jobs-batch", 8, "max distinct patterns merged into one batched plan (1 disables batching and joins)")
 	jobsGraphDir := fs.String("jobs-graph-dir", "", "root directory for job graph path references (empty = named graphs only)")
 	jobsPaused := fs.Bool("jobs-paused", false, "start the job dispatcher paused (POST /jobs/queue/resume to release)")
 	eventlogPath := fs.String("eventlog", "", "flush the job service's structured event log (NDJSON) here on shutdown")

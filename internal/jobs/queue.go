@@ -14,7 +14,7 @@ package jobs
 // mutex.
 
 type drrQueue struct {
-	max     int // bound on total queued jobs
+	max     int // bound on queued jobs plus held slots
 	quantum int // dequeues granted per tenant per round
 
 	tenants map[string]*tenantQ
@@ -22,6 +22,7 @@ type drrQueue struct {
 	cur     int        // ring index of the tenant currently being served
 	deficit int        // remaining dequeues for ring[cur] this round
 	size    int
+	held    int // slots held outside the FIFOs: jobs that joined an in-flight batch, not yet finalized
 }
 
 type tenantQ struct {
@@ -39,7 +40,7 @@ func newDRRQueue(max, quantum int) *drrQueue {
 // push appends j to its tenant's FIFO, registering the tenant at the back of
 // the ring on first contact. Returns ErrQueueFull at the bound.
 func (q *drrQueue) push(j *Job) error {
-	if q.size >= q.max {
+	if q.full() {
 		return ErrQueueFull
 	}
 	t := q.tenants[j.tenant]
@@ -52,6 +53,24 @@ func (q *drrQueue) push(j *Job) error {
 	q.size++
 	return nil
 }
+
+// hold takes one slot of the bound for a job that waits outside the FIFOs
+// (a joiner), or returns ErrQueueFull at the bound; release gives it back
+// once the job is finalized. A held slot is never popped.
+func (q *drrQueue) hold() error {
+	if q.full() {
+		return ErrQueueFull
+	}
+	q.held++
+	return nil
+}
+
+func (q *drrQueue) release() { q.held-- }
+
+// full reports whether the bound is reached: queued jobs and held slots
+// count alike, so a flood of one pattern meets 429 at the same depth
+// whether it queues or joins.
+func (q *drrQueue) full() bool { return q.size+q.held >= q.max }
 
 // pop removes and returns the next job under the DRR schedule, or nil when
 // the queue is empty. A tenant whose FIFO empties forfeits its remaining

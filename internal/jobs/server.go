@@ -26,6 +26,14 @@
 //     plan runs on one engine, so graph, matching semantics and every
 //     engine knob must agree before two jobs may share it.
 //
+//   - Single flight: a submitted job whose isomorphic twin is already in an
+//     in-flight batch (gathered, not yet delivered) under the same gate
+//     joins that twin's leg instead of queueing — it takes the leg's count
+//     and no engine thread, so concurrent tenants asking for one pattern
+//     mine it once. A joiner never enters the fair queue, but holds a queue
+//     slot until it is finalized; jobs with a timeout never join, and
+//     MaxBatch 1 disables joins with batching.
+//
 // The subsystem introduces only live counters (jobs.* in the shared
 // obs.Registry) and never touches the paper runners, whose options come from
 // core.PaperBaseline.
@@ -105,13 +113,15 @@ type Config struct {
 	// Registry receives the jobs.* counters. Nil creates a private registry.
 	Registry *obs.Registry
 
-	// MaxQueue bounds the number of queued (not yet dispatched) jobs;
+	// MaxQueue bounds the number of queued (not yet dispatched) jobs plus
+	// unfinished joiners (jobs attached to an in-flight twin at submit);
 	// submits beyond it are rejected with ErrQueueFull. Default 64.
 	MaxQueue int
 
 	// MaxBatch caps the number of distinct-pattern legs merged into one
-	// plan (isomorphic duplicates ride on existing legs for free).
-	// 1 disables batching. Default 8.
+	// plan (isomorphic duplicates ride on existing legs for free, queued
+	// or joining an in-flight batch). 1 disables batching and joins.
+	// Default 8.
 	MaxBatch int
 
 	// Graphs are the preregistered named graphs (GraphRef.Name). The map is
@@ -186,14 +196,15 @@ type Job struct {
 	errMsg    string
 	res       *Result
 	cancelled bool   // cancellation requested while dispatched
-	batch     *batch // non-nil from gather until finalization
+	joined    bool   // attached to an in-flight batch at submit, never queued
+	batch     *batch // non-nil from gather (or join) on
 	finalized chan struct{}
 
 	// Lifecycle timestamps in Config.Clock units (wall ms in production,
 	// virtual ticks in tests). Zero means "never reached". All writes and
 	// reads happen under the server mutex.
 	submittedAt  int64
-	dispatchedAt int64 // popped from the queue into a batch
+	dispatchedAt int64 // popped from the queue into a batch (a joiner: its submit)
 	startedAt    int64 // batch's engine run began
 	finishedAt   int64 // terminal state recorded
 }
@@ -201,6 +212,8 @@ type Job struct {
 // Result is a finished job's outcome. Stats are the whole batch's engine
 // statistics (a merged plan runs as one engine pass, so per-job attribution
 // of shared work would be arbitrary); Count is this job's own pattern count.
+// BatchWidth is the batch's final width: every job that took its count,
+// twins that joined it in flight included.
 type Result struct {
 	Pattern       string     `json:"pattern"`
 	Count         int64      `json:"count"`
@@ -215,14 +228,14 @@ type Result struct {
 type batch struct {
 	legs      []*leg // one per distinct (non-isomorphic) pattern, in gather order
 	seq       int    // dispatch order; names the batch in logs and traces
-	width     int    // total jobs across legs
+	width     int    // total jobs across legs; grows while twins join
 	gref      GraphRef
 	gkey      string
 	induced   bool
 	opts      EngineOptions
 	ctx       context.Context
 	cancel    context.CancelFunc
-	live      int   // jobs not yet individually cancelled
+	live      int   // jobs not yet individually cancelled; 0 closes it to joins
 	startedAt int64 // engine run began (Config.Clock units)
 	prog      serve.Progress
 }
@@ -260,8 +273,9 @@ type Server struct {
 	evicted   int      // highest seq evicted: ids are sequential, so an id at or below it that is not in jobs was evicted
 	nextID    int
 	nextBatch int
-	threads   int // engine threads the running batches share (GOMAXPROCS; tests lower it)
-	busy      int // engine threads the running batches hold
+	threads   int      // engine threads the running batches share (GOMAXPROCS; tests lower it)
+	busy      int      // engine threads the running batches hold
+	flying    []*batch // gathered, not yet delivered or failed: the batches a twin may join
 	paused    bool
 	closing   bool
 	notes     []transition
@@ -346,8 +360,9 @@ func (s *Server) Resume() {
 }
 
 // Submit validates the (already parsed) request against server state and
-// enqueues a job, returning its ID. The request must come from ParseSubmit —
-// Submit assumes normalized options.
+// enqueues a job — or joins it to an in-flight twin (twinLocked) — returning
+// its ID. The request must come from ParseSubmit — Submit assumes normalized
+// options.
 func (s *Server) Submit(req SubmitRequest, pat *pattern.Pattern) (string, error) {
 	opts := req.Options
 	if opts.Workers == 0 {
@@ -380,7 +395,14 @@ func (s *Server) Submit(req SubmitRequest, pat *pattern.Pattern) (string, error)
 		state:     StateQueued,
 		finalized: make(chan struct{}),
 	}
-	if err := s.q.push(j); err != nil {
+	b, l := s.twinLocked(j)
+	var err error
+	if l != nil {
+		err = s.q.hold()
+	} else {
+		err = s.q.push(j)
+	}
+	if err != nil {
 		s.mu.Unlock()
 		s.reg.Add(MetricRejectedQueueFull, 1)
 		return "", err
@@ -391,6 +413,9 @@ func (s *Server) Submit(req SubmitRequest, pat *pattern.Pattern) (string, error)
 	j.submittedAt = s.clock.Now()
 	s.logTransition(j, j.submittedAt, StateQueued, nil)
 	s.notes = append(s.notes, transition{j.id, StateQueued})
+	if l != nil {
+		s.joinLocked(j, b, l)
+	}
 	notes := s.takeNotesLocked()
 	s.cond.Broadcast()
 	s.mu.Unlock()
@@ -524,10 +549,11 @@ func (s *Server) dispatch() {
 		s.busy += b.opts.Workers
 		s.markLocked(b, StateCompiling)
 		notes := s.takeNotesLocked()
+		w := int64(b.width) // read under s.mu: a twin may join b (and count itself) once it is released
 		s.mu.Unlock()
-		s.reg.Add(MetricBatchWidth, int64(b.width))
-		if b.width > 1 {
-			s.reg.Add(MetricBatched, int64(b.width))
+		s.reg.Add(MetricBatchWidth, w)
+		if w > 1 {
+			s.reg.Add(MetricBatched, w)
 		}
 		s.fire(notes)
 		go s.runBatch(b)
@@ -549,11 +575,19 @@ func (s *Server) admitsLocked() bool {
 	return head != nil && (s.busy == 0 || s.busy+head.opts.Workers <= s.threads)
 }
 
+// fits reports whether j may share b's engine run: the same graph, matching
+// semantics, normalized engine options and pattern size.
+func (b *batch) fits(j *Job) bool {
+	return j.gkey == b.gkey && j.induced == b.induced && j.opts == b.opts &&
+		j.pat.Size() == b.legs[0].pat.Size()
+}
+
 // gatherLocked builds the dispatch batch around the DRR head: every queued
 // job on the same graph with the same pattern size, matching semantics and
 // engine options joins, up to MaxBatch distinct plan legs. Isomorphic
 // patterns share a leg (one compiled chain, one count, many recipients).
-// Called with s.mu held.
+// The batch is in flight, open to twins (twinLocked), until deliver or
+// failBatch lands it. Called with s.mu held.
 func (s *Server) gatherLocked(head *Job) *batch {
 	b := &batch{
 		legs:    []*leg{{pat: head.pat, jobs: []*Job{head}}},
@@ -565,8 +599,7 @@ func (s *Server) gatherLocked(head *Job) *batch {
 	}
 	if s.cfg.MaxBatch > 1 {
 		s.q.collect(func(j *Job) bool {
-			if j.gkey != b.gkey || j.induced != b.induced || j.opts != b.opts ||
-				j.pat.Size() != head.pat.Size() {
+			if !b.fits(j) {
 				return false
 			}
 			for _, l := range b.legs {
@@ -595,7 +628,67 @@ func (s *Server) gatherLocked(head *Job) *batch {
 			j.dispatchedAt = dispatched
 		}
 	}
+	s.flying = append(s.flying, b)
 	return b
+}
+
+// twinLocked finds the in-flight batch and leg that already mine j's pattern
+// under the gather rule, or nils when j may not join one: batching is off
+// (MaxBatch 1), j has a timeout (its deadline would start at the batch's run,
+// not at its submit), or every matching batch is being torn down (no live
+// member). Called with s.mu held.
+func (s *Server) twinLocked(j *Job) (*batch, *leg) {
+	if s.cfg.MaxBatch == 1 || j.opts.TimeoutMS > 0 {
+		return nil, nil
+	}
+	for _, b := range s.flying {
+		if b.live == 0 || !b.fits(j) {
+			continue
+		}
+		for _, l := range b.legs {
+			if l.pat.IsIsomorphic(j.pat) {
+				return b, l
+			}
+		}
+	}
+	return nil, nil
+}
+
+// joinLocked attaches j, just logged queued, to l, its twin's leg in the
+// in-flight batch b: j becomes one more recipient of the leg's count, never
+// enters the DRR queue and holds no engine thread. At the clock read that
+// submitted it, j turns compiling, and running too if b's run has begun
+// (otherwise b's markLocked moves it on with the rest); its queue wait is 0.
+// Called with s.mu held.
+func (s *Server) joinLocked(j *Job, b *batch, l *leg) {
+	l.jobs = append(l.jobs, j)
+	j.batch, j.joined, j.dispatchedAt = b, true, j.submittedAt
+	b.width++
+	b.live++
+	batched := int64(1)
+	if b.width == 2 {
+		batched = 2 // the batch's first job counts as batched from now on
+	}
+	s.reg.Add(MetricBatchWidth, 1)
+	s.reg.Add(MetricBatched, batched)
+	fields := s.widthFieldsLocked(b.width)
+	j.state = StateCompiling
+	s.logTransition(j, j.submittedAt, StateCompiling, fields)
+	s.notes = append(s.notes, transition{j.id, StateCompiling})
+	if b.startedAt > 0 {
+		j.state, j.startedAt = StateRunning, j.submittedAt
+		s.logTransition(j, j.submittedAt, StateRunning, fields)
+		s.notes = append(s.notes, transition{j.id, StateRunning})
+	}
+}
+
+// landLocked closes b to joins: its member list is final from here on.
+// deliver and failBatch call it before they read b's legs, so no twin joins a
+// batch whose members were already finalized. Called with s.mu held.
+func (s *Server) landLocked(b *batch) {
+	if i := slices.Index(s.flying, b); i >= 0 {
+		s.flying = slices.Delete(s.flying, i, i+1)
+	}
 }
 
 // runBatch compiles and executes one batch, then demultiplexes the
@@ -683,6 +776,7 @@ func (s *Server) deliver(b *batch, res core.Result, mineErr error) {
 		names[i] = l.pat.Name()
 	}
 	s.mu.Lock()
+	s.landLocked(b)
 	for li, l := range b.legs {
 		var count int64
 		if li < len(res.Counts) {
@@ -730,6 +824,7 @@ func (s *Server) notePanic(b *batch, v any, stack []byte) {
 // failBatch finalizes every non-terminal member as failed.
 func (s *Server) failBatch(b *batch, err error) {
 	s.mu.Lock()
+	s.landLocked(b)
 	for _, l := range b.legs {
 		for _, j := range l.jobs {
 			if !j.state.Terminal() {
@@ -758,11 +853,7 @@ func (s *Server) markLocked(b *batch, st State) {
 	if st == StateRunning {
 		b.startedAt = now
 	}
-	fields := s.widthFields[b.width]
-	if fields == nil {
-		fields = map[string]int64{"batch_width": int64(b.width)}
-		s.widthFields[b.width] = fields
-	}
+	fields := s.widthFieldsLocked(b.width)
 	for _, l := range b.legs {
 		for _, j := range l.jobs {
 			if !j.state.Terminal() {
@@ -777,6 +868,17 @@ func (s *Server) markLocked(b *batch, st State) {
 	}
 }
 
+// widthFieldsLocked returns the shared {"batch_width": w} record payload.
+// Called with s.mu held.
+func (s *Server) widthFieldsLocked(w int) map[string]int64 {
+	fields := s.widthFields[w]
+	if fields == nil {
+		fields = map[string]int64{"batch_width": int64(w)}
+		s.widthFields[w] = fields
+	}
+	return fields
+}
+
 // finishLocked moves a job to a terminal state exactly once, records the
 // result, closes the finalized channel and counts the outcome. Called with
 // s.mu held.
@@ -789,6 +891,9 @@ func (s *Server) finishLocked(j *Job, st State, msg string, r *Result) {
 	j.res = r
 	j.finishedAt = s.clock.Now()
 	close(j.finalized)
+	if j.joined {
+		s.q.release()
+	}
 	s.notes = append(s.notes, transition{j.id, st})
 	s.finalizeObs(j)
 	switch st {

@@ -16,7 +16,8 @@ type Status struct {
 	Error   string `json:"error,omitempty"`
 
 	// BatchWidth is the number of jobs sharing this job's engine run
-	// (0 until dispatched, 1 for an unbatched run).
+	// (0 until dispatched, 1 for an unbatched run). It grows while twins
+	// join the run in flight, and is final once the run's jobs finish.
 	BatchWidth int `json:"batch_width,omitempty"`
 
 	// Lifecycle timestamps in the server clock's units (wall milliseconds
