@@ -174,28 +174,12 @@ func firstLine(s string) string {
 
 func writeArtifacts(metricsPath, tracePath string, reg *obs.Registry, tr *obs.Tracer) error {
 	if reg != nil {
-		f, err := os.Create(metricsPath)
-		if err != nil {
-			return err
-		}
-		if err := reg.WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := obs.WriteFile(metricsPath, reg.WriteJSON); err != nil {
 			return err
 		}
 	}
 	if tr.Enabled() {
-		f, err := os.Create(tracePath)
-		if err != nil {
-			return err
-		}
-		if err := tr.WriteChromeJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
+		return obs.WriteFile(tracePath, tr.WriteChromeJSON)
 	}
 	return nil
 }

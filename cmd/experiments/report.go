@@ -6,6 +6,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/obs"
@@ -56,18 +57,9 @@ func runReport(args []string) error {
 		}
 	}
 
-	out := os.Stdout
+	render := func(w io.Writer) error { return obs.RenderReport(w, m, ts) }
 	if *outPath != "" {
-		f, err := os.Create(*outPath)
-		if err != nil {
-			return err
-		}
-		defer func() {
-			if cerr := f.Close(); err == nil && cerr != nil {
-				fmt.Fprintln(os.Stderr, "experiments report:", cerr)
-			}
-		}()
-		out = f
+		return obs.WriteFile(*outPath, render)
 	}
-	return obs.RenderReport(out, m, ts)
+	return render(os.Stdout)
 }

@@ -295,28 +295,12 @@ func registerResult(reg *obs.Registry, prefix string, counts []int64, stats any)
 // is set.
 func writeArtifacts(o options, reg *obs.Registry, tr *obs.Tracer, sp *obs.Sampler) error {
 	if reg != nil {
-		f, err := os.Create(o.metricsPath)
-		if err != nil {
-			return err
-		}
-		if err := reg.WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := obs.WriteFile(o.metricsPath, reg.WriteJSON); err != nil {
 			return err
 		}
 	}
 	if tr.Enabled() {
-		f, err := os.Create(o.tracePath)
-		if err != nil {
-			return err
-		}
-		if err := tr.WriteChromeJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := obs.WriteFile(o.tracePath, tr.WriteChromeJSON); err != nil {
 			return err
 		}
 		if o.statsOut {
@@ -326,17 +310,7 @@ func writeArtifacts(o options, reg *obs.Registry, tr *obs.Tracer, sp *obs.Sample
 		}
 	}
 	if sp.Enabled() {
-		f, err := os.Create(o.timeseriesPath)
-		if err != nil {
-			return err
-		}
-		if err := sp.WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
+		return obs.WriteFile(o.timeseriesPath, sp.WriteJSON)
 	}
 	return nil
 }

@@ -111,15 +111,7 @@ func runServe(args []string) error {
 // structured event log as NDJSON and the lifecycle spans as a Chrome trace.
 func flushJobArtifacts(eventlogPath string, elog *obs.EventLog, tracePath string, jtrace *obs.Tracer) error {
 	write := func(path, what string, render func(w io.Writer) error) error {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := render(f); err != nil {
-			f.Close() //nolint:errcheck // render already failed
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := obs.WriteFile(path, render); err != nil {
 			return err
 		}
 		fmt.Printf("%s: wrote %s\n", what, path)

@@ -1,0 +1,103 @@
+package flexminer
+
+import (
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+var (
+	// docTestName is a backticked test, benchmark or fuzz name: an identifier,
+	// then "…" or "*" (a prefix), or a {a,b} set of suffixes
+	// (TestKernelInvariance{,DAG,Induced}), then anything (flags).
+	docTestName = regexp.MustCompile("`((?:Test|Benchmark|Fuzz)[A-Z0-9_]\\w*)(…|\\*|\\{[\\w,]*\\})?[^`\\n]*`")
+	testFunc    = regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
+	decisionRef = regexp.MustCompile(`[Dd]ecisions? (\d+)`)
+	decisionDef = regexp.MustCompile(`(?m)^(\d+)\. \*\*`)
+)
+
+// TestDocReferencesResolve holds the docs to the code they point a reader
+// at: every backticked Test…, Benchmark… or Fuzz… name in README.md,
+// DESIGN.md and EXPERIMENTS.md is declared in some _test.go file of the
+// module, and every "decision N" in README.md and EXPERIMENTS.md is one that
+// DESIGN.md numbers. ROADMAP.md is left out: it names tests not yet written.
+func TestDocReferencesResolve(t *testing.T) {
+	declared := map[string]bool{}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range testFunc.FindAllStringSubmatch(string(src), -1) {
+			declared[m[1]] = true
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hasPrefix := func(p string) bool {
+		for name := range declared {
+			if strings.HasPrefix(name, p) {
+				return true
+			}
+		}
+		return false
+	}
+
+	read := func(doc string) string {
+		b, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		for _, m := range docTestName.FindAllStringSubmatch(read(doc), -1) {
+			name, suffix := m[1], m[2]
+			switch {
+			case suffix == "…" || suffix == "*":
+				if !hasPrefix(name) {
+					t.Errorf("%s: no test function starts with %s (`%s`)", doc, name, m[0])
+				}
+			case suffix != "":
+				for _, alt := range strings.Split(strings.Trim(suffix, "{}"), ",") {
+					if !declared[name+alt] {
+						t.Errorf("%s: %s%s is declared in no _test.go (`%s`)", doc, name, alt, m[0])
+					}
+				}
+			case !declared[name]:
+				t.Errorf("%s: %s is declared in no _test.go", doc, name)
+			}
+		}
+	}
+
+	last := 0
+	for _, m := range decisionDef.FindAllStringSubmatch(read("DESIGN.md"), -1) {
+		n, _ := strconv.Atoi(m[1])
+		last = max(last, n)
+	}
+	if last == 0 {
+		t.Fatal("DESIGN.md numbers no decisions")
+	}
+	for _, doc := range []string{"README.md", "EXPERIMENTS.md"} {
+		for _, m := range decisionRef.FindAllStringSubmatch(read(doc), -1) {
+			if n, _ := strconv.Atoi(m[1]); n < 1 || n > last {
+				t.Errorf("%s: %q, but DESIGN.md's decisions run 1–%d", doc, m[0], last)
+			}
+		}
+	}
+}

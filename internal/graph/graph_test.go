@@ -226,7 +226,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 		if err := WriteBinary(&buf, g); err != nil {
 			t.Fatal(err)
 		}
-		g2, err := ReadBinary(&buf)
+		g2, err := loadBytes(t, buf.Bytes())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -244,7 +244,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 }
 
 func TestBinaryBadMagic(t *testing.T) {
-	if _, err := ReadBinary(bytes.NewReader([]byte("not a graph file at all"))); err == nil {
+	if _, err := loadBytes(t, []byte("not a graph file at all")); err == nil {
 		t.Error("garbage accepted")
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // ReadEdgeList parses a whitespace-separated edge list. Vertex IDs may be
@@ -84,7 +85,7 @@ func WriteEdgeList(w io.Writer, g *Graph) error {
 	return bw.Flush()
 }
 
-// Binary CSR layout. Version 2 (the current writer output) is mmap-friendly:
+// Binary CSR layout, version 2 — the only version written or read:
 //
 //	offset 0    magic      uint32  0xF1E7A11E
 //	offset 4    version    uint32  2
@@ -99,10 +100,11 @@ func WriteEdgeList(w io.Writer, g *Graph) error {
 //
 // The header is padded to a 4 kB page so that Row (and therefore Col, which
 // follows the 8-byte-aligned Row block) is naturally aligned inside an mmap
-// of the whole file — OpenMapped views both arrays zero-copy. MaxDegree is
-// recorded so opening does not need to touch every Row page just to size
-// engine scratch buffers. Version 1 (unaligned 25-byte header, no recorded
-// max degree) is still read by ReadBinary/LoadBinary but cannot be mapped.
+// of the whole file or an 8-byte-aligned heap buffer: decodeCSR views both
+// arrays in place, so a little-endian host is required. MaxDegree is
+// recorded so opening does not need a second pass to size engine scratch
+// buffers. Version 1 (an unaligned 25-byte header) is rejected by version;
+// regenerate such a file from its edge list.
 const (
 	binMagic      = uint32(0xF1E7A11E) // "FlexMiner graph" magic
 	binVersion    = 2
@@ -112,9 +114,8 @@ const (
 	binFlagShard = 1 << 1
 )
 
-// maxBinVertices/maxBinArcs bound header-declared sizes so a corrupt or
-// malicious header cannot drive huge allocations before the (chunked) reads
-// detect truncation.
+// maxBinVertices/maxBinArcs bound header-declared sizes so that the file
+// length a header implies cannot overflow.
 const (
 	maxBinVertices = 1 << 40
 	maxBinArcs     = 1 << 42
@@ -122,7 +123,6 @@ const (
 
 // binHeader is the decoded fixed part of a binary CSR file.
 type binHeader struct {
-	version   uint32
 	flags     uint32
 	n         uint64
 	arcs      uint64
@@ -137,7 +137,7 @@ func (h binHeader) encode() []byte {
 	buf := make([]byte, binHeaderSize)
 	le := binary.LittleEndian
 	le.PutUint32(buf[0:], binMagic)
-	le.PutUint32(buf[4:], h.version)
+	le.PutUint32(buf[4:], binVersion)
 	le.PutUint32(buf[8:], h.flags)
 	le.PutUint64(buf[16:], h.n)
 	le.PutUint64(buf[24:], h.arcs)
@@ -145,62 +145,109 @@ func (h binHeader) encode() []byte {
 	return buf
 }
 
-// decodeBinHeader parses and sanity-checks the fixed header fields (both
-// versions share the first 12 bytes up to where v1 diverges).
-func decodeBinHeader(br io.Reader) (binHeader, error) {
-	var h binHeader
+// littleEndianHost reports whether the file's little-endian words can be
+// viewed in place.
+var littleEndianHost = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// decodeCSR is the one reader of the binary CSR format; every open — heap,
+// mapped and each shard — parses a file through it. data is a whole file,
+// 8-byte aligned (a mapping, or LoadBinary's alignedBytes). It checks the
+// header, the exact length the header implies, and the Row/Col structure
+// (validateCSRViews), and returns a Graph whose Row and Col are views of data:
+// nothing is copied, and nothing is sized from the header. wantShard says
+// whether data must be a shard slice or a whole graph. A shard's Row is local
+// to its vertex range but its Col holds global IDs, so colRange bounds the
+// neighbor IDs (0 means the header's own n).
+func decodeCSR(data []byte, wantShard bool, colRange uint64) (Graph, error) {
 	le := binary.LittleEndian
-	var pre [8]byte
-	if _, err := io.ReadFull(br, pre[:]); err != nil {
-		return h, fmt.Errorf("graph: short binary CSR header: %w", err)
+	switch {
+	case !littleEndianHost:
+		return Graph{}, errors.New("binary CSR arrays are little-endian and viewed in place: this host is big-endian")
+	case uintptr(unsafe.Pointer(unsafe.SliceData(data)))%8 != 0:
+		return Graph{}, errors.New("binary CSR bytes are not 8-byte aligned")
+	case len(data) < 8:
+		return Graph{}, fmt.Errorf("short binary CSR header: file is %d bytes", len(data))
+	case le.Uint32(data) != binMagic:
+		return Graph{}, errors.New("bad magic in binary CSR file")
+	case le.Uint32(data[4:]) != binVersion:
+		return Graph{}, fmt.Errorf("unsupported binary version %d", le.Uint32(data[4:]))
+	case len(data) < binHeaderSize:
+		return Graph{}, fmt.Errorf("short binary CSR header: file is %d bytes, the header alone %d", len(data), binHeaderSize)
 	}
-	if le.Uint32(pre[0:]) != binMagic {
-		return h, errors.New("graph: bad magic in binary CSR file")
+	h := binHeader{
+		flags:     le.Uint32(data[8:]),
+		n:         le.Uint64(data[16:]),
+		arcs:      le.Uint64(data[24:]),
+		maxDegree: le.Uint64(data[32:]),
 	}
-	h.version = le.Uint32(pre[4:])
-	switch h.version {
-	case 1:
-		var rest [17]byte // isDAG byte + n + arcs
-		if _, err := io.ReadFull(br, rest[:]); err != nil {
-			return h, fmt.Errorf("graph: short v1 header: %w", err)
-		}
-		if rest[0] != 0 {
-			h.flags = binFlagDAG
-		}
-		h.n = le.Uint64(rest[1:])
-		h.arcs = le.Uint64(rest[9:])
-	case binVersion:
-		var rest [binHeaderSize - 8]byte
-		if _, err := io.ReadFull(br, rest[:]); err != nil {
-			return h, fmt.Errorf("graph: short v2 header: %w", err)
-		}
-		h.flags = le.Uint32(rest[0:])
-		h.n = le.Uint64(rest[8:])
-		h.arcs = le.Uint64(rest[16:])
-		h.maxDegree = le.Uint64(rest[24:])
-	default:
-		return h, fmt.Errorf("graph: unsupported binary version %d", h.version)
+	switch {
+	case h.n > maxBinVertices:
+		return Graph{}, fmt.Errorf("implausible vertex count %d in header", h.n)
+	case h.arcs > maxBinArcs:
+		return Graph{}, fmt.Errorf("implausible arc count %d in header", h.arcs)
+	case h.isShard() && !wantShard:
+		return Graph{}, errors.New("file is a shard slice, not a whole graph (use OpenSharded on its directory)")
+	case !h.isShard() && wantShard:
+		return Graph{}, errors.New("whole-graph file where a shard slice was expected")
 	}
-	if h.n > maxBinVertices {
-		return h, fmt.Errorf("graph: implausible vertex count %d in header", h.n)
+	rowBytes := 8 * (h.n + 1)
+	if want := binHeaderSize + rowBytes + 4*h.arcs; uint64(len(data)) != want {
+		return Graph{}, fmt.Errorf("file is %d bytes, header implies %d", len(data), want)
 	}
-	if h.arcs > maxBinArcs {
-		return h, fmt.Errorf("graph: implausible arc count %d in header", h.arcs)
+	row := unsafe.Slice((*int64)(unsafe.Pointer(&data[binHeaderSize])), h.n+1)
+	col := []VID{}
+	if h.arcs > 0 {
+		col = unsafe.Slice((*VID)(unsafe.Pointer(&data[binHeaderSize+rowBytes])), h.arcs)
 	}
-	if h.maxDegree > h.arcs {
-		return h, fmt.Errorf("graph: header max degree %d exceeds arc count %d", h.maxDegree, h.arcs)
+	if colRange == 0 {
+		colRange = h.n
 	}
-	return h, nil
+	maxDeg, err := validateCSRViews(row, col, h, colRange)
+	if err != nil {
+		return Graph{}, err
+	}
+	return Graph{Row: row, Col: col, DAG: h.isDAG(), maxDegree: maxDeg}, nil
 }
 
-// WriteBinary serializes g in the binary CSR format (version 2).
+// validateCSRViews checks the structural invariants the mining hot path
+// relies on — monotone Row with the right endpoints, every Col entry in
+// range — in one allocation-free sweep, and cross-checks the recorded max
+// degree. Sortedness, loops and symmetry are left to Validate, which a heap
+// load adds and a mapped open skips.
+func validateCSRViews(row []int64, col []VID, h binHeader, colRange uint64) (int, error) {
+	if row[0] != 0 {
+		return 0, fmt.Errorf("Row[0] = %d, want 0", row[0])
+	}
+	maxDeg := 0
+	for v := 1; v < len(row); v++ {
+		if row[v] < row[v-1] {
+			return 0, fmt.Errorf("Row not monotone at entry %d", v)
+		}
+		if d := int(row[v] - row[v-1]); d > maxDeg {
+			maxDeg = d
+		}
+	}
+	if uint64(row[len(row)-1]) != h.arcs {
+		return 0, fmt.Errorf("Row[%d] = %d, want arc count %d", len(row)-1, row[len(row)-1], h.arcs)
+	}
+	for i, c := range col {
+		if uint64(c) >= colRange {
+			return 0, fmt.Errorf("Col[%d] = %d out of range for %d vertices", i, c, colRange)
+		}
+	}
+	if uint64(maxDeg) != h.maxDegree {
+		return 0, fmt.Errorf("header max degree %d disagrees with data (%d)", h.maxDegree, maxDeg)
+	}
+	return maxDeg, nil
+}
+
+// WriteBinary serializes g in the binary CSR format.
 func WriteBinary(w io.Writer, g *Graph) error {
 	flags := uint32(0)
 	if g.DAG {
 		flags |= binFlagDAG
 	}
 	hdr := binHeader{
-		version:   binVersion,
 		flags:     flags,
 		n:         uint64(g.NumVertices()),
 		arcs:      uint64(len(g.Col)),
@@ -209,13 +256,8 @@ func WriteBinary(w io.Writer, g *Graph) error {
 	return writeCSR(w, hdr, g.Row, g.Col)
 }
 
-// ioChunkBytes is the buffer size of the chunked binary encoder/decoder: big
-// enough to amortize syscalls, small enough that corrupt headers cannot force
-// large up-front allocations.
-const ioChunkBytes = 1 << 20
-
-// writeCSR streams a padded v2 header plus Row and Col through a fixed-size
-// chunk buffer (binary.Write on a whole []int64 would transiently copy the
+// writeCSR streams a padded header plus Row and Col through a 1 MB chunk
+// buffer (binary.Write on a whole []int64 would transiently copy the
 // entire array — unacceptable for graphs near RAM size).
 func writeCSR(w io.Writer, hdr binHeader, row []int64, col []VID) error {
 	bw := bufio.NewWriterSize(w, 1<<16)
@@ -223,9 +265,10 @@ func writeCSR(w io.Writer, hdr binHeader, row []int64, col []VID) error {
 		return err
 	}
 	le := binary.LittleEndian
-	buf := make([]byte, 0, ioChunkBytes)
+	const chunk = 1 << 20
+	buf := make([]byte, 0, chunk)
 	flush := func(force bool) error {
-		if len(buf) < ioChunkBytes && !force {
+		if len(buf) < chunk && !force {
 			return nil
 		}
 		_, err := bw.Write(buf)
@@ -250,106 +293,6 @@ func writeCSR(w io.Writer, hdr binHeader, row []int64, col []VID) error {
 	return bw.Flush()
 }
 
-// ReadBinary deserializes a graph written by WriteBinary (v1 or v2). Reads
-// are chunked and validated incrementally, so truncated or bit-flipped input
-// errors out early instead of panicking or allocating header-declared sizes
-// it never receives.
-func ReadBinary(r io.Reader) (*Graph, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	h, err := decodeBinHeader(br)
-	if err != nil {
-		return nil, err
-	}
-	if h.isShard() {
-		return nil, errors.New("graph: file is a shard slice, not a whole graph (use OpenSharded on its directory)")
-	}
-	row, err := readRowChunked(br, h.n, h.arcs)
-	if err != nil {
-		return nil, err
-	}
-	col, err := readColChunked(br, h.arcs, h.n)
-	if err != nil {
-		return nil, err
-	}
-	g := &Graph{Row: row, Col: col, DAG: h.isDAG()}
-	g.recomputeMaxDegree()
-	if h.version >= binVersion && g.maxDegree != int(h.maxDegree) {
-		return nil, fmt.Errorf("graph: header max degree %d disagrees with data (%d)", h.maxDegree, g.maxDegree)
-	}
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
-
-// readRowChunked reads the n+1 Row entries in bounded batches, checking
-// monotonicity and the [0, arcs] range as it goes.
-func readRowChunked(br io.Reader, n, arcs uint64) ([]int64, error) {
-	const entries = ioChunkBytes / 8
-	row := make([]int64, 0, min64(n+1, entries))
-	buf := make([]byte, 0, ioChunkBytes)
-	le := binary.LittleEndian
-	prev := int64(0)
-	for read := uint64(0); read < n+1; {
-		batch := min64(n+1-read, entries)
-		buf = buf[:batch*8]
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return nil, fmt.Errorf("graph: truncated Row array: %w", err)
-		}
-		for i := uint64(0); i < batch; i++ {
-			v := int64(le.Uint64(buf[i*8:]))
-			if read+i == 0 && v != 0 {
-				return nil, fmt.Errorf("graph: Row[0] = %d, want 0", v)
-			}
-			if v < prev {
-				return nil, fmt.Errorf("graph: Row not monotone at entry %d", read+i)
-			}
-			if uint64(v) > arcs {
-				return nil, fmt.Errorf("graph: Row entry %d exceeds arc count %d", v, arcs)
-			}
-			prev = v
-			row = append(row, v)
-		}
-		read += batch
-	}
-	if uint64(prev) != arcs {
-		return nil, fmt.Errorf("graph: Row[%d] = %d, want arc count %d", n, prev, arcs)
-	}
-	return row, nil
-}
-
-// readColChunked reads the arcs Col entries in bounded batches, checking each
-// neighbor ID is below the vertex count.
-func readColChunked(br io.Reader, arcs, n uint64) ([]VID, error) {
-	const entries = ioChunkBytes / 4
-	col := make([]VID, 0, min64(arcs, entries))
-	buf := make([]byte, 0, ioChunkBytes)
-	le := binary.LittleEndian
-	for read := uint64(0); read < arcs; {
-		batch := min64(arcs-read, entries)
-		buf = buf[:batch*4]
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return nil, fmt.Errorf("graph: truncated Col array: %w", err)
-		}
-		for i := uint64(0); i < batch; i++ {
-			v := le.Uint32(buf[i*4:])
-			if uint64(v) >= n {
-				return nil, fmt.Errorf("graph: Col entry %d out of range for %d vertices", v, n)
-			}
-			col = append(col, v)
-		}
-		read += batch
-	}
-	return col, nil
-}
-
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // SaveBinary writes the binary CSR format to a file.
 func SaveBinary(path string, g *Graph) error {
 	f, err := os.Create(path)
@@ -363,14 +306,39 @@ func SaveBinary(path string, g *Graph) error {
 	return err
 }
 
-// LoadBinary reads the binary CSR format from a file.
+// LoadBinary reads the binary CSR file at path onto the heap: one buffer of
+// the file's size, decoded in place by decodeCSR, then held to Validate
+// (sorted, loop-free, and symmetric unless it is a DAG), which a mapped open
+// does not run.
 func LoadBinary(path string) (*Graph, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return ReadBinary(f)
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	data := alignedBytes(fi.Size())
+	if _, err := io.ReadFull(f, data); err != nil {
+		return nil, fmt.Errorf("graph: %s: %w", path, err)
+	}
+	g, err := decodeCSR(data, false, 0)
+	if err != nil {
+		return nil, fmt.Errorf("graph: %s: %w", path, err)
+	}
+	if err := g.Validate(); err != nil {
+		return nil, err
+	}
+	return &g, nil
+}
+
+// alignedBytes returns n zero bytes backed by a []uint64, so that decodeCSR's
+// int64 view of Row is aligned.
+func alignedBytes(n int64) []byte {
+	words := make([]uint64, (n+7)/8)
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(words))), n)
 }
 
 // Load picks a loader from the file extension: ".bin" uses the binary CSR

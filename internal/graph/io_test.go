@@ -4,49 +4,29 @@ import (
 	"bytes"
 	"encoding/binary"
 	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
 
-// encodeV1 renders g in the legacy version-1 binary layout (25-byte unaligned
-// header) so the compatibility path stays covered now that WriteBinary emits
-// version 2.
-func encodeV1(g *Graph) []byte {
-	var buf bytes.Buffer
-	le := binary.LittleEndian
-	var hdr [25]byte
-	le.PutUint32(hdr[0:], binMagic)
-	le.PutUint32(hdr[4:], 1)
-	if g.DAG {
-		hdr[8] = 1
+// loadBytes saves b as a file and loads it the way every heap open does.
+func loadBytes(t *testing.T, b []byte) (*Graph, error) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "g.bin")
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	le.PutUint64(hdr[9:], uint64(g.NumVertices()))
-	le.PutUint64(hdr[17:], uint64(len(g.Col)))
-	buf.Write(hdr[:])
-	for _, r := range g.Row {
-		var b [8]byte
-		le.PutUint64(b[:], uint64(r))
-		buf.Write(b[:])
-	}
-	for _, c := range g.Col {
-		var b [4]byte
-		le.PutUint32(b[:], c)
-		buf.Write(b[:])
-	}
-	return buf.Bytes()
+	return LoadBinary(path)
 }
 
-func TestReadBinaryV1Compat(t *testing.T) {
-	g := MustFromEdges(5, []Edge{{0, 1}, {0, 2}, {1, 2}, {2, 3}, {3, 4}})
-	for _, gg := range []*Graph{g, g.Orient()} {
-		g2, err := ReadBinary(bytes.NewReader(encodeV1(gg)))
-		if err != nil {
-			t.Fatalf("v1 read: %v", err)
-		}
-		if g2.NumVertices() != gg.NumVertices() || g2.NumArcs() != gg.NumArcs() || g2.IsDAG() != gg.IsDAG() {
-			t.Fatalf("v1 round trip mismatch")
-		}
-	}
+// allocatedBy returns the bytes the heap handed out while f ran.
+func allocatedBy(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }
 
 func TestWriteBinaryPageAlignedHeader(t *testing.T) {
@@ -85,8 +65,10 @@ func TestSaveBinaryReportsWriteError(t *testing.T) {
 	}
 }
 
-// TestReadBinaryCorrupt exercises the validation paths one corruption at a
-// time; every case must error, never panic or over-allocate.
+// TestReadBinaryCorrupt exercises the decoder's checks one corruption at a
+// time through LoadBinary: every case must error, never panic, and never
+// allocate more than the file's bytes plus a little slack, whatever sizes the
+// header claims.
 func TestReadBinaryCorrupt(t *testing.T) {
 	g := MustFromEdges(6, []Edge{{0, 1}, {0, 2}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {0, 5}})
 	var buf bytes.Buffer
@@ -109,10 +91,15 @@ func TestReadBinaryCorrupt(t *testing.T) {
 		{"bad magic", mutate(func(b []byte) []byte { b[0] ^= 0xFF; return b }), "magic"},
 		{"bad version", mutate(func(b []byte) []byte { le.PutUint32(b[4:], 99); return b }), "version"},
 		{"truncated header", good[:40], "short"},
-		{"truncated row", good[:binHeaderSize+9], "truncated Row"},
-		{"truncated col", good[:len(good)-2], "truncated Col"},
+		{"truncated row", good[:binHeaderSize+9], "header implies"},
+		{"truncated col", good[:len(good)-2], "header implies"},
+		{"trailing bytes", append(append([]byte(nil), good...), 0, 0, 0, 0), "header implies"},
 		{"huge vertex count", mutate(func(b []byte) []byte { le.PutUint64(b[16:], 1<<50); return b }), "implausible vertex"},
 		{"huge arc count", mutate(func(b []byte) []byte { le.PutUint64(b[24:], 1<<50); return b }), "implausible arc"},
+		{"huge vertex count in a page", mutate(func(b []byte) []byte {
+			le.PutUint64(b[16:], maxBinVertices)
+			return b[:binHeaderSize]
+		}), "header implies"},
 		{"row not monotone", mutate(func(b []byte) []byte {
 			le.PutUint64(b[binHeaderSize+8:], 1<<40) // Row[1] becomes negative-ish huge
 			return b
@@ -130,7 +117,14 @@ func TestReadBinaryCorrupt(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := ReadBinary(bytes.NewReader(tc.data))
+			path := filepath.Join(t.TempDir(), "bad.bin")
+			if err := os.WriteFile(path, tc.data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var err error
+			if got := allocatedBy(func() { _, err = LoadBinary(path) }); got > uint64(len(tc.data))+16<<10 {
+				t.Errorf("allocated %d bytes for a %d-byte file", got, len(tc.data))
+			}
 			if err == nil {
 				t.Fatalf("corrupt input accepted")
 			}
@@ -141,11 +135,38 @@ func TestReadBinaryCorrupt(t *testing.T) {
 	}
 }
 
-// FuzzLoadBinary throws truncated and bit-flipped binary CSR files at the
-// reader. The property under test: ReadBinary either returns a structurally
-// valid graph or an error — it never panics, and never returns a graph that
-// fails Validate (a corrupt mmap'd file must error at open, not crash
-// mid-mine).
+// TestLoadBinaryAllocatesTheFile: a heap load of a DAG (whose Validate clones
+// nothing) allocates the file's bytes once, plus a constant — no chunk
+// buffers, no growth by doubling.
+func TestLoadBinaryAllocatesTheFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "dag.bin")
+	if err := SaveBinary(path, RMAT(12, 40_000, 0.57, 0.19, 0.19, 3).Orient()); err != nil {
+		t.Fatal(err)
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var g *Graph
+	got := allocatedBy(func() { g, err = LoadBinary(path) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if limit := uint64(fi.Size()) + 64<<10; got > limit {
+		t.Fatalf("LoadBinary allocated %d bytes for a %d-byte file; want at most %d", got, fi.Size(), limit)
+	}
+	if g.NumVertices() != 1<<12 {
+		t.Fatalf("loaded %d vertices, want %d", g.NumVertices(), 1<<12)
+	}
+}
+
+// FuzzLoadBinary throws truncated and bit-flipped binary CSR files at the one
+// decoder, as a whole file or as a shard slice with a drawn neighbor-ID
+// bound. The property under test: the decoder either errors or returns a
+// structurally valid CSR (Row from 0 to len(Col), monotone; every Col entry
+// below the bound; the header's max degree) — never a panic, since a corrupt
+// mapped file must error at open, not crash mid-mine. A whole file also goes
+// through LoadBinary, which must only return graphs that pass Validate.
 func FuzzLoadBinary(f *testing.F) {
 	g := MustFromEdges(8, []Edge{
 		{0, 1}, {0, 2}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6}, {6, 7}, {0, 7}, {2, 6},
@@ -155,25 +176,67 @@ func FuzzLoadBinary(f *testing.F) {
 		f.Fatal(err)
 	}
 	good := buf.Bytes()
-	f.Add(good)
-	f.Add(encodeV1(g))
-	f.Add(good[:len(good)/2])     // truncated mid-array
-	f.Add(good[:binHeaderSize-1]) // truncated header
-	f.Add([]byte{})               // empty
+	f.Add(good, false, uint64(0))
+	v1 := append([]byte(nil), good...)
+	v1[4] = 1 // the retired version
+	f.Add(v1, false, uint64(0))
+	f.Add(good[:len(good)/2], false, uint64(0))     // truncated mid-array
+	f.Add(good[:binHeaderSize-1], false, uint64(0)) // truncated header
+	f.Add([]byte{}, false, uint64(0))               // empty
 	flip := append([]byte(nil), good...)
 	flip[binHeaderSize+3] ^= 0x80 // bit-flip inside Row
-	f.Add(flip)
+	f.Add(flip, false, uint64(0))
 	flip2 := append([]byte(nil), good...)
 	flip2[len(flip2)-1] ^= 0x01 // bit-flip inside Col
-	f.Add(flip2)
+	f.Add(flip2, false, uint64(0))
+	var shard bytes.Buffer // vertices 2..5 of g, as WriteSharded cuts them
+	row := []int64{0}
+	for v := VID(2); v < 6; v++ {
+		row = append(row, row[len(row)-1]+int64(g.Degree(v)))
+	}
+	hdr := binHeader{flags: binFlagShard, n: 4, arcs: uint64(row[4]), maxDegree: uint64(g.MaxDegree())}
+	if err := writeCSR(&shard, hdr, row, g.Col[g.Row[2]:g.Row[6]]); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(shard.Bytes(), true, uint64(g.NumVertices()))
 
-	f.Fuzz(func(t *testing.T, data []byte) {
-		g, err := ReadBinary(bytes.NewReader(data))
+	f.Fuzz(func(t *testing.T, data []byte, wantShard bool, colRange uint64) {
+		if !wantShard {
+			colRange = 0
+			if g, err := loadBytes(t, data); err == nil {
+				if err := g.Validate(); err != nil {
+					t.Fatalf("LoadBinary accepted a graph that fails Validate: %v", err)
+				}
+			}
+		}
+		b := alignedBytes(int64(len(data)))
+		copy(b, data)
+		g, err := decodeCSR(b, wantShard, colRange)
 		if err != nil {
 			return
 		}
-		if err := g.Validate(); err != nil {
-			t.Fatalf("ReadBinary accepted a graph that fails Validate: %v", err)
+		n := g.NumVertices()
+		if colRange == 0 {
+			colRange = uint64(n)
+		}
+		if g.Row[0] != 0 || g.Row[n] != g.NumArcs() {
+			t.Fatalf("accepted Row from %d to %d over %d arcs", g.Row[0], g.Row[n], g.NumArcs())
+		}
+		maxDeg := int64(0)
+		for v := 0; v < n; v++ {
+			d := g.Row[v+1] - g.Row[v]
+			if d < 0 {
+				t.Fatalf("accepted a Row that falls at %d", v)
+			}
+			maxDeg = max(maxDeg, d)
+		}
+		for i, c := range g.Col {
+			if uint64(c) >= colRange {
+				t.Fatalf("accepted Col[%d] = %d at bound %d", i, c, colRange)
+			}
+		}
+		if hd := binary.LittleEndian.Uint64(data[32:]); uint64(maxDeg) != hd || g.MaxDegree() != int(maxDeg) {
+			t.Fatalf("accepted max degree %d (header %d) for data's %d", g.MaxDegree(), hd, maxDeg)
 		}
 	})
 }

@@ -67,16 +67,24 @@ func TestOpenMappedMatchesHeap(t *testing.T) {
 	}
 }
 
+// TestOpenMappedRejectsV1: the heap and the mapped open both name the retired
+// version 1 — the one decoder reads its version field before anything else.
 func TestOpenMappedRejectsV1(t *testing.T) {
-	// Big enough that the v1 encoding exceeds one header page, so the open
-	// reaches the version check instead of the too-small fast path.
-	g := RMAT(8, 1000, 0.45, 0.22, 0.22, 5)
-	path := filepath.Join(t.TempDir(), "v1.bin")
-	if err := os.WriteFile(path, encodeV1(g), 0o644); err != nil {
+	good, err := os.ReadFile(writeTempBin(t, RMAT(8, 1000, 0.45, 0.22, 0.22, 5)))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenMapped(path); err == nil || !strings.Contains(err.Error(), "cannot be mapped") {
-		t.Fatalf("v1 open: got %v, want un-mappable version error", err)
+	good[4] = 1
+	path := filepath.Join(t.TempDir(), "v1.bin")
+	if err := os.WriteFile(path, good, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const want = "unsupported binary version 1"
+	if _, err := LoadBinary(path); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("heap v1 open: got %v, want %q", err, want)
+	}
+	if _, err := OpenMapped(path); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("mapped v1 open: got %v, want %q", err, want)
 	}
 }
 

@@ -112,7 +112,6 @@ func WriteSharded(dir string, g *Graph, shards int) error {
 			flags |= binFlagDAG
 		}
 		hdr := binHeader{
-			version:   binVersion,
 			flags:     flags,
 			n:         uint64(hi - lo),
 			arcs:      uint64(len(col)),

@@ -1,26 +1,23 @@
 package jobs
 
-// The bounded, tenant-fair job queue: one FIFO per tenant, drained by deficit
-// round-robin (DRR). Every job costs one unit; each tenant in turn receives
-// `quantum` units of deficit and dequeues until its deficit or its FIFO is
-// exhausted, so a tenant flooding the queue cannot starve the others — with T
-// active tenants and quantum Q, any tenant's head job is dequeued within
-// (T-1)·Q + 1 pops of reaching the front of its FIFO. The schedule is a
-// deterministic function of the arrival order (ring order is first-submission
-// order, ties never consult map iteration), which is what lets the fairness
-// test assert exact dequeue positions.
+// The bounded, tenant-fair job queue: one FIFO per tenant, drained round
+// robin — deficit round-robin (DRR) at a fixed quantum of one job, so the turn
+// passes after every pop. A tenant flooding the queue cannot starve the
+// others: with T active tenants, any tenant's head job is dequeued within T
+// pops of reaching the front of its FIFO. The schedule is a deterministic
+// function of the arrival order (ring order is first-submission order, ties
+// never consult map iteration), which is what lets the fairness test assert
+// exact dequeue positions.
 //
 // The queue is not goroutine-safe: the Server serializes access under its
 // mutex.
 
 type drrQueue struct {
-	max     int // bound on queued jobs plus held slots
-	quantum int // dequeues granted per tenant per round
+	max int // bound on queued jobs plus held slots
 
 	tenants map[string]*tenantQ
 	ring    []*tenantQ // first-submission order; never reordered
-	cur     int        // ring index of the tenant currently being served
-	deficit int        // remaining dequeues for ring[cur] this round
+	cur     int        // where the search for the next turn starts, taken modulo len(ring)
 	size    int
 	held    int // slots held outside the FIFOs: jobs that joined an in-flight batch, not yet finalized
 }
@@ -30,11 +27,8 @@ type tenantQ struct {
 	fifo []*Job
 }
 
-func newDRRQueue(max, quantum int) *drrQueue {
-	if quantum < 1 {
-		quantum = 1
-	}
-	return &drrQueue{max: max, quantum: quantum, tenants: map[string]*tenantQ{}, deficit: quantum}
+func newDRRQueue(max int) *drrQueue {
+	return &drrQueue{max: max, tenants: map[string]*tenantQ{}}
 }
 
 // push appends j to its tenant's FIFO, registering the tenant at the back of
@@ -72,43 +66,44 @@ func (q *drrQueue) release() { q.held-- }
 // whether it queues or joins.
 func (q *drrQueue) full() bool { return q.size+q.held >= q.max }
 
-// pop removes and returns the next job under the DRR schedule, or nil when
-// the queue is empty. A tenant whose FIFO empties forfeits its remaining
-// deficit (no banking while idle — the classic DRR rule).
+// pop removes and returns the head of the tenant whose turn it is, or nil
+// when the queue is empty, and passes the turn to the next tenant in ring
+// order.
 func (q *drrQueue) pop() *Job {
-	if q.size == 0 {
+	i := q.turn()
+	if i < 0 {
 		return nil
 	}
-	for {
-		t := q.ring[q.cur]
-		if q.deficit > 0 && len(t.fifo) > 0 {
-			j := t.fifo[0]
-			t.fifo[0] = nil // release the reference
-			t.fifo = t.fifo[1:]
-			q.deficit--
-			q.size--
-			return j
-		}
-		q.cur = (q.cur + 1) % len(q.ring)
-		q.deficit = q.quantum
-	}
+	t := q.ring[i]
+	j := t.fifo[0]
+	t.fifo[0] = nil // release the reference
+	t.fifo = t.fifo[1:]
+	q.size--
+	// Not reduced modulo len(ring) here: a tenant that joins the ring before
+	// the next pop is next in line after ring[i], not behind ring[0].
+	q.cur = i + 1
+	return j
 }
 
 // peek returns the job pop would return next, or nil when the queue is empty,
 // and changes nothing: the dispatcher waits on the head this way, so a head
 // that waits for engine threads keeps its turn.
 func (q *drrQueue) peek() *Job {
+	if i := q.turn(); i >= 0 {
+		return q.ring[i].fifo[0]
+	}
+	return nil
+}
+
+// turn returns the ring index of the tenant whose turn it is — the first
+// non-empty FIFO from cur on, in ring order — or -1 when the queue is empty.
+func (q *drrQueue) turn() int {
 	if q.size == 0 {
-		return nil
+		return -1
 	}
-	if t := q.ring[q.cur]; q.deficit > 0 && len(t.fifo) > 0 {
-		return t.fifo[0]
-	}
-	// pop would move on with a fresh quantum (≥ 1): the first non-empty FIFO
-	// after cur in ring order, cur itself last.
-	for i := 1; ; i++ {
-		if t := q.ring[(q.cur+i)%len(q.ring)]; len(t.fifo) > 0 {
-			return t.fifo[0]
+	for i := 0; ; i++ {
+		if k := (q.cur + i) % len(q.ring); len(q.ring[k].fifo) > 0 {
+			return k
 		}
 	}
 }
@@ -132,7 +127,7 @@ func (q *drrQueue) remove(j *Job) bool {
 
 // collect removes and returns, in ring-then-FIFO order, every queued job the
 // callback accepts. The batch gatherer uses it to pull same-graph compatible
-// jobs out of the queue; accepted jobs skip the DRR schedule entirely (they
+// jobs out of the queue; accepted jobs skip the round-robin schedule entirely (they
 // ride along with the batch being dispatched, which only ever shortens their
 // wait).
 func (q *drrQueue) collect(accept func(*Job) bool) []*Job {

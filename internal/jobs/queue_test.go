@@ -17,9 +17,9 @@ func qjob(tenant string, n int) *Job {
 // TestDRRFloodedTenantCannotStarve is the fairness acceptance criterion at
 // the queue level: tenant A floods 50 jobs before tenant B's single job
 // arrives, yet B's job is the SECOND dequeue — within the documented
-// (T-1)·Q + 1 = 2 pops — and the full schedule matches DRR exactly.
+// T = 2 pops — and the full schedule matches round robin exactly.
 func TestDRRFloodedTenantCannotStarve(t *testing.T) {
-	q := newDRRQueue(100, 1)
+	q := newDRRQueue(100)
 	for i := 1; i <= 50; i++ {
 		if err := q.push(qjob("A", i)); err != nil {
 			t.Fatal(err)
@@ -29,7 +29,7 @@ func TestDRRFloodedTenantCannotStarve(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Exact DRR schedule with quantum 1: one A, one B (its whole backlog),
+	// Exact round-robin schedule: one A, one B (its whole backlog),
 	// then the remaining 49 A jobs in FIFO order.
 	want := []string{"A-1", "B-1"}
 	for i := 2; i <= 50; i++ {
@@ -49,11 +49,11 @@ func TestDRRFloodedTenantCannotStarve(t *testing.T) {
 	}
 }
 
-// TestDRRRoundRobinAcrossThreeTenants checks the rotation with quantum 2 and
-// the no-banking rule: a tenant whose FIFO empties forfeits its remaining
-// deficit.
+// TestDRRRoundRobinAcrossThreeTenants checks the rotation at one job per
+// turn: a tenant whose FIFO empties drops out of the rotation until it
+// submits again.
 func TestDRRRoundRobinAcrossThreeTenants(t *testing.T) {
-	q := newDRRQueue(100, 2)
+	q := newDRRQueue(100)
 	// A: 5 jobs, B: 1 job, C: 3 jobs — registered in that ring order.
 	for i := 1; i <= 5; i++ {
 		mustPush(t, q, qjob("A", i))
@@ -63,12 +63,10 @@ func TestDRRRoundRobinAcrossThreeTenants(t *testing.T) {
 		mustPush(t, q, qjob("C", i))
 	}
 	want := []string{
-		"A-1", "A-2", // A's quantum of 2
-		"B-1",        // B empties, forfeits its second unit
-		"C-1", "C-2", // C's quantum
-		"A-3", "A-4", // round 2
-		"C-3", // C empties
-		"A-5", // only A remains
+		"A-1", "B-1", "C-1", // round 1; B empties
+		"A-2", "C-2", // round 2
+		"A-3", "C-3", // round 3; C empties
+		"A-4", "A-5", // only A remains
 	}
 	for pos, id := range want {
 		if got := qid(q.pop()); got != id {
@@ -77,8 +75,29 @@ func TestDRRRoundRobinAcrossThreeTenants(t *testing.T) {
 	}
 }
 
+// TestDRRNewTenantTakesTheNextTurn: a tenant that first submits after the
+// last tenant in the ring was served is next in ring order, not behind the
+// ring's first tenant.
+func TestDRRNewTenantTakesTheNextTurn(t *testing.T) {
+	q := newDRRQueue(10)
+	mustPush(t, q, qjob("A", 1))
+	mustPush(t, q, qjob("A", 2))
+	mustPush(t, q, qjob("B", 1))
+	for _, id := range []string{"A-1", "B-1"} {
+		if got := qid(q.pop()); got != id {
+			t.Fatalf("got %s, want %s", got, id)
+		}
+	}
+	mustPush(t, q, qjob("C", 1))
+	for _, id := range []string{"C-1", "A-2"} {
+		if got := qid(q.pop()); got != id {
+			t.Fatalf("got %s, want %s", got, id)
+		}
+	}
+}
+
 func TestDRRQueueBoundAndRemove(t *testing.T) {
-	q := newDRRQueue(3, 1)
+	q := newDRRQueue(3)
 	a, b, c := qjob("A", 1), qjob("A", 2), qjob("B", 1)
 	mustPush(t, q, a)
 	mustPush(t, q, b)
@@ -100,7 +119,7 @@ func TestDRRQueueBoundAndRemove(t *testing.T) {
 }
 
 func TestDRRCollectPullsMatchingJobs(t *testing.T) {
-	q := newDRRQueue(10, 1)
+	q := newDRRQueue(10)
 	a1, a2, b1 := qjob("A", 1), qjob("A", 2), qjob("B", 1)
 	mustPush(t, q, a1)
 	mustPush(t, q, a2)
@@ -118,20 +137,20 @@ func TestDRRCollectPullsMatchingJobs(t *testing.T) {
 }
 
 // TestDRRPeekIsTheNextPop: over seeded scripts of pushes, pops, removes and
-// collects across four tenants and quanta 1–3, peek returns exactly the job the
-// next pop returns — nil on an empty queue — and leaves cur, deficit and size
-// as it found them, so a head the dispatcher waits on keeps its DRR turn.
+// collects across four tenants, peek returns exactly the job the next pop
+// returns — nil on an empty queue — and leaves cur and size as it found them,
+// so a head the dispatcher waits on keeps its turn.
 func TestDRRPeekIsTheNextPop(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		r := rand.New(rand.NewSource(seed))
-		q := newDRRQueue(32, 1+r.Intn(3))
+		q := newDRRQueue(32)
 		var queued []*Job // pushed and still in q, for remove to draw from
 		for step, n := 0, 0; step < 400; step++ {
-			cur, deficit, size := q.cur, q.deficit, q.size
+			cur, size := q.cur, q.size
 			head := q.peek()
-			if q.cur != cur || q.deficit != deficit || q.size != size {
-				t.Fatalf("seed %d step %d: peek moved (cur, deficit, size) from (%d, %d, %d) to (%d, %d, %d)",
-					seed, step, cur, deficit, size, q.cur, q.deficit, q.size)
+			if q.cur != cur || q.size != size {
+				t.Fatalf("seed %d step %d: peek moved (cur, size) from (%d, %d) to (%d, %d)",
+					seed, step, cur, size, q.cur, q.size)
 			}
 			switch op := r.Intn(10); {
 			case op < 5:

@@ -9,9 +9,9 @@
 //
 // Two properties distinguish it from a plain work queue:
 //
-//   - Per-tenant fairness: the bounded queue is drained by deficit
-//     round-robin over per-tenant FIFOs (queue.go), so one tenant flooding
-//     the queue cannot starve another's single job.
+//   - Per-tenant fairness: the bounded queue is drained round robin over
+//     per-tenant FIFOs, one job per tenant per turn (queue.go), so one tenant
+//     flooding the queue cannot starve another's single job.
 //
 //   - Query batching: before launching a job, the dispatcher scans the queue
 //     for co-queued jobs on the same graph with the same pattern size and
@@ -105,7 +105,7 @@ const retainJobs = 1024
 
 // Config parameterizes a Server. The zero value is usable: private registry,
 // queue of 64, batches up to 8 plan legs, named graphs only. Not
-// configurable: the DRR quantum is one job per tenant per round, a request
+// configurable: the queue pops one job per tenant per turn, a request
 // that leaves Options.Workers at 0 runs on GOMAXPROCS threads, the batches in
 // flight share GOMAXPROCS engine threads (see admitsLocked), and the
 // per-tenant metric families hold obs.DefaultLabelCap tenants.
@@ -324,7 +324,7 @@ func New(cfg Config) *Server {
 		elog:           cfg.EventLog,
 		rootCtx:        ctx,
 		stopAll:        cancel,
-		q:              newDRRQueue(cfg.MaxQueue, 1),
+		q:              newDRRQueue(cfg.MaxQueue),
 		jobs:           map[string]*Job{},
 		retain:         retainJobs,
 		threads:        runtime.GOMAXPROCS(0),
@@ -522,11 +522,11 @@ func (s *Server) Close(ctx context.Context) error {
 	return err
 }
 
-// dispatch is the scheduler loop: it waits until the DRR head admits (see
+// dispatch is the scheduler loop: it waits until the queue's head admits (see
 // admitsLocked), pops it, gathers a compatible batch around it, marks the batch
 // compiling and hands it to a runner goroutine. The head is never skipped, so
 // batches dispatch — and their compiling transitions fire, all from this
-// goroutine — in exact DRR order; gathering after the wait lets a head that
+// goroutine — in exact round-robin order; gathering after the wait lets a head that
 // waited for threads take every compatible job queued meanwhile.
 func (s *Server) dispatch() {
 	defer close(s.dispatcherDone)
@@ -564,7 +564,7 @@ func (s *Server) dispatch() {
 	s.fire(notes)
 }
 
-// admitsLocked reports whether the DRR head may dispatch now: its engine
+// admitsLocked reports whether the queue's head may dispatch now: its engine
 // threads — its normalized Workers, shared by every job a batch gathers — fit
 // in s.threads beside those the running batches hold, or nothing runs, so a
 // batch asking for more than the budget runs alone. A default job (Workers 0,
@@ -582,7 +582,7 @@ func (b *batch) fits(j *Job) bool {
 		j.pat.Size() == b.legs[0].pat.Size()
 }
 
-// gatherLocked builds the dispatch batch around the DRR head: every queued
+// gatherLocked builds the dispatch batch around the queue's head: every queued
 // job on the same graph with the same pattern size, matching semantics and
 // engine options joins, up to MaxBatch distinct plan legs. Isomorphic
 // patterns share a leg (one compiled chain, one count, many recipients).
@@ -656,7 +656,7 @@ func (s *Server) twinLocked(j *Job) (*batch, *leg) {
 
 // joinLocked attaches j, just logged queued, to l, its twin's leg in the
 // in-flight batch b: j becomes one more recipient of the leg's count, never
-// enters the DRR queue and holds no engine thread. At the clock read that
+// enters the fair queue and holds no engine thread. At the clock read that
 // submitted it, j turns compiling, and running too if b's run has begun
 // (otherwise b's markLocked moves it on with the rest); its queue wait is 0.
 // Called with s.mu held.

@@ -22,7 +22,11 @@
 // BenchmarkTraceOverhead and the sim cycle-invariance tests).
 package obs
 
-import "sync"
+import (
+	"io"
+	"os"
+	"sync"
+)
 
 // Clock supplies timestamps for phases and trace events. Implementations must
 // be safe for concurrent use.
@@ -51,4 +55,20 @@ func (c *VirtualClock) Now() int64 {
 	defer c.mu.Unlock()
 	c.t++
 	return c.t
+}
+
+// WriteFile creates path, renders an artifact into it and closes it; every
+// artifact file the commands write goes through it. It returns render's
+// error, or else Close's, so a file that did not reach the disk is never
+// reported as written.
+func WriteFile(path string, render func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := render(f); err != nil {
+		f.Close() // render's error is the one to report
+		return err
+	}
+	return f.Close()
 }
