@@ -127,7 +127,7 @@ func engineFlags(fs *flag.FlagSet) func() (core.Options, error) {
 	}
 }
 
-func run(o options) error {
+func run(o options) (err error) {
 	// Flag mistakes fail up front — a misspelt -app too, since the plan needs
 	// only the flags — before any input is touched or artifact written:
 	// loading can mean generating and orienting a dataset.
@@ -168,10 +168,8 @@ func run(o options) error {
 	}
 	defer func() {
 		// Written in a defer so timeout partial-result paths still produce
-		// their artifacts.
-		if err := writeArtifacts(o, reg, tracer, sampler); err != nil {
-			fmt.Fprintln(os.Stderr, "flexminer:", err)
-		}
+		// their artifacts; a failed write fails the run.
+		err = errors.Join(err, writeArtifacts(o, reg, tracer, sampler))
 	}()
 
 	endLoad := phase(reg, "load")

@@ -38,6 +38,32 @@ func TestRunRejectsFlagMistakesBeforeLoading(t *testing.T) {
 	}
 }
 
+// TestRunFailsWhenAnArtifactWriteFails: run writes the artifacts in a defer,
+// so that a timed-out run still leaves them; a write that fails there is
+// run's error, so the command exits 1 instead of 0 after printing it.
+func TestRunFailsWhenAnArtifactWriteFails(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this host")
+	}
+	bin := filepath.Join(t.TempDir(), "g.bin")
+	if err := graph.SaveBinary(bin, graph.ChungLu(200, 1200, 2.3, 7)); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		flag string
+		o    options
+	}{
+		{"-metrics", options{engine: "cpu", metricsPath: "/dev/full"}},
+		{"-trace", options{engine: "cpu", tracePath: "/dev/full"}},
+		{"-timeseries", options{engine: "sim", pes: 4, cmapBytes: 8 << 10, timeseriesPath: "/dev/full", sampleWindow: 4096}},
+	} {
+		c.o.graphPath, c.o.patName = bin, "triangle"
+		if err := run(c.o); err == nil || !strings.Contains(err.Error(), "no space left") {
+			t.Errorf("%s /dev/full: run = %v, want the write error", c.flag, err)
+		}
+	}
+}
+
 // runCounters runs o on the CPU engine with a -metrics artifact in a fresh
 // directory and returns the artifact's counters: cpu.count.<i> and cpu.<stat>.
 func runCounters(t *testing.T, o options) map[string]int64 {

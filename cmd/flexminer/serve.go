@@ -26,8 +26,9 @@ import (
 
 // runServe implements `flexminer serve`: a long-lived process serving the
 // /jobs API plus /metrics (Prometheus text), /healthz, /debug/jobs and
-// /debug/pprof. Engine knobs travel with each job's "options", not with the
-// server; a one-shot run of an app the job API cannot express (DAG-oriented
+// /debug/pprof. A job's worker count and timeout travel with its "options",
+// not with the server, and the engine picks its kernels and hub slicing from
+// the input; a one-shot run of an app the job API cannot express (DAG-oriented
 // cliques, k-MC) is `flexminer -app … -metrics … -pprof …`.
 func runServe(args []string) error {
 	fs := flag.NewFlagSet("flexminer serve", flag.ExitOnError)
@@ -40,7 +41,6 @@ func runServe(args []string) error {
 	dataset := fs.String("dataset", "", "built-in dataset stand-in registered as graph \"default\" (As, Mi, Pa, Yo, Lj, Or)")
 	useMmap := fs.Bool("mmap", false, "memory-map the -graph .bin file zero-copy instead of loading it onto the heap")
 	jobsQueue := fs.Int("jobs-queue", 64, "job queue bound, unfinished joiners included (submits beyond it get 429)")
-	jobsBatch := fs.Int("jobs-batch", 8, "max distinct patterns merged into one batched plan (1 disables batching and joins)")
 	jobsGraphDir := fs.String("jobs-graph-dir", "", "root directory for job graph path references (empty = named graphs only)")
 	jobsPaused := fs.Bool("jobs-paused", false, "start the job dispatcher paused (POST /jobs/queue/resume to release)")
 	eventlogPath := fs.String("eventlog", "", "flush the job service's structured event log (NDJSON) here on shutdown")
@@ -82,7 +82,6 @@ func runServe(args []string) error {
 	js := jobs.New(jobs.Config{
 		Registry:    reg,
 		MaxQueue:    *jobsQueue,
-		MaxBatch:    *jobsBatch,
 		Graphs:      named,
 		GraphDir:    *jobsGraphDir,
 		StartPaused: *jobsPaused,

@@ -1,6 +1,8 @@
 package flexminer
 
 import (
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -16,17 +18,21 @@ var (
 	// (TestKernelInvariance{,DAG,Induced}), then anything (flags).
 	docTestName = regexp.MustCompile("`((?:Test|Benchmark|Fuzz)[A-Z0-9_]\\w*)(…|\\*|\\{[\\w,]*\\})?[^`\\n]*`")
 	testFunc    = regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
-	decisionRef = regexp.MustCompile(`[Dd]ecisions? (\d+)`)
+	decisionRef = regexp.MustCompile(`[Dd]ecisions?\s+(\d+)`)
 	decisionDef = regexp.MustCompile(`(?m)^(\d+)\. \*\*`)
 )
 
 // TestDocReferencesResolve holds the docs to the code they point a reader
 // at: every backticked Test…, Benchmark… or Fuzz… name in README.md,
 // DESIGN.md and EXPERIMENTS.md is declared in some _test.go file of the
-// module, and every "decision N" in README.md and EXPERIMENTS.md is one that
-// DESIGN.md numbers. ROADMAP.md is left out: it names tests not yet written.
+// module, and every "decision N" in README.md, EXPERIMENTS.md and the
+// comments of every .go file is one that DESIGN.md numbers. ROADMAP.md is
+// left out: it names tests not yet written.
 func TestDocReferencesResolve(t *testing.T) {
 	declared := map[string]bool{}
+	type cite struct{ where, text string }
+	var goComments []cite
+	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -34,15 +40,24 @@ func TestDocReferencesResolve(t *testing.T) {
 		if d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
 			return filepath.SkipDir
 		}
-		if d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+		if d.IsDir() || !strings.HasSuffix(path, ".go") {
 			return nil
 		}
 		src, err := os.ReadFile(path)
 		if err != nil {
 			return err
 		}
-		for _, m := range testFunc.FindAllStringSubmatch(string(src), -1) {
-			declared[m[1]] = true
+		f, err := parser.ParseFile(fset, path, src, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, c := range f.Comments {
+			goComments = append(goComments, cite{fset.Position(c.Pos()).String(), c.Text()})
+		}
+		if strings.HasSuffix(path, "_test.go") {
+			for _, m := range testFunc.FindAllStringSubmatch(string(src), -1) {
+				declared[m[1]] = true
+			}
 		}
 		return nil
 	})
@@ -85,18 +100,19 @@ func TestDocReferencesResolve(t *testing.T) {
 		}
 	}
 
-	last := 0
+	numbered := map[int]bool{}
 	for _, m := range decisionDef.FindAllStringSubmatch(read("DESIGN.md"), -1) {
 		n, _ := strconv.Atoi(m[1])
-		last = max(last, n)
+		numbered[n] = true
 	}
-	if last == 0 {
+	if len(numbered) == 0 {
 		t.Fatal("DESIGN.md numbers no decisions")
 	}
-	for _, doc := range []string{"README.md", "EXPERIMENTS.md"} {
-		for _, m := range decisionRef.FindAllStringSubmatch(read(doc), -1) {
-			if n, _ := strconv.Atoi(m[1]); n < 1 || n > last {
-				t.Errorf("%s: %q, but DESIGN.md's decisions run 1–%d", doc, m[0], last)
+	cites := append([]cite{{"README.md", read("README.md")}, {"EXPERIMENTS.md", read("EXPERIMENTS.md")}}, goComments...)
+	for _, c := range cites {
+		for _, m := range decisionRef.FindAllStringSubmatch(c.text, -1) {
+			if n, _ := strconv.Atoi(m[1]); !numbered[n] {
+				t.Errorf("%s: %q, but DESIGN.md numbers no decision %d", c.where, m[0], n)
 			}
 		}
 	}

@@ -19,7 +19,7 @@ package graph
 //
 // The slice returned by Adj aliases backend storage and MUST NOT be written
 // to: for mmap-backed stores it is a view of read-only pages and a write
-// kills the process. The flexlint adjwrite analyzer enforces this at the
+// kills the process. The adjwrite analyzer (internal/lint) enforces this at the
 // source level.
 type Store interface {
 	// NumVertices returns |V|.

@@ -2,11 +2,13 @@ package jobs
 
 // The work-sharing acceptance criteria: batching must PROVABLY share work,
 // both statically (the merged plan is smaller than the two individual plans
-// combined) and dynamically (the engine performs fewer set-op iterations
-// under batching than the sum of the individual runs).
+// combined) and dynamically (the engine emits fewer candidates under
+// batching than the sum of the individual runs).
 
 import (
 	"context"
+	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -56,9 +58,9 @@ func TestMergedPlanSmallerThanSum(t *testing.T) {
 }
 
 // TestBatchedRunSharesWork: a batched diamond + tailed-triangle run must
-// perform strictly fewer set-op iterations (the SIU/SDU work proxy) than the
-// same two jobs mined individually, while producing identical counts.
-// Deterministic knobs: merge kernel, one worker.
+// emit strictly fewer candidates (the work proxy every kernel policy shares)
+// than the same two jobs mined individually, while producing identical
+// counts. One worker, the engine's default kernels, as a job runs.
 func TestBatchedRunSharesWork(t *testing.T) {
 	g := graph.ChungLu(300, 2100, 2.3, 11)
 	mineOne := func(name string) (int64, core.Stats) {
@@ -70,7 +72,7 @@ func TestBatchedRunSharesWork(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng, err := core.NewEngine(g, pl, core.Options{Threads: 1, Kernel: core.KernelMergeOnly})
+		eng, err := core.NewEngine(g, pl, core.Options{Threads: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,7 +86,7 @@ func TestBatchedRunSharesWork(t *testing.T) {
 	s := New(Config{Registry: reg, Graphs: map[string]graph.Store{"g": g}, StartPaused: true})
 	defer closeServer(t, s)
 
-	opts := EngineOptions{Workers: 1, Kernel: "merge"}
+	opts := EngineOptions{Workers: 1}
 	idD := submitNamed(t, s, "A", "g", "diamond", opts)
 	idT := submitNamed(t, s, "B", "g", "tailed-triangle", opts)
 	s.Resume()
@@ -104,13 +106,13 @@ func TestBatchedRunSharesWork(t *testing.T) {
 			resD.Count, resT.Count, countD, countT)
 	}
 	// Both jobs carry the same whole-batch stats document.
-	batched := resD.Stats.SetOpIterations
-	individual := statsD.SetOpIterations + statsT.SetOpIterations
+	batched := resD.Stats.Candidates
+	individual := statsD.Candidates + statsT.Candidates
 	if batched >= individual {
-		t.Fatalf("batched run: %d set-op iterations, individual runs total %d — batching shared no work",
+		t.Fatalf("batched run: %d candidates, individual runs total %d — batching shared no work",
 			batched, individual)
 	}
-	t.Logf("set-op iterations: batched %d vs individual %d (saved %.1f%%)",
+	t.Logf("candidates: batched %d vs individual %d (saved %.1f%%)",
 		batched, individual, 100*float64(individual-batched)/float64(individual))
 
 	if v := reg.Get(MetricBatched); v != 2 {
@@ -173,8 +175,8 @@ func TestIncompatibleJobsDoNotBatch(t *testing.T) {
 }
 
 // TestOptionSpellingsShareABatch: batch compatibility compares normalized
-// options, so two spellings of one kernel policy ("merge", "merge-only") must
-// land in the same batch.
+// options, so two spellings of the default worker count (none, and
+// GOMAXPROCS) must land in the same batch.
 func TestOptionSpellingsShareABatch(t *testing.T) {
 	g := graph.ChungLu(150, 900, 2.3, 6)
 	s := New(Config{Graphs: map[string]graph.Store{"g": g}, StartPaused: true})
@@ -182,8 +184,8 @@ func TestOptionSpellingsShareABatch(t *testing.T) {
 
 	var ids []string
 	for _, body := range []string{
-		`{"graph":{"name":"g"},"pattern":{"name":"diamond"},"options":{"kernel":"merge"}}`,
-		`{"graph":{"name":"g"},"pattern":{"name":"tailed-triangle"},"options":{"kernel":"merge-only"}}`,
+		`{"graph":{"name":"g"},"pattern":{"name":"diamond"}}`,
+		fmt.Sprintf(`{"graph":{"name":"g"},"pattern":{"name":"tailed-triangle"},"options":{"workers":%d}}`, runtime.GOMAXPROCS(0)),
 	} {
 		req, pat, err := ParseSubmit([]byte(body))
 		if err != nil {
@@ -207,11 +209,13 @@ func TestOptionSpellingsShareABatch(t *testing.T) {
 	}
 }
 
-// TestBatchingDisabledByMaxBatchOne: MaxBatch 1 must dispatch co-queued
-// compatible jobs separately.
+// TestBatchingDisabledByMaxBatchOne: a batch cap of 1 (the seam tests use to
+// separate fairness from batching) must dispatch co-queued compatible jobs
+// separately.
 func TestBatchingDisabledByMaxBatchOne(t *testing.T) {
 	g := graph.ChungLu(150, 900, 2.3, 6)
-	s := New(Config{Graphs: map[string]graph.Store{"g": g}, MaxBatch: 1, StartPaused: true})
+	s := New(Config{Graphs: map[string]graph.Store{"g": g}, StartPaused: true})
+	setBatchCap(s, 1)
 	defer closeServer(t, s)
 
 	id1 := submitNamed(t, s, "A", "g", "diamond", EngineOptions{Workers: 2})

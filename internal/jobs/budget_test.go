@@ -23,6 +23,15 @@ func setThreads(s *Server, n int) {
 	s.mu.Unlock()
 }
 
+// setBatchCap sets how many distinct plan legs s merges into one batch; 1
+// turns batching and joins off, so a test sees one job per engine run. Call it
+// before the first job can dispatch, as setThreads.
+func setBatchCap(s *Server, n int) {
+	s.mu.Lock()
+	s.batchCap = n
+	s.mu.Unlock()
+}
+
 // gateStore holds each engine run on its graph at the run's first MaxDegree
 // call — in core's newWorker or slice sizing, on the batch runner's goroutine,
 // after the batch turned running — until the test opens it, and signals once
@@ -89,7 +98,7 @@ func (g *gateStore) heldAlone(d time.Duration) bool {
 // a terminal state at the same time as another. The dispatcher fires compiling
 // when it admits a batch, and a runner fires its jobs' terminal states before
 // the batch's threads return to the budget, so two jobs seen in flight together
-// were admitted together (MaxBatch 1: one job per batch).
+// were admitted together (batch cap 1: one job per batch).
 type flight struct {
 	mu     sync.Mutex
 	now    map[string]bool
@@ -167,7 +176,8 @@ func TestBudgetDefaultJobRunsAlone(t *testing.T) {
 	g := graph.ChungLu(300, 2000, 2.3, 7)
 	gate := newGateStore(g, 2)
 	f := newFlight()
-	s := New(Config{Graphs: map[string]graph.Store{"g": gate}, MaxBatch: 1, StartPaused: true, OnTransition: f.observe})
+	s := New(Config{Graphs: map[string]graph.Store{"g": gate}, StartPaused: true, OnTransition: f.observe})
+	setBatchCap(s, 1)
 	defer closeServer(t, s)
 	defer gate.open()
 

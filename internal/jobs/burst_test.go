@@ -91,15 +91,14 @@ func runBursts(t *testing.T, bursts [][]burstJob) {
 	}
 }
 
-func submitBody(tenant, ref string, workers int, kernel string) string {
-	return fmt.Sprintf(`{"tenant":%q,"graph":{"name":"g"},"pattern":%s,"options":{"workers":%d,"kernel":%q}}`, tenant, ref, workers, kernel)
+func submitBody(tenant, ref string, workers int) string {
+	return fmt.Sprintf(`{"tenant":%q,"graph":{"name":"g"},"pattern":%s,"options":{"workers":%d}}`, tenant, ref, workers)
 }
 
 // TestMetamorphicBatchedEqualsIndividual: seeded bursts of 2–8 same-size jobs from
 // the 3- and 4-vertex catalog — each pattern by name or as the edges of a random
 // relabelling, so that a burst holds isomorphic duplicates under both spellings —
-// from one or two tenants, with kernel auto or merge (spelled "merge" or
-// "merge-only" job by job) and 1 or 4 workers.
+// from one or two tenants, with 1 or 4 workers.
 func TestMetamorphicBatchedEqualsIndividual(t *testing.T) {
 	r := rand.New(rand.NewSource(29))
 	bursts := make([][]burstJob, 16)
@@ -108,10 +107,6 @@ func TestMetamorphicBatchedEqualsIndividual(t *testing.T) {
 	}
 	for i := range bursts {
 		cat := pattern.Motifs(3 + r.Intn(2))
-		kernels := []string{"auto"}
-		if r.Intn(2) == 0 {
-			kernels = []string{"merge", "merge-only"}
-		}
 		workers, tenants := 1+3*r.Intn(2), 1+r.Intn(2)
 		for n := 2 + r.Intn(7); n > 0; n-- {
 			p := cat[r.Intn(len(cat))]
@@ -120,7 +115,7 @@ func TestMetamorphicBatchedEqualsIndividual(t *testing.T) {
 				edges, _ := json.Marshal(p.Relabel(r.Perm(p.Size())).Edges())
 				ref = fmt.Sprintf(`{"vertices":%d,"edges":%s}`, p.Size(), edges)
 			}
-			bursts[i] = append(bursts[i], burstJob{p.Name(), submitBody(fmt.Sprint("t", r.Intn(tenants)), ref, workers, kernels[r.Intn(len(kernels))])})
+			bursts[i] = append(bursts[i], burstJob{p.Name(), submitBody(fmt.Sprint("t", r.Intn(tenants)), ref, workers)})
 		}
 	}
 	runBursts(t, bursts)
@@ -134,7 +129,7 @@ func TestBurstSetEqualsSolo(t *testing.T) {
 		var b []burstJob
 		for _, tenant := range []string{"A", "B"} {
 			for _, name := range []string{"diamond", "tailed-triangle", "4-cycle", "4-clique", "4-star", "4-path", "triangle", "wedge"} {
-				b = append(b, burstJob{name, submitBody(tenant, fmt.Sprintf(`{"name":%q}`, name), workers, "auto")})
+				b = append(b, burstJob{name, submitBody(tenant, fmt.Sprintf(`{"name":%q}`, name), workers)})
 			}
 		}
 		bursts = append(bursts, b)

@@ -4,8 +4,8 @@ package jobs
 // sequence POSTed at /jobs may panic the decoder. Malformed JSON, absurd
 // sizes, bad graph references and degenerate patterns must all come back as
 // clean errors, and anything the decoder accepts must be internally
-// consistent (a usable pattern, normalized options that re-parse to
-// themselves).
+// consistent (a usable pattern, a normalized request that re-parses to
+// itself).
 
 import (
 	"bytes"
@@ -19,10 +19,10 @@ func FuzzJobSubmitJSON(f *testing.F) {
 	seeds := []string{
 		// The happy paths.
 		`{"tenant":"alice","graph":{"name":"default"},"pattern":{"name":"triangle"}}`,
-		`{"graph":{"path":"web.bin","mmap":true},"pattern":{"name":"diamond"},"options":{"workers":4,"kernel":"merge","slice":1024,"timeout_ms":5000}}`,
+		`{"graph":{"path":"web.bin","mmap":true},"pattern":{"name":"diamond"},"options":{"workers":4,"timeout_ms":5000}}`,
 		`{"graph":{"name":"g"},"pattern":{"vertices":4,"edges":[[0,1],[1,2],[2,3],[3,0]],"induced":true}}`,
 		`{"graph":{"name":"g"},"pattern":{"name":"5-clique"}}`,
-		`{"graph":{"name":"g"},"pattern":{"name":"wedge"},"options":{"kernel":"merge-only"}}`,
+		`{"graph":{"name":"g"},"pattern":{"name":"wedge"},"options":{}}`,
 		// The documented failure modes.
 		`{"graph":{},"pattern":{"name":"triangle"}}`,
 		`{"graph":{"name":"g","path":"also.bin"},"pattern":{"name":"triangle"}}`,
@@ -32,9 +32,9 @@ func FuzzJobSubmitJSON(f *testing.F) {
 		`{"graph":{"name":"g"},"pattern":{"vertices":4,"edges":[[1,1]]}}`,
 		`{"graph":{"name":"g"},"pattern":{"vertices":4,"edges":[[0,1],[2,3]]}}`,
 		`{"graph":{"name":"g"},"pattern":{"name":"triangle"},"options":{"workers":-1}}`,
-		`{"graph":{"name":"g"},"pattern":{"name":"triangle"},"options":{"kernel":"warp"}}`,
-		`{"graph":{"name":"g"},"pattern":{"name":"triangle"},"options":{"kernel":"gallop"}}`,
-		`{"graph":{"name":"g"},"pattern":{"name":"triangle"},"options":{"kernel":"bitmap"}}`,
+		`{"graph":{"name":"g"},"pattern":{"name":"triangle"},"options":{"timeout_ms":-5}}`,
+		`{"graph":{"name":"g"},"pattern":{"name":"triangle"},"options":{"kernel":"merge"}}`,
+		`{"graph":{"name":"g"},"pattern":{"name":"triangle"},"options":{"slice":64}}`,
 		`{"graph":{"name":"g"},"pattern":{"name":"triangle"},"unknown_field":1}`,
 		`{"graph":{"name":"g"},"pattern":{"name":"triangle"}} trailing`,
 		`{not json`,
@@ -66,12 +66,6 @@ func FuzzJobSubmitJSON(f *testing.F) {
 		}
 		if (req.Graph.Name == "") == (req.Graph.Path == "") {
 			t.Fatalf("accepted ambiguous graph ref %+v", req.Graph)
-		}
-		if req.Options.Kernel == "" {
-			t.Fatalf("accepted un-normalized options %+v", req.Options)
-		}
-		if _, err := req.Options.coreOptions(); err != nil {
-			t.Fatalf("accepted options that don't map to core: %v", err)
 		}
 		// Normalization is a fixed point: the normalized request re-parses to
 		// itself, so equal-meaning jobs compare equal for batching.

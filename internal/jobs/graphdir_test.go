@@ -39,7 +39,7 @@ func submitPath(t *testing.T, s *Server, path string, mmap bool) string {
 		Tenant:  "A",
 		Graph:   GraphRef{Path: path, Mmap: mmap},
 		Pattern: PatternRef{Name: "triangle"},
-		Options: EngineOptions{Workers: 2, Kernel: "auto"},
+		Options: EngineOptions{Workers: 2},
 	}, pat)
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +85,7 @@ func TestGraphPathCacheAndBatching(t *testing.T) {
 
 	pat1, _ := pattern.ByName("diamond")
 	pat2, _ := pattern.ByName("tailed-triangle")
-	opts := EngineOptions{Workers: 2, Kernel: "auto"}
+	opts := EngineOptions{Workers: 2}
 	id1, err := s.Submit(SubmitRequest{Tenant: "A", Graph: GraphRef{Path: "g.bin"}, Pattern: PatternRef{Name: "diamond"}, Options: opts}, pat1)
 	if err != nil {
 		t.Fatal(err)

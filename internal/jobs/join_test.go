@@ -27,9 +27,6 @@ func submitReq(t *testing.T, s *Server, tenant string, ref GraphRef, patName str
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opts.Kernel == "" {
-		opts.Kernel = "auto"
-	}
 	id, err := s.Submit(SubmitRequest{
 		Tenant:  tenant,
 		Graph:   ref,
@@ -192,27 +189,30 @@ func TestJoinCancel(t *testing.T) {
 }
 
 // TestJoinRefused: a twin that differs from the held run in graph, induced
-// flag or an option, one with a timeout, and any twin under MaxBatch 1 queue
-// behind the run instead of joining it, and run on their own.
+// flag or an option, one with a timeout, and any twin under a batch cap of 1
+// queue behind the run instead of joining it, and run on their own.
 func TestJoinRefused(t *testing.T) {
 	g := graph.ChungLu(300, 2000, 2.3, 7)
 	named := GraphRef{Name: "g"}
 	for _, c := range []struct {
 		name     string
-		maxBatch int
+		batchCap int
 		ref      GraphRef
 		induced  bool
 		opts     EngineOptions
 	}{
 		{"timeout", 0, named, false, EngineOptions{Workers: 1, TimeoutMS: 60_000}},
-		{"MaxBatch 1", 1, named, false, EngineOptions{Workers: 1}},
+		{"batch cap 1", 1, named, false, EngineOptions{Workers: 1}},
 		{"another graph", 0, GraphRef{Name: "h"}, false, EngineOptions{Workers: 1}},
 		{"induced", 0, named, true, EngineOptions{Workers: 1}},
-		{"another kernel", 0, named, false, EngineOptions{Workers: 1, Kernel: "merge"}},
+		{"another worker count", 0, named, false, EngineOptions{Workers: 2}},
 	} {
 		gate := newGateStore(g, 1)
-		s := New(Config{Graphs: map[string]graph.Store{"g": gate, "h": g}, MaxBatch: c.maxBatch})
+		s := New(Config{Graphs: map[string]graph.Store{"g": gate, "h": g}})
 		setThreads(s, 1)
+		if c.batchCap > 0 {
+			setBatchCap(s, c.batchCap)
+		}
 		first := submitReq(t, s, "alice", named, "diamond", false, EngineOptions{Workers: 1, TimeoutMS: c.opts.TimeoutMS})
 		gate.waitFull(t)
 		twin := submitReq(t, s, "bob", c.ref, "diamond", c.induced, c.opts)
@@ -267,7 +267,7 @@ func TestJoinCountsAgainstMaxQueue(t *testing.T) {
 	setThreads(s, 1)
 	defer closeServer(t, s)
 	defer gate.open()
-	opts := EngineOptions{Workers: 1, Kernel: "auto"}
+	opts := EngineOptions{Workers: 1}
 	submit := func(name string) (string, error) {
 		pat, _ := pattern.ByName(name)
 		return s.Submit(SubmitRequest{Tenant: "a", Graph: GraphRef{Name: "g"}, Pattern: PatternRef{Name: name}, Options: opts}, pat)
@@ -368,7 +368,7 @@ func TestJoinNeverLandsOnADeliveredBatch(t *testing.T) {
 				}
 				pat, _ := pattern.ByName("diamond")
 				twin, err := s.Submit(SubmitRequest{Tenant: "bob", Graph: GraphRef{Name: graphName}, Pattern: PatternRef{Name: "diamond"},
-					Options: EngineOptions{Workers: 1, Kernel: "auto"}}, pat)
+					Options: EngineOptions{Workers: 1}}, pat)
 				if err != nil {
 					twin = err.Error()
 				}

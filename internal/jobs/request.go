@@ -15,7 +15,6 @@ import (
 	"strings"
 	"unicode"
 
-	"repro/internal/core"
 	"repro/internal/pattern"
 )
 
@@ -30,7 +29,6 @@ const (
 	maxNameLen   = 128
 	maxEdges     = 256
 	maxWorkers   = 1024
-	maxSliceLen  = 1 << 20
 	maxTimeoutMS = 24 * 60 * 60 * 1000 // one day
 )
 
@@ -79,31 +77,17 @@ type PatternRef struct {
 	Induced  bool     `json:"induced,omitempty"`
 }
 
-// EngineOptions are the per-job CPU-engine knobs (the CMinerAPI-style
-// support/workers surface). The zero value picks server defaults. Two jobs
-// batch together only when their normalized options are identical — a merged
-// plan runs on one engine, so there is no way to honor two different worker
-// counts in one batch.
+// EngineOptions are the per-job CPU-engine knobs. The zero value picks server
+// defaults; the engine picks its set kernels and hub slicing from the input,
+// as the library and CLI defaults do. Two jobs batch together only when their
+// options are identical — a merged plan runs on one engine, so there is no
+// way to honor two different worker counts in one batch.
 type EngineOptions struct {
 	// Workers is the engine thread count; 0 picks the server default.
 	Workers int `json:"workers,omitempty"`
-	// Kernel is the set-kernel policy: auto, merge ("" = auto).
-	Kernel string `json:"kernel,omitempty"`
-	// Slice is the hub-slicing task size (0 auto, -1 off).
-	Slice int `json:"slice,omitempty"`
 	// TimeoutMS bounds the mining run; on expiry the job is cancelled with
 	// partial results. 0 means no limit.
 	TimeoutMS int `json:"timeout_ms,omitempty"`
-}
-
-// coreOptions maps the validated knobs onto core.Options (the progress
-// callback is layered on by the batch runner).
-func (o EngineOptions) coreOptions() (core.Options, error) {
-	kernel, err := core.ParseKernelPolicy(o.Kernel)
-	if err != nil {
-		return core.Options{}, err
-	}
-	return core.Options{Threads: o.Workers, SliceElems: o.Slice, Kernel: kernel}, nil
 }
 
 // SubmitRequest is the POST /jobs document.
@@ -117,11 +101,10 @@ type SubmitRequest struct {
 }
 
 // ParseSubmit decodes and validates a submit-request document, returning the
-// normalized request (defaults filled in, so equal requests compare equal for
-// batching) and the resolved pattern. Every malformed input — bad JSON,
-// unknown fields, out-of-range sizes, invalid edges, disconnected patterns,
-// contradictory graph references — comes back as an error; ParseSubmit never
-// panics (FuzzJobSubmitJSON).
+// request (an empty tenant set to "default") and the resolved pattern. Every
+// malformed input — bad JSON, unknown fields, out-of-range sizes, invalid
+// edges, disconnected patterns, contradictory graph references — comes back
+// as an error; ParseSubmit never panics (FuzzJobSubmitJSON).
 func ParseSubmit(data []byte) (SubmitRequest, *pattern.Pattern, error) {
 	var req SubmitRequest
 	if len(data) > MaxBodyBytes {
@@ -148,8 +131,7 @@ func ParseSubmit(data []byte) (SubmitRequest, *pattern.Pattern, error) {
 	if err != nil {
 		return req, nil, err
 	}
-	req.Options, err = normalizeOptions(req.Options)
-	if err != nil {
+	if err := checkOptions(req.Options); err != nil {
 		return req, nil, err
 	}
 	return req, pat, nil
@@ -239,24 +221,13 @@ func resolvePattern(r PatternRef) (*pattern.Pattern, error) {
 	return p, nil
 }
 
-// normalizeOptions fills defaults, bounds every knob and rewrites the enum
-// spellings to their canonical String() form, so two requests that mean the
-// same thing are bit-identical (the batching compatibility test is a plain
-// struct comparison).
-func normalizeOptions(o EngineOptions) (EngineOptions, error) {
+// checkOptions bounds every knob.
+func checkOptions(o EngineOptions) error {
 	if o.Workers < 0 || o.Workers > maxWorkers {
-		return o, fmt.Errorf("jobs: workers %d out of range [0,%d]", o.Workers, maxWorkers)
-	}
-	if o.Slice < -1 || o.Slice > maxSliceLen {
-		return o, fmt.Errorf("jobs: slice %d out of range [-1,%d]", o.Slice, maxSliceLen)
+		return fmt.Errorf("jobs: workers %d out of range [0,%d]", o.Workers, maxWorkers)
 	}
 	if o.TimeoutMS < 0 || o.TimeoutMS > maxTimeoutMS {
-		return o, fmt.Errorf("jobs: timeout_ms %d out of range [0,%d]", o.TimeoutMS, maxTimeoutMS)
+		return fmt.Errorf("jobs: timeout_ms %d out of range [0,%d]", o.TimeoutMS, maxTimeoutMS)
 	}
-	kernel, err := core.ParseKernelPolicy(o.Kernel)
-	if err != nil {
-		return o, fmt.Errorf("jobs: %w", err)
-	}
-	o.Kernel = kernel.String()
-	return o, nil
+	return nil
 }

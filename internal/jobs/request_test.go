@@ -5,11 +5,8 @@ package jobs
 // gates batching.
 
 import (
-	"reflect"
 	"strings"
 	"testing"
-
-	"repro/internal/core"
 )
 
 func TestParseSubmitAccepts(t *testing.T) {
@@ -22,7 +19,7 @@ func TestParseSubmitAccepts(t *testing.T) {
 		{"family pattern", `{"graph":{"name":"g"},"pattern":{"name":"5-clique"}}`, 5},
 		{"edge list", `{"graph":{"name":"g"},"pattern":{"vertices":4,"edges":[[0,1],[1,2],[2,3],[3,0]]}}`, 4},
 		{"path graph", `{"graph":{"path":"web.bin","mmap":true},"pattern":{"name":"wedge"}}`, 3},
-		{"full options", `{"tenant":"t","graph":{"name":"g"},"pattern":{"name":"diamond"},"options":{"workers":8,"kernel":"merge-only","slice":64,"timeout_ms":1000}}`, 4},
+		{"full options", `{"tenant":"t","graph":{"name":"g"},"pattern":{"name":"diamond"},"options":{"workers":8,"timeout_ms":1000}}`, 4},
 	}
 	for _, c := range cases {
 		req, pat, err := ParseSubmit([]byte(c.body))
@@ -33,19 +30,11 @@ func TestParseSubmitAccepts(t *testing.T) {
 		if pat.Size() != c.size {
 			t.Errorf("%s: pattern size %d, want %d", c.name, pat.Size(), c.size)
 		}
-		if req.Tenant == "" || req.Options.Kernel == "" {
+		if req.Tenant == "" {
 			t.Errorf("%s: request not normalized: %+v", c.name, req)
 		}
-		if c.name == "full options" && req.Options.Kernel != "merge" {
-			t.Errorf("%s: kernel alias stored as %q, want the canonical \"merge\"", c.name, req.Options.Kernel)
-		}
-		o, err := req.Options.coreOptions()
-		if err != nil {
-			t.Errorf("%s: options don't map to core: %v", c.name, err)
-		}
-		// A job without options runs the library's zero-value configuration.
-		if c.name != "full options" && !reflect.DeepEqual(o, core.Options{}) {
-			t.Errorf("%s: default options map to %+v, want the zero core.Options", c.name, o)
+		if want := (EngineOptions{Workers: 8, TimeoutMS: 1000}); c.name == "full options" && req.Options != want {
+			t.Errorf("%s: options %+v, want %+v", c.name, req.Options, want)
 		}
 	}
 }
@@ -69,11 +58,9 @@ func TestParseSubmitRejects(t *testing.T) {
 		{"disconnected", `{"graph":{"name":"g"},"pattern":{"vertices":4,"edges":[[0,1],[2,3]]}}`, "disconnected"},
 		{"negative workers", `{"graph":{"name":"g"},"pattern":{"name":"triangle"},"options":{"workers":-1}}`, "workers"},
 		{"absurd timeout", `{"graph":{"name":"g"},"pattern":{"name":"triangle"},"options":{"timeout_ms":99999999999}}`, "timeout_ms"},
-		{"bad kernel", `{"graph":{"name":"g"},"pattern":{"name":"triangle"},"options":{"kernel":"warp"}}`, "kernel"},
-		{"retired gallop", `{"graph":{"name":"g"},"pattern":{"name":"triangle"},"options":{"kernel":"gallop"}}`, "want auto or merge"},
-		{"retired bitmap", `{"graph":{"name":"g"},"pattern":{"name":"triangle"},"options":{"kernel":"bitmap"}}`, "want auto or merge"},
+		{"retired kernel", `{"graph":{"name":"g"},"pattern":{"name":"triangle"},"options":{"kernel":"merge"}}`, "unknown field"},
 		{"retired aux", `{"graph":{"name":"g"},"pattern":{"name":"triangle"},"options":{"aux":"auto"}}`, "unknown field"},
-		{"bad slice", `{"graph":{"name":"g"},"pattern":{"name":"triangle"},"options":{"slice":-2}}`, "slice"},
+		{"retired slice", `{"graph":{"name":"g"},"pattern":{"name":"triangle"},"options":{"slice":64}}`, "unknown field"},
 		{"long tenant", `{"tenant":"` + strings.Repeat("x", 100) + `","graph":{"name":"g"},"pattern":{"name":"triangle"}}`, "tenant"},
 		{"control chars", "{\"tenant\":\"a\\nb\",\"graph\":{\"name\":\"g\"},\"pattern\":{\"name\":\"triangle\"}}", "non-printable"},
 	}

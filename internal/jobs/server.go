@@ -7,7 +7,7 @@
 // compiling when the dispatcher admits its batch, before the batch resolves
 // its graph, so a graph that fails to open reads queued → compiling → failed.
 //
-// Two properties distinguish it from a plain work queue:
+// Three properties distinguish it from a plain work queue:
 //
 //   - Per-tenant fairness: the bounded queue is drained round robin over
 //     per-tenant FIFOs, one job per tenant per turn (queue.go), so one tenant
@@ -15,24 +15,24 @@
 //
 //   - Query batching: before launching a job, the dispatcher scans the queue
 //     for co-queued jobs on the same graph with the same pattern size and
-//     engine options, and compiles them jointly through the plan layer's
-//     multi-pattern dependency-tree merge (plan.CompileMulti, the paper's
-//     Listing 2). Shared matching-order prefixes — and the memoized
-//     frontiers hanging off them — are then computed once for
-//     the whole batch instead of once per job, and the per-pattern counts
-//     are demultiplexed back to each job's result. Isomorphic co-queued
-//     patterns collapse onto one plan leg ("free" deduplication). Batching
+//     engine options, and compiles up to maxBatch (8) distinct patterns
+//     jointly through the plan layer's multi-pattern dependency-tree merge
+//     (plan.CompileMulti, the paper's Listing 2). Shared matching-order
+//     prefixes — and the memoized frontiers hanging off them — are then
+//     computed once for the whole batch instead of once per job, and the
+//     per-pattern counts are demultiplexed back to each job's result.
+//     Isomorphic co-queued patterns collapse onto one plan leg ("free"
+//     deduplication). Batching
 //     is metadata-compatibility-gated (DESIGN.md decision 16): a merged
-//     plan runs on one engine, so graph, matching semantics and every
-//     engine knob must agree before two jobs may share it.
+//     plan runs on one engine, so graph, matching semantics, worker count
+//     and timeout must agree before two jobs may share it.
 //
 //   - Single flight: a submitted job whose isomorphic twin is already in an
 //     in-flight batch (gathered, not yet delivered) under the same gate
 //     joins that twin's leg instead of queueing — it takes the leg's count
 //     and no engine thread, so concurrent tenants asking for one pattern
 //     mine it once. A joiner never enters the fair queue, but holds a queue
-//     slot until it is finalized; jobs with a timeout never join, and
-//     MaxBatch 1 disables joins with batching.
+//     slot until it is finalized; jobs with a timeout never join.
 //
 // The subsystem introduces only live counters (jobs.* in the shared
 // obs.Registry) and never touches the paper runners, whose options come from
@@ -99,13 +99,18 @@ var (
 	ErrEvicted   = errors.New("jobs: job finished and has left the retention ring")
 )
 
+// maxBatch caps the number of distinct-pattern legs merged into one plan
+// (isomorphic duplicates ride on existing legs for free, queued or joining an
+// in-flight batch).
+const maxBatch = 8
+
 // retainJobs is how many finished jobs the server keeps for polling; older
 // ones are evicted (410 Gone), so memory is bounded under indefinite uptime.
 const retainJobs = 1024
 
 // Config parameterizes a Server. The zero value is usable: private registry,
-// queue of 64, batches up to 8 plan legs, named graphs only. Not
-// configurable: the queue pops one job per tenant per turn, a request
+// queue of 64, named graphs only. Not configurable: the queue pops one job per
+// tenant per turn, a batch merges up to maxBatch plan legs, a request
 // that leaves Options.Workers at 0 runs on GOMAXPROCS threads, the batches in
 // flight share GOMAXPROCS engine threads (see admitsLocked), and the
 // per-tenant metric families hold obs.DefaultLabelCap tenants.
@@ -117,12 +122,6 @@ type Config struct {
 	// unfinished joiners (jobs attached to an in-flight twin at submit);
 	// submits beyond it are rejected with ErrQueueFull. Default 64.
 	MaxQueue int
-
-	// MaxBatch caps the number of distinct-pattern legs merged into one
-	// plan (isomorphic duplicates ride on existing legs for free, queued
-	// or joining an in-flight batch). 1 disables batching and joins.
-	// Default 8.
-	MaxBatch int
 
 	// Graphs are the preregistered named graphs (GraphRef.Name). The map is
 	// read-only after New.
@@ -170,9 +169,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxQueue <= 0 {
 		c.MaxQueue = 64
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 8
 	}
 	if c.Clock == nil {
 		c.Clock = wallMillis{}
@@ -274,6 +270,7 @@ type Server struct {
 	nextID    int
 	nextBatch int
 	threads   int      // engine threads the running batches share (GOMAXPROCS; tests lower it)
+	batchCap  int      // distinct plan legs per batch (maxBatch; tests set 1 to turn batching and joins off)
 	busy      int      // engine threads the running batches hold
 	flying    []*batch // gathered, not yet delivered or failed: the batches a twin may join
 	paused    bool
@@ -328,6 +325,7 @@ func New(cfg Config) *Server {
 		jobs:           map[string]*Job{},
 		retain:         retainJobs,
 		threads:        runtime.GOMAXPROCS(0),
+		batchCap:       maxBatch,
 		widthFields:    map[int]map[string]int64{},
 		paused:         cfg.StartPaused,
 		graphs:         map[string]*pathGraph{},
@@ -361,7 +359,7 @@ func (s *Server) Resume() {
 
 // Submit validates the (already parsed) request against server state and
 // enqueues a job — or joins it to an in-flight twin (twinLocked) — returning
-// its ID. The request must come from ParseSubmit — Submit assumes normalized
+// its ID. The request must come from ParseSubmit — Submit assumes validated
 // options.
 func (s *Server) Submit(req SubmitRequest, pat *pattern.Pattern) (string, error) {
 	opts := req.Options
@@ -584,7 +582,7 @@ func (b *batch) fits(j *Job) bool {
 
 // gatherLocked builds the dispatch batch around the queue's head: every queued
 // job on the same graph with the same pattern size, matching semantics and
-// engine options joins, up to MaxBatch distinct plan legs. Isomorphic
+// engine options joins, up to s.batchCap distinct plan legs. Isomorphic
 // patterns share a leg (one compiled chain, one count, many recipients).
 // The batch is in flight, open to twins (twinLocked), until deliver or
 // failBatch lands it. Called with s.mu held.
@@ -597,7 +595,7 @@ func (s *Server) gatherLocked(head *Job) *batch {
 		induced: head.induced,
 		opts:    head.opts,
 	}
-	if s.cfg.MaxBatch > 1 {
+	if s.batchCap > 1 {
 		s.q.collect(func(j *Job) bool {
 			if !b.fits(j) {
 				return false
@@ -609,7 +607,7 @@ func (s *Server) gatherLocked(head *Job) *batch {
 					return true
 				}
 			}
-			if len(b.legs) >= s.cfg.MaxBatch {
+			if len(b.legs) >= s.batchCap {
 				return false
 			}
 			b.legs = append(b.legs, &leg{pat: j.pat, jobs: []*Job{j}})
@@ -634,11 +632,11 @@ func (s *Server) gatherLocked(head *Job) *batch {
 
 // twinLocked finds the in-flight batch and leg that already mine j's pattern
 // under the gather rule, or nils when j may not join one: batching is off
-// (MaxBatch 1), j has a timeout (its deadline would start at the batch's run,
+// (s.batchCap 1), j has a timeout (its deadline would start at the batch's run,
 // not at its submit), or every matching batch is being torn down (no live
 // member). Called with s.mu held.
 func (s *Server) twinLocked(j *Job) (*batch, *leg) {
-	if s.cfg.MaxBatch == 1 || j.opts.TimeoutMS > 0 {
+	if s.batchCap == 1 || j.opts.TimeoutMS > 0 {
 		return nil, nil
 	}
 	for _, b := range s.flying {
@@ -742,13 +740,7 @@ func (s *Server) mineBatch(b *batch) (res core.Result, mineErr error, ok bool) {
 		s.failBatch(b, err)
 		return
 	}
-	copts, err := b.opts.coreOptions()
-	if err != nil {
-		s.failBatch(b, err)
-		return
-	}
-	copts.OnTaskDone = b.prog.OnTaskDone
-	eng, err := core.NewEngine(store, pl, copts)
+	eng, err := core.NewEngine(store, pl, core.Options{Threads: b.opts.Workers, OnTaskDone: b.prog.OnTaskDone})
 	if err != nil {
 		s.failBatch(b, err)
 		return

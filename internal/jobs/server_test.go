@@ -24,9 +24,6 @@ func submitNamed(t *testing.T, s *Server, tenant, graphName, patName string, opt
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opts.Kernel == "" {
-		opts.Kernel = "auto"
-	}
 	id, err := s.Submit(SubmitRequest{
 		Tenant:  tenant,
 		Graph:   GraphRef{Name: graphName},
@@ -112,7 +109,7 @@ func TestJobLifecycleSingle(t *testing.T) {
 
 // TestTenantFairnessEndToEnd is the fairness acceptance criterion at the
 // server level: tenant A floods the queue with 20 jobs before tenant B's
-// single job arrives; with batching disabled (MaxBatch 1) the dispatch order —
+// single job arrives; with batching disabled (batch cap 1) the dispatch order —
 // the order of the compiling transitions, which the dispatcher fires itself —
 // is the exact DRR schedule, A's first job, B's, then A's backlog, whether one
 // one-thread batch runs at a time or two do (budgets 1 and 2).
@@ -124,7 +121,6 @@ func TestTenantFairnessEndToEnd(t *testing.T) {
 		s := New(Config{
 			Graphs:      map[string]graph.Store{"g": g},
 			MaxQueue:    64,
-			MaxBatch:    1, // isolate fairness from batching
 			StartPaused: true,
 			OnTransition: func(id string, st State) {
 				if st == StateCompiling {
@@ -135,6 +131,7 @@ func TestTenantFairnessEndToEnd(t *testing.T) {
 			},
 		})
 		setThreads(s, budget)
+		setBatchCap(s, 1) // isolate fairness from batching
 
 		var aIDs []string
 		for i := 0; i < 20; i++ {
@@ -402,8 +399,7 @@ func TestDrainWaitsForRunningJobs(t *testing.T) {
 	g := graph.ChungLu(400, 3200, 2.3, 9)
 	running := make(chan string, 8)
 	s := New(Config{
-		Graphs:   map[string]graph.Store{"g": g},
-		MaxBatch: 1,
+		Graphs: map[string]graph.Store{"g": g},
 		OnTransition: func(id string, st State) {
 			if st == StateRunning {
 				running <- id
@@ -411,6 +407,7 @@ func TestDrainWaitsForRunningJobs(t *testing.T) {
 		},
 	})
 	setThreads(s, 2)
+	setBatchCap(s, 1)
 
 	idRun := submitNamed(t, s, "A", "g", "house", EngineOptions{Workers: 2})
 	select {
@@ -437,7 +434,7 @@ func TestDrainWaitsForRunningJobs(t *testing.T) {
 		t.Fatalf("queued job after drain = %s, want cancelled", st.State)
 	}
 	pat, _ := pattern.ByName("triangle")
-	if _, err := s.Submit(SubmitRequest{Tenant: "A", Graph: GraphRef{Name: "g"}, Pattern: PatternRef{Name: "triangle"}, Options: EngineOptions{Kernel: "auto"}}, pat); err != ErrClosed {
+	if _, err := s.Submit(SubmitRequest{Tenant: "A", Graph: GraphRef{Name: "g"}, Pattern: PatternRef{Name: "triangle"}}, pat); err != ErrClosed {
 		t.Fatalf("submit after drain: %v, want ErrClosed", err)
 	}
 	closeServer(t, s)
@@ -504,7 +501,6 @@ func TestSubmitValidation(t *testing.T) {
 		{Tenant: "A", Graph: GraphRef{Path: "x.bin"}, Pattern: PatternRef{Name: "triangle"}}, // path refs disabled
 	}
 	for _, req := range cases {
-		req.Options = EngineOptions{Kernel: "auto"}
 		if _, err := s.Submit(req, pat); err == nil {
 			t.Fatalf("submit %+v: expected error", req)
 		}

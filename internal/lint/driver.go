@@ -9,7 +9,7 @@ import (
 	"sort"
 )
 
-// DefaultAnalyzers returns the production flexlint suite, in the order the
+// DefaultAnalyzers returns the production suite, in the order the
 // diagnostics documentation lists them.
 func DefaultAnalyzers() []*Analyzer {
 	return []*Analyzer{

@@ -1,9 +1,10 @@
-// Package lint is flexlint: a suite of static analyzers that machine-check
-// the repo's convention-only invariants — simulator determinism, paper-runner
-// kernel pinning, read-only adjacency and bound-argument plumbing. The
-// paper's figures (Table II, Fig 7, Figs 13–16) are only trustworthy when
-// these invariants hold, so they are enforced at
-// the Go-source level and wired into CI, the same way GPM systems
+// Package lint is a suite of static analyzers that machine-check the repo's
+// convention-only invariants — simulator determinism, paper-runner kernel
+// pinning, read-only adjacency and bound-argument plumbing. The paper's
+// figures (Table II, Fig 7, Figs 13–16) are only trustworthy when these
+// invariants hold, so they are enforced at the Go-source level: the one
+// runner is TestRepoIsClean, which every `go test ./...` runs over the whole
+// module (testdata fixtures excluded), the same way GPM systems
 // machine-check symmetry/ordering invariants instead of hand-maintaining
 // them. An invariant lives here only when nothing cheaper holds it: a type
 // that makes the violation unrepresentable, `go vet` (copied locks), or a

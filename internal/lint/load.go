@@ -5,7 +5,7 @@ package lint
 // host platform, parses every non-test package, topologically resolves
 // intra-module imports itself and delegates out-of-module (stdlib) imports to
 // the go/importer source importer, so it works with an empty module cache and
-// no network — the environment flexlint must run in.
+// no network — the environment the analyzers must run in.
 
 import (
 	"errors"

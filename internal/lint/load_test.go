@@ -29,7 +29,7 @@ func selected(t *testing.T, srcs map[string]string) map[string]bool {
 }
 
 // The loader must see the files `go build` would: these two tests pin the
-// go tool's selection rules at the seam where flexlint relies on go/build
+// go tool's selection rules at the seam where the loader relies on go/build
 // for them.
 
 func TestFilenameExcluded(t *testing.T) {

@@ -66,16 +66,6 @@ func (s *Sampler) Due(t int64) bool {
 	return t >= s.next
 }
 
-// NextBoundary returns the timestamp the next sample will be attributed to.
-func (s *Sampler) NextBoundary() int64 {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.next
-}
-
 // Record appends a snapshot at the next window boundary and advances it one
 // window. The sampler owns values from this point; callers must pass a
 // fresh map per call.
@@ -113,18 +103,6 @@ func (s *Sampler) Samples() []Sample {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return append([]Sample(nil), s.samples...)
-}
-
-// SnapshotRegistry returns a copy of every counter currently in r — the
-// value set a serving loop records on each wall-clock window.
-func SnapshotRegistry(r *Registry) map[string]int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string]int64, len(r.counters))
-	for k, v := range r.counters {
-		out[k] = v
-	}
-	return out
 }
 
 // Timeseries is the parsed form of a flexminer-timeseries/v1 document —

@@ -437,31 +437,7 @@ func finalizeHints(pl *Plan, opt Options, lesses [][][]bool) {
 	}
 	mark(pl.Root)
 
-	// Pass 2: c-map query sets and insertion hints. CMapQuery holds the
-	// levels this op checks per candidate element: the residual intersect/
-	// difference levels when a frontier base exists, or the full connected/
-	// disconnected sets otherwise.
-	var setQueries func(n *Node)
-	setQueries = func(n *Node) {
-		op := &n.Op
-		op.CMapQuery = nil
-		if op.Level > 0 {
-			if op.FrontierBase != NoLevel {
-				op.CMapQuery = append(op.CMapQuery, op.IntersectWith...)
-				op.CMapQuery = append(op.CMapQuery, op.DifferenceWith...)
-			} else {
-				op.CMapQuery = append(op.CMapQuery, op.Connected...)
-				op.CMapQuery = append(op.CMapQuery, op.Disconnected...)
-			}
-			slices.Sort(op.CMapQuery)
-		}
-		for _, c := range n.Children {
-			setQueries(c)
-		}
-	}
-	setQueries(pl.Root)
-
-	// Pass 3: InsertCMap(j) on a node iff some descendant queries level j;
+	// Pass 2: InsertCMap(j) on a node iff some descendant queries level j;
 	// CMapBound(j) is a level b whose bound provably dominates every such
 	// query's candidates (so inserting only IDs < emb[b] is lossless).
 	// Validity must hold under every querying pattern's own order, so we
@@ -477,7 +453,7 @@ func finalizeHints(pl *Plan, opt Options, lesses [][][]bool) {
 		}
 		less := lesses[n.PatternIdx]
 		for _, q := range path {
-			for _, j := range q.Op.CMapQuery {
+			for _, j := range cmapQuery(&q.Op) {
 				ins := &path[j].Op
 				if !ins.InsertCMap {
 					ins.InsertCMap = true
@@ -493,11 +469,24 @@ func finalizeHints(pl *Plan, opt Options, lesses [][][]bool) {
 	}
 	walk(pl.Root, nil)
 
-	// Pass 4: auxiliary-graph directives (aux.go). Runs last so frontier
+	// Pass 3: auxiliary-graph directives (aux.go). Runs last so frontier
 	// bases, residual sets, and the merged tree shape are final; the
 	// directives are hints layered on top and never change what any pass
 	// above decided.
 	assignAuxDirectives(pl, lesses)
+}
+
+// cmapQuery returns the levels op checks per candidate element through the
+// c-map, in ascending order: the residual intersect/difference levels when a
+// frontier base exists, or the full connected/disconnected sets otherwise.
+func cmapQuery(op *VertexOp) []int {
+	if op.Level == 0 {
+		return nil
+	}
+	if op.FrontierBase != NoLevel {
+		return slices.Sorted(slices.Values(slices.Concat(op.IntersectWith, op.DifferenceWith)))
+	}
+	return slices.Sorted(slices.Values(slices.Concat(op.Connected, op.Disconnected)))
 }
 
 // validCMapBound returns a level b ≤ j usable as the insertion ID bound for

@@ -86,10 +86,6 @@ type VertexOp struct {
 	// compiler-derived footprint reduction of §VI-B.
 	CMapBound int
 
-	// CMapQuery lists the embedding indices whose connectivity this op
-	// checks via the c-map (Connected ∪ Disconnected minus the extender).
-	CMapQuery []int
-
 	// BuildAux lists Plan.AuxSpecs indices activated once this level's
 	// vertex is fixed: the engine lazily materializes pruned adjacency rows
 	// for the spec's universe and reuses them across the whole subtree
@@ -116,7 +112,6 @@ func (op VertexOp) clone() VertexOp {
 	cp.NotEqual = slices.Clone(op.NotEqual)
 	cp.IntersectWith = slices.Clone(op.IntersectWith)
 	cp.DifferenceWith = slices.Clone(op.DifferenceWith)
-	cp.CMapQuery = slices.Clone(op.CMapQuery)
 	cp.BuildAux = slices.Clone(op.BuildAux)
 	cp.AuxIntersect = slices.Clone(op.AuxIntersect)
 	cp.AuxDifference = slices.Clone(op.AuxDifference)
@@ -290,7 +285,7 @@ func (p *Plan) Validate() error {
 		} else if op.Extender < 0 || op.Extender >= depth {
 			return fmt.Errorf("plan: level %d extender %d out of range", depth, op.Extender)
 		}
-		for _, set := range [][]int{op.Connected, op.Disconnected, op.UpperBounds, op.NotEqual, op.IntersectWith, op.DifferenceWith, op.CMapQuery, op.AuxIntersect, op.AuxDifference} {
+		for _, set := range [][]int{op.Connected, op.Disconnected, op.UpperBounds, op.NotEqual, op.IntersectWith, op.DifferenceWith, op.AuxIntersect, op.AuxDifference} {
 			for _, j := range set {
 				if j < 0 || j >= depth {
 					return fmt.Errorf("plan: level %d references out-of-range level %d", depth, j)
@@ -438,11 +433,6 @@ func (p *Plan) String() string {
 		}
 		sb.WriteString(line + "\n")
 		for i, c := range n.Children {
-			sub := label
-			if len(n.Children) > 1 {
-				sub = fmt.Sprintf("%s.%d", label, i+1)
-			}
-			_ = sub
 			next := fmt.Sprint(op.Level + 1)
 			if len(n.Children) > 1 {
 				next = fmt.Sprintf("%d%c", op.Level+1, 'a'+i)

@@ -191,7 +191,7 @@ func goroutinesReturnTo(t *testing.T, before int) {
 }
 
 // TestRunJoinsWorkers holds the runtime half of the goroutine-leak invariant
-// for the worker pool (flexlint's goroleak holds the static half): when Run
+// for the worker pool (internal/lint's goroleak holds the static half): when Run
 // returns — to completion or cancelled mid-run — no task function is still
 // executing and every worker goroutine is gone.
 func TestRunJoinsWorkers(t *testing.T) {

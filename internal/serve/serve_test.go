@@ -271,7 +271,7 @@ func goroutinesReturnTo(t *testing.T, before int) {
 }
 
 // TestListenAndServeJoinsListener holds the runtime half of the goroutine-leak
-// invariant for the listener (flexlint's goroleak holds the static half):
+// invariant for the listener (internal/lint's goroleak holds the static half):
 // after serving a request, a ctx cancel and a drainer, ListenAndServe returns
 // with its Serve goroutine and every connection goroutine gone.
 func TestListenAndServeJoinsListener(t *testing.T) {

@@ -64,19 +64,3 @@ func (b Breakdown) CheckTotal(pes int, makespan int64) error {
 	}
 	return nil
 }
-
-// Share returns each bucket's fraction of the total as parallel slices of
-// (name, fraction), in declaration order — the rendering order used by the
-// experiments report and the -stats printout. A zero-total breakdown yields
-// zero shares.
-func (b Breakdown) Share() ([]string, []float64) {
-	names := []string{"compute", "c-map", "l1", "l2", "dram", "dispatch", "idle"}
-	vals := []int64{b.Compute, b.CMapProbe, b.L1Stall, b.L2Stall, b.DRAMStall, b.DispatchWait, b.Idle}
-	shares := make([]float64, len(vals))
-	if total := b.Total(); total > 0 {
-		for i, v := range vals {
-			shares[i] = float64(v) / float64(total)
-		}
-	}
-	return names, shares
-}

@@ -159,27 +159,3 @@ func TestBreakdownHoldsOnCancelledRun(t *testing.T) {
 		t.Error(ierr)
 	}
 }
-
-func TestBreakdownShare(t *testing.T) {
-	b := Breakdown{Compute: 50, CMapProbe: 10, L1Stall: 10, L2Stall: 10, DRAMStall: 10, DispatchWait: 5, Idle: 5}
-	names, shares := b.Share()
-	if len(names) != len(shares) || len(names) != 7 {
-		t.Fatalf("share shape: %v %v", names, shares)
-	}
-	var sum float64
-	for _, s := range shares {
-		sum += s
-	}
-	if sum < 0.999 || sum > 1.001 {
-		t.Errorf("shares sum to %v, want 1", sum)
-	}
-	if names[0] != "compute" || shares[0] != 0.5 {
-		t.Errorf("compute share = %v (%v)", shares[0], names[0])
-	}
-	zNames, zShares := Breakdown{}.Share()
-	for i := range zShares {
-		if zShares[i] != 0 {
-			t.Errorf("zero breakdown has nonzero share %s=%v", zNames[i], zShares[i])
-		}
-	}
-}

@@ -69,7 +69,7 @@ func goroutinesReturnTo(t *testing.T, before int) {
 }
 
 // TestSimulateJoinsPEs holds the leak invariant for the PE coroutines — the
-// package has no `go` statement for flexlint's goroleak to look at, but a pull
+// package has no `go` statement for internal/lint's goroleak to look at, but a pull
 // coroutine is a goroutine to runtime.NumGoroutine until its stop is called: a
 // run to completion and a run whose deadline fires mid-simulation both retire
 // and stop every PE before returning.
