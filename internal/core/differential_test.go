@@ -4,8 +4,8 @@ package core
 // generator and one oracle in place of hand-enumerated invariance grids. A case
 // is a plan — every connected pattern of 2–6 vertices, edge- or vertex-induced,
 // with symmetry breaking or divided by |Aut|; the oriented cliques; the motif
-// censuses; the merged trees; seeded batches of relabelled same-size patterns,
-// the job service's shape. A key is a case on a graph; the key draws the option
+// censuses; the merged trees; seeded batches of relabelled same-size patterns
+// merged into one tree. A key is a case on a graph; the key draws the option
 // vectors, and every run of every vector is held to the one oracle (check).
 // A failing key prints as a pin; pins run first, seed the fuzzer and carry the
 // mutants.
@@ -169,7 +169,7 @@ var pins = []key{
 	{c: "diamond,edge", g: gspec{"er", 40, 140, 9}},                        // C(m, 2) swept over v1's list
 	{c: "5-motif-3,edge", g: gspec{"er", 30, 90, 9}},                       // 5-path: a probed suspect
 	{c: "4-star,edge", g: gspec{"star", 40, 0, 0}},                         // C(m, 3) at depth 1, hub slices with heads
-	{c: "burst", g: gspec{"rmat", 6, 220, 3}},                              // the job service's merged tree
+	{c: "burst", g: gspec{"rmat", 6, 220, 3}},                              // the burst catalog's merged tree
 	{c: "5-motifs,induced", g: gspec{"rmat", 5, 110, 3}},                   // the census: vertex-induced chains on the c-map
 	{c: "3-clique,oriented", g: gspec{"rmat", 6, 220, 3}},                  // TC: a swept c-map scan
 	{c: "4-clique,oriented", g: gspec{"rmat", 6, 220, 3}},                  // 4-CL: a swept local-row AND
@@ -240,8 +240,8 @@ var sweep = sync.OnceValue(func() []dcase {
 		pl, err := plan.CompileMulti(m.ps, plan.Options{})
 		add(m.name, "", false, pl, err)
 	}
-	// Bursts of 1–8 jobs of one size, relabelled at random; like jobs.Server, one
-	// leg per isomorphism class.
+	// Batches of 1–8 patterns of one size, relabelled at random, one per
+	// isomorphism class.
 	r := rand.New(rand.NewSource(29))
 	for i := range 40 {
 		k := 3 + r.Intn(3)

@@ -21,7 +21,7 @@ import (
 )
 
 // burstPatterns are the six 4-vertex patterns of the benchmark's burst catalog
-// (benchmark/servewl.go), in its order: what the job service batches into one tree.
+// (benchmark/servewl.go), in its order; CompileMulti merges them into one tree.
 func burstPatterns() []*pattern.Pattern {
 	return []*pattern.Pattern{pattern.Diamond(), pattern.TailedTriangle(), pattern.FourCycle(), pattern.KClique(4), pattern.KStar(4), pattern.KPath(4)}
 }
@@ -63,10 +63,9 @@ func TestLocalCap(t *testing.T) {
 	}
 }
 
-// TestMergedTreeWorkBound: the benchmark has no engine counters on its serving
-// workloads, so the merged tree the job service compiles for a burst of its six
-// 4-vertex patterns is held here to the work it does on the benchmark's own
-// graph: merge iterations + dense accesses + gallop probes + searches, and
+// TestMergedTreeWorkBound: the merged tree CompileMulti compiles for the burst
+// catalog's six 4-vertex patterns is held here to the work it does on the
+// benchmark's own graph: merge iterations + dense accesses + gallop probes + searches, and
 // extensions. Decision 21 (only the 4-clique branch is local: rows must cost no
 // more than the c-map walk, a lookup per level-1 extension or a search per task
 // would show) stood at 6,772,841 + 73,888 + 143,668; decision 22 took the 4-star

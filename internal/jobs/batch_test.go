@@ -1,16 +1,14 @@
 package jobs
 
-// The work-sharing acceptance criteria: batching must PROVABLY share work,
-// both statically (the merged plan is smaller than the two individual plans
-// combined) and dynamically (the engine emits fewer candidates under
-// batching than the sum of the individual runs).
+// What a batch is: one pattern and its twins. Isomorphic jobs under one
+// engine configuration share a run, whether the twin is still queued or
+// already running; distinct patterns, and jobs whose options differ, run
+// apart.
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -19,52 +17,41 @@ import (
 	"repro/internal/plan"
 )
 
-func countNodes(n *plan.Node) int {
-	if n == nil {
-		return 0
+// submitJSON submits one request body as the HTTP decoder reads it.
+func submitJSON(t *testing.T, s *Server, body string) string {
+	t.Helper()
+	req, pat, err := ParseSubmit([]byte(body))
+	if err != nil {
+		t.Fatalf("%s: %v", body, err)
 	}
-	total := 1
-	for _, c := range n.Children {
-		total += countNodes(c)
+	id, err := s.Submit(req, pat)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return total
+	return id
 }
 
-// TestMergedPlanSmallerThanSum: the merged dependency tree for the paper's
-// Listing 2 pair (diamond + tailed-triangle) must have strictly fewer ops
-// than the two individual plans combined — the shared v0,v1,v2 prefix is
-// materialized once.
-func TestMergedPlanSmallerThanSum(t *testing.T) {
-	diamond, tailed := pattern.Diamond(), pattern.TailedTriangle()
-	opt := plan.Options{}
-	plD, err := plan.Compile(diamond, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plT, err := plan.Compile(tailed, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	merged, err := plan.CompileMulti([]*pattern.Pattern{diamond, tailed}, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := countNodes(plD.Root) + countNodes(plT.Root)
-	got := countNodes(merged.Root)
-	if got >= sum {
-		t.Fatalf("merged plan has %d ops, individual plans total %d — no sharing", got, sum)
-	}
-	t.Logf("merged plan: %d ops vs %d individual (saved %d)", got, sum, sum-got)
-}
-
-// TestBatchedRunSharesWork: a batched diamond + tailed-triangle run must
-// emit strictly fewer candidates (the work proxy every kernel policy shares)
-// than the same two jobs mined individually, while producing identical
-// counts. One worker, the engine's default kernels, as a job runs.
-func TestBatchedRunSharesWork(t *testing.T) {
+// TestDistinctPatternsRunApart: tailed-triangle and 4-path, co-queued on one
+// graph under one engine configuration, each run alone — width 1, no job
+// counted batched — and each returns the Stats of its own pattern mined solo
+// with the same options, not those of a merged plan.
+func TestDistinctPatternsRunApart(t *testing.T) {
 	g := graph.ChungLu(300, 2100, 2.3, 11)
-	mineOne := func(name string) (int64, core.Stats) {
-		pat, err := pattern.ByName(name)
+	reg := obs.NewRegistry(nil)
+	s := New(Config{Registry: reg, Graphs: map[string]graph.Store{"g": g}, StartPaused: true})
+	defer closeServer(t, s)
+
+	names := []string{"tailed-triangle", "4-path"}
+	var ids []string
+	for i, name := range names {
+		ids = append(ids, submitNamed(t, s, fmt.Sprint("t", i), "g", name, EngineOptions{Workers: 1}))
+	}
+	s.Resume()
+	for i, id := range ids {
+		if st := waitDone(t, s, id); st.State != StateDone {
+			t.Fatalf("job %s: %s (%s)", id, st.State, st.Error)
+		}
+		pat, err := pattern.ByName(names[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,96 +59,69 @@ func TestBatchedRunSharesWork(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng, err := core.NewEngine(g, pl, core.Options{Threads: 1})
+		want, err := core.Mine(g, pl, core.Options{Threads: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := eng.Mine()
-		return res.Counts[0], res.Stats
-	}
-	countD, statsD := mineOne("diamond")
-	countT, statsT := mineOne("tailed-triangle")
-
-	reg := obs.NewRegistry(nil)
-	s := New(Config{Registry: reg, Graphs: map[string]graph.Store{"g": g}, StartPaused: true})
-	defer closeServer(t, s)
-
-	opts := EngineOptions{Workers: 1}
-	idD := submitNamed(t, s, "A", "g", "diamond", opts)
-	idT := submitNamed(t, s, "B", "g", "tailed-triangle", opts)
-	s.Resume()
-
-	for _, id := range []string{idD, idT} {
-		if st := waitDone(t, s, id); st.State != StateDone {
-			t.Fatalf("job %s: %s (%s)", id, st.State, st.Error)
+		res, _ := s.Result(id)
+		if res.BatchWidth != 1 || res.Count != want.Count() || res.Stats != want.Stats {
+			t.Errorf("%s: width %d, count %d, stats %+v; want width 1 and the solo run's %d, %+v",
+				names[i], res.BatchWidth, res.Count, res.Stats, want.Count(), want.Stats)
 		}
 	}
-	resD, _ := s.Result(idD)
-	resT, _ := s.Result(idT)
-	if resD.BatchWidth != 2 || resT.BatchWidth != 2 {
-		t.Fatalf("batch widths %d/%d, want 2/2 — batching did not engage", resD.BatchWidth, resT.BatchWidth)
-	}
-	if resD.Count != countD || resT.Count != countT {
-		t.Fatalf("batched counts (%d, %d) != individual counts (%d, %d)",
-			resD.Count, resT.Count, countD, countT)
-	}
-	// Both jobs carry the same whole-batch stats document.
-	batched := resD.Stats.Candidates
-	individual := statsD.Candidates + statsT.Candidates
-	if batched >= individual {
-		t.Fatalf("batched run: %d candidates, individual runs total %d — batching shared no work",
-			batched, individual)
-	}
-	t.Logf("candidates: batched %d vs individual %d (saved %.1f%%)",
-		batched, individual, 100*float64(individual-batched)/float64(individual))
-
-	if v := reg.Get(MetricBatched); v != 2 {
-		t.Fatalf("%s = %d, want 2", MetricBatched, v)
-	}
-	if v := reg.Get(MetricBatchWidth); v != 2 {
-		t.Fatalf("%s = %d, want 2", MetricBatchWidth, v)
+	if n, b := batches(s), reg.Get(MetricBatched); n != 2 || b != 0 {
+		t.Errorf("%d engine runs, %s = %d; want 2 and 0", n, MetricBatched, b)
 	}
 }
 
-// TestIsomorphicJobsShareALeg: two tenants submitting isomorphic patterns
-// (triangle and 3-clique) batch onto ONE plan leg — the plan compiles a
-// single chain and both jobs receive the same count.
+// TestIsomorphicJobsShareALeg: a twin spelled by another catalog name
+// (3-clique for triangle) or as the edges of a relabelling (diamond with its
+// degree-3 vertices moved from 0,1 to 2,3) shares the first job's run —
+// co-queued with it, or joining it in flight — and both receive the count the
+// pattern mines alone.
 func TestIsomorphicJobsShareALeg(t *testing.T) {
 	g := graph.ChungLu(200, 1200, 2.3, 4)
-	s := New(Config{Graphs: map[string]graph.Store{"g": g}, StartPaused: true})
-	defer closeServer(t, s)
-
-	opts := EngineOptions{Workers: 2}
-	id1 := submitNamed(t, s, "A", "g", "triangle", opts)
-	id2 := submitNamed(t, s, "B", "g", "3-clique", opts)
-	s.Resume()
-	res := make([]*Result, 2)
-	for i, id := range []string{id1, id2} {
-		if st := waitDone(t, s, id); st.State != StateDone {
-			t.Fatalf("job %s: %s (%s)", id, st.State, st.Error)
+	const relabelledDiamond = `{"vertices":4,"edges":[[2,3],[0,2],[1,2],[0,3],[1,3]]}`
+	for _, c := range []struct{ name, first, twin string }{
+		{"triangle", `{"name":"triangle"}`, `{"name":"3-clique"}`},
+		{"diamond", `{"name":"diamond"}`, relabelledDiamond},
+	} {
+		want := solo(t, g, c.name)
+		for _, inFlight := range []bool{false, true} {
+			gate := newGateStore(g, 1)
+			s := New(Config{Graphs: map[string]graph.Store{"g": gate}, StartPaused: !inFlight})
+			first := submitJSON(t, s, submitBody("A", c.first, 2))
+			if inFlight {
+				gate.waitFull(t)
+			}
+			twin := submitJSON(t, s, submitBody("B", c.twin, 2))
+			s.Resume()
+			gate.open()
+			for _, id := range []string{first, twin} {
+				st := waitDone(t, s, id)
+				res, _ := s.Result(id)
+				if st.State != StateDone || res.BatchWidth != 2 || res.Count != want {
+					t.Errorf("%s, in flight %v: job %s ended %s (%s) with %+v; want done in width 2 with %d",
+						c.name, inFlight, id, st.State, st.Error, res, want)
+				}
+			}
+			if n := batches(s); n != 1 {
+				t.Errorf("%s, in flight %v: %d engine runs, want 1", c.name, inFlight, n)
+			}
+			closeServer(t, s)
 		}
-		res[i], _ = s.Result(id)
-	}
-	if res[0].BatchWidth != 2 || res[1].BatchWidth != 2 {
-		t.Fatalf("batch widths %d/%d, want 2/2", res[0].BatchWidth, res[1].BatchWidth)
-	}
-	if len(res[0].BatchPatterns) != 1 {
-		t.Fatalf("isomorphic jobs used %d plan legs, want 1 (shared)", len(res[0].BatchPatterns))
-	}
-	if res[0].Count != res[1].Count || res[0].Count <= 0 {
-		t.Fatalf("isomorphic jobs disagree: %d vs %d", res[0].Count, res[1].Count)
 	}
 }
 
-// TestIncompatibleJobsDoNotBatch: different engine options (worker counts)
-// must keep same-graph jobs in separate batches.
+// TestIncompatibleJobsDoNotBatch: twins whose worker counts differ must run in
+// separate batches.
 func TestIncompatibleJobsDoNotBatch(t *testing.T) {
 	g := graph.ChungLu(150, 900, 2.3, 6)
 	s := New(Config{Graphs: map[string]graph.Store{"g": g}, StartPaused: true})
 	defer closeServer(t, s)
 
 	id1 := submitNamed(t, s, "A", "g", "diamond", EngineOptions{Workers: 1})
-	id2 := submitNamed(t, s, "A", "g", "tailed-triangle", EngineOptions{Workers: 2})
+	id2 := submitNamed(t, s, "A", "g", "diamond", EngineOptions{Workers: 2})
 	s.Resume()
 	for _, id := range []string{id1, id2} {
 		if st := waitDone(t, s, id); st.State != StateDone {
@@ -174,28 +134,17 @@ func TestIncompatibleJobsDoNotBatch(t *testing.T) {
 	}
 }
 
-// TestOptionSpellingsShareABatch: batch compatibility compares normalized
-// options, so two spellings of the default worker count (none, and
-// GOMAXPROCS) must land in the same batch.
+// TestOptionSpellingsShareABatch: twin sharing compares normalized options, so
+// two spellings of the default worker count (none, and GOMAXPROCS) must land
+// in the same batch.
 func TestOptionSpellingsShareABatch(t *testing.T) {
 	g := graph.ChungLu(150, 900, 2.3, 6)
 	s := New(Config{Graphs: map[string]graph.Store{"g": g}, StartPaused: true})
 	defer closeServer(t, s)
 
-	var ids []string
-	for _, body := range []string{
-		`{"graph":{"name":"g"},"pattern":{"name":"diamond"}}`,
-		fmt.Sprintf(`{"graph":{"name":"g"},"pattern":{"name":"tailed-triangle"},"options":{"workers":%d}}`, runtime.GOMAXPROCS(0)),
-	} {
-		req, pat, err := ParseSubmit([]byte(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		id, err := s.Submit(req, pat)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, id)
+	ids := []string{
+		submitJSON(t, s, `{"graph":{"name":"g"},"pattern":{"name":"diamond"}}`),
+		submitJSON(t, s, fmt.Sprintf(`{"graph":{"name":"g"},"pattern":{"name":"diamond"},"options":{"workers":%d}}`, runtime.GOMAXPROCS(0))),
 	}
 	s.Resume()
 	for _, id := range ids {
@@ -205,31 +154,6 @@ func TestOptionSpellingsShareABatch(t *testing.T) {
 		res, _ := s.Result(id)
 		if res.BatchWidth != 2 {
 			t.Fatalf("job %s batch width %d, want 2 (the options mean the same engine)", id, res.BatchWidth)
-		}
-	}
-}
-
-// TestBatchingDisabledByMaxBatchOne: a batch cap of 1 (the seam tests use to
-// separate fairness from batching) must dispatch co-queued compatible jobs
-// separately.
-func TestBatchingDisabledByMaxBatchOne(t *testing.T) {
-	g := graph.ChungLu(150, 900, 2.3, 6)
-	s := New(Config{Graphs: map[string]graph.Store{"g": g}, StartPaused: true})
-	setBatchCap(s, 1)
-	defer closeServer(t, s)
-
-	id1 := submitNamed(t, s, "A", "g", "diamond", EngineOptions{Workers: 2})
-	id2 := submitNamed(t, s, "A", "g", "tailed-triangle", EngineOptions{Workers: 2})
-	s.Resume()
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	for _, id := range []string{id1, id2} {
-		if err := s.Wait(ctx, id); err != nil {
-			t.Fatal(err)
-		}
-		res, _ := s.Result(id)
-		if res == nil || res.BatchWidth != 1 {
-			t.Fatalf("job %s: %+v, want unbatched result", id, res)
 		}
 	}
 }

@@ -23,12 +23,12 @@ func setThreads(s *Server, n int) {
 	s.mu.Unlock()
 }
 
-// setBatchCap sets how many distinct plan legs s merges into one batch; 1
-// turns batching and joins off, so a test sees one job per engine run. Call it
-// before the first job can dispatch, as setThreads.
-func setBatchCap(s *Server, n int) {
+// runApart turns twin sharing off, so a test sees one engine run per job even
+// where the jobs are identical. Call it before the first job can dispatch, as
+// setThreads.
+func runApart(s *Server) {
 	s.mu.Lock()
-	s.batchCap = n
+	s.apart = true
 	s.mu.Unlock()
 }
 
@@ -98,7 +98,8 @@ func (g *gateStore) heldAlone(d time.Duration) bool {
 // a terminal state at the same time as another. The dispatcher fires compiling
 // when it admits a batch, and a runner fires its jobs' terminal states before
 // the batch's threads return to the budget, so two jobs seen in flight together
-// were admitted together (batch cap 1: one job per batch).
+// were admitted together (the tests that use it submit distinct patterns, one
+// job per batch).
 type flight struct {
 	mu     sync.Mutex
 	now    map[string]bool
@@ -177,7 +178,6 @@ func TestBudgetDefaultJobRunsAlone(t *testing.T) {
 	gate := newGateStore(g, 2)
 	f := newFlight()
 	s := New(Config{Graphs: map[string]graph.Store{"g": gate}, StartPaused: true, OnTransition: f.observe})
-	setBatchCap(s, 1)
 	defer closeServer(t, s)
 	defer gate.open()
 

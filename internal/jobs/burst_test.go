@@ -39,10 +39,8 @@ type burstJob struct{ name, body string }
 
 // runBursts submits each burst co-queued behind a pause, as the HTTP decoder reads
 // it. Every job returns the count its pattern mines alone, and at least half of
-// them ran in a batch wider than one. The merged trees are where lowering counts
-// one child of a node and extends the others (DESIGN.md decisions 22 and 24): a
-// count that leaked between the patterns of a tree would show here and in no
-// single-pattern test.
+// them shared their run with a twin: a job that took a run of another pattern,
+// or a twin spelled as edges that missed its run, would show here.
 func runBursts(t *testing.T, bursts [][]burstJob) {
 	g := graph.RMAT(9, 5000, 0.45, 0.22, 0.22, 7)
 	s := New(Config{Graphs: map[string]graph.Store{"g": g}, StartPaused: true})
@@ -53,15 +51,7 @@ func runBursts(t *testing.T, bursts [][]burstJob) {
 		sent := map[string]burstJob{}
 		s.Pause()
 		for _, j := range b {
-			req, pat, err := ParseSubmit([]byte(j.body))
-			if err != nil {
-				t.Fatalf("%s: %v", j.body, err)
-			}
-			id, err := s.Submit(req, pat)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sent[id] = j
+			sent[submitJSON(t, s, j.body)] = j
 		}
 		s.Resume()
 		for id, j := range sent {
@@ -87,7 +77,7 @@ func runBursts(t *testing.T, bursts [][]burstJob) {
 		}
 	}
 	if batched < jobs/2 {
-		t.Errorf("%d of %d jobs ran batched; the bursts did not merge", batched, jobs)
+		t.Errorf("%d of %d jobs ran batched; the bursts' twins did not share runs", batched, jobs)
 	}
 }
 

@@ -76,22 +76,21 @@ func TestGraphPathBackends(t *testing.T) {
 	}
 }
 
-// TestGraphPathCacheAndBatching: two co-queued jobs with the same path ref
+// TestGraphPathCacheAndBatching: two co-queued twins with the same path ref
 // resolve to one cached store and batch together.
 func TestGraphPathCacheAndBatching(t *testing.T) {
 	dir, _ := writeGraphDir(t)
 	s := New(Config{GraphDir: dir, StartPaused: true})
 	defer closeServer(t, s)
 
-	pat1, _ := pattern.ByName("diamond")
-	pat2, _ := pattern.ByName("tailed-triangle")
+	pat, _ := pattern.ByName("diamond")
 	opts := EngineOptions{Workers: 2}
-	id1, err := s.Submit(SubmitRequest{Tenant: "A", Graph: GraphRef{Path: "g.bin"}, Pattern: PatternRef{Name: "diamond"}, Options: opts}, pat1)
+	id1, err := s.Submit(SubmitRequest{Tenant: "A", Graph: GraphRef{Path: "g.bin"}, Pattern: PatternRef{Name: "diamond"}, Options: opts}, pat)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The second job spells the same file uncleaned: one graph, one batch.
-	id2, err := s.Submit(SubmitRequest{Tenant: "B", Graph: GraphRef{Path: "./g.bin"}, Pattern: PatternRef{Name: "tailed-triangle"}, Options: opts}, pat2)
+	id2, err := s.Submit(SubmitRequest{Tenant: "B", Graph: GraphRef{Path: "./g.bin"}, Pattern: PatternRef{Name: "diamond"}, Options: opts}, pat)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,7 @@
 package jobs
 
 // Single flight: a job submitted while an isomorphic twin's batch is in flight
-// joins that batch's leg instead of queueing. The run is held with gateStore
+// joins that batch instead of queueing. The run is held with gateStore
 // (budget_test.go), so "in flight" is a fact of the test, not of timing. These
 // run under -race in CI, three times over.
 
@@ -189,29 +189,29 @@ func TestJoinCancel(t *testing.T) {
 }
 
 // TestJoinRefused: a twin that differs from the held run in graph, induced
-// flag or an option, one with a timeout, and any twin under a batch cap of 1
-// queue behind the run instead of joining it, and run on their own.
+// flag or an option, one with a timeout, and any twin with sharing off
+// (runApart) queue behind the run instead of joining it, and run on their own.
 func TestJoinRefused(t *testing.T) {
 	g := graph.ChungLu(300, 2000, 2.3, 7)
 	named := GraphRef{Name: "g"}
 	for _, c := range []struct {
-		name     string
-		batchCap int
-		ref      GraphRef
-		induced  bool
-		opts     EngineOptions
+		name    string
+		apart   bool
+		ref     GraphRef
+		induced bool
+		opts    EngineOptions
 	}{
-		{"timeout", 0, named, false, EngineOptions{Workers: 1, TimeoutMS: 60_000}},
-		{"batch cap 1", 1, named, false, EngineOptions{Workers: 1}},
-		{"another graph", 0, GraphRef{Name: "h"}, false, EngineOptions{Workers: 1}},
-		{"induced", 0, named, true, EngineOptions{Workers: 1}},
-		{"another worker count", 0, named, false, EngineOptions{Workers: 2}},
+		{"timeout", false, named, false, EngineOptions{Workers: 1, TimeoutMS: 60_000}},
+		{"sharing off", true, named, false, EngineOptions{Workers: 1}},
+		{"another graph", false, GraphRef{Name: "h"}, false, EngineOptions{Workers: 1}},
+		{"induced", false, named, true, EngineOptions{Workers: 1}},
+		{"another worker count", false, named, false, EngineOptions{Workers: 2}},
 	} {
 		gate := newGateStore(g, 1)
 		s := New(Config{Graphs: map[string]graph.Store{"g": gate, "h": g}})
 		setThreads(s, 1)
-		if c.batchCap > 0 {
-			setBatchCap(s, c.batchCap)
+		if c.apart {
+			runApart(s)
 		}
 		first := submitReq(t, s, "alice", named, "diamond", false, EngineOptions{Workers: 1, TimeoutMS: c.opts.TimeoutMS})
 		gate.waitFull(t)

@@ -111,7 +111,7 @@ func (s *Server) finalizeObs(j *Job) {
 		fields["run_ms"] = runDur
 	}
 	if j.batch != nil {
-		fields["batch_width"] = int64(j.batch.width)
+		fields["batch_width"] = int64(len(j.batch.jobs))
 	}
 	if j.res != nil {
 		fields["matches"] = j.res.Count
@@ -138,7 +138,7 @@ func (s *Server) finalizeObs(j *Job) {
 	}
 	if j.startedAt > 0 {
 		s.tracer.EmitAt(obs.CatJobs, "running", j.seq, j.startedAt, runDur,
-			obs.Arg{Key: "batch_width", Val: int64(j.batch.width)})
+			obs.Arg{Key: "batch_width", Val: int64(len(j.batch.jobs))})
 		// Flow arrow from this job's running span to the shared engine-run
 		// span on the batch lane; the job's sequence number is the bind id.
 		s.tracer.EmitFlowAt(obs.CatJobs, "batched-into", j.seq, j.startedAt, int64(j.seq), true)
@@ -154,6 +154,5 @@ func (s *Server) batchRunObs(b *batch, endAt int64) {
 	}
 	s.tracer.EmitAt(obs.CatJobs, "engine-run", batchLaneBase+b.seq, b.startedAt, endAt-b.startedAt,
 		obs.Arg{Key: "batch", Val: int64(b.seq)},
-		obs.Arg{Key: "width", Val: int64(b.width)},
-		obs.Arg{Key: "legs", Val: int64(len(b.legs))})
+		obs.Arg{Key: "width", Val: int64(len(b.jobs))})
 }

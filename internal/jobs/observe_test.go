@@ -30,11 +30,11 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite the golden observability artifacts")
 
 // obsScenario runs the canonical observability workload — five jobs from
-// three tenants, four of which batch into one engine run, one (triangle,
-// size 3) dispatching alone — on a paused server with deterministic clocks.
-// A one-thread budget runs the two batches one after the other, so the clock
-// reads come in one order on any host. The caller owns closing the returned
-// server.
+// three tenants, two of which (the 4-path twins) share one engine run, the
+// other three each dispatching alone — on a paused server with deterministic
+// clocks. A one-thread budget runs the four batches one after the other, so
+// the clock reads come in one order on any host. The caller owns closing the
+// returned server.
 func obsScenario(t *testing.T, g graph.Store, tracer *obs.Tracer, elog *obs.EventLog) (*Server, *obs.Registry, []string) {
 	t.Helper()
 	reg := obs.NewRegistry(obs.NewVirtualClock())
@@ -51,9 +51,9 @@ func obsScenario(t *testing.T, g graph.Store, tracer *obs.Tracer, elog *obs.Even
 	var ids []string
 	ids = append(ids, submitNamed(t, s, "alpha", "g", "4-path", opts))
 	ids = append(ids, submitNamed(t, s, "beta", "g", "4-star", opts))
-	ids = append(ids, submitNamed(t, s, "alpha", "g", "4-path", opts)) // isomorphic: shares a leg
+	ids = append(ids, submitNamed(t, s, "alpha", "g", "4-path", opts)) // job-1's twin: shares its run
 	ids = append(ids, submitNamed(t, s, "gamma", "g", "diamond", opts))
-	ids = append(ids, submitNamed(t, s, "beta", "g", "triangle", opts)) // size 3: its own batch
+	ids = append(ids, submitNamed(t, s, "beta", "g", "triangle", opts))
 	s.Resume()
 	for _, id := range ids {
 		waitDone(t, s, id)

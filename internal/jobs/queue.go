@@ -126,10 +126,9 @@ func (q *drrQueue) remove(j *Job) bool {
 }
 
 // collect removes and returns, in ring-then-FIFO order, every queued job the
-// callback accepts. The batch gatherer uses it to pull same-graph compatible
-// jobs out of the queue; accepted jobs skip the round-robin schedule entirely (they
-// ride along with the batch being dispatched, which only ever shortens their
-// wait).
+// callback accepts. The batch gatherer uses it to pull the head's twins out of
+// the queue; accepted jobs skip the round-robin schedule entirely (they ride
+// along with the batch being dispatched, which only ever shortens their wait).
 func (q *drrQueue) collect(accept func(*Job) bool) []*Job {
 	var out []*Job
 	for _, t := range q.ring {

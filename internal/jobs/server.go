@@ -7,32 +7,23 @@
 // compiling when the dispatcher admits its batch, before the batch resolves
 // its graph, so a graph that fails to open reads queued → compiling → failed.
 //
-// Three properties distinguish it from a plain work queue:
+// Two properties distinguish it from a plain work queue:
 //
 //   - Per-tenant fairness: the bounded queue is drained round robin over
 //     per-tenant FIFOs, one job per tenant per turn (queue.go), so one tenant
 //     flooding the queue cannot starve another's single job.
 //
-//   - Query batching: before launching a job, the dispatcher scans the queue
-//     for co-queued jobs on the same graph with the same pattern size and
-//     engine options, and compiles up to maxBatch (8) distinct patterns
-//     jointly through the plan layer's multi-pattern dependency-tree merge
-//     (plan.CompileMulti, the paper's Listing 2). Shared matching-order
-//     prefixes — and the memoized frontiers hanging off them — are then
-//     computed once for the whole batch instead of once per job, and the
-//     per-pattern counts are demultiplexed back to each job's result.
-//     Isomorphic co-queued patterns collapse onto one plan leg ("free"
-//     deduplication). Batching
-//     is metadata-compatibility-gated (DESIGN.md decision 16): a merged
-//     plan runs on one engine, so graph, matching semantics, worker count
-//     and timeout must agree before two jobs may share it.
-//
-//   - Single flight: a submitted job whose isomorphic twin is already in an
-//     in-flight batch (gathered, not yet delivered) under the same gate
-//     joins that twin's leg instead of queueing — it takes the leg's count
-//     and no engine thread, so concurrent tenants asking for one pattern
-//     mine it once. A joiner never enters the fair queue, but holds a queue
-//     slot until it is finalized; jobs with a timeout never join.
+//   - Twins share one run: a batch is one pattern and its jobs. Jobs are
+//     twins when they name the same graph, matching semantics and engine
+//     options and isomorphic patterns (batch.takes, DESIGN.md decision 16).
+//     The dispatcher gathers the head's queued twins into its batch, and a
+//     job submitted while a twin's batch is in flight (gathered, not yet
+//     delivered) joins it instead of queueing. Either way the batch compiles
+//     one plan, runs one engine pass and hands its count to every member. A
+//     joiner never enters the fair queue, but holds a queue slot until it is
+//     finalized; jobs with a timeout never join. Distinct patterns never
+//     share a run: the engine's closed forms, factors and sweeps fire only
+//     on a plan branch a pattern has to itself.
 //
 // The subsystem introduces only live counters (jobs.* in the shared
 // obs.Registry) and never touches the paper runners, whose options come from
@@ -99,21 +90,16 @@ var (
 	ErrEvicted   = errors.New("jobs: job finished and has left the retention ring")
 )
 
-// maxBatch caps the number of distinct-pattern legs merged into one plan
-// (isomorphic duplicates ride on existing legs for free, queued or joining an
-// in-flight batch).
-const maxBatch = 8
-
 // retainJobs is how many finished jobs the server keeps for polling; older
 // ones are evicted (410 Gone), so memory is bounded under indefinite uptime.
 const retainJobs = 1024
 
 // Config parameterizes a Server. The zero value is usable: private registry,
 // queue of 64, named graphs only. Not configurable: the queue pops one job per
-// tenant per turn, a batch merges up to maxBatch plan legs, a request
-// that leaves Options.Workers at 0 runs on GOMAXPROCS threads, the batches in
-// flight share GOMAXPROCS engine threads (see admitsLocked), and the
-// per-tenant metric families hold obs.DefaultLabelCap tenants.
+// tenant per turn, a batch holds one pattern's twins, a request that leaves
+// Options.Workers at 0 runs on GOMAXPROCS threads, the batches in flight share
+// GOMAXPROCS engine threads (see admitsLocked), and the per-tenant metric
+// families hold obs.DefaultLabelCap tenants.
 type Config struct {
 	// Registry receives the jobs.* counters. Nil creates a private registry.
 	Registry *obs.Registry
@@ -205,26 +191,24 @@ type Job struct {
 	finishedAt   int64 // terminal state recorded
 }
 
-// Result is a finished job's outcome. Stats are the whole batch's engine
-// statistics (a merged plan runs as one engine pass, so per-job attribution
-// of shared work would be arbitrary); Count is this job's own pattern count.
+// Result is a finished job's outcome: the count and engine statistics of the
+// one run its batch made of its pattern, which every twin in the batch shares.
 // BatchWidth is the batch's final width: every job that took its count,
 // twins that joined it in flight included.
 type Result struct {
-	Pattern       string     `json:"pattern"`
-	Count         int64      `json:"count"`
-	Partial       bool       `json:"partial"`
-	BatchWidth    int        `json:"batch_width"`
-	BatchPatterns []string   `json:"batch_patterns,omitempty"`
-	Stats         core.Stats `json:"stats"`
+	Pattern    string     `json:"pattern"`
+	Count      int64      `json:"count"`
+	Partial    bool       `json:"partial"`
+	BatchWidth int        `json:"batch_width"`
+	Stats      core.Stats `json:"stats"`
 }
 
-// batch is one dispatch unit: a set of jobs compiled into a single
-// (possibly multi-pattern) plan and run on one engine.
+// batch is one dispatch unit: one pattern's twins, compiled into one plan and
+// run on one engine.
 type batch struct {
-	legs      []*leg // one per distinct (non-isomorphic) pattern, in gather order
-	seq       int    // dispatch order; names the batch in logs and traces
-	width     int    // total jobs across legs; grows while twins join
+	pat       *pattern.Pattern // the head's; every member's pattern is isomorphic to it
+	jobs      []*Job           // gather order, then join order; its length is the batch's width
+	seq       int              // dispatch order; names the batch in logs and traces
 	gref      GraphRef
 	gkey      string
 	induced   bool
@@ -234,11 +218,6 @@ type batch struct {
 	live      int   // jobs not yet individually cancelled; 0 closes it to joins
 	startedAt int64 // engine run began (Config.Clock units)
 	prog      serve.Progress
-}
-
-type leg struct {
-	pat  *pattern.Pattern
-	jobs []*Job
 }
 
 // Server owns the queue, the dispatcher and the job table.
@@ -270,7 +249,7 @@ type Server struct {
 	nextID    int
 	nextBatch int
 	threads   int      // engine threads the running batches share (GOMAXPROCS; tests lower it)
-	batchCap  int      // distinct plan legs per batch (maxBatch; tests set 1 to turn batching and joins off)
+	apart     bool     // every job runs alone, twins too (tests of the exact round-robin schedule set it)
 	busy      int      // engine threads the running batches hold
 	flying    []*batch // gathered, not yet delivered or failed: the batches a twin may join
 	paused    bool
@@ -325,7 +304,6 @@ func New(cfg Config) *Server {
 		jobs:           map[string]*Job{},
 		retain:         retainJobs,
 		threads:        runtime.GOMAXPROCS(0),
-		batchCap:       maxBatch,
 		widthFields:    map[int]map[string]int64{},
 		paused:         cfg.StartPaused,
 		graphs:         map[string]*pathGraph{},
@@ -393,9 +371,9 @@ func (s *Server) Submit(req SubmitRequest, pat *pattern.Pattern) (string, error)
 		state:     StateQueued,
 		finalized: make(chan struct{}),
 	}
-	b, l := s.twinLocked(j)
+	b := s.twinLocked(j)
 	var err error
-	if l != nil {
+	if b != nil {
 		err = s.q.hold()
 	} else {
 		err = s.q.push(j)
@@ -411,8 +389,8 @@ func (s *Server) Submit(req SubmitRequest, pat *pattern.Pattern) (string, error)
 	j.submittedAt = s.clock.Now()
 	s.logTransition(j, j.submittedAt, StateQueued, nil)
 	s.notes = append(s.notes, transition{j.id, StateQueued})
-	if l != nil {
-		s.joinLocked(j, b, l)
+	if b != nil {
+		s.joinLocked(j, b)
 	}
 	notes := s.takeNotesLocked()
 	s.cond.Broadcast()
@@ -427,9 +405,9 @@ func (s *Server) Submit(req SubmitRequest, pat *pattern.Pattern) (string, error)
 // immediately; dispatched jobs cancel through the engine context — the last
 // live job of a batch to be cancelled tears the whole engine run down, which
 // returns the partial counts accumulated so far. Cancelling a job whose
-// batch continues for other tenants detaches it without a result (the
-// shared engine pass cannot stop one plan leg). Cancelling a terminal job is
-// a no-op. Returns the job's state after the call.
+// batch continues for its twins detaches it without a result (the shared
+// engine pass goes on for them). Cancelling a terminal job is a no-op.
+// Returns the job's state after the call.
 func (s *Server) Cancel(id string) (State, error) {
 	s.mu.Lock()
 	j, err := s.lookupLocked(id)
@@ -547,7 +525,7 @@ func (s *Server) dispatch() {
 		s.busy += b.opts.Workers
 		s.markLocked(b, StateCompiling)
 		notes := s.takeNotesLocked()
-		w := int64(b.width) // read under s.mu: a twin may join b (and count itself) once it is released
+		w := int64(len(b.jobs)) // read under s.mu: a twin may join b (and count itself) once it is released
 		s.mu.Unlock()
 		s.reg.Add(MetricBatchWidth, w)
 		if w > 1 {
@@ -573,103 +551,74 @@ func (s *Server) admitsLocked() bool {
 	return head != nil && (s.busy == 0 || s.busy+head.opts.Workers <= s.threads)
 }
 
-// fits reports whether j may share b's engine run: the same graph, matching
-// semantics, normalized engine options and pattern size.
-func (b *batch) fits(j *Job) bool {
-	return j.gkey == b.gkey && j.induced == b.induced && j.opts == b.opts &&
-		j.pat.Size() == b.legs[0].pat.Size()
+// takes reports whether j is a twin of b's jobs, so may share its engine run:
+// the same graph, matching semantics and normalized engine options, and an
+// isomorphic pattern. The gather and the join at submit both ask it.
+func (b *batch) takes(j *Job) bool {
+	return j.gkey == b.gkey && j.induced == b.induced && j.opts == b.opts && b.pat.IsIsomorphic(j.pat)
 }
 
 // gatherLocked builds the dispatch batch around the queue's head: every queued
-// job on the same graph with the same pattern size, matching semantics and
-// engine options joins, up to s.batchCap distinct plan legs. Isomorphic
-// patterns share a leg (one compiled chain, one count, many recipients).
-// The batch is in flight, open to twins (twinLocked), until deliver or
-// failBatch lands it. Called with s.mu held.
+// job the batch takes joins it, unless s.apart. The batch is in flight, open
+// to twins (twinLocked), until deliver or failBatch lands it. Called with s.mu
+// held.
 func (s *Server) gatherLocked(head *Job) *batch {
 	b := &batch{
-		legs:    []*leg{{pat: head.pat, jobs: []*Job{head}}},
-		width:   1,
+		pat:     head.pat,
+		jobs:    []*Job{head},
 		gref:    head.gref,
 		gkey:    head.gkey,
 		induced: head.induced,
 		opts:    head.opts,
 	}
-	if s.batchCap > 1 {
-		s.q.collect(func(j *Job) bool {
-			if !b.fits(j) {
-				return false
-			}
-			for _, l := range b.legs {
-				if l.pat.IsIsomorphic(j.pat) {
-					l.jobs = append(l.jobs, j)
-					b.width++
-					return true
-				}
-			}
-			if len(b.legs) >= s.batchCap {
-				return false
-			}
-			b.legs = append(b.legs, &leg{pat: j.pat, jobs: []*Job{j}})
-			b.width++
-			return true
-		})
+	if !s.apart {
+		b.jobs = append(b.jobs, s.q.collect(b.takes)...)
 	}
 	s.nextBatch++
 	b.seq = s.nextBatch
 	b.ctx, b.cancel = context.WithCancel(s.rootCtx)
-	b.live = b.width
+	b.live = len(b.jobs)
 	dispatched := s.clock.Now() // one read per batch: members share the instant
-	for _, l := range b.legs {
-		for _, j := range l.jobs {
-			j.batch = b
-			j.dispatchedAt = dispatched
-		}
+	for _, j := range b.jobs {
+		j.batch = b
+		j.dispatchedAt = dispatched
 	}
 	s.flying = append(s.flying, b)
 	return b
 }
 
-// twinLocked finds the in-flight batch and leg that already mine j's pattern
-// under the gather rule, or nils when j may not join one: batching is off
-// (s.batchCap 1), j has a timeout (its deadline would start at the batch's run,
-// not at its submit), or every matching batch is being torn down (no live
-// member). Called with s.mu held.
-func (s *Server) twinLocked(j *Job) (*batch, *leg) {
-	if s.batchCap == 1 || j.opts.TimeoutMS > 0 {
-		return nil, nil
+// twinLocked finds the in-flight batch that takes j, or nil when j may not join
+// one: s.apart, j has a timeout (its deadline would start at the batch's run,
+// not at its submit), or every such batch is being torn down (no live member).
+// Called with s.mu held.
+func (s *Server) twinLocked(j *Job) *batch {
+	if s.apart || j.opts.TimeoutMS > 0 {
+		return nil
 	}
 	for _, b := range s.flying {
-		if b.live == 0 || !b.fits(j) {
-			continue
-		}
-		for _, l := range b.legs {
-			if l.pat.IsIsomorphic(j.pat) {
-				return b, l
-			}
+		if b.live > 0 && b.takes(j) {
+			return b
 		}
 	}
-	return nil, nil
+	return nil
 }
 
-// joinLocked attaches j, just logged queued, to l, its twin's leg in the
-// in-flight batch b: j becomes one more recipient of the leg's count, never
-// enters the fair queue and holds no engine thread. At the clock read that
-// submitted it, j turns compiling, and running too if b's run has begun
-// (otherwise b's markLocked moves it on with the rest); its queue wait is 0.
-// Called with s.mu held.
-func (s *Server) joinLocked(j *Job, b *batch, l *leg) {
-	l.jobs = append(l.jobs, j)
+// joinLocked attaches j, just logged queued, to b, its twin's in-flight batch:
+// j becomes one more recipient of b's count, never enters the fair queue and
+// holds no engine thread. At the clock read that submitted it, j turns
+// compiling, and running too if b's run has begun (otherwise b's markLocked
+// moves it on with the rest); its queue wait is 0. Called with s.mu held.
+func (s *Server) joinLocked(j *Job, b *batch) {
+	b.jobs = append(b.jobs, j)
 	j.batch, j.joined, j.dispatchedAt = b, true, j.submittedAt
-	b.width++
 	b.live++
 	batched := int64(1)
-	if b.width == 2 {
+	if len(b.jobs) == 2 {
 		batched = 2 // the batch's first job counts as batched from now on
 	}
 	s.reg.Add(MetricBatchWidth, 1)
 	s.reg.Add(MetricBatched, batched)
-	fields := s.widthFieldsLocked(b.width)
+	fields := s.widthFieldsLocked(len(b.jobs))
 	j.state = StateCompiling
 	s.logTransition(j, j.submittedAt, StateCompiling, fields)
 	s.notes = append(s.notes, transition{j.id, StateCompiling})
@@ -681,7 +630,7 @@ func (s *Server) joinLocked(j *Job, b *batch, l *leg) {
 }
 
 // landLocked closes b to joins: its member list is final from here on.
-// deliver and failBatch call it before they read b's legs, so no twin joins a
+// deliver and failBatch call it before they read b's jobs, so no twin joins a
 // batch whose members were already finalized. Called with s.mu held.
 func (s *Server) landLocked(b *batch) {
 	if i := slices.Index(s.flying, b); i >= 0 {
@@ -689,8 +638,8 @@ func (s *Server) landLocked(b *batch) {
 	}
 }
 
-// runBatch compiles and executes one batch, then demultiplexes the
-// per-pattern counts back onto the member jobs.
+// runBatch compiles and executes one batch, then hands its count to the
+// member jobs.
 func (s *Server) runBatch(b *batch) {
 	defer func() {
 		b.cancel()
@@ -725,17 +674,7 @@ func (s *Server) mineBatch(b *batch) (res core.Result, mineErr error, ok bool) {
 		s.failBatch(b, fmt.Errorf("resolving graph: %w", err))
 		return
 	}
-	pats := make([]*pattern.Pattern, len(b.legs))
-	for i, l := range b.legs {
-		pats[i] = l.pat
-	}
-	var pl *plan.Plan
-	popt := plan.Options{Induced: b.induced}
-	if len(pats) == 1 {
-		pl, err = plan.Compile(pats[0], popt)
-	} else {
-		pl, err = plan.CompileMulti(pats, popt)
-	}
+	pl, err := plan.Compile(b.pat, plan.Options{Induced: b.induced})
 	if err != nil {
 		s.failBatch(b, err)
 		return
@@ -761,39 +700,28 @@ func (s *Server) mineBatch(b *batch) (res core.Result, mineErr error, ok bool) {
 	return res, mineErr, true
 }
 
-// deliver demultiplexes a finished run's per-pattern counts onto b's member jobs.
+// deliver hands a finished run's count to b's member jobs.
 func (s *Server) deliver(b *batch, res core.Result, mineErr error) {
-	names := make([]string, len(b.legs))
-	for i, l := range b.legs {
-		names[i] = l.pat.Name()
-	}
 	s.mu.Lock()
 	s.landLocked(b)
-	for li, l := range b.legs {
-		var count int64
-		if li < len(res.Counts) {
-			count = res.Counts[li]
+	for _, j := range b.jobs {
+		if j.state.Terminal() {
+			continue // cancelled mid-batch while its twins continued
 		}
-		for _, j := range l.jobs {
-			if j.state.Terminal() {
-				continue // cancelled mid-batch while others continued
-			}
-			r := &Result{
-				Pattern:       j.pat.Name(),
-				Count:         count,
-				Partial:       mineErr != nil,
-				BatchWidth:    b.width,
-				BatchPatterns: names,
-				Stats:         res.Stats,
-			}
-			switch {
-			case mineErr == nil:
-				s.finishLocked(j, StateDone, "", r)
-			case errors.Is(mineErr, context.Canceled) || errors.Is(mineErr, context.DeadlineExceeded):
-				s.finishLocked(j, StateCancelled, mineErr.Error(), r)
-			default:
-				s.finishLocked(j, StateFailed, mineErr.Error(), r)
-			}
+		r := &Result{
+			Pattern:    j.pat.Name(),
+			Count:      res.Count(),
+			Partial:    mineErr != nil,
+			BatchWidth: len(b.jobs),
+			Stats:      res.Stats,
+		}
+		switch {
+		case mineErr == nil:
+			s.finishLocked(j, StateDone, "", r)
+		case errors.Is(mineErr, context.Canceled) || errors.Is(mineErr, context.DeadlineExceeded):
+			s.finishLocked(j, StateCancelled, mineErr.Error(), r)
+		default:
+			s.finishLocked(j, StateFailed, mineErr.Error(), r)
 		}
 	}
 	s.batchRunObs(b, s.clock.Now())
@@ -817,11 +745,9 @@ func (s *Server) notePanic(b *batch, v any, stack []byte) {
 func (s *Server) failBatch(b *batch, err error) {
 	s.mu.Lock()
 	s.landLocked(b)
-	for _, l := range b.legs {
-		for _, j := range l.jobs {
-			if !j.state.Terminal() {
-				s.finishLocked(j, StateFailed, err.Error(), nil)
-			}
+	for _, j := range b.jobs {
+		if !j.state.Terminal() {
+			s.finishLocked(j, StateFailed, err.Error(), nil)
 		}
 	}
 	notes := s.takeNotesLocked()
@@ -845,17 +771,15 @@ func (s *Server) markLocked(b *batch, st State) {
 	if st == StateRunning {
 		b.startedAt = now
 	}
-	fields := s.widthFieldsLocked(b.width)
-	for _, l := range b.legs {
-		for _, j := range l.jobs {
-			if !j.state.Terminal() {
-				j.state = st
-				if st == StateRunning {
-					j.startedAt = now
-				}
-				s.logTransition(j, now, st, fields)
-				s.notes = append(s.notes, transition{j.id, st})
+	fields := s.widthFieldsLocked(len(b.jobs))
+	for _, j := range b.jobs {
+		if !j.state.Terminal() {
+			j.state = st
+			if st == StateRunning {
+				j.startedAt = now
 			}
+			s.logTransition(j, now, st, fields)
+			s.notes = append(s.notes, transition{j.id, st})
 		}
 	}
 }

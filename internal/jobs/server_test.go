@@ -109,7 +109,7 @@ func TestJobLifecycleSingle(t *testing.T) {
 
 // TestTenantFairnessEndToEnd is the fairness acceptance criterion at the
 // server level: tenant A floods the queue with 20 jobs before tenant B's
-// single job arrives; with batching disabled (batch cap 1) the dispatch order —
+// single job arrives; with twin sharing off (runApart) the dispatch order —
 // the order of the compiling transitions, which the dispatcher fires itself —
 // is the exact DRR schedule, A's first job, B's, then A's backlog, whether one
 // one-thread batch runs at a time or two do (budgets 1 and 2).
@@ -131,7 +131,7 @@ func TestTenantFairnessEndToEnd(t *testing.T) {
 			},
 		})
 		setThreads(s, budget)
-		setBatchCap(s, 1) // isolate fairness from batching
+		runApart(s) // A's jobs are twins: isolate fairness from sharing
 
 		var aIDs []string
 		for i := 0; i < 20; i++ {
@@ -222,8 +222,8 @@ func TestCancelMidRunReturnsPartials(t *testing.T) {
 	}
 }
 
-// TestCancelOneOfBatch cancels one member of a two-job batch and asserts the
-// other member still completes with its full count.
+// TestCancelOneOfBatch cancels one of two twins sharing a batch and asserts
+// the other still completes with its full count.
 func TestCancelOneOfBatch(t *testing.T) {
 	// Big enough (~100ms of mining) that the cancel reliably lands mid-run.
 	g := graph.ChungLu(4000, 48000, 2.3, 13)
@@ -241,7 +241,7 @@ func TestCancelOneOfBatch(t *testing.T) {
 
 	opts := EngineOptions{Workers: 1}
 	idA := submitNamed(t, s, "A", "g", "diamond", opts)
-	idB := submitNamed(t, s, "B", "g", "tailed-triangle", opts)
+	idB := submitNamed(t, s, "B", "g", "diamond", opts)
 	s.Resume()
 	select {
 	case <-running:
@@ -266,7 +266,7 @@ func TestCancelOneOfBatch(t *testing.T) {
 	if resB.Partial || resB.BatchWidth != 2 {
 		t.Fatalf("surviving member result %+v: want full (non-partial) count from a width-2 batch", resB)
 	}
-	if want := solo(t, g, "tailed-triangle"); resB.Count != want {
+	if want := solo(t, g, "diamond"); resB.Count != want {
 		t.Fatalf("surviving member count %d != individual count %d", resB.Count, want)
 	}
 }
@@ -285,7 +285,7 @@ func goroutinesReturnTo(t *testing.T, before int) {
 
 // TestCloseJoinsDispatcherAndRunners holds the goroutine-leak invariant for
 // the job server's two spawn sites, the dispatcher and one runner per batch:
-// a server that ran a merged batch with one member cancelled mid-flight is,
+// a server that ran a twins' batch with one member cancelled mid-flight is,
 // after Close, entirely gone — three times over, so a goroutine leaked per
 // server or per batch shows as a growing count.
 func TestCloseJoinsDispatcherAndRunners(t *testing.T) {
@@ -304,7 +304,7 @@ func TestCloseJoinsDispatcherAndRunners(t *testing.T) {
 		})
 		opts := EngineOptions{Workers: 2}
 		idA := submitNamed(t, s, "A", "g", "diamond", opts)
-		idB := submitNamed(t, s, "B", "g", "tailed-triangle", opts)
+		idB := submitNamed(t, s, "B", "g", "diamond", opts)
 		s.Resume()
 		select {
 		case <-running:
@@ -407,7 +407,6 @@ func TestDrainWaitsForRunningJobs(t *testing.T) {
 		},
 	})
 	setThreads(s, 2)
-	setBatchCap(s, 1)
 
 	idRun := submitNamed(t, s, "A", "g", "house", EngineOptions{Workers: 2})
 	select {

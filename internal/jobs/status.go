@@ -61,7 +61,7 @@ func (s *Server) statusLocked(j *Job) Status {
 		st.RunMS = j.finishedAt - j.startedAt
 	}
 	if j.batch != nil {
-		st.BatchWidth = j.batch.width
+		st.BatchWidth = len(j.batch.jobs)
 		if !j.state.Terminal() {
 			snap := j.batch.prog.Snapshot()
 			st.Progress = &snap
