@@ -195,6 +195,9 @@ func TestWorkProxyGates(t *testing.T) {
 		// Before the square side was gathered from counters kept per v0, each edge
 		// scanned the row of every neighbour of v0: 8,619,457 dense accesses here at
 		// the parent of decision 27 (8,606,623 on one thread), 4,963,833 after it.
+		// Before the gather went list-free, each edge also copied v0's row, searched it
+		// for v1 and probed every candidate for the factor, and every reset walked the
+		// rows again: 3,380 searches and those 4,963,833 accesses; 594 and 4,571,711 after.
 		{"SL-house", options{graphPath: sym, app: "SL-house"}, []gate{
 			searchFree,
 			{"the roof is a factor: one closed form per edge, a quarter of the extensions (decision 23)", func(a, m counters) bool {
@@ -203,6 +206,9 @@ func TestWorkProxyGates(t *testing.T) {
 			{"the square side is hoisted: dense accesses under two thirds of the parent's (decision 27)", func(a, _ counters) bool {
 				return 3*a["cpu.bitmap_probes"] < 2*8_619_457
 			}},
+			{"the gather takes no list: under a fifth of the searches and 95 % of the dense accesses before (decisions 24, 27)", func(a, _ counters) bool {
+				return 5*a["cpu.searches"] < 3_380 && 20*a["cpu.bitmap_probes"] < 19*4_963_833
+			}},
 		}},
 		{"tailed-triangle", options{graphPath: sym, patName: "tailed-triangle"}, []gate{searchFree, scansStop(6036)}},
 		{"triangle", options{graphPath: sym, patName: "triangle"}, []gate{scansStop(4042)}},
@@ -210,10 +216,15 @@ func TestWorkProxyGates(t *testing.T) {
 		{"4-path", options{graphPath: sym, patName: "4-path"}, []gate{lastLevels}},
 		// The c-map walk scanned one row per pair of v0's neighbours: 1,417,060 dense
 		// accesses and 30,303 extensions here at the parent of decision 24 (30,373 in
-		// hub slices), against 244,298 and 512 (278,528 and 582: a slice re-sweeps its head).
+		// hub slices), against 244,298 and 512 (278,528 and 582: a slice re-sweeps its
+		// head). Each reset walked the swept rows a second time until a 512-vertex
+		// array, 32 lines, was cleared instead: 278,528 dense accesses before, 150,369 after.
 		{"4-cycle", options{graphPath: sym, patName: "4-cycle"}, []gate{
 			{"the twins are swept from the far corner: one extension per task, a quarter of the c-map walk's dense accesses (decision 24)", func(a, m counters) bool {
 				return a["cpu.closed_forms"] > 0 && m["cpu.closed_forms"] == 0 && 4*a["cpu.extensions"] < m["cpu.extensions"] && 4*a["cpu.bitmap_probes"] < 1_417_060
+			}},
+			{"the counters are reset by one clear, a line an access: under three fifths of the dense accesses of the second walk (decision 24)", func(a, _ counters) bool {
+				return 5*a["cpu.bitmap_probes"] < 3*278_528
 			}},
 		}},
 		{"4-CL", options{graphPath: dag, app: "4-CL"}, []gate{

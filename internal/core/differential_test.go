@@ -903,9 +903,10 @@ func nothing(p *program, d int) *node {
 
 // TestDifferentialKillsMutants: the oracle catches a wrong lowering. Each mutant
 // edits every node of a counting program it applies to, as PRs 20, 21 and 24
-// recorded by hand, and must fail the oracle on some drawable pin. The last edit
-// keeps the counts — a factor's membership test by search instead of a c-map
-// probe, what a source level past cmLevels gets — and must fail on none.
+// recorded by hand, and must fail the oracle on some drawable pin. The last two
+// edits keep the counts — a hoisted list's owner named among its NotEqual
+// ancestors, and a factor's membership test by search instead of a c-map probe,
+// what a source level past cmLevels gets — and must fail on none.
 func TestDifferentialKillsMutants(t *testing.T) {
 	s := newSuite(t)
 	// A closed form's mutants die where walk reaches it and where a count sweep does.
@@ -1023,6 +1024,29 @@ func TestDifferentialKillsMutants(t *testing.T) {
 				return false
 			}
 			n.children[0].cmap.scan = []chainOp{{need: 1 << (cmLevels - 1)}}
+			return true
+		}},
+		// A list-free sweep drops, and takes the rows out of, only the NotEqual
+		// ancestors found in R. Naming the owner instead — never in its own row —
+		// leaves the ancestor that is in R in the list.
+		{"a NotEqual ancestor that is not in R is subtracted", true, func(n *node, _ *program) bool {
+			if n.hoist == nil || len(n.op.NotEqual) == 0 {
+				return false
+			}
+			op := *n.op
+			op.NotEqual = []int{n.hoist.depth}
+			n.op = &op
+			return true
+		}},
+		// Naming the owner besides them changes no list: a sweep that took out an
+		// ancestor it did not find in R would count less here.
+		{"a hoisted list's owner named among its NotEqual ancestors", false, func(n *node, _ *program) bool {
+			if n.hoist == nil {
+				return false
+			}
+			op := *n.op
+			op.NotEqual = append(slices.Clone(op.NotEqual), n.hoist.depth)
+			n.op = &op
 			return true
 		}},
 		{"a factor's membership searched", false, func(n *node, _ *program) bool {

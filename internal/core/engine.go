@@ -102,8 +102,9 @@ func (o Options) withDefaults() Options {
 // probes, mark/unmark writes, distinctness probes — a fused scan of one row under
 // two masks charges each mask it answers, as two scans would) and local-row accesses
 // (position-map writes and lookups, row-build probes, row words read) and
-// far-side counter accesses (increments and resets, decision 24; a hoisted sweep's
-// too, and one read per element it gathers, decision 27), and
+// far-side counter accesses (an increment and a reset per counter — per 64-byte
+// line where one clear zeroes them —, decision 24; a hoisted sweep's too, and one
+// read per element it gathers, decision 27), and
 // Searches the binary searches none of them sees (DESIGN.md decision 20).
 // Counts and Candidates are the invariants across kernel policies — every
 // policy walks the same tree; the kernel counters are not, nor are
@@ -389,6 +390,7 @@ type worker struct {
 	hown   *node
 	hbuilt bool
 	hrows  []graph.VID
+	hadds  int64 // the increments hrows' rows made so far (farReset)
 }
 
 // cancelPollPeriod spaces the cancellation polls (a power of two): frequent
@@ -497,6 +499,9 @@ func (w *worker) walk(n *node) {
 		w.counts[n.patternIdx] += cnt
 		return
 	}
+	if n.hoist != nil && w.hoistSweep(n) {
+		return
+	}
 	cands := w.materialize(n)
 	w.stats.Candidates += int64(len(cands))
 	depth := n.depth
@@ -512,10 +517,6 @@ func (w *worker) walk(n *node) {
 		w.farSide(n, cands)
 	}
 	if len(n.children) == 0 { // they were its twins, all of them
-		return
-	}
-	if n.hoist != nil && len(cands) > 0 && w.hoistReady(n) {
-		w.hoistSweep(n, cands)
 		return
 	}
 	switch {
@@ -718,8 +719,8 @@ func (w *worker) sliceHead(n *node) []graph.VID {
 // C(k, t−1) with every increment k → k+1, so one sweep suffices and a hub slice
 // [lo, hi) is the sweep of the whole [0, hi) less what it had reached at lo.
 // Stats.Candidates gets what the levels would have emitted: every subset of two
-// to t list vertices the task owns, and the matches. The counters are reset by a
-// second sweep over the same rows — all of them at once if the first one panics.
+// to t list vertices the task owns, and the matches. The counters are reset as
+// farReset says — all of them at once if a sweep panics.
 func (w *worker) farSide(a *node, list []graph.VID) {
 	f, head := a.far, w.sliceHead(a)
 	lo, hi := int64(len(head)), int64(len(head)+len(list))
@@ -741,16 +742,23 @@ func (w *worker) farSide(a *node, list []graph.VID) {
 	}()
 	w.stats.ClosedForms++
 	bound := w.bound(f)
-	w.farSweep(f, head, bound) // for the counters alone: the tasks before this one own these
+	_, adds := w.farSweep(f, head, bound) // for the counters alone: the tasks before this one own these
 	out := w.farOut(f, bound)
-	cnt := w.farSweep(f, list, bound) - (w.farOut(f, bound) - out)
-	for _, us := range [2][]graph.VID{head, list} {
-		for _, u := range us {
-			for _, x := range w.g.Adj(u) {
-				if x >= bound {
-					break
+	cnt, more := w.farSweep(f, list, bound)
+	cnt -= w.farOut(f, bound) - out
+	clears, cost := w.farReset(adds + more)
+	w.stats.BitmapProbes += cost
+	if clears {
+		clear(w.far)
+	} else {
+		for _, us := range [2][]graph.VID{head, list} {
+			for _, u := range us {
+				for _, x := range w.g.Adj(u) {
+					if x >= bound {
+						break
+					}
+					w.far[x] = 0
 				}
-				w.far[x] = 0
 			}
 		}
 	}
@@ -759,10 +767,24 @@ func (w *worker) farSide(a *node, list []graph.VID) {
 	w.counts[f.patternIdx] += cnt
 }
 
+// farLine is how many counters one 64-byte line holds.
+const farLine = 64 / 4
+
+// farReset says how the counters are zeroed after adds increments: by one clear
+// of the array where it holds at most farLine counters per increment, else by a
+// second walk of the rows that took them; and what that costs in dense accesses,
+// a line or a counter each. It depends on |V| and the rows alone, so Stats stay
+// one block across schedules.
+func (w *worker) farReset(adds int64) (clears bool, cost int64) {
+	if n := int64(len(w.far)); n <= farLine*adds {
+		return true, (n + farLine - 1) / farLine
+	}
+	return false, adds
+}
+
 // farSweep adds the rows of us below bound into the counters and returns what the
-// sum grew by. It charges Stats.BitmapProbes two accesses a counter — this one and
-// the reset.
-func (w *worker) farSweep(f *node, us []graph.VID, bound graph.VID) (sum int64) {
+// sum grew by and how many counters it incremented, each one dense access.
+func (w *worker) farSweep(f *node, us []graph.VID, bound graph.VID) (sum, adds int64) {
 	far, t := w.far, f.twins
 	for _, u := range us {
 		if w.cancelled() {
@@ -780,9 +802,10 @@ func (w *worker) farSweep(f *node, us []graph.VID, bound graph.VID) (sum int64) 
 				sum += c
 			}
 		}
-		w.stats.BitmapProbes += 2 * int64(i)
+		adds += int64(i)
 	}
-	return sum
+	w.stats.BitmapProbes += adds
+	return sum, adds
 }
 
 // farOut is what the sum holds, at this point of a sweep, for the NotEqual
@@ -798,66 +821,98 @@ func (w *worker) farOut(f *node, bound graph.VID) (sum int64) {
 	return sum
 }
 
+// hoistList is a hoisted node's list L, never materialized: its length k, R less
+// the NotEqual ancestors found in R, R being the row of the owner's vertex, and
+// those ancestors as bits over n.op.NotEqual.
+func (w *worker) hoistList(n *node) (k int, drops uint32) {
+	row := w.g.Adj(w.emb[n.hoist.depth])
+	k = len(row)
+	for i, j := range n.op.NotEqual {
+		if w.inRow(n, row, w.emb[j]) {
+			drops |= 1 << i
+			k--
+		}
+	}
+	return k, drops
+}
+
+// inRow reports whether v is in row, the row of n's owner's vertex: one c-map
+// probe where the owner's level o marks its whole row, a search otherwise.
+func (w *worker) inRow(n *node, row []graph.VID, v graph.VID) bool {
+	if o := n.hoist.depth; o < cmLevels && len(row) > 0 && len(w.cmRows[o]) == len(row) {
+		w.stats.BitmapProbes++
+		return w.cm[v]>>o&1 != 0
+	}
+	return w.index(row, v) >= 0
+}
+
 // hoistSweep counts the only child c of a node hoistSweeps gave an owner over
 // its list, as sweep or sweepCount would: Σ over the list of c's masked scan of
-// each candidate's row, less c's certain ancestors once per candidate. Stats get
-// one closed form and one leaf for the whole list, nothing per candidate.
-func (w *worker) hoistSweep(n *node, cands []graph.VID) {
-	c := n.children[0]
-	if w.cancelled() {
-		return
+// each candidate's row, less c's certain ancestors once per candidate. It reports
+// false, having done nothing, where the counters are not ready; walk then
+// materializes the list and runs the kind's loop. Stats get the list's
+// candidates, one closed form and one leaf, nothing per candidate.
+func (w *worker) hoistSweep(n *node) bool {
+	if !w.hoistReady(n) {
+		return false
 	}
+	k, drops := w.hoistList(n)
+	w.stats.Candidates += int64(k)
+	if w.cancelled() {
+		return true
+	}
+	c := n.children[0]
 	m := c.cmap.scan[0]
-	a, _ := w.hoisted(n, cands, m, m, 1)
-	cnt := a - int64(len(c.proof.certain)*len(cands))
+	a, _ := w.hoisted(n, drops, m, m, 1)
+	cnt := a - int64(len(c.proof.certain)*k)
 	w.stats.ClosedForms++
 	w.stats.LeafCountsSkippedMaterialize++
 	w.stats.Candidates += cnt
 	w.counts[c.patternIdx] += cnt
+	return true
 }
 
-// hoistWeighed is sweepWeighed for a node hoistSweeps gave an owner. With A and B
-// the masked scans of a candidate's row for its leaf c and c's B, less their certain
-// ancestors, and F the factor's list, the loop counts
-// Σ_v left(v)·A(v) − B(v) = wt·ΣA − Σ_{v ∈ F} A(v) − ΣB: B is taken unguarded, as
-// B ⊆ A and left(v) = 0 only where v is all that F has left, v ∉ adj(v). The
-// membership probes and the weights emitted are sweepWeighed's, per candidate; the
-// two sums are one gather, charged one closed form and two leaves.
-func (w *worker) hoistWeighed(n *node, cands []graph.VID, bound graph.VID) {
+// hoistWeighed is sweepWeighed for a node hoistSweeps gave an owner, reporting
+// false as hoistSweep does. With A and B the masked scans of a candidate's row for
+// its leaf c and c's B, less their certain ancestors, and F the factor's list, the
+// loop counts Σ_{v∈L} left(v)·A(v) − B(v) = wt·ΣA − Σ_{v∈F} A(v) − ΣB: B is taken
+// unguarded, as B ⊆ A and left(v) = 0 only where v is all that F has left, v ∉
+// adj(v); F ⊆ L by hoistSweeps, so the weights emitted are wt·|L| − |F| and the
+// middle sum is a walk of F. The two sums are one gather, charged one closed form
+// and two leaves.
+func (w *worker) hoistWeighed(n *node) bool {
+	if !w.hoistReady(n) {
+		return false
+	}
+	k, drops := w.hoistList(n)
 	f, c, wt := n.fac, n.children[0], w.weight
 	b := c.fac.minus
 	ma, mb := c.cmap.scan[0], b.cmap.scan[0]
-	ca, cb, k := int64(len(c.proof.certain)), int64(len(b.proof.certain)), int64(len(cands))
-	var emitted, inF, probes, cnt int64
-	for _, v := range cands {
-		left := wt
-		if w.inFactor(f, v, bound) {
-			left--
-			row := w.g.Adj(v)
-			inF += setops.MaskCount(row, w.cm, ma.need, ma.avoid) - ca
-			probes += int64(len(row))
-		}
-		emitted += left
+	ca, cb := int64(len(c.proof.certain)), int64(len(b.proof.certain))
+	fl := w.levels[f.at.depth]
+	var inF, probes, cnt int64
+	for _, v := range fl {
+		r := w.g.Adj(v)
+		inF += setops.MaskCount(r, w.cm, ma.need, ma.avoid) - ca
+		probes += int64(len(r))
 	}
 	if !w.cancelled() {
-		sa, sb := w.hoisted(n, cands, ma, mb, 2)
-		cnt = mulDiv(sa-ca*k, wt, 1) - inF - (sb - cb*k)
+		sa, sb := w.hoisted(n, drops, ma, mb, 2)
+		cnt = mulDiv(sa-ca*int64(k), wt, 1) - inF - (sb - cb*int64(k))
 		w.stats.ClosedForms++
 		w.stats.LeafCountsSkippedMaterialize += 2
 	}
 	w.stats.BitmapProbes += probes
-	w.stats.Candidates += emitted + cnt
+	w.stats.Candidates += wt*int64(k) - int64(len(fl)) + cnt
 	w.counts[c.patternIdx] += cnt
+	return true
 }
 
-// hoisted returns Σ over list of the rows' counts under masks a and b — list being
-// n's candidates, R less the NotEqual ancestors materialize dropped, R the row of
-// n's owner's vertex: the counters hoistReady built for R, gathered over the
-// shortest row a needs, less the rows of the dropped ancestors.
-// masks is how many of the two the caller reads; each answered mask is one dense
-// access an element, as is a counter read.
-func (w *worker) hoisted(n *node, list []graph.VID, a, b chainOp, masks int64) (sa, sb int64) {
-	row := w.g.Adj(w.emb[n.hoist.depth])
+// hoisted returns Σ over n's list of the rows' counts under masks a and b: the
+// counters hoistReady built for R, gathered over the shortest row a needs, less
+// the rows of the ancestors in drops. masks is how many of the two the caller
+// reads; each answered mask is one dense access an element, as is a counter read.
+func (w *worker) hoisted(n *node, drops uint32, a, b chainOp, masks int64) (sa, sb int64) {
 	var g []graph.VID
 	for ls := a.need; ls != 0; ls &= ls - 1 {
 		if r := w.cmRows[bits.TrailingZeros8(ls)]; g == nil || len(r) < len(g) {
@@ -866,14 +921,10 @@ func (w *worker) hoisted(n *node, list []graph.VID, a, b chainOp, masks int64) (
 	}
 	sa, sb = setops.MaskSumPair(g, w.cm, w.far, a.need, a.avoid, b.need, b.avoid)
 	probes := int64(len(g)) * (masks + 1)
-	for i, j, dropped := 0, 0, len(row)-len(list); dropped > 0; j++ {
-		if i < len(list) && list[i] == row[j] {
-			i++
-			continue
-		}
-		r := w.g.Adj(row[j])
+	for ; drops != 0; drops &= drops - 1 {
+		r := w.g.Adj(w.emb[n.op.NotEqual[bits.TrailingZeros32(drops)]])
 		x, y := setops.MaskCountPair(r, w.cm, a.need, a.avoid, b.need, b.avoid)
-		sa, sb, dropped = sa-x, sb-y, dropped-1
+		sa, sb = sa-x, sb-y
 		probes += int64(len(r)) * masks
 	}
 	w.stats.BitmapProbes += probes
@@ -881,11 +932,11 @@ func (w *worker) hoisted(n *node, list []graph.VID, a, b chainOp, masks int64) (
 }
 
 // hoistBuild zeroes what the counters held and files the rows of R into them for
-// own's vertex, two dense accesses a counter (the increment and its reset). It
-// polls for cancellation per row and reports whether it got through: the counters
-// are own's (hbuilt) only once every row is in, and hrows names the rows to zero
-// before any is — a build cut short, by a cancellation or a panicking store, is
-// zeroed whole by the next.
+// own's vertex, a dense access a counter, and charges their reset as farReset
+// prices it. It polls for cancellation per row and reports whether it got
+// through: the counters are own's (hbuilt) only once every row is in, and hrows
+// names the rows to zero before any is — a build cut short, by a cancellation or
+// a panicking store, is zeroed whole by the next.
 func (w *worker) hoistBuild(own *node, row []graph.VID) bool {
 	w.hoistFlush()
 	if w.far == nil {
@@ -900,36 +951,47 @@ func (w *worker) hoistBuild(own *node, row []graph.VID) bool {
 		for _, x := range r {
 			w.far[x]++
 		}
-		w.stats.BitmapProbes += 2 * int64(len(r))
+		w.hadds += int64(len(r))
+		w.stats.BitmapProbes += int64(len(r))
 	}
+	_, cost := w.farReset(w.hadds)
+	w.stats.BitmapProbes += cost
 	w.hown, w.hbuilt = own, true
 	return true
 }
 
 // hoistReady reports whether n's sweep gathers: the first sweep under its owner's
-// vertex runs its kind's loop and only notes the owner — an owner that sweeps once
-// pays nothing for the counters —, the second builds them.
+// vertex builds the counters where more sweeps are to follow — the owner's next
+// level has candidates after its position, that level being a loop and not a
+// factor's, which holds no position —, and otherwise runs its kind's loop and only
+// notes the owner, so that an owner that sweeps once pays nothing for them; the
+// second sweep builds them then.
 func (w *worker) hoistReady(n *node) bool {
-	own := n.hoist
+	own, l := n.hoist, n.hoist.depth+1
 	switch {
-	case w.hown != own:
+	case w.hown == own && w.hbuilt:
+		return true
+	case w.hown != own && (n.fac != nil && n.fac.at.depth == l || w.pos[l]+1 >= len(w.levels[l])):
 		w.hown, w.hbuilt = own, false
 		return false
-	case w.hbuilt:
-		return true
 	}
 	return w.hoistBuild(own, w.g.Adj(w.emb[own.depth]))
 }
 
-// hoistFlush zeroes the counters of hrows by a second sweep over the same rows.
+// hoistFlush zeroes the counters of hrows as farReset says, by one clear or a
+// second sweep over the same rows; the build paid for it.
 func (w *worker) hoistFlush() {
 	w.hown = nil
-	for _, v := range w.hrows {
-		for _, x := range w.g.Adj(v) {
-			w.far[x] = 0
+	if clears, _ := w.farReset(w.hadds); clears {
+		clear(w.far)
+	} else {
+		for _, v := range w.hrows {
+			for _, x := range w.g.Adj(v) {
+				w.far[x] = 0
+			}
 		}
 	}
-	w.hrows = nil
+	w.hrows, w.hadds = nil, 0
 }
 
 // weighted is walk at and below a factor node (prog.go, factorNodes). The factor
@@ -949,6 +1011,9 @@ func (w *worker) weighted(n *node) {
 		w.counts[n.patternIdx] += cnt
 		return
 	}
+	if n.hoist != nil && w.hoistWeighed(n) {
+		return
+	}
 	cands := w.materialize(n)
 	if f.at == n {
 		w.stats.Candidates += int64(len(cands))
@@ -960,10 +1025,6 @@ func (w *worker) weighted(n *node) {
 		return
 	}
 	bound := w.bound(f.at)
-	if n.hoist != nil && len(cands) > 0 && w.hoistReady(n) {
-		w.hoistWeighed(n, cands, bound)
-		return
-	}
 	if n.sweep == sweepWeighed {
 		w.sweepWeighed(n, cands, bound)
 		return

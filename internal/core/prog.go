@@ -730,7 +730,8 @@ func (p *program) sweepLeaves() {
 // row R of level o = its extender, o ≤ d−2, less its NotEqual ancestors — plain
 // adjacency, no chain, no bound —, and its only child c is a plain leaf that scans
 // the candidate's own row under one masked op with a need bit, unbounded and
-// suspect-free (below a factor, c's B too, needing what c needs). Then
+// suspect-free (below a factor, c's B too, needing what c needs, and the factor's
+// list F inside L: F's op reads R and excludes each NotEqual ancestor). Then
 // Σ_{v ∈ L} |adj(v) ∩ S| = Σ_{x ∈ S} far[x] − Σ_{v ∈ R∖L} |adj(v) ∩ S|, S being
 // what the mask passes and far[x] = |adj(x) ∩ R|: counters that stay right while
 // level o keeps its vertex, so the sweeps below it gather instead of scan. A list
@@ -749,10 +750,22 @@ func (p *program) hoistSweeps() {
 		if !gathers(c) {
 			return
 		}
-		if need := c.cmap.scan[0].need; n.sweep == sweepWeighed && c.fac.minus.cmap.scan[0].need&need != need {
-			return // B's elements are not all in the rows c's gather reads
+		if need := c.cmap.scan[0].need; n.sweep == sweepWeighed && (c.fac.minus.cmap.scan[0].need&need != need || !n.fac.inside(n)) {
+			return // B's elements are not all in the rows c's gather reads, or F is not all in L
 		}
 		n.hoist = path[n.op.Extender]
+	})
+}
+
+// inside reports whether the factor's list F is a subset of n's list L, the row of
+// n's extender o less its NotEqual ancestors: F's op reads o's row, and each of
+// those ancestors is one whose row it reads too (no vertex is its own neighbour)
+// or one it excludes.
+func (f *factor) inside(n *node) bool {
+	op := f.at.op
+	reads := func(j int) bool { return op.Extender == j || slices.Contains(op.Connected, j) }
+	return reads(n.op.Extender) && !slices.ContainsFunc(n.op.NotEqual, func(j int) bool {
+		return !reads(j) && !slices.Contains(op.NotEqual, j)
 	})
 }
 

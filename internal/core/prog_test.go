@@ -387,8 +387,10 @@ func TestLoweringInvariants(t *testing.T) {
 					// o ≤ d−2 less NotEqual ancestors — plain adjacency, no chain, no bound —
 					// gathers from o's counters where its child (and the child's B) scans the
 					// candidate's row under a mask with a need bit, unbounded, suspect-free and
-					// plain; B needing all that the child needs. Every level the gather reads
-					// inserts its whole row into the c-map, so the gather finds every element.
+					// plain; B needing all that the child needs, and the factor's list inside the
+					// node's: F's op reads the owner's row and each NotEqual ancestor's, or
+					// excludes it. Every level the gather reads inserts its whole row into the
+					// c-map, so the gather finds every element.
 					var owner *node
 					row := kind != noSweep && kind != sweepLocal && n.src == srcAdj && n.op.Extender <= d-2 && len(n.op.UpperBounds) == 0
 					if row && len(n.adj) == 0 {
@@ -397,7 +399,17 @@ func TestLoweringInvariants(t *testing.T) {
 							return s.src == srcAdj && !s.local.on && s.op.Extender == d && len(s.cmap.scan) == 1 && s.cmap.scan[0].need != 0 &&
 								s.proof.suspects == nil && len(s.op.UpperBounds) == 0 && s.closed.choose < 2 && s.closed.prod == nil
 						}
-						if gathers(c) && (kind != sweepWeighed || c.fac.minus.cmap.scan[0].need&c.cmap.scan[0].need == c.cmap.scan[0].need) {
+						inside := func() bool {
+							fop := n.fac.at.op
+							for _, j := range append([]int{n.op.Extender}, n.op.NotEqual...) {
+								src := fop.Extender == j || slices.Contains(fop.Connected, j)
+								if !src && (j == n.op.Extender || !slices.Contains(fop.NotEqual, j)) {
+									return false
+								}
+							}
+							return true
+						}
+						if gathers(c) && (kind != sweepWeighed || c.fac.minus.cmap.scan[0].need&c.cmap.scan[0].need == c.cmap.scan[0].need && inside()) {
 							owner = path[n.op.Extender]
 						}
 					}
@@ -503,6 +515,45 @@ func reach(v reflect.Value, seen map[*node]bool) {
 			reach(v.Index(i), seen)
 		}
 	}
+}
+
+// TestWeighedHoistNeedsFInsideL: a weighed gather walks the factor's list F as if
+// every vertex of it were in the hoisted list L, so hoistSweeps hoists house's v3
+// (L = N(v0) less v1) only while F's op reads v0's row and reads v1's row or
+// excludes v1. No catalog plan breaks the rule; the factor's op is edited here.
+func TestWeighedHoistNeedsFInsideL(t *testing.T) {
+	g := graph.ErdosRenyi(40, 120, 1)
+	p := lower(g, mustCompile(t, pattern.House(), plan.Options{}), Options{}.withDefaults(), false)
+	var n *node
+	p.each(func(m *node, _ []*node) {
+		if m.hoist != nil && m.sweep == sweepWeighed {
+			n = m
+		}
+	})
+	if n == nil || n.op.Extender != 0 || !slices.Equal(n.op.NotEqual, []int{1}) {
+		t.Fatalf("house's v3 is no weighed hoist over N(v0) less v1\n%s", lowering(p))
+	}
+	orig := n.fac.at.op
+	for _, c := range []struct {
+		name        string
+		ext         int
+		conn, notEq []int
+		hoists      bool
+	}{
+		{"F = N(v1), v0's row unread", 1, nil, nil, false},
+		{"F = N(v0), v1 kept", 0, nil, nil, false},
+		{"F = N(v0) less v1", 0, nil, []int{1}, true},
+		{"F = N(v0) ∩ N(v1)", 0, []int{1}, nil, true},
+	} {
+		op := *orig
+		op.Extender, op.Connected, op.NotEqual = c.ext, c.conn, c.notEq
+		n.fac.at.op, n.hoist = &op, nil
+		p.hoistSweeps()
+		if got := n.hoist != nil; got != c.hoists {
+			t.Errorf("%s: hoisted %v, want %v", c.name, got, c.hoists)
+		}
+	}
+	n.fac.at.op = orig
 }
 
 // TestEachVisitsEveryNode: program.each hands its callback every node reachable
@@ -622,7 +673,9 @@ func BenchmarkExtension(b *testing.B) {
 // diamond (C(m, 2), m an unbounded scan) and the tailed-triangle (m·A − m, m a
 // bounded scan, A once per list) on the symmetric graph, the 5-path (a product
 // whose m has a suspect) on house's. It fails unless sweepLeaves gave each plan its kind — a bounded
-// leaf where the leg is one, a hoisted sweep where it is one — and, for a local kind, tasks ran on the rows.
+// leaf where the leg is one, a hoisted sweep where it is one — and, for a local kind, tasks ran on the rows;
+// a hoisted sweep also unless its gathers took no list: against the same plan with the hoists cleared,
+// where every sweep materializes its list and searches it for v1, each gather saves that search.
 func BenchmarkLeaf(b *testing.B) {
 	sym := graph.RMAT(13, 1<<16, 0.57, 0.19, 0.19, 7)
 	dag, dense := sym.Orient(), graph.RMAT(10, 8000, 0.45, 0.22, 0.22, 7)
@@ -659,8 +712,20 @@ func BenchmarkLeaf(b *testing.B) {
 			e.prog.each(func(n *node, _ []*node) {
 				swept = swept || n.sweep == c.kind && c.bounded == (len(n.children[0].op.UpperBounds) > 0) && c.hoisted == (n.hoist != nil)
 			})
-			if warm := e.Mine(); !swept || c.kind == sweepLocal && warm.Stats.LocalRows == 0 {
+			warm := e.Mine()
+			if !swept || c.kind == sweepLocal && warm.Stats.LocalRows == 0 {
 				b.Fatalf("the sweep did not fire: kind %d (bounded %v, hoisted %v) lowered %v, %d local rows", c.kind, c.bounded, c.hoisted, swept, warm.Stats.LocalRows)
+			}
+			if c.hoisted {
+				bare, err := NewEngine(c.g, c.pl, Options{Threads: 1})
+				if err != nil {
+					b.Fatal(err)
+				}
+				bare.prog.each(func(n *node, _ []*node) { n.hoist = nil })
+				s := bare.Mine().Stats
+				if gathers := warm.Stats.ClosedForms - s.ClosedForms; gathers <= 0 || warm.Stats.Searches > s.Searches-gathers {
+					b.Fatalf("the gathering sweeps took a list: %d gathers and %d searches, %d searches with every list materialized", gathers, warm.Stats.Searches, s.Searches)
+				}
 			}
 			b.ResetTimer()
 			var leaves int64

@@ -638,7 +638,8 @@ v0 marks[] universe[]
 // and running sum a chain of up to 14 levels can ask for over small lists, the
 // lists where a naive m·(m−1)·(m−2) leaves 64 bits long before C(m, 3) leaves 63
 // (3,000,000: 2.7e19 against 4.5e18), the largest products that fit, and
-// saturation one step past each.
+// saturation one step past each, c = 1 (the products of the weighed and product
+// closed forms) at a high word of 0 with a low word past MaxInt64 too.
 func TestClosedFormArithmetic(t *testing.T) {
 	fits := func(x *big.Int) int64 {
 		if !x.IsInt64() {
@@ -665,6 +666,8 @@ func TestClosedFormArithmetic(t *testing.T) {
 		{math.MaxInt64, 1, 1}, {math.MaxInt64, 2, 2}, {math.MaxInt64, 2, 1}, {1 << 62, 2, 1}, {1<<62 - 1, 2, 1},
 		{math.MaxInt64, math.MaxInt64, math.MaxInt64}, {math.MaxInt64, math.MaxInt64, math.MaxInt64 - 1},
 		{0, math.MaxInt64, 1}, {6, 7, 3}, {4_611_686_014_132_420_609, 2, 1},
+		{1, math.MaxInt64, 1}, {1 << 32, 1<<31 - 1, 1}, {1 << 32, 1 << 31, 1},
+		{3, 3_074_457_345_618_258_602, 1}, {3, 3_074_457_345_618_258_603, 1}, // 3·⌊MaxInt64/3⌋ fits, the next multiple does not
 	} {
 		want := new(big.Int).Mul(big.NewInt(c[0]), big.NewInt(c[1]))
 		if got := mulDiv(c[0], c[1], c[2]); got != fits(want.Quo(want, big.NewInt(c[2]))) {
