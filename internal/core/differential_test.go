@@ -42,6 +42,7 @@ type vec struct {
 	unswept bool // every sweep kind cleared on e.prog, the Result held to the swept run's
 	trace   bool
 	shape   int // shapeAxis
+	perm    int // the labelling of the case graph: permAsGiven, permDegree, or a random permutation's seed
 }
 
 var (
@@ -57,6 +58,13 @@ const (
 	onSharded
 )
 
+// The vertex-permutation axis: the case graph as given, in (degree, ID) order, or
+// relabelled by a random permutation (every other value, its seed).
+const (
+	permAsGiven = iota
+	permDegree
+)
+
 const (
 	shapeMine = iota
 	shapeList
@@ -69,8 +77,12 @@ var ref = [2]vec{{merge: true, threads: 1, slice: SliceOff}, {threads: 1, slice:
 
 // decode spreads x over the axes.
 func decode(x uint32) vec {
+	perm := int(x >> 12 & 0xff)
+	if perm%4 < 2 {
+		perm %= 4
+	}
 	return vec{merge: x&1 != 0, threads: threadAxis[(x>>1)%3], slice: sliceAxis[(x>>3)%5],
-		store: int((x >> 6) % 3), capped: x>>8&1 != 0, trace: x>>9&1 != 0, shape: int((x >> 10) % 3), unswept: x>>31 != 0}
+		store: int((x >> 6) % 3), capped: x>>8&1 != 0, trace: x>>9&1 != 0, shape: int((x >> 10) % 3), unswept: x>>31 != 0, perm: perm}
 }
 
 func (v vec) String() string {
@@ -87,6 +99,13 @@ func (v vec) String() string {
 	}
 	if v.trace {
 		s += "/trace"
+	}
+	switch v.perm {
+	case permAsGiven:
+	case permDegree:
+		s += "/degree-ordered"
+	default:
+		s += fmt.Sprintf("/perm%d", v.perm)
 	}
 	return s
 }
@@ -275,6 +294,7 @@ type suite struct {
 	dir     string
 	closers []func() error
 	graphs  map[gspec]*graph.Graph
+	perms   map[string]*graph.Graph // the randomly relabelled graphs, by spec and seed
 	stores  map[string]graph.Store
 	brute   map[string]int64
 	esu     map[string]ObliviousResult
@@ -283,7 +303,7 @@ type suite struct {
 }
 
 func newSuite(tb testing.TB) *suite {
-	s := &suite{dir: tb.TempDir(), graphs: map[gspec]*graph.Graph{}, stores: map[string]graph.Store{},
+	s := &suite{dir: tb.TempDir(), graphs: map[gspec]*graph.Graph{}, perms: map[string]*graph.Graph{}, stores: map[string]graph.Store{},
 		brute: map[string]int64{}, esu: map[string]ObliviousResult{}, symExt: map[string]int64{}, fired: map[string]int{}}
 	tb.Cleanup(func() {
 		for _, c := range s.closers {
@@ -300,17 +320,43 @@ func (s *suite) graph(spec gspec) *graph.Graph {
 	return s.graphs[spec]
 }
 
-// store is the spec's graph, oriented for a DAG plan, in one of the backends.
-func (s *suite) store(spec gspec, dag bool, backend int) graph.Store {
-	id := fmt.Sprint(spec, dag, backend)
+// labelled is the spec's graph under a labelling of the permutation axis, and with
+// ranked its degree-ordered copy, the graph a relabelled plan's engine mines.
+func (s *suite) labelled(spec gspec, perm int, ranked bool) *graph.Graph {
+	g := s.graph(spec)
+	switch id := fmt.Sprint(spec, perm); {
+	case ranked:
+		g, _ = s.labelled(spec, perm, false).DegreeOrdered()
+	case perm == permDegree:
+		g, _ = g.DegreeOrdered()
+	case perm != permAsGiven && s.perms[id] == nil:
+		r, n := rand.New(rand.NewSource(int64(hash(id)))), g.NumVertices()
+		pi, edges := r.Perm(n), []graph.Edge(nil)
+		for u := range n {
+			for _, w := range g.Adj(graph.VID(u)) {
+				edges = append(edges, graph.Edge{U: graph.VID(pi[u]), V: graph.VID(pi[w])})
+			}
+		}
+		s.perms[id] = graph.MustFromEdges(n, edges)
+		fallthrough
+	case perm != permAsGiven:
+		g = s.perms[id]
+	}
+	return g
+}
+
+// store is the spec's graph in a labelling, oriented for a DAG plan, in one of
+// the backends.
+func (s *suite) store(spec gspec, dag bool, backend, perm int, ranked bool) graph.Store {
+	id := fmt.Sprint(spec, dag, backend, perm, ranked)
 	if st := s.stores[id]; st != nil {
 		return st
 	}
-	g, path := s.graph(spec), filepath.Join(s.dir, fmt.Sprint(len(s.stores)))
+	g, path := s.labelled(spec, perm, ranked), filepath.Join(s.dir, fmt.Sprint(len(s.stores)))
 	if dag && backend == onHeap {
 		g = g.Orient()
 	} else if backend != onHeap {
-		g = s.store(spec, dag, onHeap).(*graph.Graph)
+		g = s.store(spec, dag, onHeap, perm, ranked).(*graph.Graph)
 	}
 	var st graph.Store = g
 	var err error
@@ -412,10 +458,10 @@ func (l *lister) visit(emb []graph.VID, i int) {
 // vertices, and the simulator's on a seeded eighth of the keys; an OnTaskDone tally
 // is Σ count·|Aut| without symmetry breaking (GraphZero's identity), Σ count with
 // it; List delivers each copy once and nothing else, and refuses a plan that
-// divides; Candidates is one number across the runs; merge-only runs use no
+// divides; Candidates is one number across the runs of one labelling; merge-only runs use no
 // mechanism of KernelAuto's, and neither List nor a vertex-induced plan a closed
 // form; Stats is one block across threads, stores, shapes and tracing at one
-// resolved slice; a program whose sweep kinds — weighed included — are cleared
+// resolved slice and labelling; a program whose sweep kinds — weighed included — are cleared
 // returns the swept run's Result exactly, every Stats field included; Extensions
 // is no more under auto than under merge-only at one slice, and no fewer without
 // symmetry breaking than with it. It returns one line per failure. mutate, when not nil, edits every counting program after lowering
@@ -423,6 +469,10 @@ func (l *lister) visit(emb []graph.VID, i int) {
 func (s *suite) check(k key, vs []vec, mutate func(*program) bool) (fails []string, edited bool) {
 	c := caseNamed(k.c)
 	pl, dag, g := c.pl, c.pl.RequiresDAG, s.graph(k.g)
+	// A counting auto run of a plan degreeOrdered takes mines its heap graph's
+	// degree-ordered copy; the other runs of such a key mine that copy too — the
+	// files, merge-only and List —, so that every comparison is of one labelled CSR.
+	ranked := !dag && degreeOrdered(lower(g, pl, Options{}.withDefaults(), false))
 	want, raw := make([]int64, len(pl.Patterns)), int64(0)
 	for i, p := range pl.Patterns {
 		want[i] = s.bruteCount(k.g, p, pl.Induced)
@@ -445,6 +495,7 @@ func (s *suite) check(k key, vs []vec, mutate func(*program) bool) (fails []stri
 		s     Stats
 		slice int
 	}
+	first := map[int]*run{} // by labelling, the first run on it
 	var runs []run
 	for _, v := range vs {
 		o := Options{Threads: v.threads, SliceElems: v.slice}
@@ -454,7 +505,9 @@ func (s *suite) check(k key, vs []vec, mutate func(*program) bool) (fails []stri
 		if v.trace {
 			o.Trace = obs.NewTracer(obs.NewVirtualClock(), 1<<12)
 		}
-		st, listing := s.store(k.g, dag, v.store), v.shape == shapeList
+		listing := v.shape == shapeList
+		self := v.store == onHeap && !v.merge && !listing // the engine's own choice of labelling
+		st := s.store(k.g, dag, v.store, v.perm, ranked && !self)
 		var tally atomic.Int64
 		if v.shape == shapeContext {
 			o.OnTaskDone = func(_ int, m int64) { tally.Add(m) }
@@ -468,7 +521,7 @@ func (s *suite) check(k key, vs []vec, mutate func(*program) bool) (fails []stri
 				}
 				continue
 			}
-			l = newLister(g, pl)
+			l = newLister(s.labelled(k.g, v.perm, ranked), pl)
 			visit = l.visit
 		}
 		e, err := newEngine(st, pl, o, visit)
@@ -476,6 +529,11 @@ func (s *suite) check(k key, vs []vec, mutate func(*program) bool) (fails []stri
 			fail(v, "%v", err)
 			continue
 		}
+		if mined := graph.Store(s.labelled(k.g, v.perm, ranked)); self && !dag && e.g != mined {
+			fail(v, "the engine mines a graph of %d vertices that is not the key's %s", e.g.NumVertices(), map[bool]string{false: "as given", true: "in degree order"}[ranked])
+		}
+		fire("degree-ordered copy", self && e.old != nil)
+		fire(fmt.Sprint("vertex permutation ", min(v.perm, 2)), v.perm != permAsGiven)
 		if v.capped {
 			e.prog.lcap = min(e.prog.lcap, 4)
 		}
@@ -567,10 +625,13 @@ func (s *suite) check(k key, vs []vec, mutate func(*program) bool) (fails []stri
 	same := map[string]*run{}
 	for i := range runs {
 		r := &runs[i]
-		if r.s.Candidates != runs[0].s.Candidates {
-			fail(r.v, "%d candidates, %v had %d", r.s.Candidates, runs[0].v, runs[0].s.Candidates)
+		if first[r.v.perm] == nil {
+			first[r.v.perm] = r
 		}
-		id := fmt.Sprint(r.v.merge, r.slice, r.v.capped && !r.v.merge, r.v.shape == shapeList)
+		if q := first[r.v.perm]; r.s.Candidates != q.s.Candidates {
+			fail(r.v, "%d candidates, %v had %d", r.s.Candidates, q.v, q.s.Candidates)
+		}
+		id := fmt.Sprint(r.v.merge, r.slice, r.v.capped && !r.v.merge, r.v.shape == shapeList, r.v.perm)
 		if q := same[id]; q == nil {
 			same[id] = r
 		} else if r.s != q.s {
@@ -586,7 +647,7 @@ func (s *suite) check(k key, vs []vec, mutate func(*program) bool) (fails []stri
 				a, m = m, a
 			}
 			counting := a.v.shape != shapeList
-			if a.v.merge || !m.v.merge || a.slice != m.slice || counting != (m.v.shape != shapeList) {
+			if a.v.merge || !m.v.merge || a.slice != m.slice || counting != (m.v.shape != shapeList) || a.v.perm != m.v.perm {
 				continue
 			}
 			if a.s.Extensions > m.s.Extensions || k.fewer && counting && a.s.ClosedForms > 0 && a.s.Extensions >= m.s.Extensions {
@@ -624,7 +685,7 @@ func (s *suite) check(k key, vs []vec, mutate func(*program) bool) (fails []stri
 		fire("simulator", true)
 		pe4 := sim.DefaultConfig().WithPEs(4)
 		for _, cfg := range []sim.Config{pe4.WithCMapBytes(0), pe4, pe4.WithUnlimitedCMap()} {
-			if res, err := sim.Simulate(s.store(k.g, dag, onHeap).(*graph.Graph), pl, cfg); err != nil || !slices.Equal(res.Counts, want) {
+			if res, err := sim.Simulate(s.store(k.g, dag, onHeap, permAsGiven, false).(*graph.Graph), pl, cfg); err != nil || !slices.Equal(res.Counts, want) {
 				fail(fmt.Sprintf("sim c-map %dB unlimited=%v", cfg.CMapBytes, cfg.CMapUnlimited), "counts %v (%v), BruteCount %v", res.Counts, err, want)
 			}
 		}
@@ -674,7 +735,8 @@ func TestDifferential(t *testing.T) {
 		"swept count leaves of an aux consumer", "swept local kind off the rows", "sweep off", "weighed sweep off",
 		"hoisted weighed sweeps", "hoisted count sweeps",
 		"bounded scans stopped at their bound",
-		"c-map mark", "aux reuse", "hub slices", "simulator", "Stats compared across threads",
+		"c-map mark", "aux reuse", "hub slices", "simulator", "degree-ordered copy", "vertex permutation 1",
+		"vertex permutation 2", "Stats compared across threads",
 		"Stats compared across stores", "Stats compared with tracing on and off"}
 	for _, st := range storeAxis {
 		for _, sh := range shapeAxis {
@@ -695,7 +757,7 @@ func (s *suite) report(t *testing.T, k key, vs []vec) {
 	if fails, _ := s.check(k, vs, nil); len(fails) > 0 {
 		pl := caseNamed(k.c).pl
 		t.Errorf("%s\nthe case lowers to (auto, counting):\n%s", strings.Join(fails, "\n"),
-			lowering(lower(s.store(k.g, pl.RequiresDAG, onHeap), pl, Options{}.withDefaults(), false)))
+			lowering(lower(s.store(k.g, pl.RequiresDAG, onHeap, permAsGiven, false), pl, Options{}.withDefaults(), false)))
 	}
 }
 

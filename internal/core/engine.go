@@ -107,7 +107,9 @@ func (o Options) withDefaults() Options {
 // read per element it gathers, decision 27), and
 // Searches the binary searches none of them sees (DESIGN.md decision 20).
 // Counts and Candidates are the invariants across kernel policies — every
-// policy walks the same tree; the kernel counters are not, nor are
+// policy walks the same tree of one labelled graph (a KernelAuto count may mine a
+// heap graph's degree-ordered copy, degreeOrdered: its Stats are the copy's);
+// the kernel counters are not, nor are
 // FrontierReuses and Searches — under KernelAuto they fall where a c-map scan or
 // a local row replaces a frontier+residual operation, or a probe, a row limit or
 // a scan that stops at its bound a search — nor Extensions, the work proxy that falls by what ClosedForms
@@ -181,6 +183,7 @@ func (r Result) Count() int64 {
 // so one engine serves repeated and concurrent Mine calls.
 type Engine struct {
 	g     graph.Store
+	old   []graph.VID // where g is the caller's graph in degree order (degreeOrdered): old[v] is v's caller ID
 	o     Options
 	prog  *program
 	visit Visitor // set by List: one call per match instead of bulk leaf counts
@@ -190,7 +193,8 @@ type Engine struct {
 }
 
 // NewEngine validates the plan/graph pairing and lowers the plan into the
-// engine's exec program. Construction is O(plan): it never scans the graph.
+// engine's exec program. Construction is O(plan), except that the first engine
+// whose plan mines a heap graph in degree order builds that graph's copy.
 func NewEngine(g graph.Store, pl *plan.Plan, o Options) (*Engine, error) {
 	return newEngine(g, pl, o, nil)
 }
@@ -206,7 +210,11 @@ func newEngine(g graph.Store, pl *plan.Plan, o Options, visit Visitor) (*Engine,
 		return nil, fmt.Errorf("core: plan %q requires a symmetric graph, got a DAG", pl.Patterns[0].Name())
 	}
 	o = o.withDefaults()
-	return &Engine{g: g, o: o, prog: lower(g, pl, o, visit != nil), visit: visit}, nil
+	e := &Engine{g: g, o: o, prog: lower(g, pl, o, visit != nil), visit: visit}
+	if h, ok := g.(*graph.Graph); ok && degreeOrdered(e.prog) {
+		e.g, e.old = h.DegreeOrdered()
+	}
+	return e, nil
 }
 
 // sliceElems resolves the slicing policy against the engine's input graph.
@@ -276,6 +284,7 @@ func (e *Engine) MineContext(ctx context.Context) (Result, error) {
 	for t := range workers {
 		workers[t] = newWorker(e.g, e.prog, e.o)
 		workers[t].visit = e.visit
+		workers[t].old = e.old
 		workers[t].ctxDone = ctx.Done()
 		workers[t].widx = t
 	}
@@ -358,9 +367,11 @@ type worker struct {
 	weight int64 // below a factor node: the vertices its level can still take (weighted)
 
 	// trace receives this worker's per-task events (nil when disabled);
-	// widx is the worker index used as the trace thread id.
+	// widx is the worker index used as the trace thread id; old maps a task's
+	// v0 back to the caller's ID (Engine.old).
 	trace *obs.Tracer
 	widx  int
+	old   []graph.VID
 
 	// Cooperative cancellation: ctxDone is polled every cancelPollPeriod
 	// extensions; once it fires, stopped short-circuits the DFS.
@@ -461,23 +472,6 @@ func (w *worker) runTask(t sched.Task) bool {
 		w.emitTaskTrace(t, &before)
 	}
 	return !w.stopped
-}
-
-// emitTaskTrace records the finished task and its kernel-dispatch summary:
-// one sched event per task, plus one kernel event attributing the task's
-// set-operation work to the kernels that executed it (the delta of the
-// per-kernel Stats counters across the task).
-func (w *worker) emitTaskTrace(t sched.Task, before *Stats) {
-	w.trace.Emit(obs.CatSched, "task", w.widx, 0,
-		obs.Arg{Key: "v0", Val: int64(t.V0)},
-		obs.Arg{Key: "extensions", Val: w.stats.Extensions - before.Extensions},
-		obs.Arg{Key: "candidates", Val: w.stats.Candidates - before.Candidates})
-	w.trace.Emit(obs.CatKernel, "dispatch", w.widx, 0,
-		obs.Arg{Key: "merge_iters", Val: w.stats.SetOpIterations - before.SetOpIterations},
-		obs.Arg{Key: "gallop_probes", Val: w.stats.GallopProbes - before.GallopProbes},
-		// Dense-structure accesses, as Stats.BitmapProbes counts them: the c-map's
-		// probes and mark/unmark writes, the local rows' and the far-side counters'.
-		obs.Arg{Key: "bitmap_probes", Val: w.stats.BitmapProbes - before.BitmapProbes})
 }
 
 // walk matches the vertex for node n and recurses.
@@ -1341,4 +1335,25 @@ func (w *worker) dropAncestors(list []graph.VID, n *node) []graph.VID {
 		}
 	}
 	return list
+}
+
+// emitTaskTrace records the finished task and its kernel-dispatch summary:
+// one sched event per task, plus one kernel event attributing the task's
+// set-operation work to the kernels that executed it (the delta of the
+// per-kernel Stats counters across the task).
+func (w *worker) emitTaskTrace(t sched.Task, before *Stats) {
+	v0 := t.V0
+	if w.old != nil {
+		v0 = w.old[v0]
+	}
+	w.trace.Emit(obs.CatSched, "task", w.widx, 0,
+		obs.Arg{Key: "v0", Val: int64(v0)},
+		obs.Arg{Key: "extensions", Val: w.stats.Extensions - before.Extensions},
+		obs.Arg{Key: "candidates", Val: w.stats.Candidates - before.Candidates})
+	w.trace.Emit(obs.CatKernel, "dispatch", w.widx, 0,
+		obs.Arg{Key: "merge_iters", Val: w.stats.SetOpIterations - before.SetOpIterations},
+		obs.Arg{Key: "gallop_probes", Val: w.stats.GallopProbes - before.GallopProbes},
+		// Dense-structure accesses, as Stats.BitmapProbes counts them: the c-map's
+		// probes and mark/unmark writes, the local rows' and the far-side counters'.
+		obs.Arg{Key: "bitmap_probes", Val: w.stats.BitmapProbes - before.BitmapProbes})
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/obs"
 	"repro/internal/pattern"
 	"repro/internal/plan"
 	"repro/internal/sched"
@@ -166,5 +167,40 @@ func TestParseKernelPolicy(t *testing.T) {
 	}
 	if s := KernelPolicy(7).String(); s != "KernelPolicy(7)" {
 		t.Errorf("KernelPolicy(7).String() = %q", s)
+	}
+}
+
+// TestTraceNamesCallerVertices: a run that mines the degree-ordered copy names
+// the caller's vertices in its task events — each once, and, one thread claiming
+// the degree-descending task list in order, in descending order of their degree
+// in the caller's graph. RMAT numbers its hubs first, so the copy's own IDs would
+// read in ascending order.
+func TestTraceNamesCallerVertices(t *testing.T) {
+	g := graph.RMAT(8, 1500, 0.57, 0.19, 0.19, 3)
+	pl := mustCompile(t, pattern.Diamond(), plan.Options{})
+	tr := obs.NewTracer(obs.NewVirtualClock(), 1<<12)
+	e, err := NewEngine(g, pl, Options{Threads: 1, Trace: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.old == nil {
+		t.Fatal("the diamond's engine mines the caller's IDs; want its degree-ordered copy")
+	}
+	e.Mine()
+	var degs []int
+	seen := map[int64]bool{}
+	for _, ev := range tr.Events() {
+		if ev.Name != "task" {
+			continue
+		}
+		v0 := ev.Args[slices.IndexFunc(ev.Args, func(a obs.Arg) bool { return a.Key == "v0" })].Val
+		if seen[v0] {
+			t.Errorf("task events name vertex %d twice", v0)
+		}
+		seen[v0] = true
+		degs = append(degs, g.Degree(graph.VID(v0)))
+	}
+	if len(seen) != g.NumVertices() || !slices.IsSortedFunc(degs, func(a, b int) int { return b - a }) {
+		t.Errorf("task events name %d of %d vertices, of degrees %v; want each once, in descending order", len(seen), g.NumVertices(), degs)
 	}
 }

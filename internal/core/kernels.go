@@ -23,6 +23,7 @@ package core
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/setops"
@@ -70,6 +71,30 @@ func ParseKernelPolicy(s string) (KernelPolicy, error) {
 // the kernelpin analyzer), so the accelerator speedup figures keep their meaning.
 func PaperBaseline(threads int) Options {
 	return Options{Threads: threads, Kernel: KernelMergeOnly}
+}
+
+// degreeOrdered reports whether a run of p mines the (degree, ID)-ordered copy
+// of its symmetric heap graph (graph.DegreeOrdered) instead of the caller's IDs
+// (DESIGN.md decision 28): a count of one edge-induced pattern of at most five
+// vertices under KernelAuto, with no local rows, whose level 1 is bounded by v0
+// alone and no deeper level by v0. There `v1 < v0` cuts lists by degree, not by
+// generator IDs that put the hubs first; on the other plans of the catalog the
+// copy was measured slower.
+func degreeOrdered(p *program) bool {
+	pl := p.pl
+	if !p.closed || p.local || pl.Induced || len(pl.Patterns) != 1 || pl.K > 5 {
+		return false
+	}
+	n := pl.Root.Children[0] // one pattern of K ≥ 2: a chain
+	if !slices.Equal(n.Op.UpperBounds, []int{0}) {
+		return false
+	}
+	for len(n.Children) > 0 {
+		if n = n.Children[0]; slices.Contains(n.Op.UpperBounds, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // gallopRatio is the size skew at which galloping beats merging under

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync"
 )
 
 // VID is a vertex identifier. The paper's hardware uses 32-bit keys in the
@@ -35,6 +36,14 @@ type Graph struct {
 	DAG bool
 
 	maxDegree int
+
+	// ranked is DegreeOrdered's copy of the graph, built on the first call and
+	// freed with the graph.
+	ranked struct {
+		once sync.Once
+		g    *Graph
+		old  []VID
+	}
 }
 
 // IsDAG reports whether the graph was produced by Orient.
@@ -145,7 +154,17 @@ func FromEdges(n int, edges []Edge) (*Graph, error) {
 			next[e.V]++
 		}
 	}
-	copy(next, row[:n])
+	g := &Graph{Row: row, Col: transpose(row, arcs)}
+	g.dedup()
+	return g, nil
+}
+
+// transpose returns the column array of symmetric arcs given as rows
+// arcs[row[v]:row[v+1]] in any order: one pass reads the rows in vertex order
+// and appends v to the row of every u it lists, so each row comes out ascending.
+func transpose(row []int64, arcs []VID) []VID {
+	n := len(row) - 1
+	next := slices.Clone(row[:n])
 	col := make([]VID, row[n])
 	for v := 0; v < n; v++ {
 		for _, u := range arcs[row[v]:row[v+1]] {
@@ -153,9 +172,7 @@ func FromEdges(n int, edges []Edge) (*Graph, error) {
 			next[u]++
 		}
 	}
-	g := &Graph{Row: row, Col: col}
-	g.dedup()
-	return g, nil
+	return col
 }
 
 // MustFromEdges is FromEdges but panics on error; for tests and examples with
@@ -207,11 +224,7 @@ func (g *Graph) Orient() *Graph {
 	if g.DAG {
 		return g
 	}
-	n := g.NumVertices()
-	rank := make([]uint64, n) // degree-major, ID-minor
-	for v := range rank {
-		rank[v] = uint64(g.Degree(VID(v)))<<32 | uint64(v)
-	}
+	n, rank := g.NumVertices(), g.ranks()
 	row := make([]int64, n+1)
 	for v := 0; v < n; v++ {
 		row[v+1] = row[v]
@@ -232,6 +245,59 @@ func (g *Graph) Orient() *Graph {
 	out := &Graph{Row: row, Col: col, DAG: true}
 	out.recomputeMaxDegree()
 	return out
+}
+
+// ranks returns each vertex's position in ascending (degree, ID) order: a
+// counting sort on degree that takes the vertices in ID order.
+func (g *Graph) ranks() []VID {
+	n := g.NumVertices()
+	at := make([]int64, n+1) // at[d]: the next position of degree d
+	for v := 0; v < n; v++ {
+		at[g.Degree(VID(v))+1]++
+	}
+	for d := 1; d <= n; d++ {
+		at[d] += at[d-1]
+	}
+	rank := make([]VID, n)
+	for v := range rank {
+		d := g.Degree(VID(v))
+		rank[v] = VID(at[d])
+		at[d]++
+	}
+	return rank
+}
+
+// DegreeOrdered returns the symmetric graph g with its vertex IDs renumbered in
+// Orient's (degree, ID) order, and old: old[v] is the ID in g of the copy's
+// vertex v. The copy is built on the first call, linearly — its rows are g's,
+// relabelled, put in order by FromEdges' transpose — and kept with g; on the
+// copy itself DegreeOrdered returns the copy and a nil old.
+func (g *Graph) DegreeOrdered() (*Graph, []VID) {
+	g.ranked.once.Do(func() {
+		if g.DAG {
+			panic("graph: DegreeOrdered of an oriented graph")
+		}
+		n, rank := g.NumVertices(), g.ranks()
+		old := make([]VID, n)
+		for v, r := range rank {
+			old[r] = VID(v)
+		}
+		row := make([]int64, n+1)
+		for r, v := range old {
+			row[r+1] = row[r] + int64(g.Degree(v))
+		}
+		arcs := make([]VID, row[n])
+		for r, v := range old {
+			for i, w := range g.Adj(v) {
+				arcs[row[r]+int64(i)] = rank[w]
+			}
+		}
+		c := &Graph{Row: row, Col: transpose(row, arcs)}
+		c.recomputeMaxDegree()
+		c.ranked.once.Do(func() { c.ranked.g = c })
+		g.ranked.g, g.ranked.old = c, old
+	})
+	return g.ranked.g, g.ranked.old
 }
 
 // Validate checks structural invariants: monotone Row, sorted unique

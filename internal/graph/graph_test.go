@@ -279,17 +279,17 @@ func TestValidateCatchesCorruption(t *testing.T) {
 func TestValidateRejectsAsymmetry(t *testing.T) {
 	for _, c := range []struct {
 		name string
-		g    Graph
+		g    *Graph
 		want string // "" = valid
 	}{
-		{"symmetric", Graph{Row: []int64{0, 2, 3, 4}, Col: []VID{1, 2, 0, 0}}, ""},
-		{"dag", Graph{Row: []int64{0, 2, 2, 2}, Col: []VID{1, 2}, DAG: true}, ""},
-		{"missing reverse", Graph{Row: []int64{0, 2, 3, 3}, Col: []VID{1, 2, 0}}, "arc 0->2 missing reverse"},
-		{"extra arc, cursor at end", Graph{Row: []int64{0, 1, 2, 3}, Col: []VID{1, 0, 0}}, "arc 2->0 missing reverse"},
-		{"extra arc, cursor behind", Graph{Row: []int64{0, 0, 1, 3}, Col: []VID{2, 0, 1}}, "arc 2->0 missing reverse"},
-		{"unsorted row", Graph{Row: []int64{0, 2, 3, 4}, Col: []VID{2, 1, 0, 0}}, "not sorted"},
-		{"duplicate neighbour", Graph{Row: []int64{0, 2, 4}, Col: []VID{1, 1, 0, 0}}, "not sorted/unique"},
-		{"row beyond Col", Graph{Row: []int64{0, 10, 5}, Col: []VID{1, 1, 1, 1, 1}}, "not monotone"},
+		{"symmetric", &Graph{Row: []int64{0, 2, 3, 4}, Col: []VID{1, 2, 0, 0}}, ""},
+		{"dag", &Graph{Row: []int64{0, 2, 2, 2}, Col: []VID{1, 2}, DAG: true}, ""},
+		{"missing reverse", &Graph{Row: []int64{0, 2, 3, 3}, Col: []VID{1, 2, 0}}, "arc 0->2 missing reverse"},
+		{"extra arc, cursor at end", &Graph{Row: []int64{0, 1, 2, 3}, Col: []VID{1, 0, 0}}, "arc 2->0 missing reverse"},
+		{"extra arc, cursor behind", &Graph{Row: []int64{0, 0, 1, 3}, Col: []VID{2, 0, 1}}, "arc 2->0 missing reverse"},
+		{"unsorted row", &Graph{Row: []int64{0, 2, 3, 4}, Col: []VID{2, 1, 0, 0}}, "not sorted"},
+		{"duplicate neighbour", &Graph{Row: []int64{0, 2, 4}, Col: []VID{1, 1, 0, 0}}, "not sorted/unique"},
+		{"row beyond Col", &Graph{Row: []int64{0, 10, 5}, Col: []VID{1, 1, 1, 1, 1}}, "not monotone"},
 	} {
 		err := c.g.Validate()
 		switch {

@@ -65,12 +65,12 @@ func mapCSRFile(path string, wantShard bool, colRange uint64) (*Mapped, error) {
 	if err != nil {
 		return nil, fmt.Errorf("graph: mmap %s: %w", path, err)
 	}
-	g, err := decodeCSR(data, wantShard, colRange)
-	if err != nil {
+	m := &Mapped{path: path, data: data}
+	if m.Graph, err = decodeCSR(data, wantShard, colRange); err != nil {
 		munmapFile(data)
 		return nil, fmt.Errorf("graph: %s: %w", path, err)
 	}
-	return &Mapped{Graph: g, path: path, data: data}, nil
+	return m, nil
 }
 
 // Path returns the file backing the mapping.

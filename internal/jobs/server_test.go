@@ -225,8 +225,9 @@ func TestCancelMidRunReturnsPartials(t *testing.T) {
 // TestCancelOneOfBatch cancels one of two twins sharing a batch and asserts
 // the other still completes with its full count.
 func TestCancelOneOfBatch(t *testing.T) {
-	// Big enough (~100ms of mining) that the cancel reliably lands mid-run.
-	g := graph.ChungLu(4000, 48000, 2.3, 13)
+	// Big enough (≈ 30 ms of diamond mining on one worker, in degree order) that
+	// the cancel reliably lands mid-run.
+	g := graph.ChungLu(16000, 192000, 2.3, 13)
 	running := make(chan string, 8)
 	s := New(Config{
 		Graphs:      map[string]graph.Store{"g": g},
