@@ -204,3 +204,31 @@ func TestTraceNamesCallerVertices(t *testing.T) {
 		t.Errorf("task events name %d of %d vertices, of degrees %v; want each once, in descending order", len(seen), g.NumVertices(), degs)
 	}
 }
+
+// TestSchedHooksNameCallerVertices: OnTask, like the trace, names a task by the
+// caller's vertex where the engine mines the degree-ordered copy (decision 28):
+// one thread, whole vertices, so the hook sees every vertex once, in descending
+// order of its degree in the caller's graph.
+func TestSchedHooksNameCallerVertices(t *testing.T) {
+	g := graph.RMAT(8, 1500, 0.57, 0.19, 0.19, 3)
+	var degs []int
+	seen := map[graph.VID]bool{}
+	hooks := sched.Hooks{OnTask: func(_ int, task sched.Task) {
+		if seen[task.V0] {
+			t.Errorf("OnTask names vertex %d twice", task.V0)
+		}
+		seen[task.V0] = true
+		degs = append(degs, g.Degree(task.V0))
+	}}
+	e, err := NewEngine(g, mustCompile(t, pattern.Diamond(), plan.Options{}), Options{Threads: 1, SliceElems: SliceOff, SchedHooks: hooks})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.old == nil {
+		t.Fatal("the diamond's engine mines the caller's IDs; want its degree-ordered copy")
+	}
+	e.Mine()
+	if len(seen) != g.NumVertices() || !slices.IsSortedFunc(degs, func(a, b int) int { return b - a }) {
+		t.Errorf("OnTask names %d of %d vertices, of degrees %v; want each once, in descending order", len(seen), g.NumVertices(), degs)
+	}
+}

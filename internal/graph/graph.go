@@ -44,6 +44,8 @@ type Graph struct {
 		g    *Graph
 		old  []VID
 	}
+
+	memo ArcMemo // its slots allocated by the first ArcMemo call
 }
 
 // IsDAG reports whether the graph was produced by Orient.
