@@ -202,12 +202,17 @@ func hash(s string) uint64 {
 	return h.Sum64()
 }
 
-// vectors are the option vectors k runs: the two references, then four it draws.
+// vectors are the option vectors k runs: the two references, then four it draws —
+// and, where k's case lowers a pair loop, four threads on 32-element hub slices, so
+// that its depth-1 loops run on slices of the universe (sliceLo > 0).
 func vectors(k key) []vec {
 	r := rand.New(rand.NewSource(int64(hash(k.String()))))
 	vs := slices.Clone(ref[:])
 	for range 4 {
 		vs = append(vs, decode(r.Uint32()))
+	}
+	if lowersTo(func(n *node) bool { return n.sweep == sweepPair })(*caseNamed(k.c)) {
+		vs = append(vs, vec{threads: 4, slice: 32})
 	}
 	return vs
 }
@@ -566,6 +571,25 @@ func (s *suite) check(k key, vs []vec, mutate func(*program) bool) (fails []stri
 		}
 		cold := e.prog.arcs && memoEmpty(e.g.(*graph.Graph))
 		res, err := mine()
+		var pairs []*node // the pair loops, cleared back to the walk and mined again: the whole Result must not move
+		e.prog.each(func(n *node, _ []*node) {
+			if n.sweep == sweepPair {
+				pairs = append(pairs, n)
+			}
+		})
+		if pairs != nil && err == nil {
+			tally.Store(0)
+			for _, n := range pairs {
+				n.sweep = noSweep
+			}
+			if walked, err := mine(); err != nil || !reflect.DeepEqual(walked, res) {
+				fail(v, "with the pair loops walked %+v (%v), with them %+v", walked, err, res)
+			}
+			for _, n := range pairs {
+				n.sweep = sweepPair
+			}
+			fire("pair loop off", true)
+		}
 		if unswept := v.unswept && has(func(n *node) bool { return n.sweep != noSweep }); unswept && err == nil {
 			swept, weighed := res, has(func(n *node) bool { return n.sweep == sweepWeighed })
 			tally.Store(0)
@@ -650,6 +674,10 @@ func (s *suite) check(k key, vs []vec, mutate func(*program) bool) (fails []stri
 		fire("swept count leaves", counted(func(*node) bool { return true }))
 		fire("swept count leaves with a suspect", counted(func(c *node) bool { return c.proof.suspects != nil }))
 		fire("swept count leaves of an aux consumer", rs.AuxReused > 0 && counted(func(c *node) bool { return c.src == srcAux }))
+		pairAt := func(d int) bool { return has(func(n *node) bool { return n.sweep == sweepPair && n.depth == d }) }
+		fire("pair loops on the rows, depth 1", rs.LocalRows > 0 && pairAt(1))
+		fire("pair loops on the rows, depth 2", rs.LocalRows > 0 && pairAt(2))
+		fire("pair loops on hub slices", rs.LocalRows > 0 && pairAt(1) && slicedRows(e.g, e.prog, e.sliceElems()))
 		fire("swept local kind off the rows", rs.LeafCountsSkippedMaterialize > 0 && overCap(st, e.prog) && has(func(n *node) bool { return n.sweep == sweepLocal }))
 		fire("bounded scans stopped at their bound", rs.BitmapProbes > 0 && has(func(n *node) bool {
 			return n.mode == leafCount && n.src == srcAdj && n.boundAt == plan.NoLevel && n.cmap.scan != nil && len(n.op.UpperBounds) > 0
@@ -783,6 +811,7 @@ func TestDifferential(t *testing.T) {
 	mechanisms := []string{"closed form", "factor", "far corner", "local rows, cap4=false", "local rows, cap4=true",
 		"swept scans", "swept local rows", "swept weighed leaves", "swept count leaves", "swept count leaves with a suspect",
 		"swept count leaves of an aux consumer", "swept local kind off the rows", "sweep off", "weighed sweep off",
+		"pair loop off", "pair loops on the rows, depth 1", "pair loops on the rows, depth 2", "pair loops on hub slices",
 		"hoisted weighed sweeps", "hoisted count sweeps",
 		"bounded scans stopped at their bound",
 		"arc memo reads", "arc memo reads in a scan sweep", "arc memo reads in a factor's walk", "arc memo, cold then warm",
@@ -1161,6 +1190,16 @@ func TestDifferentialKillsMutants(t *testing.T) {
 			n.arc, p.arcs = true, true
 			return true
 		}},
+		// A depth-1 pair loop iterates the task's hub slice of the universe. Taken for a
+		// local node with no operand, it iterates all of the universe from position 0,
+		// whatever slice the task holds: every slice past the first counts again.
+		{"a depth-1 pair loop that ignores the hub slice", true, func(n *node, _ *program) bool {
+			if n.sweep != sweepPair || n.depth != 1 {
+				return false
+			}
+			n.local.on = true
+			return true
+		}},
 		// Naming the owner besides them changes no list: a sweep that took out an
 		// ancestor it did not find in R would count less here.
 		{"a hoisted list's owner named among its NotEqual ancestors", false, func(n *node, _ *program) bool {
@@ -1209,6 +1248,22 @@ func overCap(st graph.Store, p *program) bool {
 			u = u[:i]
 		}
 		if len(u) > p.lcap {
+			return true
+		}
+	}
+	return false
+}
+
+// slicedRows: some task on st runs on p's local rows from a hub slice past the first,
+// its start vertex's universe longer than one slice and no longer than the cap.
+func slicedRows(st graph.Store, p *program, slice int) bool {
+	for v := range st.NumVertices() {
+		u := st.Adj(graph.VID(v))
+		if p.lbelow {
+			i, _ := slices.BinarySearch(u, graph.VID(v))
+			u = u[:i]
+		}
+		if slice > 0 && len(u) > slice && len(u) <= p.lcap {
 			return true
 		}
 	}

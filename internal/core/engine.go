@@ -510,6 +510,10 @@ func (w *worker) walk(n *node) {
 	if n.hoist != nil && w.hoistSweep(n) {
 		return
 	}
+	if w.loc.on && (n.sweep == sweepLocal || n.sweep == sweepPair) {
+		w.localSweep(n)
+		return
+	}
 	cands := w.materialize(n)
 	w.stats.Candidates += int64(len(cands))
 	depth := n.depth
@@ -527,9 +531,9 @@ func (w *worker) walk(n *node) {
 	if len(n.children) == 0 { // they were its twins, all of them
 		return
 	}
-	switch {
-	case n.sweep == noSweep: // the loop below
-	case n.sweep == sweepScan || n.sweep == sweepLocal && w.loc.on:
+	switch n.sweep {
+	case noSweep, sweepPair: // the loop below; a pair's off the rows
+	case sweepScan:
 		w.sweep(n, cands)
 		return
 	default: // count, or local off the rows
@@ -546,24 +550,19 @@ func (w *worker) walk(n *node) {
 }
 
 // sweep is the loop of walk over cands, and of descend and count over n's only
-// child c, for a node sweepLeaves gave a scan or local kind: per candidate the
-// cancellation poll, emb and pos, and c's one kernel on the candidate's row — an
-// arc memo read where arcCounts marked c, the masked scan or, where scanPays
-// declines, chain and setOp; or the word AND of n's local set with the row, built
-// on first read, ending below the candidate's own position where c is bounded by
-// it. What the calls would have charged per candidate is charged once.
+// child c, for a node sweepLeaves gave the scan kind: per candidate the cancellation
+// poll, emb and pos, and c's one kernel on the candidate's row — an arc memo read
+// where arcCounts marked c, the masked scan or, where scanPays declines, chain and
+// setOp. What the calls would have charged per candidate is charged once.
 func (w *worker) sweep(n *node, cands []graph.VID) {
 	c, d, k := n.children[0], n.depth, 0
 	var cnt, probes int64
-	switch {
-	case len(c.op.UpperBounds)+len(c.proof.certain) > 0: // a bounded local c: a scan has neither
-		k, cnt, probes = w.sweepBounded(n, cands)
-	case c.arc:
+	if c.arc {
 		for ; k < len(cands) && !w.cancelled(); k++ {
 			w.emb[d], w.pos[d] = cands[k], k
 			cnt += w.arcCount(c)
 		}
-	case n.sweep == sweepScan:
+	} else {
 		m := c.cmap.scan[0]
 		for ; k < len(cands) && !w.cancelled(); k++ {
 			w.emb[d], w.pos[d] = cands[k], k
@@ -577,42 +576,12 @@ func (w *worker) sweep(n *node, cands []graph.VID) {
 				cnt += x
 			}
 		}
-	case n.sweep == sweepLocal:
-		l := &w.loc
-		set, at := l.sets[c.local.base*localWords:][:l.words], l.idx[c.local.ops[0].level*localCap:]
-		for ; k < len(cands) && !w.cancelled(); k++ {
-			w.emb[d], w.pos[d] = cands[k], k
-			i := int(at[k])
-			if l.stamp[i] != l.epoch {
-				w.localBuild(i)
-			}
-			cnt += setops.WordsAndCount(set, l.rows[i*l.words:], len(l.u))
-		}
-		probes = int64(k * l.words)
 	}
 	w.stats.Extensions += int64(k)
 	w.stats.LeafCountsSkippedMaterialize += int64(k)
 	w.stats.BitmapProbes += probes
 	w.stats.Candidates += cnt
 	w.counts[c.patternIdx] += cnt
-}
-
-// sweepBounded is sweep's loop for a local c bounded by the candidate v: it ends
-// below v's own position i in the universe. It is a loop of its own so that no
-// unbounded leaf pays for a bound it does not have.
-func (w *worker) sweepBounded(n *node, cands []graph.VID) (k int, cnt, probes int64) {
-	c, d, l := n.children[0], n.depth, &w.loc
-	set, at := l.sets[c.local.base*localWords:][:l.words], l.idx[d*localCap:]
-	for ; k < len(cands) && !w.cancelled(); k++ {
-		w.emb[d], w.pos[d] = cands[k], k
-		i := int(at[k])
-		if l.stamp[i] != l.epoch {
-			w.localBuild(i)
-		}
-		cnt += setops.WordsAndCount(set, l.rows[i*l.words:], i)
-		probes += int64(i+63) >> 6
-	}
-	return k, cnt, probes
 }
 
 // sweepCount is walk's loop over n's list, as materialize left it, for every other

@@ -153,3 +153,79 @@ func (w *worker) localList(n *node) []graph.VID {
 	w.levels[n.depth] = list
 	return list
 }
+
+// localSweep is walk in a local task for a node of the local or the pair kind
+// (DESIGN.md decision 30): one loop over n's set, a bit's index the candidate's
+// universe position — no list, idx or descend. At depth 1 a pair's set is the walk's
+// list: the task's hub slice of the universe, below v0 where v0 bounds it (one search);
+// per bit j the child's set is its base set AND row j, below j where n bounds it.
+func (w *worker) localSweep(n *node) {
+	l, m, set := &w.loc, int64(0), w.loc.sets[localWords:][:w.loc.words]
+	if n.local.on {
+		set, m = w.localSet(n)
+	} else {
+		hi := len(l.u)
+		if len(n.op.UpperBounds) > 0 {
+			hi = l.cut
+			w.stats.Searches++
+		}
+		if w.sliceHi >= 0 {
+			hi = min(hi, w.sliceHi)
+		}
+		clear(set)
+		for j := min(w.sliceLo, hi); j < hi; j, m = j+1, m+1 {
+			set[j>>6] |= 1 << (j & 63)
+		}
+	}
+	w.stats.Candidates += m
+	if n.sweep == sweepLocal {
+		w.localLeaves(n, set)
+		return
+	}
+	c := n.children[0]
+	out, base, bounded := l.sets[c.depth*localWords:][:l.words], l.sets[c.local.base*localWords:], len(c.op.UpperBounds) > 0
+	for x, word := range set {
+		for ; word != 0 && !w.cancelled(); word &= word - 1 {
+			j, end := x<<6+bits.TrailingZeros64(word), len(l.u)
+			if bounded {
+				end = j
+			}
+			if l.stamp[j] != l.epoch {
+				w.localBuild(j)
+			}
+			row := l.rows[j*l.words:]
+			for i := range out[:(end+63)>>6] {
+				out[i] = base[i] & row[i]
+			}
+			w.stats.Candidates += setops.WordsTrim(out, end)
+			w.stats.BitmapProbes += int64(end+63) >> 6
+			w.stats.Extensions++
+			w.localLeaves(c, out)
+		}
+	}
+}
+
+// localLeaves counts n's only child c, a local leaf, over the bits of set, n's
+// candidates — per bit i set AND row i, below i where n bounds c —, charged once.
+func (w *worker) localLeaves(n *node, set []uint64) {
+	c, l := n.children[0], &w.loc
+	bounded, k, cnt, probes := len(c.op.UpperBounds) > 0, int64(0), int64(0), int64(0)
+	for x, word := range set {
+		for ; word != 0 && !w.cancelled(); word &= word - 1 {
+			i, end := x<<6+bits.TrailingZeros64(word), len(l.u)
+			if bounded {
+				end = i
+			}
+			if l.stamp[i] != l.epoch {
+				w.localBuild(i)
+			}
+			cnt += setops.WordsAndCount(set, l.rows[i*l.words:], end)
+			k, probes = k+1, probes+int64(end+63)>>6
+		}
+	}
+	w.stats.Extensions += k
+	w.stats.LeafCountsSkippedMaterialize += k
+	w.stats.BitmapProbes += probes
+	w.stats.Candidates += cnt
+	w.counts[c.patternIdx] += cnt
+}

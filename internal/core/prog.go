@@ -52,6 +52,7 @@ const (
 	noSweep      sweepKind = iota
 	sweepScan              // an unbounded c-map masked scan of adj(v)
 	sweepLocal             // the AND of the node's local set with row(v)
+	sweepPair              // over the node's set and, per bit, its only child's, which sweeps locally: one loop
 	sweepWeighed           // below a factor: the leaf's and its B's masked scans of adj(v), in one pass
 	sweepCount             // count and, for a closed form, closed: the walk's calls, an operand once per list
 )
@@ -697,7 +698,9 @@ func (n *node) chained() bool {
 // ancestor either (scan), n's local set AND the candidate's row, c local with no
 // NotEqual and bounded by the candidate at most (local), and every other c, closed
 // forms first, through count (engine.go, sweepCount) — where an operand of a closed
-// form that names n's level nowhere is counted once per list.
+// form that names n's level nowhere is counted once per list. A local sweep's parent n
+// — no far corner, build or read mark — runs both levels in one loop (pair, decision 30)
+// where its list is its local set or, at depth 1, the universe, and the child's is n's AND n's row.
 func (p *program) sweepLeaves() {
 	p.each(func(n *node, _ []*node) {
 		if n.mode != interior || n.depth < 1 || len(n.children) != 1 || n.fac != nil && n.fac.at == n || n.far != nil || n.builds != nil || n.cmap.marked {
@@ -722,13 +725,25 @@ func (p *program) sweepLeaves() {
 			}
 		case scans(c) && c.proof.certain == nil:
 			n.sweep = sweepScan
-		case c.local.on && n.local.on && c.local.base == d && slices.Equal(c.local.ops, []chainOp{{level: d}}) &&
-			len(c.op.NotEqual) == 0 && (len(c.op.UpperBounds) == 0 || slices.Equal(c.op.UpperBounds, []int{d})):
+		case c.local.on && n.local.on && c.andsRow(d, d):
 			n.sweep = sweepLocal
 		default:
 			n.sweep = sweepCount
 		}
 	})
+	p.each(func(n *node, _ []*node) {
+		d, bs := n.depth, n.op.UpperBounds
+		if len(n.children) == 1 && n.far == nil && n.builds == nil && (!n.cmap.marked || n.cmap.lonly) && n.children[0].sweep == sweepLocal &&
+			(n.local.on && n.children[0].andsRow(d, d) || d == 1 && n.src == srcAdj && len(n.adj) == 0 && (len(bs) > 0 || !p.lbelow) && n.children[0].andsRow(0, 1)) {
+			n.sweep = sweepPair
+		}
+	})
+}
+
+// andsRow: c's local set is level base's AND level d's row, no NotEqual, bounded by d at most.
+func (c *node) andsRow(base, d int) bool {
+	return c.local.base == base && slices.Equal(c.local.ops, []chainOp{{level: d}}) && len(c.op.NotEqual) == 0 &&
+		(len(c.op.UpperBounds) == 0 || slices.Equal(c.op.UpperBounds, []int{d}))
 }
 
 // hoistSweeps counts a swept last level from counters kept per vertex of an
@@ -746,7 +761,7 @@ func (p *program) sweepLeaves() {
 func (p *program) hoistSweeps() {
 	p.each(func(n *node, path []*node) {
 		d := n.depth
-		if n.sweep == noSweep || n.sweep == sweepLocal || n.src != srcAdj || n.op.Extender > d-2 || len(n.adj)+len(n.op.UpperBounds) > 0 {
+		if n.sweep == noSweep || n.sweep == sweepLocal || n.sweep == sweepPair || n.src != srcAdj || n.op.Extender > d-2 || len(n.adj)+len(n.op.UpperBounds) > 0 {
 			return
 		}
 		gathers := func(t *node) bool {

@@ -210,13 +210,14 @@ func catalogPlans(t *testing.T) []*plan.Plan {
 func TestLoweringInvariants(t *testing.T) {
 	g := graph.ErdosRenyi(40, 120, 1)
 	var sides, factors, locals, kept, fars int
-	var swept [5]int      // nodes by sweep kind
+	var swept [6]int      // nodes by sweep kind
 	var counted [4]int    // count sweeps of a leaf with a suspect, an aux source, a frontier source, a bounded scan
 	var reached [2][2]int // auto, counting: nodes whose only child is count-only, closed forms; how many, how many swept
 	var onceOps int       // operands of swept closed forms counted once per list
 	var bearing [2][7]int // single-pattern programs with a factor, with a far corner, by pattern size
-	var hoists [2][5]int  // single-pattern sweeps by kind: lists cut from the row of a level above the parent's, hoisted
+	var hoists [2][6]int  // single-pattern sweeps by kind: lists cut from the row of a level above the parent's, hoisted
 	var arcs [2]int       // single-pattern programs' arc memo reads: count-only nodes, factor walks
+	var pairs []string    // single-pattern programs' pair loops
 	for _, pl := range catalogPlans(t) {
 		for _, o := range []Options{{}, {Kernel: KernelMergeOnly}} {
 			for _, listing := range []bool{false, true} {
@@ -384,8 +385,31 @@ func TestLoweringInvariants(t *testing.T) {
 							}
 						}
 					}
+					// A local sweep's parent n — no far corner, build or mark a local task reads —
+					// runs both levels as one loop over its bits where its list is its own local
+					// set or, at depth 1 and off plain adjacency, the universe — below v0 iff the
+					// universe is —, and the child's set is n's (level 0's at depth 1) AND the row of
+					// n's vertex, with no NotEqual, bounded by n at most. The child's own kind is
+					// checked where each reaches it.
+					if len(n.children) == 1 && n.far == nil && n.builds == nil && (!m.marked || m.lonly) && n.children[0].sweep == sweepLocal {
+						c, base := n.children[0], d
+						if d == 1 {
+							base = 0
+						}
+						own := n.local.on || d == 1 && n.src == srcAdj && len(n.adj) == 0 && (len(n.op.UpperBounds) > 0 || !p.lbelow)
+						if own && c.local.base == base && slices.Equal(c.local.ops, []chainOp{{level: d}}) && len(c.op.NotEqual) == 0 &&
+							(len(c.op.UpperBounds) == 0 || slices.Equal(c.op.UpperBounds, []int{d})) {
+							kind = sweepPair
+						}
+					}
 					if n.sweep != kind || n.sweep != noSweep && (o.Kernel == KernelMergeOnly || listing) {
 						bad(n, "sweep kind %d, the rule gives %d", n.sweep, kind)
+					}
+					if n.sweep == sweepPair && (n.far != nil || n.hoist != nil || n.builds != nil || m.marked && !m.lonly || n.fac != nil) {
+						bad(n, "a pair loop over a node with a far corner, hoist, build, read mark or factor")
+					}
+					if n.sweep == sweepPair && o.Kernel == KernelAuto && !listing && len(pl.Patterns) == 1 {
+						pairs = append(pairs, pl.Patterns[0].Name()+map[bool]string{true: ",oriented"}[pl.RequiresDAG]+map[bool]string{true: ",induced"}[pl.Induced])
 					}
 					// hoistSweeps: a scan, weighed or count sweep whose list is the row of a level
 					// o ≤ d−2 less NotEqual ancestors — plain adjacency, no chain, no bound —
@@ -396,7 +420,7 @@ func TestLoweringInvariants(t *testing.T) {
 					// excludes it. Every level the gather reads inserts its whole row into the
 					// c-map, so the gather finds every element.
 					var owner *node
-					row := kind != noSweep && kind != sweepLocal && n.src == srcAdj && n.op.Extender <= d-2 && len(n.op.UpperBounds) == 0
+					row := kind != noSweep && kind != sweepLocal && kind != sweepPair && n.src == srcAdj && n.op.Extender <= d-2 && len(n.op.UpperBounds) == 0
 					if row && len(n.adj) == 0 {
 						c := n.children[0]
 						gathers := func(s *node) bool {
@@ -517,19 +541,23 @@ func TestLoweringInvariants(t *testing.T) {
 	}
 	if sides == 0 || factors == 0 || locals == 0 || kept == 0 || fars == 0 || slices.Contains(swept[1:], 0) || slices.Contains(counted[:], 0) || onceOps == 0 {
 		t.Fatalf("the catalog exercised %d side nodes, %d nodes at or below a factor, %d local nodes, %d aux consumers, %d far corners, %d swept scans, %d swept local rows, "+
-			"%d weighed sweeps, %d count sweeps — %v of a leaf with a suspect, an aux source, a frontier source, a bounded scan — and %d once operands: a pass is vacuous here",
-			sides, factors, locals, kept, fars, swept[sweepScan], swept[sweepLocal], swept[sweepWeighed], swept[sweepCount], counted, onceOps)
+			"%d pair loops, %d weighed sweeps, %d count sweeps — %v of a leaf with a suspect, an aux source, a frontier source, a bounded scan — and %d once operands: a pass is vacuous here",
+			sides, factors, locals, kept, fars, swept[sweepScan], swept[sweepLocal], swept[sweepPair], swept[sweepWeighed], swept[sweepCount], counted, onceOps)
 	}
 	if reached != [2][2]int{{309, 283}, {82, 72}} {
 		t.Errorf("catalog nodes whose only child is count-only, and closed forms, each with how many sweep: %v; want 283 of 309 and 72 of 82", reached)
 	}
-	if hoists != [2][5]int{{sweepScan: 9, sweepWeighed: 1, sweepCount: 32}, {sweepWeighed: 1}} {
+	if hoists != [2][6]int{{sweepScan: 9, sweepWeighed: 1, sweepCount: 32}, {sweepWeighed: 1}} {
 		t.Errorf("single-pattern sweeps whose list is cut from the row of a level above their parent's, by kind, and how many hoist: %v; "+
 			"want 9 scan, 1 weighed, 32 count, and house's weighed one", hoists)
 	}
 	if arcs != [2]int{4, 1} {
 		t.Errorf("single-pattern arc memo reads, count-only nodes and factor walks: %v; want the diamond's m, the 4-path's B, "+
 			"5-motif-8's and 6-motif-13's, and house's walk of F", arcs)
+	}
+	if want := []string{"4-clique", "5-motif-20", "6-motif-111", "4-clique,induced", "5-motif-20,induced", "6-motif-111,induced",
+		"4-clique,oriented", "5-clique,oriented", "6-clique,oriented"}; !slices.Equal(pairs, want) {
+		t.Errorf("single-pattern pair loops: %v; want %v — the 4-, 5- and 6-clique, symmetric and oriented, and no other", pairs, want)
 	}
 	if bearing != [2][7]int{{5: 3, 6: 20}, {4: 1, 5: 1, 6: 2}} {
 		t.Errorf("catalog patterns with a factor, with a far corner, by size: %v; want 3 of 5 vertices (house, 5-motif-2, -9) and 20 of 6, "+
@@ -712,15 +740,17 @@ func BenchmarkExtension(b *testing.B) {
 // BenchmarkLeaf is the per-leaf constant of a count-only last level, the figure
 // decision 25 lowered, at one thread, in ns per Stats.LeafCountsSkippedMaterialize
 // — the leaf's kernel and whatever the walk spends reaching it: TC (a c-map scan
-// per leaf) and 4-CL (a local-row AND per leaf) on an oriented RMAT graph, the
-// 4-clique (a bounded AND) on the same graph symmetric, house (a factor's leaf and
+// per leaf), 4-CL and 5-CL (a local-row AND per leaf, its level and the one above
+// it one loop over set bits, decision 30) on an oriented RMAT graph, the 4-clique
+// (a bounded AND, the same pair loop) on the same graph symmetric, house (a factor's leaf and
 // its B, hoisted: one gather per edge from counters kept per v0, each gather one
 // leaf per operand, decision 27) on a smaller, denser symmetric RMAT graph, the
 // benchmark's house shape; and the count loop: the triangle (a bounded scan), the
 // diamond (C(m, 2), m an unbounded scan) and the tailed-triangle (m·A − m, m a
 // bounded scan, A once per list) on the symmetric graph, the 5-path (a product
 // whose m has a suspect) on house's. It fails unless sweepLeaves gave each plan its kind — a bounded
-// leaf where the leg is one, a hoisted sweep where it is one — and, for a local kind, tasks ran on the rows;
+// leaf where the leg is one (a pair's child bounded), a hoisted sweep where it is one — and, for a local or
+// pair kind, tasks ran on the rows;
 // a hoisted sweep also unless its gathers took no list: against the same plan with the hoists cleared,
 // where every sweep materializes its list and searches it for v1, each gather saves that search.
 func BenchmarkLeaf(b *testing.B) {
@@ -742,9 +772,10 @@ func BenchmarkLeaf(b *testing.B) {
 		hoisted bool
 	}{
 		{"TC", dag, cliqueDAG(3), sweepScan, false, false},
-		{"4-CL", dag, cliqueDAG(4), sweepLocal, false, false},
+		{"4-CL", dag, cliqueDAG(4), sweepPair, false, false},
+		{"5-CL", dag, cliqueDAG(5), sweepPair, false, false},
 		{"house", dense, mustCompile(b, pattern.House(), plan.Options{}), sweepWeighed, false, true},
-		{"4-clique", sym, mustCompile(b, pattern.KClique(4), plan.Options{}), sweepLocal, true, false},
+		{"4-clique", sym, mustCompile(b, pattern.KClique(4), plan.Options{}), sweepPair, true, false},
 		{"triangle", sym, mustCompile(b, pattern.Triangle(), plan.Options{}), sweepCount, true, false},
 		{"diamond", sym, mustCompile(b, pattern.Diamond(), plan.Options{}), sweepCount, false, false},
 		{"tailed-triangle", sym, mustCompile(b, pattern.TailedTriangle(), plan.Options{}), sweepCount, true, false},
@@ -760,7 +791,7 @@ func BenchmarkLeaf(b *testing.B) {
 				swept = swept || n.sweep == c.kind && c.bounded == (len(n.children[0].op.UpperBounds) > 0) && c.hoisted == (n.hoist != nil)
 			})
 			warm := e.Mine()
-			if !swept || c.kind == sweepLocal && warm.Stats.LocalRows == 0 {
+			if !swept || (c.kind == sweepLocal || c.kind == sweepPair) && warm.Stats.LocalRows == 0 {
 				b.Fatalf("the sweep did not fire: kind %d (bounded %v, hoisted %v) lowered %v, %d local rows", c.kind, c.bounded, c.hoisted, swept, warm.Stats.LocalRows)
 			}
 			if c.hoisted {

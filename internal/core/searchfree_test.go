@@ -246,6 +246,8 @@ func lowering(p *program) string {
 			sb.WriteString(" sweep[scan]")
 		case sweepLocal:
 			sb.WriteString(" sweep[local]")
+		case sweepPair:
+			sb.WriteString(" sweep[pair]")
 		case sweepWeighed:
 			sb.WriteString(" sweep[weighed]")
 		case sweepCount:
@@ -354,20 +356,20 @@ func TestLoweringSplit(t *testing.T) {
 	}{
 		{"4-CL on a DAG", dag(4), Options{}, `
 v0 marks[] lonly universe[]
-  v1 marks[] lonly
+  v1 marks[] lonly sweep[pair]
     v2 local[1] sweep[local]
       v3 local[@2 2]
 `},
 		{"5-CL on a DAG", dag(5), Options{}, `
 v0 marks[] lonly universe[]
   v1 marks[] lonly
-    v2 marks[] lonly local[1]
+    v2 marks[] lonly local[1] sweep[pair]
       v3 local[@2 2] sweep[local]
         v4 local[@3 3]
 `},
 		{"4-clique", mustCompile(t, pattern.KClique(4), plan.Options{}), Options{}, `
 v0 marks[<v0] lonly universe[<v0 tri]
-  v1 marks[<v0<v1] lonly
+  v1 marks[<v0<v1] lonly sweep[pair]
     v2 local[1] sweep[local]
       v3 bound@pos[2] local[@2 2]
 `},
