@@ -175,8 +175,8 @@ func TestWorkProxyGates(t *testing.T) {
 		return a["cpu.closed_forms"] > 0 && a["cpu.extensions"] < 10000 && m["cpu.closed_forms"] == 0 && m["cpu.extensions"] > 10*a["cpu.extensions"]
 	}}
 	// Before a bounded count-only scan stopped at its bound, and before a c-map mark
-	// did, each searched for it: 4,042 searches for the triangle and 6,036 for the
-	// tailed-triangle here (4,182 and 6,036 in hub slices).
+	// did, each searched for it: 4,042 searches for the triangle here (4,182 in hub
+	// slices).
 	scansStop := func(parent int64) gate {
 		return gate{"bounded scans and marks stop at their bound: under a third of the searches before (decisions 20, 25)", func(a, _ counters) bool {
 			return 3*a["cpu.searches"] < parent
@@ -193,15 +193,30 @@ func TestWorkProxyGates(t *testing.T) {
 			return den*a["cpu.bitmap_probes"] < num*given["cpu.bitmap_probes"]
 		}}
 	}
-	// An edge's common-neighbour count is read from a heap graph's arc memo, one dense
-	// access whether it hits or fills: SL-house's walk of the roof's list F and the
+	// An edge's common-neighbour count is read from a heap graph's arc index, one dense
+	// access: SL-house's walk of the roof's list F and the
 	// diamond's m per edge. 1,024,658 and 27,924 dense accesses here on 2 threads; a
-	// -mmap run has no memo and scans, as at decision 28.
+	// -mmap run has no index and scans, as at decision 28.
 	arcReads := func(parent int64) gate {
 		return gate{"edges' common neighbours are arc memo reads: under three fifths of the dense accesses before (decision 29)", func(a, _ counters) bool {
 			return 5*a["cpu.bitmap_probes"] < 3*parent
 		}}
 	}
+	// The tailed triangle sums v0's index slots instead of scanning per edge (decision
+	// 31), a hub's first slice for all of its row: 30,942 dense accesses here on 2
+	// threads, 18,108 with hub slicing off, against 116,253 and 103,419 on the mapped
+	// file, which has no index and walks. With every slice walking, the heap run read
+	// 117,523: the hubs' slices walk in degree order.
+	halfSums := gate{"v0's row is summed from the index: dense accesses under a third of the mapped file's (decision 31)", func(a, _ counters) bool {
+		mapped := runCounters(t, options{graphPath: sym, patName: "tailed-triangle", useMmap: true})
+		t.Logf("tailed-triangle: %d dense accesses on the heap, %d mapped", a["cpu.bitmap_probes"], mapped["cpu.bitmap_probes"])
+		return 3*a["cpu.bitmap_probes"] < mapped["cpu.bitmap_probes"]
+	}}
+	// Before a bounded scan stopped at its bound, the tailed triangle searched for it
+	// 6,036 times here; now it scans nothing.
+	noScan := gate{"v0's row is summed, nothing scanned: no search, against 6,036 before (decisions 25, 31)", func(a, _ counters) bool {
+		return a["cpu.searches"] == 0
+	}}
 	counts := map[string]int64{}
 	for _, c := range []struct {
 		name  string
@@ -236,7 +251,7 @@ func TestWorkProxyGates(t *testing.T) {
 		// Measured at decision 28 on 2 threads: SL-house 3,536,259 dense accesses in
 		// degree order against 4,571,711 as given, the diamond 91,990 against 192,982.
 		{"diamond", options{graphPath: sym, patName: "diamond"}, []gate{degreeOrder(options{graphPath: sym, patName: "diamond"}, 3, 5), arcReads(91_990)}},
-		{"tailed-triangle", options{graphPath: sym, patName: "tailed-triangle"}, []gate{searchFree, scansStop(6036)}},
+		{"tailed-triangle", options{graphPath: sym, patName: "tailed-triangle"}, []gate{searchFree, noScan, halfSums}},
 		{"triangle", options{graphPath: sym, patName: "triangle"}, []gate{scansStop(4042)}},
 		{"4-star", options{graphPath: sym, patName: "4-star"}, []gate{lastLevels}},
 		{"4-path", options{graphPath: sym, patName: "4-path"}, []gate{lastLevels}},

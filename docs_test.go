@@ -20,14 +20,22 @@ var (
 	testFunc    = regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
 	decisionRef = regexp.MustCompile(`[Dd]ecisions?\s+(\d+)`)
 	decisionDef = regexp.MustCompile(`(?m)^(\d+)\. \*\*`)
+	// roadmapRef is a citation of a ROADMAP.md item: "ROADMAP 19", "ROADMAP 1f",
+	// "ROADMAP 1(f)", "ROADMAP item 2" — or "item 10" alone.
+	roadmapRef = regexp.MustCompile(`ROADMAP\s+(?:items?\s+)?(\d+)|\b[Ii]tems?\s+(\d+)`)
+	// roadmapDef is an open item of ROADMAP.md: its number, and whether it is
+	// marked *Superseded* or *Folded* into others.
+	roadmapDef = regexp.MustCompile(`(?m)^(\d+)\. (\*\*|\*Superseded|\*Folded)`)
 )
 
 // TestDocReferencesResolve holds the docs to the code they point a reader
 // at: every backticked Test…, Benchmark… or Fuzz… name in README.md,
 // DESIGN.md and EXPERIMENTS.md is declared in some _test.go file of the
 // module, and every "decision N" in README.md, EXPERIMENTS.md and the
-// comments of every .go file is one that DESIGN.md numbers. ROADMAP.md is
-// left out: it names tests not yet written.
+// comments of every .go file is one that DESIGN.md numbers; every "ROADMAP N",
+// "ROADMAP N(x)" or "item N" there and in DESIGN.md is an open item that
+// ROADMAP.md numbers, not one it marks *Superseded* or *Folded* into others.
+// ROADMAP.md's own test names are left out: it names tests not yet written.
 func TestDocReferencesResolve(t *testing.T) {
 	declared := map[string]bool{}
 	type cite struct{ where, text string }
@@ -113,6 +121,31 @@ func TestDocReferencesResolve(t *testing.T) {
 		for _, m := range decisionRef.FindAllStringSubmatch(c.text, -1) {
 			if n, _ := strconv.Atoi(m[1]); !numbered[n] {
 				t.Errorf("%s: %q, but DESIGN.md numbers no decision %d", c.where, m[0], n)
+			}
+		}
+	}
+
+	_, open, ok := strings.Cut(read("ROADMAP.md"), "## Open items")
+	if !ok {
+		t.Fatal("ROADMAP.md has no Open items section")
+	}
+	items := map[int]string{} // by number: "**" open, or the mark that retired it
+	for _, m := range roadmapDef.FindAllStringSubmatch(open, -1) {
+		n, _ := strconv.Atoi(m[1])
+		items[n] = m[2]
+	}
+	if len(items) == 0 {
+		t.Fatal("ROADMAP.md numbers no open items")
+	}
+	for _, c := range append(cites, cite{"DESIGN.md", read("DESIGN.md")}) {
+		for _, m := range roadmapRef.FindAllStringSubmatch(c.text, -1) {
+			n, _ := strconv.Atoi(m[1] + m[2])
+			switch mark := items[n]; mark {
+			case "**":
+			case "":
+				t.Errorf("%s: %q, but ROADMAP.md numbers no item %d", c.where, m[0], n)
+			default:
+				t.Errorf("%s: %q, but ROADMAP.md marks item %d %s", c.where, m[0], n, strings.Trim(mark, "*"))
 			}
 		}
 	}

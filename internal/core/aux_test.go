@@ -255,7 +255,7 @@ func TestAuxScratchPooledAllocs(t *testing.T) {
 						t.Errorf("%s %s listing=%v: %d merge iterations on a plan whose every chain is scannable", p.Name(), lname, listing, w.stats.SetOpIterations)
 					}
 					// The diamond's one skewed operation, m, is an edge's common-neighbour count:
-					// on a heap graph an arc read since decision 29, whose fill is charged nowhere.
+					// on a heap graph an arc read since decision 29, one dense access.
 					_, heap := g.(*graph.Graph)
 					diamond, house := p.Name() == pattern.Diamond().Name(), p.Name() == pattern.House().Name()
 					if skewed := diamond && !heap || house; skewed && w.stats.GallopProbes == 0 {

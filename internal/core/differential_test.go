@@ -186,6 +186,7 @@ var pins = []key{
 	{c: "5-motif-16,edge", g: gspec{"clique", 9, 0, 0}, fewer: true},       // a far corner less its NotEqual ancestors
 	{c: "6-motif-74,edge", g: gspec{"clique", 8, 0, 0}, fewer: true},       // three twins
 	{c: "4-path,edge", g: gspec{"er", 40, 140, 9}},                         // a product with a B
+	{c: "tailed-triangle,edge", g: gspec{"windmill", 18, 0, 0}},            // half-sums of m·A − m; the hub's 36 arcs cut into slices
 	{c: "diamond,edge", g: gspec{"er", 40, 140, 9}},                        // C(m, 2) swept over v1's list
 	{c: "5-motif-3,edge", g: gspec{"er", 30, 90, 9}},                       // 5-path: a probed suspect
 	{c: "4-star,edge", g: gspec{"star", 40, 0, 0}},                         // C(m, 3) at depth 1, hub slices with heads
@@ -203,15 +204,16 @@ func hash(s string) uint64 {
 }
 
 // vectors are the option vectors k runs: the two references, then four it draws —
-// and, where k's case lowers a pair loop, four threads on 32-element hub slices, so
-// that its depth-1 loops run on slices of the universe (sliceLo > 0).
+// and, where k's case lowers a pair loop or a half-sum, four threads on 32-element
+// hub slices, so that its depth-1 loops and half-sums run on slices of the universe
+// or row (sliceLo > 0).
 func vectors(k key) []vec {
 	r := rand.New(rand.NewSource(int64(hash(k.String()))))
 	vs := slices.Clone(ref[:])
 	for range 4 {
 		vs = append(vs, decode(r.Uint32()))
 	}
-	if lowersTo(func(n *node) bool { return n.sweep == sweepPair })(*caseNamed(k.c)) {
+	if lowersTo(func(n *node) bool { return n.sweep == sweepPair || n.half != 0 })(*caseNamed(k.c)) {
 		vs = append(vs, vec{threads: 4, slice: 32})
 	}
 	return vs
@@ -306,11 +308,13 @@ type suite struct {
 	esu     map[string]ObliviousResult
 	symExt  map[string]int64
 	fired   map[string]int
+	indexed map[graph.Store]bool // the heap graphs whose arc index some run has built
 }
 
 func newSuite(tb testing.TB) *suite {
 	s := &suite{dir: tb.TempDir(), graphs: map[gspec]*graph.Graph{}, perms: map[string]*graph.Graph{}, stores: map[string]graph.Store{},
-		brute: map[string]int64{}, esu: map[string]ObliviousResult{}, symExt: map[string]int64{}, fired: map[string]int{}}
+		brute: map[string]int64{}, esu: map[string]ObliviousResult{}, symExt: map[string]int64{}, fired: map[string]int{},
+		indexed: map[graph.Store]bool{}}
 	tb.Cleanup(func() {
 		for _, c := range s.closers {
 			c()
@@ -467,12 +471,13 @@ func (l *lister) visit(emb []graph.VID, i int) {
 // divides; Candidates is one number across the runs of one labelling; merge-only runs use no
 // mechanism of KernelAuto's, and neither List nor a vertex-induced plan a closed
 // form; Stats is one block across threads, stores, shapes and tracing at one
-// resolved slice and labelling where the runs read no arc memo (the files never
-// do), and so is a heap run's with its arc reads turned back into the scans they
-// replace; a program whose sweep kinds — weighed included — are cleared
+// resolved slice and labelling where the runs read no arc index (the files never
+// do), and so is a heap run's with its index reads turned back into the scans and
+// walks they replace; a program whose sweep kinds — weighed included — are cleared
 // returns the swept run's Result exactly, every Stats field included, and so does a
-// program that reads the arc memo mined again on the memo its run filled, and with
-// the scans its reads replace the same counts and Candidates; Extensions
+// program that reads the arc index mined again on the index the first reading run
+// built, and with the scans and walks its reads replace the same counts and
+// Candidates; Extensions
 // is no more under auto than under merge-only at one slice, and no fewer without
 // symmetry breaking than with it. It returns one line per failure. mutate, when not nil, edits every counting program after lowering
 // (TestDifferentialKillsMutants); edited reports whether it found something to edit.
@@ -504,7 +509,7 @@ func (s *suite) check(k key, vs []vec, mutate func(*program) bool) (fails []stri
 		v     vec
 		s     Stats
 		slice int
-		arcs  bool // the program reads the heap graph's arc memo
+		arcs  bool // the program reads the heap graph's arc index
 	}
 	first := map[int]*run{} // by labelling, the first run on it
 	var runs []run
@@ -551,7 +556,7 @@ func (s *suite) check(k key, vs []vec, mutate func(*program) bool) (fails []stri
 		if mutate != nil && !listing && mutate(e.prog) {
 			edited = true
 			if _, heap := st.(*graph.Graph); e.prog.arcs && !heap {
-				continue // a file has no arc memo to read
+				continue // a file has no arc index to read
 			}
 		}
 		has := func(f func(n *node) bool) (yes bool) {
@@ -569,8 +574,9 @@ func (s *suite) check(k key, vs []vec, mutate func(*program) bool) (fails []stri
 			}
 			return e.Mine(), nil
 		}
-		cold := e.prog.arcs && memoEmpty(e.g.(*graph.Graph))
+		cold := e.prog.arcs && !s.indexed[e.g]
 		res, err := mine()
+		s.indexed[e.g] = s.indexed[e.g] || e.prog.arcs
 		var pairs []*node // the pair loops, cleared back to the walk and mined again: the whole Result must not move
 		e.prog.each(func(n *node, _ []*node) {
 			if n.sweep == sweepPair {
@@ -600,33 +606,37 @@ func (s *suite) check(k key, vs []vec, mutate func(*program) bool) (fails []stri
 			fire("sweep off", true)
 			fire("weighed sweep off", weighed)
 		}
-		if e.prog.arcs && err == nil { // the warm-store axis: mined again on the memo the run filled
+		if e.prog.arcs && err == nil { // the index axis: built once, by the first run that reads it
 			tally.Store(0)
 			if warm, err := mine(); err != nil || !reflect.DeepEqual(warm, res) {
-				fail(v, "on the store the run filled %+v (%v), before %+v", warm, err, res)
+				fail(v, "mined again on the index %+v (%v), before %+v", warm, err, res)
 			}
-			fire("arc memo, cold then warm", cold)
-			fire("arc memo reads", res.Stats.BitmapProbes > 0)
-			fire("arc memo reads in a scan sweep", has(func(n *node) bool { return n.sweep == sweepScan && n.children[0].arc }))
-			fire("arc memo reads in a factor's walk", has(func(n *node) bool { return n.hoist != nil && n.arc }))
+			halves := has(func(n *node) bool { return n.half != 0 })
+			fire("index built once, read by every reading run", cold)
+			fire("arc index reads", res.Stats.BitmapProbes > 0)
+			fire("arc index reads in a scan sweep", has(func(n *node) bool { return n.sweep == sweepScan && n.children[0].arc }))
+			fire("arc index reads in a factor's walk", has(func(n *node) bool { return n.hoist != nil && n.arc }))
+			fire("half-sums in whole-vertex tasks", halves)
+			fire("half-sums on hub slices", halves && res.Stats.Tasks > int64(e.g.NumVertices()))
 			tally.Store(0)
-			e.prog.each(func(n *node, _ []*node) { n.arc = false }) // the scans the reads replace
+			e.prog.each(func(n *node, _ []*node) { n.arc, n.half = false, 0 }) // the scans the reads replace, the walks the half-sums replace
 			scanned, err := mine()
 			if err != nil || !slices.Equal(scanned.Counts, res.Counts) || scanned.Stats.Candidates != res.Stats.Candidates {
-				fail(v, "with the scans the arc reads replace %+v (%v), with the reads %+v", scanned, err, res)
+				fail(v, "with the scans and walks the index reads replace %+v (%v), with the reads %+v", scanned, err, res)
 			}
-			// A mapped file has no memo: its lowering is the heap's less the reads, and
-			// its Stats are the scans'.
+			fire("half-sums turned back into the walk", halves)
+			// A mapped file has no index: its lowering is the heap's less the reads, and
+			// its Stats are the scans' and walks'.
 			fo := o
 			fo.OnTaskDone = nil
 			if f, err := newEngine(s.store(k.g, dag, onMapped, v.perm, ranked), pl, fo, nil); err != nil || f.prog.arcs {
-				fail(v, "a mapped file's engine (%v) reads the arc memo", err)
+				fail(v, "a mapped file's engine (%v) reads the arc index", err)
 			} else if mutate == nil {
 				f.prog.lcap = e.prog.lcap
 				if fr := f.Mine(); !reflect.DeepEqual(fr, scanned) {
-					fail(v, "on a mapped file %+v, on the heap with the scans the arc reads replace %+v", fr, scanned)
+					fail(v, "on a mapped file %+v, on the heap with the scans and walks the index reads replace %+v", fr, scanned)
 				}
-				fire("Stats without arc reads compared across stores", true)
+				fire("Stats without index reads compared across stores", true)
 			}
 		}
 		if err != nil {
@@ -760,17 +770,6 @@ func (s *suite) check(k key, vs []vec, mutate func(*program) bool) (fails []stri
 	return fails, edited
 }
 
-// memoEmpty: no slot of g's arc memo is filled.
-func memoEmpty(g *graph.Graph) bool {
-	m := g.ArcMemo()
-	for a := range g.NumArcs() {
-		if _, ok := m.Lookup(a); ok {
-			return false
-		}
-	}
-	return true
-}
-
 // biclique is the complete bipartite K_{a,b}: the a vertices of one side are twins
 // of each other in every list of the b others, and the other way round.
 func biclique(a, b int) *graph.Graph {
@@ -814,8 +813,9 @@ func TestDifferential(t *testing.T) {
 		"pair loop off", "pair loops on the rows, depth 1", "pair loops on the rows, depth 2", "pair loops on hub slices",
 		"hoisted weighed sweeps", "hoisted count sweeps",
 		"bounded scans stopped at their bound",
-		"arc memo reads", "arc memo reads in a scan sweep", "arc memo reads in a factor's walk", "arc memo, cold then warm",
-		"Stats without arc reads compared across stores",
+		"arc index reads", "arc index reads in a scan sweep", "arc index reads in a factor's walk", "index built once, read by every reading run",
+		"half-sums in whole-vertex tasks", "half-sums on hub slices", "half-sums turned back into the walk",
+		"Stats without index reads compared across stores",
 		"c-map mark", "aux reuse", "hub slices", "simulator", "degree-ordered copy", "vertex permutation 1",
 		"vertex permutation 2", "Stats compared across threads",
 		"Stats compared across stores", "Stats compared with tracing on and off"}
@@ -1198,6 +1198,25 @@ func TestDifferentialKillsMutants(t *testing.T) {
 				return false
 			}
 			n.local.on = true
+			return true
+		}},
+		// Each edge inside a's row is one pair (v1, v2 < v1); the slots count it from
+		// both ends.
+		{"a half-sum without the ½", true, func(n *node, _ *program) bool {
+			if n.half != 2 {
+				return false
+			}
+			n.half = 1
+			return true
+		}},
+		// Hub slicing cuts depth 1's list alone, so a half-sum there runs in
+		// whole-vertex tasks only. Taken for a deeper level's, it runs in every slice
+		// of a hub, and each slice counts all of the hub's edges.
+		{"a half-sum on a hub slice", true, func(n *node, _ *program) bool {
+			if n.half == 0 || n.depth != 1 {
+				return false
+			}
+			n.depth = 2
 			return true
 		}},
 		// Naming the owner besides them changes no list: a sweep that took out an

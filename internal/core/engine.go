@@ -105,8 +105,8 @@ func (o Options) withDefaults() Options {
 // (position-map writes and lookups, row-build probes, row words read) and
 // far-side counter accesses (an increment and a reset per counter — per 64-byte
 // line where one clear zeroes them —, decision 24; a hoisted sweep's too, and one
-// read per element it gathers, decision 27) and reads of a heap graph's arc memo (one
-// each, hit or fill: decision 29), and
+// read per element it gathers, decision 27) and reads of a heap graph's arc index (one
+// a slot: decisions 29 and 31), and
 // Searches the binary searches none of them sees (DESIGN.md decision 20).
 // Counts and Candidates are the invariants across kernel policies — every
 // policy walks the same tree of one labelled graph (a KernelAuto count may mine a
@@ -123,7 +123,7 @@ type Stats struct {
 	Candidates      int64 // candidates emitted after pruning
 	SetOpIterations int64 // merge-loop iterations (SIU/SDU work proxy)
 	GallopProbes    int64 // galloping-kernel element comparisons
-	BitmapProbes    int64 // dense-structure accesses: the c-map's, the local rows' (local.go), the far-side counters' and the arc memo's
+	BitmapProbes    int64 // dense-structure accesses: the c-map's, the local rows' (local.go), the far-side counters' and the arc index's
 	LocalRows       int64 // local bit rows built
 	ClosedForms     int64 // nodes counted instead of extended: closed forms, factor lists, far-side and hoisted sweeps (prog.go, closedForms, factorNodes, farSides, hoistSweeps)
 	FrontierReuses  int64 // candidate lists built from a memoized frontier
@@ -400,7 +400,7 @@ type worker struct {
 
 	loc localState // local rows (local.go); untouched unless the program has a local node
 
-	memo *graph.ArcMemo // the heap graph's arc memo, where the program reads it (arcCounts)
+	memo *graph.ArcMemo // the heap graph's arc index, where the program reads it (arcCounts, halfSums)
 
 	// far[x] counts the vertices of a list that x is adjacent to: of the list of one
 	// far-side sweep while it runs, or of hrows, the row of owner hown's vertex, for
@@ -461,7 +461,7 @@ func newWorker(g graph.Store, p *program, o Options) *worker {
 	if p.marks {
 		w.cm = make([]uint8, g.NumVertices())
 	}
-	if p.arcs { // lower marks arcs on a heap graph only
+	if p.arcs { // lower reads the index on a heap graph only
 		w.memo = g.(*graph.Graph).ArcMemo()
 	}
 	return w
@@ -508,6 +508,10 @@ func (w *worker) walk(n *node) {
 		return
 	}
 	if n.hoist != nil && w.hoistSweep(n) {
+		return
+	}
+	if n.half != 0 {
+		w.halfSum(n)
 		return
 	}
 	if w.loc.on && (n.sweep == sweepLocal || n.sweep == sweepPair) {
@@ -1273,12 +1277,12 @@ func (w *worker) rowCount(n *node, bound graph.VID) (cnt int64, cur []graph.VID,
 // of the arc from emb[a] to emb[e], e being n's extender, whose loop position in
 // a's row — past a hub slice's head at depth 1 — is the arc's there.
 func (w *worker) arcCount(n *node) int64 {
-	m, e := n.cmap.scan[0], n.op.Extender
-	a, i := bits.TrailingZeros8(m.need), w.pos[e]
+	e := n.op.Extender
+	a, i := bits.TrailingZeros8(n.cmap.scan[0].need), w.pos[e]
 	if e == 1 {
 		i += w.sliceLo
 	}
-	return w.arcRead(w.g.AdjStart(w.emb[a])+int64(i), a, w.emb[e], m)
+	return w.arcRead(w.g.AdjStart(w.emb[a]) + int64(i))
 }
 
 // arcWalk is hoistWeighed's walk of the factor's list F for a node arcCounts marked:
@@ -1292,30 +1296,42 @@ func (w *worker) arcWalk(f []graph.VID, m chainOp) (sum int64) {
 		for row[j] < v {
 			j++
 		}
-		sum += w.arcRead(base+int64(j), a, v, m)
+		sum += w.arcRead(base + int64(j))
 	}
 	return sum
 }
 
 // arcRead returns the common-neighbour count of the arc at slot s of the graph's
-// memo, from emb[a] to v, and charges it one dense access, whether it hits or fills
-// (DESIGN.md decision 29). A miss counts v's row under m, the mask of a's whole
-// row, or gallops a's row over v's where it is gallopRatio× shorter, as a count
-// would, and fills the slot; the fill is the graph's work, charged nowhere, so that
-// Stats do not depend on what earlier runs filled.
-func (w *worker) arcRead(s int64, a int, v graph.VID, m chainOp) int64 {
+// index, one dense access (DESIGN.md decision 29).
+func (w *worker) arcRead(s int64) int64 {
 	w.stats.BitmapProbes++
-	if c, ok := w.memo.Lookup(s); ok {
-		return c
+	return w.memo.Count(s)
+}
+
+// halfSum is walk at a node halfSums marked: Σ over its list, all of a's row, a
+// being its extender, of its only child's count is the sum of a's index slots over
+// half, and the child's closed form, linear in that count, is taken once of the
+// sum. Hub slicing cuts the list at depth 1 alone: there the task with the first
+// slice sums the whole row, and a later slice, whose head the first one covered,
+// counts nothing below its list. Stats.Candidates gets what the walk emits, summed
+// over a hub's tasks — each task's list, then each candidate's count and matches,
+// linear in the count —; each slot read is one dense access, and nothing is extended.
+func (w *worker) halfSum(n *node) {
+	k := int64(len(w.extenderRow(n, setops.NoBound)))
+	if len(w.sliceHead(n)) > 0 {
+		w.stats.Candidates += k
+		return
 	}
-	var c int64
-	if row, r := w.g.Adj(v), w.cmRows[a]; len(r)*gallopRatio <= len(row) {
-		c, _ = setops.IntersectGallopingCount(r, row, setops.NoBound)
-	} else {
-		c = setops.MaskCount(row, w.cm, m.need, m.avoid)
+	c, u := n.children[0], w.emb[n.op.Extender]
+	lo, deg := w.g.AdjStart(u), int64(w.g.Degree(u))
+	m := w.memo.Sum(lo, lo+deg) / n.half
+	w.stats.BitmapProbes += deg
+	cnt, cands := m, m
+	if m > 0 && c.closed.prod != nil {
+		cnt, cands = w.closed(c, m, nil)
 	}
-	w.memo.Fill(s, c)
-	return c
+	w.stats.Candidates += k + cands
+	w.counts[c.patternIdx] += cnt
 }
 
 // closed evaluates n's closed form (prog.go, closedForms) over its m > 0

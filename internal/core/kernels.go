@@ -79,11 +79,18 @@ func PaperBaseline(threads int) Options {
 // vertices under KernelAuto, with no local rows, whose level 1 is bounded by v0
 // alone and no deeper level by v0. There `v1 < v0` cuts lists by degree, not by
 // generator IDs that put the hubs first; on the other plans of the catalog the
-// copy was measured slower.
+// copy was measured slower. A plan with a half-sum (halfSums) mines the copy too:
+// its whole-vertex tasks read one slot per arc in either order, and the index it
+// reads is then the one the copy holds for the diamond and the 4-path.
 func degreeOrdered(p *program) bool {
 	pl := p.pl
 	if !p.closed || p.local || pl.Induced || len(pl.Patterns) != 1 || pl.K > 5 {
 		return false
+	}
+	half := false
+	p.each(func(n *node, _ []*node) { half = half || n.half != 0 })
+	if half {
+		return true
 	}
 	n := pl.Root.Children[0] // one pattern of K ≥ 2: a chain
 	if !slices.Equal(n.Op.UpperBounds, []int{0}) {

@@ -114,7 +114,8 @@ type node struct {
 	sweep sweepKind // sweepLeaves: on an interior node, how walk counts its only child
 	once  bool      // sweepLeaves: an operand of a swept closed form that names the swept level nowhere
 	hoist *node     // hoistSweeps: on a swept node, the ancestor whose row its list is cut from
-	arc   bool      // arcCounts: its count — a hoisted weighed node's, its F walk's — is read from the arc memo
+	arc   bool      // arcCounts: its count — a hoisted weighed node's, its F walk's — is read from the arc index
+	half  int64     // halfSums: 2 where its only child's counts over its list are the sum of a's index slots over 2
 }
 
 // proof is NotEqual of a count-only node, split by what the plan proves (decision
@@ -183,7 +184,7 @@ type program struct {
 	closed bool      // lower: closedForms and factorNodes apply — counting under KernelAuto
 	aux    []auxNode // auxNodes: by spec index, a dropped spec left zero; nil when it kept none
 	marks  bool      // markLevels: some node is marked, workers carry a c-map
-	arcs   bool      // arcCounts: some node reads the heap graph's arc memo
+	arcs   bool      // arcCounts, halfSums: some node reads the heap graph's arc index
 
 	// Local rows (localNodes): some node is local, and a task whose universe fits
 	// lcap runs locally. By the bounds of every local node and of every level one reads,
@@ -201,8 +202,9 @@ type program struct {
 // twins and twins below a factor stay as they are, auxNodes after all three because
 // a row goes to a consumer still standing, markLevels after every chain is final
 // because it reads them all, sweepLeaves after it because it reads what each kernel
-// got, hoistSweeps after that because it reads the sweep kinds, and arcCounts last,
-// for symmetric plans on a heap graph only, because it reads the marks and the hoists.
+// got, hoistSweeps after that because it reads the sweep kinds, and arcCounts and
+// halfSums last, for symmetric plans on a heap graph only, because they read the marks,
+// the hoists and the sweep kinds.
 func lower(g graph.Store, pl *plan.Plan, o Options, listing bool) *program {
 	p := &program{pl: pl, closed: o.Kernel == KernelAuto && !listing}
 	p.root = p.build(pl.Root, nil, listing)
@@ -221,6 +223,7 @@ func lower(g graph.Store, pl *plan.Plan, o Options, listing bool) *program {
 		p.hoistSweeps()
 		if _, heap := g.(*graph.Graph); heap && p.closed && !pl.RequiresDAG {
 			p.arcCounts()
+			p.halfSums()
 		}
 	}
 	return p
@@ -821,6 +824,33 @@ func (t *node) arcLevel() (int, bool) {
 	m := t.cmap.scan[0]
 	a := bits.TrailingZeros8(m.need)
 	return a, m.avoid == 0 && m.need == 1<<a
+}
+
+// halfSums counts the edges inside a row from the arc index (DESIGN.md decision 31).
+// It needs the sweep kinds and the hoists decided and leaves half and p.arcs. A node
+// n that sweeps by count, unhoisted, over the whole row of its extender a — plain
+// adjacency, no chain, NotEqual or bound, off the local rows — and whose only child
+// c counts, off plain adjacency, exactly row(a) ∩ row(v) below v, v being n's vertex
+// — no other source, no Disconnected, no NotEqual that excludes anything — sums over
+// the list to the edges inside a's row, each counted from its larger end: the sum of
+// a's index slots, which counts each from both ends, over half = 2. Where c has no
+// closed form or a product whose only operand A is once — m·A, or m·A − m —, c's
+// count over the list is linear in c's count, so the form of the sum is the sum of
+// the forms. C(m, ·) and a product with a B are not linear.
+func (p *program) halfSums() {
+	p.each(func(n *node, _ []*node) {
+		if n.sweep != sweepCount || n.hoist != nil || n.local.on || n.src != srcAdj || len(n.adj)+len(n.op.NotEqual)+len(n.op.UpperBounds) > 0 {
+			return
+		}
+		a, c, d := n.op.Extender, n.children[0], n.depth
+		op := c.op
+		srcs := append([]int{op.Extender}, op.Connected...)
+		if c.src == srcAdj && !c.local.on && len(srcs) == 2 && slices.Contains(srcs, a) && slices.Contains(srcs, d) &&
+			len(op.Disconnected) == 0 && slices.Equal(op.UpperBounds, []int{d}) && c.proof.certain == nil && c.proof.suspects == nil &&
+			c.closed.choose < 2 && (c.closed.prod == nil || len(c.closed.prod) == 1 && c.closed.prod[0].once) {
+			n.half, p.arcs = 2, true
+		}
+	})
 }
 
 // inside reports whether the factor's list F is a subset of n's list L, the row of

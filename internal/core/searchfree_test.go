@@ -133,7 +133,9 @@ func TestMergedTreeWorkBound(t *testing.T) {
 // A swept node that counts from the counters of an ancestor's row (decision 27)
 // adds "hoist[o]", o being that ancestor's level. A count-only node that reads an
 // edge's common-neighbour count from a heap graph's arc memo (decision 29) reads "arc",
-// and so does a hoisted weighed node whose walk of the factor's list reads it.
+// and so does a hoisted weighed node whose walk of the factor's list reads it; a count
+// sweep that whole-vertex tasks take as the sum of its extender's index slots over h
+// (decision 31) reads "slots/h".
 func lowering(p *program) string {
 	var sb strings.Builder
 	var walk func(n *node, term string)
@@ -261,6 +263,9 @@ func lowering(p *program) string {
 		}
 		if n.arc {
 			sb.WriteString(" arc")
+		}
+		if n.half != 0 {
+			fmt.Fprintf(&sb, " slots/%d", n.half)
 		}
 		switch f := n.fac; {
 		case f == nil:
@@ -506,9 +511,10 @@ v0
 `},
 		// Product: the tail is any neighbour of v0 but v1 and v2, and every v2 is
 		// one (B = m, not evaluated): m·(deg v0 − 1) − m per edge, A once per v0.
+		// Σ m over v1 is the edges inside v0's row, half its index sum (decision 31).
 		{"tailed-triangle", mustCompile(t, pattern.TailedTriangle(), plan.Options{}), Options{}, `
 v0 marks[]
-  v1 sweep[count]
+  v1 sweep[count] slots/2
     v2 product[A m]
   A=v2 row[0] certain[1] once
 `},
@@ -759,11 +765,10 @@ func TestAuxRowFinger(t *testing.T) {
 
 // TestArcMemoWorkBound pins decision 29's work proxy on TestWorkProxyGates' graph
 // (512-vertex RMAT), one thread, whole vertices: an edge's common-neighbour count
-// is one read of the heap graph's arc memo, one dense access whether it hits or fills,
-// so SL-house's walk of the roof's list F and the diamond's m per edge fall from
+// is one read of the heap graph's arc index, one dense access, so SL-house's walk of the roof's list F and the diamond's m per edge fall from
 // 3,338,263 and 79,156 dense accesses at decision 28 to under three fifths of that
-// (823,961 and 15,090). The counts are merge-only's, and a graph mined cold and
-// mined again warm gives one Result.
+// (823,961 and 15,090). The counts are merge-only's, and the run that builds the
+// index and the run after it give one Result.
 func TestArcMemoWorkBound(t *testing.T) {
 	for _, c := range []struct {
 		p      *pattern.Pattern
@@ -782,7 +787,7 @@ func TestArcMemoWorkBound(t *testing.T) {
 			}
 		}
 		if !slices.Equal(rs[0].Counts, want.Counts) || !slices.Equal(rs[1].Counts, want.Counts) || rs[0].Stats != rs[1].Stats {
-			t.Errorf("%s: cold %+v, warm %+v; merge-only counts %v", c.p.Name(), rs[0], rs[1], want.Counts)
+			t.Errorf("%s: building the index %+v, reading it %+v; merge-only counts %v", c.p.Name(), rs[0], rs[1], want.Counts)
 		}
 		if s := rs[0].Stats; 5*s.BitmapProbes >= 3*c.parent {
 			t.Errorf("%s: %d dense accesses; want under three fifths of %d", c.p.Name(), s.BitmapProbes, c.parent)

@@ -45,7 +45,7 @@ type Graph struct {
 		old  []VID
 	}
 
-	memo ArcMemo // its slots allocated by the first ArcMemo call
+	memo ArcMemo // its slots built by the first ArcMemo call
 }
 
 // IsDAG reports whether the graph was produced by Orient.
